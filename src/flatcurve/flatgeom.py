@@ -5,9 +5,13 @@ open segment between them.  Each visible (unordered) pair contributes one
 saddle connection; its holonomy vector, taken with both signs, populates
 the window's holonomy set.
 
-Exact mode decides blocking with integer cross/dot products (coordinates
-are rescaled by the common denominator); float mode uses an eps-tube around
-the segment with a (1-eps)-shrunk parameter range.
+Exact windows work on integer coordinates (rescaled by the common
+denominator).  There a point is visible from an anchor exactly when it is
+the nearest window point along its primitive direction (dx/g, dy/g),
+g = gcd(dx, dy): any blocker on the open segment differs from the anchor by
+a smaller multiple of that direction.  Fractions are built once per output
+vector.  Float mode uses an eps-tube around the segment with a
+(1-eps)-shrunk parameter range.
 """
 
 from __future__ import annotations
@@ -16,13 +20,15 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import EmptyWindow
-from .zseq import Mode, PointIndex, ZPoint, ZeroWindow, cross, dot
+from .zseq import Mode, PointIndex, ZPoint, ZeroWindow, _arg_half, _canonical_key, cross, dot
 
 _INT_COORD_LIMIT = 1 << 28  # keeps every cross/dot product inside int64
+_KEY_SHIFT = 32  # coordinate pairs packed as x * 2**32 + y, injective below 2**31
 
 
 # --------------------------------------------------------------------------
@@ -34,12 +40,13 @@ def _lcm(a: int, b: int) -> int:
 
 
 def _coord_arrays(w: ZeroWindow):
-    """(xs, ys, exact_ints) arrays for batched predicates.
+    """(xs, ys, scale) arrays for batched predicates.
 
-    Exact windows are rescaled by the common denominator so every cross and
-    dot product below is an exact int64.  When coordinates are too large to
-    scale safely, exact_ints is False and exact windows must use the
-    per-pair Fraction path instead.
+    Exact windows are rescaled by the common denominator ``scale`` so every
+    cross and dot product below is an exact int64.  Float windows, and exact
+    windows whose coordinates are too large to scale safely, get float
+    arrays and ``scale`` None; such exact windows must use the per-pair
+    Fraction path instead.
     """
     got = w._cache.get("coords")
     if got is not None:
@@ -54,13 +61,24 @@ def _coord_arrays(w: ZeroWindow):
             xs = [int(p.re * den) for p in w.points]
             ys = [int(p.im * den) for p in w.points]
             if max((max(map(abs, xs), default=0), max(map(abs, ys), default=0))) <= _INT_COORD_LIMIT:
-                got = (np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), True)
+                got = (np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), den)
     if got is None:
         xs = np.array([float(p.re) for p in w.points])
         ys = np.array([float(p.im) for p in w.points])
-        got = (xs, ys, False)
+        got = (xs, ys, None)
     w._cache["coords"] = got
     return got
+
+
+def _fractions(values, scale: int) -> dict:
+    """value -> Fraction(value, scale), one Fraction per distinct value."""
+    return {v: Fraction(v, scale) for v in set(values)}
+
+
+def _index_array(pairs: list):
+    """Index pairs as an (n, 2) int64 array."""
+    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+    return flat.reshape(-1, 2)
 
 
 def _visible_pairs_python(w: ZeroWindow, max_length: float | None) -> list:
@@ -125,116 +143,77 @@ def is_visible(w: ZeroWindow, r: int, l: int) -> bool:
 # --------------------------------------------------------------------------
 # batched enumeration
 
-_GRID_CACHE = "nbr_grid"
 
-
-def _neighbor_grid(w: ZeroWindow, cell: float):
-    key = (_GRID_CACHE, cell)
-    grid = w._cache.get(key)
-    if grid is None:
-        grid = {}
-        for i, p in enumerate(w.points):
-            gk = (math.floor(float(p.re) / cell), math.floor(float(p.im) / cell))
-            grid.setdefault(gk, []).append(i)
-        w._cache[key] = grid
-    return grid
-
-
-def _near_indices(w: ZeroWindow, i: int, cell: float, grid) -> list:
-    p = w.points[i]
-    cx = math.floor(float(p.re) / cell)
-    cy = math.floor(float(p.im) / cell)
-    out = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            out.extend(grid.get((cx + dx, cy + dy), ()))
-    return out
+def _nearest_by_direction(dx, dy, idx):
+    """The entries of ``idx`` nearest the anchor along their primitive
+    direction, ascending.  ``dx``, ``dy`` are their integer offsets from the
+    anchor; the anchor itself (offset 0) may be among them and is dropped."""
+    g = np.gcd(dx, dy)
+    live = g > 0
+    g = g[live]
+    direction = ((dx[live] // g) << _KEY_SHIFT) + dy[live] // g
+    order = np.lexsort((g, direction))
+    direction = direction[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = direction[1:] != direction[:-1]
+    return np.sort(idx[live][order][first])
 
 
 def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> list:
     """All visible index pairs (i < j), batched per anchor.
 
     ``max_length`` restricts enumeration to pairs at distance <= max_length;
-    any blocker of such a pair lies within that distance of the anchor, so
-    the restriction loses nothing.
+    any blocker of such a pair lies closer to the anchor than the other
+    endpoint, so the restriction loses nothing.
     """
     n = len(w.points)
     if n < 2:
         return []
-    xs, ys, exact = _coord_arrays(w)
+    xs, ys, scale = _coord_arrays(w)
+    exact = scale is not None
     if w.mode.is_exact and not exact:
         return _visible_pairs_python(w, max_length)
     eps = w.mode.eps
+    limit2 = None
+    if max_length is not None and exact:
+        bound2 = (Fraction(max_length) * scale) ** 2
+        # squared distances are integers after scaling, so flooring the
+        # rational bound loses nothing
+        limit2 = bound2.numerator // bound2.denominator
+    elif max_length is not None:
+        limit2 = float(max_length) ** 2 * (1 + 1e-12)
+    everyone = np.arange(n)
     pairs = []
-    if max_length is not None:
-        cell = max(float(max_length), 1e-300) * (1 + 1e-9)
-        grid = _neighbor_grid(w, cell)
-        if exact:
-            bound2 = (Fraction(max_length) * _int_scale(w)) ** 2
-            # squared distances are integers after scaling, so flooring the
-            # rational bound loses nothing
-            limit2 = int(bound2.numerator // bound2.denominator)
-        else:
-            limit2 = float(max_length) ** 2
     for i in range(n - 1):
-        if max_length is None:
-            js = np.arange(i + 1, n)
-            cand = None  # all points
-        else:
-            near = [j for j in _near_indices(w, i, cell, grid) if j != i]
-            if not near:
-                continue
-            near = np.array(sorted(near), dtype=np.int64)
-            dx = xs[near] - xs[i]
-            dy = ys[near] - ys[i]
-            d2 = dx * dx + dy * dy
-            if exact:
-                keep = d2 <= limit2
-            else:
-                keep = d2 <= limit2 * (1 + 1e-12)
-            near = near[keep]
-            js = near[near > i]
-            cand = near
-        if len(js) == 0:
-            continue
-        ax, ay = xs[i], ys[i]
-        bx = xs[js] - ax
-        by = ys[js] - ay
-        if cand is None:
-            cx = xs - ax
-            cy = ys - ay
-        else:
-            cx = xs[cand] - ax
-            cy = ys[cand] - ay
-        crs = bx[:, None] * cy[None, :] - by[:, None] * cx[None, :]
-        s = bx[:, None] * cx[None, :] + by[:, None] * cy[None, :]
-        len2 = bx * bx + by * by
+        dx = xs - xs[i]
+        dy = ys - ys[i]
+        cand = everyone
+        if limit2 is not None:
+            cand = np.nonzero(dx * dx + dy * dy <= limit2)[0]
+            dx, dy = dx[cand], dy[cand]
         if exact:
-            blocked = (crs == 0) & (s > 0) & (s < len2[:, None])
+            js = _nearest_by_direction(dx, dy, cand)
+            js = js[js > i]
         else:
+            later = cand > i
+            js = cand[later]
+            bx, by = dx[later], dy[later]
+            crs = bx[:, None] * dy[None, :] - by[:, None] * dx[None, :]
+            s = bx[:, None] * dx[None, :] + by[:, None] * dy[None, :]
+            len2 = bx * bx + by * by
             ln = np.sqrt(len2)
             blocked = (np.abs(crs) <= eps * ln[:, None]) \
                 & (s > eps / 2 * len2[:, None]) & (s < (1 - eps / 2) * len2[:, None])
-        vis = ~blocked.any(axis=1)
-        pairs.extend((i, int(j)) for j, ok in zip(js, vis) if ok)
+            js = js[~blocked.any(axis=1)]
+        pairs.extend(zip(repeat(i), js.tolist()))
     return pairs
-
-
-def _int_scale(w: ZeroWindow) -> int:
-    scale = w._cache.get("int_scale")
-    if scale is None:
-        den = 1
-        for p in w.points:
-            den = _lcm(den, _lcm(p.re.denominator, p.im.denominator))
-        scale = den
-        w._cache["int_scale"] = scale
-    return scale
 
 
 def visible_pairs_bruteforce(w: ZeroWindow) -> list:
     """Oracle: every pair against every potential blocker, no shortcuts."""
     n = len(w.points)
-    xs, ys, exact = _coord_arrays(w)
+    xs, ys, scale = _coord_arrays(w)
+    exact = scale is not None
     if w.mode.is_exact and not exact:
         return _visible_pairs_python(w, None)
     eps = w.mode.eps
@@ -262,10 +241,6 @@ def visible_pairs_bruteforce(w: ZeroWindow) -> list:
 # saddle connections
 
 
-def _upper_half(v: ZPoint) -> bool:
-    return v.im > 0 or (v.im == 0 and v.re > 0)
-
-
 @dataclass(frozen=True)
 class SaddleSegment:
     """A visible pair with canonical orientation (holonomy argument in
@@ -280,27 +255,47 @@ class SaddleSegment:
     provisional: bool
 
 
-def _make_segment(w: ZeroWindow, i: int, j: int, m: int) -> SaddleSegment:
-    v = w.points[j] - w.points[i]
-    if not _upper_half(v):
-        i, j = j, i
-        v = -v
-    length = v.norm()
-    # canonical orientation puts the argument in [0, pi)
-    direction = math.atan2(float(v.im), float(v.re))
-    ra = (w.points[i] - w.center).norm()
-    rb = (w.points[j] - w.center).norm()
-    provisional = max(ra, rb) + length > w.radius * (1 + 1e-12)
-    return SaddleSegment(i, j, v, length, direction, m, provisional)
-
-
 def saddle_connections(w: ZeroWindow, m: int, max_length: float | None = None) -> list:
-    """One canonical segment per visible pair; multiplicity m on the cover."""
+    """One canonical segment per visible pair; multiplicity m on the cover.
+
+    A segment is provisional when an endpoint's distance from the window
+    center plus its length exceeds the sampling radius.
+    """
     if m < 2:
         raise ValueError("covering degree m must be >= 2")
     if len(w.points) == 0:
         raise EmptyWindow("no points")
-    return [_make_segment(w, i, j, m) for i, j in visible_pairs(w, max_length)]
+    pairs = visible_pairs(w, max_length)
+    reach = [(p - w.center).norm() for p in w.points]
+    limit = w.radius * (1 + 1e-12)
+    xs, ys, scale = _coord_arrays(w)
+    segs = []
+    if scale is None:
+        for i, j in pairs:
+            v = w.points[j] - w.points[i]
+            if _arg_half(v) != 0:
+                i, j, v = j, i, -v
+            length = v.norm()
+            direction = math.atan2(float(v.im), float(v.re))
+            segs.append(SaddleSegment(i, j, v, length, direction, m,
+                                      max(reach[i], reach[j]) + length > limit))
+        return segs
+    ij = _index_array(pairs)
+    ii, jj = ij[:, 0], ij[:, 1]
+    dx, dy = xs[jj] - xs[ii], ys[jj] - ys[ii]
+    # canonical orientation puts the argument in [0, pi)
+    flip = (dy < 0) | ((dy == 0) & (dx < 0))
+    ii, jj = np.where(flip, jj, ii).tolist(), np.where(flip, ii, jj).tolist()
+    dx, dy = np.where(flip, -dx, dx).tolist(), np.where(flip, -dy, dy).tolist()
+    frac = _fractions(dx + dy, scale)
+    scale2 = scale * scale
+    for i, j, a, b in zip(ii, jj, dx, dy):
+        # Python int division rounds correctly, as float(Fraction) does
+        length = math.sqrt((a * a + b * b) / scale2)
+        segs.append(SaddleSegment(i, j, ZPoint(frac[a], frac[b]), length,
+                                  math.atan2(b / scale, a / scale), m,
+                                  max(reach[i], reach[j]) + length > limit))
+    return segs
 
 
 # --------------------------------------------------------------------------
@@ -309,6 +304,12 @@ def saddle_connections(w: ZeroWindow, m: int, max_length: float | None = None) -
 
 class HolonomySet:
     """Holonomy vectors of a window, closed under negation, 0 excluded.
+
+    ``vectors`` are in canonical order: by the key ``(norm2, half, -re)``
+    in the half plane of arguments [0, pi) and ``(norm2, half, re)`` in
+    [pi, 2*pi), that is by norm, then argument.  In float mode a vector is
+    dropped when it is ``same_point`` as one already kept, so vectors that
+    differ only by rounding count once.
 
     ``complete_radius`` is the heuristic certification radius
     ``max(0, window_radius - L)`` where L is the longest length the
@@ -320,25 +321,35 @@ class HolonomySet:
     def __init__(self, vectors, window_radius: float, mode: Mode,
                  restricted_to: float | None = None, window: ZeroWindow | None = None,
                  complete_radius: float | None = None):
-        from .zseq import _canonical_key, same_point
-
-        vecs = []
-        seen = set()
+        signed = {}
         for v in vectors:
             for s in (v, -v):
-                key = (s.re, s.im)
-                if key not in seen:
-                    seen.add(key)
-                    vecs.append(s)
-        vecs.sort(key=_canonical_key)
-        deduped = []
-        for v in vecs:
+                signed.setdefault((s.re, s.im), s)
+        index = PointIndex((), mode)
+        kept = []
+        for v in sorted(signed.values(), key=_canonical_key):
             if v.is_zero():
                 raise ValueError("holonomy set cannot contain 0")
-            if deduped and same_point(deduped[-1], v, mode):
-                continue
-            deduped.append(v)
-        self.vectors = tuple(deduped)
+            if v not in index:
+                index.add(v, len(kept))
+                kept.append(v)
+        self._fill(tuple(kept), index, window_radius, mode, restricted_to, window,
+                   complete_radius)
+
+    @classmethod
+    def _presorted(cls, vectors: tuple, window_radius: float, mode: Mode,
+                   restricted_to: float | None, window: ZeroWindow,
+                   complete_radius: float) -> "HolonomySet":
+        """A set from nonzero vectors that are already distinct, closed under
+        negation and in canonical order."""
+        h = cls.__new__(cls)
+        h._fill(vectors, PointIndex(vectors, mode), window_radius, mode, restricted_to,
+                window, complete_radius)
+        return h
+
+    def _fill(self, vectors, index, window_radius, mode, restricted_to, window,
+              complete_radius):
+        self.vectors = vectors
         self.window_radius = float(window_radius)
         self.mode = mode
         self.restricted_to = restricted_to
@@ -349,7 +360,7 @@ class HolonomySet:
                 lmax = max((v.norm() for v in self.vectors), default=0.0)
             complete_radius = max(0.0, float(window_radius) - float(lmax))
         self.complete_radius = complete_radius
-        self._index = PointIndex(self.vectors, mode)
+        self._index = index
         self._query_cache = {}
 
     def __len__(self):
@@ -376,34 +387,46 @@ class HolonomySet:
         return got
 
 
+def _integer_holonomy(xs, ys, scale: int, pairs: list):
+    """(vectors, longest length) of the pairs' signed differences, distinct
+    and in canonical order, from integer coordinates."""
+    ij = _index_array(pairs)
+    dx = xs[ij[:, 1]] - xs[ij[:, 0]]
+    dy = ys[ij[:, 1]] - ys[ij[:, 0]]
+    dx, dy = np.concatenate((dx, -dx)), np.concatenate((dy, -dy))
+    _, first = np.unique((dx << _KEY_SHIFT) + dy, return_index=True)
+    dx, dy = dx[first], dy[first]
+    norm2 = dx * dx + dy * dy
+    upper = (dy > 0) | ((dy == 0) & (dx > 0))
+    # the canonical key (norm2, half, -re or re) on integers
+    order = np.lexsort((np.where(upper, -dx, dx), ~upper, norm2))
+    dx, dy = dx[order].tolist(), dy[order].tolist()
+    frac = _fractions(dx + dy, scale)
+    vecs = tuple(ZPoint(frac[a], frac[b]) for a, b in zip(dx, dy))
+    # Python int division rounds correctly, as float(Fraction) does
+    return vecs, math.sqrt(int(norm2.max()) / (scale * scale))
+
+
 def holonomy(w: ZeroWindow, max_length: float | None = None) -> HolonomySet:
     """Signed difference vectors of all visible pairs."""
     segs = visible_pairs(w, max_length)
-    xs, ys, exact_ints = _coord_arrays(w)
-    if w.mode.is_exact and exact_ints and segs:
-        scale = _int_scale(w)
-        ii = np.fromiter((i for i, _ in segs), dtype=np.int64, count=len(segs))
-        jj = np.fromiter((j for _, j in segs), dtype=np.int64, count=len(segs))
-        distinct = set(zip((xs[jj] - xs[ii]).tolist(), (ys[jj] - ys[ii]).tolist()))
-        vecs = [ZPoint(Fraction(a, scale), Fraction(b, scale)) for a, b in distinct]
-    else:
+    xs, ys, scale = _coord_arrays(w)
+    if scale is None or not segs:
         vecs = [w.points[j] - w.points[i] for i, j in segs]
-    if max_length is None:
-        lmax = max((v.norm() for v in vecs), default=0.0)
+        longest = max((v.norm() for v in vecs), default=0.0)
+        build = HolonomySet
     else:
-        lmax = float(max_length)
-    return HolonomySet(vecs, w.radius, w.mode, restricted_to=max_length,
-                       window=w, complete_radius=max(0.0, w.radius - lmax))
-
-
-_KEY_SHIFT = 32  # coordinate pairs packed as x * 2**32 + y, injective below 2**31
+        vecs, longest = _integer_holonomy(xs, ys, scale, segs)
+        build = HolonomySet._presorted
+    lmax = longest if max_length is None else float(max_length)
+    return build(vecs, w.radius, w.mode, max_length, w, max(0.0, w.radius - lmax))
 
 
 def _encoded_keys(w: ZeroWindow):
     got = w._cache.get("enc_keys")
     if got is None:
-        xs, ys, exact_ints = _coord_arrays(w)
-        if not exact_ints:
+        xs, ys, scale = _coord_arrays(w)
+        if scale is None:
             got = (None, None)
         else:
             keys = (xs << _KEY_SHIFT) + ys
@@ -425,7 +448,7 @@ def has_holonomy_vector(w: ZeroWindow, v: ZPoint) -> bool:
     if w.mode.is_exact:
         keys, sorted_keys = _encoded_keys(w)
         if keys is not None:
-            scale = _int_scale(w)
+            scale = _coord_arrays(w)[2]
             sx, sy = Fraction(v.re) * scale, Fraction(v.im) * scale
             if sx.denominator != 1 or sy.denominator != 1:
                 return False  # finer than the window grid: no pair differs by it

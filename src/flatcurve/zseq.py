@@ -8,13 +8,12 @@ the generator it came from, and the canonicalizing translation that moved
 the norm-smallest term to the origin.
 
 Ordering convention: points are sorted by norm, ties broken by argument in
-``[0, 2*pi)``.  In exact mode the tie-break is decided with integer cross
-products, never with floating point.
+``[0, 2*pi)``.  In exact mode the tie-break compares rational half-planes
+and real parts, never floating point.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -144,8 +143,10 @@ def same_point(p: ZPoint, q: ZPoint, mode: Mode) -> bool:
 # canonical ordering
 
 # Argument half-planes for args in [0, 2*pi): half 0 covers [0, pi),
-# half 1 covers [pi, 2*pi).  Within one half, arg(u) < arg(v) iff
-# cross(u, v) > 0; this stays exact for rational coordinates.
+# half 1 covers [pi, 2*pi).  On a circle of fixed norm the argument falls as
+# re rises in half 0 and rises with it in half 1, so (norm2, half, -re or re)
+# orders by (norm, argument) with no trigonometry; it stays exact for
+# rational coordinates.
 
 
 def _arg_half(p: ZPoint) -> int:
@@ -154,22 +155,14 @@ def _arg_half(p: ZPoint) -> int:
     return 1
 
 
+def _canonical_key(p: ZPoint) -> tuple:
+    half = _arg_half(p)
+    return (p.norm2(), half, -p.re if half == 0 else p.re)
+
+
 def compare_canonical(p: ZPoint, q: ZPoint) -> int:
-    np_, nq = p.norm2(), q.norm2()
-    if np_ != nq:
-        return -1 if np_ < nq else 1
-    if np_ == 0:
-        return 0
-    hp, hq = _arg_half(p), _arg_half(q)
-    if hp != hq:
-        return -1 if hp < hq else 1
-    c = cross(p, q)
-    if c != 0:
-        return -1 if c > 0 else 1
-    return 0
-
-
-_canonical_key = functools.cmp_to_key(compare_canonical)
+    kp, kq = _canonical_key(p), _canonical_key(q)
+    return (kp > kq) - (kp < kq)
 
 
 def canonical_order(points, mode: Mode = EXACT) -> list:
@@ -240,14 +233,16 @@ class PointIndex:
     def __init__(self, points, mode: Mode):
         self.mode = mode
         self._by_key = {}
-        if mode.is_exact:
-            for i, p in enumerate(points):
-                self._by_key[(p.re, p.im)] = i
+        self._cell = max(mode.eps, 1e-300)
+        for i, p in enumerate(points):
+            self.add(p, i)
+
+    def add(self, p: ZPoint, i: int) -> None:
+        """Record ``p`` under index ``i``."""
+        if self.mode.is_exact:
+            self._by_key[(p.re, p.im)] = i
         else:
-            self._cell = max(mode.eps, 1e-300)
-            for i, p in enumerate(points):
-                key = self._grid_key(p)
-                self._by_key.setdefault(key, []).append((p, i))
+            self._by_key.setdefault(self._grid_key(p), []).append((p, i))
 
     def _grid_key(self, p: ZPoint):
         return (math.floor(p.re / self._cell), math.floor(p.im / self._cell))

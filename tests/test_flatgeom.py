@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import flatcurve as fc
@@ -40,17 +41,39 @@ def test_off_lattice_blocker():
     assert fc.is_visible(w, 0, 1)
 
 
+def _rational_cloud(rng, n, den):
+    pts = {}
+    while len(pts) < n:
+        p = zp(Fraction(rng.randint(-12, 12), rng.choice((1, den))),
+               Fraction(rng.randint(-12, 12), rng.choice((1, den))))
+        pts[(p.re, p.im)] = p
+    return _window(list(pts.values()), 20)
+
+
 def test_visible_pairs_matches_bruteforce_exact():
     rng = random.Random(23)
-    for _ in range(25):
-        n = rng.randint(3, 40)
-        pts = {}
-        while len(pts) < n:
-            p = zp(Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3))),
-                   Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3))))
-            pts[(p.re, p.im)] = p
-        w = _window(list(pts.values()), 20)
-        assert set(fc.visible_pairs(w)) == set(fc.visible_pairs_bruteforce(w))
+    for den in range(2, 8):
+        for _ in range(5):
+            w = _rational_cloud(rng, rng.randint(3, 40), den)
+            assert fc.visible_pairs(w) == fc.visible_pairs_bruteforce(w)
+
+
+@pytest.mark.parametrize("radius", [2, 3.5, 5])
+def test_visible_pairs_matches_bruteforce_lattice(radius):
+    w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), radius)
+    assert fc.visible_pairs(w) == fc.visible_pairs_bruteforce(w)
+
+
+def test_restricted_visible_pairs_match_short_bruteforce_pairs():
+    rng = random.Random(41)
+    for den in range(2, 8):
+        w = _rational_cloud(rng, 30, den)
+        full = fc.visible_pairs_bruteforce(w)
+        # each length is that of some visible pair in some of these clouds
+        for length in (0.5, 1, 2.5, 4):
+            want = [(i, j) for i, j in full
+                    if (w.points[j] - w.points[i]).norm2() <= Fraction(length) ** 2]
+            assert fc.visible_pairs(w, max_length=length) == want
 
 
 def test_visible_pairs_matches_bruteforce_float():
@@ -106,6 +129,22 @@ def test_saddle_orientation_upper_half():
     assert 0 <= seg.direction < math.pi
 
 
+def test_saddle_fields_equal_fraction_formulas():
+    rng = random.Random(43)
+    windows = [_rational_cloud(rng, 25, den) for den in (3, 6, 7)]
+    windows.append(fc.generate(fc.GeneratorSpec("gaussian-lattice"), 4).translate(
+        zp(Fraction(1, 3), Fraction(-2, 7))))
+    for w in windows:
+        for seg in fc.saddle_connections(w, 3):
+            v = w.points[seg.to_idx] - w.points[seg.from_idx]
+            assert seg.holonomy == v
+            assert v.im > 0 or (v.im == 0 and v.re > 0)
+            assert seg.length == math.sqrt(float(v.norm2()))
+            assert seg.direction == math.atan2(float(v.im), float(v.re))
+            reach = max((w.points[k] - w.center).norm() for k in (seg.from_idx, seg.to_idx))
+            assert seg.provisional == (reach + seg.length > w.radius * (1 + 1e-12))
+
+
 def test_provisional_flag_marks_boundary_segments():
     w = fc.generate(fc.GeneratorSpec("positive-integers"), 4.5)
     segs = fc.saddle_connections(w, 2)
@@ -139,6 +178,42 @@ def test_holonomy_positive_integers_is_pm_one():
     h = fc.holonomy(w)
     assert {(v.re, v.im) for v in h.vectors} == {
         (Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0))}
+
+
+def test_exact_holonomy_equals_set_of_visible_differences(lattice5):
+    rng = random.Random(47)
+    for w in [lattice5] + [_rational_cloud(rng, 30, den) for den in (2, 5, 7)]:
+        for length in (None, 2.5):
+            pairs = fc.visible_pairs(w, max_length=length)
+            want = fc.HolonomySet([w.points[j] - w.points[i] for i, j in pairs],
+                                  w.radius, w.mode, restricted_to=length)
+            got = fc.holonomy(w, max_length=length)
+            assert got.vectors == want.vectors
+            assert got.complete_radius == want.complete_radius
+
+
+def test_float_holonomy_keeps_no_near_duplicates():
+    rng = random.Random(53)
+    mode = fc.float_mode(1e-9)
+    for den in (3, 5, 6):
+        exact = _rational_cloud(rng, 40, den)
+        w = fc.ZeroWindow.from_points(
+            [fc.ZPoint(float(p.re), float(p.im)) for p in exact.points], 20, mode)
+        h = fc.holonomy(w)
+        assert len(h.vectors) == len(fc.holonomy(exact).vectors)
+        z = np.array([v.to_complex() for v in h.vectors])
+        close = np.abs(z[:, None] - z[None, :]) <= mode.eps  # same_point, vectorised
+        assert close.sum() == len(z)  # each vector matches only itself
+
+
+def test_float_holonomy_set_drops_separated_near_duplicates():
+    # the images of (1/6, 1) under the square's symmetries share its norm,
+    # so they sort between it and its rounding-off copy b
+    mode = fc.float_mode(1e-9)
+    a, b = fc.ZPoint(1 / 6, 1.0), fc.ZPoint(0.16666666666666696, 1.0)
+    h = fc.HolonomySet([a, b, fc.ZPoint(-1 / 6, 1.0)], 5, mode)
+    assert len(h.vectors) == 4
+    assert h.contains(b) and h.contains(-b)
 
 
 def test_has_holonomy_vector_agrees_with_enumeration(lattice5):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -47,6 +48,36 @@ def test_compare_canonical_is_a_total_order():
     for a, b in zip(ordered, ordered[1:]):
         assert compare_canonical(a, b) < 0
         assert compare_canonical(b, a) > 0
+
+
+def _cross_compare(p, q):
+    """The cross-product comparator the sort key replaced, kept as oracle."""
+    np_, nq = p.norm2(), q.norm2()
+    if np_ != nq:
+        return -1 if np_ < nq else 1
+    if np_ == 0:
+        return 0
+    hp, hq = fc.zseq._arg_half(p), fc.zseq._arg_half(q)
+    if hp != hq:
+        return -1 if hp < hq else 1
+    c = fc.zseq.cross(p, q)
+    return 0 if c == 0 else (-1 if c > 0 else 1)
+
+
+def test_canonical_key_sorts_like_cross_product_comparator():
+    rng = random.Random(13)
+    ties = [(5, 0), (3, 4), (4, 3), (0, 5), (-3, 4), (-4, 3), (0, 0), (1, 7), (5, 5)]
+    ties += [(-a, -b) for a, b in ties]
+    for _ in range(30):
+        s = rng.choice((1, 2, 3, Fraction(1, 2), Fraction(2, 7)))
+        pts = [zp(a * s, b * s) for a, b in rng.sample(ties, rng.randint(2, len(ties)))]
+        pts += [zp(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(10)]
+        rng.shuffle(pts)
+        want = sorted(pts, key=functools.cmp_to_key(_cross_compare))
+        assert sorted(pts, key=fc.zseq._canonical_key) == want
+        for a, b in zip(pts, pts[1:]):
+            assert compare_canonical(a, b) == _cross_compare(a, b)
 
 
 # ---------------------------------------------------------------------------
