@@ -48,9 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "svg"),
                        default="json")
         p.add_argument("--out", help="write output here instead of stdout")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks (kept for "
-                            "reproducibility of output headers)")
         return p
 
     add("gen", "generate a window and emit it as JSON")
@@ -191,7 +188,7 @@ def _search_config(args):
 def _degrees(args):
     if args.degree is None:
         return None
-    if args.degree in ("auto", "index", "optimize"):
+    if args.degree in ("auto", "index"):
         return args.degree
     return int(args.degree)
 

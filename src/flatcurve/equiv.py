@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModeMismatch, PoleInAction, TooFewPoints
-from .veech import Mat2, StabilizerSearchConfig, _matrix_key, _resolve, stabilizer_candidates
+from .veech import (Mat2, StabilizerSearchConfig, _inner_points, _matrix_key, _resolve,
+                    stabilizer_candidates)
 from .zseq import ZPoint, ZeroWindow, zdiv, zmul, zreciprocal
 from .flatgeom import window_collinear
 
@@ -109,13 +110,7 @@ def affine_automorphisms(w: ZeroWindow, cfg: StabilizerSearchConfig | None = Non
         linears = [Mat2.identity(w.mode), -Mat2.identity(w.mode)]
     else:
         linears = stabilizer_candidates(w, StabilizerSearchConfig(r, e, req))
-    inner = []
-    if w.mode.is_exact:
-        r2 = Fraction(r) ** 2
-        inner = [p for p in w.points if (p - w.center).norm2() <= r2]
-    else:
-        lim = r * r * (1 + 1e-12)
-        inner = [p for p in w.points if float((p - w.center).norm2()) <= lim]
+    inner = _inner_points(w.points, r, w.mode, w.center)
     probes = sorted(inner, key=lambda v: float(v.norm2()), reverse=True)
     idx = w.index()
     p0 = w.points[0]

@@ -5,19 +5,23 @@ open segment between them.  Each visible (unordered) pair contributes one
 saddle connection; its holonomy vector, taken with both signs, populates
 the window's holonomy set.
 
-Exact windows work on integer coordinates (rescaled by the common
-denominator).  There a point is visible from an anchor exactly when it is
-the nearest window point along its primitive direction (dx/g, dy/g),
-g = gcd(dx, dy): any blocker on the open segment differs from the anchor by
-a smaller multiple of that direction.  Fractions are built once per output
-vector.  Float mode uses an eps-tube around the segment with a
-(1-eps)-shrunk parameter range.
+Exact windows, whatever their denominators, work on integer coordinates:
+the window is rescaled by the lcm of all its denominators.  The arrays are
+int64 when every scaled coordinate is at most 2**28, so every product
+below stays inside int64, and arrays of Python ints otherwise; the same
+numpy code runs on both.  A coordinate pair (x, y) is packed as
+(x << shift) + y, with the shift wide enough that packing stays injective
+for sums and differences of two points.  There a point is visible from an
+anchor exactly when it is the nearest window point along its primitive
+direction (dx/g, dy/g), g = gcd(dx, dy): any blocker on the open segment
+differs from the anchor by a smaller multiple of that direction.
+Fractions are built once per output vector.  Float mode uses an eps-tube
+around the segment with a (1-eps)-shrunk parameter range.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
@@ -28,7 +32,7 @@ from .errors import EmptyWindow
 from .zseq import Mode, PointIndex, ZPoint, ZeroWindow, _arg_half, _canonical_key, cross, dot
 
 _INT_COORD_LIMIT = 1 << 28  # keeps every cross/dot product inside int64
-_KEY_SHIFT = 32  # coordinate pairs packed as x * 2**32 + y, injective below 2**31
+_KEY_SHIFT = 32  # int64 packing x * 2**32 + y, injective for |y| below 2**31
 
 
 # --------------------------------------------------------------------------
@@ -40,32 +44,38 @@ def _lcm(a: int, b: int) -> int:
 
 
 def _coord_arrays(w: ZeroWindow):
-    """(xs, ys, scale) arrays for batched predicates.
+    """(xs, ys, scale, shift) arrays for batched predicates.
 
-    Exact windows are rescaled by the common denominator ``scale`` so every
-    cross and dot product below is an exact int64.  Float windows, and exact
-    windows whose coordinates are too large to scale safely, get float
-    arrays and ``scale`` None; such exact windows must use the per-pair
-    Fraction path instead.
+    Exact windows are rescaled by ``scale``, the lcm of all denominators, so
+    every coordinate is an integer.  The arrays are int64 with ``shift`` 32
+    when no scaled coordinate exceeds 2**28, which keeps every cross and dot
+    product exact in int64; otherwise they hold Python ints and ``shift``
+    grows with the largest coordinate.  Either way ``(x << shift) + y``
+    packs a point, a difference of two points or a point plus such a
+    difference injectively.  Float windows get float arrays and ``scale``
+    and ``shift`` None.
     """
     got = w._cache.get("coords")
     if got is not None:
         return got
     if w.mode.is_exact:
-        den = 1
+        scale = 1
         for p in w.points:
-            den = _lcm(den, _lcm(p.re.denominator, p.im.denominator))
-            if den > _INT_COORD_LIMIT:
-                break
-        if den <= _INT_COORD_LIMIT:
-            xs = [int(p.re * den) for p in w.points]
-            ys = [int(p.im * den) for p in w.points]
-            if max((max(map(abs, xs), default=0), max(map(abs, ys), default=0))) <= _INT_COORD_LIMIT:
-                got = (np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), den)
-    if got is None:
+            scale = _lcm(scale, _lcm(p.re.denominator, p.im.denominator))
+        xs = [int(p.re * scale) for p in w.points]
+        ys = [int(p.im * scale) for p in w.points]
+        span = max(map(abs, xs + ys), default=0)
+        if span <= _INT_COORD_LIMIT:
+            got = (np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), scale, _KEY_SHIFT)
+        else:
+            # the low part of a packed value, at most 3 * span, stays below
+            # 2**(shift - 1)
+            got = (np.array(xs, dtype=object), np.array(ys, dtype=object), scale,
+                   (4 * span).bit_length() + 1)
+    else:
         xs = np.array([float(p.re) for p in w.points])
         ys = np.array([float(p.im) for p in w.points])
-        got = (xs, ys, None)
+        got = (xs, ys, None, None)
     w._cache["coords"] = got
     return got
 
@@ -79,19 +89,6 @@ def _index_array(pairs: list):
     """Index pairs as an (n, 2) int64 array."""
     flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
     return flat.reshape(-1, 2)
-
-
-def _visible_pairs_python(w: ZeroWindow, max_length: float | None) -> list:
-    bound2 = None if max_length is None else Fraction(max_length) ** 2
-    pairs = []
-    n = len(w.points)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if bound2 is not None and (w.points[j] - w.points[i]).norm2() > bound2:
-                continue
-            if is_visible(w, i, j):
-                pairs.append((i, j))
-    return pairs
 
 
 # --------------------------------------------------------------------------
@@ -144,14 +141,14 @@ def is_visible(w: ZeroWindow, r: int, l: int) -> bool:
 # batched enumeration
 
 
-def _nearest_by_direction(dx, dy, idx):
+def _nearest_by_direction(dx, dy, idx, shift: int):
     """The entries of ``idx`` nearest the anchor along their primitive
     direction, ascending.  ``dx``, ``dy`` are their integer offsets from the
     anchor; the anchor itself (offset 0) may be among them and is dropped."""
     g = np.gcd(dx, dy)
     live = g > 0
     g = g[live]
-    direction = ((dx[live] // g) << _KEY_SHIFT) + dy[live] // g
+    direction = ((dx[live] // g) << shift) + dy[live] // g
     order = np.lexsort((g, direction))
     direction = direction[order]
     first = np.ones(len(order), dtype=bool)
@@ -169,10 +166,8 @@ def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> list:
     n = len(w.points)
     if n < 2:
         return []
-    xs, ys, scale = _coord_arrays(w)
+    xs, ys, scale, shift = _coord_arrays(w)
     exact = scale is not None
-    if w.mode.is_exact and not exact:
-        return _visible_pairs_python(w, max_length)
     eps = w.mode.eps
     limit2 = None
     if max_length is not None and exact:
@@ -192,7 +187,7 @@ def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> list:
             cand = np.nonzero(dx * dx + dy * dy <= limit2)[0]
             dx, dy = dx[cand], dy[cand]
         if exact:
-            js = _nearest_by_direction(dx, dy, cand)
+            js = _nearest_by_direction(dx, dy, cand, shift)
             js = js[js > i]
         else:
             later = cand > i
@@ -212,10 +207,8 @@ def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> list:
 def visible_pairs_bruteforce(w: ZeroWindow) -> list:
     """Oracle: every pair against every potential blocker, no shortcuts."""
     n = len(w.points)
-    xs, ys, scale = _coord_arrays(w)
+    xs, ys, scale, _ = _coord_arrays(w)
     exact = scale is not None
-    if w.mode.is_exact and not exact:
-        return _visible_pairs_python(w, None)
     eps = w.mode.eps
     pairs = []
     for i in range(n - 1):
@@ -268,7 +261,7 @@ def saddle_connections(w: ZeroWindow, m: int, max_length: float | None = None) -
     pairs = visible_pairs(w, max_length)
     reach = [(p - w.center).norm() for p in w.points]
     limit = w.radius * (1 + 1e-12)
-    xs, ys, scale = _coord_arrays(w)
+    xs, ys, scale, _ = _coord_arrays(w)
     segs = []
     if scale is None:
         for i, j in pairs:
@@ -387,14 +380,14 @@ class HolonomySet:
         return got
 
 
-def _integer_holonomy(xs, ys, scale: int, pairs: list):
+def _integer_holonomy(xs, ys, scale: int, shift: int, pairs: list):
     """(vectors, longest length) of the pairs' signed differences, distinct
     and in canonical order, from integer coordinates."""
     ij = _index_array(pairs)
     dx = xs[ij[:, 1]] - xs[ij[:, 0]]
     dy = ys[ij[:, 1]] - ys[ij[:, 0]]
     dx, dy = np.concatenate((dx, -dx)), np.concatenate((dy, -dy))
-    _, first = np.unique((dx << _KEY_SHIFT) + dy, return_index=True)
+    _, first = np.unique((dx << shift) + dy, return_index=True)
     dx, dy = dx[first], dy[first]
     norm2 = dx * dx + dy * dy
     upper = (dy > 0) | ((dy == 0) & (dx > 0))
@@ -410,27 +403,27 @@ def _integer_holonomy(xs, ys, scale: int, pairs: list):
 def holonomy(w: ZeroWindow, max_length: float | None = None) -> HolonomySet:
     """Signed difference vectors of all visible pairs."""
     segs = visible_pairs(w, max_length)
-    xs, ys, scale = _coord_arrays(w)
+    xs, ys, scale, shift = _coord_arrays(w)
     if scale is None or not segs:
         vecs = [w.points[j] - w.points[i] for i, j in segs]
         longest = max((v.norm() for v in vecs), default=0.0)
         build = HolonomySet
     else:
-        vecs, longest = _integer_holonomy(xs, ys, scale, segs)
+        vecs, longest = _integer_holonomy(xs, ys, scale, shift, segs)
         build = HolonomySet._presorted
     lmax = longest if max_length is None else float(max_length)
     return build(vecs, w.radius, w.mode, max_length, w, max(0.0, w.radius - lmax))
 
 
 def _encoded_keys(w: ZeroWindow):
+    """(packed keys, the same sorted, largest absolute coordinate) of an
+    exact window."""
     got = w._cache.get("enc_keys")
     if got is None:
-        xs, ys, scale = _coord_arrays(w)
-        if scale is None:
-            got = (None, None)
-        else:
-            keys = (xs << _KEY_SHIFT) + ys
-            got = (keys, np.sort(keys))
+        xs, ys, _, shift = _coord_arrays(w)
+        keys = (xs << shift) + ys
+        span = int(max(np.abs(xs).max(initial=0), np.abs(ys).max(initial=0)))
+        got = (keys, np.sort(keys), span)
         w._cache["enc_keys"] = got
     return got
 
@@ -438,63 +431,40 @@ def _encoded_keys(w: ZeroWindow):
 def has_holonomy_vector(w: ZeroWindow, v: ZPoint) -> bool:
     """Is ``v`` (or ``-v``) the difference of some visible window pair?
 
-    Witness endpoints are matched through packed integer keys; a witness
-    survives when no window point on its line falls strictly between the
-    endpoints.
+    Exact windows: ``v`` is scaled onto the window's integer grid (int64 or
+    Python ints, as in ``_coord_arrays``) and witnesses, points p with
+    p + v in the window, are matched through packed keys.  A primitive v
+    (coprime integer coordinates) steps over no grid point, so any witness
+    will do.  Otherwise the points are sorted by (cross(p, v), dot(p, v)),
+    that is line by line along v; a witness segment holds no other window
+    point exactly when p + v comes right after p in that order.
     """
     if v.is_zero():
         return False
-    idx = w.index()
     if w.mode.is_exact:
-        keys, sorted_keys = _encoded_keys(w)
-        if keys is not None:
-            scale = _coord_arrays(w)[2]
-            sx, sy = Fraction(v.re) * scale, Fraction(v.im) * scale
-            if sx.denominator != 1 or sy.denominator != 1:
-                return False  # finer than the window grid: no pair differs by it
-            vx, vy = int(sx), int(sy)
-            if max(abs(vx), abs(vy)) > 2 * _INT_COORD_LIMIT:
-                return False
-            target = keys + ((vx << _KEY_SHIFT) + vy)
-            pos = np.searchsorted(sorted_keys, target)
-            pos[pos == len(sorted_keys)] = 0
-            witnesses = np.nonzero(sorted_keys[pos] == target)[0]
-            if witnesses.size == 0:
-                return False
-            g = math.gcd(abs(vx), abs(vy))
-            if g == 1:
-                return True  # no lattice point strictly inside a primitive step
-            step = ((vx // g) << _KEY_SHIFT) + (vy // g)
-            alive_keys = keys[witnesses]
-            alive = np.ones(alive_keys.shape, dtype=bool)
-            for k in range(1, g):
-                t = alive_keys + k * step
-                p2 = np.searchsorted(sorted_keys, t)
-                p2[p2 == len(sorted_keys)] = 0
-                alive &= sorted_keys[p2] != t
-                if not alive.any():
-                    return False
+        xs, ys, scale, shift = _coord_arrays(w)
+        keys, sorted_keys, span = _encoded_keys(w)
+        sx, sy = Fraction(v.re) * scale, Fraction(v.im) * scale
+        if sx.denominator != 1 or sy.denominator != 1:
+            return False  # finer than the window grid: no pair differs by it
+        vx, vy = int(sx), int(sy)
+        if max(abs(vx), abs(vy)) > 2 * span:
+            return False  # longer than any difference of window points
+        step = (vx << shift) + vy
+        target = keys + step
+        pos = np.searchsorted(sorted_keys, target)
+        pos[pos == len(sorted_keys)] = 0
+        if not (sorted_keys[pos] == target).any():
+            return False
+        if math.gcd(vx, vy) == 1:
             return True
-        buckets = {}
-        for p in w.points:
-            buckets.setdefault(cross(p, v), []).append(dot(p, v))
-        for vals in buckets.values():
-            vals.sort()
-        v2 = v.norm2()
-        for p in w.points:
-            if (p + v) not in idx:
-                continue
-            vals = buckets[cross(p, v)]
-            lo = dot(p, v)
-            k = bisect_right(vals, lo)
-            if k >= len(vals) or vals[k] >= lo + v2:
-                return True
-        return False
+        line_order = keys[np.lexsort((xs * vx + ys * vy, xs * vy - ys * vx))]
+        return bool((line_order[1:] - line_order[:-1] == step).any())
+    idx = w.index()
+    xs, ys = _coord_arrays(w)[:2]
     eps = w.mode.eps
     vx, vy = float(v.re), float(v.im)
     ln = math.hypot(vx, vy)
-    xs = np.array([float(p.re) for p in w.points])
-    ys = np.array([float(p.im) for p in w.points])
     len2 = ln * ln
     for p in w.points:
         if (p + v) not in idx:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-from .errors import IoError
-
 _CANVAS = 640
 _MARGIN = 40
 
@@ -91,11 +89,3 @@ def build_svg(w, segments=(), hol_vectors=(), title="") -> str:
                    f'font-family="monospace" font-size="12">{line}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def emit_svg(text: str, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write SVG to {path}: {exc}") from exc

@@ -117,13 +117,6 @@ def _matrix_key(m: Mat2, mode: Mode):
     return tuple(round(float(v), 12) for v in m.entries())
 
 
-def same_matrix(x: Mat2, y: Mat2, mode: Mode) -> bool:
-    if mode.is_exact:
-        return x.entries() == y.entries()
-    return all(abs(float(a) - float(b)) <= mode.eps
-               for a, b in zip(x.entries(), y.entries()))
-
-
 # --------------------------------------------------------------------------
 # search configuration
 
@@ -229,12 +222,14 @@ def stabilizer_candidates(w: ZeroWindow, cfg: StabilizerSearchConfig | None = No
     return _search(inner, list(w.points), lambda v: v in idx, e, req, w.mode)
 
 
-def _inner_points(points, r: float, mode: Mode) -> list:
+def _inner_points(points, r: float, mode: Mode, center: ZPoint | None = None) -> list:
+    """The points within ``r`` of ``center`` (the origin when None)."""
+    shifted = points if center is None else [p - center for p in points]
     if mode.is_exact:
         r2 = Fraction(r) ** 2
-        return [p for p in points if p.norm2() <= r2]
+        return [p for p, q in zip(points, shifted) if q.norm2() <= r2]
     lim = r * r * (1 + 1e-12)
-    return [p for p in points if float(p.norm2()) <= lim]
+    return [p for p, q in zip(points, shifted) if float(q.norm2()) <= lim]
 
 
 def hol_stabilizer(h: HolonomySet, cfg: StabilizerSearchConfig | None = None) -> list:

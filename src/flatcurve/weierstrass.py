@@ -75,7 +75,7 @@ def choose_degrees(w: ZeroWindow, strategy="index") -> list:
                 k += 1
                 out.append(k)
         return out
-    if strategy not in ("auto", "optimize"):
+    if strategy != "auto":
         raise ValueError(f"unknown degree strategy: {strategy!r}")
     norms = sorted(p.norm() for p in w.points if not p.is_zero())
     if len(norms) < 8:

@@ -50,12 +50,23 @@ def _rational_cloud(rng, n, den):
     return _window(list(pts.values()), 20)
 
 
+# scaled coordinates past int64-safe range (2**28) and past int64 itself
+_BIG_DENS = ((1 << 28) + 1, (1 << 64) + 13)
+
+
+def _pairs_is_visible_accepts(w):
+    n = len(w.points)
+    return [(i, j) for i in range(n - 1) for j in range(i + 1, n) if fc.is_visible(w, i, j)]
+
+
 def test_visible_pairs_matches_bruteforce_exact():
     rng = random.Random(23)
-    for den in range(2, 8):
+    for den in (*range(2, 8), *_BIG_DENS):
         for _ in range(5):
             w = _rational_cloud(rng, rng.randint(3, 40), den)
             assert fc.visible_pairs(w) == fc.visible_pairs_bruteforce(w)
+            if den in _BIG_DENS:
+                assert fc.visible_pairs(w) == _pairs_is_visible_accepts(w)
 
 
 @pytest.mark.parametrize("radius", [2, 3.5, 5])
@@ -66,7 +77,7 @@ def test_visible_pairs_matches_bruteforce_lattice(radius):
 
 def test_restricted_visible_pairs_match_short_bruteforce_pairs():
     rng = random.Random(41)
-    for den in range(2, 8):
+    for den in (*range(2, 8), *_BIG_DENS):
         w = _rational_cloud(rng, 30, den)
         full = fc.visible_pairs_bruteforce(w)
         # each length is that of some visible pair in some of these clouds
@@ -131,7 +142,7 @@ def test_saddle_orientation_upper_half():
 
 def test_saddle_fields_equal_fraction_formulas():
     rng = random.Random(43)
-    windows = [_rational_cloud(rng, 25, den) for den in (3, 6, 7)]
+    windows = [_rational_cloud(rng, 25, den) for den in (3, 6, 7, *_BIG_DENS)]
     windows.append(fc.generate(fc.GeneratorSpec("gaussian-lattice"), 4).translate(
         zp(Fraction(1, 3), Fraction(-2, 7))))
     for w in windows:
@@ -182,7 +193,7 @@ def test_holonomy_positive_integers_is_pm_one():
 
 def test_exact_holonomy_equals_set_of_visible_differences(lattice5):
     rng = random.Random(47)
-    for w in [lattice5] + [_rational_cloud(rng, 30, den) for den in (2, 5, 7)]:
+    for w in [lattice5] + [_rational_cloud(rng, 30, den) for den in (2, 5, 7, *_BIG_DENS)]:
         for length in (None, 2.5):
             pairs = fc.visible_pairs(w, max_length=length)
             want = fc.HolonomySet([w.points[j] - w.points[i] for i, j in pairs],
@@ -227,11 +238,24 @@ def test_has_holonomy_vector_agrees_with_enumeration(lattice5):
 
 
 def test_has_holonomy_vector_off_grid_denominators():
-    # window whose common denominator is too big for the packed-key path
     big = 1 << 29
     w = _window([zp(0), zp(Fraction(1, big)), zp(1)], 2)
     assert fc.has_holonomy_vector(w, zp(Fraction(1, big)))
     assert not fc.has_holonomy_vector(w, zp(1))  # blocked by the tiny point
+    half, one = zp(Fraction(1, 2), Fraction(1, 2)), zp(1, 1)
+    for k, dtype in ((20, np.int64), (40, object)):
+        # the tiny off-line point scales the grid by 2**k, so 1 + i is a
+        # step of gcd 2**k
+        tiny = zp(Fraction(1, 1 << k))
+        assert fc.has_holonomy_vector(_window([zp(0), tiny, one], 2), one)
+        w = _window([zp(0), half, one, tiny], 2)
+        assert fc.flatgeom._coord_arrays(w)[0].dtype == dtype
+        assert not fc.has_holonomy_vector(w, one)  # blocked by (1 + i)/2
+        assert fc.has_holonomy_vector(w, half)
+        h = fc.holonomy(w)
+        diffs = {q - p for p in w.points for q in w.points if p != q}
+        for v in diffs | {d.scale(c) for d in diffs for c in (2, Fraction(1, 2), 3)}:
+            assert fc.has_holonomy_vector(w, v) == h.contains(v)
 
 
 def test_holonomy_restriction_and_completeness(lattice5):
