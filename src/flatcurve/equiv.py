@@ -110,6 +110,17 @@ def affine_automorphisms(w: ZeroWindow, cfg: StabilizerSearchConfig | None = Non
         linears = [Mat2.identity(w.mode), -Mat2.identity(w.mode)]
     else:
         linears = stabilizer_candidates(w, StabilizerSearchConfig(r, e, req))
+    if w.mode.is_exact:
+        from . import gridsearch
+        found = gridsearch.automorphisms(w, linears, r)
+    else:
+        found = _automorphisms_loop(w, linears, r)
+    return [found[k] for k in sorted(found)]
+
+
+def _automorphisms_loop(w: ZeroWindow, linears: list, r: float) -> dict:
+    """{key: (A, t)} of the pairs that permute the window, one ``Mat2``
+    action at a time: the float path, and the reference for the exact one."""
     inner = _inner_points(w.points, r, w.mode, w.center)
     probes = sorted(inner, key=lambda v: float(v.norm2()), reverse=True)
     idx = w.index()
@@ -132,7 +143,7 @@ def affine_automorphisms(w: ZeroWindow, cfg: StabilizerSearchConfig | None = Non
             if ok:
                 key = (_matrix_key(a, w.mode), _offset_key(t, w.mode))
                 found.setdefault(key, (a, t))
-    return [found[k] for k in sorted(found)]
+    return found
 
 
 # --------------------------------------------------------------------------

@@ -308,7 +308,8 @@ class HolonomySet:
     ``max(0, window_radius - L)`` where L is the longest length the
     enumeration tested.  When the set was enumerated with a length
     restriction, membership of longer vectors is decided on demand against
-    the source window (and cached).
+    the source window (and cached).  The exact point index behind
+    ``contains`` is built on its first call.
     """
 
     def __init__(self, vectors, window_radius: float, mode: Mode,
@@ -330,14 +331,15 @@ class HolonomySet:
                    complete_radius)
 
     @classmethod
-    def _presorted(cls, vectors: tuple, window_radius: float, mode: Mode,
+    def _presorted(cls, vectors: tuple, coords, window_radius: float, mode: Mode,
                    restricted_to: float | None, window: ZeroWindow,
                    complete_radius: float) -> "HolonomySet":
         """A set from nonzero vectors that are already distinct, closed under
-        negation and in canonical order."""
+        negation and in canonical order; ``coords`` are their ``(xs, ys,
+        scale)`` on the window's integer grid."""
         h = cls.__new__(cls)
-        h._fill(vectors, PointIndex(vectors, mode), window_radius, mode, restricted_to,
-                window, complete_radius)
+        h._fill(vectors, None, window_radius, mode, restricted_to, window, complete_radius)
+        h._coords = coords
         return h
 
     def _fill(self, vectors, index, window_radius, mode, restricted_to, window,
@@ -354,6 +356,7 @@ class HolonomySet:
             complete_radius = max(0.0, float(window_radius) - float(lmax))
         self.complete_radius = complete_radius
         self._index = index
+        self._coords = None
         self._query_cache = {}
 
     def __len__(self):
@@ -365,8 +368,16 @@ class HolonomySet:
     def contains(self, v: ZPoint) -> bool:
         if v.is_zero():
             return False
+        if self._index is None:
+            self._index = PointIndex(self.vectors, self.mode)
         if v in self._index:
             return True
+        return self._unlisted_member(v)
+
+    def _unlisted_member(self, v: ZPoint) -> bool:
+        """Is the nonzero ``v``, which is not in ``vectors``, a holonomy
+        vector all the same?  Only past a length restriction, where the
+        source window decides."""
         if self.restricted_to is None or self.window is None:
             return False
         if v.norm() <= self.restricted_to * (1 - 1e-12):
@@ -380,9 +391,24 @@ class HolonomySet:
         return got
 
 
+def _hol_coords(h: HolonomySet):
+    """(xs, ys, scale) of an exact holonomy set: its vectors on the integer
+    grid scaled by the lcm of their and the source window's denominators."""
+    if h._coords is None:
+        scale = 1 if h.window is None else _coord_arrays(h.window)[2]
+        for v in h.vectors:
+            scale = _lcm(scale, _lcm(v.re.denominator, v.im.denominator))
+        xs = [int(v.re * scale) for v in h.vectors]
+        ys = [int(v.im * scale) for v in h.vectors]
+        wide = max(map(abs, xs + ys), default=0) >= 1 << 62
+        dtype = object if wide else np.int64
+        h._coords = (np.array(xs, dtype=dtype), np.array(ys, dtype=dtype), scale)
+    return h._coords
+
+
 def _integer_holonomy(xs, ys, scale: int, shift: int, pairs: list):
-    """(vectors, longest length) of the pairs' signed differences, distinct
-    and in canonical order, from integer coordinates."""
+    """(vectors, their (dx, dy, scale), longest length) of the pairs' signed
+    differences, distinct and in canonical order, from integer coordinates."""
     ij = _index_array(pairs)
     dx = xs[ij[:, 1]] - xs[ij[:, 0]]
     dy = ys[ij[:, 1]] - ys[ij[:, 0]]
@@ -393,11 +419,12 @@ def _integer_holonomy(xs, ys, scale: int, shift: int, pairs: list):
     upper = (dy > 0) | ((dy == 0) & (dx > 0))
     # the canonical key (norm2, half, -re or re) on integers
     order = np.lexsort((np.where(upper, -dx, dx), ~upper, norm2))
-    dx, dy = dx[order].tolist(), dy[order].tolist()
-    frac = _fractions(dx + dy, scale)
-    vecs = tuple(ZPoint(frac[a], frac[b]) for a, b in zip(dx, dy))
+    dx, dy = dx[order], dy[order]
+    rex, rey = dx.tolist(), dy.tolist()
+    frac = _fractions(rex + rey, scale)
+    vecs = tuple(ZPoint(frac[a], frac[b]) for a, b in zip(rex, rey))
     # Python int division rounds correctly, as float(Fraction) does
-    return vecs, math.sqrt(int(norm2.max()) / (scale * scale))
+    return vecs, (dx, dy, scale), math.sqrt(int(norm2.max()) / (scale * scale))
 
 
 def holonomy(w: ZeroWindow, max_length: float | None = None) -> HolonomySet:
@@ -407,12 +434,12 @@ def holonomy(w: ZeroWindow, max_length: float | None = None) -> HolonomySet:
     if scale is None or not segs:
         vecs = [w.points[j] - w.points[i] for i, j in segs]
         longest = max((v.norm() for v in vecs), default=0.0)
-        build = HolonomySet
-    else:
-        vecs, longest = _integer_holonomy(xs, ys, scale, shift, segs)
-        build = HolonomySet._presorted
+        lmax = longest if max_length is None else float(max_length)
+        return HolonomySet(vecs, w.radius, w.mode, max_length, w, max(0.0, w.radius - lmax))
+    vecs, coords, longest = _integer_holonomy(xs, ys, scale, shift, segs)
     lmax = longest if max_length is None else float(max_length)
-    return build(vecs, w.radius, w.mode, max_length, w, max(0.0, w.radius - lmax))
+    return HolonomySet._presorted(vecs, coords, w.radius, w.mode, max_length, w,
+                                  max(0.0, w.radius - lmax))
 
 
 def _encoded_keys(w: ZeroWindow):

@@ -1,0 +1,362 @@
+"""Stabilizer searches of exact windows on their integer grid.
+
+The searches of ``veech`` and ``equiv`` come here for exact windows and
+holonomy sets.  Every candidate is an integer matrix over a common
+denominator, possibly with a translation: ``_search`` builds them as
+N = M adj(B) over D = det B from the image pairs M of the base B, closure
+products as N_a N_b over L^2, automorphisms as (A, q) over L.  ``_accept``
+then sends each probe through every candidate at once: an image whose
+division is inexact is a miss, an exact one is looked up among the packed
+keys of the window's points or of the holonomy vectors (``_Targets``).
+Arrays are int64 while every value computed from them stays below 2**62,
+and Python ints past that.  ``Mat2``, ``ZPoint`` and Fractions are built
+only for what is returned, and for the few images a holonomy set must
+decide from its window.
+
+``veech`` and ``equiv`` import this module on the first exact search, so
+importing ``flatcurve`` does not compile it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from . import veech
+from .errors import DegenerateWindow, SingularMatrix
+from .flatgeom import HolonomySet, _coord_arrays, _encoded_keys, _hol_coords, _lcm
+from .veech import _BLOCK, ClosureReport, Mat2, _first_independent_pair, _pool_limit
+from .zseq import ZPoint, ZeroWindow
+
+_INT64_SAFE = 1 << 62
+
+
+# --------------------------------------------------------------------------
+# integer arrays
+
+
+def _ints(bound: int, *arrays) -> list:
+    """``arrays`` as int64 when ``bound`` caps every value computed from
+    them below 2**62, otherwise as arrays of Python ints."""
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    return [np.asarray(a).astype(dtype) for a in arrays]
+
+
+def _span(*arrays) -> int:
+    """Largest absolute value in ``arrays``."""
+    return max((int(np.max(np.abs(a))) for a in arrays if np.size(a)), default=0)
+
+
+def _float_norm2(xs, ys, scale: int) -> np.ndarray:
+    """float(|p|^2) of the points p = (x, y) / scale, rounded as
+    ``float(Fraction)`` rounds (Python int division is correctly rounded)."""
+    s2 = scale * scale
+    return np.array([(x * x + y * y) / s2 for x, y in zip(xs.tolist(), ys.tolist())],
+                    dtype=float)
+
+
+def _probe_order(xs, ys, idx, scale: int):
+    """``idx`` sorted longest point first, ties in their given order."""
+    return idx[np.argsort(-_float_norm2(xs[idx], ys[idx], scale), kind="stable")]
+
+
+def _inner_ints(xs, ys, scale: int, r: float, center: ZPoint | None = None):
+    """Indices of the points (x, y) / scale within ``r`` of ``center`` (the
+    origin when None), decided exactly, as ``_inner_points`` decides."""
+    cx = cy = Fraction(0)
+    if center is not None:
+        cx, cy = center.re * scale, center.im * scale
+    k = _lcm(cx.denominator, cy.denominator)
+    kx, ky = int(k * cx), int(k * cy)
+    span = k * _span(xs, ys) + max(abs(kx), abs(ky))
+    # k * (p - center) is integral, so flooring the rational bound loses
+    # nothing; no squared distance exceeds 2 * span**2
+    lim = Fraction(r) ** 2 * (k * scale) ** 2
+    lim = min(lim.numerator // lim.denominator, 2 * span * span)
+    xs, ys = _ints(2 * span * span, xs, ys)
+    dx, dy = k * xs - kx, k * ys - ky
+    return np.flatnonzero(dx * dx + dy * dy <= lim)
+
+
+# --------------------------------------------------------------------------
+# the kernel
+
+
+def _entry_limit(entry_bound: float, den: int, cap: int) -> int:
+    """Largest integer n <= cap with n / den <= entry_bound, compared exactly
+    as ``Fraction > float`` compares.  ``cap`` bounds the numerators tested,
+    so a larger limit would exclude nothing."""
+    if not math.isfinite(entry_bound):
+        return cap
+    lim = Fraction(entry_bound) * den
+    return min(lim.numerator // lim.denominator, cap)
+
+
+@dataclass(frozen=True)
+class _Targets:
+    """A point set on an integer grid, as the kernel looks images up in it.
+
+    ``keys`` are the members packed as ``(x << shift) + y`` and sorted; an
+    image with a coordinate beyond ``limit`` is a miss.  With ``unlisted``
+    set, an image that is no member but whose squared norm exceeds
+    ``short2`` stays open: ``unlisted`` decides it later, given the image
+    as a ZPoint (coordinates divided by ``scale``).
+    """
+
+    keys: np.ndarray
+    shift: int
+    limit: int
+    scale: int
+    unlisted: object = None
+    short2: int = 0
+
+    def lookup(self, x, y, on_grid):
+        """(hit, open) masks of the images (x, y); ``on_grid`` marks those
+        whose division was exact.  ``open`` is None without ``unlisted``."""
+        ok = on_grid & (abs(x) <= self.limit) & (abs(y) <= self.limit)
+        x, y = np.where(ok, x, 0), np.where(ok, y, 0)
+        if self.keys.dtype == object:
+            x, y = x.astype(object), y.astype(object)
+        packed = (x << self.shift) + y
+        pos = np.searchsorted(self.keys, packed)
+        pos[pos == len(self.keys)] = 0
+        hit = ok & (self.keys[pos] == packed)
+        if self.unlisted is None:
+            return hit, None
+        return hit, ok & ~hit & (x * x + y * y > self.short2)
+
+
+def _window_targets(w: ZeroWindow) -> _Targets:
+    """The points of an exact window."""
+    _, sorted_keys, span = _encoded_keys(w)
+    _, _, scale, shift = _coord_arrays(w)
+    return _Targets(sorted_keys, shift, span, scale)
+
+
+def _hol_targets(h: HolonomySet) -> _Targets:
+    """The vectors of an exact holonomy set; past its length restriction the
+    source window decides, through ``HolonomySet._unlisted_member``."""
+    xs, ys, scale = _hol_coords(h)
+    limit = _span(xs, ys)
+    unlisted, short2 = None, 0
+    if h.restricted_to is not None and h.window is not None:
+        wscale = _coord_arrays(h.window)[2]
+        # has_holonomy_vector refutes what is longer than any window difference
+        limit = max(limit, 2 * _encoded_keys(h.window)[2] * (scale // wscale))
+        t = float(h.restricted_to) * (1 - 1e-12) * scale
+        # norms this far below the restriction are misses for certain; the
+        # few just below it are left to the exact test in _unlisted_member
+        short2 = min(int(t * t * (1 - 1e-9)), 2 * limit * limit)
+        unlisted = h._unlisted_member
+    shift = (2 * limit).bit_length()
+    xs, ys = _ints(limit << (shift + 1), xs, ys)
+    return _Targets(np.sort((xs << shift) + ys), shift, limit, scale, unlisted, short2)
+
+
+def _images(cols, rows, x, y, targets: _Targets):
+    """(ix, iy, hit, open) of the probes (x, y) under candidates ``rows``."""
+    a, b, c, d, e, f, den = (v[rows][:, None] if np.ndim(v) else v for v in cols)
+    nx, ny = a * x + b * y + e, c * x + d * y + f
+    ix, iy = nx // den, ny // den
+    return (ix, iy, *targets.lookup(ix, iy, (ix * den == nx) & (iy * den == ny)))
+
+
+def _accept(maps, px, py, targets: _Targets):
+    """Indices of the candidates that send every probe into ``targets``
+    under each map in ``maps``.
+
+    A map is the columns (a, b, c, d, e, f, den), arrays over candidates or
+    scalars: candidate k sends probe (x, y) to ((a x + b y + e) / den,
+    (c x + d y + f) / den), a miss unless both divisions are exact.  The
+    probes (px, py), longest first, go in blocks of about _BLOCK images, and
+    a candidate is dropped at its first failing block, as ``_action_ok``
+    returns at its first miss.  Images left open are decided last through
+    ``targets.unlisted``: per candidate, forward images before inverse ones,
+    in probe order, up to its first miss.
+    """
+    big = max(_span(v) for cols in maps for v in cols)
+    bound = big * (2 * _span(px, py) + 1)
+    maps = [_ints(bound, *cols) for cols in maps]
+    px, py = _ints(bound, px, py)
+    alive = np.arange(len(maps[0][0]))
+    start = 0
+    while start < len(px) and len(alive):
+        stop = start + max(1, _BLOCK // (2 * len(alive)))
+        ok = np.ones(len(alive), dtype=bool)
+        for cols in maps:
+            _, _, hit, opened = _images(cols, alive, px[start:stop], py[start:stop], targets)
+            ok &= (hit if opened is None else hit | opened).all(axis=1)
+        alive = alive[ok]
+        start = stop
+    if targets.unlisted is None or not len(alive):
+        return alive
+    verdicts = {}
+
+    def member(x: int, y: int) -> bool:
+        got = verdicts.get((x, y))
+        if got is None:
+            s = targets.scale
+            got = targets.unlisted(ZPoint(Fraction(x, s), Fraction(y, s)))
+            verdicts[(x, y)] = verdicts[(-x, -y)] = got
+        return got
+
+    accepted = []
+    step = max(1, _BLOCK // (2 * len(px)))
+    for lo in range(0, len(alive), step):
+        rows = alive[lo:lo + step]
+        got = [_images(cols, rows, px, py, targets) for cols in maps]
+        ix, iy, opened = (np.concatenate([g[i] for g in got], axis=1) for i in (0, 1, 3))
+        for k, cand in enumerate(rows.tolist()):
+            at = np.flatnonzero(opened[k])
+            if all(member(x, y) for x, y in zip(ix[k, at].tolist(), iy[k, at].tolist())):
+                accepted.append(cand)
+    return np.array(accepted, dtype=np.int64)
+
+
+# --------------------------------------------------------------------------
+# the searches
+
+
+def _search(inner_pts, ix, iy, px, py, targets: _Targets, entry_bound: float,
+            require_nc: bool) -> list:
+    """``veech._search`` on the integer grid of ``targets``: the inner
+    points ``inner_pts`` sit at (ix, iy), the image pool at (px, py).
+
+    With base B = [p q] (columns), D = det B and an image pair as the
+    columns of M, the candidate is A = N / D with N = M adj(B), and its
+    inverse is B adj(M) / det M.  Distinct image pairs give distinct N, so
+    there is nothing to deduplicate.
+    """
+    pair = _first_independent_pair(inner_pts)
+    if pair is None:
+        raise DegenerateWindow(
+            "no two independent points inside the inner radius")
+    (x0, x1), (y0, y1) = ix[list(pair)].tolist(), iy[list(pair)].tolist()
+    scale = targets.scale
+    pool_norm = _float_norm2(px, py, scale)
+    cp = np.flatnonzero(pool_norm <= _pool_limit(x0 / scale, y0 / scale, entry_bound))
+    cq = np.flatnonzero(pool_norm <= _pool_limit(x1 / scale, y1 / scale, entry_bound))
+    d = x0 * y1 - x1 * y0
+    si, sp = max(map(abs, (x0, x1, y0, y1))), _span(px[cp], py[cp], px[cq], py[cq])
+    ax, ay, bx, by = _ints(max(16 * sp * sp * si * si, 8 * si ** 4, 4 * sp ** 4),
+                           np.repeat(px[cp], len(cq)), np.repeat(py[cp], len(cq)),
+                           np.tile(px[cq], len(cp)), np.tile(py[cq], len(cp)))
+    n = (ax * y1 - bx * y0, bx * x0 - ax * x1, ay * y1 - by * y0, by * x0 - ay * x1)
+    det_m = ax * by - bx * ay
+    keep = det_m > 0 if d > 0 else det_m < 0
+    top = _entry_limit(entry_bound, abs(d), 2 * sp * si)
+    keep &= np.max(np.abs(np.stack(n)), axis=0) <= top
+    if require_nc:
+        # A = N / D contracts when F_N < 2 D^2 and F_N - D^2 < (det M)^2
+        f = sum(v * v for v in n)
+        keep &= ~((f < 2 * d * d) & (f - d * d < det_m * det_m))
+    n = [v[keep] for v in n]
+    ax, ay, bx, by, det_m = ax[keep], ay[keep], bx[keep], by[keep], det_m[keep]
+    inverse = (x0 * by - x1 * ay, x1 * ax - x0 * bx, y0 * by - y1 * ay, y1 * ax - y0 * bx)
+    order = _probe_order(ix, iy, np.arange(len(ix)), scale)
+    acc = _accept([(*n, 0, 0, d), (*inverse, 0, 0, det_m)], ix[order], iy[order], targets)
+    found = {}
+    for row in zip(*(v[acc].tolist() for v in n)):
+        m = Mat2(*(Fraction(v, d) for v in row))
+        found[m.entries()] = m
+    ident = Mat2.identity()
+    found.setdefault(ident.entries(), ident)
+    return sorted(found.values(), key=Mat2.entries)
+
+
+def window_stabilizer(w: ZeroWindow, r: float, e: float, req: bool) -> list:
+    """``veech.stabilizer_candidates`` of an exact window."""
+    xs, ys, scale, _ = _coord_arrays(w)
+    inner = _inner_ints(xs, ys, scale, r)
+    return _search([w.points[i] for i in inner], xs[inner], ys[inner], xs, ys,
+                   _window_targets(w), e, req)
+
+
+def holonomy_stabilizer(h: HolonomySet, r: float, e: float, req: bool) -> list:
+    """``veech.hol_stabilizer`` of an exact holonomy set."""
+    xs, ys, scale = _hol_coords(h)
+    at = _inner_ints(xs, ys, scale, r)
+    inner = [h.vectors[i] for i in at]
+    px, py, pscale = _hol_coords(veech._hol_pool(h, inner, e))
+    k = scale // pscale  # 1 unless h lists vectors off its window's grid
+    px, py = _ints(_span(px, py) * k, px, py)
+    return _search(inner, xs[at], ys[at], px * k, py * k, _hol_targets(h), e, req)
+
+
+def _integer_rows(mats: list):
+    """(L, rows, largest |entry|) with each matrix's entries times L, the lcm
+    of all their denominators."""
+    den = 1
+    for m in mats:
+        for v in m.entries():
+            den = _lcm(den, v.denominator)
+    rows = [[int(v * den) for v in m.entries()] for m in mats]
+    return den, rows, max(abs(v) for row in rows for v in row)
+
+
+def closure_check(cands: list, w: ZeroWindow, r: float, e: float, req: bool) -> ClosureReport:
+    """``veech.group_closure_check`` of an exact window: with candidates
+    N / L, a product is N_a N_b / L^2, acting through the kernel."""
+    xs, ys, scale, _ = _coord_arrays(w)
+    order = _probe_order(xs, ys, _inner_ints(xs, ys, scale, r), scale)
+    den, rows, top = _integer_rows(cands)
+    k, d = len(cands), den * den
+    # product entries stay within c, and so do their F, det and the
+    # contraction test built from them
+    c = 2 * top * top
+    a = _ints(max(4 * c ** 4, (4 * c * c + d * d) * d * d, c * d), np.array(rows, dtype=object))[0]
+    a00, a01, a10, a11 = np.repeat(a, k, axis=0).T
+    b00, b01, b10, b11 = np.tile(a, (k, 1)).T
+    prod = (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+    keys = {tuple(den * v for v in row) for row in rows}
+    listed = np.array([t in keys for t in zip(*(v.tolist() for v in prod))], dtype=bool)
+    test = ~listed & (np.max(np.abs(np.stack(prod)), axis=0) <= _entry_limit(e, d, c))
+    det = prod[0] * prod[3] - prod[1] * prod[2]
+    if (test & (det == 0)).any():
+        raise SingularMatrix("closure check met a singular product")
+    if req:
+        f = sum(v * v for v in prod)
+        test &= ~((f < 2 * d * d) & ((f - d * d) * d * d < det * det))
+    at = np.flatnonzero(test)
+    p00, p01, p10, p11 = (v[at] for v in prod)
+    inverse = (d * p11, -d * p01, -d * p10, d * p00, 0, 0, det[at])
+    hits = at[_accept([(p00, p01, p10, p11, 0, 0, d), inverse], xs[order], ys[order],
+                      _window_targets(w))]
+    rep = ClosureReport(checked=int(listed.sum()))
+    for i in hits.tolist():
+        a, b = cands[i // k], cands[i % k]
+        rep.violations.append((a, b, a.mul(b)))
+    rep.skipped = k * k - rep.checked - len(rep.violations)
+    return rep
+
+
+def automorphisms(w: ZeroWindow, linears: list, r: float) -> dict:
+    """``equiv._automorphisms_loop`` of an exact window, as one kernel pass.
+
+    With A = N / L and p0 the first point, the pair (A, q) has t = q - A p0
+    and sends p to (N p + L q - N p0) / L; its inverse sends p to
+    (L adj(N) p - L adj(N) q + det(N) p0) / det(N).
+    """
+    xs, ys, scale, _ = _coord_arrays(w)
+    order = _probe_order(xs, ys, _inner_ints(xs, ys, scale, r, w.center), scale)
+    den, rows, top = _integer_rows(linears)
+    n = len(xs)
+    x0, y0 = int(xs[0]), int(ys[0])
+    qx, qy, a = _ints(4 * (den + top) ** 2 * (_span(xs, ys) + 1), np.tile(xs, len(rows)),
+                      np.tile(ys, len(rows)), np.repeat(np.array(rows, dtype=object), n, axis=0))
+    n00, n01, n10, n11 = a.T
+    det = n00 * n11 - n01 * n10
+    tx, ty = den * qx - (n00 * x0 + n01 * y0), den * qy - (n10 * x0 + n11 * y0)
+    forward = (n00, n01, n10, n11, tx, ty, den)
+    inverse = (den * n11, -den * n01, -den * n10, den * n00,
+               det * x0 - den * (n11 * qx - n01 * qy), det * y0 - den * (n00 * qy - n10 * qx), det)
+    found = {}
+    for i in _accept([forward, inverse], xs[order], ys[order], _window_targets(w)).tolist():
+        a = linears[i // n]
+        t = ZPoint(Fraction(int(tx[i]), den * scale), Fraction(int(ty[i]), den * scale))
+        found[(a.entries(), (t.re, t.im))] = (a, t)
+    return found

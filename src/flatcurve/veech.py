@@ -12,17 +12,33 @@ Everything here is window-consistent by construction: a candidate is only
 required to act correctly on the part of the data that stays inside the
 sampled region, with an inner/outer two-radius scheme controlling boundary
 effects.
+
+Exact windows test candidates on their integer grid (``flatgeom``'s
+``_coord_arrays``), in ``gridsearch``, which the exact paths import on
+first use.  With base B = [p q] of two inner points, D = det B and
+an image pair as the columns of M, every candidate is N / D with
+N = M adj(B), so the det > 0, entry-bound and non-contraction filters are
+integer comparisons on N, D and det M.  One numpy kernel then sends every
+probe X through all candidates at once, as N X / D and the inverse as
+B adj(M) X / det M: an inexact division is a miss, and an exact one is
+looked up by ``searchsorted`` among the packed window points (lower bound)
+or holonomy vectors (upper bound).  Closure products and affine
+automorphisms go through the same kernel, and ``Mat2`` of Fractions are
+built only for the matrices returned.  Float windows keep the ``Mat2``
+loop (``_search``, ``_action_ok``), which is also the reference the exact
+kernel is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DegenerateWindow, SingularMatrix, TooFewPoints
-from .flatgeom import HolonomySet, holonomy, vectors_parallel, window_collinear
+from .flatgeom import HolonomySet, _coord_arrays, holonomy, vectors_parallel, window_collinear
 from .zseq import (
     EXACT,
     Mode,
@@ -148,10 +164,11 @@ def _resolve(cfg: StabilizerSearchConfig | None, outer_radius: float):
 
 
 # --------------------------------------------------------------------------
-# pair-image stabilizer search
+# pair-image stabilizer search, float path and reference
 
 
 def _first_independent_pair(points):
+    """Indices (i, j), i < j, of the first two independent points, or None."""
     n = len(points)
     for i in range(n):
         p = points[i]
@@ -159,14 +176,19 @@ def _first_independent_pair(points):
             continue
         for j in range(i + 1, n):
             if cross(p, points[j]) != 0:
-                return p, points[j]
+                return i, j
     return None
 
 
-def _image_pool(pool, anchor: ZPoint, entry_bound: float) -> list:
+def _pool_limit(x: float, y: float, entry_bound: float) -> float:
+    """Squared-norm bound on the image of the anchor (x, y)."""
     # |A| entrywise <= E forces |(A p)_x|, |(A p)_y| <= E(|px| + |py|)
-    reach = entry_bound * (abs(float(anchor.re)) + abs(float(anchor.im)))
-    lim2 = 2 * reach * reach * (1 + 1e-9)
+    reach = entry_bound * (abs(x) + abs(y))
+    return 2 * reach * reach * (1 + 1e-9)
+
+
+def _image_pool(pool, anchor: ZPoint, entry_bound: float) -> list:
+    lim2 = _pool_limit(float(anchor.re), float(anchor.im), entry_bound)
     return [v for v in pool if float(v.norm2()) <= lim2]
 
 
@@ -185,7 +207,7 @@ def _search(inner_pts, full_pts, contains, entry_bound, require_nc, mode: Mode) 
     if pair is None:
         raise DegenerateWindow(
             "no two independent points inside the inner radius")
-    p, q = pair
+    p, q = (inner_pts[i] for i in pair)
     base_inv = Mat2(p.re, q.re, p.im, q.im).inverse()  # columns p, q
     cand_p = _image_pool(full_pts, p, entry_bound)
     cand_q = _image_pool(full_pts, q, entry_bound)
@@ -210,18 +232,6 @@ def _search(inner_pts, full_pts, contains, entry_bound, require_nc, mode: Mode) 
     return sorted(found.values(), key=lambda m: _matrix_key(m, mode))
 
 
-def stabilizer_candidates(w: ZeroWindow, cfg: StabilizerSearchConfig | None = None) -> list:
-    """Matrices that window-consistently permute the point set.
-
-    Anchored at the first independent pair of inner points; each candidate
-    and its inverse must map every inner point onto a window point.
-    """
-    r, e, req = _resolve(cfg, w.radius)
-    inner = _inner_points(w.points, r, w.mode)
-    idx = w.index()
-    return _search(inner, list(w.points), lambda v: v in idx, e, req, w.mode)
-
-
 def _inner_points(points, r: float, mode: Mode, center: ZPoint | None = None) -> list:
     """The points within ``r`` of ``center`` (the origin when None)."""
     shifted = points if center is None else [p - center for p in points]
@@ -230,6 +240,25 @@ def _inner_points(points, r: float, mode: Mode, center: ZPoint | None = None) ->
         return [p for p, q in zip(points, shifted) if q.norm2() <= r2]
     lim = r * r * (1 + 1e-12)
     return [p for p, q in zip(points, shifted) if float(q.norm2()) <= lim]
+
+
+# --------------------------------------------------------------------------
+# stabilizer bounds
+
+
+def stabilizer_candidates(w: ZeroWindow, cfg: StabilizerSearchConfig | None = None) -> list:
+    """Matrices that window-consistently permute the point set.
+
+    Anchored at the first independent pair of inner points; each candidate
+    and its inverse must map every inner point onto a window point.
+    """
+    r, e, req = _resolve(cfg, w.radius)
+    if w.mode.is_exact:
+        from . import gridsearch
+        return gridsearch.window_stabilizer(w, r, e, req)
+    inner = _inner_points(w.points, r, w.mode)
+    idx = w.index()
+    return _search(inner, list(w.points), lambda v: v in idx, e, req, w.mode)
 
 
 def hol_stabilizer(h: HolonomySet, cfg: StabilizerSearchConfig | None = None) -> list:
@@ -246,20 +275,31 @@ def hol_stabilizer(h: HolonomySet, cfg: StabilizerSearchConfig | None = None) ->
     if vectors_parallel(vecs, h.mode):
         raise DegenerateWindow(
             "all holonomy vectors are parallel; this is the uncountable branch")
+    if h.mode.is_exact:
+        from . import gridsearch
+        return gridsearch.holonomy_stabilizer(h, r, e, req)
     inner = _inner_points(vecs, r, h.mode)
+    pool = _hol_pool(h, inner, e)
+    return _search(inner, list(pool.vectors), h.contains, e, req, h.mode)
+
+
+def _hol_pool(h: HolonomySet, inner: list, e: float) -> HolonomySet:
+    """Where ``hol_stabilizer`` draws images from: ``h``, or its window
+    re-enumerated out to the anchors' reach when that passes the
+    restriction."""
     pair = _first_independent_pair(inner)
-    pool = vecs
     if pair is not None and h.window is not None and h.restricted_to is not None:
-        reach = e * math.sqrt(2) * max(p.norm() for p in pair) * (1 + 1e-9)
+        reach = e * math.sqrt(2) * max(inner[i].norm() for i in pair) * (1 + 1e-9)
         if reach > h.restricted_to:
-            pool = list(holonomy(h.window, max_length=reach).vectors)
-    return _search(inner, pool, h.contains, e, req, h.mode)
+            return holonomy(h.window, max_length=reach)
+    return h
 
 
 # --------------------------------------------------------------------------
 # collinear branch: point-symmetry search
 
 _MARGIN_FACTOR = 1.5
+_BLOCK = 1 << 15  # array elements computed at once
 
 
 def pprime_symmetry(w: ZeroWindow):
@@ -286,10 +326,20 @@ def pprime_symmetry(w: ZeroWindow):
             break
     if u is None:
         return None
-    u2 = dot(u, u)
     ulen = u.norm()
-    svals = [dot(p - base, u) for p in pts]
-    ell = sorted(float(s) / ulen for s in svals)
+    if w.mode.is_exact:
+        # on the integer grid sv = scale^2 * dot(p - base, u)
+        # (int64 coordinates stay within 2**28, so sums of two stay within
+        # int64)
+        xs, ys, scale, _ = _coord_arrays(w)
+        ux, uy = int(u.re * scale), int(u.im * scale)
+        sv = (xs - xs[0]) * ux + (ys - ys[0]) * uy
+        s2, tol = scale * scale, 0
+    else:
+        sv = np.array([dot(p - base, u) for p in pts])
+        s2, tol = 1, w.mode.eps * ulen
+    svals = [s / s2 for s in sv.tolist()]  # float(dot(p - base, u))
+    ell = sorted(s / ulen for s in svals)
     gap = max(b - a for a, b in zip(ell, ell[1:])) if len(ell) > 1 else 0.0
     qv = base - w.center
     alpha = (float(qv.re) * float(u.re) + float(qv.im) * float(u.im)) / ulen
@@ -301,39 +351,30 @@ def pprime_symmetry(w: ZeroWindow):
         return None
     if hi_chord - ell[-1] > _MARGIN_FACTOR * gap + slack:
         return None
-    if w.mode.is_exact:
-        sset = set(svals)
-        present = lambda s: s in sset
-    else:
-        ssorted = sorted(svals)
-        tol = w.mode.eps * ulen
-
-        def present(s):
-            k = bisect_left(ssorted, s - tol)
-            return k < len(ssorted) and ssorted[k] <= s + tol
-
-    doubled = sorted({si + sj for i, si in enumerate(svals)
-                      for sj in svals[i:]},
-                     key=lambda c2: (abs(float(c2) / (2 * ulen) + alpha), float(c2)))
+    ls = np.array(svals) / ulen
+    ssorted = np.sort(sv)
+    # every doubled center s_i + s_j once, summed in blocks of rows
+    rows = max(1, _BLOCK // len(sv))
+    doubled = np.unique(np.concatenate([np.unique(np.add.outer(sv[i:i + rows], sv))
+                                        for i in range(0, len(sv), rows)])).tolist()
+    c2f = [c2 / s2 for c2 in doubled]
     band = slack
-    for c2 in doubled:
-        c_ell = float(c2) / (2 * ulen)
+    for k in sorted(range(len(doubled)),
+                    key=lambda k: (abs(c2f[k] / (2 * ulen) + alpha), c2f[k])):
+        c_ell = c2f[k] / (2 * ulen)
         lo = max(lo_chord, 2 * c_ell - hi_chord)
         hi = min(hi_chord, 2 * c_ell - lo_chord)
         if hi - lo <= 0:
             continue
-        matched = 0
-        ok = True
-        for s in svals:
-            l = float(s) / ulen
-            if l < lo + band or l > hi - band:
-                continue
-            if not present(c2 - s):
-                ok = False
-                break
-            matched += 1
-        if ok and matched >= 1:
-            t = c2 / (2 * u2)
+        inside = (ls >= lo + band) & (ls <= hi - band)
+        if not inside.any():
+            continue
+        # each reflected partner doubled - s must be present (within tol)
+        need = doubled[k] - sv[inside]
+        pos = np.searchsorted(ssorted, need - tol)
+        if (pos < len(ssorted)).all() and (ssorted[pos] <= need + tol).all():
+            c2 = Fraction(doubled[k], s2) if w.mode.is_exact else doubled[k]
+            t = c2 / (2 * dot(u, u))
             return ZPoint(base.re + u.re * t, base.im + u.im * t)
     return None
 
@@ -392,6 +433,15 @@ def group_closure_check(cands: list, w: ZeroWindow,
     if not cands:
         raise ValueError("closure check needs at least one candidate")
     r, e, req = _resolve(cfg, w.radius)
+    if w.mode.is_exact:
+        from . import gridsearch
+        return gridsearch.closure_check(cands, w, r, e, req)
+    return _closure_loop(cands, w, r, e, req)
+
+
+def _closure_loop(cands: list, w: ZeroWindow, r: float, e: float, req: bool) -> ClosureReport:
+    """``group_closure_check`` one ``Mat2`` product at a time: the float
+    path, and the reference for the exact one."""
     inner = _inner_points(w.points, r, w.mode)
     probes = sorted(inner, key=lambda v: float(v.norm2()), reverse=True)
     idx = w.index()

@@ -341,3 +341,11 @@ def test_collinear_iff_all_holonomy_parallel():
         h = fc.holonomy(w)
         parallel = fc.flatgeom.vectors_parallel(list(h.vectors), w.mode)
         assert fc.window_collinear(w) == parallel
+
+
+def test_exact_point_index_is_built_on_first_query(lattice5):
+    h = fc.holonomy(lattice5)
+    assert h._index is None  # enumeration alone builds no Fraction index
+    assert h.contains(zp(1, 0)) and h.contains(zp(-2, 1))
+    assert not h.contains(zp(2, 0)) and not h.contains(zp(0))
+    assert h._index is not None

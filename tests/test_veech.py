@@ -2,12 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import flatcurve as fc
+from flatcurve import equiv, gridsearch, veech
 from flatcurve.veech import Mat2, StabilizerSearchConfig
 
 from conftest import zp
+from test_flatgeom import _BIG_DENS, _rational_cloud
 
 
 # ---------------------------------------------------------------------------
@@ -219,3 +222,183 @@ def test_closure_report_serializable(lattice5):
     d = rep.to_dict()
     assert d["ok"] is True
     assert d["checked"] + d["skipped"] == len(cands) ** 2
+
+
+# ---------------------------------------------------------------------------
+# integer kernel against the Mat2/Fraction reference loop
+
+
+def _ref_candidates(w, cfg):
+    r, e, req = veech._resolve(cfg, w.radius)
+    idx = w.index()
+    return veech._search(veech._inner_points(w.points, r, w.mode), list(w.points),
+                         lambda v: v in idx, e, req, w.mode)
+
+
+def _ref_hol_stabilizer(h, cfg):
+    r, e, req = veech._resolve(cfg, h.window_radius)
+    inner = veech._inner_points(list(h.vectors), r, h.mode)
+    pool = veech._hol_pool(h, inner, e)
+    return veech._search(inner, list(pool.vectors), h.contains, e, req, h.mode)
+
+
+def _same_closure(cands, w, cfg):
+    got = fc.group_closure_check(cands, w, cfg)
+    want = veech._closure_loop(cands, w, *veech._resolve(cfg, w.radius))
+    assert (got.checked, got.skipped, got.violations) == \
+        (want.checked, want.skipped, want.violations)
+
+
+def _kernel_matches_reference(w, cfg):
+    """Every exact search equals its reference loop on ``w``; returns the
+    lower candidates."""
+    lower = fc.stabilizer_candidates(w, cfg)
+    assert lower == _ref_candidates(w, cfg)
+    _same_closure(lower, w, cfg)
+    # a candidate list that is not closed sends products through the action test
+    _same_closure(lower[::2], w, cfg)
+    r = veech._resolve(cfg, w.radius)[0]
+    h_kernel, h_ref = fc.holonomy(w, max_length=r), fc.holonomy(w, max_length=r)
+    assert fc.hol_stabilizer(h_kernel, cfg) == _ref_hol_stabilizer(h_ref, cfg)
+    assert gridsearch.automorphisms(w, lower, r) == equiv._automorphisms_loop(w, lower, r)
+    return lower
+
+
+def _grid_window(step_x, step_y, radius, center=zp(0)):
+    """The points center + (a * step_x, b * step_y) within ``radius`` of
+    ``center``, sampled in that ball."""
+    kx, ky = int(radius / step_x) + 1, int(radius / step_y) + 1
+    pts = [zp(a * step_x, b * step_y) + center for a in range(-kx, kx + 1)
+           for b in range(-ky, ky + 1)
+           if (a * step_x) ** 2 + (b * step_y) ** 2 <= Fraction(radius) ** 2]
+    return fc.ZeroWindow(fc.canonical_order(pts), radius, center=center)
+
+
+def test_kernel_matches_reference_on_rational_clouds():
+    rng = random.Random(404)
+    # 32749: int64 coordinates whose products leave int64, so the kernel
+    # promotes to Python ints; the _BIG_DENS windows hold Python ints already
+    for den in (*range(2, 8), 32749, *_BIG_DENS):
+        w = _rational_cloud(rng, 24, den)
+        for cfg in (StabilizerSearchConfig(inner_radius=7),
+                    StabilizerSearchConfig(inner_radius=6, entry_bound=2,
+                                           require_non_contracting=False)):
+            try:
+                _kernel_matches_reference(w, cfg)
+            except fc.DegenerateWindow:
+                with pytest.raises(fc.DegenerateWindow):
+                    _ref_candidates(w, cfg)
+
+
+@pytest.mark.parametrize("den", [1, _BIG_DENS[1]])
+def test_kernel_matches_reference_on_lattices(den):
+    step = Fraction(1, den)
+    w = _grid_window(step, step, 5 * step)
+    lower = _kernel_matches_reference(w, StabilizerSearchConfig(inner_radius=2 * step))
+    assert len(lower) > 4
+    h = fc.holonomy(w, max_length=2 * step)
+    fc.hol_stabilizer(h, StabilizerSearchConfig(inner_radius=2 * step))
+    assert h._query_cache  # images past the restriction went to the window
+
+
+def test_kernel_matches_reference_on_rectangular_grid():
+    # base determinant 3 and rational entries
+    cfg = StabilizerSearchConfig(inner_radius=1)
+    lower = _kernel_matches_reference(_grid_window(Fraction(1, 3), 1, 3), cfg)
+    assert any(m.b.denominator == 3 for m in lower)
+    # the same grid moved off the origin: automorphisms with translations,
+    # about a centre off the grid
+    w = _grid_window(Fraction(1, 3), 1, 4, center=zp(Fraction(1, 3), Fraction(-2, 7)))
+    _kernel_matches_reference(w, StabilizerSearchConfig(inner_radius=1.5))
+    assert len(fc.affine_automorphisms(w, StabilizerSearchConfig(inner_radius=1.5))) > 1
+
+
+def test_kernel_matches_reference_on_public_holonomy_set():
+    vecs = [zp(1), zp(0, 1), zp(1, 1), zp(Fraction(1, 2), 3), zp(2, 1), zp(-1, 2)]
+    for e in (1, 2, 3, 7 / 3):
+        cfg = StabilizerSearchConfig(inner_radius=2.5, entry_bound=e)
+        h = fc.HolonomySet(vecs, window_radius=5, mode=fc.EXACT)
+        assert fc.hol_stabilizer(h, cfg) == _ref_hol_stabilizer(h, cfg)
+
+
+def test_kernel_promotes_to_python_ints_past_int64(monkeypatch):
+    assert gridsearch._ints((1 << 62) - 1, np.array([1]))[0].dtype == np.int64
+    assert gridsearch._ints(1 << 62, np.array([1]))[0].dtype == object
+    seen = []
+    ints = gridsearch._ints
+
+    def spy(bound, *arrays):
+        out = ints(bound, *arrays)
+        seen.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(gridsearch, "_ints", spy)
+    # scaled by 32749, the coordinates fit int64 but their products do not
+    w = _grid_window(1, 1, 4, center=zp(Fraction(1, 32749)))
+    cfg = StabilizerSearchConfig(inner_radius=1.5)
+    assert fc.stabilizer_candidates(w, cfg) == _ref_candidates(w, cfg)
+    assert fc.flatgeom._coord_arrays(w)[0].dtype == np.int64
+    assert object in seen
+
+
+# ---------------------------------------------------------------------------
+# integer filters at their boundaries
+
+
+def test_entry_equal_to_bound_is_kept(lattice5):
+    shear = Mat2.of(1, 2, 0, 1)
+    for e, kept in ((2, True), (math.nextafter(2, 0), False)):
+        cfg = StabilizerSearchConfig(inner_radius=2, entry_bound=e)
+        got = fc.stabilizer_candidates(lattice5, cfg)
+        assert got == _ref_candidates(lattice5, cfg)
+        assert (shear in got) is kept
+
+
+def test_non_dyadic_entry_bound_compares_exactly():
+    # base determinant 3: the shear's entry 7/3 is 7 / 3 on the grid, and
+    # float(7/3) lies just above 7/3
+    w = _grid_window(Fraction(1, 3), 1, 4)
+    shear = Mat2.of(1, Fraction(7, 3), 0, 1)
+    for e, kept in ((7 / 3, True), (math.nextafter(7 / 3, 0), False)):
+        cfg = StabilizerSearchConfig(inner_radius=1, entry_bound=e)
+        got = fc.stabilizer_candidates(w, cfg)
+        assert got == _ref_candidates(w, cfg)
+        assert (shear in got) is kept
+        _same_closure(got, w, cfg)
+
+
+def test_inner_radius_equal_to_point_norm():
+    w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 8)
+    xs, ys, scale, _ = fc.flatgeom._coord_arrays(w)
+    for r, kept in ((5, True), (math.nextafter(5, 0), False)):
+        got = [w.points[i] for i in gridsearch._inner_ints(xs, ys, scale, r)]
+        assert got == veech._inner_points(w.points, r, w.mode)
+        assert (zp(3, 4) in got) is kept
+    center = zp(Fraction(1, 3), Fraction(-2, 7))
+    for r in (5, 2.5, Fraction(13, 3)):
+        got = [w.points[i] for i in gridsearch._inner_ints(xs, ys, scale, r, center)]
+        assert got == veech._inner_points(w.points, r, w.mode, center)
+
+
+# ---------------------------------------------------------------------------
+# point symmetry on the integer grid
+
+
+@pytest.mark.parametrize("kind, center", [("all-integers", 0), ("odd4n13-all", -1)])
+def test_pprime_symmetry_moves_with_the_window(kind, center):
+    w = fc.generate(fc.GeneratorSpec(kind), 40)
+    for b in (zp(Fraction(1, 3), Fraction(2, 7)), zp(Fraction(-5, 2)), zp(0, 7)):
+        moved = fc.ZeroWindow(w.translate(b).points, w.radius, center=w.center + b)
+        assert fc.pprime_symmetry(moved) == zp(center) + b
+
+
+def test_pprime_symmetry_big_denominator():
+    # the offset 1/den puts the scaled coordinates past int64
+    off = Fraction(1, 3) + Fraction(1, _BIG_DENS[1])
+    center = zp(Fraction(1, 2) + off, 1)
+    pts = [zp(k + off, 2 * k) for k in range(-6, 8)]
+    w = fc.ZeroWindow(fc.canonical_order(pts), 7 * math.sqrt(5), center=center)
+    assert fc.flatgeom._coord_arrays(w)[0].dtype == object
+    assert fc.pprime_symmetry(w) == center
+    moved = fc.ZeroWindow(w.points, w.radius, center=center + zp(Fraction(1, 2), 1))
+    assert fc.pprime_symmetry(moved) == center + zp(Fraction(1, 2), 1)
