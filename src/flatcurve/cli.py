@@ -31,75 +31,88 @@ def build_parser() -> argparse.ArgumentParser:
                     "saddle connections, covers, symmetry groups.")
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def add(name, help_, **extra):
-        p = sub.add_parser(name, help=help_)
+    def add(name, help_, run, formats=("json",), inner=False, m=False):
+        # allow_abbrev=False: a flag the subcommand lacks must not prefix-match
+        # one it has (``gen --m float`` would otherwise mean ``--mode float``)
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
+        p.set_defaults(run=run)
         p.add_argument("--sequence", choices=_SEQUENCES,
                        help="built-in sequence family")
         p.add_argument("--input", help="window JSON file")
         p.add_argument("--param", action="append", default=[],
                        metavar="K=V", help="sequence parameter (repeatable)")
         p.add_argument("--radius", type=float, help="sampling radius R")
-        p.add_argument("--inner", type=float,
-                       help="inner radius r for stabilizer searches")
-        p.add_argument("--m", type=int, help="covering degree (>= 2)")
+        if inner:
+            p.add_argument("--inner", type=float,
+                           help="inner radius r for stabilizer searches")
+        if m:
+            p.add_argument("--m", type=int, default=2,
+                           help="covering degree (>= 2)")
         p.add_argument("--mode", choices=("exact", "float"))
         p.add_argument("--eps", type=float, default=1e-9,
                        help="float-mode tolerance")
-        p.add_argument("--format", choices=("json", "csv", "svg"),
-                       default="json")
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", help="write output here instead of stdout")
         return p
 
-    add("gen", "generate a window and emit it as JSON")
-    add("validate", "check window invariants")
+    add("gen", "generate a window and emit it as JSON", _cmd_gen)
+    add("validate", "check window invariants", _cmd_validate)
 
-    p = add("eval", "evaluate the canonical product")
+    p = add("eval", "evaluate the canonical product", _cmd_eval)
     p.add_argument("--at", required=True, metavar="RE,IM",
                    help="evaluation point")
     p.add_argument("--factors", type=int,
                    help="use only the first N points of the window")
-    p.add_argument("--degree", default=None,
+    p.add_argument("--degree", type=degree, default=None,
                    help="factor degree: integer, 'index', or 'auto'")
     p.add_argument("--e0", type=int, default=None,
                    help="multiplicity of the origin factor")
 
-    p = add("verify-zeros", "count zeros in a box by boundary winding")
+    p = add("verify-zeros", "count zeros in a box by boundary winding",
+            _cmd_verify_zeros)
     p.add_argument("--box", required=True, metavar="X0,Y0,X1,Y1",
                    help="two opposite corners of the box")
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--degree", default=None)
+    p.add_argument("--degree", type=degree, default=None)
     p.add_argument("--e0", type=int, default=None)
 
-    p = add("saddles", "saddle connections of the window")
+    p = add("saddles", "saddle connections of the window", _cmd_saddles,
+            formats=("json", "csv", "svg"), m=True)
     p.add_argument("--max-length", type=float, default=None)
 
-    p = add("hol", "holonomy vectors of all visible pairs")
+    p = add("hol", "holonomy vectors of all visible pairs", _cmd_hol,
+            formats=("json", "csv"))
     p.add_argument("--max-length", type=float, default=None)
 
-    p = add("directions", "direction profile of the holonomy set")
+    p = add("directions", "direction profile of the holonomy set",
+            _cmd_directions)
     p.add_argument("--max-length", type=float, default=None)
 
-    p = add("lift", "lift a polyline to the m-cyclic cover")
+    p = add("lift", "lift a polyline to the m-cyclic cover", _cmd_lift, m=True)
     p.add_argument("--path", required=True, metavar="X0,Y0;X1,Y1;...",
                    help="polyline vertices")
     p.add_argument("--start-sheet", type=int, default=0)
 
-    p = add("cone-angle", "total angle at a cone point of the cover")
+    p = add("cone-angle", "total angle at a cone point of the cover",
+            _cmd_cone_angle, m=True)
     p.add_argument("--zero-index", type=int, required=True)
     p.add_argument("--loop-radius", type=float, default=None)
 
-    add("classify", "window symmetry class: P, Pprime, or Countable")
-    add("sandwich", "lower/upper stabilizer bounds for the countable branch")
+    add("classify", "window symmetry class: P, Pprime, or Countable",
+        _cmd_classify, inner=True)
+    add("sandwich", "lower/upper stabilizer bounds for the countable branch",
+        _cmd_sandwich, inner=True)
 
-    p = add("equiv", "translation equivalence of two windows")
+    p = add("equiv", "translation equivalence of two windows", _cmd_equiv)
     p.add_argument("--other", required=True, metavar="FILE",
                    help="window JSON file to compare against")
 
-    p = add("moduli", "canonical form and inverted coordinates")
+    p = add("moduli", "canonical form and inverted coordinates", _cmd_moduli)
     p.add_argument("--translate", metavar="RE,IM", default=None,
                    help="also push this translation through the coordinates")
 
-    p = add("plot", "SVG plot of the window, its segments and holonomy fan")
+    p = add("plot", "SVG plot of the window, its segments and holonomy fan",
+            _cmd_plot, formats=("svg",), m=True)
     p.add_argument("--max-length", type=float, default=None)
     return top
 
@@ -185,12 +198,13 @@ def _search_config(args):
     return veech.StabilizerSearchConfig(inner_radius=args.inner)
 
 
-def _degrees(args):
-    if args.degree is None:
-        return None
-    if args.degree in ("auto", "index"):
-        return args.degree
-    return int(args.degree)
+def degree(text: str):
+    """Parse ``--degree``: an integer, 'index' or 'auto'.
+
+    argparse names this function in its usage error, so the name is the
+    word the user reads.
+    """
+    return text if text in ("auto", "index") else int(text)
 
 
 # --------------------------------------------------------------------------
@@ -213,34 +227,23 @@ def _pt_repr(p: ZPoint) -> list:
     return [scalar_repr(p.re), scalar_repr(p.im)]
 
 
-def _require_json(args):
-    if args.format != "json":
-        raise ValueError(f"subcommand {args.cmd!r} only emits json")
-
-
 # --------------------------------------------------------------------------
 # subcommand bodies
 
 
-def _cmd_gen(args, mode):
-    w = _load_window(args, mode)
-    _require_json(args)
+def _cmd_gen(args, w, mode):
     return _json_text(zseq.window_to_json(w))
 
 
-def _cmd_validate(args, mode):
-    w = _load_window(args, mode)
-    _require_json(args)
+def _cmd_validate(args, w, mode):
     return _json_text(zseq.validate(w).to_dict())
 
 
-def _cmd_eval(args, mode):
-    w = _load_window(args, mode)
-    _require_json(args)
+def _cmd_eval(args, w, mode):
     if args.factors is not None:
         w = w.head(args.factors)
     at = _point(args.at, mode)
-    val = weierstrass.eval_f(at.to_complex(), w, degrees=_degrees(args),
+    val = weierstrass.eval_f(at.to_complex(), w, degrees=args.degree,
                              e0=args.e0)
     mag = abs(val)
     return _json_text({
@@ -250,15 +253,13 @@ def _cmd_eval(args, mode):
     })
 
 
-def _cmd_verify_zeros(args, mode):
-    w = _load_window(args, mode)
-    _require_json(args)
+def _cmd_verify_zeros(args, w, mode):
     vals = [float(t) for t in args.box.split(",")]
     if len(vals) != 4:
         raise ValueError("--box needs X0,Y0,X1,Y1")
     x0, y0, x1, y1 = vals
     box = (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1))
-    winding = weierstrass.count_zeros(w, box, degrees=_degrees(args),
+    winding = weierstrass.count_zeros(w, box, degrees=args.degree,
                                       e0=args.e0, samples=args.samples)
     return _json_text({"box": list(box), "winding": winding})
 
@@ -275,12 +276,10 @@ def _seg_dict(w, seg):
     }
 
 
-def _cmd_saddles(args, mode):
-    w = _load_window(args, mode)
-    m = args.m if args.m is not None else 2
-    segs = flatgeom.saddle_connections(w, m, max_length=args.max_length)
+def _cmd_saddles(args, w, mode):
+    segs = flatgeom.saddle_connections(w, args.m, max_length=args.max_length)
     if args.format == "svg":
-        return svg.build_svg(w, segs, title=f"saddles m={m}")
+        return svg.build_svg(w, segs, title=f"saddles m={args.m}")
     if args.format == "csv":
         rows = []
         for s in segs:
@@ -295,13 +294,11 @@ def _cmd_saddles(args, mode):
     return _json_text([_seg_dict(w, s) for s in segs])
 
 
-def _cmd_hol(args, mode):
-    w = _load_window(args, mode)
+def _cmd_hol(args, w, mode):
     h = flatgeom.holonomy(w, max_length=args.max_length)
     if args.format == "csv":
         return _csv_text(["re", "im"],
                          [[scalar_repr(v.re), scalar_repr(v.im)] for v in h])
-    _require_json(args)
     return _json_text({
         "vectors": [_pt_repr(v) for v in h],
         "count": len(h),
@@ -310,22 +307,17 @@ def _cmd_hol(args, mode):
     })
 
 
-def _cmd_directions(args, mode):
-    w = _load_window(args, mode)
-    _require_json(args)
+def _cmd_directions(args, w, mode):
     h = flatgeom.holonomy(w, max_length=args.max_length)
     return _json_text(flatgeom.direction_profile(h).to_dict())
 
 
-def _cmd_lift(args, mode):
-    w = _load_window(args, mode)
-    _require_json(args)
-    m = args.m if args.m is not None else 2
+def _cmd_lift(args, w, mode):
     verts = _point_list(args.path, mode)
     if len(verts) < 2:
         raise ValueError("--path needs at least two vertices")
-    cuts = cover.build_cuts(w, m)
-    start = cover.CoverPoint(verts[0].to_complex(), args.start_sheet % m)
+    cuts = cover.build_cuts(w, args.m)
+    start = cover.CoverPoint(verts[0].to_complex(), args.start_sheet % args.m)
     end = cover.lift_path(verts, start, cuts)
     events = cover.crossing_log(verts, cuts)
     return _json_text({
@@ -336,11 +328,8 @@ def _cmd_lift(args, mode):
     })
 
 
-def _cmd_cone_angle(args, mode):
-    w = _load_window(args, mode)
-    _require_json(args)
-    m = args.m if args.m is not None else 2
-    ca = cover.cone_angle(args.zero_index, w, m, radius=args.loop_radius)
+def _cmd_cone_angle(args, w, mode):
+    ca = cover.cone_angle(args.zero_index, w, args.m, radius=args.loop_radius)
     return _json_text({
         "zero_index": ca.zero_index,
         "turns": ca.turns,
@@ -350,15 +339,11 @@ def _cmd_cone_angle(args, mode):
     })
 
 
-def _cmd_classify(args, mode):
-    w = _load_window(args, mode)
-    _require_json(args)
+def _cmd_classify(args, w, mode):
     return _json_text(veech.classify(w, _search_config(args)).to_dict())
 
 
-def _cmd_sandwich(args, mode):
-    w = _load_window(args, mode)
-    _require_json(args)
+def _cmd_sandwich(args, w, mode):
     if not w.is_canonical:
         w = w.canonicalize()
     lower, upper, ok = veech.sandwich_report(w, _search_config(args))
@@ -371,17 +356,13 @@ def _cmd_sandwich(args, mode):
     })
 
 
-def _cmd_equiv(args, mode):
-    w1 = _load_window(args, mode)
-    _require_json(args)
+def _cmd_equiv(args, w, mode):
     with open(args.other, encoding="utf-8") as fh:
         w2 = zseq.window_from_json(json.load(fh), eps=args.eps)
-    return _json_text(equiv.translation_equiv(w1, w2).to_dict())
+    return _json_text(equiv.translation_equiv(w, w2).to_dict())
 
 
-def _cmd_moduli(args, mode):
-    w = _load_window(args, mode)
-    _require_json(args)
+def _cmd_moduli(args, w, mode):
     form = equiv.moduli_canonical(w)
     out = form.to_dict()
     if args.translate is not None:
@@ -391,40 +372,18 @@ def _cmd_moduli(args, mode):
     return _json_text(out)
 
 
-def _cmd_plot(args, mode):
-    w = _load_window(args, mode)
-    if args.format != "svg":
-        args.format = "svg"
-    m = args.m if args.m is not None else 2
-    segs = flatgeom.saddle_connections(w, m, max_length=args.max_length)
+def _cmd_plot(args, w, mode):
+    segs = flatgeom.saddle_connections(w, args.m, max_length=args.max_length)
     h = flatgeom.holonomy(w, max_length=args.max_length)
     return svg.build_svg(w, segs, h.vectors,
                          title=f"{args.sequence or 'window'} R={w.radius:g}")
-
-
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "validate": _cmd_validate,
-    "eval": _cmd_eval,
-    "verify-zeros": _cmd_verify_zeros,
-    "saddles": _cmd_saddles,
-    "hol": _cmd_hol,
-    "directions": _cmd_directions,
-    "lift": _cmd_lift,
-    "cone-angle": _cmd_cone_angle,
-    "classify": _cmd_classify,
-    "sandwich": _cmd_sandwich,
-    "equiv": _cmd_equiv,
-    "moduli": _cmd_moduli,
-    "plot": _cmd_plot,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     mode = _resolve_mode(args)
     try:
-        text = _HANDLERS[args.cmd](args, mode)
+        text = args.run(args, _load_window(args, mode), mode)
         if args.out:
             try:
                 with open(args.out, "w", encoding="utf-8") as fh:
@@ -438,7 +397,7 @@ def main(argv=None) -> int:
             {"error": exc.code, "detail": str(exc)}, sort_keys=True) + "\n")
         return 1
     except (ValueError, ZeroDivisionError, OverflowError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+            KeyError) as exc:
         sys.stdout.write(json.dumps(
             {"error": type(exc).__name__, "detail": str(exc)},
             sort_keys=True) + "\n")

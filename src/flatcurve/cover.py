@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PathThroughBranchPoint, RadiusTooLarge
 from .zseq import Mode, ZPoint, ZeroWindow, same_point
@@ -71,19 +72,15 @@ class CrossingEvent:
         }
 
 
-class CutSystem:
+class CutSystem(NamedTuple):
     """Downward vertical cuts below every window zero, for an m-fold cover."""
 
-    def __init__(self, window: ZeroWindow, m: int):
-        self.window = window
-        self.m = _check_m(m)
-
-    def __repr__(self):
-        return f"CutSystem(zeros={len(self.window)}, m={self.m})"
+    window: ZeroWindow
+    m: int
 
 
 def build_cuts(w: ZeroWindow, m: int) -> CutSystem:
-    return CutSystem(w, m)
+    return CutSystem(w, _check_m(m))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import pathlib
 import re
+import shlex
 
 import pytest
 
@@ -260,8 +262,6 @@ def test_domain_errors_exit_one():
     _expect_error(["gen", "--sequence", "all-integers", "--radius", "3",
                    "--param", "junk"], "ValueError")
     _expect_error(["gen", "--radius", "3"], "ValueError")
-    _expect_error(["classify", "--sequence", "all-integers", "--radius", "3",
-                   "--format", "csv"], "ValueError")
     _expect_error(["gen", "--input", "/no/such/file.json"], "FileNotFoundError")
     _expect_error(["hol", "--sequence", "all-integers", "--radius", "3",
                    "--out", "/definitely-missing-dir/x.json"], "IoError")
@@ -271,8 +271,58 @@ def test_usage_errors_exit_two(capsys):
     for argv in ([], ["not-a-command"],
                  ["gen", "--sequence", "all-integers", "--radius", "3",
                   "--format", "pdf"],
-                 ["lift", "--sequence", "all-integers", "--radius", "3"]):
+                 ["lift", "--sequence", "all-integers", "--radius", "3"],
+                 ["classify", "--sequence", "all-integers", "--radius", "3",
+                  "--format", "csv"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_flags_a_subcommand_does_not_declare_are_usage_errors(capsys):
+    lattice = ["--sequence", "gaussian-lattice", "--radius", "3"]
+    for argv in (["hol", *lattice, "--m", "3"],
+                 ["eval", *lattice, "--at", "1/2,0", "--inner", "2"],
+                 ["plot", *lattice, "--format", "json"],
+                 # not an abbreviation of --mode
+                 ["gen", *lattice, "--m", "float"],
+                 ["eval", *lattice, "--at", "1/2,0", "--degree", "foo"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert "usage: flatcurve" in err, argv
+
+
+def test_default_flags_print_the_same_bytes():
+    window = ["--sequence", "gaussian-lattice", "--radius", "3"]
+    for argv, flag in ((["classify", *window], ["--format", "json"]),
+                       (["gen", *window], ["--format", "json"]),
+                       (["saddles", *window], ["--m", "2"]),
+                       (["lift", *window, "--path=-1/2,-1/2;1/2,-1/2"],
+                        ["--m", "2"]),
+                       (["cone-angle", *window, "--zero-index", "0"],
+                        ["--m", "2"]),
+                       (["plot", *window], ["--m", "2"])):
+        rc, out = run(argv)
+        assert rc == 0, argv
+        assert run(argv + flag) == (rc, out), argv
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [ln for ln in block.splitlines() if ln.startswith("flatcurve ")]
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)  # gen --out w.json feeds classify --input w.json
+    for line in commands:
+        lex = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lex.whitespace_split = True
+        tokens = list(lex)
+        # a shell operator (; | & < > ...) would end or redirect the command
+        assert not any(set(t) <= set(lex.punctuation_chars) for t in tokens), line
+        rc, out = run(tokens[1:])
+        assert rc == 0, (line, out)
