@@ -5,18 +5,13 @@ open segment between them.  Each visible (unordered) pair contributes one
 saddle connection; its holonomy vector, taken with both signs, populates
 the window's holonomy set.
 
-Exact windows, whatever their denominators, work on integer coordinates:
-the window is rescaled by the lcm of all its denominators.  The arrays are
-int64 when every scaled coordinate is at most 2**28, so every product
-below stays inside int64, and arrays of Python ints otherwise; the same
-numpy code runs on both.  A coordinate pair (x, y) is packed as
-(x << shift) + y, with the shift wide enough that packing stays injective
-for sums and differences of two points.  There a point is visible from an
+Exact windows, whatever their denominators, work on their integer grid
+(``ZeroWindow.grid``, see ``zseq``).  There a point is visible from an
 anchor exactly when it is the nearest window point along its primitive
 direction (dx/g, dy/g), g = gcd(dx, dy): any blocker on the open segment
 differs from the anchor by a smaller multiple of that direction.
-Fractions are built once per output vector.  Float mode uses an eps-tube
-around the segment with a (1-eps)-shrunk parameter range.
+Fractions are built once per distinct output coordinate.  Float mode uses
+an eps-tube around the segment with a (1-eps)-shrunk parameter range.
 """
 
 from __future__ import annotations
@@ -29,60 +24,8 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import EmptyWindow
-from .zseq import Mode, PointIndex, ZPoint, ZeroWindow, _arg_half, _canonical_key, cross, dot
-
-_INT_COORD_LIMIT = 1 << 28  # keeps every cross/dot product inside int64
-_KEY_SHIFT = 32  # int64 packing x * 2**32 + y, injective for |y| below 2**31
-
-
-# --------------------------------------------------------------------------
-# coordinate arrays
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
-def _coord_arrays(w: ZeroWindow):
-    """(xs, ys, scale, shift) arrays for batched predicates.
-
-    Exact windows are rescaled by ``scale``, the lcm of all denominators, so
-    every coordinate is an integer.  The arrays are int64 with ``shift`` 32
-    when no scaled coordinate exceeds 2**28, which keeps every cross and dot
-    product exact in int64; otherwise they hold Python ints and ``shift``
-    grows with the largest coordinate.  Either way ``(x << shift) + y``
-    packs a point, a difference of two points or a point plus such a
-    difference injectively.  Float windows get float arrays and ``scale``
-    and ``shift`` None.
-    """
-    got = w._cache.get("coords")
-    if got is not None:
-        return got
-    if w.mode.is_exact:
-        scale = 1
-        for p in w.points:
-            scale = _lcm(scale, _lcm(p.re.denominator, p.im.denominator))
-        xs = [int(p.re * scale) for p in w.points]
-        ys = [int(p.im * scale) for p in w.points]
-        span = max(map(abs, xs + ys), default=0)
-        if span <= _INT_COORD_LIMIT:
-            got = (np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), scale, _KEY_SHIFT)
-        else:
-            # the low part of a packed value, at most 3 * span, stays below
-            # 2**(shift - 1)
-            got = (np.array(xs, dtype=object), np.array(ys, dtype=object), scale,
-                   (4 * span).bit_length() + 1)
-    else:
-        xs = np.array([float(p.re) for p in w.points])
-        ys = np.array([float(p.im) for p in w.points])
-        got = (xs, ys, None, None)
-    w._cache["coords"] = got
-    return got
-
-
-def _fractions(values, scale: int) -> dict:
-    """value -> Fraction(value, scale), one Fraction per distinct value."""
-    return {v: Fraction(v, scale) for v in set(values)}
+from .zseq import (Mode, PointIndex, ZPoint, ZeroWindow, canonical_permutation,
+                   coordinate_grid, cross, dot, grid_points)
 
 
 def _index_array(pairs: list):
@@ -166,7 +109,7 @@ def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> list:
     n = len(w.points)
     if n < 2:
         return []
-    xs, ys, scale, shift = _coord_arrays(w)
+    xs, ys, scale, shift = w.grid
     exact = scale is not None
     eps = w.mode.eps
     limit2 = None
@@ -207,7 +150,7 @@ def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> list:
 def visible_pairs_bruteforce(w: ZeroWindow) -> list:
     """Oracle: every pair against every potential blocker, no shortcuts."""
     n = len(w.points)
-    xs, ys, scale, _ = _coord_arrays(w)
+    xs, ys, scale, _ = w.grid
     exact = scale is not None
     eps = w.mode.eps
     pairs = []
@@ -261,32 +204,20 @@ def saddle_connections(w: ZeroWindow, m: int, max_length: float | None = None) -
     pairs = visible_pairs(w, max_length)
     reach = [(p - w.center).norm() for p in w.points]
     limit = w.radius * (1 + 1e-12)
-    xs, ys, scale, _ = _coord_arrays(w)
-    segs = []
-    if scale is None:
-        for i, j in pairs:
-            v = w.points[j] - w.points[i]
-            if _arg_half(v) != 0:
-                i, j, v = j, i, -v
-            length = v.norm()
-            direction = math.atan2(float(v.im), float(v.re))
-            segs.append(SaddleSegment(i, j, v, length, direction, m,
-                                      max(reach[i], reach[j]) + length > limit))
-        return segs
+    xs, ys, scale, _ = w.grid
     ij = _index_array(pairs)
     ii, jj = ij[:, 0], ij[:, 1]
     dx, dy = xs[jj] - xs[ii], ys[jj] - ys[ii]
     # canonical orientation puts the argument in [0, pi)
     flip = (dy < 0) | ((dy == 0) & (dx < 0))
     ii, jj = np.where(flip, jj, ii).tolist(), np.where(flip, ii, jj).tolist()
-    dx, dy = np.where(flip, -dx, dx).tolist(), np.where(flip, -dy, dy).tolist()
-    frac = _fractions(dx + dy, scale)
-    scale2 = scale * scale
-    for i, j, a, b in zip(ii, jj, dx, dy):
+    dx, dy = np.where(flip, -dx, dx), np.where(flip, -dy, dy)
+    s = 1 if scale is None else scale
+    segs = []
+    for i, j, v, a, b in zip(ii, jj, grid_points(dx, dy, scale), dx.tolist(), dy.tolist()):
         # Python int division rounds correctly, as float(Fraction) does
-        length = math.sqrt((a * a + b * b) / scale2)
-        segs.append(SaddleSegment(i, j, ZPoint(frac[a], frac[b]), length,
-                                  math.atan2(b / scale, a / scale), m,
+        length = math.sqrt((a * a + b * b) / (s * s))
+        segs.append(SaddleSegment(i, j, v, length, math.atan2(b / s, a / s), m,
                                   max(reach[i], reach[j]) + length > limit))
     return segs
 
@@ -310,41 +241,56 @@ class HolonomySet:
     restriction, membership of longer vectors is decided on demand against
     the source window (and cached).  The exact point index behind
     ``contains`` is built on its first call.
+
+    Exact sets keep their vectors on an integer grid, ``grid`` = ``(xs, ys,
+    scale, shift)`` as in ``zseq``, which shares the source window's scale
+    when there is one; float sets have ``grid`` None.
     """
 
     def __init__(self, vectors, window_radius: float, mode: Mode,
                  restricted_to: float | None = None, window: ZeroWindow | None = None,
                  complete_radius: float | None = None):
-        signed = {}
-        for v in vectors:
-            for s in (v, -v):
-                signed.setdefault((s.re, s.im), s)
-        index = PointIndex((), mode)
-        kept = []
-        for v in sorted(signed.values(), key=_canonical_key):
-            if v.is_zero():
+        vectors = list(vectors)
+        grid = index = None
+        if mode.is_exact:
+            base = 1 if window is None else window.grid[2]
+            grid = _signed_distinct(*coordinate_grid(vectors, mode, base))
+            if ((grid[0] == 0) & (grid[1] == 0)).any():
                 raise ValueError("holonomy set cannot contain 0")
-            if v not in index:
-                index.add(v, len(kept))
-                kept.append(v)
-        self._fill(tuple(kept), index, window_radius, mode, restricted_to, window,
+            vectors = grid_points(*grid[:3])
+        else:
+            signed = {}
+            for v in vectors:
+                for s in (v, -v):
+                    signed.setdefault((s.re, s.im), s)
+            signed = list(signed.values())
+            xs, ys, _, _ = coordinate_grid(signed, mode)
+            index = PointIndex((), mode)
+            vectors = []
+            for i in canonical_permutation(xs, ys).tolist():
+                v = signed[i]
+                if v.is_zero():
+                    raise ValueError("holonomy set cannot contain 0")
+                if v not in index:
+                    index.add(v, len(vectors))
+                    vectors.append(v)
+        self._fill(tuple(vectors), grid, index, window_radius, mode, restricted_to, window,
                    complete_radius)
 
     @classmethod
-    def _presorted(cls, vectors: tuple, coords, window_radius: float, mode: Mode,
-                   restricted_to: float | None, window: ZeroWindow,
-                   complete_radius: float) -> "HolonomySet":
-        """A set from nonzero vectors that are already distinct, closed under
-        negation and in canonical order; ``coords`` are their ``(xs, ys,
-        scale)`` on the window's integer grid."""
+    def _from_grid(cls, grid: tuple, window_radius: float, mode: Mode,
+                   restricted_to: float | None, window: ZeroWindow) -> "HolonomySet":
+        """An exact set from vectors on ``grid`` that are already nonzero,
+        distinct, closed under negation and in canonical order."""
         h = cls.__new__(cls)
-        h._fill(vectors, None, window_radius, mode, restricted_to, window, complete_radius)
-        h._coords = coords
+        h._fill(tuple(grid_points(*grid[:3])), grid, None, window_radius, mode,
+                restricted_to, window, None)
         return h
 
-    def _fill(self, vectors, index, window_radius, mode, restricted_to, window,
+    def _fill(self, vectors, grid, index, window_radius, mode, restricted_to, window,
               complete_radius):
         self.vectors = vectors
+        self.grid = grid
         self.window_radius = float(window_radius)
         self.mode = mode
         self.restricted_to = restricted_to
@@ -352,11 +298,11 @@ class HolonomySet:
         if complete_radius is None:
             lmax = restricted_to
             if lmax is None:
-                lmax = max((v.norm() for v in self.vectors), default=0.0)
+                # the canonical order ends with a longest vector
+                lmax = self.vectors[-1].norm() if self.vectors else 0.0
             complete_radius = max(0.0, float(window_radius) - float(lmax))
         self.complete_radius = complete_radius
         self._index = index
-        self._coords = None
         self._query_cache = {}
 
     def __len__(self):
@@ -391,55 +337,28 @@ class HolonomySet:
         return got
 
 
-def _hol_coords(h: HolonomySet):
-    """(xs, ys, scale) of an exact holonomy set: its vectors on the integer
-    grid scaled by the lcm of their and the source window's denominators."""
-    if h._coords is None:
-        scale = 1 if h.window is None else _coord_arrays(h.window)[2]
-        for v in h.vectors:
-            scale = _lcm(scale, _lcm(v.re.denominator, v.im.denominator))
-        xs = [int(v.re * scale) for v in h.vectors]
-        ys = [int(v.im * scale) for v in h.vectors]
-        wide = max(map(abs, xs + ys), default=0) >= 1 << 62
-        dtype = object if wide else np.int64
-        h._coords = (np.array(xs, dtype=dtype), np.array(ys, dtype=dtype), scale)
-    return h._coords
-
-
-def _integer_holonomy(xs, ys, scale: int, shift: int, pairs: list):
-    """(vectors, their (dx, dy, scale), longest length) of the pairs' signed
-    differences, distinct and in canonical order, from integer coordinates."""
-    ij = _index_array(pairs)
-    dx = xs[ij[:, 1]] - xs[ij[:, 0]]
-    dy = ys[ij[:, 1]] - ys[ij[:, 0]]
-    dx, dy = np.concatenate((dx, -dx)), np.concatenate((dy, -dy))
-    _, first = np.unique((dx << shift) + dy, return_index=True)
-    dx, dy = dx[first], dy[first]
-    norm2 = dx * dx + dy * dy
-    upper = (dy > 0) | ((dy == 0) & (dx > 0))
-    # the canonical key (norm2, half, -re or re) on integers
-    order = np.lexsort((np.where(upper, -dx, dx), ~upper, norm2))
-    dx, dy = dx[order], dy[order]
-    rex, rey = dx.tolist(), dy.tolist()
-    frac = _fractions(rex + rey, scale)
-    vecs = tuple(ZPoint(frac[a], frac[b]) for a, b in zip(rex, rey))
-    # Python int division rounds correctly, as float(Fraction) does
-    return vecs, (dx, dy, scale), math.sqrt(int(norm2.max()) / (scale * scale))
+def _signed_distinct(xs, ys, scale: int, shift: int) -> tuple:
+    """The exact grid of the vectors (xs, ys) and their negatives, each
+    once, in canonical order."""
+    xs, ys = np.concatenate((xs, -xs)), np.concatenate((ys, -ys))
+    _, first = np.unique((xs << shift) + ys, return_index=True)
+    order = first[canonical_permutation(xs[first], ys[first])]
+    return xs[order], ys[order], scale, shift
 
 
 def holonomy(w: ZeroWindow, max_length: float | None = None) -> HolonomySet:
     """Signed difference vectors of all visible pairs."""
-    segs = visible_pairs(w, max_length)
-    xs, ys, scale, shift = _coord_arrays(w)
-    if scale is None or not segs:
-        vecs = [w.points[j] - w.points[i] for i, j in segs]
+    pairs = visible_pairs(w, max_length)
+    xs, ys, scale, shift = w.grid
+    if scale is None:
+        vecs = [w.points[j] - w.points[i] for i, j in pairs]
         longest = max((v.norm() for v in vecs), default=0.0)
         lmax = longest if max_length is None else float(max_length)
         return HolonomySet(vecs, w.radius, w.mode, max_length, w, max(0.0, w.radius - lmax))
-    vecs, coords, longest = _integer_holonomy(xs, ys, scale, shift, segs)
-    lmax = longest if max_length is None else float(max_length)
-    return HolonomySet._presorted(vecs, coords, w.radius, w.mode, max_length, w,
-                                  max(0.0, w.radius - lmax))
+    ij = _index_array(pairs)
+    grid = _signed_distinct(xs[ij[:, 1]] - xs[ij[:, 0]], ys[ij[:, 1]] - ys[ij[:, 0]],
+                            scale, shift)
+    return HolonomySet._from_grid(grid, w.radius, w.mode, max_length, w)
 
 
 def _encoded_keys(w: ZeroWindow):
@@ -447,7 +366,7 @@ def _encoded_keys(w: ZeroWindow):
     exact window."""
     got = w._cache.get("enc_keys")
     if got is None:
-        xs, ys, _, shift = _coord_arrays(w)
+        xs, ys, _, shift = w.grid
         keys = (xs << shift) + ys
         span = int(max(np.abs(xs).max(initial=0), np.abs(ys).max(initial=0)))
         got = (keys, np.sort(keys), span)
@@ -459,7 +378,7 @@ def has_holonomy_vector(w: ZeroWindow, v: ZPoint) -> bool:
     """Is ``v`` (or ``-v``) the difference of some visible window pair?
 
     Exact windows: ``v`` is scaled onto the window's integer grid (int64 or
-    Python ints, as in ``_coord_arrays``) and witnesses, points p with
+    Python ints, as ``ZeroWindow.grid`` holds them) and witnesses, points p with
     p + v in the window, are matched through packed keys.  A primitive v
     (coprime integer coordinates) steps over no grid point, so any witness
     will do.  Otherwise the points are sorted by (cross(p, v), dot(p, v)),
@@ -469,7 +388,7 @@ def has_holonomy_vector(w: ZeroWindow, v: ZPoint) -> bool:
     if v.is_zero():
         return False
     if w.mode.is_exact:
-        xs, ys, scale, shift = _coord_arrays(w)
+        xs, ys, scale, shift = w.grid
         keys, sorted_keys, span = _encoded_keys(w)
         sx, sy = Fraction(v.re) * scale, Fraction(v.im) * scale
         if sx.denominator != 1 or sy.denominator != 1:
@@ -488,7 +407,7 @@ def has_holonomy_vector(w: ZeroWindow, v: ZPoint) -> bool:
         line_order = keys[np.lexsort((xs * vx + ys * vy, xs * vy - ys * vx))]
         return bool((line_order[1:] - line_order[:-1] == step).any())
     idx = w.index()
-    xs, ys = _coord_arrays(w)[:2]
+    xs, ys = w.grid[:2]
     eps = w.mode.eps
     vx, vy = float(v.re), float(v.im)
     ln = math.hypot(vx, vy)
@@ -533,7 +452,7 @@ class DirectionProfile:
 
 def _direction_key(v: ZPoint, mode: Mode):
     if mode.is_exact:
-        den = _lcm(v.re.denominator, v.im.denominator)
+        den = math.lcm(v.re.denominator, v.im.denominator)
         a, b = int(v.re * den), int(v.im * den)
         g = math.gcd(abs(a), abs(b))
         return (a // g, b // g)
@@ -619,28 +538,19 @@ def _accumulation_candidates(dirs, gaps) -> list:
 
 
 def window_collinear(w: ZeroWindow) -> bool:
-    pts = w.points
-    if len(pts) < 3:
+    xs, ys, _, _ = w.grid
+    if len(xs) < 3:
         return True
-    base = pts[0]
-    u = None
-    for p in pts[1:]:
-        d = p - base
-        if not d.is_zero():
-            u = d
-            break
-    if u is None:
+    dx, dy = xs[1:] - xs[0], ys[1:] - ys[0]
+    moved = np.flatnonzero((dx != 0) | (dy != 0))
+    if not len(moved):
         return True
-    for p in pts[1:]:
-        d = p - base
-        c = cross(u, d)
-        if w.mode.is_exact:
-            if c != 0:
-                return False
-        else:
-            if abs(float(c)) > w.mode.eps * u.norm() * max(d.norm(), 1.0):
-                return False
-    return True
+    ux, uy = dx[moved[0]], dy[moved[0]]
+    c = ux * dy - uy * dx  # cross(u, p - pts[0])
+    if w.mode.is_exact:
+        return not (c != 0).any()
+    bound = w.mode.eps * math.sqrt(ux * ux + uy * uy) * np.maximum(np.sqrt(dx * dx + dy * dy), 1.0)
+    return not (np.abs(c) > bound).any()
 
 
 def vectors_parallel(vectors, mode: Mode) -> bool:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import veech
 from .errors import DegenerateWindow, SingularMatrix
-from .flatgeom import HolonomySet, _coord_arrays, _encoded_keys, _hol_coords, _lcm
+from .flatgeom import HolonomySet, _encoded_keys
 from .veech import _BLOCK, ClosureReport, Mat2, _first_independent_pair, _pool_limit
 from .zseq import ZPoint, ZeroWindow
 
@@ -69,7 +69,7 @@ def _inner_ints(xs, ys, scale: int, r: float, center: ZPoint | None = None):
     cx = cy = Fraction(0)
     if center is not None:
         cx, cy = center.re * scale, center.im * scale
-    k = _lcm(cx.denominator, cy.denominator)
+    k = math.lcm(cx.denominator, cy.denominator)
     kx, ky = int(k * cx), int(k * cy)
     span = k * _span(xs, ys) + max(abs(kx), abs(ky))
     # k * (p - center) is integral, so flooring the rational bound loses
@@ -132,18 +132,18 @@ class _Targets:
 def _window_targets(w: ZeroWindow) -> _Targets:
     """The points of an exact window."""
     _, sorted_keys, span = _encoded_keys(w)
-    _, _, scale, shift = _coord_arrays(w)
+    _, _, scale, shift = w.grid
     return _Targets(sorted_keys, shift, span, scale)
 
 
 def _hol_targets(h: HolonomySet) -> _Targets:
     """The vectors of an exact holonomy set; past its length restriction the
     source window decides, through ``HolonomySet._unlisted_member``."""
-    xs, ys, scale = _hol_coords(h)
+    xs, ys, scale, _ = h.grid
     limit = _span(xs, ys)
     unlisted, short2 = None, 0
     if h.restricted_to is not None and h.window is not None:
-        wscale = _coord_arrays(h.window)[2]
+        wscale = h.window.grid[2]
         # has_holonomy_vector refutes what is longer than any window difference
         limit = max(limit, 2 * _encoded_keys(h.window)[2] * (scale // wscale))
         t = float(h.restricted_to) * (1 - 1e-12) * scale
@@ -269,7 +269,7 @@ def _search(inner_pts, ix, iy, px, py, targets: _Targets, entry_bound: float,
 
 def window_stabilizer(w: ZeroWindow, r: float, e: float, req: bool) -> list:
     """``veech.stabilizer_candidates`` of an exact window."""
-    xs, ys, scale, _ = _coord_arrays(w)
+    xs, ys, scale, _ = w.grid
     inner = _inner_ints(xs, ys, scale, r)
     return _search([w.points[i] for i in inner], xs[inner], ys[inner], xs, ys,
                    _window_targets(w), e, req)
@@ -277,10 +277,10 @@ def window_stabilizer(w: ZeroWindow, r: float, e: float, req: bool) -> list:
 
 def holonomy_stabilizer(h: HolonomySet, r: float, e: float, req: bool) -> list:
     """``veech.hol_stabilizer`` of an exact holonomy set."""
-    xs, ys, scale = _hol_coords(h)
+    xs, ys, scale, _ = h.grid
     at = _inner_ints(xs, ys, scale, r)
     inner = [h.vectors[i] for i in at]
-    px, py, pscale = _hol_coords(veech._hol_pool(h, inner, e))
+    px, py, pscale, _ = veech._hol_pool(h, inner, e).grid
     k = scale // pscale  # 1 unless h lists vectors off its window's grid
     px, py = _ints(_span(px, py) * k, px, py)
     return _search(inner, xs[at], ys[at], px * k, py * k, _hol_targets(h), e, req)
@@ -292,7 +292,7 @@ def _integer_rows(mats: list):
     den = 1
     for m in mats:
         for v in m.entries():
-            den = _lcm(den, v.denominator)
+            den = math.lcm(den, v.denominator)
     rows = [[int(v * den) for v in m.entries()] for m in mats]
     return den, rows, max(abs(v) for row in rows for v in row)
 
@@ -300,7 +300,7 @@ def _integer_rows(mats: list):
 def closure_check(cands: list, w: ZeroWindow, r: float, e: float, req: bool) -> ClosureReport:
     """``veech.group_closure_check`` of an exact window: with candidates
     N / L, a product is N_a N_b / L^2, acting through the kernel."""
-    xs, ys, scale, _ = _coord_arrays(w)
+    xs, ys, scale, _ = w.grid
     order = _probe_order(xs, ys, _inner_ints(xs, ys, scale, r), scale)
     den, rows, top = _integer_rows(cands)
     k, d = len(cands), den * den
@@ -341,7 +341,7 @@ def automorphisms(w: ZeroWindow, linears: list, r: float) -> dict:
     and sends p to (N p + L q - N p0) / L; its inverse sends p to
     (L adj(N) p - L adj(N) q + det(N) p0) / det(N).
     """
-    xs, ys, scale, _ = _coord_arrays(w)
+    xs, ys, scale, _ = w.grid
     order = _probe_order(xs, ys, _inner_ints(xs, ys, scale, r, w.center), scale)
     den, rows, top = _integer_rows(linears)
     n = len(xs)

@@ -13,8 +13,8 @@ required to act correctly on the part of the data that stays inside the
 sampled region, with an inner/outer two-radius scheme controlling boundary
 effects.
 
-Exact windows test candidates on their integer grid (``flatgeom``'s
-``_coord_arrays``), in ``gridsearch``, which the exact paths import on
+Exact windows test candidates on their integer grid (``ZeroWindow.grid``,
+built by ``zseq``), in ``gridsearch``, which the exact paths import on
 first use.  With base B = [p q] of two inner points, D = det B and
 an image pair as the columns of M, every candidate is N / D with
 N = M adj(B), so the det > 0, entry-bound and non-contraction filters are
@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateWindow, SingularMatrix, TooFewPoints
-from .flatgeom import HolonomySet, _coord_arrays, holonomy, vectors_parallel, window_collinear
+from .flatgeom import HolonomySet, holonomy, vectors_parallel, window_collinear
 from .zseq import (
     EXACT,
     Mode,
@@ -327,17 +327,17 @@ def pprime_symmetry(w: ZeroWindow):
     if u is None:
         return None
     ulen = u.norm()
+    xs, ys, scale, _ = w.grid
     if w.mode.is_exact:
         # on the integer grid sv = scale^2 * dot(p - base, u)
         # (int64 coordinates stay within 2**28, so sums of two stay within
         # int64)
-        xs, ys, scale, _ = _coord_arrays(w)
         ux, uy = int(u.re * scale), int(u.im * scale)
-        sv = (xs - xs[0]) * ux + (ys - ys[0]) * uy
         s2, tol = scale * scale, 0
     else:
-        sv = np.array([dot(p - base, u) for p in pts])
+        ux, uy = float(u.re), float(u.im)
         s2, tol = 1, w.mode.eps * ulen
+    sv = (xs - xs[0]) * ux + (ys - ys[0]) * uy
     svals = [s / s2 for s in sv.tolist()]  # float(dot(p - base, u))
     ell = sorted(s / ulen for s in svals)
     gap = max(b - a for a, b in zip(ell, ell[1:])) if len(ell) > 1 else 0.0

@@ -7,9 +7,18 @@ radius, an arithmetic mode (exact rationals, or floats with a tolerance),
 the generator it came from, and the canonicalizing translation that moved
 the norm-smallest term to the origin.
 
+Every window keeps its points on one coordinate grid, ``grid`` = ``(xs,
+ys, scale, shift)``.  Exact windows are scaled by ``scale``, the lcm of
+their denominators, to integers: int64 with ``shift`` 32 while no
+coordinate exceeds 2**28, which keeps every cross and dot product of
+differences inside int64, and Python ints past that, with ``shift`` grown
+to fit.  ``(x << shift) + y`` then packs a point, a difference of two
+points or their sum injectively.  Float windows get float64 arrays, and
+``scale`` and ``shift`` None.
+
 Ordering convention: points are sorted by norm, ties broken by argument in
-``[0, 2*pi)``.  In exact mode the tie-break compares rational half-planes
-and real parts, never floating point.
+``[0, 2*pi)``.  ``canonical_permutation`` computes this order on a grid, so
+exact coordinates are compared as integers, never in floating point.
 """
 
 from __future__ import annotations
@@ -17,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     ContractingGenerator,
@@ -53,8 +64,6 @@ def as_scalar(value, mode: Mode):
     if mode.is_exact:
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, str):
-            return Fraction(value)
         return Fraction(value)
     return float(Fraction(value)) if isinstance(value, str) else float(value)
 
@@ -165,13 +174,81 @@ def compare_canonical(p: ZPoint, q: ZPoint) -> int:
     return (kp > kq) - (kp < kq)
 
 
+def canonical_permutation(xs, ys):
+    """Indices that put the grid points (xs, ys) in canonical order: one
+    stable lexsort on the key of ``compare_canonical``, for int64, Python-int
+    and float arrays alike."""
+    upper = (ys > 0) | ((ys == 0) & (xs > 0))
+    return np.lexsort((np.where(upper, -xs, xs), ~upper, xs * xs + ys * ys))
+
+
 def canonical_order(points, mode: Mode = EXACT) -> list:
     """Sort points by (norm, argument); duplicates raise ``DuplicatePoint``."""
-    ordered = sorted(points, key=_canonical_key)
-    for a, b in zip(ordered, ordered[1:]):
-        if same_point(a, b, mode):
-            raise DuplicatePoint(f"repeated point {a!r}")
-    return ordered
+    return list(_sorted(list(points), mode)[0])
+
+
+# --------------------------------------------------------------------------
+# the coordinate grid
+
+_INT_COORD_LIMIT = 1 << 28  # keeps every cross/dot product inside int64
+_KEY_SHIFT = 32  # int64 packing x * 2**32 + y, injective for |y| below 2**31
+
+
+def coordinate_grid(points, mode: Mode, base: int = 1) -> tuple:
+    """``(xs, ys, scale, shift)`` of ``points`` (see the module docstring).
+
+    In exact mode ``scale`` is the lcm of ``base`` and every denominator,
+    so vectors can share the grid of the window they came from.
+    """
+    if not mode.is_exact:
+        return (np.array([float(p.re) for p in points]),
+                np.array([float(p.im) for p in points]), None, None)
+    scale = math.lcm(base, *(p.re.denominator for p in points),
+                     *(p.im.denominator for p in points))
+    xs = [p.re.numerator * (scale // p.re.denominator) for p in points]
+    ys = [p.im.numerator * (scale // p.im.denominator) for p in points]
+    span = max(map(abs, xs + ys), default=0)
+    if span <= _INT_COORD_LIMIT:
+        return np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), scale, _KEY_SHIFT
+    # the low part of a packed value, at most 3 * span, stays below
+    # 2**(shift - 1)
+    return (np.array(xs, dtype=object), np.array(ys, dtype=object), scale,
+            (4 * span).bit_length() + 1)
+
+
+def grid_points(xs, ys, scale) -> list:
+    """ZPoints of the grid coordinates (xs, ys): Fractions over ``scale``,
+    one per distinct value, or the floats themselves when it is None."""
+    xs, ys = xs.tolist(), ys.tolist()
+    if scale is None:
+        return [ZPoint(x, y) for x, y in zip(xs, ys)]
+    frac = {v: Fraction(v, scale) for v in set(xs) | set(ys)}
+    return [ZPoint(frac[x], frac[y]) for x, y in zip(xs, ys)]
+
+
+def _sorted(points: list, mode: Mode) -> tuple:
+    """(points, their grid) in canonical order; neighbours that are
+    ``same_point`` raise ``DuplicatePoint``."""
+    xs, ys, scale, shift = coordinate_grid(points, mode)
+    order = canonical_permutation(xs, ys)
+    xs, ys = xs[order], ys[order]
+    points = [points[i] for i in order.tolist()]
+    dx, dy = xs[1:] - xs[:-1], ys[1:] - ys[:-1]
+    if mode.is_exact:
+        same = (dx == 0) & (dy == 0)
+    else:
+        same = dx * dx + dy * dy <= mode.eps * mode.eps
+    at = np.flatnonzero(same)
+    if len(at):
+        raise DuplicatePoint(f"repeated point {points[at[0]]!r}")
+    return tuple(points), (xs, ys, scale, shift)
+
+
+def _sorted_from_origin(grid: tuple, mode: Mode) -> tuple:
+    """``_sorted`` of the points of ``grid`` moved so that its first point
+    sits at the origin, shifted on the grid."""
+    xs, ys, scale, _ = grid
+    return _sorted(grid_points(xs - xs[0], ys - ys[0], scale), mode)
 
 
 # --------------------------------------------------------------------------
@@ -275,12 +352,23 @@ class ZeroWindow:
     windows the center equals ``translation``, the offset that moved the raw
     norm-smallest term to the origin (so raw coordinates are
     ``point - translation``).  Windows built from explicit raw coordinates
-    have ``translation = None`` and are centered at the origin.
+    have ``translation = None`` and are centered at the origin.  ``grid``
+    holds the points on their coordinate grid, in the same order.
     """
 
     def __init__(self, points, radius, mode: Mode = EXACT, source=None,
                  translation=None, center=None, check=True):
-        self.points = tuple(points)
+        points = tuple(points)
+        grid = coordinate_grid(points, mode)
+        if check:
+            if (canonical_permutation(grid[0], grid[1]) != np.arange(len(points))).any():
+                raise ValueError("points not in canonical order")
+            _sorted(points, mode)  # raises DuplicatePoint on repeats
+        self._fill(points, grid, radius, mode, source, translation, center)
+
+    def _fill(self, points, grid, radius, mode, source, translation, center):
+        self.points = points
+        self.grid = grid
         self.radius = float(radius)
         self.mode = mode
         self.source = source
@@ -289,24 +377,23 @@ class ZeroWindow:
             center = translation if translation is not None else ZPoint.zero(mode)
         self.center = center
         self._cache = {}
-        if check:
-            ordered = sorted(self.points, key=_canonical_key)
-            if list(self.points) != ordered:
-                raise ValueError("points not in canonical order")
-            for a, b in zip(self.points, self.points[1:]):
-                if same_point(a, b, self.mode):
-                    raise DuplicatePoint(f"repeated point {a!r}")
+
+    @classmethod
+    def _ordered(cls, points, grid, radius, mode, source, translation, center) -> "ZeroWindow":
+        """A window over ``points`` already in canonical order on ``grid``."""
+        w = cls.__new__(cls)
+        w._fill(points, grid, radius, mode, source, translation, center)
+        return w
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def from_points(points, radius, mode: Mode = EXACT, source=None) -> "ZeroWindow":
         """Window over explicit raw coordinates (no canonicalizing shift)."""
-        pts = canonical_order(points, mode)
+        pts, grid = _sorted(list(points), mode)
         if not pts:
             raise EmptyWindow("no points")
-        w = ZeroWindow(pts, radius, mode, source=source, translation=None,
-                       center=ZPoint.zero(mode), check=False)
+        w = ZeroWindow._ordered(pts, grid, radius, mode, source, None, ZPoint.zero(mode))
         rad2 = _radius2(radius, mode)
         for p in pts:
             if _norm2_exceeds(p.norm2(), rad2, mode):
@@ -315,19 +402,18 @@ class ZeroWindow:
 
     def translate(self, b: ZPoint) -> "ZeroWindow":
         """The same trace moved by ``b`` (sampling region moves along)."""
-        pts = canonical_order([p + b for p in self.points], self.mode)
-        return ZeroWindow(pts, self.radius, self.mode, source=self.source,
-                          translation=None, center=self.center + b, check=False)
+        pts, grid = _sorted([p + b for p in self.points], self.mode)
+        return ZeroWindow._ordered(pts, grid, self.radius, self.mode, self.source,
+                                   None, self.center + b)
 
     def canonicalize(self) -> "ZeroWindow":
         """Translate so the first (norm-smallest) point sits at the origin."""
         if self.points and self.points[0].is_zero() and self.translation is not None:
             return self
         shift = -self.points[0]
-        pts = canonical_order([p + shift for p in self.points], self.mode)
-        return ZeroWindow(pts, self.radius, self.mode, source=self.source,
-                          translation=self.center + shift,
-                          center=self.center + shift, check=False)
+        pts, grid = _sorted_from_origin(self.grid, self.mode)
+        return ZeroWindow._ordered(pts, grid, self.radius, self.mode, self.source,
+                                   self.center + shift, self.center + shift)
 
     # -- basic properties ---------------------------------------------------
 
@@ -363,16 +449,16 @@ class ZeroWindow:
         return idx
 
     def min_gap(self) -> float:
-        """Smallest pairwise distance (float)."""
+        """Smallest pairwise distance (float), one numpy minimum per anchor."""
         g = self._cache.get("min_gap")
         if g is None:
+            xs, ys, scale, _ = self.grid
             g = math.inf
-            pts = self.points
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    d = (pts[i] - pts[j]).norm()
-                    if d < g:
-                        g = d
+            if len(xs) > 1:
+                d = min(((xs[i + 1:] - xs[i]) ** 2 + (ys[i + 1:] - ys[i]) ** 2).min()
+                        for i in range(len(xs) - 1))
+                # Python int division rounds correctly, as float(Fraction) does
+                g = math.sqrt(d if scale is None else int(d) / (scale * scale))
             self._cache["min_gap"] = g
         return g
 
@@ -499,11 +585,10 @@ def generate(spec: GeneratorSpec, radius: float, mode: Mode = EXACT) -> ZeroWind
     raw = [p for p in raw if not _norm2_exceeds(p.norm2(), rad2, mode)]
     if not raw:
         raise EmptyWindow(f"{spec.kind} has no points of norm <= {radius}")
-    raw = canonical_order(raw, mode)
+    raw, grid = _sorted(raw, mode)
+    stored, grid = _sorted_from_origin(grid, mode)
     shift = -raw[0]
-    stored = canonical_order([p + shift for p in raw], mode)
-    return ZeroWindow(stored, radius, mode, source=spec,
-                      translation=shift, center=shift, check=False)
+    return ZeroWindow._ordered(stored, grid, radius, mode, spec, shift, shift)
 
 
 # --------------------------------------------------------------------------
@@ -584,15 +669,16 @@ def sup_norm(points) -> float:
 
 
 def window_to_json(w: ZeroWindow) -> dict:
+    """JSON form of ``w``; ``center`` is written only where it differs from
+    what ``window_from_json`` infers: the translation, or the origin."""
     t = None
     if w.translation is not None:
         t = [scalar_repr(w.translation.re), scalar_repr(w.translation.im)]
-    return {
-        "mode": w.mode.kind,
-        "radius": w.radius,
-        "translation": t,
-        "points": [[scalar_repr(p.re), scalar_repr(p.im)] for p in w.points],
-    }
+    data = {"mode": w.mode.kind, "radius": w.radius, "translation": t}
+    if w.center != (w.translation or ZPoint.zero(w.mode)):
+        data["center"] = [scalar_repr(w.center.re), scalar_repr(w.center.im)]
+    data["points"] = [[scalar_repr(p.re), scalar_repr(p.im)] for p in w.points]
+    return data
 
 
 def window_from_json(data: dict, eps: float = 1e-9) -> ZeroWindow:
@@ -601,8 +687,8 @@ def window_from_json(data: dict, eps: float = 1e-9) -> ZeroWindow:
         raise ModeMismatch(f"unknown mode {kind!r}")
     mode = EXACT if kind == "exact" else float_mode(eps)
     pts = [ZPoint.of(re, im, mode) for re, im in data["points"]]
-    t = data.get("translation")
+    t, c = data.get("translation"), data.get("center")
     translation = ZPoint.of(t[0], t[1], mode) if t is not None else None
-    pts = canonical_order(pts, mode)
-    return ZeroWindow(pts, data["radius"], mode, source=None,
-                      translation=translation, check=False)
+    center = ZPoint.of(c[0], c[1], mode) if c is not None else None
+    pts, grid = _sorted(pts, mode)
+    return ZeroWindow._ordered(pts, grid, data["radius"], mode, None, translation, center)

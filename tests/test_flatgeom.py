@@ -203,6 +203,23 @@ def test_exact_holonomy_equals_set_of_visible_differences(lattice5):
             assert got.complete_radius == want.complete_radius
 
 
+def test_public_exact_holonomy_set_matches_holonomy(lattice5):
+    rng = random.Random(71)
+    for w in [lattice5] + [_rational_cloud(rng, 30, den) for den in (2, 7, *_BIG_DENS)]:
+        for length, window in ((None, w), (2.5, w), (None, None)):
+            h = fc.holonomy(w, max_length=length)
+            # one sign of each vector, some twice, shuffled
+            half = [v for v in h.vectors if fc.zseq._arg_half(v) == 0]
+            given = half + half[::3]
+            rng.shuffle(given)
+            pub = fc.HolonomySet(given, w.radius, w.mode, restricted_to=length, window=window)
+            assert pub.vectors == h.vectors
+            assert pub.complete_radius == h.complete_radius
+            probes = list(h.vectors) + [v.scale(c) for v in h.vectors[:20]
+                                        for c in (2, 3, Fraction(1, 2))]
+            assert [pub.contains(v) for v in probes] == [h.contains(v) for v in probes]
+
+
 def test_float_holonomy_keeps_no_near_duplicates():
     rng = random.Random(53)
     mode = fc.float_mode(1e-9)
@@ -249,7 +266,7 @@ def test_has_holonomy_vector_off_grid_denominators():
         tiny = zp(Fraction(1, 1 << k))
         assert fc.has_holonomy_vector(_window([zp(0), tiny, one], 2), one)
         w = _window([zp(0), half, one, tiny], 2)
-        assert fc.flatgeom._coord_arrays(w)[0].dtype == dtype
+        assert w.grid[0].dtype == dtype
         assert not fc.has_holonomy_vector(w, one)  # blocked by (1 + i)/2
         assert fc.has_holonomy_vector(w, half)
         h = fc.holonomy(w)
@@ -341,6 +358,8 @@ def test_collinear_iff_all_holonomy_parallel():
         h = fc.holonomy(w)
         parallel = fc.flatgeom.vectors_parallel(list(h.vectors), w.mode)
         assert fc.window_collinear(w) == parallel
+        floats = [fc.ZPoint(float(p.re), float(p.im)) for p in pts]
+        assert fc.window_collinear(fc.ZeroWindow.from_points(floats, 25, fc.float_mode())) == parallel
 
 
 def test_exact_point_index_is_built_on_first_query(lattice5):

@@ -337,7 +337,7 @@ def test_kernel_promotes_to_python_ints_past_int64(monkeypatch):
     w = _grid_window(1, 1, 4, center=zp(Fraction(1, 32749)))
     cfg = StabilizerSearchConfig(inner_radius=1.5)
     assert fc.stabilizer_candidates(w, cfg) == _ref_candidates(w, cfg)
-    assert fc.flatgeom._coord_arrays(w)[0].dtype == np.int64
+    assert w.grid[0].dtype == np.int64
     assert object in seen
 
 
@@ -369,7 +369,7 @@ def test_non_dyadic_entry_bound_compares_exactly():
 
 def test_inner_radius_equal_to_point_norm():
     w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 8)
-    xs, ys, scale, _ = fc.flatgeom._coord_arrays(w)
+    xs, ys, scale, _ = w.grid
     for r, kept in ((5, True), (math.nextafter(5, 0), False)):
         got = [w.points[i] for i in gridsearch._inner_ints(xs, ys, scale, r)]
         assert got == veech._inner_points(w.points, r, w.mode)
@@ -398,7 +398,7 @@ def test_pprime_symmetry_big_denominator():
     center = zp(Fraction(1, 2) + off, 1)
     pts = [zp(k + off, 2 * k) for k in range(-6, 8)]
     w = fc.ZeroWindow(fc.canonical_order(pts), 7 * math.sqrt(5), center=center)
-    assert fc.flatgeom._coord_arrays(w)[0].dtype == object
+    assert w.grid[0].dtype == object
     assert fc.pprime_symmetry(w) == center
     moved = fc.ZeroWindow(w.points, w.radius, center=center + zp(Fraction(1, 2), 1))
     assert fc.pprime_symmetry(moved) == center + zp(Fraction(1, 2), 1)

@@ -10,6 +10,34 @@ import flatcurve as fc
 from flatcurve.zseq import compare_canonical
 
 from conftest import zp
+from test_flatgeom import _BIG_DENS
+
+_FLOAT = fc.float_mode(1e-9)
+_FAMILIES = ("positive-integers", "all-integers", "odd4n13-positive", "odd4n13-all",
+             "gaussian-lattice", "integers-plus-minus-i")
+
+
+def _shuffled_cloud(rng, n, den, mode):
+    pts = {}
+    while len(pts) < n:
+        p = zp(Fraction(rng.randint(-12, 12), rng.choice((1, den))),
+               Fraction(rng.randint(-12, 12), rng.choice((1, den))))
+        pts[(p.re, p.im)] = p
+    pts = list(pts.values())
+    rng.shuffle(pts)
+    if not mode.is_exact:
+        pts = [fc.ZPoint(float(p.re), float(p.im)) for p in pts]
+    return pts
+
+
+# exact clouds up to the int64-overflowing denominators; float clouds whose
+# points stay eps-apart
+_CLOUDS = [(den, fc.EXACT) for den in (*range(1, 8), 32749, *_BIG_DENS)] + \
+    [(den, _FLOAT) for den in (*range(1, 8), 32749)]
+
+
+def _by_comparator(points):
+    return sorted(points, key=functools.cmp_to_key(compare_canonical))
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +106,50 @@ def test_canonical_key_sorts_like_cross_product_comparator():
         assert sorted(pts, key=fc.zseq._canonical_key) == want
         for a, b in zip(pts, pts[1:]):
             assert compare_canonical(a, b) == _cross_compare(a, b)
+
+
+def test_every_constructor_orders_like_compare_canonical():
+    rng = random.Random(61)
+    for den, mode in _CLOUDS:
+        pts = _shuffled_cloud(rng, 40, den, mode)
+        want = _by_comparator(pts)
+        assert fc.canonical_order(pts, mode) == want
+        w = fc.ZeroWindow.from_points(pts, 20, mode)
+        assert list(w.points) == want
+        b = fc.ZPoint.of(Fraction(1, 3), Fraction(-2, 7), mode)
+        moved = w.translate(b)
+        assert list(moved.points) == _by_comparator([p + b for p in pts])
+        shift = -moved.points[0]
+        assert list(moved.canonicalize().points) == \
+            _by_comparator([p + shift for p in moved.points])
+        data = fc.window_to_json(moved)
+        rng.shuffle(data["points"])
+        assert fc.window_from_json(data, eps=mode.eps).points == moved.points
+
+
+@pytest.mark.parametrize("mode", [fc.EXACT, _FLOAT], ids=["exact", "float"])
+def test_generated_windows_order_like_compare_canonical(mode):
+    orbit = fc.GeneratorSpec.orbit([(1, 0), (Fraction(1, 4), Fraction(1, 2))],
+                                   [(1, 1, 0, 1), (1, 0, 1, 1)], 3)
+    for spec in [fc.GeneratorSpec(kind) for kind in _FAMILIES] + [orbit]:
+        w = fc.generate(spec, 7.5, mode)
+        assert list(w.points) == _by_comparator(w.points)
+        shifted = [p + w.translation for p in _by_comparator(w.raw_points())]
+        assert list(w.points) == _by_comparator(shifted)
+        assert w.points[0].is_zero() and fc.validate(w).valid
+
+
+def test_checked_constructor_rejects_disorder_and_repeats():
+    for mode in (fc.EXACT, _FLOAT):
+        pts = fc.canonical_order(
+            [fc.ZPoint.of(a, b, mode) for a, b in ((0, 0), (1, 0), (0, 1), (2, 1))], mode)
+        assert fc.ZeroWindow(pts, 5, mode).points == tuple(pts)
+        with pytest.raises(ValueError, match="canonical order"):
+            fc.ZeroWindow(pts[::-1], 5, mode)
+        with pytest.raises(fc.DuplicatePoint):
+            fc.ZeroWindow([pts[0], pts[1], pts[1], pts[2]], 5, mode)
+    with pytest.raises(fc.DuplicatePoint):
+        fc.ZeroWindow([fc.ZPoint(1.0, 0.0), fc.ZPoint(1.0 + 1e-12, 0.0)], 5, _FLOAT)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +261,17 @@ def test_min_gap(lattice5):
     assert lattice5.min_gap() == pytest.approx(1.0)
 
 
+def test_min_gap_matches_pairwise_bruteforce():
+    rng = random.Random(67)
+    for den, mode in _CLOUDS:
+        w = fc.ZeroWindow.from_points(_shuffled_cloud(rng, 30, den, mode), 20, mode)
+        pts = w.points
+        want = min((pts[i] - pts[j]).norm()
+                   for i in range(len(pts)) for j in range(i + 1, len(pts)))
+        assert w.min_gap() == want
+    assert fc.ZeroWindow.from_points([zp(1, 2)], 3).min_gap() == math.inf
+
+
 def test_in_region_checks_against_center():
     w = fc.generate(fc.GeneratorSpec("positive-integers"), 4.5)
     # stored coords live in a ball around the recorded center
@@ -266,6 +349,23 @@ def test_json_rationals_survive():
     assert ["1/3", "-2/7"] in data["points"]
     back = fc.window_from_json(data)
     assert back.points[1] == zp(Fraction(1, 3), Fraction(-2, 7))
+
+
+def test_json_round_trip_keeps_center_and_translation(integers10):
+    b = zp(Fraction(1, 3), 5)
+    raw = fc.ZeroWindow.from_points([zp(0), zp(Fraction(1, 3), Fraction(-2, 7)), zp(2, 1)], 3)
+    lattice3 = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 3)
+    windows = [integers10, integers10.translate(b), integers10.translate(b).canonicalize(),
+               raw, raw.translate(b), lattice3.translate(zp(5)),
+               fc.generate(fc.GeneratorSpec("gaussian-lattice"), 3, _FLOAT).translate(
+                   fc.ZPoint(0.5, -2.0))]
+    for w in windows:
+        back = fc.window_from_json(json.loads(json.dumps(fc.window_to_json(w))), eps=w.mode.eps)
+        assert (back.points, back.center, back.translation) == \
+            (w.points, w.center, w.translation)
+        assert fc.validate(back).valid
+    # generated windows are centred at their translation: no extra key
+    assert "center" not in fc.window_to_json(integers10)
 
 
 def test_json_raw_window_has_null_translation():
