@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import cover, equiv, flatgeom, svg, veech, weierstrass, zseq
-from .errors import FlatcurveError, IoError
+from .errors import FlatcurveError, IoError, NonFinite
 from .zseq import EXACT, GeneratorSpec, Mode, ZPoint, float_mode, scalar_repr
 
 _SEQUENCES = GeneratorSpec.KINDS
@@ -243,8 +243,15 @@ def _cmd_eval(args, w, mode):
     if args.factors is not None:
         w = w.head(args.factors)
     at = _point(args.at, mode)
-    val = weierstrass.eval_f(at.to_complex(), w, degrees=args.degree,
-                             e0=args.e0)
+    try:
+        val = weierstrass.eval_f(at.to_complex(), w, degrees=args.degree,
+                                 e0=args.e0)
+    except NonFinite as exc:
+        if exc.log10mag is None:
+            raise
+        # past float64 the log-space value is still the answer
+        return _json_text({"value": None, "abs": None,
+                           "log10mag": exc.log10mag, "arg": exc.arg})
     mag = abs(val)
     return _json_text({
         "value": [val.real, val.imag],

@@ -7,6 +7,10 @@ zero therefore gains +1.  A path vertex landing exactly on a cut line is
 treated as lying on the right side — the deterministic equivalent of the
 usual "+eps in x" perturbation — and the event is flagged rather than
 silently absorbed.
+
+Crossings are computed on the window's coordinate grid (``ZeroWindow.grid``),
+every cut of a segment at once: exact segments with integer arithmetic,
+float segments with the float formulas.
 """
 
 from __future__ import annotations
@@ -16,8 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import PathThroughBranchPoint, RadiusTooLarge
-from .zseq import Mode, ZPoint, ZeroWindow, same_point
+from .zseq import Mode, ZPoint, ZeroWindow, rescale_grid
 
 
 def _check_m(m: int) -> int:
@@ -106,30 +112,56 @@ def singularity_sets(w: ZeroWindow, m: int) -> SingularitySets:
 
 def _segment_events(a: ZPoint, b: ZPoint, cuts: CutSystem, seg_idx: int,
                     skip_zero_hit: bool = False) -> list:
-    """Signed crossings of one segment against every cut.
+    """Signed crossings of one segment against every cut, all cuts at once.
 
     Side rule: x >= cut-x counts as the right side, for both endpoints.  An
     exact pass through a zero raises PathThroughBranchPoint unless it happens
     at a segment endpoint (the vertex-level checks own that case).
+
+    Exact segments are tested on the window's integer grid, rescaled to the
+    lcm of its scale and the endpoint denominators: with dx = bx - ax the
+    segment passes below zero (X, Y) iff (ay - Y)*dx + (X - ax)*(by - ay)
+    has the sign opposite to dx, and through it iff that is 0.  Float
+    segments run the float formulas elementwise.
     """
-    events = []
-    for k, z in enumerate(cuts.window.points):
-        right_a = a.re >= z.re
-        right_b = b.re >= z.re
-        if right_a == right_b:
-            continue
-        t = (z.re - a.re) / (b.re - a.re)
-        y_star = a.im + t * (b.im - a.im)
-        if y_star == z.im:
-            if 0 < t < 1 and not skip_zero_hit:
-                raise PathThroughBranchPoint(
-                    f"segment {seg_idx} passes through zero {k}")
-            continue
-        if y_star > z.im:
-            continue  # passes above the zero, off the cut
-        direction = 1 if right_b else -1
-        on_line = (a.re == z.re) or (b.re == z.re)
-        events.append(CrossingEvent(seg_idx, k, direction, float(t), on_line))
+    xs, ys, scale, _ = cuts.window.grid
+    if scale is None:
+        ax, ay, bx, by = (float(c) for c in (a.re, a.im, b.re, b.im))
+    else:
+        ends = [Fraction(c) for c in (a.re, a.im, b.re, b.im)]
+        lcm = math.lcm(scale, *(c.denominator for c in ends))
+        ax, ay, bx, by = (c.numerator * (lcm // c.denominator) for c in ends)
+        xs, ys = rescale_grid(xs, ys, lcm // scale, max(map(abs, (ax, ay, bx, by))))
+    dx, dy = bx - ax, by - ay
+    ks = np.flatnonzero((ax >= xs) != (bx >= xs))
+    if not len(ks):
+        return []
+    X, Y = xs[ks], ys[ks]
+    on_line = (X == ax) | (X == bx)
+    if scale is None:
+        t = (X - ax) / dx
+        y_star = ay + t * dy
+        through = y_star == Y
+        interior = (0 < t) & (t < 1)
+        below = y_star < Y
+    else:
+        s = (ay - Y) * dx + (X - ax) * dy
+        through = s == 0
+        interior = ~on_line  # 0 < t < 1 on a crossing
+        below = (s < 0) if dx > 0 else (s > 0)
+    if not skip_zero_hit:
+        hits = np.flatnonzero(through & interior)
+        if len(hits):
+            raise PathThroughBranchPoint(
+                f"segment {seg_idx} passes through zero {ks[hits[0]]}")
+    keep = np.flatnonzero(below)
+    # int64 operands below 2**53 convert to float exactly, and Python int
+    # division rounds correctly, so t is float(Fraction(X - ax, dx)); the
+    # absolute values keep t = 0 from turning into -0.0
+    ts = (t[keep] if scale is None else abs(X[keep] - ax) / abs(dx)).tolist()
+    direction = 1 if dx > 0 else -1
+    events = [CrossingEvent(seg_idx, k, direction, tk, ol)
+              for k, tk, ol in zip(ks[keep].tolist(), ts, on_line[keep].tolist())]
     events.sort(key=lambda e: (e.t, e.zero_index))
     return events
 

@@ -30,13 +30,15 @@ class ZeroDivisor(FlatcurveError):
 
 
 class NonFinite(FlatcurveError):
-    """Product overflowed; ``log10mag`` records the partial log-magnitude."""
+    """Product overflowed; ``log10mag`` and ``arg`` record its log-space
+    magnitude and argument."""
 
     code = "NonFinite"
 
-    def __init__(self, detail="", log10mag=None):
+    def __init__(self, detail="", log10mag=None, arg=None):
         super().__init__(detail)
         self.log10mag = log10mag
+        self.arg = arg
 
 
 class ContourThroughZero(FlatcurveError):

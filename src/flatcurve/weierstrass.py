@@ -9,6 +9,12 @@ over the nonzero window points z_n, where E(w, d) is the elementary factor
 magnitude and winding information survive far beyond float overflow; the
 exponential is only applied at the very end, and boundary winding numbers
 never apply it at all.
+
+Winding numbers never sample the polynomial parts P_n(w) = sum_{k<=d_n}
+w**k / k either.  exp(P_n) is entire and zero-free, so it winds 0 around
+every closed contour, while Im P_n turns far faster along the contour than
+the phases of the vanishing factors (1 - w) and z**e0.  ``count_zeros``
+therefore sums only those phases, and the degrees do not change its count.
 """
 
 from __future__ import annotations
@@ -215,8 +221,8 @@ def eval_f(z, w: ZeroWindow, degrees=None, e0=None):
     """Value of the canonical product at ``z`` (complex or array of them).
 
     Points of the window evaluate to exactly 0.  Raises NonFinite when the
-    magnitude leaves float64; the offending log10 magnitude rides along on
-    the error.
+    magnitude leaves float64; the offending log10 magnitude and its argument
+    (summed Im log f, reduced to [-pi, pi]) ride along on the error.
     """
     pts, origin, degs = _resolve_degrees(w, degrees)
     k0 = _resolve_e0(origin, e0)
@@ -226,9 +232,10 @@ def eval_f(z, w: ZeroWindow, degrees=None, e0=None):
         raise NonFinite("evaluation point is not finite")
     re, im, hit = _log_eval(zs.ravel(), pts, degs, k0)
     if (re[~hit] > _EXP_OVERFLOW).any():
-        worst = float(re[~hit].max())
+        worst = int(np.argmax(np.where(hit, -np.inf, re)))
         raise NonFinite("product magnitude overflows float64",
-                        log10mag=worst / math.log(10))
+                        log10mag=float(re[worst]) / math.log(10),
+                        arg=math.remainder(float(im[worst]), 2 * math.pi))
     out = np.where(hit, 0j, np.exp(re + 1j * im))
     out = out.reshape(zs.shape)
     return complex(out[0]) if scalar else out.reshape(np.shape(z))
@@ -270,7 +277,10 @@ def count_zeros(w: ZeroWindow, box, degrees=None, e0=None,
                 samples: int = 64, max_samples: int = 1 << 16) -> int:
     """Zeros of the product inside an axis-aligned box, by boundary winding.
 
-    ``box`` is (x0, x1, y0, y1).  Sampling density doubles until adjacent
+    ``box`` is (x0, x1, y0, y1).  Only the phases of the factors (1 - z/z_n)
+    and z**e0 are sampled: each exp(P_n) factor winds 0 around the box (see
+    the module docstring), so ``degrees`` is validated as in ``eval_f`` but
+    does not change the count.  Sampling density doubles until adjacent
     phase steps are all below 0.25 rad, so the unwrapped total is
     unambiguous.
     """
@@ -281,7 +291,7 @@ def count_zeros(w: ZeroWindow, box, degrees=None, e0=None,
     per_edge = max(8, int(samples) // 4)
     while True:
         zs = _boundary_samples(edges, per_edge)
-        _, im, hit = _log_eval(zs, pts, degs, k0)
+        _, im, hit = _log_eval(zs, pts, np.zeros_like(degs), k0)
         if hit.any():
             raise ContourThroughZero("counting contour passes through a zero")
         args = np.mod(im, 2 * math.pi)

@@ -216,6 +216,19 @@ def coordinate_grid(points, mode: Mode, base: int = 1) -> tuple:
             (4 * span).bit_length() + 1)
 
 
+def rescale_grid(xs, ys, factor: int, span: int) -> tuple:
+    """The exact grid coordinates (xs, ys) times ``factor``, moved to
+    Python-int arrays when a product, or ``span`` (the largest coordinate
+    to be combined with them), passes 2**28."""
+    if xs.dtype != object and (factor > 1 or span > _INT_COORD_LIMIT):
+        grid_span = int(max(np.abs(xs).max(initial=0), np.abs(ys).max(initial=0)))
+        if max(grid_span * factor, span) > _INT_COORD_LIMIT:
+            xs, ys = xs.astype(object), ys.astype(object)
+    if factor == 1:
+        return xs, ys
+    return xs * factor, ys * factor
+
+
 def grid_points(xs, ys, scale) -> list:
     """ZPoints of the grid coordinates (xs, ys): Fractions over ``scale``,
     one per distinct value, or the floats themselves when it is None."""
@@ -547,30 +560,25 @@ def _orbit_points(spec: GeneratorSpec, radius: float, mode: Mode) -> list:
              for p in spec.params["k_points"]]
     rad2 = _radius2(radius, mode)
     max_len = spec.params["max_word_length"]
-    seen = {}
-    frontier = []
-    for p in seeds:
-        if _norm2_exceeds(p.norm2(), rad2, mode):
-            continue
-        key = (p.re, p.im)
-        if key not in seen:
-            seen[key] = p
-            frontier.append(p)
+    # mode-aware: in float mode two rounded copies of one image are one point
+    seen = PointIndex((), mode)
+    found = []
+
+    def admit(batch) -> list:
+        new = []
+        for q in batch:
+            if not _norm2_exceeds(q.norm2(), rad2, mode) and q not in seen:
+                seen.add(q, len(found))
+                found.append(q)
+                new.append(q)
+        return new
+
+    frontier = admit(seeds)
     depth = 0
     while frontier and depth < max_len:
         depth += 1
-        nxt = []
-        for p in frontier:
-            for g in alphabet:
-                q = g.apply(p)
-                if _norm2_exceeds(q.norm2(), rad2, mode):
-                    continue
-                key = (q.re, q.im)
-                if key not in seen:
-                    seen[key] = q
-                    nxt.append(q)
-        frontier = nxt
-    return list(seen.values())
+        frontier = admit(g.apply(p) for p in frontier for g in alphabet)
+    return found
 
 
 def generate(spec: GeneratorSpec, radius: float, mode: Mode = EXACT) -> ZeroWindow:

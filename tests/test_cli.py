@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import io
 import json
@@ -127,6 +128,28 @@ def test_eval_matches_library():
     want = fc.eval_f(0.5, w, degrees=1)
     assert d["value"] == [want.real, want.imag]
     assert d["abs"] == pytest.approx(abs(want))
+
+
+def test_eval_past_float64_prints_log_space_value():
+    argv = ["eval", "--sequence", "positive-integers", "--mode", "float",
+            "--radius", "400", "--at", "50.5,0.3"]
+    d = run_json(argv)
+    assert d["value"] is None and d["abs"] is None
+    # the window is 0..399 after canonicalizing; log f summed factor by
+    # factor in plain Python, fsum over the terms
+    z = 50.5 + 0.3j
+    terms = []
+    for n in range(1, 400):
+        w, wk = z / n, 1
+        terms.append(cmath.log(1 - w))
+        for k in range(1, n + 1):  # "index" degrees: the n-th zero gets n
+            wk *= w
+            terms.append(wk / k)
+    log_re = math.fsum(t.real for t in terms) + math.log(abs(z))  # e0 = 1
+    log_im = math.fsum(t.imag for t in terms) + cmath.phase(z)
+    assert d["log10mag"] == pytest.approx(log_re / math.log(10), rel=1e-12)
+    assert -math.pi <= d["arg"] <= math.pi
+    assert math.remainder(d["arg"] - log_im, 2 * math.pi) == pytest.approx(0, abs=1e-6)
 
 
 def test_verify_zeros_normalizes_corner_order():

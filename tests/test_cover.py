@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import flatcurve as fc
+from flatcurve import cover
 
 from conftest import zp
 
@@ -67,6 +68,109 @@ def test_crossing_log_ordered_along_path():
     events = fc.crossing_log([zp(-1, -1), zp(2, -1)], cuts)
     assert [e.zero_index for e in events] == [0, 1]
     assert events[0].t < events[1].t
+
+
+def _segment_events_reference(a, b, cuts, seg_idx, skip_zero_hit=False):
+    """The per-cut loop on the stored coordinates that ``_segment_events``
+    replaced: Fractions in exact mode, floats in float mode."""
+    events = []
+    for k, z in enumerate(cuts.window.points):
+        right_a = a.re >= z.re
+        right_b = b.re >= z.re
+        if right_a == right_b:
+            continue
+        t = (z.re - a.re) / (b.re - a.re)
+        y_star = a.im + t * (b.im - a.im)
+        if y_star == z.im:
+            if 0 < t < 1 and not skip_zero_hit:
+                raise fc.PathThroughBranchPoint(
+                    f"segment {seg_idx} passes through zero {k}")
+            continue
+        if y_star > z.im:
+            continue
+        direction = 1 if right_b else -1
+        on_line = (a.re == z.re) or (b.re == z.re)
+        events.append(fc.CrossingEvent(seg_idx, k, direction, float(t), on_line))
+    events.sort(key=lambda e: (e.t, e.zero_index))
+    return events
+
+
+def _events_or_error(fn, a, b, cuts, skip_zero_hit):
+    """The events' reprs, which tell -0.0 from 0.0, or the error message."""
+    try:
+        return [repr(e) for e in fn(a, b, cuts, 3, skip_zero_hit)]
+    except fc.PathThroughBranchPoint as exc:
+        return str(exc)
+
+
+def _assert_events_match(pairs, cuts):
+    for a, b in pairs:
+        for skip in (False, True):
+            got = _events_or_error(cover._segment_events, a, b, cuts, skip)
+            want = _events_or_error(_segment_events_reference, a, b, cuts, skip)
+            assert got == want, (a, b, skip)
+
+
+def _grid_pairs(rng, mode, den, lim, count):
+    num = lambda: Fraction(rng.randint(-lim * den, lim * den), den)
+    pts = [fc.ZPoint.of(num(), num(), mode) for _ in range(count + 1)]
+    return list(zip(pts, pts[1:]))
+
+
+def _distinct(rng, n):
+    pts = set()
+    while len(pts) < n:
+        pts.add((Fraction(rng.randint(-20, 20), 7), Fraction(rng.randint(-20, 20), 5)))
+    return [zp(x, y) for x, y in pts]
+
+
+def test_segment_events_match_reference_on_the_grid():
+    rng = random.Random(11)
+    w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 6)
+    cuts = fc.build_cuts(w, 3)
+    # the 1/194 grid of the benchmark's polylines; odd numerators sit off
+    # every cut line
+    half = lambda: Fraction(2 * rng.randint(-97 * 6, 97 * 6 - 1) + 1, 194)
+    pts = [fc.ZPoint(half(), half()) for _ in range(120)]
+    _assert_events_match(zip(pts, pts[1:]), cuts)
+    # integer and half-integer vertices: on cut lines, through zeros, and
+    # zero-to-zero segments, which hit zeros only at their endpoints
+    pairs = _grid_pairs(rng, fc.EXACT, 2, 7, 300)
+    pairs += [(w.points[rng.randrange(len(w))], w.points[rng.randrange(len(w))])
+              for _ in range(100)]
+    _assert_events_match([(a, b) for a, b in pairs if a != b], cuts)
+    assert any(e.on_line for a, b in pairs if a != b
+               for e in cover._segment_events(a, b, cuts, 0, True))
+    assert "passes through zero" in _events_or_error(
+        cover._segment_events, zp(-2, -1), zp(2, 1), cuts, False)
+    # a rational window whose grid scale differs from the vertices'
+    rw = fc.ZeroWindow.from_points(_distinct(rng, 40), 6)
+    _assert_events_match(_grid_pairs(rng, fc.EXACT, 3, 5, 200), fc.build_cuts(rw, 2))
+
+
+def test_segment_events_match_reference_in_float_mode():
+    rng = random.Random(12)
+    mode = fc.float_mode(1e-9)
+    w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 6, mode)
+    cuts = fc.build_cuts(w, 3)
+    pairs = _grid_pairs(rng, mode, 194, 6, 200) + _grid_pairs(rng, mode, 2, 7, 300)
+    pts = [fc.ZPoint(rng.uniform(-7, 7), rng.uniform(-7, 7)) for _ in range(200)]
+    _assert_events_match(pairs + list(zip(pts, pts[1:])), cuts)
+
+
+def test_segment_events_match_reference_for_vertices_from_floats():
+    # cone_angle's loop vertices: exact points built from floats, whose
+    # 2**k denominators push the rescaled grid onto Python ints
+    rng = random.Random(13)
+    w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 6)
+    cuts = fc.build_cuts(w, 5)
+    pts = [fc.ZPoint.of(rng.uniform(-7, 7), rng.uniform(-7, 7)) for _ in range(150)]
+    assert min(max(p.re.denominator, p.im.denominator) for p in pts) > 2 ** 28
+    _assert_events_match(zip(pts, pts[1:]), cuts)
+    loop = [z + 0.3 * complex(math.cos(a), math.sin(a))
+            for z in (0j, 2 + 1j) for a in (0.1, 2.2, 4.3, 0.1)]
+    pts = [fc.ZPoint.of(z.real, z.imag) for z in loop]
+    _assert_events_match(zip(pts, pts[1:]), cuts)
 
 
 def test_build_cuts_requires_m_at_least_two(lattice5):

@@ -160,6 +160,49 @@ def test_count_zeros_contour_through_zero():
         fc.count_zeros(w, (1.0, 2.0, -0.5, 0.5), degrees=0, e0=0)
 
 
+def _points_in_box(w, box):
+    x0, x1, y0, y1 = box
+    return sum(x0 < p.re < x1 and y0 < p.im < y1 for p in w.points)
+
+
+_FLOAT = fc.float_mode(1e-9)
+# boxes with half-integer edges, some reaching past the window's edge
+_ORACLE_CASES = [
+    (fc.generate(fc.GeneratorSpec("all-integers"), 12, _FLOAT),
+     [(-0.5, 0.5, -0.5, 0.5), (3.5, 6.5, -0.5, 0.5), (9.5, 13.5, -0.5, 0.5),
+      (-13.5, -10.5, -1.5, 0.5), (10.5, 11.5, -0.5, 0.5), (-7.5, 7.5, -0.5, 0.5),
+      (-30.5, 30.5, -2.5, 2.5)]),
+    (fc.generate(fc.GeneratorSpec("gaussian-lattice"), 5),
+     [(-0.5, 0.5, -0.5, 0.5), (0.5, 2.5, -1.5, 1.5), (3.5, 5.5, -1.5, 3.5),
+      (-5.5, -3.5, -5.5, 5.5), (-2.5, 2.5, 4.5, 6.5), (-6.5, 6.5, -6.5, 6.5)]),
+]
+
+
+@pytest.mark.parametrize("degrees", [None, "auto", 2])
+@pytest.mark.parametrize("w, boxes", _ORACLE_CASES)
+def test_count_zeros_equals_window_points_in_box(w, boxes, degrees):
+    for box in boxes:
+        assert fc.count_zeros(w, box, degrees=degrees) == _points_in_box(w, box), box
+
+
+def test_count_zeros_default_degrees_far_from_origin():
+    # default "index" degrees: the box sits where Im P turns fastest
+    w = fc.generate(fc.GeneratorSpec("positive-integers"), 44, _FLOAT)
+    box = (21.5, 24.5, -0.5, 0.5)
+    assert fc.count_zeros(w, box) == _points_in_box(w, box) == 3
+
+
+def test_count_zeros_still_validates_degrees():
+    w = _window([zp(1), zp(2)], 3)
+    box = (0.5, 2.5, -0.5, 0.5)
+    with pytest.raises(ValueError):
+        fc.count_zeros(w, box, degrees=[1])
+    with pytest.raises(ValueError):
+        fc.count_zeros(w, box, degrees=[1, -1])
+    with pytest.raises(ValueError):
+        fc.count_zeros(w, box, degrees="nope")
+
+
 # ---------------------------------------------------------------------------
 # refinement
 

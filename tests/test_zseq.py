@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import flatcurve as fc
-from flatcurve.zseq import compare_canonical
+from flatcurve.zseq import compare_canonical, same_point
 
 from conftest import zp
 from test_flatgeom import _BIG_DENS
@@ -223,6 +223,19 @@ def test_orbit_spec_small():
     raw = {(p.re, p.im) for p in w.raw_points()}
     assert {(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
             (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1))} <= raw
+
+
+def test_float_orbit_keeps_one_copy_of_each_rounded_image():
+    # two words reach (63/80 + 1, ...) by different float roundings
+    spec = fc.GeneratorSpec.orbit(
+        [(1, 0), (Fraction(63, 80), Fraction(-43, 80))],
+        [(1, 1, 0, 1), (1, 0, 1, 1)], 3)
+    mode = fc.float_mode(1e-9)
+    exact = fc.generate(spec, 6)
+    approx = fc.generate(spec, 6, mode)
+    for p in approx.points:
+        assert sum(same_point(p, q, mode) for q in exact.points) == 1
+    assert len(approx) == len(exact)
 
 
 def test_orbit_rejects_contracting_generator():
