@@ -168,13 +168,17 @@ def _points_in_box(w, box):
 _FLOAT = fc.float_mode(1e-9)
 # boxes with half-integer edges, some reaching past the window's edge
 _ORACLE_CASES = [
-    (fc.generate(fc.GeneratorSpec("all-integers"), 12, _FLOAT),
-     [(-0.5, 0.5, -0.5, 0.5), (3.5, 6.5, -0.5, 0.5), (9.5, 13.5, -0.5, 0.5),
-      (-13.5, -10.5, -1.5, 0.5), (10.5, 11.5, -0.5, 0.5), (-7.5, 7.5, -0.5, 0.5),
-      (-30.5, 30.5, -2.5, 2.5)]),
-    (fc.generate(fc.GeneratorSpec("gaussian-lattice"), 5),
-     [(-0.5, 0.5, -0.5, 0.5), (0.5, 2.5, -1.5, 1.5), (3.5, 5.5, -1.5, 3.5),
-      (-5.5, -3.5, -5.5, 5.5), (-2.5, 2.5, 4.5, 6.5), (-6.5, 6.5, -6.5, 6.5)]),
+    pytest.param(
+        fc.generate(fc.GeneratorSpec("all-integers"), 12, _FLOAT),
+        [(-0.5, 0.5, -0.5, 0.5), (3.5, 6.5, -0.5, 0.5), (9.5, 13.5, -0.5, 0.5),
+         (-13.5, -10.5, -1.5, 0.5), (10.5, 11.5, -0.5, 0.5), (-7.5, 7.5, -0.5, 0.5),
+         (-30.5, 30.5, -2.5, 2.5)],
+        id="integers-float"),
+    pytest.param(
+        fc.generate(fc.GeneratorSpec("gaussian-lattice"), 5),
+        [(-0.5, 0.5, -0.5, 0.5), (0.5, 2.5, -1.5, 1.5), (3.5, 5.5, -1.5, 3.5),
+         (-5.5, -3.5, -5.5, 5.5), (-2.5, 2.5, 4.5, 6.5), (-6.5, 6.5, -6.5, 6.5)],
+        id="lattice-exact"),
 ]
 
 
