@@ -383,7 +383,7 @@ def _cmd_plot(args, w, mode):
     segs = flatgeom.saddle_connections(w, args.m, max_length=args.max_length)
     h = flatgeom.holonomy(w, max_length=args.max_length)
     return svg.build_svg(w, segs, h.vectors,
-                         title=f"{args.sequence or 'window'} R={w.radius:g}")
+                         title=f"{args.sequence or 'window'} R={float(w.radius):g}")
 
 
 def main(argv=None) -> int:

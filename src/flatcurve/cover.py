@@ -269,7 +269,7 @@ def cone_angle(zero_idx: int, w: ZeroWindow, m: int, radius: float | None = None
         raise ValueError(f"zero index {zero_idx} out of range")
     gap = w.min_gap()
     if not math.isfinite(gap):
-        gap = max(2.0 * w.radius, 1.0)
+        gap = max(2.0 * float(w.radius), 1.0)
     if radius is None:
         radius = gap / 4
     if radius <= 0:

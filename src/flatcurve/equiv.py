@@ -58,7 +58,7 @@ def translation_equiv(w1: ZeroWindow, w2: ZeroWindow) -> EquivResult:
     mode = w1.mode
     idx1, idx2 = w1.index(), w2.index()
     half2 = Fraction(w2.radius) ** 2 / 4 if mode.is_exact else w2.radius ** 2 / 4
-    band = 1e-9 * (1 + max(w1.radius, w2.radius))
+    band = 1e-9 * (1 + float(max(w1.radius, w2.radius)))
     p0 = w1.points[0]
     best = EquivResult(False, None, 0.0)
     for q in w2.points:
@@ -70,7 +70,7 @@ def translation_equiv(w1: ZeroWindow, w2: ZeroWindow) -> EquivResult:
             continue
         b = q - p0
         delta = ((w1.center + b) - w2.center).norm()
-        rho = min(w1.radius, w2.radius) - delta
+        rho = float(min(w1.radius, w2.radius)) - delta
         if rho <= band:
             continue
         lim = rho - band

@@ -203,7 +203,7 @@ def saddle_connections(w: ZeroWindow, m: int, max_length: float | None = None) -
         raise EmptyWindow("no points")
     pairs = visible_pairs(w, max_length)
     reach = [(p - w.center).norm() for p in w.points]
-    limit = w.radius * (1 + 1e-12)
+    limit = float(w.radius) * (1 + 1e-12)
     xs, ys, scale, _ = w.grid
     ij = _index_array(pairs)
     ii, jj = ij[:, 0], ij[:, 1]

@@ -151,7 +151,8 @@ class StabilizerSearchConfig:
     require_non_contracting: bool = True
 
 
-def _resolve(cfg: StabilizerSearchConfig | None, outer_radius: float):
+def _resolve(cfg: StabilizerSearchConfig | None, outer_radius):
+    outer_radius = float(outer_radius)
     if cfg is None:
         cfg = StabilizerSearchConfig()
     r = cfg.inner_radius if cfg.inner_radius is not None else outer_radius / 3
@@ -344,9 +345,9 @@ def pprime_symmetry(w: ZeroWindow):
     qv = base - w.center
     alpha = (float(qv.re) * float(u.re) + float(qv.im) * float(u.im)) / ulen
     perp2 = max(float(qv.norm2()) - alpha * alpha, 0.0)
-    half = math.sqrt(max(w.radius * w.radius - perp2, 0.0))
+    half = math.sqrt(max(float(w.radius) * float(w.radius) - perp2, 0.0))
     lo_chord, hi_chord = -alpha - half, -alpha + half
-    slack = 1e-9 * (1 + w.radius)
+    slack = 1e-9 * (1 + float(w.radius))
     if ell[0] - lo_chord > _MARGIN_FACTOR * gap + slack:
         return None
     if hi_chord - ell[-1] > _MARGIN_FACTOR * gap + slack:

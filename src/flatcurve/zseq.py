@@ -14,7 +14,9 @@ coordinate exceeds 2**28, which keeps every cross and dot product of
 differences inside int64, and Python ints past that, with ``shift`` grown
 to fit.  ``(x << shift) + y`` then packs a point, a difference of two
 points or their sum injectively.  Float windows get float64 arrays, and
-``scale`` and ``shift`` None.
+``scale`` and ``shift`` None.  The grid is a window's only coordinate store:
+``ZeroWindow.points`` are built from it on first access.  An exact window's
+radius is a Fraction.
 
 Ordering convention: points are sorted by norm, ties broken by argument in
 ``[0, 2*pi)``.  ``canonical_permutation`` computes this order on a grid, so
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -184,7 +187,7 @@ def canonical_permutation(xs, ys):
 
 def canonical_order(points, mode: Mode = EXACT) -> list:
     """Sort points by (norm, argument); duplicates raise ``DuplicatePoint``."""
-    return list(_sorted(list(points), mode)[0])
+    return list(ZeroWindow._on_grid(*coordinate_grid(list(points), mode)[:3], 0, mode).points)
 
 
 # --------------------------------------------------------------------------
@@ -207,7 +210,12 @@ def coordinate_grid(points, mode: Mode, base: int = 1) -> tuple:
                      *(p.im.denominator for p in points))
     xs = [p.re.numerator * (scale // p.re.denominator) for p in points]
     ys = [p.im.numerator * (scale // p.im.denominator) for p in points]
-    span = max(map(abs, xs + ys), default=0)
+    return _typed_grid(xs, ys, scale)
+
+
+def _typed_grid(xs, ys, scale: int) -> tuple:
+    """The exact grid coordinates (xs, ys), typed as the module docstring says."""
+    span = int(max(np.abs(xs).max(initial=0), np.abs(ys).max(initial=0)))
     if span <= _INT_COORD_LIMIT:
         return np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), scale, _KEY_SHIFT
     # the low part of a packed value, at most 3 * span, stays below
@@ -229,6 +237,17 @@ def rescale_grid(xs, ys, factor: int, span: int) -> tuple:
     return xs * factor, ys * factor
 
 
+def _moved(xs, ys, scale, b: ZPoint) -> tuple:
+    """(xs, ys, scale) plus ``b``, exact grids on the lcm of scale and b's denominators."""
+    if scale is None:
+        return xs + float(b.re), ys + float(b.im), None
+    bx, by = Fraction(b.re), Fraction(b.im)
+    s = math.lcm(scale, bx.denominator, by.denominator)
+    bx, by = bx.numerator * (s // bx.denominator), by.numerator * (s // by.denominator)
+    xs, ys = rescale_grid(xs, ys, s // scale, max(abs(bx), abs(by)))
+    return xs + bx, ys + by, s
+
+
 def grid_points(xs, ys, scale) -> list:
     """ZPoints of the grid coordinates (xs, ys): Fractions over ``scale``,
     one per distinct value, or the floats themselves when it is None."""
@@ -239,29 +258,23 @@ def grid_points(xs, ys, scale) -> list:
     return [ZPoint(frac[x], frac[y]) for x, y in zip(xs, ys)]
 
 
-def _sorted(points: list, mode: Mode) -> tuple:
-    """(points, their grid) in canonical order; neighbours that are
-    ``same_point`` raise ``DuplicatePoint``."""
-    xs, ys, scale, shift = coordinate_grid(points, mode)
-    order = canonical_permutation(xs, ys)
-    xs, ys = xs[order], ys[order]
-    points = [points[i] for i in order.tolist()]
+def _coincide(xs, ys, mode: Mode):
+    """Mask over neighbouring grid rows: rows i and i + 1 are ``same_point``."""
     dx, dy = xs[1:] - xs[:-1], ys[1:] - ys[:-1]
     if mode.is_exact:
-        same = (dx == 0) & (dy == 0)
-    else:
-        same = dx * dx + dy * dy <= mode.eps * mode.eps
-    at = np.flatnonzero(same)
-    if len(at):
-        raise DuplicatePoint(f"repeated point {points[at[0]]!r}")
-    return tuple(points), (xs, ys, scale, shift)
+        return (dx == 0) & (dy == 0)
+    return dx * dx + dy * dy <= mode.eps * mode.eps
 
 
-def _sorted_from_origin(grid: tuple, mode: Mode) -> tuple:
-    """``_sorted`` of the points of ``grid`` moved so that its first point
-    sits at the origin, shifted on the grid."""
-    xs, ys, scale, _ = grid
-    return _sorted(grid_points(xs - xs[0], ys - ys[0], scale), mode)
+def _outside_ball(xs, ys, scale, radius, mode: Mode, center: ZPoint):
+    """Mask of the grid points outside the closed ball of ``radius`` about
+    ``center``; floats get a relative band of 1e-12."""
+    xs, ys, scale = _moved(xs, ys, scale, -center)
+    if scale is None:
+        rad2 = float(radius) ** 2
+        return xs * xs + ys * ys > rad2 + 1e-12 * (1.0 + rad2)
+    r = Fraction(radius)
+    return xs * xs + ys * ys > (r.numerator * scale) ** 2 // r.denominator ** 2
 
 
 # --------------------------------------------------------------------------
@@ -360,29 +373,46 @@ class PointIndex:
 class ZeroWindow:
     """A canonically ordered finite trace of a zero sequence in a ball.
 
-    ``points`` are the stored coordinates.  The sampling region is the closed
-    ball of radius ``radius`` centered at ``center``; for freshly generated
-    windows the center equals ``translation``, the offset that moved the raw
+    ``grid`` is the only coordinate store: the points on their coordinate
+    grid (see the module docstring), in canonical order.  ``points``, the
+    same points as ``ZPoint``s, are built from it on first access.  The
+    sampling region is the closed ball of radius ``radius`` (a Fraction in
+    exact mode) centered at ``center``; for freshly generated windows the
+    center equals ``translation``, the offset that moved the raw
     norm-smallest term to the origin (so raw coordinates are
     ``point - translation``).  Windows built from explicit raw coordinates
-    have ``translation = None`` and are centered at the origin.  ``grid``
-    holds the points on their coordinate grid, in the same order.
+    have ``translation = None`` and are centered at the origin.
     """
 
     def __init__(self, points, radius, mode: Mode = EXACT, source=None,
                  translation=None, center=None, check=True):
-        points = tuple(points)
-        grid = coordinate_grid(points, mode)
-        if check:
-            if (canonical_permutation(grid[0], grid[1]) != np.arange(len(points))).any():
-                raise ValueError("points not in canonical order")
-            _sorted(points, mode)  # raises DuplicatePoint on repeats
-        self._fill(points, grid, radius, mode, source, translation, center)
+        xs, ys, scale, _ = coordinate_grid(tuple(points), mode)
+        if check and (canonical_permutation(xs, ys) != np.arange(len(xs))).any():
+            raise ValueError("points not in canonical order")
+        self._build(xs, ys, scale, radius, mode, source, translation, center, check)
 
-    def _fill(self, points, grid, radius, mode, source, translation, center):
-        self.points = points
-        self.grid = grid
-        self.radius = float(radius)
+    @classmethod
+    def _on_grid(cls, xs, ys, scale, radius, mode, source=None, translation=None,
+                 center=None, check=True) -> "ZeroWindow":
+        """The window over the grid points (xs, ys) / ``scale``."""
+        w = cls.__new__(cls)
+        w._build(xs, ys, scale, radius, mode, source, translation, center, check)
+        return w
+
+    def _build(self, xs, ys, scale, radius, mode, source, translation, center, check):
+        """Reduce, type and, with ``check``, sort and check the grid."""
+        shift = None
+        if scale is not None:
+            g = math.gcd(scale, int(np.gcd.reduce(xs)), int(np.gcd.reduce(ys)))
+            xs, ys, scale, shift = _typed_grid(xs // g, ys // g, scale // g)
+        if check:
+            order = canonical_permutation(xs, ys)
+            xs, ys = xs[order], ys[order]
+            at = np.flatnonzero(_coincide(xs, ys, mode)).tolist()
+            if at:
+                raise DuplicatePoint(f"repeated point {grid_points(xs, ys, scale)[at[0]]!r}")
+        self.grid = (xs, ys, scale, shift)
+        self.radius = as_scalar(radius, mode)
         self.mode = mode
         self.source = source
         self.translation = translation
@@ -391,54 +421,48 @@ class ZeroWindow:
         self.center = center
         self._cache = {}
 
-    @classmethod
-    def _ordered(cls, points, grid, radius, mode, source, translation, center) -> "ZeroWindow":
-        """A window over ``points`` already in canonical order on ``grid``."""
-        w = cls.__new__(cls)
-        w._fill(points, grid, radius, mode, source, translation, center)
-        return w
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(grid_points(*self.grid[:3]))
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def from_points(points, radius, mode: Mode = EXACT, source=None) -> "ZeroWindow":
         """Window over explicit raw coordinates (no canonicalizing shift)."""
-        pts, grid = _sorted(list(points), mode)
-        if not pts:
+        w = ZeroWindow._on_grid(*coordinate_grid(list(points), mode)[:3], radius, mode, source)
+        if not len(w):
             raise EmptyWindow("no points")
-        w = ZeroWindow._ordered(pts, grid, radius, mode, source, None, ZPoint.zero(mode))
-        rad2 = _radius2(radius, mode)
-        for p in pts:
-            if _norm2_exceeds(p.norm2(), rad2, mode):
-                raise ValueError(f"point {p!r} outside sampling radius {radius}")
+        out = np.flatnonzero(_outside_ball(*w.grid[:3], w.radius, mode, w.center))
+        if len(out):
+            raise ValueError(f"point {w.points[out[0]]!r} outside sampling radius {radius}")
         return w
 
     def translate(self, b: ZPoint) -> "ZeroWindow":
         """The same trace moved by ``b`` (sampling region moves along)."""
-        pts, grid = _sorted([p + b for p in self.points], self.mode)
-        return ZeroWindow._ordered(pts, grid, self.radius, self.mode, self.source,
-                                   None, self.center + b)
+        return ZeroWindow._on_grid(*_moved(*self.grid[:3], b), self.radius, self.mode,
+                                   self.source, None, self.center + b)
 
     def canonicalize(self) -> "ZeroWindow":
         """Translate so the first (norm-smallest) point sits at the origin."""
-        if self.points and self.points[0].is_zero() and self.translation is not None:
+        if self.is_canonical and self.translation is not None:
             return self
-        shift = -self.points[0]
-        pts, grid = _sorted_from_origin(self.grid, self.mode)
-        return ZeroWindow._ordered(pts, grid, self.radius, self.mode, self.source,
-                                   self.center + shift, self.center + shift)
+        xs, ys, scale, _ = self.grid
+        center = self.center + grid_points(-xs[:1], -ys[:1], scale)[0]
+        return ZeroWindow._on_grid(xs - xs[0], ys - ys[0], scale, self.radius, self.mode,
+                                   self.source, center, center)
 
     # -- basic properties ---------------------------------------------------
 
     def __len__(self):
-        return len(self.points)
+        return len(self.grid[0])
 
     def __iter__(self):
         return iter(self.points)
 
     @property
     def is_canonical(self) -> bool:
-        return bool(self.points) and self.points[0].is_zero()
+        return len(self) > 0 and bool(self.grid[0][0] == 0 and self.grid[1][0] == 0)
 
     def raw_points(self) -> list:
         off = self.translation if self.translation is not None else ZPoint.zero(self.mode)
@@ -446,13 +470,13 @@ class ZeroWindow:
 
     def head(self, n: int) -> "ZeroWindow":
         """The first ``n`` points in canonical order, same sampling region."""
-        if not 1 <= n <= len(self.points):
-            raise ValueError(f"need 1 <= n <= {len(self.points)}, got {n}")
-        if n == len(self.points):
+        if not 1 <= n <= len(self):
+            raise ValueError(f"need 1 <= n <= {len(self)}, got {n}")
+        if n == len(self):
             return self
-        return ZeroWindow(self.points[:n], self.radius, self.mode,
-                          source=self.source, translation=self.translation,
-                          center=self.center, check=False)
+        xs, ys, scale, _ = self.grid
+        return ZeroWindow._on_grid(xs[:n], ys[:n], scale, self.radius, self.mode,
+                                   self.source, self.translation, self.center, check=False)
 
     def index(self) -> PointIndex:
         idx = self._cache.get("index")
@@ -478,71 +502,46 @@ class ZeroWindow:
     def in_region(self, p: ZPoint, slack: float = 0.0) -> bool:
         """Is ``p`` inside the sampled ball?  Exact when slack == 0."""
         d2 = (p - self.center).norm2()
-        rad2 = _radius2(self.radius, self.mode)
         if slack == 0.0 and self.mode.is_exact:
-            return d2 <= rad2
-        return float(d2) <= (self.radius + slack) ** 2
-
-
-def _radius2(radius, mode: Mode):
-    if mode.is_exact:
-        r = Fraction(radius)
-        return r * r
-    return float(radius) ** 2
-
-
-def _norm2_exceeds(n2, rad2, mode: Mode) -> bool:
-    if mode.is_exact:
-        return n2 > rad2
-    return float(n2) > rad2 + 1e-12 * (1.0 + float(rad2))
+            return d2 <= self.radius * self.radius
+        return float(d2) <= (float(self.radius) + slack) ** 2
 
 
 # --------------------------------------------------------------------------
 # generation
 
 
-def _int_range(limit: float):
-    n = math.floor(limit + 1e-12)
-    return range(-n, n + 1)
-
-
-def _raw_points(spec: GeneratorSpec, radius: float, mode: Mode) -> list:
-    mk = lambda re, im=0: ZPoint.of(re, im, mode)
-    r = float(radius)
+def _raw_points(spec: GeneratorSpec, radius, mode: Mode) -> tuple:
+    """``(xs, ys, scale)`` of the raw points of ``spec`` in the closed ball of
+    ``radius`` about the origin."""
     kind = spec.kind
-    if kind == "positive-integers":
-        return [mk(k) for k in range(1, math.floor(r + 1e-12) + 1)]
-    if kind == "all-integers":
-        return [mk(k) for k in _int_range(r)]
-    if kind == "odd4n13-positive":
-        # {4n+1, 4n+3 : n >= 1} is every odd integer from 5 upward.
-        return [mk(k) for k in range(5, math.floor(r + 1e-12) + 1, 2)]
-    if kind == "odd4n13-all":
-        # With n ranging over all integers the family covers every odd integer.
-        return [mk(k) for k in _int_range(r) if k % 2 != 0]
-    if kind == "gaussian-lattice":
-        pts = []
-        rad2 = _radius2(radius, mode)
-        for a in _int_range(r):
-            for b in _int_range(r):
-                p = mk(a, b)
-                if not _norm2_exceeds(p.norm2(), rad2, mode):
-                    pts.append(p)
-        return pts
-    if kind == "integers-plus-minus-i":
-        pts = [mk(k) for k in _int_range(r)]
-        if r >= 1.0:
-            pts.append(mk(0, -1))
-        return pts
-    if kind == "orbit":
-        return _orbit_points(spec, radius, mode)
-    if kind == "explicit":
-        return [p if isinstance(p, ZPoint) else ZPoint.of(p[0], p[1], mode)
-                for p in spec.params["points"]]
-    raise ValueError(f"unknown generator kind {kind!r}")
+    if kind in ("orbit", "explicit"):
+        pts = _orbit_points(spec, radius, mode) if kind == "orbit" else \
+            [p if isinstance(p, ZPoint) else ZPoint.of(p[0], p[1], mode)
+             for p in spec.params["points"]]
+        xs, ys, scale, _ = coordinate_grid(pts, mode)
+    else:
+        n = math.floor(float(radius) + 1e-12)
+        xs = np.arange(-n, n + 1, dtype=np.int64 if mode.is_exact else float)
+        if kind == "positive-integers":
+            xs = xs[xs >= 1]
+        elif kind == "odd4n13-positive":
+            # {4n+1, 4n+3 : n >= 1} is every odd integer from 5 upward.
+            xs = xs[(xs >= 5) & (xs % 2 != 0)]
+        elif kind == "odd4n13-all":
+            # With n ranging over all integers the family covers every odd integer.
+            xs = xs[xs % 2 != 0]
+        ys = np.zeros_like(xs)
+        if kind == "gaussian-lattice":
+            xs, ys = np.repeat(xs, len(xs)), np.tile(xs, len(xs))
+        elif kind == "integers-plus-minus-i" and float(radius) >= 1.0:
+            xs, ys = np.append(xs, 0), np.append(ys, -1)
+        scale = 1 if mode.is_exact else None
+    inside = ~_outside_ball(xs, ys, scale, radius, mode, ZPoint.zero(mode))
+    return xs[inside], ys[inside], scale
 
 
-def _orbit_points(spec: GeneratorSpec, radius: float, mode: Mode) -> list:
+def _orbit_points(spec: GeneratorSpec, radius, mode: Mode) -> list:
     from .veech import Mat2, is_contracting  # local import: veech sits above zseq
 
     gens = [Mat2.of(*g, mode=mode) for g in spec.params["generators"]]
@@ -558,16 +557,16 @@ def _orbit_points(spec: GeneratorSpec, radius: float, mode: Mode) -> list:
             alphabet.append(inv)
     seeds = [p if isinstance(p, ZPoint) else ZPoint.of(p[0], p[1], mode)
              for p in spec.params["k_points"]]
-    rad2 = _radius2(radius, mode)
     max_len = spec.params["max_word_length"]
     # mode-aware: in float mode two rounded copies of one image are one point
     seen = PointIndex((), mode)
-    found = []
+    found, origin = [], ZPoint.zero(mode)
 
-    def admit(batch) -> list:
+    def admit(batch: list) -> list:
+        xs, ys, scale, _ = coordinate_grid(batch, mode)
         new = []
-        for q in batch:
-            if not _norm2_exceeds(q.norm2(), rad2, mode) and q not in seen:
+        for q, out in zip(batch, _outside_ball(xs, ys, scale, radius, mode, origin).tolist()):
+            if not out and q not in seen:
                 seen.add(q, len(found))
                 found.append(q)
                 new.append(q)
@@ -577,26 +576,23 @@ def _orbit_points(spec: GeneratorSpec, radius: float, mode: Mode) -> list:
     depth = 0
     while frontier and depth < max_len:
         depth += 1
-        frontier = admit(g.apply(p) for p in frontier for g in alphabet)
+        frontier = admit([g.apply(p) for p in frontier for g in alphabet])
     return found
 
 
-def generate(spec: GeneratorSpec, radius: float, mode: Mode = EXACT) -> ZeroWindow:
+def generate(spec: GeneratorSpec, radius, mode: Mode = EXACT) -> ZeroWindow:
     """Build the canonical window: raw trace in the ball, shifted to 0.
 
     Raw points of norm <= radius survive the hard cutoff; the whole set is
     then translated so the canonically first term lands at the origin, and
     re-sorted.  The translation is recorded on the window.
     """
-    raw = _raw_points(spec, radius, mode)
-    rad2 = _radius2(radius, mode)
-    raw = [p for p in raw if not _norm2_exceeds(p.norm2(), rad2, mode)]
-    if not raw:
+    xs, ys, scale = _raw_points(spec, radius, mode)
+    if not len(xs):
         raise EmptyWindow(f"{spec.kind} has no points of norm <= {radius}")
-    raw, grid = _sorted(raw, mode)
-    stored, grid = _sorted_from_origin(grid, mode)
-    shift = -raw[0]
-    return ZeroWindow._ordered(stored, grid, radius, mode, spec, shift, shift)
+    xs, ys, scale, _ = ZeroWindow._on_grid(xs, ys, scale, radius, mode).grid
+    shift = grid_points(-xs[:1], -ys[:1], scale)[0]
+    return ZeroWindow._on_grid(xs - xs[0], ys - ys[0], scale, radius, mode, spec, shift, shift)
 
 
 # --------------------------------------------------------------------------
@@ -623,31 +619,30 @@ class ValidationReport:
 def validate(w: ZeroWindow) -> ValidationReport:
     """Check window invariants; the report is empty iff they all hold."""
     rep = ValidationReport()
-    pts = w.points
-    if not pts:
+    xs, ys, scale, _ = w.grid
+    if not len(xs):
         rep.violations.append(("EmptyWindow", "window has no points"))
         return rep
-    for i, (a, b) in enumerate(zip(pts, pts[1:])):
-        if same_point(a, b, w.mode):
+    same = _coincide(xs, ys, w.mode)
+    # the sort is stable, so row i sorts after row i + 1 iff its rank is higher
+    rank = np.argsort(canonical_permutation(xs, ys))
+    for i in np.flatnonzero(same | (rank[:-1] > rank[1:])).tolist():
+        if same[i]:
             rep.violations.append(("DuplicatePoint", f"points {i} and {i + 1} coincide"))
-        elif compare_canonical(a, b) > 0:
+        else:
             rep.violations.append(
                 ("OrderingViolation", f"points {i} and {i + 1} out of canonical order"))
-    rad2 = _radius2(w.radius, w.mode)
-    for i, p in enumerate(pts):
-        d2 = (p - w.center).norm2()
-        if _norm2_exceeds(d2, rad2, w.mode):
-            rep.violations.append(
-                ("RadiusViolation", f"point {i} lies outside the sampled ball"))
-    if w.translation is not None and not pts[0].is_zero():
+    for i in np.flatnonzero(_outside_ball(xs, ys, scale, w.radius, w.mode, w.center)).tolist():
+        rep.violations.append(("RadiusViolation", f"point {i} lies outside the sampled ball"))
+    if w.translation is not None and not w.is_canonical:
         rep.violations.append(
             ("FirstPointNonzero", "canonicalized window must start at 0"))
-    if not w.mode.is_exact:
-        for i, p in enumerate(pts):
-            if not (math.isfinite(p.re) and math.isfinite(p.im)):
-                rep.violations.append(("NonFinite", f"point {i} is not finite"))
-    if w.mode.is_exact:
-        dmax = max(max(p.re.denominator, p.im.denominator) for p in pts)
+    if scale is None:
+        for i in np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys))).tolist():
+            rep.violations.append(("NonFinite", f"point {i} is not finite"))
+    else:
+        # the coordinate x / scale has denominator scale / gcd(x, scale)
+        dmax = scale // int(np.gcd(np.concatenate((xs, ys)), scale).min())
         rep.notes.append(f"max coordinate denominator {dmax}")
     kind = w.source.kind if w.source is not None else None
     if kind in (None, "explicit"):
@@ -682,7 +677,8 @@ def window_to_json(w: ZeroWindow) -> dict:
     t = None
     if w.translation is not None:
         t = [scalar_repr(w.translation.re), scalar_repr(w.translation.im)]
-    data = {"mode": w.mode.kind, "radius": w.radius, "translation": t}
+    r = float(w.radius)  # "p/q" only where no float is exact
+    data = {"mode": w.mode.kind, "radius": r if r == w.radius else str(w.radius), "translation": t}
     if w.center != (w.translation or ZPoint.zero(w.mode)):
         data["center"] = [scalar_repr(w.center.re), scalar_repr(w.center.im)]
     data["points"] = [[scalar_repr(p.re), scalar_repr(p.im)] for p in w.points]
@@ -698,5 +694,5 @@ def window_from_json(data: dict, eps: float = 1e-9) -> ZeroWindow:
     t, c = data.get("translation"), data.get("center")
     translation = ZPoint.of(t[0], t[1], mode) if t is not None else None
     center = ZPoint.of(c[0], c[1], mode) if c is not None else None
-    pts, grid = _sorted(pts, mode)
-    return ZeroWindow._ordered(pts, grid, data["radius"], mode, None, translation, center)
+    return ZeroWindow._on_grid(*coordinate_grid(pts, mode)[:3], data["radius"], mode, None,
+                               translation, center)

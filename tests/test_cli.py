@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -349,3 +350,34 @@ def test_readme_commands_run(tmp_path, monkeypatch):
         assert not any(set(t) <= set(lex.punctuation_chars) for t in tokens), line
         rc, out = run(tokens[1:])
         assert rc == 0, (line, out)
+
+
+# sha256 of the exact stdout of the README's exact-mode commands, run in one
+# directory in this order; gen --out prints nothing and its file feeds
+# classify --input.  Float-valued eval and plot output is left out: BLAS
+# sums may differ in the last bit across Python and numpy builds.
+_README_STDOUT = (
+    ("classify --sequence all-integers --radius 20",
+     "63ed0c833092e7b34cac54c9612dbb616b97461b12a823801b2cb8a61609761a"),
+    ("hol --sequence positive-integers --radius 20",
+     "99b9c9ec544758994cf8a67dce646d6284637fa7b83e76f328699ac90e2c7d31"),
+    ("sandwich --sequence gaussian-lattice --radius 8 --inner 3",
+     "e787d4e373ce02d0674d7d0c618c32af065d16a60b83c3d5a48e9764d85574b2"),
+    ("saddles --sequence gaussian-lattice --radius 6 --format csv",
+     "3c2325df77ee41eb1ee338eb67405b31ad2d3ad505c71cbbf20308f2e814be5c"),
+    ("lift --sequence gaussian-lattice --radius 3 --m 3 --path=-1/2,-1/2;1/2,-1/2",
+     "811955c26e2c67102d18eb194414e4e5e3fb58b52e5655f5acb3f8f0f7aa1a77"),
+    ("gen --sequence odd4n13-all --radius 15 --out w.json",
+     hashlib.sha256(b"").hexdigest()),
+    ("classify --input w.json",
+     "ff997322c1cd8112b779ebb87d1853a7e321d7beee536b09a0b7b0f22135ceac"),
+)
+
+
+def test_readme_commands_print_pinned_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for line, digest in _README_STDOUT:
+        rc, out = run(line.split())
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), line
+    assert hashlib.sha256((tmp_path / "w.json").read_bytes()).hexdigest() == \
+        "5710c1e7765fe18ae3d95a3bbb1ad68a6693625c563c404e9cd5f5661b2ac578"

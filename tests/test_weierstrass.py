@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import flatcurve as fc
+from flatcurve import weierstrass
 
 from conftest import zp
 
@@ -87,6 +88,23 @@ def test_eval_nonfinite_overflow():
         fc.eval_f(-1e308, w, degrees=0, e0=0)
     assert err.value.log10mag is not None
     assert err.value.log10mag > 300
+
+
+@pytest.mark.parametrize("radius", [30, 60])
+def test_log_eval_matches_eval_f_where_finite(radius):
+    # eval's overflow output (log10mag, arg) comes from _log_eval; where the
+    # product is finite the two must agree
+    w = fc.generate(fc.GeneratorSpec("positive-integers"), radius, fc.float_mode(1e-9))
+    pts, origin, degs = weierstrass._resolve_degrees(w, None)
+    zs = np.array([0.5, 0.3 + 0.2j, 2.5 - 1j, -3.7 + 0.4j, 7.25 + 3j, 12.5 + 0.5j])
+    re, im, hit = weierstrass._log_eval(zs, pts, degs, weierstrass._resolve_e0(origin, None))
+    assert not hit.any()
+    for z, log_re, log_im in zip(zs, re, im):
+        f = fc.eval_f(z, w)
+        assert f != 0 and cmath.isfinite(f)
+        assert log_re / math.log(10) == pytest.approx(math.log10(abs(f)), rel=1e-12)
+        wrapped = math.remainder(log_im - cmath.phase(f), 2 * math.pi)
+        assert wrapped == pytest.approx(0, abs=1e-10)
 
 
 def test_eval_per_point_degrees():

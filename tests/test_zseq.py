@@ -4,10 +4,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import flatcurve as fc
-from flatcurve.zseq import compare_canonical, same_point
+from flatcurve.zseq import compare_canonical, coordinate_grid, same_point
 
 from conftest import zp
 from test_flatgeom import _BIG_DENS
@@ -38,6 +39,15 @@ _CLOUDS = [(den, fc.EXACT) for den in (*range(1, 8), 32749, *_BIG_DENS)] + \
 
 def _by_comparator(points):
     return sorted(points, key=functools.cmp_to_key(compare_canonical))
+
+
+def _assert_grid_of_points(w):
+    """``w.grid`` is the grid ``coordinate_grid`` builds from ``w.points``:
+    values, dtype, scale and shift."""
+    xs, ys, scale, shift = w.grid
+    want_xs, want_ys, want_scale, want_shift = coordinate_grid(w.points, w.mode)
+    assert (xs.dtype, scale, shift) == (want_xs.dtype, want_scale, want_shift)
+    assert (xs.tolist(), ys.tolist()) == (want_xs.tolist(), want_ys.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +130,39 @@ def test_every_constructor_orders_like_compare_canonical():
         moved = w.translate(b)
         assert list(moved.points) == _by_comparator([p + b for p in pts])
         shift = -moved.points[0]
-        assert list(moved.canonicalize().points) == \
-            _by_comparator([p + shift for p in moved.points])
+        canon = moved.canonicalize()
+        assert list(canon.points) == _by_comparator([p + shift for p in moved.points])
         data = fc.window_to_json(moved)
         rng.shuffle(data["points"])
-        assert fc.window_from_json(data, eps=mode.eps).points == moved.points
+        back = fc.window_from_json(data, eps=mode.eps)
+        assert back.points == moved.points
+        checked = fc.ZeroWindow(want, 20, mode)
+        for v in (w, moved, canon, back, moved.head(len(pts) // 2), checked):
+            _assert_grid_of_points(v)
+
+
+def test_translate_reduces_and_retypes_the_grid():
+    half = Fraction(1, 2)
+    w = fc.ZeroWindow.from_points([zp(half), zp(3 * half)], 2).translate(zp(half))
+    assert w.points == (zp(1), zp(2)) and w.grid[2] == 1
+    far = zp(1 << 28, Fraction(1, 3))
+    moved = w.translate(far)
+    back = moved.translate(-far)
+    assert moved.grid[0].dtype == object and back.grid[0].dtype == np.int64
+    for v in (w, moved, back):
+        _assert_grid_of_points(v)
+        _assert_grid_of_points(v.canonicalize())
 
 
 @pytest.mark.parametrize("mode", [fc.EXACT, _FLOAT], ids=["exact", "float"])
 def test_generated_windows_order_like_compare_canonical(mode):
     orbit = fc.GeneratorSpec.orbit([(1, 0), (Fraction(1, 4), Fraction(1, 2))],
                                    [(1, 1, 0, 1), (1, 0, 1, 1)], 3)
-    for spec in [fc.GeneratorSpec(kind) for kind in _FAMILIES] + [orbit]:
+    explicit = fc.GeneratorSpec.explicit([(Fraction(1, 2), 0), (Fraction(3, 2), Fraction(1, 3)),
+                                          (-2, 1)])
+    for spec in [fc.GeneratorSpec(kind) for kind in _FAMILIES] + [orbit, explicit]:
         w = fc.generate(spec, 7.5, mode)
+        _assert_grid_of_points(w)
         assert list(w.points) == _by_comparator(w.points)
         shifted = [p + w.translation for p in _by_comparator(w.raw_points())]
         assert list(w.points) == _by_comparator(shifted)
@@ -320,6 +350,34 @@ def test_validate_flags_duplicates():
     assert any(code == "DuplicatePoint" for code, _ in rep.violations)
 
 
+def test_validate_matches_pointwise_checks():
+    # the pairwise and per-point loops validate ran before it read the grid
+    rng = random.Random(71)
+    for den, mode in _CLOUDS:
+        pts = _by_comparator(_shuffled_cloud(rng, 20, den, mode))
+        for _ in range(3):
+            i = rng.randrange(len(pts) - 1)
+            pts[i], pts[i + 1] = pts[i + 1], pts[i]
+        pts.insert(5, pts[5])
+        center = fc.ZPoint.of(Fraction(1, 7), Fraction(-2, 5), mode)
+        radius = fc.zseq.as_scalar(Fraction(rng.randint(20, 60), 10), mode)
+        want = []
+        for i, (a, b) in enumerate(zip(pts, pts[1:])):
+            if same_point(a, b, mode):
+                want.append(("DuplicatePoint", f"points {i} and {i + 1} coincide"))
+            elif compare_canonical(a, b) > 0:
+                want.append(("OrderingViolation",
+                             f"points {i} and {i + 1} out of canonical order"))
+        r2 = radius ** 2
+        for i, p in enumerate(pts):
+            d2 = (p - center).norm2()
+            if d2 > (r2 if mode.is_exact else r2 + 1e-12 * (1 + r2)):
+                want.append(("RadiusViolation", f"point {i} lies outside the sampled ball"))
+        assert any(code == "RadiusViolation" for code, _ in want)
+        w = fc.ZeroWindow(pts, radius, mode, center=center, check=False)
+        assert fc.validate(w).violations == want
+
+
 # ---------------------------------------------------------------------------
 # point index
 
@@ -379,6 +437,21 @@ def test_json_round_trip_keeps_center_and_translation(integers10):
         assert fc.validate(back).valid
     # generated windows are centred at their translation: no extra key
     assert "center" not in fc.window_to_json(integers10)
+
+
+def test_exact_radius_is_kept_as_a_fraction():
+    third = Fraction(1, 3)
+    w = fc.ZeroWindow.from_points([zp(0), zp(third)], radius=third)
+    assert w.radius == third
+    assert fc.validate(w).valid
+    assert w.in_region(zp(third)) and w.in_region(zp(0, -third))
+    assert not w.in_region(zp(third + Fraction(1, 10 ** 30)))
+    data = json.loads(json.dumps(fc.window_to_json(w)))
+    assert data["radius"] == "1/3"
+    back = fc.window_from_json(data)
+    assert back.radius == third and back.points == w.points and fc.validate(back).valid
+    # a radius a float holds exactly is written as that float
+    assert fc.window_to_json(fc.ZeroWindow.from_points([zp(0)], Fraction(11, 2)))["radius"] == 5.5
 
 
 def test_json_raw_window_has_null_translation():
