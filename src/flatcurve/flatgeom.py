@@ -10,8 +10,37 @@ Exact windows, whatever their denominators, work on their integer grid
 anchor exactly when it is the nearest window point along its primitive
 direction (dx/g, dy/g), g = gcd(dx, dy): any blocker on the open segment
 differs from the anchor by a smaller multiple of that direction.
-Fractions are built once per distinct output coordinate.  Float mode uses
-an eps-tube around the segment with a (1-eps)-shrunk parameter range.
+Fractions are built once per distinct output coordinate.
+
+Float mode uses an eps-tube: with b and c the offsets of two points from
+the anchor, c blocks b when |b x c| <= eps |b| and eps/2 |b|^2 < b.c <
+(1 - eps/2) |b|^2.  ``visible_pairs`` decides it by angular runs, in
+O(n^2 log n).  Per anchor, the other points are sorted by argument and cut
+into runs wherever two neighbours lie more than delta = asin(min(1, eps /
+r_min)) (1 + 1e-6) + 2**-46 apart, r_min the anchor's nearest-point
+distance.  A point alone in its run is visible.  In a *tight* run (spread
+times max(largest norm, 1) <= eps/4, nearest norm |q| below (1 - eps) times
+the second-nearest and above eps times the largest) the nearest point is
+visible and every other one blocked.  Every other run, and an anchor's first
+and last runs when they meet across +-pi, fall back to the eps-tube test
+among their own members.  The proof obligations, in exact arithmetic:
+
+- points in different runs cannot block each other: a blocker c of b has
+  b.c > 0 and sin(angle) <= eps / |c| <= eps / r_min, so no gap between
+  their arguments exceeds delta, unless the angle crosses +-pi, and then
+  they lie in the first and last runs, which are joined;
+- a tight run puts each nearer member inside each farther member's tube,
+  with the dot condition met: with spread phi, |b x q| <= |b| |q| phi <=
+  eps |b| / 4, b.q <= |q| |b| < (1 - eps) |b|^2 and b.q >= |b| |q| cos(phi)
+  > eps |b|^2 / 2; and no member c blocks q, since q.c >= |q|^2 cos(phi) /
+  (1 - eps) > (1 - eps/2) |q|^2;
+- the fallback catches norm ties closer than eps |b|: there q.c may fall
+  below (1 - eps/2) |q|^2, and the run is not tight.
+
+The margins in delta cover the rounding of atan2, asin and the cross
+product.  A run is tight only where eps >= max(2**-40, largest norm *
+2**-46), so the rule's slack, a factor 4 in the tube and about eps |b|^2
+in the dot bounds, exceeds the rounding of the float test it replaces.
 """
 
 from __future__ import annotations
@@ -100,26 +129,26 @@ def _nearest_by_direction(dx, dy, idx, shift: int):
 
 
 def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> list:
-    """All visible index pairs (i < j), batched per anchor.
+    """All visible index pairs (i < j), ascending.
 
     ``max_length`` restricts enumeration to pairs at distance <= max_length;
     any blocker of such a pair lies closer to the anchor than the other
     endpoint, so the restriction loses nothing.
     """
-    n = len(w.points)
+    n = len(w)
     if n < 2:
         return []
     xs, ys, scale, shift = w.grid
-    exact = scale is not None
-    eps = w.mode.eps
     limit2 = None
-    if max_length is not None and exact:
+    if max_length is not None and scale is not None:
         bound2 = (Fraction(max_length) * scale) ** 2
         # squared distances are integers after scaling, so flooring the
         # rational bound loses nothing
         limit2 = bound2.numerator // bound2.denominator
     elif max_length is not None:
         limit2 = float(max_length) ** 2 * (1 + 1e-12)
+    if scale is None:
+        return _float_visible_pairs(xs, ys, w.mode.eps, limit2)
     everyone = np.arange(n)
     pairs = []
     for i in range(n - 1):
@@ -129,21 +158,88 @@ def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> list:
         if limit2 is not None:
             cand = np.nonzero(dx * dx + dy * dy <= limit2)[0]
             dx, dy = dx[cand], dy[cand]
-        if exact:
-            js = _nearest_by_direction(dx, dy, cand, shift)
-            js = js[js > i]
-        else:
-            later = cand > i
-            js = cand[later]
-            bx, by = dx[later], dy[later]
-            crs = bx[:, None] * dy[None, :] - by[:, None] * dx[None, :]
-            s = bx[:, None] * dx[None, :] + by[:, None] * dy[None, :]
-            len2 = bx * bx + by * by
-            ln = np.sqrt(len2)
-            blocked = (np.abs(crs) <= eps * ln[:, None]) \
-                & (s > eps / 2 * len2[:, None]) & (s < (1 - eps / 2) * len2[:, None])
-            js = js[~blocked.any(axis=1)]
-        pairs.extend(zip(repeat(i), js.tolist()))
+        js = _nearest_by_direction(dx, dy, cand, shift)
+        pairs.extend(zip(repeat(i), js[js > i].tolist()))
+    return pairs
+
+
+_BLOCK_ENTRIES = 1 << 16  # (anchor, point) entries per block of anchors
+_ANGLE_SLACK = 2.0 ** -46  # covers the rounding of atan2 and of the cross product
+
+
+def _tube_blocked(bx, by, eps: float):
+    """Mask over the offsets (bx, by) from one anchor: another of them lies
+    in its eps-tube, strictly inside the (1 - eps)-shrunk parameter range."""
+    crs = bx[:, None] * by[None, :] - by[:, None] * bx[None, :]
+    s = bx[:, None] * bx[None, :] + by[:, None] * by[None, :]
+    len2 = bx * bx + by * by
+    ln = np.sqrt(len2)
+    blocked = (np.abs(crs) <= eps * ln[:, None]) \
+        & (s > eps / 2 * len2[:, None]) & (s < (1 - eps / 2) * len2[:, None])
+    return blocked.any(axis=1)
+
+
+def _float_visible_pairs(xs, ys, eps: float, limit2) -> list:
+    """``visible_pairs`` of a float window by angular runs (see the module
+    docstring), a block of anchors at a time."""
+    n = len(xs)
+    step = max(1, _BLOCK_ENTRIES // n)
+    pairs = []
+    for lo in range(0, n - 1, step):
+        anchors = np.arange(lo, min(lo + step, n - 1))
+        dx = xs[None, :] - xs[anchors, None]
+        dy = ys[None, :] - ys[anchors, None]
+        d2 = dx * dx + dy * dy
+        live = np.arange(n)[None, :] != anchors[:, None]
+        if limit2 is not None:
+            live &= d2 <= limit2
+        theta = np.where(live, np.arctan2(dy, dx), np.inf)
+        order = np.argsort(theta, axis=1)
+        # the live entries, row by row in angular order
+        row, col = np.nonzero(np.take_along_axis(live, order, axis=1))
+        if not len(row):
+            continue
+        k = order[row, col]
+        t, nrm = theta[row, k], np.sqrt(d2[row, k])
+        r_min = np.sqrt(np.where(live, d2, np.inf).min(axis=1))
+        delta = np.arcsin(np.minimum(1.0, eps / np.maximum(r_min, eps))) * (1 + 1e-6) \
+            + _ANGLE_SLACK
+        row_start = np.r_[True, row[1:] != row[:-1]]
+        start = row_start | np.r_[True, t[1:] - t[:-1] > delta[row[1:]]]
+        run = np.cumsum(start) - 1
+        first = np.flatnonzero(start)
+        last = np.r_[first[1:], len(t)] - 1
+        size = last - first + 1
+        near = np.minimum.reduceat(nrm, first)
+        far = np.maximum.reduceat(nrm, first)
+        is_near = nrm == near[run]
+        second = np.minimum.reduceat(np.where(is_near, np.inf, nrm), first)
+        tight = (size > 1) & (np.add.reduceat(is_near, first, dtype=np.intp) == 1) \
+            & (near < (1 - eps) * second) & (near > eps * far) \
+            & ((t[last] - t[first]) * np.maximum(far, 1.0) <= eps / 4) \
+            & (np.maximum(2.0 ** -40, far * 2.0 ** -46) <= eps)
+        # a row's first and last runs meet across +-pi
+        row_first = np.flatnonzero(row_start)
+        row_last = np.r_[row_first[1:], len(t)] - 1
+        opening, closing = run[row_first], run[row_last]
+        wrap = (opening != closing) \
+            & (t[row_first] + 2 * np.pi - t[row_last] <= delta[row[row_first]])
+        opening, closing = opening[wrap], closing[wrap]
+        joined = np.zeros(len(first), dtype=bool)
+        joined[opening] = joined[closing] = True
+        single, tight = (size == 1) & ~joined, tight & ~joined
+        visible = single[run] | (tight[run] & is_near)
+        bx, by = dx[row, k], dy[row, k]
+        groups = [np.arange(first[r], last[r] + 1)
+                  for r in np.flatnonzero(~(single | tight | joined)).tolist()]
+        groups += [np.r_[first[i]:last[i] + 1, first[j]:last[j] + 1]
+                   for i, j in zip(opening.tolist(), closing.tolist())]
+        for g in groups:
+            visible[g] = ~_tube_blocked(bx[g], by[g], eps)
+        seen = np.zeros(dx.shape, dtype=bool)
+        seen[row[visible], k[visible]] = True
+        ii, jj = np.nonzero(seen & (np.arange(n)[None, :] > anchors[:, None]))
+        pairs.extend(zip((ii + lo).tolist(), jj.tolist()))
     return pairs
 
 
@@ -231,65 +327,52 @@ class HolonomySet:
 
     ``vectors`` are in canonical order: by the key ``(norm2, half, -re)``
     in the half plane of arguments [0, pi) and ``(norm2, half, re)`` in
-    [pi, 2*pi), that is by norm, then argument.  In float mode a vector is
-    dropped when it is ``same_point`` as one already kept, so vectors that
-    differ only by rounding count once.
+    [pi, 2*pi), that is by norm, then argument.  In float mode the vectors
+    and their negatives, interleaved as (v, -v), lose exact repeats first
+    (the first occurrence stays, which settles 0.0 against -0.0); then,
+    in canonical order, a vector is dropped when it is ``same_point`` as
+    one already kept and lies in a neighbouring eps-cell, as ``PointIndex``
+    finds it.  So vectors that differ only by rounding count once, and of
+    a chain a, b, c with only neighbours within eps, a and c stay.
 
     ``complete_radius`` is the heuristic certification radius
     ``max(0, window_radius - L)`` where L is the longest length the
     enumeration tested.  When the set was enumerated with a length
     restriction, membership of longer vectors is decided on demand against
-    the source window (and cached).  The exact point index behind
+    the source window (and cached).  In both modes the point index behind
     ``contains`` is built on its first call.
 
-    Exact sets keep their vectors on an integer grid, ``grid`` = ``(xs, ys,
-    scale, shift)`` as in ``zseq``, which shares the source window's scale
-    when there is one; float sets have ``grid`` None.
+    ``grid`` = ``(xs, ys, scale, shift)`` holds the vectors as in ``zseq``:
+    exact sets on an integer grid, which shares the source window's scale
+    when there is one, float sets as float64 arrays with ``scale`` and
+    ``shift`` None.
     """
 
     def __init__(self, vectors, window_radius: float, mode: Mode,
                  restricted_to: float | None = None, window: ZeroWindow | None = None,
                  complete_radius: float | None = None):
         vectors = list(vectors)
-        grid = index = None
         if mode.is_exact:
             base = 1 if window is None else window.grid[2]
             grid = _signed_distinct(*coordinate_grid(vectors, mode, base))
-            if ((grid[0] == 0) & (grid[1] == 0)).any():
-                raise ValueError("holonomy set cannot contain 0")
-            vectors = grid_points(*grid[:3])
         else:
-            signed = {}
-            for v in vectors:
-                for s in (v, -v):
-                    signed.setdefault((s.re, s.im), s)
-            signed = list(signed.values())
-            xs, ys, _, _ = coordinate_grid(signed, mode)
-            index = PointIndex((), mode)
-            vectors = []
-            for i in canonical_permutation(xs, ys).tolist():
-                v = signed[i]
-                if v.is_zero():
-                    raise ValueError("holonomy set cannot contain 0")
-                if v not in index:
-                    index.add(v, len(vectors))
-                    vectors.append(v)
-        self._fill(tuple(vectors), grid, index, window_radius, mode, restricted_to, window,
-                   complete_radius)
+            grid = _signed_distinct_float(*coordinate_grid(vectors, mode)[:2], mode.eps)
+        self._fill(grid, window_radius, mode, restricted_to, window, complete_radius)
 
     @classmethod
     def _from_grid(cls, grid: tuple, window_radius: float, mode: Mode,
-                   restricted_to: float | None, window: ZeroWindow) -> "HolonomySet":
-        """An exact set from vectors on ``grid`` that are already nonzero,
-        distinct, closed under negation and in canonical order."""
+                   restricted_to: float | None, window: ZeroWindow,
+                   complete_radius: float | None = None) -> "HolonomySet":
+        """The set of the vectors on ``grid``, which are already distinct,
+        closed under negation and in canonical order."""
         h = cls.__new__(cls)
-        h._fill(tuple(grid_points(*grid[:3])), grid, None, window_radius, mode,
-                restricted_to, window, None)
+        h._fill(grid, window_radius, mode, restricted_to, window, complete_radius)
         return h
 
-    def _fill(self, vectors, grid, index, window_radius, mode, restricted_to, window,
-              complete_radius):
-        self.vectors = vectors
+    def _fill(self, grid, window_radius, mode, restricted_to, window, complete_radius):
+        if ((grid[0] == 0) & (grid[1] == 0)).any():
+            raise ValueError("holonomy set cannot contain 0")
+        self.vectors = tuple(grid_points(*grid[:3]))
         self.grid = grid
         self.window_radius = float(window_radius)
         self.mode = mode
@@ -302,7 +385,7 @@ class HolonomySet:
                 lmax = self.vectors[-1].norm() if self.vectors else 0.0
             complete_radius = max(0.0, float(window_radius) - float(lmax))
         self.complete_radius = complete_radius
-        self._index = index
+        self._index = None
         self._query_cache = {}
 
     def __len__(self):
@@ -346,19 +429,65 @@ def _signed_distinct(xs, ys, scale: int, shift: int) -> tuple:
     return xs[order], ys[order], scale, shift
 
 
+def _signed_distinct_float(xs, ys, eps: float) -> tuple:
+    """The float grid of the vectors (xs, ys) and their negatives in
+    canonical order, with exact repeats and then near-duplicates dropped
+    (see ``HolonomySet``)."""
+    xs, ys = np.stack((xs, -xs), axis=1).ravel(), np.stack((ys, -ys), axis=1).ravel()
+    # complex values compare as (re, im) pairs, with 0.0 == -0.0
+    _, first = np.unique(xs + 1j * ys, return_index=True)
+    first = np.sort(first)
+    order = first[canonical_permutation(xs[first], ys[first])]
+    xs, ys = xs[order], ys[order]
+    keep = np.ones(len(xs), dtype=bool)
+    for i, j in _near_pairs(xs, ys, eps):
+        if keep[i]:
+            keep[j] = False
+    return xs[keep], ys[keep], None, None
+
+
+def _near_pairs(xs, ys, eps: float) -> list:
+    """The pairs i < j of vectors that ``same_point`` matches in
+    neighbouring eps-cells, as ``PointIndex`` probes them, ordered by j."""
+    cell = max(eps, 1e-300)
+    kx, ky = np.floor(xs / cell), np.floor(ys / cell)
+    # complex numbers sort by real part, then imaginary part: by column,
+    # then by row of cells
+    by_cell = np.argsort(kx + 1j * ky, kind="stable")
+    keys = (kx + 1j * ky)[by_cell]
+    pos = np.empty_like(by_cell)
+    pos[by_cell] = np.arange(len(xs))
+    # each vector meets the later members of its column up to row ky + 1,
+    # and rows ky - 1 .. ky + 1 of the next column, where kx + 1 is one
+    nxt = np.where(kx + 1 > kx, kx + 1, np.inf)
+    lo = np.r_[pos + 1, np.searchsorted(keys, nxt + 1j * (ky - 1))]
+    hi = np.r_[np.searchsorted(keys, kx + 1j * (ky + 1), side="right"),
+               np.searchsorted(keys, nxt + 1j * (ky + 1), side="right")]
+    count = np.maximum(hi - lo, 0)
+    a = np.tile(np.arange(len(xs)), 2).repeat(count)
+    b = by_cell[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)]
+    dx, dy = xs[a] - xs[b], ys[a] - ys[b]
+    near = dx * dx + dy * dy <= eps * eps
+    i, j = np.minimum(a, b)[near], np.maximum(a, b)[near]
+    at = np.lexsort((i, j))
+    return list(zip(i[at].tolist(), j[at].tolist()))
+
+
 def holonomy(w: ZeroWindow, max_length: float | None = None) -> HolonomySet:
     """Signed difference vectors of all visible pairs."""
     pairs = visible_pairs(w, max_length)
     xs, ys, scale, shift = w.grid
-    if scale is None:
-        vecs = [w.points[j] - w.points[i] for i, j in pairs]
-        longest = max((v.norm() for v in vecs), default=0.0)
-        lmax = longest if max_length is None else float(max_length)
-        return HolonomySet(vecs, w.radius, w.mode, max_length, w, max(0.0, w.radius - lmax))
     ij = _index_array(pairs)
-    grid = _signed_distinct(xs[ij[:, 1]] - xs[ij[:, 0]], ys[ij[:, 1]] - ys[ij[:, 0]],
-                            scale, shift)
-    return HolonomySet._from_grid(grid, w.radius, w.mode, max_length, w)
+    dx, dy = xs[ij[:, 1]] - xs[ij[:, 0]], ys[ij[:, 1]] - ys[ij[:, 0]]
+    if scale is not None:
+        return HolonomySet._from_grid(_signed_distinct(dx, dy, scale, shift), w.radius, w.mode,
+                                      max_length, w)
+    # the longest length tested is that of the longest pair, near-duplicates
+    # included
+    lmax = float(np.sqrt(dx * dx + dy * dy).max(initial=0.0)) if max_length is None \
+        else float(max_length)
+    return HolonomySet._from_grid(_signed_distinct_float(dx, dy, w.mode.eps), w.radius, w.mode,
+                                  max_length, w, max(0.0, w.radius - lmax))
 
 
 def _encoded_keys(w: ZeroWindow):

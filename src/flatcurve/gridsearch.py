@@ -29,9 +29,10 @@ from . import veech
 from .errors import DegenerateWindow, SingularMatrix
 from .flatgeom import HolonomySet, _encoded_keys
 from .veech import _BLOCK, ClosureReport, Mat2, _first_independent_pair, _pool_limit
-from .zseq import ZPoint, ZeroWindow
+from .zseq import EXACT, ZPoint, ZeroWindow, _outside_ball
 
 _INT64_SAFE = 1 << 62
+_ORIGIN = ZPoint.zero()
 
 
 # --------------------------------------------------------------------------
@@ -61,24 +62,6 @@ def _float_norm2(xs, ys, scale: int) -> np.ndarray:
 def _probe_order(xs, ys, idx, scale: int):
     """``idx`` sorted longest point first, ties in their given order."""
     return idx[np.argsort(-_float_norm2(xs[idx], ys[idx], scale), kind="stable")]
-
-
-def _inner_ints(xs, ys, scale: int, r: float, center: ZPoint | None = None):
-    """Indices of the points (x, y) / scale within ``r`` of ``center`` (the
-    origin when None), decided exactly, as ``_inner_points`` decides."""
-    cx = cy = Fraction(0)
-    if center is not None:
-        cx, cy = center.re * scale, center.im * scale
-    k = math.lcm(cx.denominator, cy.denominator)
-    kx, ky = int(k * cx), int(k * cy)
-    span = k * _span(xs, ys) + max(abs(kx), abs(ky))
-    # k * (p - center) is integral, so flooring the rational bound loses
-    # nothing; no squared distance exceeds 2 * span**2
-    lim = Fraction(r) ** 2 * (k * scale) ** 2
-    lim = min(lim.numerator // lim.denominator, 2 * span * span)
-    xs, ys = _ints(2 * span * span, xs, ys)
-    dx, dy = k * xs - kx, k * ys - ky
-    return np.flatnonzero(dx * dx + dy * dy <= lim)
 
 
 # --------------------------------------------------------------------------
@@ -270,7 +253,7 @@ def _search(inner_pts, ix, iy, px, py, targets: _Targets, entry_bound: float,
 def window_stabilizer(w: ZeroWindow, r: float, e: float, req: bool) -> list:
     """``veech.stabilizer_candidates`` of an exact window."""
     xs, ys, scale, _ = w.grid
-    inner = _inner_ints(xs, ys, scale, r)
+    inner = np.flatnonzero(~_outside_ball(xs, ys, scale, r, EXACT, _ORIGIN))
     return _search([w.points[i] for i in inner], xs[inner], ys[inner], xs, ys,
                    _window_targets(w), e, req)
 
@@ -278,7 +261,7 @@ def window_stabilizer(w: ZeroWindow, r: float, e: float, req: bool) -> list:
 def holonomy_stabilizer(h: HolonomySet, r: float, e: float, req: bool) -> list:
     """``veech.hol_stabilizer`` of an exact holonomy set."""
     xs, ys, scale, _ = h.grid
-    at = _inner_ints(xs, ys, scale, r)
+    at = np.flatnonzero(~_outside_ball(xs, ys, scale, r, EXACT, _ORIGIN))
     inner = [h.vectors[i] for i in at]
     px, py, pscale, _ = veech._hol_pool(h, inner, e).grid
     k = scale // pscale  # 1 unless h lists vectors off its window's grid
@@ -301,7 +284,8 @@ def closure_check(cands: list, w: ZeroWindow, r: float, e: float, req: bool) -> 
     """``veech.group_closure_check`` of an exact window: with candidates
     N / L, a product is N_a N_b / L^2, acting through the kernel."""
     xs, ys, scale, _ = w.grid
-    order = _probe_order(xs, ys, _inner_ints(xs, ys, scale, r), scale)
+    order = _probe_order(xs, ys, np.flatnonzero(~_outside_ball(xs, ys, scale, r, EXACT, _ORIGIN)),
+                         scale)
     den, rows, top = _integer_rows(cands)
     k, d = len(cands), den * den
     # product entries stay within c, and so do their F, det and the
@@ -342,7 +326,8 @@ def automorphisms(w: ZeroWindow, linears: list, r: float) -> dict:
     (L adj(N) p - L adj(N) q + det(N) p0) / det(N).
     """
     xs, ys, scale, _ = w.grid
-    order = _probe_order(xs, ys, _inner_ints(xs, ys, scale, r, w.center), scale)
+    order = _probe_order(xs, ys, np.flatnonzero(~_outside_ball(xs, ys, scale, r, EXACT, w.center)),
+                         scale)
     den, rows, top = _integer_rows(linears)
     n = len(xs)
     x0, y0 = int(xs[0]), int(ys[0])

@@ -690,9 +690,21 @@ def window_from_json(data: dict, eps: float = 1e-9) -> ZeroWindow:
     if kind not in ("exact", "float"):
         raise ModeMismatch(f"unknown mode {kind!r}")
     mode = EXACT if kind == "exact" else float_mode(eps)
-    pts = [ZPoint.of(re, im, mode) for re, im in data["points"]]
+    parsed = {}
+
+    def scalar(v):
+        # one Fraction per distinct "p/q" string; numbers convert cheaply,
+        # and a float zero keeps its sign
+        if not isinstance(v, str):
+            return as_scalar(v, mode)
+        got = parsed.get(v)
+        if got is None:
+            got = parsed[v] = as_scalar(v, mode)
+        return got
+
+    pts = [ZPoint(scalar(re), scalar(im)) for re, im in data["points"]]
     t, c = data.get("translation"), data.get("center")
-    translation = ZPoint.of(t[0], t[1], mode) if t is not None else None
-    center = ZPoint.of(c[0], c[1], mode) if c is not None else None
+    translation = ZPoint(scalar(t[0]), scalar(t[1])) if t is not None else None
+    center = ZPoint(scalar(c[0]), scalar(c[1])) if c is not None else None
     return ZeroWindow._on_grid(*coordinate_grid(pts, mode)[:3], data["radius"], mode, None,
                                translation, center)

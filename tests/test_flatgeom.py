@@ -97,6 +97,70 @@ def test_visible_pairs_matches_bruteforce_float():
         assert set(fc.visible_pairs(w)) == set(fc.visible_pairs_bruteforce(w))
 
 
+_EPS = 1e-9
+
+
+def _float_window(points, radius=12):
+    return fc.ZeroWindow.from_points([fc.ZPoint(*p) for p in points], radius,
+                                     fc.float_mode(_EPS))
+
+
+def _adversarial_clouds():
+    """Float clouds at the edges of the eps-tube rule, by name."""
+    e = _EPS
+    base = [(0.0, 0.0), (2.0, 0.0), (0.3, 1.7), (-1.1, 0.4)]
+    clouds = {f"middle off the line by {k} eps": [*base, (1.0, k * e)] for k in (0.5, 2)}
+    for k in (0.3, 0.6, 3.0):
+        # two points on one ray whose norms differ by k eps |b|
+        clouds[f"norm tie {k} eps on an axis"] = [(0.0, 0.0), (10.0, 0.0),
+                                                  (10.0 * (1 + k * e), 0.0), (3.0, 4.0)]
+        clouds[f"norm tie {k} eps on a diagonal"] = [(0.0, 0.0), (6.0, 8.0), (1.0, 1.0),
+                                                     (6.0 * (1 + k * e), 8.0 * (1 + k * e))]
+    # dy = +0.0 puts a point at argument pi, dy = -0.0 at -pi
+    clouds["straight left, +0.0 then -0.0"] = [(0.0, 0.0), (-1.0, 0.0), (-2.0, -0.0), (0.5, 0.5)]
+    clouds["straight left, alternating zeros"] = [(0.0, 0.0), (-1.0, -0.0), (-2.0, 0.0),
+                                                  (-3.0, -0.0), (1.0, 0.0)]
+    clouds["straight left of an off-origin anchor"] = [(1.0, 0.0), (-1.0, -0.0), (-3.0, 0.0),
+                                                       (0.0, 1.0), (0.0, -1.0)]
+    clouds["n = 2"] = [(0.0, 0.0), (1.0, 0.0)]
+    clouds["n = 3 collinear"] = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+    clouds["n = 3 in a triangle"] = [(0.5, 0.25), (-0.5, 0.25), (0.0, -1.0)]
+    return clouds
+
+
+@pytest.mark.parametrize("name", list(_adversarial_clouds()))
+def test_float_visible_pairs_match_bruteforce_on_adversarial_clouds(name):
+    w = _float_window(_adversarial_clouds()[name])
+    full = fc.visible_pairs_bruteforce(w)
+    assert fc.visible_pairs(w) == full
+    xs, ys = w.grid[:2]
+    for length in (1.5, 2.5):
+        want = [(i, j) for i, j in full
+                if (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 <= length ** 2 * (1 + 1e-12)]
+        assert fc.visible_pairs(w, max_length=length) == want
+
+
+def test_float_middle_point_blocks_within_the_tube_only():
+    for k, blocked in ((0.5, True), (2, False)):
+        w = _float_window(_adversarial_clouds()[f"middle off the line by {k} eps"])
+        ends = (w.points.index(fc.ZPoint(0.0, 0.0)), w.points.index(fc.ZPoint(2.0, 0.0)))
+        assert (tuple(sorted(ends)) in fc.visible_pairs(w)) is not blocked
+
+
+def test_float_straight_left_points_block_across_pi():
+    w = _float_window(_adversarial_clouds()["straight left, +0.0 then -0.0"])
+    origin, far = w.points.index(fc.ZPoint(0.0, 0.0)), w.points.index(fc.ZPoint(-2.0, -0.0))
+    assert tuple(sorted((origin, far))) not in fc.visible_pairs(w)
+
+
+@pytest.mark.parametrize("radius", [5, 8])
+def test_float_lattice_pairs_equal_exact_pairs(radius):
+    spec = fc.GeneratorSpec("gaussian-lattice")
+    exact, floats = fc.generate(spec, radius), fc.generate(spec, radius, fc.float_mode(_EPS))
+    for length in (None, 1.5, 2.5):
+        assert fc.visible_pairs(floats, length) == fc.visible_pairs(exact, length)
+
+
 def test_visible_pairs_max_length_filter(lattice5):
     short = set(fc.visible_pairs(lattice5, max_length=1.0))
     everything = set(fc.visible_pairs(lattice5))
@@ -242,6 +306,83 @@ def test_float_holonomy_set_drops_separated_near_duplicates():
     h = fc.HolonomySet([a, b, fc.ZPoint(-1 / 6, 1.0)], 5, mode)
     assert len(h.vectors) == 4
     assert h.contains(b) and h.contains(-b)
+
+
+def _float_holonomy_oracle(vectors, mode):
+    """The float vectors as a one-at-a-time dict and ``PointIndex`` loop
+    keeps them: exact repeats of the (v, -v) sequence out first, then each
+    vector, in canonical order, unless the index of those kept finds it."""
+    signed = {}
+    for v in vectors:
+        for s in (v, -v):
+            signed.setdefault((s.re, s.im), s)
+    signed = list(signed.values())
+    xs, ys, _, _ = fc.zseq.coordinate_grid(signed, mode)
+    index, kept = fc.PointIndex((), mode), []
+    for i in fc.zseq.canonical_permutation(xs, ys).tolist():
+        if signed[i] not in index:
+            index.add(signed[i], len(kept))
+            kept.append(signed[i])
+    return kept
+
+
+def _float_clouds():
+    rng = random.Random(61)
+    mode = fc.float_mode(_EPS)
+    for den in (3, 5, 6, 7):
+        exact = _rational_cloud(rng, 40, den)
+        yield fc.ZeroWindow.from_points(
+            [fc.ZPoint(float(p.re), float(p.im)) for p in exact.points], 20, mode)
+    yield fc.ZeroWindow.from_points(
+        [fc.ZPoint(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(40)], 8, mode)
+    yield fc.generate(fc.GeneratorSpec("gaussian-lattice"), 5, mode)
+
+
+def _same_as_oracle(h, kept, probes):
+    assert [repr(v) for v in h.vectors] == [repr(v) for v in kept]
+    index = fc.PointIndex(kept, h.mode)
+    assert [h.contains(p) for p in probes] == [not p.is_zero() and p in index for p in probes]
+
+
+def test_float_holonomy_sets_match_the_point_index_loop():
+    for w in _float_clouds():
+        mode = w.mode
+        vecs = [w.points[j] - w.points[i] for i, j in fc.visible_pairs(w)]
+        kept = _float_holonomy_oracle(vecs, mode)
+        probes = kept + [fc.ZPoint(v.re + d, v.im - d) for v in kept[:40]
+                         for d in (0.4 * _EPS, 0.8 * _EPS, 2 * _EPS)] + [fc.ZPoint(0.0, 0.0)]
+        h = fc.holonomy(w)
+        _same_as_oracle(h, kept, probes)
+        longest = max(math.sqrt(v.re * v.re + v.im * v.im) for v in vecs)
+        assert h.complete_radius == max(0.0, w.radius - longest)
+        rng = random.Random(len(vecs))
+        given = vecs + vecs[::3] + [-v for v in vecs[::2]]
+        rng.shuffle(given)
+        pub = fc.HolonomySet(given, w.radius, mode)
+        want = _float_holonomy_oracle(given, mode)
+        _same_as_oracle(pub, want, probes)
+        assert pub.complete_radius == max(0.0, w.radius - want[-1].norm())
+
+
+def test_float_holonomy_set_keeps_signed_zeros_as_given():
+    mode = fc.float_mode(_EPS)
+    given = [fc.ZPoint(1.0, 0.0), fc.ZPoint(-0.0, 2.0), fc.ZPoint(-3.0, -0.0), fc.ZPoint(0.0, -2.0)]
+    h = fc.HolonomySet(given, 5, mode)
+    _same_as_oracle(h, _float_holonomy_oracle(given, mode), given)
+    assert "-0.0" in repr(h.vectors)
+
+
+def test_float_holonomy_set_keeps_both_ends_of_a_near_duplicate_chain():
+    mode = fc.float_mode(_EPS)
+    a = fc.ZPoint(1.0, 2.0)
+    b = fc.ZPoint(a.re + 0.8 * _EPS, a.im)
+    c = fc.ZPoint(b.re + 0.8 * _EPS, b.im)
+    same = fc.zseq.same_point
+    assert same(a, b, mode) and same(b, c, mode) and not same(a, c, mode)
+    h = fc.HolonomySet([c, b, a], 5, mode)
+    assert h.vectors == (a, -a, c, -c)
+    _same_as_oracle(h, _float_holonomy_oracle([c, b, a], mode), [a, b, c, -b])
+    assert h._index is not None
 
 
 def test_has_holonomy_vector_agrees_with_enumeration(lattice5):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import flatcurve as fc
-from flatcurve import equiv, gridsearch, veech
+from flatcurve import equiv, gridsearch, veech, zseq
 from flatcurve.veech import Mat2, StabilizerSearchConfig
 
 from conftest import zp
@@ -367,17 +367,39 @@ def test_non_dyadic_entry_bound_compares_exactly():
         _same_closure(got, w, cfg)
 
 
+def _inner_on_grid(w, r, center=zp(0)):
+    """The window points within ``r`` of ``center``, as the exact searches
+    pick them on the grid."""
+    xs, ys, scale, _ = w.grid
+    return [w.points[i] for i in np.flatnonzero(~zseq._outside_ball(xs, ys, scale, r, fc.EXACT,
+                                                                     center))]
+
+
 def test_inner_radius_equal_to_point_norm():
     w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 8)
-    xs, ys, scale, _ = w.grid
     for r, kept in ((5, True), (math.nextafter(5, 0), False)):
-        got = [w.points[i] for i in gridsearch._inner_ints(xs, ys, scale, r)]
+        got = _inner_on_grid(w, r)
         assert got == veech._inner_points(w.points, r, w.mode)
         assert (zp(3, 4) in got) is kept
     center = zp(Fraction(1, 3), Fraction(-2, 7))
     for r in (5, 2.5, Fraction(13, 3)):
-        got = [w.points[i] for i in gridsearch._inner_ints(xs, ys, scale, r, center)]
+        got = _inner_on_grid(w, r, center)
         assert got == veech._inner_points(w.points, r, w.mode, center)
+
+
+def test_inner_radius_past_int64_squares():
+    # an int64 grid (scale 15, coordinates up to 2**28) seen from a centre
+    # 2**31 away: (r * scale)**2 passes 2**63, and r sits on one point
+    pts = [zp(Fraction((1 << 28) - 1 - 1000 * k, 15), Fraction(k, 5)) for k in range(6)]
+    w = fc.ZeroWindow.from_points(pts, 1 << 25)
+    assert w.grid[0].dtype == np.int64
+    center = zp(-(1 << 31), Fraction(2, 5))
+    edge = pts[2].re + (1 << 31)
+    for r in (edge, edge - Fraction(1, 10**12), 1 << 33, (1 << 40) + 0.5):
+        assert (r * 15) ** 2 > 1 << 63
+        got = _inner_on_grid(w, r, center)
+        assert got == veech._inner_points(w.points, r, w.mode, center)
+        assert (pts[2] in got) is (r != edge - Fraction(1, 10**12))
 
 
 # ---------------------------------------------------------------------------
