@@ -15,6 +15,21 @@ w**k / k either.  exp(P_n) is entire and zero-free, so it winds 0 around
 every closed contour, while Im P_n turns far faster along the contour than
 the phases of the vanishing factors (1 - w) and z**e0.  ``count_zeros``
 therefore sums only those phases, and the degrees do not change its count.
+
+The polynomial parts of ``eval_f`` are summed by power, not by factor:
+
+    sum_n P_n(z / z_n) = sum_{k=1}^{D} (z**k / k) * S_k,
+    S_k = sum_{d_n >= k} z_n**(-k),
+
+so the work is O((m + n) * D) for m samples, n zeros and top degree D
+instead of O(m * n * D); these power sums are the quantities the
+argument-principle literature builds on (Delves and Lyness, Math. Comp. 21
+(1967); Kravanja and Van Barel, LNM 1727 (2000)).  Unscaled, z**k
+overflows and S_k underflows long before their product leaves float64:
+|z| = 50.5 against the zeros 1..399 with "index" degrees gives NaN.  Each
+power is therefore scaled by rho_k, the smallest |z_n| among the zeros with
+d_n >= k: (z / rho_k)**k overflows only where the nearest such zero's own
+term (z / z_n)**k does, and every (rho_k / z_n)**k has modulus at most 1.
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ from .zseq import ZeroWindow
 _EXP_OVERFLOW = 709.0  # log threshold where exp() leaves float64
 _MAX_DEGREE = 50
 _CHUNK_ELEMS = 1 << 22
+_FLOAT_EXACT = 1 << 53  # every int up to here is a float64
 
 
 def elementary_factor(z, z_n, d: int) -> complex:
@@ -66,83 +82,111 @@ def choose_degrees(w: ZeroWindow, strategy="index") -> list:
     the smallest d with b*(d+1) comfortably above 1; the fitted uniform
     degree is applied everywhere.  An integer gives that uniform degree.
     """
-    n = len(w.points)
+    return _degree_array(w, strategy).tolist()
+
+
+def _degree_array(w: ZeroWindow, strategy) -> np.ndarray:
+    """``choose_degrees`` as an int64 array over every window point."""
+    n = len(w)
     if isinstance(strategy, int):
         if strategy < 0:
             raise ValueError("degree must be >= 0")
-        return [strategy] * n
+        return np.full(n, strategy, dtype=np.int64)
+    _, nonzero = _product_points(w)
     if strategy == "index":
-        out = []
-        k = 0
-        for p in w.points:
-            if p.is_zero():
-                out.append(0)  # origin carries the z**e0 factor instead
-            else:
-                k += 1
-                out.append(k)
+        out = np.zeros(n, dtype=np.int64)
+        out[nonzero] = np.arange(1, int(nonzero.sum()) + 1)  # origin carries z**e0
         return out
     if strategy != "auto":
         raise ValueError(f"unknown degree strategy: {strategy!r}")
-    norms = sorted(p.norm() for p in w.points if not p.is_zero())
+    xs, ys, scale, _ = w.grid
+    norm2 = _rounded(xs * xs + ys * ys, None if scale is None else scale * scale)
+    return np.full(n, _fitted_degree(np.sort(np.sqrt(norm2[nonzero])).tolist()),
+                   dtype=np.int64)
+
+
+def _fitted_degree(norms: list) -> int:
+    """The uniform ``"auto"`` degree for the sorted nonzero norms."""
     if len(norms) < 8:
-        return [0] * n
+        return 0
     tail = norms[len(norms) // 2:]
     ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0]
     if ratios and sorted(ratios)[len(ratios) // 2] >= 1.05:
-        return [0] * n  # geometric growth: bare products already converge
+        return 0  # geometric growth: bare products already converge
     lo = len(norms) // 2
     xs = [math.log(i + 1) for i in range(lo, len(norms)) if norms[i] > 0]
     ys = [math.log(norms[i]) for i in range(lo, len(norms)) if norms[i] > 0]
     if len(xs) < 2 or xs[-1] == xs[0]:
-        return [1] * n
+        return 1
     mx = sum(xs) / len(xs)
     my = sum(ys) / len(ys)
     sxx = sum((x - mx) ** 2 for x in xs)
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     slope = sxy / sxx if sxx > 0 else 0.0
     if slope <= 1e-6:
-        return [_MAX_DEGREE] * n
+        return _MAX_DEGREE
     d = max(0, math.ceil(1.5 / slope - 1))
-    return [min(d, _MAX_DEGREE)] * n
+    return min(d, _MAX_DEGREE)
 
 
 # --------------------------------------------------------------------------
 # log-space evaluation core
 
 
-def _product_points(w: ZeroWindow):
-    got = w._cache.get("wp_points")
+def _rounded(num: np.ndarray, den) -> np.ndarray:
+    """``num / den`` elementwise, each correctly rounded to float64 as
+    ``float(Fraction(num, den))`` is; ``den`` None means ``num`` is float."""
+    if den is None:
+        return num
+    if num.dtype != object and den <= _FLOAT_EXACT and \
+            int(np.abs(num).max(initial=0)) <= _FLOAT_EXACT:
+        return num / float(den)  # both operands exact: one rounding
+    return np.array([v / den for v in num.tolist()], dtype=np.float64)
+
+
+def _float_grid(w: ZeroWindow) -> tuple:
+    """Float coordinates ``(fx, fy)`` of every window point, equal to
+    ``float(p.re)`` and ``float(p.im)``."""
+    got = w._cache.get("float_grid")
     if got is None:
-        pts = []
-        origin = False
-        for p in w.points:
-            if p.is_zero():
-                origin = True
-            else:
-                pts.append(complex(float(p.re), float(p.im)))
-        got = (np.array(pts, dtype=np.complex128), origin)
-        w._cache["wp_points"] = got
+        xs, ys, scale, _ = w.grid
+        got = (_rounded(xs, scale), _rounded(ys, scale))
+        w._cache["float_grid"] = got
+    return got
+
+
+def _product_points(w: ZeroWindow) -> tuple:
+    """``(pts, nonzero)``: the complex nonzero window points in window
+    order, and the mask of the window points they are."""
+    got = w._cache.get("product_points")
+    if got is None:
+        xs, ys = w.grid[:2]
+        fx, fy = _float_grid(w)
+        nonzero = (xs != 0) | (ys != 0)
+        pts = np.empty(int(nonzero.sum()), dtype=np.complex128)
+        pts.real, pts.imag = fx[nonzero], fy[nonzero]
+        got = (pts, nonzero)
+        w._cache["product_points"] = got
     return got
 
 
 def _resolve_degrees(w: ZeroWindow, degrees):
-    pts, origin = _product_points(w)
+    """``(pts, origin, degs)``: the product points, whether the window holds
+    the origin, and the int64 degree of each product point."""
+    pts, nonzero = _product_points(w)
     if degrees is None:
         degrees = "index"
     if isinstance(degrees, (int, str)):
-        degs = choose_degrees(w, degrees)
+        degs = _degree_array(w, degrees)[nonzero]
     else:
-        degs = list(degrees)
-        if len(degs) != len(w.points):
+        raw = list(degrees)
+        if len(raw) != len(w):
             raise ValueError("need one degree per window point")
-    out = []
-    for p, d in zip(w.points, degs):
-        if p.is_zero():
-            continue
-        if d < 0:
+        kept = [d for d, keep in zip(raw, nonzero.tolist()) if keep]
+        if any(d < 0 for d in kept):
             raise ValueError("degree must be >= 0")
-        out.append(int(d))
-    return pts, origin, np.array(out, dtype=np.int64)
+        degs = np.array([int(d) for d in kept], dtype=np.int64)
+    return pts, len(pts) < len(w), degs
 
 
 def _resolve_e0(origin_present: bool, e0) -> int:
@@ -160,8 +204,15 @@ def _resolve_e0(origin_present: bool, e0) -> int:
 def _log_eval(zs: np.ndarray, pts: np.ndarray, degs: np.ndarray, e0: int):
     """Per-sample (Re log f, summed Im log f, hit-a-zero flag).
 
+    The vanishing factors are summed factor by factor, log1p(-z/z_n) in
+    chunks of about ``_CHUNK_ELEMS`` complex values.  The polynomial parts
+    are the scaled power sums of the module docstring:
+
+        sum_{k=1}^{D} ((z / rho_k)**k / k) * sum_{d_n >= k} (rho_k / z_n)**k.
+
     The imaginary part is one specific branch of log f, continuous in no
-    particular sense; callers must wrap differences themselves.
+    particular sense; callers must wrap differences themselves.  Rows that
+    hit a zero carry no meaningful value.
     """
     m = len(zs)
     re = np.zeros(m)
@@ -177,43 +228,32 @@ def _log_eval(zs: np.ndarray, pts: np.ndarray, degs: np.ndarray, e0: int):
     n = len(pts)
     if n == 0:
         return re, im, hit
-    order = np.argsort(degs, kind="stable")
-    pts = pts[order]
-    degs = degs[order]
-    max_d = int(degs[-1]) if n else 0
-    chunk = max(1, _CHUNK_ELEMS // max(n, 1))
+    chunk = max(1, _CHUNK_ELEMS // n)
     for lo in range(0, m, chunk):
-        zc = zs[lo:lo + chunk]
-        ratio = zc[:, None] / pts[None, :]
+        rows = slice(lo, lo + chunk)
+        ratio = zs[rows, None] / pts[None, :]
         on_zero = ratio == 1
-        hit[lo:lo + chunk] |= on_zero.any(axis=1)
-        ratio = np.where(on_zero, 0.0, ratio)  # keep the row finite; flagged above
-        lg = np.log1p(-ratio)
-        re[lo:lo + chunk] += lg.real.sum(axis=1)
-        im[lo:lo + chunk] += lg.imag.sum(axis=1)
-        if max_d > 0:
-            start = int(np.searchsorted(degs, 1))
-            wpow = np.ones_like(ratio[:, start:])
-            active = ratio[:, start:]
-            offs = start
-            acc = np.zeros_like(active)
+        zero_rows = on_zero.any(axis=1)
+        if zero_rows.any():
+            hit[rows] |= zero_rows
+            ratio[on_zero] = 0.0  # keep the row finite; flagged above
+        lg = np.log1p(np.negative(ratio, out=ratio), out=ratio)
+        re[rows] += lg.real.sum(axis=1)
+        im[rows] += lg.imag.sum(axis=1)
+    max_d = int(degs.max())
+    if max_d > 0:
+        order = np.argsort(degs, kind="stable")
+        pts, degs = pts[order], degs[order]
+        rho = np.minimum.accumulate(np.abs(pts)[::-1])[::-1]  # min |z_n| of each suffix
+        poly = np.zeros(m, dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):  # eval_f reports overflow
             for k in range(1, max_d + 1):
-                new_start = int(np.searchsorted(degs, k))
-                if new_start > offs:
-                    cut = new_start - offs
-                    re[lo:lo + chunk] += acc[:, :cut].real.sum(axis=1)
-                    im[lo:lo + chunk] += acc[:, :cut].imag.sum(axis=1)
-                    wpow = wpow[:, cut:]
-                    active = active[:, cut:]
-                    acc = acc[:, cut:]
-                    offs = new_start
-                if active.shape[1] == 0:
-                    break
-                wpow = wpow * active
-                acc = acc + wpow / k
-            if active.shape[1]:
-                re[lo:lo + chunk] += acc.real.sum(axis=1)
-                im[lo:lo + chunk] += acc.imag.sum(axis=1)
+                start = int(np.searchsorted(degs, k))
+                r = rho[start]
+                s_k = np.sum((r / pts[start:]) ** k)
+                poly += (zs / r) ** k * (s_k / k)
+        re += poly.real
+        im += poly.imag
     return re, im, hit
 
 
@@ -221,8 +261,9 @@ def eval_f(z, w: ZeroWindow, degrees=None, e0=None):
     """Value of the canonical product at ``z`` (complex or array of them).
 
     Points of the window evaluate to exactly 0.  Raises NonFinite when the
-    magnitude leaves float64; the offending log10 magnitude and its argument
-    (summed Im log f, reduced to [-pi, pi]) ride along on the error.
+    magnitude leaves float64, or when a power of the polynomial parts does
+    (NaN); the offending log10 magnitude and its argument (summed Im log f,
+    reduced to [-pi, pi], NaN where not finite) ride along on the error.
     """
     pts, origin, degs = _resolve_degrees(w, degrees)
     k0 = _resolve_e0(origin, e0)
@@ -231,11 +272,12 @@ def eval_f(z, w: ZeroWindow, degrees=None, e0=None):
     if not np.isfinite(zs).all():
         raise NonFinite("evaluation point is not finite")
     re, im, hit = _log_eval(zs.ravel(), pts, degs, k0)
-    if (re[~hit] > _EXP_OVERFLOW).any():
-        worst = int(np.argmax(np.where(hit, -np.inf, re)))
+    if not (re[~hit] <= _EXP_OVERFLOW).all():
+        worst = int(np.argmax(np.where(hit, -np.inf, re)))  # the first NaN, if any
+        arg = float(im[worst])
+        arg = math.remainder(arg, 2 * math.pi) if math.isfinite(arg) else math.nan
         raise NonFinite("product magnitude overflows float64",
-                        log10mag=float(re[worst]) / math.log(10),
-                        arg=math.remainder(float(im[worst]), 2 * math.pi))
+                        log10mag=float(re[worst]) / math.log(10), arg=arg)
     out = np.where(hit, 0j, np.exp(re + 1j * im))
     out = out.reshape(zs.shape)
     return complex(out[0]) if scalar else out.reshape(np.shape(z))
@@ -265,12 +307,32 @@ def _boundary_samples(box, per_edge: int) -> np.ndarray:
 def _check_clearance(w: ZeroWindow, box) -> None:
     x0, x1, y0, y1 = box
     tol = 1e-9 * max(x1 - x0, y1 - y0, 1.0)
-    for p in w.points:
-        x, y = float(p.re), float(p.im)
-        d_out = max(x0 - x, x - x1, y0 - y, y - y1)
-        if abs(d_out) <= tol:
-            raise ContourThroughZero(
-                f"window point {x}+{y}j lies on the counting contour")
+    fx, fy = _float_grid(w)
+    d_out = np.maximum(np.maximum(x0 - fx, fx - x1), np.maximum(y0 - fy, fy - y1))
+    on = np.flatnonzero(np.abs(d_out) <= tol)
+    if len(on):
+        x, y = float(fx[on[0]]), float(fy[on[0]])
+        raise ContourThroughZero(
+            f"window point {x}+{y}j lies on the counting contour")
+
+
+def _contour_phases(edges, per_edge: int, pts, e0: int, coarse=None):
+    """Summed Im log of the vanishing factors and z**e0 at the
+    ``4 * per_edge`` boundary samples, or None if a sample hits a zero.
+
+    ``coarse``, the phases at ``per_edge // 2`` samples an edge, are the
+    even-indexed samples here (``linspace`` puts them at the same points),
+    so only the odd-indexed ones are evaluated.
+    """
+    zs = _boundary_samples(edges, per_edge)
+    degs = np.zeros(len(pts), dtype=np.int64)
+    if coarse is None:
+        _, im, hit = _log_eval(zs, pts, degs, e0)
+    else:
+        _, odd, hit = _log_eval(zs[1::2], pts, degs, e0)
+        im = np.empty(len(zs))
+        im[0::2], im[1::2] = coarse, odd
+    return None if hit.any() else im
 
 
 def count_zeros(w: ZeroWindow, box, degrees=None, e0=None,
@@ -282,17 +344,17 @@ def count_zeros(w: ZeroWindow, box, degrees=None, e0=None,
     the module docstring), so ``degrees`` is validated as in ``eval_f`` but
     does not change the count.  Sampling density doubles until adjacent
     phase steps are all below 0.25 rad, so the unwrapped total is
-    unambiguous.
+    unambiguous; each doubling evaluates only the new midpoints.
     """
     edges = _box_edges(box)
     _check_clearance(w, edges)
-    pts, origin, degs = _resolve_degrees(w, degrees)
+    pts, origin, _ = _resolve_degrees(w, degrees)
     k0 = _resolve_e0(origin, e0)
     per_edge = max(8, int(samples) // 4)
+    im = None
     while True:
-        zs = _boundary_samples(edges, per_edge)
-        _, im, hit = _log_eval(zs, pts, np.zeros_like(degs), k0)
-        if hit.any():
+        im = _contour_phases(edges, per_edge, pts, k0, im)
+        if im is None:
             raise ContourThroughZero("counting contour passes through a zero")
         args = np.mod(im, 2 * math.pi)
         steps = np.diff(np.concatenate([args, args[:1]]))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +10,14 @@ import flatcurve as fc
 from flatcurve import weierstrass
 
 from conftest import zp
+from test_flatgeom import _BIG_DENS, _rational_cloud
 
 
 def _window(points, radius):
     return fc.ZeroWindow.from_points(points, radius)
+
+
+_FLOAT = fc.float_mode(1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +120,188 @@ def test_eval_per_point_degrees():
 
 
 # ---------------------------------------------------------------------------
+# the power-sum core against the per-factor products it replaced
+
+
+def _per_factor_log_eval(zs, pts, degs, e0):
+    """Reference: every elementary factor summed on its own, O(m * n * D)."""
+    m = len(zs)
+    re = np.zeros(m)
+    im = np.zeros(m)
+    hit = np.zeros(m, dtype=bool)
+    if e0:
+        zero_at_origin = zs == 0
+        hit |= zero_at_origin
+        safe = np.where(zero_at_origin, 1.0, zs)
+        lg = np.log(safe.astype(np.complex128))
+        re += e0 * lg.real
+        im += e0 * lg.imag
+    n = len(pts)
+    if n == 0:
+        return re, im, hit
+    order = np.argsort(degs, kind="stable")
+    pts = pts[order]
+    degs = degs[order]
+    max_d = int(degs[-1]) if n else 0
+    chunk = max(1, (1 << 22) // max(n, 1))
+    for lo in range(0, m, chunk):
+        zc = zs[lo:lo + chunk]
+        ratio = zc[:, None] / pts[None, :]
+        on_zero = ratio == 1
+        hit[lo:lo + chunk] |= on_zero.any(axis=1)
+        ratio = np.where(on_zero, 0.0, ratio)
+        lg = np.log1p(-ratio)
+        re[lo:lo + chunk] += lg.real.sum(axis=1)
+        im[lo:lo + chunk] += lg.imag.sum(axis=1)
+        if max_d > 0:
+            start = int(np.searchsorted(degs, 1))
+            wpow = np.ones_like(ratio[:, start:])
+            active = ratio[:, start:]
+            offs = start
+            acc = np.zeros_like(active)
+            for k in range(1, max_d + 1):
+                new_start = int(np.searchsorted(degs, k))
+                if new_start > offs:
+                    cut = new_start - offs
+                    re[lo:lo + chunk] += acc[:, :cut].real.sum(axis=1)
+                    im[lo:lo + chunk] += acc[:, :cut].imag.sum(axis=1)
+                    wpow = wpow[:, cut:]
+                    active = active[:, cut:]
+                    acc = acc[:, cut:]
+                    offs = new_start
+                if active.shape[1] == 0:
+                    break
+                wpow = wpow * active
+                acc = acc + wpow / k
+            if active.shape[1]:
+                re[lo:lo + chunk] += acc.real.sum(axis=1)
+                im[lo:lo + chunk] += acc.imag.sum(axis=1)
+    return re, im, hit
+
+
+def _both_log_evals(w, zs, degrees):
+    pts, origin, degs = weierstrass._resolve_degrees(w, degrees)
+    e0 = weierstrass._resolve_e0(origin, None)
+    with np.errstate(all="ignore"):
+        return (weierstrass._log_eval(zs, pts, degs, e0),
+                _per_factor_log_eval(zs, pts, degs, e0))
+
+
+def _pm_window(n):
+    pts = [fc.ZPoint(float(s * k), 0.0) for k in range(1, n + 1) for s in (1, -1)]
+    return fc.ZeroWindow.from_points(pts, radius=float(n), mode=_FLOAT)
+
+
+_FAMILIES = ("positive-integers", "all-integers", "odd4n13-positive", "odd4n13-all",
+             "gaussian-lattice", "integers-plus-minus-i")
+_CORE_WINDOWS = [
+    *(pytest.param(fc.generate(fc.GeneratorSpec(kind), 13, _FLOAT), id=f"{kind}-float")
+      for kind in _FAMILIES),
+    pytest.param(fc.generate(fc.GeneratorSpec("gaussian-lattice"), 8), id="lattice-exact"),
+    pytest.param(fc.generate(fc.GeneratorSpec("integers-plus-minus-i"), 9), id="pm-i-exact"),
+    # +-k: every odd power sum cancels to exactly 0
+    pytest.param(_pm_window(40), id="plus-minus"),
+]
+# inside the window; most lie beyond the nearest zero
+_CORE_ZS = np.array([0.5, 0.3 + 0.2j, 0.1j, 1.5 - 0.5j, 2.5 - 1j, -3.7 + 0.4j,
+                     -0.7 + 1.9j, 3.3 - 4.1j, 7.25 + 3j, 9.1 - 0.2j, 0.0, 1.0, 2.0])
+
+
+def _degree_cases(w):
+    rng = random.Random(len(w))
+    return [1, 3, "index", "auto", [rng.randint(0, 4) for _ in range(len(w))]]
+
+
+@pytest.mark.parametrize("w", _CORE_WINDOWS)
+def test_log_eval_matches_per_factor_reference(w):
+    for degrees in _degree_cases(w):
+        (re, im, hit), (ref_re, ref_im, ref_hit) = _both_log_evals(w, _CORE_ZS, degrees)
+        assert (hit == ref_hit).all(), degrees
+        ok = ~hit
+        assert np.isfinite(ref_re[ok]).all()
+        scale = np.maximum(1.0, np.abs(ref_re[ok]))
+        assert (np.abs(re[ok] - ref_re[ok]) <= 1e-10 * scale).all(), degrees
+        turn = np.remainder(im[ok] - ref_im[ok] + math.pi, 2 * math.pi) - math.pi
+        assert (np.abs(turn) <= 1e-10 * np.maximum(scale, np.abs(ref_im[ok]))).all(), degrees
+
+
+@pytest.mark.parametrize("w", _CORE_WINDOWS)
+def test_log_eval_degree_zero_is_bit_equal(w):
+    (re, im, hit), (ref_re, ref_im, ref_hit) = _both_log_evals(w, _CORE_ZS, 0)
+    assert re.tobytes() == ref_re.tobytes()
+    assert im.tobytes() == ref_im.tobytes()
+    assert (hit == ref_hit).all()
+
+
+def test_plus_minus_window_odd_power_sums_cancel():
+    # the polynomial parts of +-k pair off: degree 1 adds exactly nothing
+    w = _pm_window(40)
+    (re1, im1, _), _ = _both_log_evals(w, _CORE_ZS, 1)
+    (re0, im0, _), _ = _both_log_evals(w, _CORE_ZS, 0)
+    assert re1.tobytes() == re0.tobytes() and im1.tobytes() == im0.tobytes()
+
+
+@pytest.mark.parametrize("w, degrees", [
+    (_pm_window(40), 3), (_pm_window(40), "index"),
+    (fc.generate(fc.GeneratorSpec("positive-integers"), 60, _FLOAT), "index"),
+    (fc.generate(fc.GeneratorSpec("gaussian-lattice"), 13, _FLOAT), "index"),
+    (fc.generate(fc.GeneratorSpec("gaussian-lattice"), 8), 5),
+])
+def test_eval_overflows_exactly_where_the_reference_does(w, degrees):
+    zs = np.array([1.5 + 0.3j, 5.5 + 0.3j, 20.5 + 0.3j, 45.5 + 0.3j, 80.5 - 0.3j, 150.5 + 0.3j,
+                   400.5 + 0.3j, 1e3 + 1j, -8e2j, 1e4 + 1j])
+    _, (ref_re, _, ref_hit) = _both_log_evals(w, zs, degrees)
+    overflows = ~(ref_re <= weierstrass._EXP_OVERFLOW) & ~ref_hit
+    assert overflows.any() and not overflows.all()
+    for z, over in zip(zs, overflows):
+        if over:
+            with pytest.raises(fc.NonFinite):
+                fc.eval_f(z, w, degrees=degrees)
+        else:
+            assert cmath.isfinite(fc.eval_f(z, w, degrees=degrees))
+
+
+def _tiny_cloud(den):
+    # every coordinate below 1: an int64 grid whose scale may pass 2**53
+    return _window([zp(Fraction(a, den), Fraction(b, den))
+                    for a, b in ((1, 0), (0, 2), (-3, 1), (5, -4), (7, 7))], 10)
+
+
+def _product_point_windows():
+    rng = random.Random(5)
+    yield fc.generate(fc.GeneratorSpec("gaussian-lattice"), 6, _FLOAT)
+    yield _pm_window(10)
+    yield fc.generate(fc.GeneratorSpec("odd4n13-all"), 9)
+    for den in (3, 7, *_BIG_DENS):
+        yield _rational_cloud(rng, 30, den)
+        yield _tiny_cloud(den)
+
+
+def test_product_points_equal_float_of_each_coordinate():
+    kinds = set()
+    for w in _product_point_windows():
+        pts, _, _ = weierstrass._resolve_degrees(w, 0)
+        want = np.array([complex(float(p.re), float(p.im)) for p in w.points
+                         if not p.is_zero()], dtype=np.complex128)
+        assert pts.tobytes() == want.tobytes()
+        xs, _, scale, _ = w.grid
+        kinds.add((xs.dtype.kind, scale is not None and scale > 1 << 53))
+    # float, int64, Python-int, and int64 over a scale past 2**53
+    assert kinds == {("f", False), ("i", False), ("O", False), ("O", True), ("i", True)}
+
+
+def test_degree_arrays_match_the_point_loops():
+    for w in _product_point_windows():
+        nonzero = [not p.is_zero() for p in w.points]
+        index = list(np.cumsum(nonzero) * nonzero)
+        norms = sorted(p.norm() for p in w.points if not p.is_zero())
+        assert fc.choose_degrees(w, "index") == index
+        assert fc.choose_degrees(w, "auto") == [weierstrass._fitted_degree(norms)] * len(w)
+        assert fc.choose_degrees(w, 2) == [2] * len(w)
+        assert all(type(d) is int for d in fc.choose_degrees(w, "auto"))
+
+
+# ---------------------------------------------------------------------------
 # degree selection
 
 
@@ -183,7 +370,6 @@ def _points_in_box(w, box):
     return sum(x0 < p.re < x1 and y0 < p.im < y1 for p in w.points)
 
 
-_FLOAT = fc.float_mode(1e-9)
 # boxes with half-integer edges, some reaching past the window's edge
 _ORACLE_CASES = [
     pytest.param(
@@ -212,6 +398,60 @@ def test_count_zeros_default_degrees_far_from_origin():
     w = fc.generate(fc.GeneratorSpec("positive-integers"), 44, _FLOAT)
     box = (21.5, 24.5, -0.5, 0.5)
     assert fc.count_zeros(w, box) == _points_in_box(w, box) == 3
+
+
+@pytest.mark.parametrize("w, box", [
+    (_pm_window(1000), (2.5, 5.5, -0.5, 0.5)),
+    (fc.generate(fc.GeneratorSpec("gaussian-lattice"), 7, _FLOAT), (-6.5, 6.5, -6.5, 6.5)),
+    (fc.generate(fc.GeneratorSpec("integers-plus-minus-i"), 6), (-2.25, 3.75, -0.6, 1.3)),
+])
+@pytest.mark.parametrize("per_edge", [8, 25, 64])
+def test_reused_phases_equal_a_fresh_pass(w, box, per_edge):
+    pts, origin, _ = weierstrass._resolve_degrees(w, 0)
+    e0 = weierstrass._resolve_e0(origin, None)
+    edges = weierstrass._box_edges(box)
+    im = weierstrass._contour_phases(edges, per_edge, pts, e0)
+    for _ in range(3):
+        per_edge *= 2
+        im = weierstrass._contour_phases(edges, per_edge, pts, e0, im)
+        fresh = weierstrass._contour_phases(edges, per_edge, pts, e0)
+        assert im.tobytes() == fresh.tobytes()
+
+
+def test_count_zeros_evaluates_each_sample_once(monkeypatch):
+    rows = []
+    log_eval = weierstrass._log_eval
+
+    def counting(zs, *args):
+        rows.append(len(zs))
+        return log_eval(zs, *args)
+
+    monkeypatch.setattr(weierstrass, "_log_eval", counting)
+    w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 7, _FLOAT)
+    box = (-6.5, 6.5, -6.5, 6.5)
+    assert fc.count_zeros(w, box, degrees=0) == _points_in_box(w, box)
+    assert len(rows) > 2
+    assert rows == [64] + [64 << i for i in range(len(rows) - 1)]
+
+
+def test_products_never_build_window_points():
+    w = fc.generate(fc.GeneratorSpec("positive-integers"), 30)
+    fc.eval_f(np.array([0.5, 2.5 + 1j]), w, degrees="auto")
+    fc.eval_f(0.25, w)
+    fc.count_zeros(w, (0.5, 2.5, -0.5, 0.5))
+    fc.refine_zero(w, 2.0003 + 0.0002j, degrees=1)
+    fc.choose_degrees(w, "auto")
+    assert "points" not in w.__dict__
+    with pytest.raises(fc.ContourThroughZero):
+        fc.count_zeros(w, (1, 2, -0.5, 0.5))
+    assert "points" not in w.__dict__
+
+
+def test_clearance_names_the_first_point_on_the_contour():
+    # (1, 0) and (2, 0) both touch the box; (1, 0) comes first in window order
+    w = _window([zp(2), zp(1), zp(0, 1)], 3)
+    with pytest.raises(fc.ContourThroughZero, match=r"window point 1\.0\+0\.0j lies"):
+        fc.count_zeros(w, (1, 2, -0.5, 0.5), degrees=0, e0=0)
 
 
 def test_count_zeros_still_validates_degrees():
