@@ -110,9 +110,14 @@ def singularity_sets(w: ZeroWindow, m: int) -> SingularitySets:
 # crossing computation
 
 
-def _segment_events(a: ZPoint, b: ZPoint, cuts: CutSystem, seg_idx: int,
-                    skip_zero_hit: bool = False) -> list:
+def _segment_crossings(a: ZPoint, b: ZPoint, cuts: CutSystem, seg_idx: int,
+                       skip_zero_hit: bool = False, times: bool = True) -> tuple:
     """Signed crossings of one segment against every cut, all cuts at once.
+
+    Returns ``(direction, ks, ts, on_line)``: the sign every crossing of the
+    segment shares, the indices of the cuts it crosses below their zeros,
+    and each crossing's segment parameter and tie flag.  The last two are
+    None when nothing crosses or ``times`` is false.
 
     Side rule: x >= cut-x counts as the right side, for both endpoints.  An
     exact pass through a zero raises PathThroughBranchPoint unless it happens
@@ -133,9 +138,10 @@ def _segment_events(a: ZPoint, b: ZPoint, cuts: CutSystem, seg_idx: int,
         ax, ay, bx, by = (c.numerator * (lcm // c.denominator) for c in ends)
         xs, ys = rescale_grid(xs, ys, lcm // scale, max(map(abs, (ax, ay, bx, by))))
     dx, dy = bx - ax, by - ay
+    direction = 1 if dx > 0 else -1
     ks = np.flatnonzero((ax >= xs) != (bx >= xs))
     if not len(ks):
-        return []
+        return direction, ks, None, None
     X, Y = xs[ks], ys[ks]
     on_line = (X == ax) | (X == bx)
     if scale is None:
@@ -155,13 +161,23 @@ def _segment_events(a: ZPoint, b: ZPoint, cuts: CutSystem, seg_idx: int,
             raise PathThroughBranchPoint(
                 f"segment {seg_idx} passes through zero {ks[hits[0]]}")
     keep = np.flatnonzero(below)
+    if not times:
+        return direction, ks[keep], None, None
     # int64 operands below 2**53 convert to float exactly, and Python int
     # division rounds correctly, so t is float(Fraction(X - ax, dx)); the
     # absolute values keep t = 0 from turning into -0.0
     ts = (t[keep] if scale is None else abs(X[keep] - ax) / abs(dx)).tolist()
-    direction = 1 if dx > 0 else -1
+    return direction, ks[keep], ts, on_line[keep]
+
+
+def _segment_events(a: ZPoint, b: ZPoint, cuts: CutSystem, seg_idx: int,
+                    skip_zero_hit: bool = False) -> list:
+    """The crossings of ``_segment_crossings`` as events, ordered by t."""
+    direction, ks, ts, on_line = _segment_crossings(a, b, cuts, seg_idx, skip_zero_hit)
+    if not len(ks):
+        return []
     events = [CrossingEvent(seg_idx, k, direction, tk, ol)
-              for k, tk, ol in zip(ks[keep].tolist(), ts, on_line[keep].tolist())]
+              for k, tk, ol in zip(ks.tolist(), ts, on_line.tolist())]
     events.sort(key=lambda e: (e.t, e.zero_index))
     return events
 
@@ -171,6 +187,16 @@ def _path_events(vertices: list, cuts: CutSystem) -> list:
     for i, (a, b) in enumerate(zip(vertices, vertices[1:])):
         events.extend(_segment_events(a, b, cuts, i))
     return events
+
+
+def _path_delta(vertices: list, cuts: CutSystem) -> int:
+    """Sum of the crossing directions along the polyline, with the checks
+    of ``_path_events`` but no events built."""
+    delta = 0
+    for i, (a, b) in enumerate(zip(vertices, vertices[1:])):
+        direction, ks, _, _ = _segment_crossings(a, b, cuts, i, times=False)
+        delta += direction * len(ks)
+    return delta
 
 
 def _check_vertices(vertices: list, cuts: CutSystem) -> None:
@@ -216,8 +242,7 @@ def lift_path(poly, start: CoverPoint, cuts: CutSystem) -> CoverPoint:
     if abs(base - verts[0].to_complex()) > 1e-9 * (1 + abs(base)):
         raise ValueError("start point does not match the first vertex")
     _check_vertices(verts, cuts)
-    delta = sum(e.direction for e in _path_events(verts, cuts))
-    sheet = (start.sheet + delta) % cuts.m
+    sheet = (start.sheet + _path_delta(verts, cuts)) % cuts.m
     return CoverPoint(verts[-1].to_complex(), sheet, False)
 
 
@@ -239,8 +264,7 @@ def lift_saddle(seg, w: ZeroWindow, cuts: CutSystem) -> list:
     """
     a = w.points[seg.from_idx]
     b = w.points[seg.to_idx]
-    events = _segment_events(a, b, cuts, 0, skip_zero_hit=False)
-    delta = sum(e.direction for e in events)
+    delta = _path_delta([a, b], cuts)
     start = CoverPoint(a.to_complex(), 0, True)
     end = CoverPoint(b.to_complex(), 0, True)
     return [LiftedSaddle(s, (s + delta) % cuts.m, delta, start, end)
@@ -287,7 +311,7 @@ def cone_angle(zero_idx: int, w: ZeroWindow, m: int, radius: float | None = None
         p = z + radius * complex(math.cos(ang), math.sin(ang))
         verts.append(_as_vertex(p, w.mode))
     _check_vertices(verts, cuts)
-    delta = sum(e.direction for e in _path_events(verts, cuts))
+    delta = _path_delta(verts, cuts)
     sheet = 0
     turns = 0
     while True:

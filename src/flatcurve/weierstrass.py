@@ -30,6 +30,20 @@ overflows and S_k underflows long before their product leaves float64:
 power is therefore scaled by rho_k, the smallest |z_n| among the zeros with
 d_n >= k: (z / rho_k)**k overflows only where the nearest such zero's own
 term (z / z_n)**k does, and every (rho_k / z_n)**k has modulus at most 1.
+
+``eval_f`` pays factor by factor only for the zeros near its samples.  With
+M the largest sample modulus, the zeros with |z_n| <= c * 2**ceil(log2 M)
+(c = 4) are near and go through the per-factor core above; every other zero
+has |u| = |z / z_n| < 1/c, where log E(u, d) = -sum_{k>d} u**k / k.  The
+far zeros together therefore give the far-field series (Greengard and
+Rokhlin, J. Comput. Phys. 73 (1987)) in their power sums:
+
+    -sum_{k=1}^{K} ((z / rho)**k / k) * sum_{far, d_n < k} (rho / z_n)**k,
+
+rho the smallest far |z_n|, K = ceil(17 / log10 c) + 1 = 30.  Every term
+has modulus at most 1, so the far part cannot overflow, and a far zero with
+d_n >= K adds nothing at all.  ``count_zeros`` does not use this split: its
+phases stay on the per-factor core.
 """
 
 from __future__ import annotations
@@ -47,6 +61,8 @@ _EXP_OVERFLOW = 709.0  # log threshold where exp() leaves float64
 _MAX_DEGREE = 50
 _CHUNK_ELEMS = 1 << 22
 _FLOAT_EXACT = 1 << 53  # every int up to here is a float64
+_FAR_C = 4  # far zeros lie beyond c * 2**ceil(log2 max|z|)
+_FAR_TERMS = math.ceil(17 / math.log10(_FAR_C)) + 1  # K = 30
 
 
 def elementary_factor(z, z_n, d: int) -> complex:
@@ -257,6 +273,83 @@ def _log_eval(zs: np.ndarray, pts: np.ndarray, degs: np.ndarray, e0: int):
     return re, im, hit
 
 
+def _norm_order(w: ZeroWindow) -> tuple:
+    """``(order, norms)``: the product points sorted by |z_n| (stable), and
+    those moduli in that order."""
+    got = w._cache.get("norm_order")
+    if got is None:
+        norms = np.abs(_product_points(w)[0])
+        order = np.argsort(norms, kind="stable")
+        got = (order, norms[order])
+        w._cache["norm_order"] = got
+    return got
+
+
+def _far_coefficients(pts: np.ndarray, degs: np.ndarray, rho: float):
+    """``[a_1, ..., a_K]``, a_k = sum_{d_n < k} (rho / z_n)**k / k over the
+    far zeros ``pts``, or None when every a_k is 0."""
+    low = degs < _FAR_TERMS
+    if not low.any():
+        return None
+    by_degree = np.argsort(degs[low], kind="stable")
+    ends = np.searchsorted(degs[low][by_degree], np.arange(1, _FAR_TERMS + 1))
+    q = rho / pts[low][by_degree]
+    qk = q.copy()
+    coef = np.zeros(_FAR_TERMS, dtype=np.complex128)
+    for k, end in enumerate(ends.tolist(), 1):
+        if end:  # the zeros with d_n < k lead
+            coef[k - 1] = qk[:end].sum() / k
+        qk *= q
+    return coef
+
+
+def _split_log_eval(w: ZeroWindow, zs: np.ndarray, pts: np.ndarray, degs: np.ndarray,
+                    e0: int, degrees):
+    """``_log_eval`` with the far zeros summed by their power sums.
+
+    The near zeros, |z_n| <= c * 2**ceil(log2 max|z|), go through
+    ``_log_eval`` as they are; the far ones add the far-field series of the
+    module docstring, from the powers of z / rho.  Each far zero's
+    dropped terms, sum_{k > max(K, d_n)} u**k / k with |u| < 1/c, have
+    modulus below c**-(K+1) / ((K + 1) * (1 - 1/c)) < 1e-20.  With no far
+    zero this is ``_log_eval`` itself, bit for bit.  The far coefficients
+    are cached on the window per shell for int and string ``degrees``.
+    """
+    big = float(np.abs(zs).max(initial=0.0))
+    mant, shell = math.frexp(big)
+    if mant == 0.5:
+        shell -= 1  # big is exactly 2**shell
+    # at z = 0 every factor is 1; past 2**1021 the cut itself overflows
+    cut = math.ldexp(_FAR_C, shell) if 0 < big and shell <= 1021 else math.inf
+    order, norms = _norm_order(w)
+    n_near = int(np.searchsorted(norms, cut, side="right"))
+    if n_near == len(pts):
+        return _log_eval(zs, pts, degs, e0)
+    near = order[:n_near]
+    re, im, hit = _log_eval(zs, pts[near], degs[near], e0)
+    rho = float(norms[n_near])
+    key = ("far_coefficients", shell, "index" if degrees is None else degrees)
+    cacheable = isinstance(key[2], (int, str))
+    if cacheable and key in w._cache:
+        coef = w._cache[key]
+    else:
+        far = order[n_near:]
+        coef = _far_coefficients(pts[far], degs[far], rho)
+        if cacheable:
+            w._cache[key] = coef
+    if coef is not None:
+        x = zs / rho
+        step = _CHUNK_ELEMS // _FAR_TERMS
+        for lo in range(0, len(zs), step):
+            rows = slice(lo, lo + step)
+            xs = x[rows, None]
+            powers = np.cumprod(np.broadcast_to(xs, (len(xs), _FAR_TERMS)), axis=1)
+            series = powers @ coef  # sum_k a_k (z / rho)**k
+            re[rows] -= series.real
+            im[rows] -= series.imag
+    return re, im, hit
+
+
 def eval_f(z, w: ZeroWindow, degrees=None, e0=None):
     """Value of the canonical product at ``z`` (complex or array of them).
 
@@ -264,6 +357,16 @@ def eval_f(z, w: ZeroWindow, degrees=None, e0=None):
     magnitude leaves float64, or when a power of the polynomial parts does
     (NaN); the offending log10 magnitude and its argument (summed Im log f,
     reduced to [-pi, pi], NaN where not finite) ride along on the error.
+
+    Only the zeros with |z_n| <= 4 * 2**ceil(log2 max|z|) are evaluated
+    factor by factor.  The rest enter through the far-field identity
+
+        sum_far log E(z / z_n, d_n)
+            = -sum_{k=1}^{K} ((z / rho)**k / k) * sum_{far, d_n < k} (rho / z_n)**k,
+
+    K = 30 and rho the smallest far |z_n|, truncated with an error below
+    1e-20 per far zero (module docstring).  ``count_zeros`` does not use
+    this split.
     """
     pts, origin, degs = _resolve_degrees(w, degrees)
     k0 = _resolve_e0(origin, e0)
@@ -271,7 +374,7 @@ def eval_f(z, w: ZeroWindow, degrees=None, e0=None):
     scalar = np.ndim(z) == 0
     if not np.isfinite(zs).all():
         raise NonFinite("evaluation point is not finite")
-    re, im, hit = _log_eval(zs.ravel(), pts, degs, k0)
+    re, im, hit = _split_log_eval(w, zs.ravel(), pts, degs, k0, degrees)
     if not (re[~hit] <= _EXP_OVERFLOW).all():
         worst = int(np.argmax(np.where(hit, -np.inf, re)))  # the first NaN, if any
         arg = float(im[worst])

@@ -103,12 +103,26 @@ def _events_or_error(fn, a, b, cuts, skip_zero_hit):
         return str(exc)
 
 
+def _delta_or_error(fn, verts, cuts):
+    try:
+        return fn(verts, cuts)
+    except fc.PathThroughBranchPoint as exc:
+        return str(exc)
+
+
+def _summed_directions(verts, cuts):
+    return sum(e.direction for e in cover._path_events(verts, cuts))
+
+
 def _assert_events_match(pairs, cuts):
     for a, b in pairs:
         for skip in (False, True):
             got = _events_or_error(cover._segment_events, a, b, cuts, skip)
             want = _events_or_error(_segment_events_reference, a, b, cuts, skip)
             assert got == want, (a, b, skip)
+        # the count-only path shares the crossing mask and the zero-hit check
+        assert _delta_or_error(cover._path_delta, [a, b], cuts) == \
+            _delta_or_error(_summed_directions, [a, b], cuts), (a, b)
 
 
 def _grid_pairs(rng, mode, den, lim, count):
@@ -171,6 +185,28 @@ def test_segment_events_match_reference_for_vertices_from_floats():
             for z in (0j, 2 + 1j) for a in (0.1, 2.2, 4.3, 0.1)]
     pts = [fc.ZPoint.of(z.real, z.imag) for z in loop]
     _assert_events_match(zip(pts, pts[1:]), cuts)
+
+
+def test_sheet_shifts_build_no_crossing_events(lattice5, monkeypatch):
+    # lift_path, lift_saddle and cone_angle only add up directions
+    cuts = fc.build_cuts(lattice5, 3)
+    h = Fraction(1, 2)
+    loop = [zp(h, h), zp(3 * h, h), zp(3 * h, 3 * h), zp(h, 3 * h), zp(h, h)]
+    want = _summed_directions(loop, cuts)
+    assert want == 1  # once counterclockwise around the zero 1 + i
+    segs = fc.saddle_connections(lattice5, 3, max_length=2.0)
+    deltas = [_summed_directions([lattice5.points[s.from_idx], lattice5.points[s.to_idx]], cuts)
+              for s in segs]
+    assert any(deltas)
+
+    def no_events(*args):
+        raise AssertionError("built a CrossingEvent")
+
+    monkeypatch.setattr(cover, "CrossingEvent", no_events)
+    start = fc.CoverPoint(loop[0].to_complex(), 1)
+    assert fc.lift_path(loop, start, cuts).sheet == (1 + want) % 3
+    assert [fc.lift_saddle(s, lattice5, cuts)[0].delta for s in segs] == deltas
+    assert fc.cone_angle(3, lattice5, 3).turns == 3
 
 
 def test_build_cuts_requires_m_at_least_two(lattice5):

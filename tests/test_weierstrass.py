@@ -261,6 +261,161 @@ def test_eval_overflows_exactly_where_the_reference_does(w, degrees):
             assert cmath.isfinite(fc.eval_f(z, w, degrees=degrees))
 
 
+# ---------------------------------------------------------------------------
+# eval_f's near/far split against the per-factor reference
+
+
+_SPLIT_WINDOWS = [
+    *(pytest.param(fc.generate(fc.GeneratorSpec(kind), 13, _FLOAT), id=f"{kind}-float")
+      for kind in _FAMILIES),
+    pytest.param(fc.generate(fc.GeneratorSpec("gaussian-lattice"), 8), id="lattice-exact"),
+    pytest.param(fc.generate(fc.GeneratorSpec("integers-plus-minus-i"), 9), id="pm-i-exact"),
+    pytest.param(_pm_window(40), id="plus-minus-40"),
+    pytest.param(_pm_window(300), id="plus-minus-300"),
+]
+_SPLIT_ZS = {
+    # max |z| = 1 and 2 exactly: cuts at 4 and 8; window points and 0 included
+    "unit": np.array([0.5, 0.3 + 0.2j, 0.1j, -0.6 + 0.7j, 1.0, 1j, -1.0, 0.0]),
+    "two": np.array([1.5 - 0.5j, -0.7 + 1.8j, 2.0, -2j, 1.25 + 0.75j, 0.0]),
+    "wide": np.array([0.5, 3.3 - 4.1j, 9.1 - 0.2j, 12.5 + 0.5j]),
+    # beyond every window above but the largest: its far set is empty
+    "past": np.array([20.5 + 0.3j, -30j, 45.5, 0.25]),
+    "origin": np.array([0.0]),
+}
+
+
+def _split_degree_cases(w):
+    rng = random.Random(len(w) + 1)
+    return [0, 1, 3, "index", "auto", [rng.randint(0, 4) for _ in range(len(w))]]
+
+
+def _split_and_reference(w, zs, degrees):
+    pts, origin, degs = weierstrass._resolve_degrees(w, degrees)
+    e0 = weierstrass._resolve_e0(origin, None)
+    with np.errstate(all="ignore"):
+        return (weierstrass._split_log_eval(w, zs, pts, degs, e0, degrees),
+                _per_factor_log_eval(zs, pts, degs, e0),
+                weierstrass._log_eval(zs, pts, degs, e0))
+
+
+def _largest_terms(zs, pts, degs):
+    """Per sample, the largest modulus among the terms the reference sums:
+    |u| and |u|**d / d over the factors, u = z / z_n.  A float64 sum is only
+    good relative to its largest term, and beyond the nearest zeros under
+    "index" degrees that term exceeds the sum by orders of magnitude."""
+    a = np.abs(zs)[:, None] / np.abs(pts)[None, :]
+    d = np.maximum(degs, 1)[None, :]
+    with np.errstate(over="ignore"):
+        return np.maximum(a, a ** d / d).max(axis=1, initial=1.0)
+
+
+def _far_set_is_empty(w, zs):
+    big = float(np.abs(zs).max())
+    if big == 0:
+        return True
+    shell = math.ceil(math.log2(big))
+    norms = np.abs(weierstrass._product_points(w)[0])
+    return bool((norms <= 4 * 2.0 ** shell).all())
+
+
+@pytest.mark.parametrize("zs_id", list(_SPLIT_ZS))
+@pytest.mark.parametrize("w", _SPLIT_WINDOWS)
+def test_split_eval_matches_per_factor_reference(w, zs_id):
+    zs = _SPLIT_ZS[zs_id]
+    for degrees in _split_degree_cases(w):
+        (re, im, hit), (ref_re, ref_im, ref_hit), core = _split_and_reference(w, zs, degrees)
+        assert (hit == ref_hit).all(), degrees
+        ok = ~hit
+        pts, _, degs = weierstrass._resolve_degrees(w, degrees)
+        scale = np.maximum(np.abs(ref_re[ok]), _largest_terms(zs[ok], pts, degs))
+        assert (np.abs(re[ok] - ref_re[ok]) <= 1e-10 * scale).all(), degrees
+        turn = np.remainder(im[ok] - ref_im[ok] + math.pi, 2 * math.pi) - math.pi
+        assert (np.abs(turn) <= 1e-10 * np.maximum(scale, np.abs(ref_im[ok]))).all(), degrees
+        if _far_set_is_empty(w, zs):
+            assert re.tobytes() == core[0].tobytes() and im.tobytes() == core[1].tobytes()
+        # eval_f exponentiates the split of its own samples (the cut depends
+        # on the largest); overflow has its own tests
+        sub = zs[hit | (re <= weierstrass._EXP_OVERFLOW)]
+        (re, im, hit), _, _ = _split_and_reference(w, sub, degrees)
+        want = np.where(hit, 0j, np.exp(re + 1j * im))
+        assert (fc.eval_f(sub, w, degrees=degrees) == want).all()
+
+
+def test_split_cases_cover_hits_far_sets_and_empty_far_sets():
+    far_sets = {_far_set_is_empty(w.values[0], zs) for w in _SPLIT_WINDOWS for zs in _SPLIT_ZS.values()}
+    assert far_sets == {True, False}
+    w = _SPLIT_WINDOWS[0].values[0]
+    assert _split_and_reference(w, _SPLIT_ZS["unit"], 1)[0][2].any()
+    # the +-k windows hold no origin, so e0 = 0 and f(0) = 1
+    assert fc.eval_f(0.0, _pm_window(40), degrees=1) == 1
+
+
+def test_far_coefficients_are_cached_per_shell_and_degrees(monkeypatch):
+    calls = []
+    far_coefficients = weierstrass._far_coefficients
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return far_coefficients(*args)
+
+    monkeypatch.setattr(weierstrass, "_far_coefficients", counting)
+    w = _pm_window(500)
+    fc.eval_f(np.array([2.5 + 0.1j, -3j]), w, degrees=1)
+    fc.eval_f(3.9, w, degrees=1)  # same shell: 2**2 = 4
+    assert len(calls) == 1
+    fc.eval_f(4.1, w, degrees=1)
+    assert len(calls) == 2
+    fc.eval_f(2.5, w, degrees="index")
+    fc.eval_f(2.5, w)  # None means "index"
+    assert len(calls) == 3
+    explicit = [1] * len(w)
+    fc.eval_f(2.5, w, degrees=explicit)
+    fc.eval_f(2.5, w, degrees=explicit)
+    assert len(calls) == 5  # explicit lists are not cached
+    chk = fc.refine_zero(w, 3.0002 + 0.0001j, degrees=1)
+    assert chk.zero == pytest.approx(3.0, abs=1e-8)
+    assert len(calls) == 5  # every Newton step reuses the shell-2 sums
+
+
+def test_log_eval_receives_only_near_zeros(monkeypatch):
+    sizes = []
+    log_eval = weierstrass._log_eval
+
+    def counting(zs, pts, *args):
+        sizes.append(len(pts))
+        return log_eval(zs, pts, *args)
+
+    monkeypatch.setattr(weierstrass, "_log_eval", counting)
+    w = _pm_window(10_000)
+    rng = np.random.default_rng(3)
+    zs = np.concatenate([rng.uniform(-3, 3, 64) + 1j * rng.uniform(-1, 1, 64), [3.2, -3.2j]])
+    vals = fc.eval_f(zs, w, degrees=1, e0=1)
+    assert sizes == [32]  # the zeros +-1 .. +-16, inside 4 * 2**2
+    pts, _, degs = weierstrass._resolve_degrees(w, 1)
+    ref_re, ref_im, _ = _per_factor_log_eval(zs, pts, degs, 1)
+    assert np.allclose(vals, np.exp(ref_re + 1j * ref_im), rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("w, degrees", [
+    (_pm_window(40), 3), (_pm_window(40), "index"),
+    (fc.generate(fc.GeneratorSpec("positive-integers"), 60, _FLOAT), "index"),
+    (fc.generate(fc.GeneratorSpec("gaussian-lattice"), 13, _FLOAT), "index"),
+    (fc.generate(fc.GeneratorSpec("gaussian-lattice"), 8), 5),
+])
+def test_overflow_reports_the_reference_magnitude(w, degrees):
+    zs = np.array([5.5 + 0.3j, 20.5 + 0.3j, 45.5 + 0.3j, 80.5 - 0.3j, 150.5 + 0.3j, 1e3 + 1j])
+    _, (ref_re, _, ref_hit), _ = _split_and_reference(w, zs, degrees)
+    for z, log_re, z_hit in zip(zs, ref_re, ref_hit):
+        if z_hit or log_re <= weierstrass._EXP_OVERFLOW:
+            continue
+        with pytest.raises(fc.NonFinite) as err:
+            fc.eval_f(z, w, degrees=degrees)
+        if math.isfinite(log_re):
+            assert err.value.log10mag == pytest.approx(log_re / math.log(10), rel=1e-10)
+        else:
+            assert not math.isfinite(err.value.log10mag)
+
+
 def _tiny_cloud(den):
     # every coordinate below 1: an int64 grid whose scale may pass 2**53
     return _window([zp(Fraction(a, den), Fraction(b, den))
@@ -398,6 +553,19 @@ def test_count_zeros_default_degrees_far_from_origin():
     w = fc.generate(fc.GeneratorSpec("positive-integers"), 44, _FLOAT)
     box = (21.5, 24.5, -0.5, 0.5)
     assert fc.count_zeros(w, box) == _points_in_box(w, box) == 3
+
+
+@pytest.mark.xfail(strict=True, reason="doubling stops once every phase step is below "
+                   "0.25 rad, and two zeros 1e-3 apart hide between samples (ROADMAP item 2)")
+def test_count_zeros_sees_two_close_zeros_near_an_edge():
+    mode = fc.float_mode(1e-12)
+    w = fc.ZeroWindow.from_points([fc.ZPoint(0.03, 1e-7), fc.ZPoint(0.031, 1e-7),
+                                   fc.ZPoint(5.0, 5.0), fc.ZPoint(-7.0, 3.0)], radius=8.0, mode=mode)
+    try:
+        wind = fc.count_zeros(w, (0, 1, 0, 1), degrees=0, e0=0)
+    except fc.NoConvergence:
+        return  # the honest answer when the samples cannot resolve the pair
+    assert wind == 2
 
 
 @pytest.mark.parametrize("w, box", [
