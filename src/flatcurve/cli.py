@@ -4,6 +4,11 @@ One subcommand per analysis, deterministic output: JSON objects with sorted
 keys, CSV rows in canonical order, SVG built from formatted strings.  Exit
 code 2 signals bad arguments (argparse usage text), exit 1 a domain error
 reported as ``{"error": code, "detail": ...}`` on stdout.
+
+Only the standard library and ``errors`` load with this module, so
+``--help`` and usage errors import no numpy.  ``main`` loads ``zseq``
+once the arguments parse, and each subcommand imports the modules it
+calls.
 """
 
 from __future__ import annotations
@@ -16,12 +21,13 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import cover, equiv, flatgeom, svg, veech, weierstrass, zseq
 from .errors import FlatcurveError, IoError, NonFinite
-from .zseq import EXACT, GeneratorSpec, Mode, ZPoint, float_mode, scalar_repr
+from .kinds import SEQUENCE_KINDS
 
-_SEQUENCES = GeneratorSpec.KINDS
+if TYPE_CHECKING:
+    from .zseq import Mode, ZeroWindow, ZPoint
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         # one it has (``gen --m float`` would otherwise mean ``--mode float``)
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.set_defaults(run=run)
-        p.add_argument("--sequence", choices=_SEQUENCES,
+        p.add_argument("--sequence", choices=SEQUENCE_KINDS,
                        help="built-in sequence family")
         p.add_argument("--input", help="window JSON file")
         p.add_argument("--param", action="append", default=[],
@@ -122,6 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_mode(args) -> Mode:
+    from .zseq import EXACT, float_mode
+
     kind = args.mode
     if kind is None:
         env = os.environ.get("FLATCURVE_MODE", "").strip().lower()
@@ -135,6 +143,8 @@ def _scalar(text: str, mode: Mode):
 
 
 def _point(text: str, mode: Mode) -> ZPoint:
+    from .zseq import ZPoint
+
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected RE,IM, got {text!r}")
@@ -176,7 +186,9 @@ def _sequence_params(kind: str, pairs: list, mode: Mode) -> dict:
     return {}
 
 
-def _load_window(args, mode: Mode) -> zseq.ZeroWindow:
+def _load_window(args, mode: Mode) -> ZeroWindow:
+    from . import zseq
+
     if args.input and args.sequence:
         raise ValueError("give either --sequence or --input, not both")
     if args.input:
@@ -187,15 +199,17 @@ def _load_window(args, mode: Mode) -> zseq.ZeroWindow:
         raise ValueError("a window is required: --sequence NAME or --input FILE")
     if args.radius is None:
         raise ValueError("--radius is required with --sequence")
-    spec = GeneratorSpec(args.sequence,
-                         _sequence_params(args.sequence, args.param, mode))
+    spec = zseq.GeneratorSpec(args.sequence,
+                              _sequence_params(args.sequence, args.param, mode))
     return zseq.generate(spec, args.radius, mode)
 
 
 def _search_config(args):
+    from .veech import StabilizerSearchConfig
+
     if args.inner is None:
         return None
-    return veech.StabilizerSearchConfig(inner_radius=args.inner)
+    return StabilizerSearchConfig(inner_radius=args.inner)
 
 
 def degree(text: str):
@@ -224,6 +238,8 @@ def _csv_text(header, rows) -> str:
 
 
 def _pt_repr(p: ZPoint) -> list:
+    from .zseq import scalar_repr
+
     return [scalar_repr(p.re), scalar_repr(p.im)]
 
 
@@ -232,14 +248,20 @@ def _pt_repr(p: ZPoint) -> list:
 
 
 def _cmd_gen(args, w, mode):
+    from . import zseq
+
     return _json_text(zseq.window_to_json(w))
 
 
 def _cmd_validate(args, w, mode):
+    from . import zseq
+
     return _json_text(zseq.validate(w).to_dict())
 
 
 def _cmd_eval(args, w, mode):
+    from . import weierstrass
+
     if args.factors is not None:
         w = w.head(args.factors)
     at = _point(args.at, mode)
@@ -261,6 +283,8 @@ def _cmd_eval(args, w, mode):
 
 
 def _cmd_verify_zeros(args, w, mode):
+    from . import weierstrass
+
     vals = [float(t) for t in args.box.split(",")]
     if len(vals) != 4:
         raise ValueError("--box needs X0,Y0,X1,Y1")
@@ -284,6 +308,9 @@ def _seg_dict(w, seg):
 
 
 def _cmd_saddles(args, w, mode):
+    from . import flatgeom, svg
+    from .zseq import scalar_repr
+
     segs = flatgeom.saddle_connections(w, args.m, max_length=args.max_length)
     if args.format == "svg":
         return svg.build_svg(w, segs, title=f"saddles m={args.m}")
@@ -302,6 +329,9 @@ def _cmd_saddles(args, w, mode):
 
 
 def _cmd_hol(args, w, mode):
+    from . import flatgeom
+    from .zseq import scalar_repr
+
     h = flatgeom.holonomy(w, max_length=args.max_length)
     if args.format == "csv":
         return _csv_text(["re", "im"],
@@ -315,11 +345,15 @@ def _cmd_hol(args, w, mode):
 
 
 def _cmd_directions(args, w, mode):
+    from . import flatgeom
+
     h = flatgeom.holonomy(w, max_length=args.max_length)
     return _json_text(flatgeom.direction_profile(h).to_dict())
 
 
 def _cmd_lift(args, w, mode):
+    from . import cover
+
     verts = _point_list(args.path, mode)
     if len(verts) < 2:
         raise ValueError("--path needs at least two vertices")
@@ -336,6 +370,8 @@ def _cmd_lift(args, w, mode):
 
 
 def _cmd_cone_angle(args, w, mode):
+    from . import cover
+
     ca = cover.cone_angle(args.zero_index, w, args.m, radius=args.loop_radius)
     return _json_text({
         "zero_index": ca.zero_index,
@@ -347,10 +383,14 @@ def _cmd_cone_angle(args, w, mode):
 
 
 def _cmd_classify(args, w, mode):
+    from . import veech
+
     return _json_text(veech.classify(w, _search_config(args)).to_dict())
 
 
 def _cmd_sandwich(args, w, mode):
+    from . import veech
+
     if not w.is_canonical:
         w = w.canonicalize()
     lower, upper, ok = veech.sandwich_report(w, _search_config(args))
@@ -364,12 +404,16 @@ def _cmd_sandwich(args, w, mode):
 
 
 def _cmd_equiv(args, w, mode):
+    from . import equiv, zseq
+
     with open(args.other, encoding="utf-8") as fh:
         w2 = zseq.window_from_json(json.load(fh), eps=args.eps)
     return _json_text(equiv.translation_equiv(w, w2).to_dict())
 
 
 def _cmd_moduli(args, w, mode):
+    from . import equiv
+
     form = equiv.moduli_canonical(w)
     out = form.to_dict()
     if args.translate is not None:
@@ -380,6 +424,8 @@ def _cmd_moduli(args, w, mode):
 
 
 def _cmd_plot(args, w, mode):
+    from . import flatgeom, svg
+
     segs = flatgeom.saddle_connections(w, args.m, max_length=args.max_length)
     h = flatgeom.holonomy(w, max_length=args.max_length)
     return svg.build_svg(w, segs, h.vectors,

@@ -13,8 +13,9 @@ and Python ints past that.  ``Mat2``, ``ZPoint`` and Fractions are built
 only for what is returned, and for the few images a holonomy set must
 decide from its window.
 
-``veech`` and ``equiv`` import this module on the first exact search, so
-importing ``flatcurve`` does not compile it.
+Like every module of the package, it loads on first use: ``veech`` and
+``equiv`` import it on the first exact search, so neither importing
+``flatcurve`` nor loading ``veech`` compiles it.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from .errors import (
     EmptyWindow,
     ModeMismatch,
 )
+from .kinds import SEQUENCE_KINDS
 
 # --------------------------------------------------------------------------
 # arithmetic modes
@@ -295,16 +296,7 @@ class GeneratorSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
-    KINDS = (
-        "positive-integers",
-        "all-integers",
-        "odd4n13-positive",
-        "odd4n13-all",
-        "gaussian-lattice",
-        "integers-plus-minus-i",
-        "orbit",
-        "explicit",
-    )
+    KINDS = SEQUENCE_KINDS
 
     def __post_init__(self):
         if self.kind not in self.KINDS:

@@ -4,9 +4,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -381,3 +384,26 @@ def test_readme_commands_print_pinned_bytes(tmp_path, monkeypatch):
         assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), line
     assert hashlib.sha256((tmp_path / "w.json").read_bytes()).hexdigest() == \
         "5710c1e7765fe18ae3d95a3bbb1ad68a6693625c563c404e9cd5f5661b2ac578"
+
+
+# sha256 of the exact bytes of ``python -m flatcurve.cli`` run in a fresh
+# interpreter at 80 columns: the in-process tests above run with every
+# module already imported, so only a fresh process shows a fault in what a
+# subcommand imports for itself.
+_FRESH_PROCESS_BYTES = (
+    (["--help"], 0, "stdout",
+     "b854ff97feeb1e5c408b02f8234cf3455b4f924592eb489c3bebdd2e9ed11af3"),
+    (["eval", "--sequence", "all-integers", "--radius", "3"], 2, "stderr",
+     "077c804a1995afed2867f66900519b8fb95a2854c7eab3ed375ca25a5fb1fa4c"),
+)
+
+
+def test_fresh_process_prints_pinned_help_and_usage_bytes():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    for argv, code, stream, digest in _FRESH_PROCESS_BYTES:
+        proc = subprocess.run([sys.executable, "-m", "flatcurve.cli", *argv],
+                              env=env, capture_output=True)
+        other = proc.stderr if stream == "stdout" else proc.stdout
+        assert (proc.returncode, other) == (code, b""), argv
+        assert hashlib.sha256(getattr(proc, stream)).hexdigest() == digest, argv
