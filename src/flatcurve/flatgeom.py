@@ -6,11 +6,23 @@ saddle connection; its holonomy vector, taken with both signs, populates
 the window's holonomy set.
 
 Exact windows, whatever their denominators, work on their integer grid
-(``ZeroWindow.grid``, see ``zseq``).  There a point is visible from an
-anchor exactly when it is the nearest window point along its primitive
-direction (dx/g, dy/g), g = gcd(dx, dy): any blocker on the open segment
-differs from the anchor by a smaller multiple of that direction.
-Fractions are built once per distinct output coordinate.
+(``ZeroWindow.grid``, see ``zseq``), moved to put the first point at 0 and
+divided by the gcd of all coordinates.  Let (dx, dy) be a pair's offset
+and g = gcd(dx, dy).  A blocker lies on the grid and on the open segment,
+so it is anchor + k (dx/g, dy/g) for some 0 < k < g, which gives two rules:
+
+- a pair with g = 1 has no grid point between its ends: it is visible;
+- a pair with g > 1 is blocked when its first step, anchor + (dx/g, dy/g),
+  is a window point, one ``searchsorted`` over the sorted packed keys.
+
+On a window that holds every grid point of a convex region, such as a
+lattice ball, the first step lies between two window points, so these
+rules settle every pair.  A pair still open, g > 1 with its first step
+missing, is visible exactly when its far end is the nearest window point
+along the primitive direction (dx/g, dy/g), the rule that holds on every
+window; one lexsort over the open anchors' rows finds those points.  No
+step counts up to g, which can be near 2**28.  Fractions are built once
+per distinct output coordinate.
 
 Float mode uses an eps-tube: with b and c the offsets of two points from
 the anchor, c blocks b when |b x c| <= eps |b| and eps/2 |b|^2 < b.c <
@@ -48,12 +60,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
 from .errors import EmptyWindow
-from .zseq import (Mode, PointIndex, ZPoint, ZeroWindow, canonical_permutation,
+from .zseq import (Mode, PointIndex, ZPoint, ZeroWindow, _moved, canonical_permutation,
                    coordinate_grid, cross, dot, grid_points)
 
 
@@ -113,19 +125,21 @@ def is_visible(w: ZeroWindow, r: int, l: int) -> bool:
 # batched enumeration
 
 
-def _nearest_by_direction(dx, dy, idx, shift: int):
-    """The entries of ``idx`` nearest the anchor along their primitive
-    direction, ascending.  ``dx``, ``dy`` are their integer offsets from the
-    anchor; the anchor itself (offset 0) may be among them and is dropped."""
-    g = np.gcd(dx, dy)
-    live = g > 0
-    g = g[live]
-    direction = ((dx[live] // g) << shift) + dy[live] // g
-    order = np.lexsort((g, direction))
-    direction = direction[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = direction[1:] != direction[:-1]
-    return np.sort(idx[live][order][first])
+def _length_bound(w: ZeroWindow, max_length) -> int | float | None:
+    """The squared-length bound on w's grid that ``max_length`` sets: an
+    integer in exact mode, a float with a relative band of 1e-12 in float
+    mode, None without a bound."""
+    if max_length is None:
+        return None
+    if not 0 <= max_length < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"max_length must be finite and >= 0, got {max_length!r}")
+    scale = w.grid[2]
+    if scale is None:
+        return float(max_length) ** 2 * (1 + 1e-12)
+    bound2 = (Fraction(max_length) * scale) ** 2
+    # squared distances are integers after scaling, so flooring the
+    # rational bound loses nothing
+    return bound2.numerator // bound2.denominator
 
 
 def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> list:
@@ -133,34 +147,104 @@ def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> list:
 
     ``max_length`` restricts enumeration to pairs at distance <= max_length;
     any blocker of such a pair lies closer to the anchor than the other
-    endpoint, so the restriction loses nothing.
+    endpoint, so the restriction loses nothing.  A negative or non-finite
+    ``max_length`` raises ``ValueError``.
     """
-    n = len(w)
-    if n < 2:
-        return []
+    limit2 = _length_bound(w, max_length)
     xs, ys, scale, shift = w.grid
-    limit2 = None
-    if max_length is not None and scale is not None:
-        bound2 = (Fraction(max_length) * scale) ** 2
-        # squared distances are integers after scaling, so flooring the
-        # rational bound loses nothing
-        limit2 = bound2.numerator // bound2.denominator
-    elif max_length is not None:
-        limit2 = float(max_length) ** 2 * (1 + 1e-12)
+    if len(xs) < 2:
+        return []
     if scale is None:
         return _float_visible_pairs(xs, ys, w.mode.eps, limit2)
-    everyone = np.arange(n)
-    pairs = []
-    for i in range(n - 1):
-        dx = xs - xs[i]
-        dy = ys - ys[i]
-        cand = everyone
+    i, j = _exact_visible_pairs(xs, ys, shift, limit2)
+    return list(zip(i.tolist(), j.tolist()))
+
+
+_EXACT_BLOCK_ENTRIES = 1 << 14  # (anchor, point) entries per block of anchors, exact windows
+
+
+def _exact_visible_pairs(xs, ys, shift: int, limit2) -> tuple:
+    """Arrays (i, j) of the visible pairs i < j of an exact window, ascending,
+    by gcd and first-step probe (see the module docstring), a block of
+    anchors over the upper triangle at a time."""
+    n = len(xs)
+    # visibility survives translation and scaling: measured from the first
+    # point in units of the gcd of all coordinates, a translated lattice is
+    # a lattice again
+    xs, ys = xs - xs[0], ys - ys[0]
+    unit = math.gcd(int(np.gcd.reduce(xs)), int(np.gcd.reduce(ys)))
+    xs, ys = xs // unit, ys // unit
+    if limit2 is not None:
+        limit2 //= unit * unit
+    keys = np.sort((xs << shift) + ys)
+    counts = np.arange(n - 1, 0, -1)  # entries (i, j > i) of anchor i
+    before = np.cumsum(counts) - counts
+    # a block starts where the entries before it pass a multiple of the block size
+    starts = np.flatnonzero(np.r_[True, np.diff(before // _EXACT_BLOCK_ENTRIES) > 0]).tolist()
+    out_i, out_j = [], []
+    for lo, hi in zip(starts, starts[1:] + [n - 1]):
+        row = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        col = np.arange(len(row)) + row + 1 - np.repeat(before[lo:hi] - before[lo], counts[lo:hi])
+        dx, dy = xs[col] - xs[row], ys[col] - ys[row]
         if limit2 is not None:
-            cand = np.nonzero(dx * dx + dy * dy <= limit2)[0]
-            dx, dy = dx[cand], dy[cand]
-        js = _nearest_by_direction(dx, dy, cand, shift)
-        pairs.extend(zip(repeat(i), js[js > i].tolist()))
-    return pairs
+            near = dx * dx + dy * dy <= limit2
+            row, col, dx, dy = row[near], col[near], dx[near], dy[near]
+        g = np.gcd(dx, dy)
+        visible = g == 1
+        # a pair with g > 1 is blocked when its first step from the anchor
+        # is a window point, and open when it is not
+        step = np.flatnonzero(~visible)
+        gs, rs = g[step], row[step]
+        probe = ((xs[rs] + dx[step] // gs) << shift) + ys[rs] + dy[step] // gs
+        at = np.minimum(np.searchsorted(keys, probe), n - 1)
+        open_ = step[keys[at] != probe]
+        if len(open_):
+            fi, fj = _nearest_beyond_first_step(xs, ys, shift, limit2, _distinct(row[open_]))
+            visible[open_] = np.isin(row[open_] * n + col[open_], fi * n + fj)
+        out_i.append(row[visible])
+        out_j.append(col[visible])
+    return np.concatenate(out_i), np.concatenate(out_j)
+
+
+def _distinct(a):
+    """The sorted array ``a`` without repeats.  (A plain ``np.unique``, in
+    NumPy 2.4, imports ``numpy.ma`` on first use: about 16 ms and 1 MB that
+    every command-line run would pay.)"""
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+def _nearest_beyond_first_step(xs, ys, shift: int, limit2, anchors) -> tuple:
+    """Arrays (i, j) of the pairs i < j, i among ``anchors``, where j is the
+    window point nearest i along its primitive direction among those two or
+    more steps away, within the bound ``limit2``; a block of anchors at a
+    time.  On an open pair's direction no window point lies one step away,
+    so there this is the nearest window point, and the pair is visible
+    exactly when it is listed."""
+    n = len(xs)
+    step = max(1, _EXACT_BLOCK_ENTRIES // n)
+    out_i, out_j = [], []
+    for lo in range(0, len(anchors), step):
+        a = anchors[lo:lo + step]
+        dx = xs[None, :] - xs[a, None]
+        dy = ys[None, :] - ys[a, None]
+        live = np.arange(n)[None, :] != a[:, None]
+        if limit2 is not None:
+            live &= dx * dx + dy * dy <= limit2
+        row, col = np.nonzero(live)
+        dx, dy = dx[row, col], dy[row, col]
+        g = np.gcd(dx, dy)
+        far = g > 1
+        row, col, dx, dy, g = row[far], col[far], dx[far], dy[far], g[far]
+        direction = ((dx // g) << shift) + dy // g
+        order = np.lexsort((g, direction, row))
+        row, col, direction = row[order], col[order], direction[order]
+        first = np.r_[True, (row[1:] != row[:-1]) | (direction[1:] != direction[:-1])]
+        i, j = a[row[first]], col[first]
+        out_i.append(i[j > i])
+        out_j.append(j[j > i])
+    return np.concatenate(out_i), np.concatenate(out_j)
 
 
 _BLOCK_ENTRIES = 1 << 16  # (anchor, point) entries per block of anchors
@@ -291,31 +375,45 @@ def saddle_connections(w: ZeroWindow, m: int, max_length: float | None = None) -
     """One canonical segment per visible pair; multiplicity m on the cover.
 
     A segment is provisional when an endpoint's distance from the window
-    center plus its length exceeds the sampling radius.
+    center plus its length exceeds the sampling radius.  Lengths and
+    distances are rounded as ``ZPoint.norm`` rounds them.
     """
     if m < 2:
         raise ValueError("covering degree m must be >= 2")
-    if len(w.points) == 0:
+    if len(w) == 0:
         raise EmptyWindow("no points")
     pairs = visible_pairs(w, max_length)
-    reach = [(p - w.center).norm() for p in w.points]
-    limit = float(w.radius) * (1 + 1e-12)
     xs, ys, scale, _ = w.grid
     ij = _index_array(pairs)
     ii, jj = ij[:, 0], ij[:, 1]
     dx, dy = xs[jj] - xs[ii], ys[jj] - ys[ii]
     # canonical orientation puts the argument in [0, pi)
     flip = (dy < 0) | ((dy == 0) & (dx < 0))
-    ii, jj = np.where(flip, jj, ii).tolist(), np.where(flip, ii, jj).tolist()
+    ii, jj = np.where(flip, jj, ii), np.where(flip, ii, jj)
     dx, dy = np.where(flip, -dx, dx), np.where(flip, -dy, dy)
-    s = 1 if scale is None else scale
-    segs = []
-    for i, j, v, a, b in zip(ii, jj, grid_points(dx, dy, scale), dx.tolist(), dy.tolist()):
-        # Python int division rounds correctly, as float(Fraction) does
-        length = math.sqrt((a * a + b * b) / (s * s))
-        segs.append(SaddleSegment(i, j, v, length, math.atan2(b / s, a / s), m,
-                                  max(reach[i], reach[j]) + length > limit))
-    return segs
+    length = np.sqrt(_ratio(dx * dx + dy * dy, scale and scale * scale))
+    cx, cy, cscale = _moved(xs, ys, scale, -w.center)
+    reach = np.sqrt(_ratio(cx * cx + cy * cy, cscale and cscale * cscale))
+    provisional = np.maximum(reach[ii], reach[jj]) + length > float(w.radius) * (1 + 1e-12)
+    direction = map(math.atan2, _ratio(dy, scale).tolist(), _ratio(dx, scale).tolist())
+    return [SaddleSegment(i, j, v, ln, d, m, p) for i, j, v, ln, d, p in
+            zip(ii.tolist(), jj.tolist(), grid_points(dx, dy, scale), length.tolist(), direction,
+                provisional.tolist())]
+
+
+_FLOAT_INTS = 1 << 53  # integers up to here are exact in float64
+
+
+def _ratio(num, den):
+    """The float64 quotients num / den of an integer array by an integer, each
+    correctly rounded, as Python's int division and ``float(Fraction)`` round
+    them: numpy divides while num and den are exact in float64, Python ints
+    past that.  A float array (``den`` None) comes back as it is."""
+    if den is None:
+        return num
+    if num.dtype != object and den <= _FLOAT_INTS and np.abs(num).max(initial=0) <= _FLOAT_INTS:
+        return num / den
+    return np.array([a / den for a in num.tolist()], dtype=np.float64)
 
 
 # --------------------------------------------------------------------------
@@ -423,9 +521,13 @@ class HolonomySet:
 def _signed_distinct(xs, ys, scale: int, shift: int) -> tuple:
     """The exact grid of the vectors (xs, ys) and their negatives, each
     once, in canonical order."""
-    xs, ys = np.concatenate((xs, -xs)), np.concatenate((ys, -ys))
-    _, first = np.unique((xs << shift) + ys, return_index=True)
-    order = first[canonical_permutation(xs[first], ys[first])]
+    keys = (xs << shift) + ys
+    keys = _distinct(np.sort(np.concatenate((keys, -keys))))
+    # the low part y of a key x * 2**shift + y lies in [-2**(shift - 1), 2**(shift - 1))
+    half = 1 << (shift - 1)
+    ys = ((keys + half) & ((1 << shift) - 1)) - half
+    xs = (keys - ys) >> shift
+    order = canonical_permutation(xs, ys)
     return xs[order], ys[order], scale, shift
 
 

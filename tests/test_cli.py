@@ -294,6 +294,16 @@ def test_domain_errors_exit_one():
                    "--out", "/definitely-missing-dir/x.json"], "IoError")
 
 
+def test_negative_or_non_finite_max_length_is_a_domain_error():
+    window = ["--sequence", "gaussian-lattice", "--radius", "4"]
+    for cmd, bound, mode in (("hol", "-2", "exact"), ("hol", "nan", "float"),
+                             ("hol", "inf", "exact"), ("hol", "nan", "exact"),
+                             ("saddles", "-0.5", "float"), ("directions", "-inf", "exact"),
+                             ("plot", "inf", "float")):
+        d = _expect_error([cmd, *window, "--mode", mode, f"--max-length={bound}"], "ValueError")
+        assert d["detail"].startswith("max_length must be finite and >= 0")
+
+
 def test_usage_errors_exit_two(capsys):
     for argv in ([], ["not-a-command"],
                  ["gen", "--sequence", "all-integers", "--radius", "3",

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +181,105 @@ def test_visible_pairs_length_boundary_is_inclusive():
     # sqrt(2) pair excluded at max_length 1
     assert (1, 2) not in pairs
     assert (1, 2) in fc.visible_pairs(w, max_length=math.sqrt(2) + 1e-9)
+
+
+@pytest.mark.parametrize("bad", [-2, -1e-300, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("exact", [True, False])
+def test_negative_or_non_finite_max_length_raises(bad, exact):
+    mode = fc.EXACT if exact else fc.float_mode(_EPS)
+    for w in (fc.generate(fc.GeneratorSpec("gaussian-lattice"), 4, mode),
+              fc.ZeroWindow.from_points([fc.ZPoint.of(1, 0, mode)], 2, mode)):
+        for call in (fc.visible_pairs, fc.holonomy,
+                     lambda w, length: fc.saddle_connections(w, 2, length)):
+            with pytest.raises(ValueError, match="max_length"):
+                call(w, bad)
+
+
+def test_zero_max_length_finds_no_pairs(lattice5):
+    assert fc.visible_pairs(lattice5, max_length=0) == []
+    assert fc.holonomy(lattice5, max_length=0).vectors == ()
+    assert fc.saddle_connections(lattice5, 2, max_length=0) == []
+
+
+def _first_steps(w):
+    """(pairs with g > 1, those whose first step is a window point) on the
+    grid of w, moved to put its first point at 0 and divided by the gcd of
+    all coordinates, as exact ``visible_pairs`` probes it."""
+    xs, ys = [int(x) for x in w.grid[0]], [int(y) for y in w.grid[1]]
+    xs, ys = [x - xs[0] for x in xs], [y - ys[0] for y in ys]
+    unit = math.gcd(*xs, *ys)
+    pts = [(x // unit, y // unit) for x, y in zip(xs, ys)]
+    present = set(pts)
+    steps = hits = 0
+    for i, (ax, ay) in enumerate(pts):
+        for bx, by in pts[i + 1:]:
+            g = math.gcd(bx - ax, by - ay)
+            if g > 1:
+                steps += 1
+                hits += (ax + (bx - ax) // g, ay + (by - ay) // g) in present
+    return steps, hits
+
+
+def _restricted(w, pairs, length):
+    return [(i, j) for i, j in pairs
+            if (w.points[j] - w.points[i]).norm2() <= Fraction(length) ** 2]
+
+
+_K = 1 << 27
+# collinear windows whose gaps have gcds near 2**27 and 2**28; an off-line
+# point keeps the gcd of all coordinates at 1, and 2**29 moves the grid to
+# Python ints
+_HUGE_GCD = {
+    "0, 2**27, 2**28": [zp(0), zp(_K), zp(2 * _K)],
+    "0, 2**28": [zp(0), zp(2 * _K)],
+    "0, 2**27, 2**28 and 1 + i": [zp(0), zp(_K), zp(2 * _K), zp(1, 1)],
+    "0, 2**28 and 1 + i": [zp(0), zp(2 * _K), zp(1, 1)],
+    "diagonal 0, 2**27 (1 + i), 2**28 (1 + i) and 1": [zp(0), zp(_K, _K), zp(2 * _K, 2 * _K),
+                                                        zp(1)],
+    "diagonal 0, 2**28 (1 + i) and 1": [zp(0), zp(2 * _K, 2 * _K), zp(1)],
+    "0, 2**28, 2**29 and i": [zp(0), zp(2 * _K), zp(4 * _K), zp(0, 1)],
+    "0, 2**29 and i": [zp(0), zp(4 * _K), zp(0, 1)],
+}
+
+
+@pytest.mark.parametrize("name", list(_HUGE_GCD))
+def test_huge_gcd_collinear_windows_match_bruteforce(name):
+    w = _window(_HUGE_GCD[name], 8 * _K)
+    assert w.grid[0].dtype == (object if "2**29" in name else np.int64)
+    full = fc.visible_pairs_bruteforce(w)
+    start = time.perf_counter()
+    got = fc.visible_pairs(w)
+    restricted = {length: fc.visible_pairs(w, max_length=length)
+                  for length in (1, 1.5, _K, 1.5 * _K, 2 * _K)}
+    # a walk over the steps up to g would take minutes
+    assert time.perf_counter() - start < 2.0
+    assert got == full
+    for length, pairs in restricted.items():
+        assert pairs == _restricted(w, full, length)
+
+
+def _sparse_sevenths(seed):
+    """Integer points and two points on the 1/7 grid, with every first-step
+    probe a miss."""
+    rng = random.Random(seed)
+    while True:
+        pts = {(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(14)}
+        pts = [zp(x, y) for x, y in pts] + [zp(Fraction(1, 7), Fraction(2, 7)),
+                                             zp(Fraction(-3, 7), Fraction(5, 7))]
+        w = _window(pts, 10)
+        steps, hits = _first_steps(w)
+        if steps and not hits:
+            return w
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_seventh_clouds_match_bruteforce(seed):
+    w = _sparse_sevenths(seed)
+    full = fc.visible_pairs_bruteforce(w)
+    assert full != [(i, j) for i in range(len(w)) for j in range(i + 1, len(w))]
+    assert fc.visible_pairs(w) == full
+    for length in (1, 2, 3.5, 6):
+        assert fc.visible_pairs(w, max_length=length) == _restricted(w, full, length)
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +545,127 @@ def test_holonomy_rotation_equivariance(lattice5):
     got = {(v.re, v.im) for v in fc.holonomy(rotated).vectors}
     assert got == {(q.re, q.im) for q in
                    (fc.zseq.zmul(fc.ZPoint(a, b), r) for a, b in base)}
+
+
+# ---------------------------------------------------------------------------
+# identity gate: pairs, segments and holonomy sets against per-pair references
+
+
+def _pairs_by_nearest_direction(w, max_length):
+    """Exact visibility one anchor at a time: j is visible from i when it is
+    the nearest window point along its primitive direction."""
+    xs, ys, scale, _ = w.grid
+    limit2 = None if max_length is None else math.floor((Fraction(max_length) * scale) ** 2)
+    pairs = []
+    for i in range(len(xs)):
+        nearest = {}
+        for j in range(len(xs)):
+            dx, dy = int(xs[j] - xs[i]), int(ys[j] - ys[i])
+            if j == i or (limit2 is not None and dx * dx + dy * dy > limit2):
+                continue
+            g = math.gcd(dx, dy)
+            direction = (dx // g, dy // g)
+            if direction not in nearest or g < nearest[direction][0]:
+                nearest[direction] = (g, j)
+        pairs += sorted((i, j) for _, j in nearest.values() if j > i)
+    return pairs
+
+
+def _segment_fields(w, pairs, m):
+    """Each pair's segment fields from ``ZPoint`` arithmetic, floats as hex."""
+    limit = float(w.radius) * (1 + 1e-12)
+    reach = [(p - w.center).norm() for p in w.points]
+    rows = []
+    for i, j in pairs:
+        v = w.points[j] - w.points[i]
+        if not (v.im > 0 or (v.im == 0 and v.re > 0)):
+            i, j, v = j, i, -v
+        length = math.sqrt(float(v.norm2()))
+        rows.append((i, j, repr(v), length.hex(), math.atan2(float(v.im), float(v.re)).hex(), m,
+                     max(reach[i], reach[j]) + length > limit))
+    return rows
+
+
+def _near_limit_window():
+    """An int64 window, scale 3, with coordinates near 2**27: squared
+    lengths pass 2**53, where float64 division would round twice."""
+    rng = random.Random(1)
+    k = 1 << 27
+    pts = [(0, 0)] + [(k - rng.randint(0, 1000), k - rng.randint(0, 1000)) for _ in range(6)] \
+        + [(-k + rng.randint(0, 1000), rng.randint(-9, 9)) for _ in range(3)]
+    return _window([zp(Fraction(x, 3), Fraction(y, 3)) for x, y in pts], k)
+
+
+def _family(kind, radius):
+    return lambda: fc.generate(fc.GeneratorSpec(kind), radius)
+
+
+def _cloud(den, n, shift=None):
+    def build():
+        w = _rational_cloud(random.Random(den), n, den)
+        return w if shift is None else w.translate(shift)
+    return build
+
+
+def _as_float(build):
+    def floats():
+        w = build()
+        return fc.ZeroWindow.from_points([fc.ZPoint(float(p.re), float(p.im)) for p in w],
+                                         w.radius, fc.float_mode(_EPS))
+    return floats
+
+
+_SHIFT = zp(Fraction(1, 3), Fraction(-2, 5))
+_GATE = {
+    "gaussian-lattice R7": _family("gaussian-lattice", 7),
+    "gaussian-lattice R3": _family("gaussian-lattice", 3),
+    "all-integers R20": _family("all-integers", 20),
+    "odd4n13-all R30": _family("odd4n13-all", 30),
+    "positive-integers R15": _family("positive-integers", 15),
+    "integers-plus-minus-i R6": _family("integers-plus-minus-i", 6),
+    **{f"1/{den} cloud translated": _cloud(den, 30, _SHIFT) for den in (3, 4, 6)},
+    **{f"1/{den} cloud": _cloud(den, 25) for den in (7, *_BIG_DENS)},
+    "int64 near 2**27": _near_limit_window,
+    "float gaussian-lattice R7": _as_float(_family("gaussian-lattice", 7)),
+    "float 1/6 cloud translated": _as_float(_cloud(6, 30, _SHIFT)),
+    "float integers-plus-minus-i R6": _as_float(_family("integers-plus-minus-i", 6)),
+}
+
+
+@pytest.mark.parametrize("name", list(_GATE))
+def test_visibility_holonomy_and_segments_equal_references(name):
+    w = _GATE[name]()
+    exact = w.mode.is_exact
+    for length in (None, 2, 3.5):
+        if exact:
+            pairs = _pairs_by_nearest_direction(w, length)
+        else:
+            pairs = fc.visible_pairs_bruteforce(w)
+            if length is not None:
+                pairs = _restricted(w, pairs, length)
+        assert fc.visible_pairs(w, length) == pairs
+        got = [(s.from_idx, s.to_idx, repr(s.holonomy), s.length.hex(), s.direction.hex(),
+                s.multiplicity, s.provisional) for s in fc.saddle_connections(w, 3, length)]
+        assert got == _segment_fields(w, pairs, 3)
+        if not exact:
+            continue  # float holonomy sets have their own oracle above
+        h = fc.holonomy(w, length)
+        signed = {v for i, j in pairs for v in (w.points[j] - w.points[i],
+                                                 w.points[i] - w.points[j])}
+        want = sorted(signed, key=fc.zseq._canonical_key)
+        assert h.vectors == tuple(want)
+        longest = length if length is not None else max((v.norm() for v in want), default=0.0)
+        assert h.complete_radius.hex() == max(0.0, float(w.radius) - float(longest)).hex()
+
+
+def test_near_limit_window_needs_the_python_int_quotients():
+    w = _near_limit_window()
+    xs, ys, scale, _ = w.grid
+    assert xs.dtype == np.int64 and scale == 3
+    # squared lengths past 2**53 round before float64 divides them, so a
+    # float64 quotient misses some of the lengths the gate above checks
+    segs = fc.saddle_connections(w, 2)
+    assert any(math.sqrt(float(int(s.holonomy.norm2() * 9)) / 9.0) != s.length for s in segs)
 
 
 # ---------------------------------------------------------------------------
