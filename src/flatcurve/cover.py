@@ -111,7 +111,7 @@ def singularity_sets(w: ZeroWindow, m: int) -> SingularitySets:
 
 
 def _segment_crossings(a: ZPoint, b: ZPoint, cuts: CutSystem, seg_idx: int,
-                       skip_zero_hit: bool = False, times: bool = True) -> tuple:
+                       times: bool = True) -> tuple:
     """Signed crossings of one segment against every cut, all cuts at once.
 
     Returns ``(direction, ks, ts, on_line)``: the sign every crossing of the
@@ -155,11 +155,9 @@ def _segment_crossings(a: ZPoint, b: ZPoint, cuts: CutSystem, seg_idx: int,
         through = s == 0
         interior = ~on_line  # 0 < t < 1 on a crossing
         below = (s < 0) if dx > 0 else (s > 0)
-    if not skip_zero_hit:
-        hits = np.flatnonzero(through & interior)
-        if len(hits):
-            raise PathThroughBranchPoint(
-                f"segment {seg_idx} passes through zero {ks[hits[0]]}")
+    hits = np.flatnonzero(through & interior)
+    if len(hits):
+        raise PathThroughBranchPoint(f"segment {seg_idx} passes through zero {ks[hits[0]]}")
     keep = np.flatnonzero(below)
     if not times:
         return direction, ks[keep], None, None
@@ -170,10 +168,9 @@ def _segment_crossings(a: ZPoint, b: ZPoint, cuts: CutSystem, seg_idx: int,
     return direction, ks[keep], ts, on_line[keep]
 
 
-def _segment_events(a: ZPoint, b: ZPoint, cuts: CutSystem, seg_idx: int,
-                    skip_zero_hit: bool = False) -> list:
+def _segment_events(a: ZPoint, b: ZPoint, cuts: CutSystem, seg_idx: int) -> list:
     """The crossings of ``_segment_crossings`` as events, ordered by t."""
-    direction, ks, ts, on_line = _segment_crossings(a, b, cuts, seg_idx, skip_zero_hit)
+    direction, ks, ts, on_line = _segment_crossings(a, b, cuts, seg_idx)
     if not len(ks):
         return []
     events = [CrossingEvent(seg_idx, k, direction, tk, ol)
@@ -284,12 +281,13 @@ def cone_angle(zero_idx: int, w: ZeroWindow, m: int, radius: float | None = None
                sides: int = 16) -> ConeAngle:
     """Total angle at a cone point, measured by lifting a small loop.
 
-    A regular ``sides``-gon around the zero is lifted repeatedly until the
-    sheet returns to its start; the angle is 2*pi times the number of turns.
+    A regular ``sides``-gon around the zero is lifted once; repeated, it
+    brings the sheet back to its start after ``turns`` turns, and the angle
+    is 2*pi times that number.
     The loop radius must stay at or below half the window's minimum gap.
     """
     _check_m(m)
-    if not 0 <= zero_idx < len(w.points):
+    if not 0 <= zero_idx < len(w):
         raise ValueError(f"zero index {zero_idx} out of range")
     gap = w.min_gap()
     if not math.isfinite(gap):
@@ -312,13 +310,7 @@ def cone_angle(zero_idx: int, w: ZeroWindow, m: int, radius: float | None = None
         verts.append(_as_vertex(p, w.mode))
     _check_vertices(verts, cuts)
     delta = _path_delta(verts, cuts)
-    sheet = 0
-    turns = 0
-    while True:
-        turns += 1
-        sheet = (sheet + delta) % m
-        if sheet == 0:
-            break
-        if turns > m:
-            raise RuntimeError("loop failed to close within m turns")
+    # each turn moves the sheet by delta mod m: back at the start after
+    # m / gcd(delta, m) turns
+    turns = m // math.gcd(delta, m)
     return ConeAngle(zero_idx, turns, 2 * math.pi * turns, float(radius), delta)

@@ -103,7 +103,7 @@ def affine_automorphisms(w: ZeroWindow, cfg: StabilizerSearchConfig | None = Non
     collinear window, where no independent anchor pair exists); translations
     are read off from where the first point can land.
     """
-    if len(w.points) < 3:
+    if len(w) < 3:
         raise TooFewPoints("automorphism search needs at least three points")
     r, e, req = _resolve(cfg, w.radius)
     if window_collinear(w):
@@ -112,15 +112,15 @@ def affine_automorphisms(w: ZeroWindow, cfg: StabilizerSearchConfig | None = Non
         linears = stabilizer_candidates(w, StabilizerSearchConfig(r, e, req))
     if w.mode.is_exact:
         from . import gridsearch
-        found = gridsearch.automorphisms(w, linears, r)
-    else:
-        found = _automorphisms_loop(w, linears, r)
+        return gridsearch.automorphisms(w, linears, r)
+    found = _automorphisms_loop(w, linears, r)
     return [found[k] for k in sorted(found)]
 
 
 def _automorphisms_loop(w: ZeroWindow, linears: list, r: float) -> dict:
     """{key: (A, t)} of the pairs that permute the window, one ``Mat2``
-    action at a time: the float path, and the reference for the exact one."""
+    action at a time: the float path, and the reference for the exact one,
+    whose order is that of the sorted keys."""
     inner = _inner_points(w.points, r, w.mode, w.center)
     probes = sorted(inner, key=lambda v: float(v.norm2()), reverse=True)
     idx = w.index()

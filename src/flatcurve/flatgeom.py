@@ -65,7 +65,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import EmptyWindow
-from .zseq import (Mode, PointIndex, ZPoint, ZeroWindow, _moved, canonical_permutation,
+from .zseq import (Mode, PointIndex, ZPoint, ZeroWindow, _moved, _ratio, canonical_permutation,
                    coordinate_grid, cross, dot, grid_points)
 
 
@@ -329,7 +329,7 @@ def _float_visible_pairs(xs, ys, eps: float, limit2) -> list:
 
 def visible_pairs_bruteforce(w: ZeroWindow) -> list:
     """Oracle: every pair against every potential blocker, no shortcuts."""
-    n = len(w.points)
+    n = len(w)
     xs, ys, scale, _ = w.grid
     exact = scale is not None
     eps = w.mode.eps
@@ -399,21 +399,6 @@ def saddle_connections(w: ZeroWindow, m: int, max_length: float | None = None) -
     return [SaddleSegment(i, j, v, ln, d, m, p) for i, j, v, ln, d, p in
             zip(ii.tolist(), jj.tolist(), grid_points(dx, dy, scale), length.tolist(), direction,
                 provisional.tolist())]
-
-
-_FLOAT_INTS = 1 << 53  # integers up to here are exact in float64
-
-
-def _ratio(num, den):
-    """The float64 quotients num / den of an integer array by an integer, each
-    correctly rounded, as Python's int division and ``float(Fraction)`` round
-    them: numpy divides while num and den are exact in float64, Python ints
-    past that.  A float array (``den`` None) comes back as it is."""
-    if den is None:
-        return num
-    if num.dtype != object and den <= _FLOAT_INTS and np.abs(num).max(initial=0) <= _FLOAT_INTS:
-        return num / den
-    return np.array([a / den for a in num.tolist()], dtype=np.float64)
 
 
 # --------------------------------------------------------------------------

@@ -9,9 +9,11 @@ then sends each probe through every candidate at once: an image whose
 division is inexact is a miss, an exact one is looked up among the packed
 keys of the window's points or of the holonomy vectors (``_Targets``).
 Arrays are int64 while every value computed from them stays below 2**62,
-and Python ints past that.  ``Mat2``, ``ZPoint`` and Fractions are built
-only for what is returned, and for the few images a holonomy set must
-decide from its window.
+and Python ints past that.  Results are ordered on the integer rows the
+kernel holds, over one positive denominator, which is the order of their
+Fraction entries.  So a ``Mat2`` or ``ZPoint`` of Fractions is built once
+per returned result, and otherwise only for the few images a holonomy set
+must decide from its window.
 
 Like every module of the package, it loads on first use: ``veech`` and
 ``equiv`` import it on the first exact search, so neither importing
@@ -30,7 +32,7 @@ from . import veech
 from .errors import DegenerateWindow, SingularMatrix
 from .flatgeom import HolonomySet, _encoded_keys
 from .veech import _BLOCK, ClosureReport, Mat2, _first_independent_pair, _pool_limit
-from .zseq import EXACT, ZPoint, ZeroWindow, _outside_ball
+from .zseq import EXACT, ZPoint, ZeroWindow, _outside_ball, _ratio, grid_points
 
 _INT64_SAFE = 1 << 62
 _ORIGIN = ZPoint.zero()
@@ -54,10 +56,9 @@ def _span(*arrays) -> int:
 
 def _float_norm2(xs, ys, scale: int) -> np.ndarray:
     """float(|p|^2) of the points p = (x, y) / scale, rounded as
-    ``float(Fraction)`` rounds (Python int division is correctly rounded)."""
-    s2 = scale * scale
-    return np.array([(x * x + y * y) / s2 for x, y in zip(xs.tolist(), ys.tolist())],
-                    dtype=float)
+    ``float(Fraction)`` rounds."""
+    xs, ys = _ints(2 * _span(xs, ys) ** 2, xs, ys)
+    return _ratio(xs * xs + ys * ys, scale * scale)
 
 
 def _probe_order(xs, ys, idx, scale: int):
@@ -242,20 +243,23 @@ def _search(inner_pts, ix, iy, px, py, targets: _Targets, entry_bound: float,
     inverse = (x0 * by - x1 * ay, x1 * ax - x0 * bx, y0 * by - y1 * ay, y1 * ax - y0 * bx)
     order = _probe_order(ix, iy, np.arange(len(ix)), scale)
     acc = _accept([(*n, 0, 0, d), (*inverse, 0, 0, det_m)], ix[order], iy[order], targets)
-    found = {}
-    for row in zip(*(v[acc].tolist() for v in n)):
-        m = Mat2(*(Fraction(v, d) for v in row))
-        found[m.entries()] = m
-    ident = Mat2.identity()
-    found.setdefault(ident.entries(), ident)
-    return sorted(found.values(), key=Mat2.entries)
+    # every candidate is a row of N sign(D) over |D|, so integer rows order
+    # them as their Fraction entries would
+    sign, ad = (1, d) if d > 0 else (-1, -d)
+    rows = sorted(zip(*((sign * v[acc]).tolist() for v in n)))
+    ident = (ad, 0, 0, ad)
+    if ident not in rows:
+        # only an entry bound below 1 drops the identity, and then every
+        # entry is below |D|, so it sorts last
+        rows.append(ident)
+    return [Mat2(*(Fraction(v, ad) for v in row)) for row in rows]
 
 
 def window_stabilizer(w: ZeroWindow, r: float, e: float, req: bool) -> list:
     """``veech.stabilizer_candidates`` of an exact window."""
     xs, ys, scale, _ = w.grid
     inner = np.flatnonzero(~_outside_ball(xs, ys, scale, r, EXACT, _ORIGIN))
-    return _search([w.points[i] for i in inner], xs[inner], ys[inner], xs, ys,
+    return _search(grid_points(xs[inner], ys[inner], scale), xs[inner], ys[inner], xs, ys,
                    _window_targets(w), e, req)
 
 
@@ -319,12 +323,14 @@ def closure_check(cands: list, w: ZeroWindow, r: float, e: float, req: bool) -> 
     return rep
 
 
-def automorphisms(w: ZeroWindow, linears: list, r: float) -> dict:
-    """``equiv._automorphisms_loop`` of an exact window, as one kernel pass.
+def automorphisms(w: ZeroWindow, linears: list, r: float) -> list:
+    """The pairs (A, t) of ``equiv.affine_automorphisms`` on an exact
+    window, as one kernel pass, ordered by A's entries and then by t.
 
     With A = N / L and p0 the first point, the pair (A, q) has t = q - A p0
     and sends p to (N p + L q - N p0) / L; its inverse sends p to
-    (L adj(N) p - L adj(N) q + det(N) p0) / det(N).
+    (L adj(N) p - L adj(N) q + det(N) p0) / det(N).  As L > 0 and t is
+    (tx, ty) / (L scale), the rows of N and then (tx, ty) give that order.
     """
     xs, ys, scale, _ = w.grid
     order = _probe_order(xs, ys, np.flatnonzero(~_outside_ball(xs, ys, scale, r, EXACT, w.center)),
@@ -340,9 +346,8 @@ def automorphisms(w: ZeroWindow, linears: list, r: float) -> dict:
     forward = (n00, n01, n10, n11, tx, ty, den)
     inverse = (den * n11, -den * n01, -den * n10, den * n00,
                det * x0 - den * (n11 * qx - n01 * qy), det * y0 - den * (n00 * qy - n10 * qx), det)
-    found = {}
-    for i in _accept([forward, inverse], xs[order], ys[order], _window_targets(w)).tolist():
-        a = linears[i // n]
-        t = ZPoint(Fraction(int(tx[i]), den * scale), Fraction(int(ty[i]), den * scale))
-        found[(a.entries(), (t.re, t.im))] = (a, t)
-    return found
+    acc = _accept([forward, inverse], xs[order], ys[order], _window_targets(w))
+    lin = (acc // n).tolist()
+    keys = list(zip([rows[k] for k in lin], tx[acc].tolist(), ty[acc].tolist()))
+    ts = grid_points(tx[acc], ty[acc], den * scale)
+    return [(linears[lin[j]], ts[j]) for j in sorted(range(len(keys)), key=keys.__getitem__)]

@@ -23,10 +23,11 @@ probe X through all candidates at once, as N X / D and the inverse as
 B adj(M) X / det M: an inexact division is a miss, and an exact one is
 looked up by ``searchsorted`` among the packed window points (lower bound)
 or holonomy vectors (upper bound).  Closure products and affine
-automorphisms go through the same kernel, and ``Mat2`` of Fractions are
-built only for the matrices returned.  Float windows keep the ``Mat2``
-loop (``_search``, ``_action_ok``), which is also the reference the exact
-kernel is tested against.
+automorphisms go through the same kernel, which orders its results as
+integer rows and builds a ``Mat2`` of Fractions once per matrix returned.
+Grid integers become floats through ``zseq._ratio``.  Float windows keep
+the ``Mat2`` loop (``_search``, ``_action_ok``), which is also the
+reference the exact kernel is tested against.
 """
 
 from __future__ import annotations
@@ -38,12 +39,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateWindow, SingularMatrix, TooFewPoints
-from .flatgeom import HolonomySet, holonomy, vectors_parallel, window_collinear
+from .flatgeom import HolonomySet, _distinct, holonomy, vectors_parallel, window_collinear
 from .zseq import (
     EXACT,
     Mode,
     ZPoint,
     ZeroWindow,
+    _ratio,
     as_scalar,
     cross,
     dot,
@@ -337,11 +339,11 @@ def pprime_symmetry(w: ZeroWindow):
         s2, tol = scale * scale, 0
     else:
         ux, uy = float(u.re), float(u.im)
-        s2, tol = 1, w.mode.eps * ulen
+        s2, tol = None, w.mode.eps * ulen
     sv = (xs - xs[0]) * ux + (ys - ys[0]) * uy
-    svals = [s / s2 for s in sv.tolist()]  # float(dot(p - base, u))
-    ell = sorted(s / ulen for s in svals)
-    gap = max(b - a for a, b in zip(ell, ell[1:])) if len(ell) > 1 else 0.0
+    ls = _ratio(sv, s2) / ulen  # float(dot(p - base, u)) / |u|
+    ell = np.sort(ls)
+    gap = float(np.max(ell[1:] - ell[:-1])) if len(ell) > 1 else 0.0
     qv = base - w.center
     alpha = (float(qv.re) * float(u.re) + float(qv.im) * float(u.im)) / ulen
     perp2 = max(float(qv.norm2()) - alpha * alpha, 0.0)
@@ -352,13 +354,14 @@ def pprime_symmetry(w: ZeroWindow):
         return None
     if hi_chord - ell[-1] > _MARGIN_FACTOR * gap + slack:
         return None
-    ls = np.array(svals) / ulen
     ssorted = np.sort(sv)
     # every doubled center s_i + s_j once, summed in blocks of rows
     rows = max(1, _BLOCK // len(sv))
-    doubled = np.unique(np.concatenate([np.unique(np.add.outer(sv[i:i + rows], sv))
-                                        for i in range(0, len(sv), rows)])).tolist()
-    c2f = [c2 / s2 for c2 in doubled]
+    doubled = _distinct(np.sort(np.concatenate(
+        [_distinct(np.sort(np.add.outer(sv[i:i + rows], sv), axis=None))
+         for i in range(0, len(sv), rows)])))
+    c2f = _ratio(doubled, s2).tolist()
+    doubled = doubled.tolist()
     band = slack
     for k in sorted(range(len(doubled)),
                     key=lambda k: (abs(c2f[k] / (2 * ulen) + alpha), c2f[k])):
@@ -511,7 +514,7 @@ def classify(w: ZeroWindow, cfg: StabilizerSearchConfig | None = None) -> VeechC
     Collinear windows report the line angle theta in [0, pi); the countable
     branch carries the sandwich bounds instead.
     """
-    if len(w.points) < 2:
+    if len(w) < 2:
         raise TooFewPoints("classification needs at least two points")
     wc = w if w.is_canonical else w.canonicalize()
     if window_collinear(wc):

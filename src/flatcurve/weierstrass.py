@@ -55,12 +55,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContourThroughZero, NoConvergence, NonFinite, ZeroDivisor
-from .zseq import ZeroWindow
+from .zseq import ZeroWindow, _ratio
 
 _EXP_OVERFLOW = 709.0  # log threshold where exp() leaves float64
 _MAX_DEGREE = 50
 _CHUNK_ELEMS = 1 << 22
-_FLOAT_EXACT = 1 << 53  # every int up to here is a float64
 _FAR_C = 4  # far zeros lie beyond c * 2**ceil(log2 max|z|)
 _FAR_TERMS = math.ceil(17 / math.log10(_FAR_C)) + 1  # K = 30
 
@@ -116,7 +115,7 @@ def _degree_array(w: ZeroWindow, strategy) -> np.ndarray:
     if strategy != "auto":
         raise ValueError(f"unknown degree strategy: {strategy!r}")
     xs, ys, scale, _ = w.grid
-    norm2 = _rounded(xs * xs + ys * ys, None if scale is None else scale * scale)
+    norm2 = _ratio(xs * xs + ys * ys, scale and scale * scale)
     return np.full(n, _fitted_degree(np.sort(np.sqrt(norm2[nonzero])).tolist()),
                    dtype=np.int64)
 
@@ -149,24 +148,13 @@ def _fitted_degree(norms: list) -> int:
 # log-space evaluation core
 
 
-def _rounded(num: np.ndarray, den) -> np.ndarray:
-    """``num / den`` elementwise, each correctly rounded to float64 as
-    ``float(Fraction(num, den))`` is; ``den`` None means ``num`` is float."""
-    if den is None:
-        return num
-    if num.dtype != object and den <= _FLOAT_EXACT and \
-            int(np.abs(num).max(initial=0)) <= _FLOAT_EXACT:
-        return num / float(den)  # both operands exact: one rounding
-    return np.array([v / den for v in num.tolist()], dtype=np.float64)
-
-
 def _float_grid(w: ZeroWindow) -> tuple:
     """Float coordinates ``(fx, fy)`` of every window point, equal to
     ``float(p.re)`` and ``float(p.im)``."""
     got = w._cache.get("float_grid")
     if got is None:
         xs, ys, scale, _ = w.grid
-        got = (_rounded(xs, scale), _rounded(ys, scale))
+        got = (_ratio(xs, scale), _ratio(ys, scale))
         w._cache["float_grid"] = got
     return got
 

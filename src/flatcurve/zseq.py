@@ -16,7 +16,9 @@ to fit.  ``(x << shift) + y`` then packs a point, a difference of two
 points or their sum injectively.  Float windows get float64 arrays, and
 ``scale`` and ``shift`` None.  The grid is a window's only coordinate store:
 ``ZeroWindow.points`` are built from it on first access.  An exact window's
-radius is a Fraction.
+radius is a Fraction.  Arrays of grid integers become float64 through
+``_ratio``, in every module: it rounds each quotient by the scale (or its
+square) as ``float(Fraction)`` does.
 
 Ordering convention: points are sorted by norm, ties broken by argument in
 ``[0, 2*pi)``.  ``canonical_permutation`` computes this order on a grid, so
@@ -257,6 +259,21 @@ def grid_points(xs, ys, scale) -> list:
         return [ZPoint(x, y) for x, y in zip(xs, ys)]
     frac = {v: Fraction(v, scale) for v in set(xs) | set(ys)}
     return [ZPoint(frac[x], frac[y]) for x, y in zip(xs, ys)]
+
+
+_FLOAT_INTS = 1 << 53  # integers up to here are exact in float64
+
+
+def _ratio(num, den):
+    """The float64 quotients num / den of an integer array by an integer, each
+    correctly rounded, as Python's int division and ``float(Fraction)`` round
+    them: numpy divides while num and den are exact in float64, Python ints
+    past that.  A float array (``den`` None) comes back as it is."""
+    if den is None:
+        return num
+    if num.dtype != object and den <= _FLOAT_INTS and np.abs(num).max(initial=0) <= _FLOAT_INTS:
+        return num / den
+    return np.array([a / den for a in num.tolist()], dtype=np.float64)
 
 
 def _coincide(xs, ys, mode: Mode):

@@ -70,7 +70,7 @@ def test_crossing_log_ordered_along_path():
     assert events[0].t < events[1].t
 
 
-def _segment_events_reference(a, b, cuts, seg_idx, skip_zero_hit=False):
+def _segment_events_reference(a, b, cuts, seg_idx):
     """The per-cut loop on the stored coordinates that ``_segment_events``
     replaced: Fractions in exact mode, floats in float mode."""
     events = []
@@ -82,7 +82,7 @@ def _segment_events_reference(a, b, cuts, seg_idx, skip_zero_hit=False):
         t = (z.re - a.re) / (b.re - a.re)
         y_star = a.im + t * (b.im - a.im)
         if y_star == z.im:
-            if 0 < t < 1 and not skip_zero_hit:
+            if 0 < t < 1:
                 raise fc.PathThroughBranchPoint(
                     f"segment {seg_idx} passes through zero {k}")
             continue
@@ -95,10 +95,10 @@ def _segment_events_reference(a, b, cuts, seg_idx, skip_zero_hit=False):
     return events
 
 
-def _events_or_error(fn, a, b, cuts, skip_zero_hit):
+def _events_or_error(fn, a, b, cuts):
     """The events' reprs, which tell -0.0 from 0.0, or the error message."""
     try:
-        return [repr(e) for e in fn(a, b, cuts, 3, skip_zero_hit)]
+        return [repr(e) for e in fn(a, b, cuts, 3)]
     except fc.PathThroughBranchPoint as exc:
         return str(exc)
 
@@ -116,10 +116,9 @@ def _summed_directions(verts, cuts):
 
 def _assert_events_match(pairs, cuts):
     for a, b in pairs:
-        for skip in (False, True):
-            got = _events_or_error(cover._segment_events, a, b, cuts, skip)
-            want = _events_or_error(_segment_events_reference, a, b, cuts, skip)
-            assert got == want, (a, b, skip)
+        got = _events_or_error(cover._segment_events, a, b, cuts)
+        want = _events_or_error(_segment_events_reference, a, b, cuts)
+        assert got == want, (a, b)
         # the count-only path shares the crossing mask and the zero-hit check
         assert _delta_or_error(cover._path_delta, [a, b], cuts) == \
             _delta_or_error(_summed_directions, [a, b], cuts), (a, b)
@@ -153,10 +152,11 @@ def test_segment_events_match_reference_on_the_grid():
     pairs += [(w.points[rng.randrange(len(w))], w.points[rng.randrange(len(w))])
               for _ in range(100)]
     _assert_events_match([(a, b) for a, b in pairs if a != b], cuts)
-    assert any(e.on_line for a, b in pairs if a != b
-               for e in cover._segment_events(a, b, cuts, 0, True))
+    got = [_events_or_error(cover._segment_events, a, b, cuts) for a, b in pairs if a != b]
+    assert any("on_line=True" in e for events in got if isinstance(events, list)
+               for e in events)
     assert "passes through zero" in _events_or_error(
-        cover._segment_events, zp(-2, -1), zp(2, 1), cuts, False)
+        cover._segment_events, zp(-2, -1), zp(2, 1), cuts)
     # a rational window whose grid scale differs from the vertices'
     rw = fc.ZeroWindow.from_points(_distinct(rng, 40), 6)
     _assert_events_match(_grid_pairs(rng, fc.EXACT, 3, 5, 200), fc.build_cuts(rw, 2))
@@ -337,3 +337,23 @@ def test_cone_angle_explicit_radius(lattice5):
     ca = fc.cone_angle(2, lattice5, 3, radius=0.25)
     assert ca.loop_radius == pytest.approx(0.25)
     assert ca.turns == 3
+
+
+def _turns_by_lifting(delta, m):
+    """The turn loop ``cone_angle`` ran before its closed form: lift again
+    until the sheet is back at 0."""
+    sheet = turns = 0
+    while True:
+        turns += 1
+        sheet = (sheet + delta) % m
+        if sheet == 0:
+            return turns
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_cone_angle_turns_match_repeated_lifting(lattice5, monkeypatch, m):
+    for delta in range(-3 * m, 3 * m + 1):
+        monkeypatch.setattr(cover, "_path_delta", lambda verts, cuts: delta)
+        ca = fc.cone_angle(0, lattice5, m)
+        assert (ca.turns, ca.loop_delta) == (_turns_by_lifting(delta, m), delta)
+        assert ca.angle == 2 * math.pi * ca.turns

@@ -187,3 +187,18 @@ def test_gen_imports_only_the_window_modules():
     assert rc == 0, out
     # kinds is the numpy-free tuple of sequence names behind --sequence
     assert _library(names) == {"errors", "kinds", "zseq"}
+
+
+def test_symmetry_commands_import_no_numpy_ma():
+    # a plain np.unique imports numpy.ma on first use (about 16 ms and 1 MB
+    # that every run would pay); the searches sort and drop repeats instead
+    for argv in (["classify", "--sequence", "all-integers", "--radius", "20"],
+                 ["classify", "--sequence", "all-integers", "--radius", "20",
+                  "--mode", "float"],
+                 ["classify", "--sequence", "gaussian-lattice", "--radius", "6"],
+                 ["sandwich", "--sequence", "gaussian-lattice", "--radius", "8",
+                  "--inner", "3", "--mode", "float"]):
+        rc, out, names = _imported(*argv)
+        assert rc == 0, out
+        assert "veech" in _library(names), argv
+        assert "numpy.ma" not in names, argv

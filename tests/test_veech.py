@@ -260,7 +260,8 @@ def _kernel_matches_reference(w, cfg):
     r = veech._resolve(cfg, w.radius)[0]
     h_kernel, h_ref = fc.holonomy(w, max_length=r), fc.holonomy(w, max_length=r)
     assert fc.hol_stabilizer(h_kernel, cfg) == _ref_hol_stabilizer(h_ref, cfg)
-    assert gridsearch.automorphisms(w, lower, r) == equiv._automorphisms_loop(w, lower, r)
+    found = equiv._automorphisms_loop(w, lower, r)
+    assert gridsearch.automorphisms(w, lower, r) == [found[k] for k in sorted(found)]
     return lower
 
 
@@ -339,6 +340,93 @@ def test_kernel_promotes_to_python_ints_past_int64(monkeypatch):
     assert fc.stabilizer_candidates(w, cfg) == _ref_candidates(w, cfg)
     assert w.grid[0].dtype == np.int64
     assert object in seen
+
+
+def test_float_norm2_squares_past_int64():
+    # pool coordinates between 2**31 and 2**61 fit int64, their squares do not
+    rng = random.Random(61)
+    xs = np.array([(1 << 31) + 7, -(1 << 40) - 3, (1 << 61) - 1, 5,
+                   *(rng.randint(-(1 << 61), 1 << 61) for _ in range(40))], dtype=np.int64)
+    ys = np.array([-(1 << 31), (1 << 45) + 1, -(1 << 61) + 9, 1 << 33,
+                   *(rng.randint(-(1 << 61), 1 << 61) for _ in range(40))], dtype=np.int64)
+    for scale in (1, 3, 32749, (1 << 40) + 1):
+        got = gridsearch._float_norm2(xs, ys, scale)
+        assert got.dtype == np.float64
+        assert got.tolist() == [float(Fraction(x * x + y * y, scale * scale))
+                                for x, y in zip(xs.tolist(), ys.tolist())]
+
+
+# ---------------------------------------------------------------------------
+# result order: integer rows against the Fraction-sorted reference loops
+
+
+def _sorted_reference_automorphisms(w, cfg):
+    r, e, req = veech._resolve(cfg, w.radius)
+    if fc.window_collinear(w):
+        linears = [Mat2.identity(), -Mat2.identity()]
+    else:
+        linears = _ref_candidates(w, cfg)
+    found = equiv._automorphisms_loop(w, linears, r)
+    return [found[k] for k in sorted(found)]
+
+
+def _assert_ordered_as_reference(w, cfg):
+    """The exact searches return the reference loops' lists, in their order;
+    returns the lower candidates."""
+    lower = fc.stabilizer_candidates(w, cfg)
+    assert lower == _ref_candidates(w, cfg)
+    r = veech._resolve(cfg, w.radius)[0]
+    h_kernel, h_ref = fc.holonomy(w, max_length=r), fc.holonomy(w, max_length=r)
+    assert fc.hol_stabilizer(h_kernel, cfg) == _ref_hol_stabilizer(h_ref, cfg)
+    assert fc.affine_automorphisms(w, cfg) == _sorted_reference_automorphisms(w, cfg)
+    return lower
+
+
+def _first_pair_det(w, r):
+    inner = _inner_on_grid(w, r)
+    i, j = veech._first_independent_pair(inner)
+    return zseq.cross(inner[i], inner[j])
+
+
+def _half_step(den):
+    """1/2, or 1/2 + 1/den: on the grid of the latter, coordinates of about
+    den, so int64 arrays for 32749 and Python ints for ``_BIG_DENS``."""
+    return Fraction(1, 2) + (Fraction(1, den) if den > 1 else 0)
+
+
+@pytest.mark.parametrize("den", [1, 32749, *_BIG_DENS])
+def test_negative_base_determinant_orders_as_reference(den):
+    # rows h < 1 apart, columns 1: (0, h) comes first, then (1, 0), so the
+    # base determinant is negative and the integer rows are negated
+    w = _grid_window(1, _half_step(den), 3)
+    assert w.grid[0].dtype == (object if den in _BIG_DENS else np.int64)
+    cfg = StabilizerSearchConfig(inner_radius=1.2)
+    assert _first_pair_det(w, cfg.inner_radius) < 0
+    lower = _assert_ordered_as_reference(w, cfg)
+    assert len(lower) > 1
+    assert lower == sorted(lower, key=Mat2.entries)
+
+
+@pytest.mark.parametrize("den", [1, 32749, *_BIG_DENS])
+def test_identity_added_below_unit_entry_bound_orders_as_reference(den):
+    w = _grid_window(_half_step(den), 1, 4)
+    cfg = StabilizerSearchConfig(inner_radius=1.5, entry_bound=0.5)
+    assert _first_pair_det(w, cfg.inner_radius) > 0
+    # no matrix with entries up to 1/2 permutes a lattice: the identity is
+    # there by rule, not found by the kernel
+    assert _assert_ordered_as_reference(w, cfg) == [Mat2.identity()]
+
+
+@pytest.mark.parametrize("den", [1, 32749, *_BIG_DENS])
+def test_collinear_automorphisms_order_as_reference(den):
+    step = Fraction(1, den)
+    pts = [zp(k * step + step / 7, 2 * k * step) for k in range(-4, 5)]
+    w = fc.ZeroWindow(fc.canonical_order(pts), 9 * step, center=zp(step / 7))
+    assert fc.window_collinear(w)
+    cfg = StabilizerSearchConfig(inner_radius=float(3 * step))
+    got = fc.affine_automorphisms(w, cfg)
+    assert got == _sorted_reference_automorphisms(w, cfg)
+    assert {a for a, _ in got} == {Mat2.identity(), -Mat2.identity()}
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import flatcurve as fc
+from flatcurve import zseq
 from flatcurve.zseq import compare_canonical, coordinate_grid, same_point
 
 from conftest import zp
@@ -313,6 +314,31 @@ def test_min_gap_matches_pairwise_bruteforce():
                    for i in range(len(pts)) for j in range(i + 1, len(pts)))
         assert w.min_gap() == want
     assert fc.ZeroWindow.from_points([zp(1, 2)], 3).min_gap() == math.inf
+
+
+def test_ratio_rounds_as_float_of_fraction():
+    big = 1 << 53
+    # int64 values up to 2**53, where numpy divides, and past it, where a
+    # float64 operand would already be rounded
+    small = [0, 1, -1, 7, big - 1, big, -big]
+    # (2**53 + 1) / 3 is an integer, but float(2**53 + 1) / 3 is not
+    near = [big + 1, -(big + 3), (1 << 61) + 1]
+    far = [(1 << 62) + 12345, (1 << 63) - 1, -(1 << 63) + 1]
+    rng = random.Random(53)
+    wide = [rng.randint(-(1 << 200), 1 << 200) for _ in range(20)] + [(1 << 64) + 13]
+    for values, dtype in ((small, np.int64), (small + near, np.int64),
+                          (small + near + far, np.int64), (small + near + far + wide, object)):
+        num = np.array(values, dtype=dtype)
+        for den in (1, 3, 10, 32749, big - 1, big, big + 1, (1 << 64) + 13):
+            got = zseq._ratio(num, den)
+            assert got.dtype == np.float64
+            want = [float(Fraction(v, den)) for v in values]
+            assert got.tolist() == want, (dtype, den)
+            # the sign of every quotient survives, zeros included
+            assert [math.copysign(1, v) for v in got.tolist()] == \
+                [math.copysign(1, v) for v in want]
+    floats = np.array([0.5, -0.0, 1e300])
+    assert zseq._ratio(floats, None) is floats
 
 
 def test_in_region_checks_against_center():
