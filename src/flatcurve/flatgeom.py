@@ -421,9 +421,9 @@ class HolonomySet:
     ``complete_radius`` is the heuristic certification radius
     ``max(0, window_radius - L)`` where L is the longest length the
     enumeration tested.  When the set was enumerated with a length
-    restriction, membership of longer vectors is decided on demand against
-    the source window (and cached).  In both modes the point index behind
-    ``contains`` is built on its first call.
+    restriction, ``contains`` decides longer vectors (``_past_restriction``)
+    on demand against the source window, and caches them.  In both modes the
+    point index behind ``contains`` is built on its first call.
 
     ``grid`` = ``(xs, ys, scale, shift)`` holds the vectors as in ``zseq``:
     exact sets on an integer grid, which shares the source window's scale
@@ -478,40 +478,44 @@ class HolonomySet:
         return iter(self.vectors)
 
     def contains(self, v: ZPoint) -> bool:
+        """Is ``v`` listed, or, past a length restriction, a difference of a
+        visible pair of the source window?"""
         if v.is_zero():
             return False
         if self._index is None:
             self._index = PointIndex(self.vectors, self.mode)
         if v in self._index:
             return True
-        return self._unlisted_member(v)
-
-    def _unlisted_member(self, v: ZPoint) -> bool:
-        """Is the nonzero ``v``, which is not in ``vectors``, a holonomy
-        vector all the same?  Only past a length restriction, where the
-        source window decides."""
-        if self.restricted_to is None or self.window is None:
-            return False
-        if v.norm() <= self.restricted_to * (1 - 1e-12):
+        if self.window is None or self.restricted_to is None \
+                or not _past_restriction(v.norm(), self.restricted_to):
             return False  # enumeration was complete up to the restriction
-        key = (v.re, v.im)
-        got = self._query_cache.get(key)
+        got = self._query_cache.get((v.re, v.im))
         if got is None:
             got = has_holonomy_vector(self.window, v)
-            self._query_cache[key] = got
-            self._query_cache[(-v.re, -v.im)] = got
+            self._query_cache[(v.re, v.im)] = self._query_cache[(-v.re, -v.im)] = got
         return got
+
+
+def _past_restriction(norm, restricted_to):
+    """Is a vector of length ``norm`` (floats rounded as ``ZPoint.norm``
+    rounds) past what an enumeration restricted to ``restricted_to`` decided?
+    A relative band of 1e-12 below the restriction counts as past it."""
+    return norm > restricted_to * (1 - 1e-12)
+
+
+def _unpacked(keys, shift: int) -> tuple:
+    """The coordinates (xs, ys) of the packed keys ``(x << shift) + y``."""
+    # the low part y of a key x * 2**shift + y lies in [-2**(shift - 1), 2**(shift - 1))
+    half = 1 << (shift - 1)
+    ys = ((keys + half) & ((1 << shift) - 1)) - half
+    return (keys - ys) >> shift, ys
 
 
 def _signed_distinct(xs, ys, scale: int, shift: int) -> tuple:
     """The exact grid of the vectors (xs, ys) and their negatives, each
     once, in canonical order."""
     keys = (xs << shift) + ys
-    keys = _distinct(np.sort(np.concatenate((keys, -keys))))
-    # the low part y of a key x * 2**shift + y lies in [-2**(shift - 1), 2**(shift - 1))
-    half = 1 << (shift - 1)
-    ys = ((keys + half) & ((1 << shift) - 1)) - half
-    xs = (keys - ys) >> shift
+    xs, ys = _unpacked(_distinct(np.sort(np.concatenate((keys, -keys)))), shift)
     order = canonical_permutation(xs, ys)
     return xs[order], ys[order], scale, shift
 
@@ -590,38 +594,39 @@ def _encoded_keys(w: ZeroWindow):
     return got
 
 
-def has_holonomy_vector(w: ZeroWindow, v: ZPoint) -> bool:
-    """Is ``v`` (or ``-v``) the difference of some visible window pair?
+def _has_grid_vector(w: ZeroWindow, vx: int, vy: int) -> bool:
+    """``has_holonomy_vector`` of an exact window for v = (vx, vy) / scale,
+    on its integer grid (int64 or Python ints, as ``ZeroWindow.grid`` holds
+    them).  Witnesses, points p with p + v in the window, are matched through
+    packed keys.  A primitive v (coprime integer coordinates) steps over no
+    grid point, so any witness will do.  Otherwise the points are sorted by
+    (cross(p, v), dot(p, v)), that is line by line along v; a witness
+    segment holds no other window point exactly when p + v comes right after
+    p in that order."""
+    xs, ys, _, shift = w.grid
+    keys, sorted_keys, span = _encoded_keys(w)
+    if max(abs(vx), abs(vy)) > 2 * span:
+        return False  # longer than any difference of window points
+    step = (vx << shift) + vy
+    target = keys + step
+    pos = np.searchsorted(sorted_keys, target)
+    pos[pos == len(sorted_keys)] = 0
+    if not (sorted_keys[pos] == target).any():
+        return False
+    if math.gcd(vx, vy) == 1:
+        return True
+    line_order = keys[np.lexsort((xs * vx + ys * vy, xs * vy - ys * vx))]
+    return bool((line_order[1:] - line_order[:-1] == step).any())
 
-    Exact windows: ``v`` is scaled onto the window's integer grid (int64 or
-    Python ints, as ``ZeroWindow.grid`` holds them) and witnesses, points p with
-    p + v in the window, are matched through packed keys.  A primitive v
-    (coprime integer coordinates) steps over no grid point, so any witness
-    will do.  Otherwise the points are sorted by (cross(p, v), dot(p, v)),
-    that is line by line along v; a witness segment holds no other window
-    point exactly when p + v comes right after p in that order.
-    """
+
+def has_holonomy_vector(w: ZeroWindow, v: ZPoint) -> bool:
+    """Is ``v`` (or ``-v``) the difference of some visible window pair?  Exact
+    windows decide it on their grid (``_has_grid_vector``); a v off it is none."""
     if v.is_zero():
         return False
     if w.mode.is_exact:
-        xs, ys, scale, shift = w.grid
-        keys, sorted_keys, span = _encoded_keys(w)
-        sx, sy = Fraction(v.re) * scale, Fraction(v.im) * scale
-        if sx.denominator != 1 or sy.denominator != 1:
-            return False  # finer than the window grid: no pair differs by it
-        vx, vy = int(sx), int(sy)
-        if max(abs(vx), abs(vy)) > 2 * span:
-            return False  # longer than any difference of window points
-        step = (vx << shift) + vy
-        target = keys + step
-        pos = np.searchsorted(sorted_keys, target)
-        pos[pos == len(sorted_keys)] = 0
-        if not (sorted_keys[pos] == target).any():
-            return False
-        if math.gcd(vx, vy) == 1:
-            return True
-        line_order = keys[np.lexsort((xs * vx + ys * vy, xs * vy - ys * vx))]
-        return bool((line_order[1:] - line_order[:-1] == step).any())
+        sx, sy = Fraction(v.re) * w.grid[2], Fraction(v.im) * w.grid[2]
+        return sx.denominator == sy.denominator == 1 and _has_grid_vector(w, int(sx), int(sy))
     idx = w.index()
     xs, ys = w.grid[:2]
     eps = w.mode.eps

@@ -8,12 +8,13 @@ products as N_a N_b over L^2, automorphisms as (A, q) over L.  ``_accept``
 then sends each probe through every candidate at once: an image whose
 division is inexact is a miss, an exact one is looked up among the packed
 keys of the window's points or of the holonomy vectors (``_Targets``).
-Arrays are int64 while every value computed from them stays below 2**62,
-and Python ints past that.  Results are ordered on the integer rows the
-kernel holds, over one positive denominator, which is the order of their
-Fraction entries.  So a ``Mat2`` or ``ZPoint`` of Fractions is built once
-per returned result, and otherwise only for the few images a holonomy set
-must decide from its window.
+Past a holonomy set's length restriction an unlisted image stays open,
+and the source window decides each distinct one, up to sign, once on its
+grid.  Arrays are int64 while every value computed from them stays below
+2**62, and Python ints past that.  Results are ordered on the integer rows
+the kernel holds, over one positive denominator, which is the order of
+their Fraction entries: the kernel builds a ``Mat2`` or ``ZPoint`` of
+Fractions only for a result it returns.
 
 Like every module of the package, it loads on first use: ``veech`` and
 ``equiv`` import it on the first exact search, so neither importing
@@ -23,14 +24,15 @@ Like every module of the package, it loads on first use: ``veech`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import veech
 from .errors import DegenerateWindow, SingularMatrix
-from .flatgeom import HolonomySet, _encoded_keys
+from .flatgeom import (HolonomySet, _distinct, _encoded_keys, _has_grid_vector, _past_restriction,
+                       _unpacked)
 from .veech import _BLOCK, ClosureReport, Mat2, _first_independent_pair, _pool_limit
 from .zseq import EXACT, ZPoint, ZeroWindow, _outside_ball, _ratio, grid_points
 
@@ -80,27 +82,27 @@ def _entry_limit(entry_bound: float, den: int, cap: int) -> int:
     return min(lim.numerator // lim.denominator, cap)
 
 
-@dataclass(frozen=True)
-class _Targets:
+class _Targets(NamedTuple):
     """A point set on an integer grid, as the kernel looks images up in it.
 
     ``keys`` are the members packed as ``(x << shift) + y`` and sorted; an
-    image with a coordinate beyond ``limit`` is a miss.  With ``unlisted``
-    set, an image that is no member but whose squared norm exceeds
-    ``short2`` stays open: ``unlisted`` decides it later, given the image
-    as a ZPoint (coordinates divided by ``scale``).
+    image with a coordinate beyond ``limit`` is a miss.  With ``window`` set,
+    they are the vectors of a holonomy set restricted to ``restricted_to``:
+    an unlisted image past it (``flatgeom._past_restriction``, on the
+    image's length over ``scale``) stays open for ``window`` to decide.
     """
 
     keys: np.ndarray
     shift: int
     limit: int
     scale: int
-    unlisted: object = None
-    short2: int = 0
+    window: ZeroWindow | None = None
+    restricted_to: float | None = None
 
     def lookup(self, x, y, on_grid):
-        """(hit, open) masks of the images (x, y); ``on_grid`` marks those
-        whose division was exact.  ``open`` is None without ``unlisted``."""
+        """(packed keys, hit, open) of the images (x, y), of which ``on_grid``
+        marks those whose division was exact; a key is valid where ``hit``
+        or ``open`` holds, and ``open`` is None without ``window``."""
         ok = on_grid & (abs(x) <= self.limit) & (abs(y) <= self.limit)
         x, y = np.where(ok, x, 0), np.where(ok, y, 0)
         if self.keys.dtype == object:
@@ -109,44 +111,41 @@ class _Targets:
         pos = np.searchsorted(self.keys, packed)
         pos[pos == len(self.keys)] = 0
         hit = ok & (self.keys[pos] == packed)
-        if self.unlisted is None:
-            return hit, None
-        return hit, ok & ~hit & (x * x + y * y > self.short2)
+        if self.window is None:
+            return packed, hit, None
+        opened = ok & ~hit
+        at = opened.nonzero()
+        norm = np.sqrt(_ratio(x[at] * x[at] + y[at] * y[at], self.scale * self.scale))
+        opened[at] = _past_restriction(norm, self.restricted_to)
+        return packed, hit, opened
 
 
 def _window_targets(w: ZeroWindow) -> _Targets:
     """The points of an exact window."""
     _, sorted_keys, span = _encoded_keys(w)
-    _, _, scale, shift = w.grid
-    return _Targets(sorted_keys, shift, span, scale)
+    return _Targets(sorted_keys, w.grid[3], span, w.grid[2])
 
 
 def _hol_targets(h: HolonomySet) -> _Targets:
     """The vectors of an exact holonomy set; past its length restriction the
-    source window decides, through ``HolonomySet._unlisted_member``."""
+    source window decides."""
     xs, ys, scale, _ = h.grid
     limit = _span(xs, ys)
-    unlisted, short2 = None, 0
-    if h.restricted_to is not None and h.window is not None:
-        wscale = h.window.grid[2]
-        # has_holonomy_vector refutes what is longer than any window difference
-        limit = max(limit, 2 * _encoded_keys(h.window)[2] * (scale // wscale))
-        t = float(h.restricted_to) * (1 - 1e-12) * scale
-        # norms this far below the restriction are misses for certain; the
-        # few just below it are left to the exact test in _unlisted_member
-        short2 = min(int(t * t * (1 - 1e-9)), 2 * limit * limit)
-        unlisted = h._unlisted_member
+    window = h.window if h.restricted_to is not None else None
+    if window is not None:
+        # _has_grid_vector refutes what is longer than any window difference
+        limit = max(limit, 2 * _encoded_keys(window)[2] * (scale // window.grid[2]))
     shift = (2 * limit).bit_length()
     xs, ys = _ints(limit << (shift + 1), xs, ys)
-    return _Targets(np.sort((xs << shift) + ys), shift, limit, scale, unlisted, short2)
+    return _Targets(np.sort((xs << shift) + ys), shift, limit, scale, window, h.restricted_to)
 
 
 def _images(cols, rows, x, y, targets: _Targets):
-    """(ix, iy, hit, open) of the probes (x, y) under candidates ``rows``."""
+    """(packed, hit, open) of the probes (x, y) under candidates ``rows``."""
     a, b, c, d, e, f, den = (v[rows][:, None] if np.ndim(v) else v for v in cols)
     nx, ny = a * x + b * y + e, c * x + d * y + f
     ix, iy = nx // den, ny // den
-    return (ix, iy, *targets.lookup(ix, iy, (ix * den == nx) & (iy * den == ny)))
+    return targets.lookup(ix, iy, (ix * den == nx) & (iy * den == ny))
 
 
 def _accept(maps, px, py, targets: _Targets):
@@ -158,9 +157,10 @@ def _accept(maps, px, py, targets: _Targets):
     (c x + d y + f) / den), a miss unless both divisions are exact.  The
     probes (px, py), longest first, go in blocks of about _BLOCK images, and
     a candidate is dropped at its first failing block, as ``_action_ok``
-    returns at its first miss.  Images left open are decided last through
-    ``targets.unlisted``: per candidate, forward images before inverse ones,
-    in probe order, up to its first miss.
+    returns at its first miss.  Images left open (``_Targets``) are decided
+    last, by the source window: those of every live candidate under each
+    map, taken up to sign, each distinct one once, and a candidate with a
+    refused image is dropped.
     """
     big = max(_span(v) for cols in maps for v in cols)
     bound = big * (2 * _span(px, py) + 1)
@@ -172,33 +172,29 @@ def _accept(maps, px, py, targets: _Targets):
         stop = start + max(1, _BLOCK // (2 * len(alive)))
         ok = np.ones(len(alive), dtype=bool)
         for cols in maps:
-            _, _, hit, opened = _images(cols, alive, px[start:stop], py[start:stop], targets)
+            _, hit, opened = _images(cols, alive, px[start:stop], py[start:stop], targets)
             ok &= (hit if opened is None else hit | opened).all(axis=1)
         alive = alive[ok]
         start = stop
-    if targets.unlisted is None or not len(alive):
+    if targets.window is None or not len(alive):
         return alive
-    verdicts = {}
-
-    def member(x: int, y: int) -> bool:
-        got = verdicts.get((x, y))
-        if got is None:
-            s = targets.scale
-            got = targets.unlisted(ZPoint(Fraction(x, s), Fraction(y, s)))
-            verdicts[(x, y)] = verdicts[(-x, -y)] = got
-        return got
-
-    accepted = []
+    # the open images, packed, of the candidates at positions ``at`` of alive
+    at, keys = [], []
     step = max(1, _BLOCK // (2 * len(px)))
     for lo in range(0, len(alive), step):
-        rows = alive[lo:lo + step]
-        got = [_images(cols, rows, px, py, targets) for cols in maps]
-        ix, iy, opened = (np.concatenate([g[i] for g in got], axis=1) for i in (0, 1, 3))
-        for k, cand in enumerate(rows.tolist()):
-            at = np.flatnonzero(opened[k])
-            if all(member(x, y) for x, y in zip(ix[k, at].tolist(), iy[k, at].tolist())):
-                accepted.append(cand)
-    return np.array(accepted, dtype=np.int64)
+        for cols in maps:
+            packed, _, opened = _images(cols, alive[lo:lo + step], px, py, targets)
+            rows, cells = opened.nonzero()
+            at.append(rows + lo)
+            keys.append(abs(packed[rows, cells]))  # the key of -v is minus that of v
+    at, keys = np.concatenate(at), np.concatenate(keys)
+    images = _distinct(np.sort(keys))
+    # a grid finer than the window's holds vectors no window pair differs by
+    k = targets.scale // targets.window.grid[2]
+    held = np.array([x % k == 0 and y % k == 0 and _has_grid_vector(targets.window, x // k, y // k)
+                     for x, y in zip(*(v.tolist() for v in _unpacked(images, targets.shift)))],
+                    dtype=bool)
+    return np.delete(alive, at[~held[np.searchsorted(images, keys)]])
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,9 @@ integer comparisons on N, D and det M.  One numpy kernel then sends every
 probe X through all candidates at once, as N X / D and the inverse as
 B adj(M) X / det M: an inexact division is a miss, and an exact one is
 looked up by ``searchsorted`` among the packed window points (lower bound)
-or holonomy vectors (upper bound).  Closure products and affine
+or holonomy vectors (upper bound).  An image past a holonomy set's length
+restriction that is not listed is decided once, on the window's grid, for
+all candidates.  Closure products and affine
 automorphisms go through the same kernel, which orders its results as
 integer rows and builds a ``Mat2`` of Fractions once per matrix returned.
 Grid integers become floats through ``zseq._ratio``.  Float windows keep

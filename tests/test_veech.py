@@ -291,15 +291,65 @@ def test_kernel_matches_reference_on_rational_clouds():
                     _ref_candidates(w, cfg)
 
 
+def _spy(monkeypatch, name: str) -> list:
+    """Record each call of ``gridsearch.<name>`` as (args, result)."""
+    calls = []
+    real = getattr(gridsearch, name)
+
+    def spy(*args):
+        got = real(*args)
+        calls.append((args, got))
+        return got
+
+    monkeypatch.setattr(gridsearch, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("den", [1, _BIG_DENS[1]])
-def test_kernel_matches_reference_on_lattices(den):
+def test_kernel_matches_reference_on_lattices(den, monkeypatch):
     step = Fraction(1, den)
     w = _grid_window(step, step, 5 * step)
     lower = _kernel_matches_reference(w, StabilizerSearchConfig(inner_radius=2 * step))
     assert len(lower) > 4
     h = fc.holonomy(w, max_length=2 * step)
+    decided = _spy(monkeypatch, "_has_grid_vector")
     fc.hol_stabilizer(h, StabilizerSearchConfig(inner_radius=2 * step))
-    assert h._query_cache  # images past the restriction went to the window
+    assert decided  # images past the restriction went to the window
+
+
+def test_kernel_decides_each_open_image_once(monkeypatch):
+    w = _grid_window(1, 1, 12)
+    h = fc.holonomy(w, max_length=4)
+    accepts = _spy(monkeypatch, "_accept")
+    decided = _spy(monkeypatch, "_has_grid_vector")
+    upper = fc.hol_stabilizer(h, StabilizerSearchConfig(inner_radius=4))
+    assert len(accepts) == 1 and len(upper) > 4
+    # v and -v are one image
+    images = [max((x, y), (-x, -y)) for (_, x, y), _ in decided]
+    assert len(images) > 1 and len(set(images)) == len(images)
+
+
+@pytest.mark.parametrize("r", [math.sqrt(5), math.sqrt(5) * (1 + 1e-13)])
+def test_kernel_matches_reference_on_finer_restricted_holonomy_set(r, monkeypatch):
+    # every point of the half-integer grid shorter than sqrt(5) is listed,
+    # so the set's grid is twice as fine as its window's and some open
+    # images are off the window grid; the restriction lies at the length of
+    # the unlisted (1, 2), or just above it, so some open images have a
+    # norm in (r (1 - 1e-12), r]
+    w = _grid_window(1, 1, 6)
+    vecs = [zp(Fraction(a, 2), Fraction(b, 2)) for a in range(-4, 5) for b in range(-4, 5)
+            if 0 < a * a + b * b < 20]
+    opened = _spy(monkeypatch, "_unpacked")
+    for cfg in (StabilizerSearchConfig(inner_radius=1.2, entry_bound=3),
+                StabilizerSearchConfig(inner_radius=1.6, entry_bound=2,
+                                       require_non_contracting=False)):
+        h_kernel, h_ref = (fc.HolonomySet(vecs, 6, fc.EXACT, restricted_to=r, window=w)
+                           for _ in range(2))
+        assert h_kernel.grid[2] == 2 * w.grid[2]
+        assert fc.hol_stabilizer(h_kernel, cfg) == _ref_hol_stabilizer(h_ref, cfg)
+    images = [(x, y) for _, (xs, ys) in opened for x, y in zip(xs.tolist(), ys.tolist())]
+    assert any(x % 2 or y % 2 for x, y in images)
+    assert any(r * (1 - 1e-12) < math.sqrt((x * x + y * y) / 4) <= r for x, y in images)
 
 
 def test_kernel_matches_reference_on_rectangular_grid():
