@@ -60,19 +60,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
 from .errors import EmptyWindow
-from .zseq import (Mode, PointIndex, ZPoint, ZeroWindow, _moved, _ratio, canonical_permutation,
-                   coordinate_grid, cross, dot, grid_points)
-
-
-def _index_array(pairs: list):
-    """Index pairs as an (n, 2) int64 array."""
-    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
-    return flat.reshape(-1, 2)
+from .zseq import (Mode, PointIndex, ZPoint, ZeroWindow, _moved, _ratio, _typed_grid,
+                   canonical_permutation, coordinate_grid, cross, dot, grid_points, rescale_grid)
 
 
 # --------------------------------------------------------------------------
@@ -142,8 +135,9 @@ def _length_bound(w: ZeroWindow, max_length) -> int | float | None:
     return bound2.numerator // bound2.denominator
 
 
-def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> list:
-    """All visible index pairs (i < j), ascending.
+def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> np.ndarray:
+    """All visible index pairs (i, j), i < j, as the rows of an (m, 2)
+    int64 array in ascending order, of shape (0, 2) when there are none.
 
     ``max_length`` restricts enumeration to pairs at distance <= max_length;
     any blocker of such a pair lies closer to the anchor than the other
@@ -153,11 +147,12 @@ def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> list:
     limit2 = _length_bound(w, max_length)
     xs, ys, scale, shift = w.grid
     if len(xs) < 2:
-        return []
+        return np.zeros((0, 2), dtype=np.int64)
     if scale is None:
-        return _float_visible_pairs(xs, ys, w.mode.eps, limit2)
-    i, j = _exact_visible_pairs(xs, ys, shift, limit2)
-    return list(zip(i.tolist(), j.tolist()))
+        i, j = _float_visible_pairs(xs, ys, w.mode.eps, limit2)
+    else:
+        i, j = _exact_visible_pairs(xs, ys, shift, limit2)
+    return np.stack((i, j), axis=1)
 
 
 _EXACT_BLOCK_ENTRIES = 1 << 14  # (anchor, point) entries per block of anchors, exact windows
@@ -263,12 +258,15 @@ def _tube_blocked(bx, by, eps: float):
     return blocked.any(axis=1)
 
 
-def _float_visible_pairs(xs, ys, eps: float, limit2) -> list:
-    """``visible_pairs`` of a float window by angular runs (see the module
-    docstring), a block of anchors at a time."""
+def _float_visible_pairs(xs, ys, eps: float, limit2) -> tuple:
+    """Arrays (i, j) of the visible pairs i < j of a float window, ascending,
+    by angular runs (see the module docstring), a block of anchors at a
+    time."""
     n = len(xs)
     step = max(1, _BLOCK_ENTRIES // n)
-    pairs = []
+    # seeded, since a bound can leave no block with a live row
+    none = np.zeros(0, dtype=np.int64)
+    out_i, out_j = [none], [none]
     for lo in range(0, n - 1, step):
         anchors = np.arange(lo, min(lo + step, n - 1))
         dx = xs[None, :] - xs[anchors, None]
@@ -323,8 +321,9 @@ def _float_visible_pairs(xs, ys, eps: float, limit2) -> list:
         seen = np.zeros(dx.shape, dtype=bool)
         seen[row[visible], k[visible]] = True
         ii, jj = np.nonzero(seen & (np.arange(n)[None, :] > anchors[:, None]))
-        pairs.extend(zip((ii + lo).tolist(), jj.tolist()))
-    return pairs
+        out_i.append(ii + lo)
+        out_j.append(jj)
+    return np.concatenate(out_i), np.concatenate(out_j)
 
 
 def visible_pairs_bruteforce(w: ZeroWindow) -> list:
@@ -382,10 +381,8 @@ def saddle_connections(w: ZeroWindow, m: int, max_length: float | None = None) -
         raise ValueError("covering degree m must be >= 2")
     if len(w) == 0:
         raise EmptyWindow("no points")
-    pairs = visible_pairs(w, max_length)
+    ii, jj = visible_pairs(w, max_length).T
     xs, ys, scale, _ = w.grid
-    ij = _index_array(pairs)
-    ii, jj = ij[:, 0], ij[:, 1]
     dx, dy = xs[jj] - xs[ii], ys[jj] - ys[ii]
     # canonical orientation puts the argument in [0, pi)
     flip = (dy < 0) | ((dy == 0) & (dx < 0))
@@ -537,6 +534,22 @@ def _signed_distinct_float(xs, ys, eps: float) -> tuple:
     return xs[keep], ys[keep], None, None
 
 
+def _joined(h: HolonomySet, g: HolonomySet) -> HolonomySet:
+    """The vectors of ``g`` and of ``h``, each once, in canonical order,
+    with ``g``'s radius and restriction; ``g`` is enumerated from ``h``'s
+    window, so an exact ``h``'s scale is a multiple of ``g``'s, and the
+    union lies on ``h``'s grid.  When ``g`` lists every vector of ``h``,
+    the union is ``g``, value for value."""
+    (hx, hy, scale, _), (gx, gy, gscale, _) = h.grid, g.grid
+    if scale is None:
+        grid = _signed_distinct_float(np.r_[gx, hx], np.r_[gy, hy], h.mode.eps)
+    else:
+        gx, gy = rescale_grid(gx, gy, scale // gscale, 0)
+        grid = _signed_distinct(*_typed_grid(np.r_[gx, hx], np.r_[gy, hy], scale))
+    return HolonomySet._from_grid(grid, g.window_radius, g.mode, g.restricted_to, g.window,
+                                  g.complete_radius)
+
+
 def _near_pairs(xs, ys, eps: float) -> list:
     """The pairs i < j of vectors that ``same_point`` matches in
     neighbouring eps-cells, as ``PointIndex`` probes them, ordered by j."""
@@ -566,10 +579,9 @@ def _near_pairs(xs, ys, eps: float) -> list:
 
 def holonomy(w: ZeroWindow, max_length: float | None = None) -> HolonomySet:
     """Signed difference vectors of all visible pairs."""
-    pairs = visible_pairs(w, max_length)
+    ii, jj = visible_pairs(w, max_length).T
     xs, ys, scale, shift = w.grid
-    ij = _index_array(pairs)
-    dx, dy = xs[ij[:, 1]] - xs[ij[:, 0]], ys[ij[:, 1]] - ys[ij[:, 0]]
+    dx, dy = xs[jj] - xs[ii], ys[jj] - ys[ii]
     if scale is not None:
         return HolonomySet._from_grid(_signed_distinct(dx, dy, scale, shift), w.radius, w.mode,
                                       max_length, w)

@@ -41,7 +41,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateWindow, SingularMatrix, TooFewPoints
-from .flatgeom import HolonomySet, _distinct, holonomy, vectors_parallel, window_collinear
+from .flatgeom import (HolonomySet, _distinct, _joined, holonomy, vectors_parallel,
+                       window_collinear)
 from .zseq import (
     EXACT,
     Mode,
@@ -289,14 +290,15 @@ def hol_stabilizer(h: HolonomySet, cfg: StabilizerSearchConfig | None = None) ->
 
 
 def _hol_pool(h: HolonomySet, inner: list, e: float) -> HolonomySet:
-    """Where ``hol_stabilizer`` draws images from: ``h``, or its window
-    re-enumerated out to the anchors' reach when that passes the
-    restriction."""
+    """Where ``hol_stabilizer`` draws images from: ``h``, or, when the
+    anchors' reach passes the restriction, ``h`` joined with its window
+    re-enumerated out to that reach.  The join keeps every listed vector,
+    so a larger entry bound never loses an image."""
     pair = _first_independent_pair(inner)
     if pair is not None and h.window is not None and h.restricted_to is not None:
         reach = e * math.sqrt(2) * max(inner[i].norm() for i in pair) * (1 + 1e-9)
         if reach > h.restricted_to:
-            return holonomy(h.window, max_length=reach)
+            return _joined(h, holonomy(h.window, max_length=reach))
     return h
 
 

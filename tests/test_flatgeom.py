@@ -8,7 +8,7 @@ import pytest
 
 import flatcurve as fc
 
-from conftest import zp
+from conftest import pair_list, zp
 
 
 def _window(points, radius):
@@ -65,15 +65,15 @@ def test_visible_pairs_matches_bruteforce_exact():
     for den in (*range(2, 8), *_BIG_DENS):
         for _ in range(5):
             w = _rational_cloud(rng, rng.randint(3, 40), den)
-            assert fc.visible_pairs(w) == fc.visible_pairs_bruteforce(w)
+            assert pair_list(fc.visible_pairs(w)) == fc.visible_pairs_bruteforce(w)
             if den in _BIG_DENS:
-                assert fc.visible_pairs(w) == _pairs_is_visible_accepts(w)
+                assert pair_list(fc.visible_pairs(w)) == _pairs_is_visible_accepts(w)
 
 
 @pytest.mark.parametrize("radius", [2, 3.5, 5])
 def test_visible_pairs_matches_bruteforce_lattice(radius):
     w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), radius)
-    assert fc.visible_pairs(w) == fc.visible_pairs_bruteforce(w)
+    assert pair_list(fc.visible_pairs(w)) == fc.visible_pairs_bruteforce(w)
 
 
 def test_restricted_visible_pairs_match_short_bruteforce_pairs():
@@ -85,7 +85,7 @@ def test_restricted_visible_pairs_match_short_bruteforce_pairs():
         for length in (0.5, 1, 2.5, 4):
             want = [(i, j) for i, j in full
                     if (w.points[j] - w.points[i]).norm2() <= Fraction(length) ** 2]
-            assert fc.visible_pairs(w, max_length=length) == want
+            assert pair_list(fc.visible_pairs(w, max_length=length)) == want
 
 
 def test_visible_pairs_matches_bruteforce_float():
@@ -95,7 +95,7 @@ def test_visible_pairs_matches_bruteforce_float():
         pts = [fc.ZPoint(rng.uniform(-5, 5), rng.uniform(-5, 5))
                for _ in range(rng.randint(3, 30))]
         w = fc.ZeroWindow.from_points(pts, 8, mode)
-        assert set(fc.visible_pairs(w)) == set(fc.visible_pairs_bruteforce(w))
+        assert pair_list(fc.visible_pairs(w)) == fc.visible_pairs_bruteforce(w)
 
 
 _EPS = 1e-9
@@ -133,25 +133,25 @@ def _adversarial_clouds():
 def test_float_visible_pairs_match_bruteforce_on_adversarial_clouds(name):
     w = _float_window(_adversarial_clouds()[name])
     full = fc.visible_pairs_bruteforce(w)
-    assert fc.visible_pairs(w) == full
+    assert pair_list(fc.visible_pairs(w)) == full
     xs, ys = w.grid[:2]
     for length in (1.5, 2.5):
         want = [(i, j) for i, j in full
                 if (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 <= length ** 2 * (1 + 1e-12)]
-        assert fc.visible_pairs(w, max_length=length) == want
+        assert pair_list(fc.visible_pairs(w, max_length=length)) == want
 
 
 def test_float_middle_point_blocks_within_the_tube_only():
     for k, blocked in ((0.5, True), (2, False)):
         w = _float_window(_adversarial_clouds()[f"middle off the line by {k} eps"])
         ends = (w.points.index(fc.ZPoint(0.0, 0.0)), w.points.index(fc.ZPoint(2.0, 0.0)))
-        assert (tuple(sorted(ends)) in fc.visible_pairs(w)) is not blocked
+        assert (tuple(sorted(ends)) in pair_list(fc.visible_pairs(w))) is not blocked
 
 
 def test_float_straight_left_points_block_across_pi():
     w = _float_window(_adversarial_clouds()["straight left, +0.0 then -0.0"])
     origin, far = w.points.index(fc.ZPoint(0.0, 0.0)), w.points.index(fc.ZPoint(-2.0, -0.0))
-    assert tuple(sorted((origin, far))) not in fc.visible_pairs(w)
+    assert tuple(sorted((origin, far))) not in pair_list(fc.visible_pairs(w))
 
 
 @pytest.mark.parametrize("radius", [5, 8])
@@ -159,12 +159,13 @@ def test_float_lattice_pairs_equal_exact_pairs(radius):
     spec = fc.GeneratorSpec("gaussian-lattice")
     exact, floats = fc.generate(spec, radius), fc.generate(spec, radius, fc.float_mode(_EPS))
     for length in (None, 1.5, 2.5):
-        assert fc.visible_pairs(floats, length) == fc.visible_pairs(exact, length)
+        assert pair_list(fc.visible_pairs(floats, length)) \
+            == pair_list(fc.visible_pairs(exact, length))
 
 
 def test_visible_pairs_max_length_filter(lattice5):
-    short = set(fc.visible_pairs(lattice5, max_length=1.0))
-    everything = set(fc.visible_pairs(lattice5))
+    short = set(pair_list(fc.visible_pairs(lattice5, max_length=1.0)))
+    everything = set(pair_list(fc.visible_pairs(lattice5)))
     assert short < everything
     for i, j in short:
         assert (lattice5.points[j] - lattice5.points[i]).norm() <= 1.0 + 1e-12
@@ -176,11 +177,11 @@ def test_visible_pairs_max_length_filter(lattice5):
 
 def test_visible_pairs_length_boundary_is_inclusive():
     w = _window([zp(0), zp(1), zp(0, 1)], 2)
-    pairs = fc.visible_pairs(w, max_length=1.0)
+    pairs = pair_list(fc.visible_pairs(w, max_length=1.0))
     assert (0, 1) in pairs and (0, 2) in pairs
     # sqrt(2) pair excluded at max_length 1
     assert (1, 2) not in pairs
-    assert (1, 2) in fc.visible_pairs(w, max_length=math.sqrt(2) + 1e-9)
+    assert (1, 2) in pair_list(fc.visible_pairs(w, max_length=math.sqrt(2) + 1e-9))
 
 
 @pytest.mark.parametrize("bad", [-2, -1e-300, math.inf, -math.inf, math.nan])
@@ -196,9 +197,61 @@ def test_negative_or_non_finite_max_length_raises(bad, exact):
 
 
 def test_zero_max_length_finds_no_pairs(lattice5):
-    assert fc.visible_pairs(lattice5, max_length=0) == []
+    assert pair_list(fc.visible_pairs(lattice5, max_length=0)) == []
     assert fc.holonomy(lattice5, max_length=0).vectors == ()
     assert fc.saddle_connections(lattice5, 2, max_length=0) == []
+
+
+def _pairless(mode):
+    """Windows with a length bound, or None, under which no pair is visible."""
+    two = fc.ZeroWindow.from_points([fc.ZPoint.of(0, 0, mode), fc.ZPoint.of(3, 4, mode)], 6, mode)
+    return {
+        "0 points": (fc.ZeroWindow((), 3, mode=mode), None),
+        "1 point": (fc.ZeroWindow.from_points([fc.ZPoint.of(1, 0, mode)], 2, mode), None),
+        "2 points, bound below their distance": (two, 4.9),
+        "2 points, max_length 0": (two, 0),
+        # no anchor has a point within the bound
+        "lattice, bound below its spacing": (
+            fc.generate(fc.GeneratorSpec("gaussian-lattice"), 4, mode), 0.5),
+    }
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_windows_without_visible_pairs_give_empty_results(exact):
+    mode = fc.EXACT if exact else fc.float_mode(_EPS)
+    for name, (w, length) in _pairless(mode).items():
+        pairs = fc.visible_pairs(w, length)
+        assert pairs.shape == (0, 2) and pairs.dtype == np.int64, name
+        h = fc.holonomy(w, length)
+        assert h.vectors == () and len(h.grid[0]) == 0, name
+        assert h.complete_radius == float(w.radius) - (length or 0), name
+        if len(w):
+            assert fc.saddle_connections(w, 2, length) == [], name
+        else:
+            with pytest.raises(fc.EmptyWindow):
+                fc.saddle_connections(w, 2, length)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_holonomy_and_saddles_call_visible_pairs_once_by_module_name(exact, monkeypatch):
+    # the benchmark's tracer (perfbench/tracing.py) wraps flatgeom's public
+    # names, so it sees the visibility under holonomy and saddle_connections
+    # only while they reach visible_pairs through the module attribute
+    mode = fc.EXACT if exact else fc.float_mode(_EPS)
+    w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 4, mode)
+    calls = []
+    original = fc.flatgeom.visible_pairs
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fc.flatgeom, "visible_pairs", counting)
+    for length in (None, 2):
+        for call in (fc.holonomy, lambda w, length: fc.saddle_connections(w, 2, length)):
+            calls.clear()
+            call(w, length)
+            assert len(calls) == 1
 
 
 def _first_steps(w):
@@ -248,8 +301,8 @@ def test_huge_gcd_collinear_windows_match_bruteforce(name):
     assert w.grid[0].dtype == (object if "2**29" in name else np.int64)
     full = fc.visible_pairs_bruteforce(w)
     start = time.perf_counter()
-    got = fc.visible_pairs(w)
-    restricted = {length: fc.visible_pairs(w, max_length=length)
+    got = pair_list(fc.visible_pairs(w))
+    restricted = {length: pair_list(fc.visible_pairs(w, max_length=length))
                   for length in (1, 1.5, _K, 1.5 * _K, 2 * _K)}
     # a walk over the steps up to g would take minutes
     assert time.perf_counter() - start < 2.0
@@ -277,9 +330,9 @@ def test_sparse_seventh_clouds_match_bruteforce(seed):
     w = _sparse_sevenths(seed)
     full = fc.visible_pairs_bruteforce(w)
     assert full != [(i, j) for i in range(len(w)) for j in range(i + 1, len(w))]
-    assert fc.visible_pairs(w) == full
+    assert pair_list(fc.visible_pairs(w)) == full
     for length in (1, 2, 3.5, 6):
-        assert fc.visible_pairs(w, max_length=length) == _restricted(w, full, length)
+        assert pair_list(fc.visible_pairs(w, max_length=length)) == _restricted(w, full, length)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +412,7 @@ def test_exact_holonomy_equals_set_of_visible_differences(lattice5):
     rng = random.Random(47)
     for w in [lattice5] + [_rational_cloud(rng, 30, den) for den in (2, 5, 7, *_BIG_DENS)]:
         for length in (None, 2.5):
-            pairs = fc.visible_pairs(w, max_length=length)
+            pairs = pair_list(fc.visible_pairs(w, max_length=length))
             want = fc.HolonomySet([w.points[j] - w.points[i] for i, j in pairs],
                                   w.radius, w.mode, restricted_to=length)
             got = fc.holonomy(w, max_length=length)
@@ -447,7 +500,7 @@ def _same_as_oracle(h, kept, probes):
 def test_float_holonomy_sets_match_the_point_index_loop():
     for w in _float_clouds():
         mode = w.mode
-        vecs = [w.points[j] - w.points[i] for i, j in fc.visible_pairs(w)]
+        vecs = [w.points[j] - w.points[i] for i, j in pair_list(fc.visible_pairs(w))]
         kept = _float_holonomy_oracle(vecs, mode)
         probes = kept + [fc.ZPoint(v.re + d, v.im - d) for v in kept[:40]
                          for d in (0.4 * _EPS, 0.8 * _EPS, 2 * _EPS)] + [fc.ZPoint(0.0, 0.0)]
@@ -643,7 +696,7 @@ def test_visibility_holonomy_and_segments_equal_references(name):
             pairs = fc.visible_pairs_bruteforce(w)
             if length is not None:
                 pairs = _restricted(w, pairs, length)
-        assert fc.visible_pairs(w, length) == pairs
+        assert pair_list(fc.visible_pairs(w, length)) == pairs
         got = [(s.from_idx, s.to_idx, repr(s.holonomy), s.length.hex(), s.direction.hex(),
                 s.multiplicity, s.provisional) for s in fc.saddle_connections(w, 3, length)]
         assert got == _segment_fields(w, pairs, 3)

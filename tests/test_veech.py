@@ -352,6 +352,54 @@ def test_kernel_matches_reference_on_finer_restricted_holonomy_set(r, monkeypatc
     assert any(r * (1 - 1e-12) < math.sqrt((x * x + y * y) / 4) <= r for x, y in images)
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_hol_stabilizer_keeps_listed_images_past_the_anchors_reach(exact):
+    # from entry bound 3.5 on, the anchors reach past the restriction and
+    # the pool is re-enumerated from the window, which lacks the listed
+    # half-integer vectors; joined with them, no matrix is lost
+    mode = fc.EXACT if exact else fc.float_mode(1e-9)
+    w = fc.ZeroWindow.from_points([fc.ZPoint.of(p.re, p.im, mode) for p in _grid_window(1, 1, 6)],
+                                  6, mode)
+    vecs = [fc.ZPoint.of(Fraction(a, 2), Fraction(b, 2), mode)
+            for a in range(-4, 5) for b in range(-4, 5) if 0 < a * a + b * b < 20]
+
+    def upper(e):
+        cfg = StabilizerSearchConfig(inner_radius=1.2, entry_bound=e)
+        h, h_ref = (fc.HolonomySet(vecs, 6, mode, restricted_to=math.sqrt(5), window=w)
+                    for _ in range(2))
+        got = fc.hol_stabilizer(h, cfg)
+        assert got == _ref_hol_stabilizer(h_ref, cfg)
+        return got
+
+    want = upper(3)
+    assert len(want) == 20
+    for e in (3.5, 4, 5):
+        assert upper(e) == want
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_hol_pool_of_an_enumerated_set_is_the_re_enumeration(exact):
+    # a set built by holonomy() lists no vector its window's longer
+    # enumeration lacks, so joining it changes no value of the pool
+    mode = fc.EXACT if exact else fc.float_mode(1e-9)
+    joined = 0
+    for w in (fc.generate(fc.GeneratorSpec("gaussian-lattice"), 8, mode),
+              fc.generate(fc.GeneratorSpec("integers-plus-minus-i"), 10, mode)):
+        for length in (1.5, 2, 3):
+            h = fc.holonomy(w, max_length=length)
+            inner = veech._inner_points(list(h.vectors), 2.5, mode)
+            for e in (2, 3, 4, 5):
+                pool = veech._hol_pool(h, inner, e)
+                if pool is h:
+                    continue
+                joined += 1
+                want = fc.holonomy(w, max_length=pool.restricted_to)
+                assert [a.dtype for a in pool.grid[:2]] == [a.dtype for a in want.grid[:2]]
+                assert [a.tobytes() for a in pool.grid[:2]] == [a.tobytes() for a in want.grid[:2]]
+                assert pool.grid[2] == want.grid[2] and pool.vectors == want.vectors
+    assert joined > 10
+
+
 def test_kernel_matches_reference_on_rectangular_grid():
     # base determinant 3 and rational entries
     cfg = StabilizerSearchConfig(inner_radius=1)
