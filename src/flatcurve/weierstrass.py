@@ -42,8 +42,13 @@ Rokhlin, J. Comput. Phys. 73 (1987)) in their power sums:
 
 rho the smallest far |z_n|, K = ceil(17 / log10 c) + 1 = 30.  Every term
 has modulus at most 1, so the far part cannot overflow, and a far zero with
-d_n >= K adds nothing at all.  ``count_zeros`` does not use this split: its
-phases stay on the per-factor core.
+d_n >= K adds nothing at all.
+
+``count_zeros`` splits its zeros the same way about the centre of its box
+instead of the origin: with c the centre and r the half-diagonal, every
+sample has |z - c| <= r, the zeros with |z_n - c| <= 4 * r are near, and the
+phases of the others enter through the same K-term series in (z - c) / r.
+Each far zero's truncation error is again below 1e-20.
 """
 
 from __future__ import annotations
@@ -291,6 +296,25 @@ def _far_coefficients(pts: np.ndarray, degs: np.ndarray, rho: float):
     return coef
 
 
+def _far_series(x: np.ndarray, coef: np.ndarray, rowwise: bool = False) -> np.ndarray:
+    """sum_{k=1}^{K} coef[k-1] * x**k at each x, from the powers x**1 .. x**K
+    built in chunks of about ``_CHUNK_ELEMS`` values.
+
+    Each chunk's power table is contracted with one BLAS matrix-vector
+    product, whose rounding of a row can depend on how many rows share the
+    call.  ``rowwise`` sums every row on its own instead, so a sample gets
+    the same value in every call.
+    """
+    out = np.empty(len(x), dtype=np.complex128)
+    step = _CHUNK_ELEMS // _FAR_TERMS
+    for lo in range(0, len(x), step):
+        rows = slice(lo, lo + step)
+        xs = x[rows, None]
+        powers = np.cumprod(np.broadcast_to(xs, (len(xs), _FAR_TERMS)), axis=1)
+        out[rows] = (powers * coef).sum(axis=1) if rowwise else powers @ coef
+    return out
+
+
 def _split_log_eval(w: ZeroWindow, zs: np.ndarray, pts: np.ndarray, degs: np.ndarray,
                     e0: int, degrees):
     """``_log_eval`` with the far zeros summed by their power sums.
@@ -326,15 +350,9 @@ def _split_log_eval(w: ZeroWindow, zs: np.ndarray, pts: np.ndarray, degs: np.nda
         if cacheable:
             w._cache[key] = coef
     if coef is not None:
-        x = zs / rho
-        step = _CHUNK_ELEMS // _FAR_TERMS
-        for lo in range(0, len(zs), step):
-            rows = slice(lo, lo + step)
-            xs = x[rows, None]
-            powers = np.cumprod(np.broadcast_to(xs, (len(xs), _FAR_TERMS)), axis=1)
-            series = powers @ coef  # sum_k a_k (z / rho)**k
-            re[rows] -= series.real
-            im[rows] -= series.imag
+        series = _far_series(zs / rho, coef)
+        re -= series.real
+        im -= series.imag
     return re, im, hit
 
 
@@ -353,8 +371,8 @@ def eval_f(z, w: ZeroWindow, degrees=None, e0=None):
             = -sum_{k=1}^{K} ((z / rho)**k / k) * sum_{far, d_n < k} (rho / z_n)**k,
 
     K = 30 and rho the smallest far |z_n|, truncated with an error below
-    1e-20 per far zero (module docstring).  ``count_zeros`` does not use
-    this split.
+    1e-20 per far zero (module docstring).  ``count_zeros`` expands the same
+    series about the centre of its box.
     """
     pts, origin, degs = _resolve_degrees(w, degrees)
     k0 = _resolve_e0(origin, e0)
@@ -407,23 +425,47 @@ def _check_clearance(w: ZeroWindow, box) -> None:
             f"window point {x}+{y}j lies on the counting contour")
 
 
-def _contour_phases(edges, per_edge: int, pts, e0: int, coarse=None):
+def _far_split(edges, pts: np.ndarray) -> tuple:
+    """``(near, far)`` for the box ``edges``: the product points within
+    4 * r of the box centre, r the half-diagonal, and the far-field series
+    ``(centre, r, b)`` of the rest (``count_zeros``), or None when no zero
+    is far."""
+    x0, x1, y0, y1 = edges
+    centre = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+    r = 0.5 * math.hypot(x1 - x0, y1 - y0)
+    far = np.abs(pts - centre) > _FAR_C * r
+    if not far.any():
+        return pts, None
+    away = pts[far] - centre
+    return pts[~far], (centre, r, _far_coefficients(away, np.zeros(len(away), np.int64), r))
+
+
+def _contour_phases(edges, per_edge: int, pts, e0: int, coarse=None, far=None):
     """Summed Im log of the vanishing factors and z**e0 at the
     ``4 * per_edge`` boundary samples, or None if a sample hits a zero.
 
     ``coarse``, the phases at ``per_edge // 2`` samples an edge, are the
     even-indexed samples here (``linspace`` puts them at the same points),
     so only the odd-indexed ones are evaluated.
+
+    ``far`` is ``_far_split``'s series for the zeros not in ``pts``.  It
+    adds -Im sum_k ((z - c) / r)**k * b_k, the phase of their factors
+    1 - (z - c) / (z_n - c), and drops the constant sum_far arg(1 - c / z_n):
+    that shifts every sample by the same amount and changes no phase step.
     """
     zs = _boundary_samples(edges, per_edge)
-    degs = np.zeros(len(pts), dtype=np.int64)
+    new = zs if coarse is None else zs[1::2]
+    _, im, hit = _log_eval(new, pts, np.zeros(len(pts), dtype=np.int64), e0)
+    if hit.any():
+        return None
+    if far is not None:
+        centre, r, coef = far
+        im -= _far_series((new - centre) / r, coef, rowwise=True).imag
     if coarse is None:
-        _, im, hit = _log_eval(zs, pts, degs, e0)
-    else:
-        _, odd, hit = _log_eval(zs[1::2], pts, degs, e0)
-        im = np.empty(len(zs))
-        im[0::2], im[1::2] = coarse, odd
-    return None if hit.any() else im
+        return im
+    out = np.empty(len(zs))
+    out[0::2], out[1::2] = coarse, im
+    return out
 
 
 def count_zeros(w: ZeroWindow, box, degrees=None, e0=None,
@@ -436,15 +478,26 @@ def count_zeros(w: ZeroWindow, box, degrees=None, e0=None,
     does not change the count.  Sampling density doubles until adjacent
     phase steps are all below 0.25 rad, so the unwrapped total is
     unambiguous; each doubling evaluates only the new midpoints.
+
+    With c the box centre and r its half-diagonal, every sample has
+    |z - c| <= r.  Only the zeros with |z_n - c| <= 4 * r are summed factor
+    by factor; the rest enter through one far-field series about c,
+
+        sum_far log(1 - (z - c) / (z_n - c))
+            = -sum_{k=1}^{K} ((z - c) / r)**k * sum_far (r / (z_n - c))**k / k,
+
+    K = 30, computed once per call and truncated with an error below 1e-20
+    per far zero, as in ``eval_f``.
     """
     edges = _box_edges(box)
     _check_clearance(w, edges)
     pts, origin, _ = _resolve_degrees(w, degrees)
     k0 = _resolve_e0(origin, e0)
+    near, far = _far_split(edges, pts)
     per_edge = max(8, int(samples) // 4)
     im = None
     while True:
-        im = _contour_phases(edges, per_edge, pts, k0, im)
+        im = _contour_phases(edges, per_edge, near, k0, im, far)
         if im is None:
             raise ContourThroughZero("counting contour passes through a zero")
         args = np.mod(im, 2 * math.pi)

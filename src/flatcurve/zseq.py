@@ -495,14 +495,26 @@ class ZeroWindow:
         return idx
 
     def min_gap(self) -> float:
-        """Smallest pairwise distance (float), one numpy minimum per anchor."""
+        """Smallest pairwise distance (float).
+
+        The grid is sorted by (x, y), and the points j apart in that order
+        are compared for j = 1, 2, ... until the smallest dx**2 at offset j
+        is no smaller than the best squared distance found: dx only grows
+        with j.
+        """
         g = self._cache.get("min_gap")
         if g is None:
             xs, ys, scale, _ = self.grid
             g = math.inf
             if len(xs) > 1:
-                d = min(((xs[i + 1:] - xs[i]) ** 2 + (ys[i + 1:] - ys[i]) ** 2).min()
-                        for i in range(len(xs) - 1))
+                order = np.lexsort((ys, xs))
+                xs, ys = xs[order], ys[order]
+                d = math.inf
+                for j in range(1, len(xs)):
+                    dx2 = (xs[j:] - xs[:-j]) ** 2
+                    if dx2.min() >= d:
+                        break
+                    d = min(d, (dx2 + (ys[j:] - ys[:-j]) ** 2).min())
                 # Python int division rounds correctly, as float(Fraction) does
                 g = math.sqrt(d if scale is None else int(d) / (scale * scale))
             self._cache["min_gap"] = g

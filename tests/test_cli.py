@@ -163,6 +163,21 @@ def test_verify_zeros_normalizes_corner_order():
     assert d["winding"] == 1
 
 
+def test_verify_zeros_on_a_large_window_winds_the_box_zeros():
+    # all but about a dozen of the 6001 zeros enter through the far-field series
+    argv = ["verify-zeros", "--sequence", "all-integers", "--radius", "3000",
+            "--box", "1498.5,-0.5,1501.5,0.5"]
+    outs = set()
+    for samples in ("32", "64", "256"):
+        rc, out = run([*argv, "--samples", samples])
+        assert rc == 0, out
+        outs.add(out)
+    assert len(outs) == 1
+    w = fc.generate(fc.GeneratorSpec("all-integers"), 3000)
+    inside = sum(1498.5 < p.re < 1501.5 and -0.5 < p.im < 0.5 for p in w.points)
+    assert json.loads(outs.pop())["winding"] == inside == 3
+
+
 def test_directions_profile():
     d = run_json(["directions", "--sequence", "all-integers", "--radius", "10"])
     assert d["directions"] == [0.0, pytest.approx(math.pi)]

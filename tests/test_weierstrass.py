@@ -374,7 +374,9 @@ def test_far_coefficients_are_cached_per_shell_and_degrees(monkeypatch):
     assert len(calls) == 5  # explicit lists are not cached
     chk = fc.refine_zero(w, 3.0002 + 0.0001j, degrees=1)
     assert chk.zero == pytest.approx(3.0, abs=1e-8)
-    assert len(calls) == 5  # every Newton step reuses the shell-2 sums
+    # every Newton step reuses the shell-2 sums; the confirming count_zeros
+    # builds its own series about its box centre, once
+    assert len(calls) == 6
 
 
 def test_log_eval_receives_only_near_zeros(monkeypatch):
@@ -555,35 +557,51 @@ def test_count_zeros_default_degrees_far_from_origin():
     assert fc.count_zeros(w, box) == _points_in_box(w, box) == 3
 
 
+def _close_pair():
+    return fc.ZeroWindow.from_points([fc.ZPoint(0.03, 1e-7), fc.ZPoint(0.031, 1e-7),
+                                      fc.ZPoint(5.0, 5.0), fc.ZPoint(-7.0, 3.0)],
+                                     radius=8.0, mode=fc.float_mode(1e-12))
+
+
 @pytest.mark.xfail(strict=True, reason="doubling stops once every phase step is below "
                    "0.25 rad, and two zeros 1e-3 apart hide between samples (ROADMAP item 2)")
 def test_count_zeros_sees_two_close_zeros_near_an_edge():
-    mode = fc.float_mode(1e-12)
-    w = fc.ZeroWindow.from_points([fc.ZPoint(0.03, 1e-7), fc.ZPoint(0.031, 1e-7),
-                                   fc.ZPoint(5.0, 5.0), fc.ZPoint(-7.0, 3.0)], radius=8.0, mode=mode)
     try:
-        wind = fc.count_zeros(w, (0, 1, 0, 1), degrees=0, e0=0)
+        wind = fc.count_zeros(_close_pair(), (0, 1, 0, 1), degrees=0, e0=0)
     except fc.NoConvergence:
         return  # the honest answer when the samples cannot resolve the pair
     assert wind == 2
 
 
-@pytest.mark.parametrize("w, box", [
+_REUSE_CASES = [
     (_pm_window(1000), (2.5, 5.5, -0.5, 0.5)),
     (fc.generate(fc.GeneratorSpec("gaussian-lattice"), 7, _FLOAT), (-6.5, 6.5, -6.5, 6.5)),
     (fc.generate(fc.GeneratorSpec("integers-plus-minus-i"), 6), (-2.25, 3.75, -0.6, 1.3)),
-])
+    (fc.generate(fc.GeneratorSpec("integers-plus-minus-i"), 30), (-2.25, 3.75, -0.6, 1.3)),
+]
+
+
+@pytest.mark.parametrize("w, box", _REUSE_CASES)
 @pytest.mark.parametrize("per_edge", [8, 25, 64])
 def test_reused_phases_equal_a_fresh_pass(w, box, per_edge):
     pts, origin, _ = weierstrass._resolve_degrees(w, 0)
     e0 = weierstrass._resolve_e0(origin, None)
     edges = weierstrass._box_edges(box)
-    im = weierstrass._contour_phases(edges, per_edge, pts, e0)
+    near, far = weierstrass._far_split(edges, pts)
+    im = weierstrass._contour_phases(edges, per_edge, near, e0, far=far)
     for _ in range(3):
         per_edge *= 2
-        im = weierstrass._contour_phases(edges, per_edge, pts, e0, im)
-        fresh = weierstrass._contour_phases(edges, per_edge, pts, e0)
+        im = weierstrass._contour_phases(edges, per_edge, near, e0, im, far)
+        fresh = weierstrass._contour_phases(edges, per_edge, near, e0, far=far)
         assert im.tobytes() == fresh.tobytes()
+
+
+def test_reuse_cases_cover_both_far_sets():
+    far_sets = []
+    for w, box in _REUSE_CASES:
+        pts = weierstrass._product_points(w)[0]
+        far_sets.append(weierstrass._far_split(weierstrass._box_edges(box), pts)[1] is not None)
+    assert far_sets == [True, False, False, True]
 
 
 def test_count_zeros_evaluates_each_sample_once(monkeypatch):
@@ -600,6 +618,140 @@ def test_count_zeros_evaluates_each_sample_once(monkeypatch):
     assert fc.count_zeros(w, box, degrees=0) == _points_in_box(w, box)
     assert len(rows) > 2
     assert rows == [64] + [64 << i for i in range(len(rows) - 1)]
+
+
+# ---------------------------------------------------------------------------
+# count_zeros' far-field series against the per-factor core
+
+
+def _one_zero_at(distance):
+    """A zero ``distance`` from the centre of the box (-1, 1, -1, 1), whose
+    far cut is 4 * sqrt(2), plus the zero 0.25 + 0.5i inside it."""
+    return fc.ZeroWindow.from_points([fc.ZPoint(0.25, 0.5), fc.ZPoint(0.0, distance)],
+                                     radius=distance + 1, mode=_FLOAT)
+
+
+_CUT = 4 * math.sqrt(2)
+_SPLIT_BOXES = [
+    pytest.param(_pm_window(1000), [(k - 0.5, k - 0.5 + width, -0.5, 0.5)
+                                    for k in (2, 37, 250, 399, 998, -612) for width in (1, 3)]
+                 + [(10.25, 12.75, 0.5, 3.0), (-1.5, 1.5, -0.75, 0.75)], {}, id="plus-minus-1000"),
+    pytest.param(fc.generate(fc.GeneratorSpec("all-integers"), 12, _FLOAT),
+                 [(-0.5, 0.5, -0.5, 0.5), (-1.5, 0.5, -0.25, 0.75)], {"e0": 3}, id="origin-e0-3"),
+    pytest.param(fc.generate(fc.GeneratorSpec("integers-plus-minus-i"), 30),
+                 [(-2.25, 3.75, -0.6, 1.3), (19.5, 22.5, -1.5, 1.5), (-0.5, 0.5, -0.5, 0.5)],
+                 {}, id="pm-i-exact"),
+    pytest.param(fc.generate(fc.GeneratorSpec("gaussian-lattice"), 12, _FLOAT),
+                 [(-0.5, 0.5, -0.5, 0.5), (2.5, 4.5, -1.5, 0.5), (-6.5, 6.5, -6.5, 6.5),
+                  (7.3, 9.1, 2.6, 4.4)], {"degrees": "auto"}, id="lattice-float"),
+    pytest.param(fc.generate(fc.GeneratorSpec("positive-integers"), 44, _FLOAT),
+                 [(21.5, 24.5, -0.5, 0.5), (1.5, 2.5, -0.5, 0.5)], {}, id="positive-default"),
+    pytest.param(_one_zero_at(_CUT * (1 - 1e-9)), [(-1, 1, -1, 1)], {}, id="just-inside"),
+    pytest.param(_one_zero_at(_CUT * (1 + 1e-9)), [(-1, 1, -1, 1)], {}, id="just-outside"),
+    # two zeros 1e-3 apart: NoConvergence within 1024 samples, 2 within 2**16
+    pytest.param(_close_pair(), [(0, 1, -1e-3, 1)], {"degrees": 0, "e0": 0}, id="close-pair"),
+    pytest.param(_close_pair(), [(0, 1, 0, 1), (0, 1, -1e-3, 1)],
+                 {"degrees": 0, "e0": 0, "max_samples": 1024}, id="close-pair-budget"),
+]
+
+
+def _count_with_rows(monkeypatch, w, box, kw, core):
+    """``count_zeros``' answer (the winding, or the error type) and the row
+    counts of its ``_log_eval`` calls; ``core`` sums every zero factor by
+    factor."""
+    rows = []
+    log_eval = weierstrass._log_eval
+
+    def counting(zs, *args):
+        rows.append(len(zs))
+        return log_eval(zs, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(weierstrass, "_log_eval", counting)
+        if core:
+            patch.setattr(weierstrass, "_far_split", lambda edges, pts: (pts, None))
+        try:
+            out = fc.count_zeros(w, box, **kw)
+        except (fc.NoConvergence, fc.ContourThroughZero) as err:
+            out = type(err)
+    return out, rows
+
+
+@pytest.mark.parametrize("w, boxes, kw", _SPLIT_BOXES)
+def test_far_series_makes_the_core_decisions(monkeypatch, w, boxes, kw):
+    for box in boxes:
+        got = _count_with_rows(monkeypatch, w, box, kw, core=False)
+        assert got == _count_with_rows(monkeypatch, w, box, kw, core=True), box
+        if "max_samples" in kw:
+            assert got[0] is fc.NoConvergence
+            continue
+        # e0 = 3 counts the origin three times
+        extra = 2 * (box[0] < 0 < box[1] and box[2] < 0 < box[3]) if kw.get("e0") == 3 else 0
+        assert got[0] == _points_in_box(w, box) + extra, box
+
+
+def test_split_boxes_cover_far_sets_and_the_cut():
+    def n_far(w, box):
+        pts = weierstrass._product_points(w)[0]
+        near, far = weierstrass._far_split(weierstrass._box_edges(box), pts)
+        return len(pts) - len(near) if far else 0
+
+    counts = [n_far(w, box) for w, boxes, _ in (p.values for p in _SPLIT_BOXES) for box in boxes]
+    assert 0 in counts and max(counts) >= 1990
+    assert n_far(_one_zero_at(_CUT * (1 - 1e-9)), (-1, 1, -1, 1)) == 0
+    assert n_far(_one_zero_at(_CUT * (1 + 1e-9)), (-1, 1, -1, 1)) == 1
+    assert n_far(_close_pair(), (0, 1, 0, 1)) == 2
+
+
+def _wrapped_steps(im):
+    return np.remainder(np.diff(np.append(im, im[0])) + math.pi, 2 * math.pi) - math.pi
+
+
+@pytest.mark.parametrize("w, box", [
+    (_pm_window(1000), (36.5, 39.5, -0.5, 0.5)),
+    (_pm_window(1000), (-1.5, 1.5, -0.75, 0.75)),
+    (fc.generate(fc.GeneratorSpec("gaussian-lattice"), 12, _FLOAT), (2.5, 4.5, -1.5, 0.5)),
+    (fc.generate(fc.GeneratorSpec("integers-plus-minus-i"), 30), (19.5, 22.5, -1.5, 1.5)),
+])
+def test_far_series_keeps_the_core_phase_steps(w, box):
+    pts, origin, _ = weierstrass._resolve_degrees(w, 0)
+    e0 = weierstrass._resolve_e0(origin, None)
+    edges = weierstrass._box_edges(box)
+    near, far = weierstrass._far_split(edges, pts)
+    assert far is not None
+    for per_edge in (16, 64, 256):
+        split = weierstrass._contour_phases(edges, per_edge, near, e0, far=far)
+        core = weierstrass._contour_phases(edges, per_edge, pts, e0)
+        diff = _wrapped_steps(split) - _wrapped_steps(core)
+        assert np.abs(np.remainder(diff + math.pi, 2 * math.pi) - math.pi).max() <= 1e-9
+
+
+def test_rowwise_far_series_does_not_depend_on_the_rows_sharing_the_call():
+    # a BLAS matrix-vector product may round one row differently with other
+    # rows, or alone; count_zeros' reused phases rely on rowwise never doing so
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-0.7, 0.7, 300) + 1j * rng.uniform(-0.7, 0.7, 300)
+    far = rng.uniform(5, 9, 40) * np.exp(1j * rng.uniform(0, 2 * math.pi, 40))
+    coef = weierstrass._far_coefficients(far, np.zeros(40, dtype=np.int64), 1.0)
+    whole = weierstrass._far_series(x, coef, rowwise=True)
+    assert np.allclose(whole, weierstrass._far_series(x, coef), rtol=1e-14, atol=0)
+    for part in (slice(1, None, 2), slice(7, 8), slice(0, 1), slice(31, 96)):
+        assert weierstrass._far_series(x[part], coef, rowwise=True).tobytes() == whole[part].tobytes()
+
+
+def test_count_zeros_winds_only_near_zeros(monkeypatch):
+    sizes = []
+    log_eval = weierstrass._log_eval
+
+    def counting(zs, pts, *args):
+        sizes.append(len(pts))
+        return log_eval(zs, pts, *args)
+
+    monkeypatch.setattr(weierstrass, "_log_eval", counting)
+    w = _pm_window(10_000)
+    # centre 4, half-diagonal sqrt(10) / 2: the zeros -2 .. 10 lie within 4 * r
+    assert fc.count_zeros(w, (2.5, 5.5, -0.5, 0.5), degrees=1, e0=1) == 3
+    assert sizes and set(sizes) == {12}
 
 
 def test_products_never_build_window_points():

@@ -316,6 +316,48 @@ def test_min_gap_matches_pairwise_bruteforce():
     assert fc.ZeroWindow.from_points([zp(1, 2)], 3).min_gap() == math.inf
 
 
+def _all_pairs_gap(w):
+    """The smallest squared grid distance over every pair, rounded as
+    ``min_gap`` rounds it."""
+    xs, ys, scale, _ = w.grid
+    d = min(((xs[i] - xs[j]) ** 2 + (ys[i] - ys[j]) ** 2
+             for i in range(len(xs)) for j in range(i + 1, len(xs))), default=math.inf)
+    return math.sqrt(d if scale is None or d == math.inf else int(d) / (scale * scale))
+
+
+def test_min_gap_equals_all_pairs_on_every_grid_kind():
+    rng = random.Random(71)
+    far = 1 << 29  # past the int64 coordinate limit: a Python-int grid
+    windows = [
+        fc.generate(fc.GeneratorSpec("gaussian-lattice"), 6),
+        fc.generate(fc.GeneratorSpec("gaussian-lattice"), 6, _FLOAT),
+        fc.generate(fc.GeneratorSpec("odd4n13-all"), 40),
+        fc.ZeroWindow.from_points([zp(far + x, y) for x, y in {(rng.randint(-9, 9), rng.randint(-9, 9))
+                                                               for _ in range(40)}]
+                                  + [zp(Fraction(1, 3), 0)], 2 * far),
+        fc.ZeroWindow.from_points([fc.ZPoint(rng.uniform(-5, 5), rng.uniform(-5, 5))
+                                   for _ in range(60)], 8, _FLOAT),
+        # a vertical line: dx is 0 at every offset, so no early stop
+        fc.ZeroWindow.from_points([zp(Fraction(1, 2), Fraction(k * k - 40, 7)) for k in range(19)], 60),
+        fc.ZeroWindow.from_points([fc.ZPoint(3.0, k * 0.37 + 0.01 * k * k) for k in range(25)], 60, _FLOAT),
+    ]
+    kinds = set()
+    for w in windows:
+        assert w.min_gap() == _all_pairs_gap(w)
+        kinds.add(w.grid[0].dtype.kind)
+    assert kinds == {"i", "O", "f"}
+
+
+def test_min_gap_of_tiny_windows():
+    # the constructors refuse an empty window; build one on its grid
+    empty = np.zeros(0, dtype=np.int64)
+    assert zseq.ZeroWindow._on_grid(empty, empty, 1, 3, fc.EXACT).min_gap() == math.inf
+    assert fc.ZeroWindow.from_points([zp(1, 2)], 3).min_gap() == math.inf
+    assert fc.ZeroWindow.from_points([zp(1, 2), zp(-2, -2)], 4).min_gap() == 5.0
+    pair = fc.ZeroWindow.from_points([fc.ZPoint(0.1, 0.2), fc.ZPoint(0.4, -0.2)], 1, _FLOAT)
+    assert pair.min_gap() == math.sqrt(0.3 ** 2 + 0.4 ** 2) == _all_pairs_gap(pair)
+
+
 def test_ratio_rounds_as_float_of_fraction():
     big = 1 << 53
     # int64 values up to 2**53, where numpy divides, and past it, where a
