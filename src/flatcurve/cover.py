@@ -16,8 +16,10 @@ float segments with the float formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -47,15 +49,13 @@ def _as_vertex(v, mode: Mode) -> ZPoint:
 # types
 
 
-@dataclass(frozen=True)
-class CoverPoint:
+class CoverPoint(NamedTuple):
     base: complex
     sheet: int
     is_cone: bool = False
 
 
-@dataclass(frozen=True)
-class CrossingEvent:
+class CrossingEvent(NamedTuple):
     """One signed cut crossing along a path segment.
 
     ``on_line`` marks ties: an endpoint of the segment sat exactly on the
@@ -89,8 +89,7 @@ def build_cuts(w: ZeroWindow, m: int) -> CutSystem:
     return CutSystem(w, _check_m(m))
 
 
-@dataclass(frozen=True)
-class SingularitySets:
+class SingularitySets(NamedTuple):
     finite_cone_points: tuple
     infinite_cone_points: tuple = ()
 
@@ -173,9 +172,9 @@ def _segment_events(a: ZPoint, b: ZPoint, cuts: CutSystem, seg_idx: int) -> list
     direction, ks, ts, on_line = _segment_crossings(a, b, cuts, seg_idx)
     if not len(ks):
         return []
-    events = [CrossingEvent(seg_idx, k, direction, tk, ol)
-              for k, tk, ol in zip(ks.tolist(), ts, on_line.tolist())]
-    events.sort(key=lambda e: (e.t, e.zero_index))
+    events = list(map(partial(tuple.__new__, CrossingEvent),
+                      zip(repeat(seg_idx), ks.tolist(), repeat(direction), ts, on_line.tolist())))
+    events.sort(key=attrgetter("t", "zero_index"))
     return events
 
 
@@ -243,8 +242,7 @@ def lift_path(poly, start: CoverPoint, cuts: CutSystem) -> CoverPoint:
     return CoverPoint(verts[-1].to_complex(), sheet, False)
 
 
-@dataclass(frozen=True)
-class LiftedSaddle:
+class LiftedSaddle(NamedTuple):
     start_sheet: int
     end_sheet: int
     delta: int
@@ -268,8 +266,7 @@ def lift_saddle(seg, w: ZeroWindow, cuts: CutSystem) -> list:
             for s in range(cuts.m)]
 
 
-@dataclass(frozen=True)
-class ConeAngle:
+class ConeAngle(NamedTuple):
     zero_index: int
     turns: int
     angle: float

@@ -60,6 +60,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -356,8 +359,7 @@ def visible_pairs_bruteforce(w: ZeroWindow) -> list:
 # saddle connections
 
 
-@dataclass(frozen=True)
-class SaddleSegment:
+class SaddleSegment(NamedTuple):
     """A visible pair with canonical orientation (holonomy argument in
     [0, pi)) and the covering multiplicity it lifts with."""
 
@@ -393,9 +395,9 @@ def saddle_connections(w: ZeroWindow, m: int, max_length: float | None = None) -
     reach = np.sqrt(_ratio(cx * cx + cy * cy, cscale and cscale * cscale))
     provisional = np.maximum(reach[ii], reach[jj]) + length > float(w.radius) * (1 + 1e-12)
     direction = map(math.atan2, _ratio(dy, scale).tolist(), _ratio(dx, scale).tolist())
-    return [SaddleSegment(i, j, v, ln, d, m, p) for i, j, v, ln, d, p in
-            zip(ii.tolist(), jj.tolist(), grid_points(dx, dy, scale), length.tolist(), direction,
-                provisional.tolist())]
+    return list(map(partial(tuple.__new__, SaddleSegment),
+                    zip(ii.tolist(), jj.tolist(), grid_points(dx, dy, scale), length.tolist(),
+                        direction, repeat(m), provisional.tolist())))
 
 
 # --------------------------------------------------------------------------

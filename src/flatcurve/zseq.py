@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,9 +87,12 @@ def scalar_repr(value):
 # points
 
 
-@dataclass(frozen=True, slots=True)
-class ZPoint:
-    """A complex number with mode-typed coordinates (Fraction or float)."""
+class ZPoint(NamedTuple):
+    """A complex number with mode-typed coordinates (Fraction or float).
+
+    It is the tuple ``(re, im)``: it equals and hashes as that plain tuple,
+    unpacks and orders; ``*`` raises ``TypeError`` rather than repeat it.
+    """
 
     re: object
     im: object
@@ -100,6 +105,11 @@ class ZPoint:
 
     def __neg__(self) -> "ZPoint":
         return ZPoint(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def scale(self, c) -> "ZPoint":
         return ZPoint(self.re * c, self.im * c)
@@ -207,8 +217,8 @@ def coordinate_grid(points, mode: Mode, base: int = 1) -> tuple:
     so vectors can share the grid of the window they came from.
     """
     if not mode.is_exact:
-        return (np.array([float(p.re) for p in points]),
-                np.array([float(p.im) for p in points]), None, None)
+        coords = np.fromiter(chain.from_iterable(points), float, 2 * len(points))
+        return coords[0::2], coords[1::2], None, None
     scale = math.lcm(base, *(p.re.denominator for p in points),
                      *(p.im.denominator for p in points))
     xs = [p.re.numerator * (scale // p.re.denominator) for p in points]
@@ -255,10 +265,10 @@ def grid_points(xs, ys, scale) -> list:
     """ZPoints of the grid coordinates (xs, ys): Fractions over ``scale``,
     one per distinct value, or the floats themselves when it is None."""
     xs, ys = xs.tolist(), ys.tolist()
-    if scale is None:
-        return [ZPoint(x, y) for x, y in zip(xs, ys)]
-    frac = {v: Fraction(v, scale) for v in set(xs) | set(ys)}
-    return [ZPoint(frac[x], frac[y]) for x, y in zip(xs, ys)]
+    if scale is not None:
+        frac = {v: Fraction(v, scale) for v in set(xs) | set(ys)}
+        xs, ys = map(frac.__getitem__, xs), map(frac.__getitem__, ys)
+    return list(map(partial(tuple.__new__, ZPoint), zip(xs, ys)))
 
 
 _FLOAT_INTS = 1 << 53  # integers up to here are exact in float64

@@ -357,3 +357,65 @@ def test_cone_angle_turns_match_repeated_lifting(lattice5, monkeypatch, m):
         ca = fc.cone_angle(0, lattice5, m)
         assert (ca.turns, ca.loop_delta) == (_turns_by_lifting(delta, m), delta)
         assert ca.angle == 2 * math.pi * ca.turns
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+def _cover_records():
+    """One record of each kind ``cover`` returns, on a three-zero window."""
+    w = _window([zp(0), zp(1), zp(2, 1)], 3)
+    cuts = fc.build_cuts(w, 3)
+    seg = fc.saddle_connections(w, 3)[-1]
+    return {
+        "CoverPoint": fc.fiber(zp(Fraction(1, 2), Fraction(1, 2)), w, 2)[1],
+        "CrossingEvent": fc.crossing_log([zp(1, Fraction(-1, 2)), zp(Fraction(-1, 2), -1)],
+                                         cuts)[0],
+        "LiftedSaddle": fc.lift_saddle(seg, w, cuts)[1],
+        "SingularitySets": fc.singularity_sets(_window([zp(0), zp(1)], 1), 2),
+        "ConeAngle": fc.cone_angle(2, w, 3),
+    }
+
+
+_COVER_REPRS = {
+    "CoverPoint": "CoverPoint(base=(0.5+0.5j), sheet=1, is_cone=False)",
+    "CrossingEvent": "CrossingEvent(segment=0, zero_index=1, direction=-1, t=0.0, on_line=True)",
+    "LiftedSaddle": "LiftedSaddle(start_sheet=1, end_sheet=1, delta=0, "
+                    "start=CoverPoint(base=(1+0j), sheet=0, is_cone=True), "
+                    "end=CoverPoint(base=(2+1j), sheet=0, is_cone=True))",
+    "SingularitySets": "SingularitySets(finite_cone_points=(CoverPoint(base=0j, sheet=0, "
+                       "is_cone=True), CoverPoint(base=(1+0j), sheet=0, is_cone=True)), "
+                       "infinite_cone_points=())",
+    "ConeAngle": "ConeAngle(zero_index=2, turns=3, angle=18.84955592153876, "
+                 "loop_radius=0.25, loop_delta=1)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COVER_REPRS))
+def test_cover_records_are_immutable_values(name):
+    rec, twin = _cover_records()[name], _cover_records()[name]
+    assert type(rec) is getattr(fc, name)
+    assert repr(rec) == _COVER_REPRS[name]
+    assert rec == twin and hash(rec) == hash(twin)
+    assert rec != rec._replace(**{rec._fields[1]: "changed"})
+    with pytest.raises(AttributeError):
+        setattr(rec, rec._fields[0], None)
+
+
+def test_record_defaults():
+    assert fc.CoverPoint(1j, 2) == fc.CoverPoint(1j, 2, False)
+    assert fc.CrossingEvent(0, 1, 1, 0.5) == fc.CrossingEvent(0, 1, 1, 0.5, False)
+    assert fc.SingularitySets((fc.CoverPoint(0j, 0, True),)).infinite_cone_points == ()
+
+
+def test_crossing_event_to_dict():
+    w = _window([zp(0), zp(1), zp(2, 1)], 3)
+    path = [zp(Fraction(-1, 2), -2), zp(Fraction(5, 2), Fraction(1, 2)),
+            zp(Fraction(3, 2), Fraction(1, 2)), zp(1, Fraction(-1, 2)), zp(Fraction(-1, 2), -1)]
+    rows = [(0, 0, 1, 1 / 6, False), (0, 1, 1, 0.5, False), (0, 2, 1, 5 / 6, False),
+            (1, 2, -1, 0.5, False), (3, 1, -1, 0.0, True), (3, 0, -1, 2 / 3, False)]
+    want = [dict(zip(("segment", "zero_index", "direction", "t", "on_line"), r)) for r in rows]
+    got = [e.to_dict() for e in fc.crossing_log(path, fc.build_cuts(w, 3))]
+    assert got == want
+    assert [type(v) for d in got for v in d.values()] == [int, int, int, float, bool] * len(rows)

@@ -390,6 +390,29 @@ def test_singleton_window_has_no_segments():
     assert fc.saddle_connections(w, 2) == []
 
 
+def test_saddle_segment_is_an_immutable_value_record():
+    w = _window([zp(0), zp(1), zp(2, 1)], 3)
+    segs, twins = fc.saddle_connections(w, 3), fc.saddle_connections(w, 3)
+    assert repr(segs[1]) == (
+        "SaddleSegment(from_idx=0, to_idx=2, holonomy=ZPoint(re=Fraction(2, 1), "
+        "im=Fraction(1, 1)), length=2.23606797749979, direction=0.4636476090008061, "
+        "multiplicity=3, provisional=True)")
+    for seg, twin in zip(segs, twins):
+        assert type(seg) is fc.SaddleSegment and type(seg.holonomy) is fc.ZPoint
+        assert [type(getattr(seg, f)) for f in ("from_idx", "to_idx", "length", "direction",
+                                                "multiplicity", "provisional")] \
+            == [int, int, float, float, int, bool]
+        assert seg == twin and hash(seg) == hash(twin)
+        assert seg != seg._replace(multiplicity=4)
+        with pytest.raises(AttributeError):
+            seg.length = 0.0
+    wf = fc.ZeroWindow.from_points([fc.ZPoint(0.0, 0.0), fc.ZPoint(-1.0, 0.0)], 2,
+                                   fc.float_mode(1e-9))
+    assert repr(fc.saddle_connections(wf, 2)) == (
+        "[SaddleSegment(from_idx=1, to_idx=0, holonomy=ZPoint(re=1.0, im=-0.0), length=1.0, "
+        "direction=-0.0, multiplicity=2, provisional=False)]")
+
+
 # ---------------------------------------------------------------------------
 # holonomy
 

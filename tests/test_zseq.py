@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +50,64 @@ def _assert_grid_of_points(w):
     want_xs, want_ys, want_scale, want_shift = coordinate_grid(w.points, w.mode)
     assert (xs.dtype, scale, shift) == (want_xs.dtype, want_scale, want_shift)
     assert (xs.tolist(), ys.tolist()) == (want_xs.tolist(), want_ys.tolist())
+
+
+# ---------------------------------------------------------------------------
+# points
+
+
+def test_zpoint_is_an_immutable_value_record():
+    p, q = zp(Fraction(1, 2)), zp("1/2")
+    assert repr(p) == "ZPoint(re=Fraction(1, 2), im=Fraction(0, 1))"
+    assert repr(fc.ZPoint(-0.0, 1.5)) == "ZPoint(re=-0.0, im=1.5)"
+    assert p == q and hash(p) == hash(q) and p is not q
+    assert p != zp(Fraction(1, 2), 1) and len({p, q, zp(0)}) == 2
+    with pytest.raises(AttributeError):
+        p.re = Fraction(1)
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    # a point is the tuple (re, im): it equals it, unpacks and orders as it
+    assert p == (Fraction(1, 2), Fraction(0))
+    x, y = p
+    assert (x, y) == (p.re, p.im)
+    assert sorted([zp(1), zp(0, 1), zp(0)]) == [zp(0), zp(0, 1), zp(1)]
+
+
+@pytest.mark.parametrize("product", [lambda p: 2 * p, lambda p: p * 2, lambda p: p * p])
+def test_zpoint_refuses_multiplication(product):
+    # a tuple would repeat itself
+    with pytest.raises(TypeError):
+        product(zp(1, 2))
+
+
+def test_zpoint_arithmetic_is_complex():
+    p, q = zp(1, 2), zp(Fraction(1, 2), -1)
+    assert p + q == zp(Fraction(3, 2), 1) and type(p + q) is fc.ZPoint
+    assert p - q == zp(Fraction(1, 2), 3) and -p == zp(-1, -2)
+    assert p.scale(3) == zp(3, 6)
+
+
+def test_errors_quote_the_point_repr():
+    h = Fraction(1, 2)
+    quoted = re.escape("ZPoint(re=Fraction(1, 2), im=Fraction(0, 1))")
+    with pytest.raises(fc.DuplicatePoint, match=f"^repeated point {quoted}$"):
+        fc.ZeroWindow.from_points([zp(h), zp(0), zp(h)], 1)
+    with pytest.raises(ValueError, match=f"^point {quoted} outside sampling radius 1/4$"):
+        fc.ZeroWindow.from_points([zp(0), zp(h)], Fraction(1, 4))
+
+
+def test_float_grid_reads_each_coordinate_as_float_does():
+    # Python floats of both zero signs, Fractions, and ints past 2**53 (ties
+    # round to even) and past int64
+    pts = [fc.ZPoint(-0.0, 0.0), fc.ZPoint(0.1, -0.0), fc.ZPoint(Fraction(1, 3), Fraction(-2, 7)),
+           fc.ZPoint(2 ** 53 + 1, -(2 ** 53 + 3)),
+           fc.ZPoint(2 ** 70 + 2 ** 17 + 1, -(10 ** 30 + 1))]
+    xs, ys, scale, shift = coordinate_grid(pts, _FLOAT)
+    assert (scale, shift, xs.dtype, ys.dtype) == (None, None, np.float64, np.float64)
+    assert [x.hex() for x in xs.tolist()] == [float(p.re).hex() for p in pts]
+    assert [y.hex() for y in ys.tolist()] == [float(p.im).hex() for p in pts]
+    xs, ys, _, _ = coordinate_grid([], _FLOAT)
+    assert (xs.shape, ys.shape, xs.dtype, ys.dtype) == ((0,), (0,), np.float64, np.float64)
 
 
 # ---------------------------------------------------------------------------
