@@ -162,8 +162,9 @@ def _segment_crossings(a: ZPoint, b: ZPoint, cuts: CutSystem, seg_idx: int,
         return direction, ks[keep], None, None
     # int64 operands below 2**53 convert to float exactly, and Python int
     # division rounds correctly, so t is float(Fraction(X - ax, dx)); the
-    # absolute values keep t = 0 from turning into -0.0
-    ts = (t[keep] if scale is None else abs(X[keep] - ax) / abs(dx)).tolist()
+    # absolute values, and in float mode + 0.0, keep t = 0 from turning into
+    # -0.0 on a leftward segment
+    ts = (t[keep] + 0.0 if scale is None else abs(X[keep] - ax) / abs(dx)).tolist()
     return direction, ks[keep], ts, on_line[keep]
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModeMismatch, PoleInAction, TooFewPoints
-from .veech import (Mat2, StabilizerSearchConfig, _inner_points, _matrix_key, _resolve,
+from .veech import (Mat2, StabilizerSearchConfig, _matrix_key, _probes, _resolve,
                     stabilizer_candidates)
 from .zseq import ZPoint, ZeroWindow, zdiv, zmul, zreciprocal
 from .flatgeom import window_collinear
@@ -121,8 +121,7 @@ def _automorphisms_loop(w: ZeroWindow, linears: list, r: float) -> dict:
     """{key: (A, t)} of the pairs that permute the window, one ``Mat2``
     action at a time: the float path, and the reference for the exact one,
     whose order is that of the sorted keys."""
-    inner = _inner_points(w.points, r, w.mode, w.center)
-    probes = sorted(inner, key=lambda v: float(v.norm2()), reverse=True)
+    probes = [w.points[i] for i in _probes(w.grid, r, w.mode, w.center)[0]]
     idx = w.index()
     p0 = w.points[0]
     found = {}

@@ -60,14 +60,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyWindow
-from .zseq import (Mode, PointIndex, ZPoint, ZeroWindow, _moved, _ratio, _typed_grid,
+from .zseq import (Mode, PointIndex, ZPoint, ZeroWindow, _lengths, _moved, _ratio, _typed_grid,
                    canonical_permutation, coordinate_grid, cross, dot, grid_points, rescale_grid)
 
 
@@ -390,9 +390,9 @@ def saddle_connections(w: ZeroWindow, m: int, max_length: float | None = None) -
     flip = (dy < 0) | ((dy == 0) & (dx < 0))
     ii, jj = np.where(flip, jj, ii), np.where(flip, ii, jj)
     dx, dy = np.where(flip, -dx, dx), np.where(flip, -dy, dy)
-    length = np.sqrt(_ratio(dx * dx + dy * dy, scale and scale * scale))
+    length = _lengths(dx, dy, scale)
     cx, cy, cscale = _moved(xs, ys, scale, -w.center)
-    reach = np.sqrt(_ratio(cx * cx + cy * cy, cscale and cscale * cscale))
+    reach = _lengths(cx, cy, cscale)
     provisional = np.maximum(reach[ii], reach[jj]) + length > float(w.radius) * (1 + 1e-12)
     direction = map(math.atan2, _ratio(dy, scale).tolist(), _ratio(dx, scale).tolist())
     return list(map(partial(tuple.__new__, SaddleSegment),
@@ -422,7 +422,8 @@ class HolonomySet:
     enumeration tested.  When the set was enumerated with a length
     restriction, ``contains`` decides longer vectors (``_past_restriction``)
     on demand against the source window, and caches them.  In both modes the
-    point index behind ``contains`` is built on its first call.
+    point index behind ``contains`` is built on its first call, and
+    ``vectors``, as ``ZeroWindow.points``, on its first read.
 
     ``grid`` = ``(xs, ys, scale, shift)`` holds the vectors as in ``zseq``:
     exact sets on an integer grid, which shares the source window's scale
@@ -454,7 +455,6 @@ class HolonomySet:
     def _fill(self, grid, window_radius, mode, restricted_to, window, complete_radius):
         if ((grid[0] == 0) & (grid[1] == 0)).any():
             raise ValueError("holonomy set cannot contain 0")
-        self.vectors = tuple(grid_points(*grid[:3]))
         self.grid = grid
         self.window_radius = float(window_radius)
         self.mode = mode
@@ -464,14 +464,18 @@ class HolonomySet:
             lmax = restricted_to
             if lmax is None:
                 # the canonical order ends with a longest vector
-                lmax = self.vectors[-1].norm() if self.vectors else 0.0
+                lmax = _lengths(grid[0][-1:], grid[1][-1:], grid[2]).max(initial=0.0)
             complete_radius = max(0.0, float(window_radius) - float(lmax))
         self.complete_radius = complete_radius
         self._index = None
         self._query_cache = {}
 
+    @cached_property
+    def vectors(self) -> tuple:
+        return tuple(grid_points(*self.grid[:3]))
+
     def __len__(self):
-        return len(self.vectors)
+        return len(self.grid[0])
 
     def __iter__(self):
         return iter(self.vectors)
@@ -788,17 +792,15 @@ def window_collinear(w: ZeroWindow) -> bool:
     return not (np.abs(c) > bound).any()
 
 
-def vectors_parallel(vectors, mode: Mode) -> bool:
-    vecs = [v for v in vectors if not v.is_zero()]
-    if len(vecs) < 2:
+def vectors_parallel(grid, mode: Mode) -> bool:
+    """Do the nonzero vectors on ``grid`` (``HolonomySet.grid``) lie on one line?"""
+    xs, ys, scale, _ = grid
+    nonzero = (xs != 0) | (ys != 0)
+    xs, ys = xs[nonzero], ys[nonzero]
+    if len(xs) < 2:
         return True
-    u = vecs[0]
-    for v in vecs[1:]:
-        c = cross(u, v)
-        if mode.is_exact:
-            if c != 0:
-                return False
-        else:
-            if abs(float(c)) > mode.eps * u.norm() * v.norm():
-                return False
-    return True
+    c = xs[0] * ys[1:] - ys[0] * xs[1:]  # cross(u, v), u the first vector
+    if mode.is_exact:
+        return not (c != 0).any()
+    lengths = _lengths(xs, ys, scale)
+    return not (np.abs(c) > mode.eps * lengths[0] * lengths[1:]).any()

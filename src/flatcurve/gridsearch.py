@@ -1,20 +1,21 @@
 """Stabilizer searches of exact windows on their integer grid.
 
 The searches of ``veech`` and ``equiv`` come here for exact windows and
-holonomy sets.  Every candidate is an integer matrix over a common
-denominator, possibly with a translation: ``_search`` builds them as
-N = M adj(B) over D = det B from the image pairs M of the base B, closure
-products as N_a N_b over L^2, automorphisms as (A, q) over L.  ``_accept``
-then sends each probe through every candidate at once: an image whose
-division is inexact is a miss, an exact one is looked up among the packed
-keys of the window's points or of the holonomy vectors (``_Targets``).
-Past a holonomy set's length restriction an unlisted image stays open,
-and the source window decides each distinct one, up to sign, once on its
-grid.  Arrays are int64 while every value computed from them stays below
-2**62, and Python ints past that.  Results are ordered on the integer rows
-the kernel holds, over one positive denominator, which is the order of
-their Fraction entries: the kernel builds a ``Mat2`` or ``ZPoint`` of
-Fractions only for a result it returns.
+holonomy sets.  Each takes its probes, and ``_search`` its anchors, from
+``veech._probes``, as the float loops do.  Every candidate is an integer
+matrix over a common denominator, possibly with a translation: ``_search``
+builds them as N = M adj(B) over D = det B from the image pairs M of the
+anchor base B, closure products as N_a N_b over L^2, automorphisms as
+(A, q) over L.  ``_accept`` then sends each probe through every candidate
+at once: an image whose division is inexact is a miss, an exact one is
+looked up among the packed keys of the window's points or of the holonomy
+vectors (``_Targets``).  Past a holonomy set's length restriction an
+unlisted image stays open, and the source window decides each distinct
+one, up to sign, once on its grid.  Arrays are int64 while every value
+computed from them stays below 2**62, and Python ints past that.  Results
+are ordered on the integer rows the kernel holds, over one positive
+denominator, which is the order of their Fraction entries: the kernel
+builds a ``Mat2`` or ``ZPoint`` of Fractions only for a result it returns.
 
 Like every module of the package, it loads on first use: ``veech`` and
 ``equiv`` import it on the first exact search, so neither importing
@@ -33,11 +34,10 @@ from . import veech
 from .errors import DegenerateWindow, SingularMatrix
 from .flatgeom import (HolonomySet, _distinct, _encoded_keys, _has_grid_vector, _past_restriction,
                        _unpacked)
-from .veech import _BLOCK, ClosureReport, Mat2, _first_independent_pair, _pool_limit
-from .zseq import EXACT, ZPoint, ZeroWindow, _outside_ball, _ratio, grid_points
+from .veech import _BLOCK, ClosureReport, Mat2, _pool_limit, _probes
+from .zseq import EXACT, ZeroWindow, _lengths, _ratio, grid_points
 
 _INT64_SAFE = 1 << 62
-_ORIGIN = ZPoint.zero()
 
 
 # --------------------------------------------------------------------------
@@ -61,11 +61,6 @@ def _float_norm2(xs, ys, scale: int) -> np.ndarray:
     ``float(Fraction)`` rounds."""
     xs, ys = _ints(2 * _span(xs, ys) ** 2, xs, ys)
     return _ratio(xs * xs + ys * ys, scale * scale)
-
-
-def _probe_order(xs, ys, idx, scale: int):
-    """``idx`` sorted longest point first, ties in their given order."""
-    return idx[np.argsort(-_float_norm2(xs[idx], ys[idx], scale), kind="stable")]
 
 
 # --------------------------------------------------------------------------
@@ -115,8 +110,7 @@ class _Targets(NamedTuple):
             return packed, hit, None
         opened = ok & ~hit
         at = opened.nonzero()
-        norm = np.sqrt(_ratio(x[at] * x[at] + y[at] * y[at], self.scale * self.scale))
-        opened[at] = _past_restriction(norm, self.restricted_to)
+        opened[at] = _past_restriction(_lengths(x[at], y[at], self.scale), self.restricted_to)
         return packed, hit, opened
 
 
@@ -201,21 +195,22 @@ def _accept(maps, px, py, targets: _Targets):
 # the searches
 
 
-def _search(inner_pts, ix, iy, px, py, targets: _Targets, entry_bound: float,
+def _search(xs, ys, probes: tuple, px, py, targets: _Targets, entry_bound: float,
             require_nc: bool) -> list:
-    """``veech._search`` on the integer grid of ``targets``: the inner
-    points ``inner_pts`` sit at (ix, iy), the image pool at (px, py).
+    """``veech._search`` on the integer grid of ``targets``: ``probes``
+    (``veech._probes``) index the points (xs, ys), and the image pool sits
+    at (px, py).
 
     With base B = [p q] (columns), D = det B and an image pair as the
     columns of M, the candidate is A = N / D with N = M adj(B), and its
     inverse is B adj(M) / det M.  Distinct image pairs give distinct N, so
     there is nothing to deduplicate.
     """
-    pair = _first_independent_pair(inner_pts)
+    order, pair = probes
     if pair is None:
         raise DegenerateWindow(
             "no two independent points inside the inner radius")
-    (x0, x1), (y0, y1) = ix[list(pair)].tolist(), iy[list(pair)].tolist()
+    (x0, x1), (y0, y1) = xs[list(pair)].tolist(), ys[list(pair)].tolist()
     scale = targets.scale
     pool_norm = _float_norm2(px, py, scale)
     cp = np.flatnonzero(pool_norm <= _pool_limit(x0 / scale, y0 / scale, entry_bound))
@@ -237,8 +232,7 @@ def _search(inner_pts, ix, iy, px, py, targets: _Targets, entry_bound: float,
     n = [v[keep] for v in n]
     ax, ay, bx, by, det_m = ax[keep], ay[keep], bx[keep], by[keep], det_m[keep]
     inverse = (x0 * by - x1 * ay, x1 * ax - x0 * bx, y0 * by - y1 * ay, y1 * ax - y0 * bx)
-    order = _probe_order(ix, iy, np.arange(len(ix)), scale)
-    acc = _accept([(*n, 0, 0, d), (*inverse, 0, 0, det_m)], ix[order], iy[order], targets)
+    acc = _accept([(*n, 0, 0, d), (*inverse, 0, 0, det_m)], xs[order], ys[order], targets)
     # every candidate is a row of N sign(D) over |D|, so integer rows order
     # them as their Fraction entries would
     sign, ad = (1, d) if d > 0 else (-1, -d)
@@ -253,21 +247,18 @@ def _search(inner_pts, ix, iy, px, py, targets: _Targets, entry_bound: float,
 
 def window_stabilizer(w: ZeroWindow, r: float, e: float, req: bool) -> list:
     """``veech.stabilizer_candidates`` of an exact window."""
-    xs, ys, scale, _ = w.grid
-    inner = np.flatnonzero(~_outside_ball(xs, ys, scale, r, EXACT, _ORIGIN))
-    return _search(grid_points(xs[inner], ys[inner], scale), xs[inner], ys[inner], xs, ys,
-                   _window_targets(w), e, req)
+    xs, ys, _, _ = w.grid
+    return _search(xs, ys, _probes(w.grid, r, EXACT), xs, ys, _window_targets(w), e, req)
 
 
 def holonomy_stabilizer(h: HolonomySet, r: float, e: float, req: bool) -> list:
     """``veech.hol_stabilizer`` of an exact holonomy set."""
     xs, ys, scale, _ = h.grid
-    at = np.flatnonzero(~_outside_ball(xs, ys, scale, r, EXACT, _ORIGIN))
-    inner = [h.vectors[i] for i in at]
-    px, py, pscale, _ = veech._hol_pool(h, inner, e).grid
+    probes = _probes(h.grid, r, EXACT)
+    px, py, pscale, _ = veech._hol_pool(h, probes[1], e).grid
     k = scale // pscale  # 1 unless h lists vectors off its window's grid
     px, py = _ints(_span(px, py) * k, px, py)
-    return _search(inner, xs[at], ys[at], px * k, py * k, _hol_targets(h), e, req)
+    return _search(xs, ys, probes, px * k, py * k, _hol_targets(h), e, req)
 
 
 def _integer_rows(mats: list):
@@ -284,9 +275,8 @@ def _integer_rows(mats: list):
 def closure_check(cands: list, w: ZeroWindow, r: float, e: float, req: bool) -> ClosureReport:
     """``veech.group_closure_check`` of an exact window: with candidates
     N / L, a product is N_a N_b / L^2, acting through the kernel."""
-    xs, ys, scale, _ = w.grid
-    order = _probe_order(xs, ys, np.flatnonzero(~_outside_ball(xs, ys, scale, r, EXACT, _ORIGIN)),
-                         scale)
+    xs, ys, _, _ = w.grid
+    order = _probes(w.grid, r, EXACT)[0]
     den, rows, top = _integer_rows(cands)
     k, d = len(cands), den * den
     # product entries stay within c, and so do their F, det and the
@@ -329,8 +319,7 @@ def automorphisms(w: ZeroWindow, linears: list, r: float) -> list:
     (tx, ty) / (L scale), the rows of N and then (tx, ty) give that order.
     """
     xs, ys, scale, _ = w.grid
-    order = _probe_order(xs, ys, np.flatnonzero(~_outside_ball(xs, ys, scale, r, EXACT, w.center)),
-                         scale)
+    order = _probes(w.grid, r, EXACT, w.center)[0]
     den, rows, top = _integer_rows(linears)
     n = len(xs)
     x0, y0 = int(xs[0]), int(ys[0])

@@ -13,23 +13,27 @@ required to act correctly on the part of the data that stays inside the
 sampled region, with an inner/outer two-radius scheme controlling boundary
 effects.
 
-Exact windows test candidates on their integer grid (``ZeroWindow.grid``,
-built by ``zseq``), in ``gridsearch``, which the exact paths import on
-first use.  With base B = [p q] of two inner points, D = det B and
-an image pair as the columns of M, every candidate is N / D with
-N = M adj(B), so the det > 0, entry-bound and non-contraction filters are
-integer comparisons on N, D and det M.  One numpy kernel then sends every
-probe X through all candidates at once, as N X / D and the inverse as
-B adj(M) X / det M: an inexact division is a miss, and an exact one is
-looked up by ``searchsorted`` among the packed window points (lower bound)
-or holonomy vectors (upper bound).  An image past a holonomy set's length
-restriction that is not listed is decided once, on the window's grid, for
-all candidates.  Closure products and affine
-automorphisms go through the same kernel, which orders its results as
-integer rows and builds a ``Mat2`` of Fractions once per matrix returned.
-Grid integers become floats through ``zseq._ratio``.  Float windows keep
-the ``Mat2`` loop (``_search``, ``_action_ok``), which is also the
-reference the exact kernel is tested against.
+Every search, exact or float, reads one probe set off the grid of its
+window or holonomy set (``_probes``): the points within the inner radius
+of a centre, farthest first, and their first independent pair p, q as
+anchors.  Exact windows test candidates on their integer grid
+(``ZeroWindow.grid``, built by ``zseq``), in ``gridsearch``, which the
+exact paths import on first use.
+With base B = [p q], D = det B and an image pair as the columns of M,
+every candidate is N / D with N = M adj(B), so the det > 0, entry-bound
+and non-contraction filters are integer comparisons on N, D and det M.
+One numpy kernel then sends every probe X through all candidates at once,
+as N X / D and the inverse as B adj(M) X / det M: an inexact division is a
+miss, and an exact one is looked up by ``searchsorted`` among the packed
+window points (lower bound) or holonomy vectors (upper bound).  An image
+past a holonomy set's length restriction that is not listed is decided
+once, on the window's grid, for all candidates.  Closure products and
+affine automorphisms go through the same kernel, which orders its results
+as integer rows and builds a ``Mat2`` of Fractions once per matrix
+returned.  Grid integers become floats through ``zseq._ratio``.  Float
+windows keep the ``Mat2`` loops (``_search``, ``_closure_loop``,
+``equiv._automorphisms_loop``) on the same probe set; they are also the
+references the exact kernel is tested against.
 """
 
 from __future__ import annotations
@@ -43,17 +47,8 @@ import numpy as np
 from .errors import DegenerateWindow, SingularMatrix, TooFewPoints
 from .flatgeom import (HolonomySet, _distinct, _joined, holonomy, vectors_parallel,
                        window_collinear)
-from .zseq import (
-    EXACT,
-    Mode,
-    ZPoint,
-    ZeroWindow,
-    _ratio,
-    as_scalar,
-    cross,
-    dot,
-    scalar_repr,
-)
+from .zseq import (EXACT, Mode, ZPoint, ZeroWindow, _contracting, _lengths, _moved, _outside_ball,
+                   _ratio, as_scalar, dot, scalar_repr)
 
 # --------------------------------------------------------------------------
 # 2x2 matrices
@@ -119,17 +114,8 @@ class Mat2:
 
 
 def is_contracting(m: Mat2) -> bool:
-    """Largest singular value < 1, decided without square roots.
-
-    With F = sum of squared entries and D = det: the squared singular values
-    s1 >= s2 satisfy s1 + s2 = F, s1*s2 = D^2, so both sit below 1 exactly
-    when F < 2 and F - 1 < D^2.  Stays exact on rational entries.
-    """
-    det = m.det
-    if det == 0:
-        raise SingularMatrix("contraction test needs an invertible matrix")
-    f = m.a * m.a + m.b * m.b + m.c * m.c + m.d * m.d
-    return f < 2 and f - 1 < det * det
+    """Largest singular value < 1, decided exactly (``zseq._contracting``)."""
+    return _contracting(*m.entries())
 
 
 def _matrix_key(m: Mat2, mode: Mode):
@@ -173,17 +159,23 @@ def _resolve(cfg: StabilizerSearchConfig | None, outer_radius):
 # pair-image stabilizer search, float path and reference
 
 
-def _first_independent_pair(points):
-    """Indices (i, j), i < j, of the first two independent points, or None."""
-    n = len(points)
-    for i in range(n):
-        p = points[i]
-        if p.is_zero():
-            continue
-        for j in range(i + 1, n):
-            if cross(p, points[j]) != 0:
-                return i, j
-    return None
+def _probes(grid, r, mode: Mode, center: ZPoint | None = None) -> tuple:
+    """``(order, pair)``, the probe set of every symmetry search, as indices
+    into ``grid`` (a window's or a holonomy set's).  ``order``: the points
+    within ``r`` of ``center`` (the origin when None) by ``zseq._outside_ball``,
+    farthest from ``center`` first, ties in grid order.  ``pair``: the first
+    independent pair of them in grid order, the search's anchors, or None."""
+    xs, ys, scale, _ = grid
+    center = ZPoint.zero(mode) if center is None else center
+    inner = np.flatnonzero(~_outside_ball(xs, ys, scale, r, mode, center))
+    ix, iy = xs[inner], ys[inner]
+    mx, my, _ = _moved(ix, iy, scale, -center)
+    order = inner[np.argsort(-(mx * mx + my * my), kind="stable")]
+    for k in range(len(inner) - 1):
+        later = np.flatnonzero(ix[k] * iy[k + 1:] - iy[k] * ix[k + 1:] != 0)
+        if len(later):
+            return order, (int(inner[k]), int(inner[k + 1 + later[0]]))
+    return order, None
 
 
 def _pool_limit(x: float, y: float, entry_bound: float) -> float:
@@ -208,16 +200,19 @@ def _action_ok(a: Mat2, a_inv: Mat2, probes, contains) -> bool:
     return True
 
 
-def _search(inner_pts, full_pts, contains, entry_bound, require_nc, mode: Mode) -> list:
-    pair = _first_independent_pair(inner_pts)
+def _search(points, probes: tuple, pool, contains, entry_bound, require_nc, mode: Mode) -> list:
+    """Matrices that, with their inverses, send every probe point into
+    ``contains``: ``probes`` is ``_probes`` on the grid of ``points``, and
+    the images of its anchor pair are drawn from ``pool``."""
+    order, pair = probes
     if pair is None:
         raise DegenerateWindow(
             "no two independent points inside the inner radius")
-    p, q = (inner_pts[i] for i in pair)
+    p, q = (points[i] for i in pair)
     base_inv = Mat2(p.re, q.re, p.im, q.im).inverse()  # columns p, q
-    cand_p = _image_pool(full_pts, p, entry_bound)
-    cand_q = _image_pool(full_pts, q, entry_bound)
-    probes = sorted(inner_pts, key=lambda v: float(v.norm2()), reverse=True)
+    cand_p = _image_pool(pool, p, entry_bound)
+    cand_q = _image_pool(pool, q, entry_bound)
+    probes = [points[i] for i in order]
     found = {}
     for ip in cand_p:
         for iq in cand_q:
@@ -238,16 +233,6 @@ def _search(inner_pts, full_pts, contains, entry_bound, require_nc, mode: Mode) 
     return sorted(found.values(), key=lambda m: _matrix_key(m, mode))
 
 
-def _inner_points(points, r: float, mode: Mode, center: ZPoint | None = None) -> list:
-    """The points within ``r`` of ``center`` (the origin when None)."""
-    shifted = points if center is None else [p - center for p in points]
-    if mode.is_exact:
-        r2 = Fraction(r) ** 2
-        return [p for p, q in zip(points, shifted) if q.norm2() <= r2]
-    lim = r * r * (1 + 1e-12)
-    return [p for p, q in zip(points, shifted) if float(q.norm2()) <= lim]
-
-
 # --------------------------------------------------------------------------
 # stabilizer bounds
 
@@ -262,9 +247,9 @@ def stabilizer_candidates(w: ZeroWindow, cfg: StabilizerSearchConfig | None = No
     if w.mode.is_exact:
         from . import gridsearch
         return gridsearch.window_stabilizer(w, r, e, req)
-    inner = _inner_points(w.points, r, w.mode)
     idx = w.index()
-    return _search(inner, list(w.points), lambda v: v in idx, e, req, w.mode)
+    return _search(w.points, _probes(w.grid, r, w.mode), list(w.points), lambda v: v in idx,
+                   e, req, w.mode)
 
 
 def hol_stabilizer(h: HolonomySet, cfg: StabilizerSearchConfig | None = None) -> list:
@@ -277,26 +262,26 @@ def hol_stabilizer(h: HolonomySet, cfg: StabilizerSearchConfig | None = None) ->
     entries is missed merely because the pool stopped early.
     """
     r, e, req = _resolve(cfg, h.window_radius)
-    vecs = list(h.vectors)
-    if vectors_parallel(vecs, h.mode):
+    if vectors_parallel(h.grid, h.mode):
         raise DegenerateWindow(
             "all holonomy vectors are parallel; this is the uncountable branch")
     if h.mode.is_exact:
         from . import gridsearch
         return gridsearch.holonomy_stabilizer(h, r, e, req)
-    inner = _inner_points(vecs, r, h.mode)
-    pool = _hol_pool(h, inner, e)
-    return _search(inner, list(pool.vectors), h.contains, e, req, h.mode)
+    probes = _probes(h.grid, r, h.mode)
+    pool = _hol_pool(h, probes[1], e)
+    return _search(h.vectors, probes, list(pool.vectors), h.contains, e, req, h.mode)
 
 
-def _hol_pool(h: HolonomySet, inner: list, e: float) -> HolonomySet:
-    """Where ``hol_stabilizer`` draws images from: ``h``, or, when the
-    anchors' reach passes the restriction, ``h`` joined with its window
-    re-enumerated out to that reach.  The join keeps every listed vector,
-    so a larger entry bound never loses an image."""
-    pair = _first_independent_pair(inner)
+def _hol_pool(h: HolonomySet, pair, e: float) -> HolonomySet:
+    """Where ``hol_stabilizer`` draws images from: ``h``, or, when the reach
+    of the anchors ``pair`` (``_probes``) passes the restriction, ``h`` joined
+    with its window re-enumerated out to that reach.  The join keeps every
+    listed vector, so a larger entry bound never loses an image."""
     if pair is not None and h.window is not None and h.restricted_to is not None:
-        reach = e * math.sqrt(2) * max(inner[i].norm() for i in pair) * (1 + 1e-9)
+        xs, ys, scale, _ = h.grid
+        at = list(pair)
+        reach = e * math.sqrt(2) * float(_lengths(xs[at], ys[at], scale).max()) * (1 + 1e-9)
         if reach > h.restricted_to:
             return _joined(h, holonomy(h.window, max_length=reach))
     return h
@@ -450,8 +435,7 @@ def group_closure_check(cands: list, w: ZeroWindow,
 def _closure_loop(cands: list, w: ZeroWindow, r: float, e: float, req: bool) -> ClosureReport:
     """``group_closure_check`` one ``Mat2`` product at a time: the float
     path, and the reference for the exact one."""
-    inner = _inner_points(w.points, r, w.mode)
-    probes = sorted(inner, key=lambda v: float(v.norm2()), reverse=True)
+    probes = [w.points[i] for i in _probes(w.grid, r, w.mode)[0]]
     idx = w.index()
     contains = lambda v: v in idx
     keys = {_matrix_key(m, w.mode) for m in cands}

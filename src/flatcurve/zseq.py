@@ -41,6 +41,7 @@ from .errors import (
     DuplicatePoint,
     EmptyWindow,
     ModeMismatch,
+    SingularMatrix,
 )
 from .kinds import SEQUENCE_KINDS
 
@@ -284,6 +285,12 @@ def _ratio(num, den):
     if num.dtype != object and den <= _FLOAT_INTS and np.abs(num).max(initial=0) <= _FLOAT_INTS:
         return num / den
     return np.array([a / den for a in num.tolist()], dtype=np.float64)
+
+
+def _lengths(xs, ys, scale):
+    """float64 lengths of the grid vectors (xs, ys) / ``scale``, rounded as
+    ``ZPoint.norm`` rounds them; their squares must fit the arrays' dtype."""
+    return np.sqrt(_ratio(xs * xs + ys * ys, None if scale is None else scale * scale))
 
 
 def _coincide(xs, ys, mode: Mode):
@@ -572,19 +579,30 @@ def _raw_points(spec: GeneratorSpec, radius, mode: Mode) -> tuple:
     return xs[inside], ys[inside], scale
 
 
-def _orbit_points(spec: GeneratorSpec, radius, mode: Mode) -> list:
-    from .veech import Mat2, is_contracting  # local import: veech sits above zseq
+def _contracting(a, b, c, d) -> bool:
+    """Is [[a, b], [c, d]]'s largest singular value below 1?  With F the sum
+    of squared entries and D the determinant, the squared singular values
+    s1 >= s2 have s1 + s2 = F and s1*s2 = D^2, so both sit below 1 exactly
+    when F < 2 and F - 1 < D^2: no square roots, exact on rationals."""
+    det = a * d - b * c
+    if det == 0:
+        raise SingularMatrix("contraction test needs an invertible matrix")
+    f = a * a + b * b + c * c + d * d
+    return f < 2 and f - 1 < det * det
 
-    gens = [Mat2.of(*g, mode=mode) for g in spec.params["generators"]]
-    for g in gens:
-        if is_contracting(g):
-            raise ContractingGenerator(f"generator {g.rows()} is contracting")
+
+def _orbit_points(spec: GeneratorSpec, radius, mode: Mode) -> list:
+    gens = [tuple(as_scalar(v, mode) for v in g) for g in spec.params["generators"]]
+    for a, b, c, d in gens:
+        if _contracting(a, b, c, d):
+            raise ContractingGenerator(f"generator {((a, b), (c, d))} is contracting")
     # Sweep by the generated group, so inverses join the alphabet.
     alphabet = []
-    for g in gens:
-        alphabet.append(g)
-        inv = g.inverse()
-        if inv.entries() != g.entries():
+    for a, b, c, d in gens:
+        det = a * d - b * c
+        inv = (d / det, -b / det, -c / det, a / det)
+        alphabet.append((a, b, c, d))
+        if inv != (a, b, c, d):
             alphabet.append(inv)
     seeds = [p if isinstance(p, ZPoint) else ZPoint.of(p[0], p[1], mode)
              for p in spec.params["k_points"]]
@@ -607,7 +625,8 @@ def _orbit_points(spec: GeneratorSpec, radius, mode: Mode) -> list:
     depth = 0
     while frontier and depth < max_len:
         depth += 1
-        frontier = admit([g.apply(p) for p in frontier for g in alphabet])
+        frontier = admit([ZPoint(a * p.re + b * p.im, c * p.re + d * p.im)
+                          for p in frontier for a, b, c, d in alphabet])
     return found
 
 

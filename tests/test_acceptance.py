@@ -350,8 +350,7 @@ def test_criterion_6_invariant_suites():
         else:
             w = _cloud(rng, 10, 5)
         h = fc.holonomy(w)
-        assert fc.window_collinear(w) == fc.flatgeom.vectors_parallel(
-            list(h.vectors), w.mode)
+        assert fc.window_collinear(w) == fc.flatgeom.vectors_parallel(h.grid, w.mode)
         par_cases += 1
 
     print(f"\n[PASS] criterion 6: invariant suites "

@@ -196,6 +196,20 @@ def test_lift_crossing_cuts():
         assert e["on_line"] is False
 
 
+def test_lift_prints_the_same_crossing_times_in_both_modes():
+    # the leftward segment starts on three cut lines: each of those
+    # crossings has t = 0, which prints as 0.0 in float mode too, not -0.0
+    argv = ["lift", "--sequence", "gaussian-lattice", "--radius", "3", "--m", "3",
+            "--path=1,-0.5;-0.5,-1"]
+    times = []
+    for mode in ("exact", "float"):
+        rc, out = run(argv + ["--mode", mode])
+        assert rc == 0, out
+        times.append(re.findall(r'"t": [^,\n]*', out))
+    assert times[0] == times[1]
+    assert times[0].count('"t": 0.0') == 3
+
+
 def test_cone_angle():
     d = run_json(["cone-angle", "--sequence", "gaussian-lattice", "--radius", "3",
                   "--m", "4", "--zero-index", "0"])
@@ -409,6 +423,26 @@ def test_readme_commands_print_pinned_bytes(tmp_path, monkeypatch):
         assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), line
     assert hashlib.sha256((tmp_path / "w.json").read_bytes()).hexdigest() == \
         "5710c1e7765fe18ae3d95a3bbb1ad68a6693625c563c404e9cd5f5661b2ac578"
+
+
+# sha256 of the stdout of symmetry searches the README commands do not run:
+# the Mat2 loops of a float sandwich, and the orbit window, whose centre is
+# off the origin, in both modes.  Their floats come from plain Python
+# arithmetic, with no BLAS sums.
+_ORBIT = ("classify --sequence orbit --radius 6 --param k_points=1,0;63/80,-43/80 "
+          "--param generators=1,1,0,1;1,0,1,1 --param max_word_length=4")
+_SEARCH_STDOUT = (
+    ("sandwich --sequence gaussian-lattice --radius 8 --inner 3 --mode float",
+     "4f1e73c75b219653c25fd415ac7e9257b810a7d2f64d67a5883c82105cd1d1de"),
+    (_ORBIT, "d9edac0b48ab7048299466cb85bff86cde520f165d008d543f5f30b760e521ca"),
+    (_ORBIT + " --mode float", "c305a19113af4b4c95d8e92e25f24a55033116598df3cb000898485abce3ad88"),
+)
+
+
+def test_float_and_orbit_searches_print_pinned_bytes():
+    for line, digest in _SEARCH_STDOUT:
+        rc, out = run(line.split())
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), line
 
 
 # sha256 of the exact bytes of ``python -m flatcurve.cli`` run in a fresh

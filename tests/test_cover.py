@@ -90,7 +90,8 @@ def _segment_events_reference(a, b, cuts, seg_idx):
             continue
         direction = 1 if right_b else -1
         on_line = (a.re == z.re) or (b.re == z.re)
-        events.append(fc.CrossingEvent(seg_idx, k, direction, float(t), on_line))
+        # + 0.0: a crossing at t = 0 reports 0.0 in both modes, never -0.0
+        events.append(fc.CrossingEvent(seg_idx, k, direction, float(t) + 0.0, on_line))
     events.sort(key=lambda e: (e.t, e.zero_index))
     return events
 

@@ -603,6 +603,26 @@ def test_holonomy_restriction_and_completeness(lattice5):
     assert not h.contains(zp(2))
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_holonomy_set_reads_its_size_and_radius_off_the_grid(exact):
+    # ``vectors`` are built on first read; until then len() and the default
+    # complete_radius come from the grid, and agree with the vectors after
+    mode = fc.EXACT if exact else fc.float_mode(1e-9)
+    rng = random.Random(31)
+    clouds = [[fc.ZPoint.of(p.re, p.im, mode) for p in _rational_cloud(rng, 20, den).points]
+              for den in (3, 7, _BIG_DENS[0])]
+    sets = [fc.HolonomySet(vecs, 30, mode) for vecs in clouds + [[]]]
+    if exact:
+        # an exact unrestricted enumeration takes the default radius too
+        sets += [fc.holonomy(fc.generate(fc.GeneratorSpec("gaussian-lattice"), 6)),
+                 fc.holonomy(fc.ZeroWindow.from_points(clouds[1], 20))]
+    for h in sets:
+        assert "vectors" not in h.__dict__
+        n, radius = len(h), h.complete_radius
+        longest = h.vectors[-1].norm() if h.vectors else 0.0
+        assert (n, radius) == (len(h.vectors), max(0.0, h.window_radius - longest))
+
+
 def test_holonomy_translation_invariance(integers10):
     rng = random.Random(31)
     base = {(v.re, v.im) for v in fc.holonomy(integers10).vectors}
@@ -794,7 +814,7 @@ def test_collinear_iff_all_holonomy_parallel():
         if len(w.points) < 2:
             continue
         h = fc.holonomy(w)
-        parallel = fc.flatgeom.vectors_parallel(list(h.vectors), w.mode)
+        parallel = fc.flatgeom.vectors_parallel(h.grid, w.mode)
         assert fc.window_collinear(w) == parallel
         floats = [fc.ZPoint(float(p.re), float(p.im)) for p in pts]
         assert fc.window_collinear(fc.ZeroWindow.from_points(floats, 25, fc.float_mode())) == parallel

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import flatcurve as fc
-from flatcurve import equiv, gridsearch, veech, zseq
+from flatcurve import equiv, flatgeom, gridsearch, veech, zseq
 from flatcurve.veech import Mat2, StabilizerSearchConfig
 
 from conftest import zp
@@ -231,15 +231,15 @@ def test_closure_report_serializable(lattice5):
 def _ref_candidates(w, cfg):
     r, e, req = veech._resolve(cfg, w.radius)
     idx = w.index()
-    return veech._search(veech._inner_points(w.points, r, w.mode), list(w.points),
+    return veech._search(w.points, veech._probes(w.grid, r, w.mode), list(w.points),
                          lambda v: v in idx, e, req, w.mode)
 
 
 def _ref_hol_stabilizer(h, cfg):
     r, e, req = veech._resolve(cfg, h.window_radius)
-    inner = veech._inner_points(list(h.vectors), r, h.mode)
-    pool = veech._hol_pool(h, inner, e)
-    return veech._search(inner, list(pool.vectors), h.contains, e, req, h.mode)
+    probes = veech._probes(h.grid, r, h.mode)
+    pool = veech._hol_pool(h, probes[1], e)
+    return veech._search(h.vectors, probes, list(pool.vectors), h.contains, e, req, h.mode)
 
 
 def _same_closure(cands, w, cfg):
@@ -387,9 +387,9 @@ def test_hol_pool_of_an_enumerated_set_is_the_re_enumeration(exact):
               fc.generate(fc.GeneratorSpec("integers-plus-minus-i"), 10, mode)):
         for length in (1.5, 2, 3):
             h = fc.holonomy(w, max_length=length)
-            inner = veech._inner_points(list(h.vectors), 2.5, mode)
+            pair = veech._probes(h.grid, 2.5, mode)[1]
             for e in (2, 3, 4, 5):
-                pool = veech._hol_pool(h, inner, e)
+                pool = veech._hol_pool(h, pair, e)
                 if pool is h:
                     continue
                 joined += 1
@@ -481,9 +481,8 @@ def _assert_ordered_as_reference(w, cfg):
 
 
 def _first_pair_det(w, r):
-    inner = _inner_on_grid(w, r)
-    i, j = veech._first_independent_pair(inner)
-    return zseq.cross(inner[i], inner[j])
+    i, j = veech._probes(w.grid, r, w.mode)[1]
+    return zseq.cross(w.points[i], w.points[j])
 
 
 def _half_step(den):
@@ -555,22 +554,25 @@ def test_non_dyadic_entry_bound_compares_exactly():
 
 def _inner_on_grid(w, r, center=zp(0)):
     """The window points within ``r`` of ``center``, as the exact searches
-    pick them on the grid."""
-    xs, ys, scale, _ = w.grid
-    return [w.points[i] for i in np.flatnonzero(~zseq._outside_ball(xs, ys, scale, r, fc.EXACT,
-                                                                     center))]
+    pick them on the grid (``veech._probes``), in grid order."""
+    return [w.points[i] for i in sorted(veech._probes(w.grid, r, fc.EXACT, center)[0].tolist())]
+
+
+def _inner_fractions(w, r, center=zp(0)):
+    """The same points, by Fraction arithmetic on the ZPoints."""
+    return [p for p in w.points if (p - center).norm2() <= Fraction(r) ** 2]
 
 
 def test_inner_radius_equal_to_point_norm():
     w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 8)
     for r, kept in ((5, True), (math.nextafter(5, 0), False)):
         got = _inner_on_grid(w, r)
-        assert got == veech._inner_points(w.points, r, w.mode)
+        assert got == _inner_fractions(w, r)
         assert (zp(3, 4) in got) is kept
     center = zp(Fraction(1, 3), Fraction(-2, 7))
     for r in (5, 2.5, Fraction(13, 3)):
         got = _inner_on_grid(w, r, center)
-        assert got == veech._inner_points(w.points, r, w.mode, center)
+        assert got == _inner_fractions(w, r, center)
 
 
 def test_inner_radius_past_int64_squares():
@@ -584,8 +586,83 @@ def test_inner_radius_past_int64_squares():
     for r in (edge, edge - Fraction(1, 10**12), 1 << 33, (1 << 40) + 0.5):
         assert (r * 15) ** 2 > 1 << 63
         got = _inner_on_grid(w, r, center)
-        assert got == veech._inner_points(w.points, r, w.mode, center)
+        assert got == _inner_fractions(w, r, center)
         assert (pts[2] in got) is (r != edge - Fraction(1, 10**12))
+
+
+# ---------------------------------------------------------------------------
+# the probe set every search shares
+
+
+def _probes_reference(w, r, center):
+    """``veech._probes`` by Fraction arithmetic on the window's ZPoints."""
+    pts = w.points
+    d2 = [(p - center).norm2() for p in pts]
+    inner = [i for i in range(len(pts)) if d2[i] <= Fraction(r) ** 2]
+    order = sorted(inner, key=lambda i: -d2[i])  # stable: ties stay in canonical order
+    pair = next(((i, j) for k, i in enumerate(inner) for j in inner[k + 1:]
+                 if zseq.cross(pts[i], pts[j]) != 0), None)
+    return order, pair
+
+
+@pytest.mark.parametrize("den", [1, 32749, *_BIG_DENS])
+def test_probes_match_fraction_arithmetic(den):
+    rng = random.Random(97)
+    off = zp(Fraction(1, 3), Fraction(-2, 7))
+    # (2, 0) lies exactly 2 from the origin and 1 from (7/5, -4/5)
+    on_point = ((zp(0), 2), (zp(Fraction(7, 5), Fraction(-4, 5)), 1))
+    windows = (_grid_window(1, _half_step(den), 4), _grid_window(1, _half_step(den), 4, off),
+               _grid_window(_half_step(den), 1, 3), _rational_cloud(rng, 30, den))
+    assert windows[0].grid[0].dtype == (object if den in _BIG_DENS else np.int64)
+    for w in windows:
+        cases = [(c, r) for c in (zp(0), off, w.center) for r in (0.7, 1.2, 2.5, 10)]
+        cases += [(c, s) for c, r in on_point for s in (r, math.nextafter(r, 0))]
+        for center, r in cases:
+            order, pair = veech._probes(w.grid, r, fc.EXACT, center)
+            assert (order.tolist(), pair) == _probes_reference(w, r, center), (center, r)
+        order, pair = veech._probes(w.grid, 2.5, fc.EXACT)  # about the origin
+        assert (order.tolist(), pair) == _probes_reference(w, 2.5, zp(0))
+    w = windows[0]
+    k = w.points.index(zp(2))
+    for center, r in on_point:
+        assert k in veech._probes(w.grid, r, fc.EXACT, center)[0]
+        assert k not in veech._probes(w.grid, math.nextafter(r, 0), fc.EXACT, center)[0]
+
+
+def test_float_probes_match_the_exact_ones_off_the_band():
+    # on a float copy of an exact grid, every norm and cross product below is
+    # exact in float64 and no point lies near the ball's edge
+    w = _grid_window(1, Fraction(1, 2), 4, zp(Fraction(1, 4), Fraction(-3, 4)))
+    f = fc.ZeroWindow.from_points([fc.ZPoint(float(p.re), float(p.im)) for p in w.points],
+                                  5, fc.float_mode(1e-9))
+    for center in (zp(0), w.center):
+        fc_center = fc.ZPoint(float(center.re), float(center.im))
+        for r in (0.3, 1.2, 2.6, 10):
+            got_order, got_pair = veech._probes(f.grid, r, f.mode, fc_center)
+            want_order, want_pair = veech._probes(w.grid, r, fc.EXACT, center)
+            assert (got_order.tolist(), got_pair) == (want_order.tolist(), want_pair)
+
+
+@pytest.mark.parametrize("kind, radius", [("gaussian-lattice", 8), ("integers-plus-minus-i", 10)])
+def test_exact_classify_and_sandwich_build_no_holonomy_vectors(kind, radius, monkeypatch):
+    # the searches read holonomy sets off their grids, so no ZPoint of a
+    # vector is made, not even for the anchors or the parallel test
+    built = []
+    real = flatgeom.holonomy
+
+    def spy(*args, **kwargs):
+        h = real(*args, **kwargs)
+        built.append(h)
+        return h
+
+    for ns in (flatgeom, veech):
+        monkeypatch.setattr(ns, "holonomy", spy)
+    w = fc.generate(fc.GeneratorSpec(kind), radius)
+    for cfg in (None, StabilizerSearchConfig(inner_radius=2.5, entry_bound=4)):
+        assert fc.classify(w, cfg).kind == "Countable"
+        fc.sandwich_report(w, cfg)
+    assert len(built) > 4  # some anchors reached past the restriction
+    assert all("vectors" not in h.__dict__ for h in built)
 
 
 # ---------------------------------------------------------------------------

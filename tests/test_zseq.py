@@ -1,8 +1,12 @@
 import functools
 import json
 import math
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -335,6 +339,33 @@ def test_orbit_rejects_contracting_generator():
         max_word_length=3)
     with pytest.raises(fc.ContractingGenerator):
         fc.generate(spec, 2)
+
+
+def test_orbit_errors_name_the_generator_rows():
+    half = Fraction(1, 2)
+    spec = fc.GeneratorSpec.orbit([zp(1)], [(1, 1, 0, 1), (half, 0, 0, half)], 3)
+    with pytest.raises(fc.ContractingGenerator) as err:
+        fc.generate(spec, 2)
+    rows = ((half, Fraction(0)), (Fraction(0), half))
+    assert str(err.value) == f"generator {rows} is contracting"
+    with pytest.raises(fc.SingularMatrix, match="contraction test needs an invertible matrix"):
+        fc.generate(fc.GeneratorSpec.orbit([zp(1)], [(1, 2, 2, 4)], 3), 2, _FLOAT)
+
+
+def test_orbit_window_loads_no_search_module():
+    # the sweep multiplies plain (a, b, c, d) tuples, so a fresh interpreter
+    # that generates an orbit window never imports veech or flatgeom
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import json, sys; import flatcurve as fc; "
+            "spec = fc.GeneratorSpec.orbit([(1, 0)], [(1, 1, 0, 1), (1, 0, 1, 1)], 3); "
+            "print(len(fc.generate(spec, 5)), len(fc.generate(spec, 5, fc.float_mode()))); "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('flatcurve'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True)
+    sizes, loaded = proc.stdout.splitlines()
+    assert sizes.split()[0] == sizes.split()[1] != "0"
+    assert "flatcurve.zseq" in json.loads(loaded)
+    assert {"flatcurve.veech", "flatcurve.flatgeom"}.isdisjoint(json.loads(loaded))
 
 
 # ---------------------------------------------------------------------------
