@@ -8,9 +8,11 @@ treated as lying on the right side — the deterministic equivalent of the
 usual "+eps in x" perturbation — and the event is flagged rather than
 silently absorbed.
 
-Crossings are computed on the window's coordinate grid (``ZeroWindow.grid``),
-every cut of a segment at once: exact segments with integer arithmetic,
-float segments with the float formulas.
+Crossings are computed on one grid per path: the polyline's vertices join
+the window's coordinate grid (``ZeroWindow.grid``) once, and each segment
+meets every cut at once, exact paths in integer arithmetic, float paths with
+the float formulas.  Vertices are tested against the zeros on that grid with
+``same_point``'s predicate.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PathThroughBranchPoint, RadiusTooLarge
-from .zseq import Mode, ZPoint, ZeroWindow, rescale_grid
+from .zseq import Mode, ZPoint, ZeroWindow, _same, coordinate_grid, rescale_grid
 
 
 def _check_m(m: int) -> int:
@@ -35,8 +37,7 @@ def _check_m(m: int) -> int:
 
 
 def _as_vertex(v, mode: Mode) -> ZPoint:
-    if isinstance(v, ZPoint):
-        return v
+    """``v`` (a pair, ZPoint included, or a number) with the mode's scalars."""
     if isinstance(v, complex):
         return ZPoint.of(v.real, v.imag, mode)
     if isinstance(v, (int, float, Fraction)):
@@ -109,98 +110,76 @@ def singularity_sets(w: ZeroWindow, m: int) -> SingularitySets:
 # crossing computation
 
 
-def _segment_crossings(a: ZPoint, b: ZPoint, cuts: CutSystem, seg_idx: int,
-                       times: bool = True) -> tuple:
-    """Signed crossings of one segment against every cut, all cuts at once.
+def _on_window_grid(vx: list, vy: list, scale, w: ZeroWindow) -> tuple:
+    """Vertex grid coordinates (lists of Python scalars over ``scale``) and
+    the zeros of ``w``, moved to one grid: ``(vx, vy, xs, ys)``.  Exact
+    grids meet on the lcm of the two scales, float grids as they are."""
+    xs, ys, ws, _ = w.grid
+    if ws is None:
+        return vx, vy, xs, ys
+    s = math.lcm(scale, ws)
+    if s != scale:
+        vx, vy = [x * (s // scale) for x in vx], [y * (s // scale) for y in vy]
+    return (vx, vy, *rescale_grid(xs, ys, s // ws, max(map(abs, vx + vy))))
 
-    Returns ``(direction, ks, ts, on_line)``: the sign every crossing of the
-    segment shares, the indices of the cuts it crosses below their zeros,
-    and each crossing's segment parameter and tie flag.  The last two are
-    None when nothing crosses or ``times`` is false.
 
-    Side rule: x >= cut-x counts as the right side, for both endpoints.  An
-    exact pass through a zero raises PathThroughBranchPoint unless it happens
-    at a segment endpoint (the vertex-level checks own that case).
+def _path_grid(verts: list, w: ZeroWindow) -> tuple:
+    """The polyline ``verts`` and the zeros of ``w`` on one grid, and the
+    indices of the vertices that are ``same_point`` as some zero."""
+    vx, vy, scale, _ = coordinate_grid(verts, w.mode, base=w.grid[2])
+    vx, vy, xs, ys = grid = _on_window_grid(vx.tolist(), vy.tolist(), scale, w)
+    step = 1 + (1 << 20) // (1 + len(xs))  # vertex blocks bound the differences' size
+    hit = [_same(np.subtract.outer(vx[i:i + step], xs), np.subtract.outer(vy[i:i + step], ys),
+                 w.mode).any(axis=1) for i in range(0, len(vx), step)]
+    return grid, np.flatnonzero(np.concatenate(hit)).tolist()
 
-    Exact segments are tested on the window's integer grid, rescaled to the
-    lcm of its scale and the endpoint denominators: with dx = bx - ax the
-    segment passes below zero (X, Y) iff (ay - Y)*dx + (X - ax)*(by - ay)
-    has the sign opposite to dx, and through it iff that is 0.  Float
-    segments run the float formulas elementwise.
+
+def _checked_grid(verts: list, w: ZeroWindow) -> tuple:
+    """The grid of ``_path_grid`` for a polyline that must miss every zero."""
+    grid, at = _path_grid(verts, w)
+    if at:
+        raise PathThroughBranchPoint(f"path vertex {at[0]} is a window zero")
+    return grid
+
+
+def _crossed(ax, ay, bx, by, xs, ys, exact: bool, seg_idx: int):
+    """Indices of the cuts (zeros (xs, ys)) that the segment from (ax, ay)
+    to (bx, by) crosses below their zeros, all cuts at once; every crossing
+    has direction +1 when bx > ax, else -1.
+
+    Side rule: x >= cut-x counts as the right side, for both endpoints.  A
+    pass through a zero raises PathThroughBranchPoint unless it happens at
+    a segment endpoint (the vertex checks own that case).
+
+    On an exact grid, with dx = bx - ax, the segment passes below zero
+    (X, Y) iff (ay - Y)*dx + (X - ax)*(by - ay) has the sign opposite to
+    dx, and through it iff that is 0.  Float grids run the float formulas.
     """
-    xs, ys, scale, _ = cuts.window.grid
-    if scale is None:
-        ax, ay, bx, by = (float(c) for c in (a.re, a.im, b.re, b.im))
-    else:
-        ends = [Fraction(c) for c in (a.re, a.im, b.re, b.im)]
-        lcm = math.lcm(scale, *(c.denominator for c in ends))
-        ax, ay, bx, by = (c.numerator * (lcm // c.denominator) for c in ends)
-        xs, ys = rescale_grid(xs, ys, lcm // scale, max(map(abs, (ax, ay, bx, by))))
-    dx, dy = bx - ax, by - ay
-    direction = 1 if dx > 0 else -1
     ks = np.flatnonzero((ax >= xs) != (bx >= xs))
     if not len(ks):
-        return direction, ks, None, None
+        return ks
     X, Y = xs[ks], ys[ks]
-    on_line = (X == ax) | (X == bx)
-    if scale is None:
+    dx, dy = bx - ax, by - ay
+    if exact:
+        s = (ay - Y) * dx + (X - ax) * dy
+        # 0 < t < 1 on a crossing whose ends are off the cut line
+        through = (s == 0) & (X != ax) & (X != bx)
+        below = (s < 0) if dx > 0 else (s > 0)
+    else:
         t = (X - ax) / dx
         y_star = ay + t * dy
-        through = y_star == Y
-        interior = (0 < t) & (t < 1)
+        through = (y_star == Y) & (0 < t) & (t < 1)
         below = y_star < Y
-    else:
-        s = (ay - Y) * dx + (X - ax) * dy
-        through = s == 0
-        interior = ~on_line  # 0 < t < 1 on a crossing
-        below = (s < 0) if dx > 0 else (s > 0)
-    hits = np.flatnonzero(through & interior)
+    hits = np.flatnonzero(through)
     if len(hits):
         raise PathThroughBranchPoint(f"segment {seg_idx} passes through zero {ks[hits[0]]}")
-    keep = np.flatnonzero(below)
-    if not times:
-        return direction, ks[keep], None, None
-    # int64 operands below 2**53 convert to float exactly, and Python int
-    # division rounds correctly, so t is float(Fraction(X - ax, dx)); the
-    # absolute values, and in float mode + 0.0, keep t = 0 from turning into
-    # -0.0 on a leftward segment
-    ts = (t[keep] + 0.0 if scale is None else abs(X[keep] - ax) / abs(dx)).tolist()
-    return direction, ks[keep], ts, on_line[keep]
+    return ks[below]
 
 
-def _segment_events(a: ZPoint, b: ZPoint, cuts: CutSystem, seg_idx: int) -> list:
-    """The crossings of ``_segment_crossings`` as events, ordered by t."""
-    direction, ks, ts, on_line = _segment_crossings(a, b, cuts, seg_idx)
-    if not len(ks):
-        return []
-    events = list(map(partial(tuple.__new__, CrossingEvent),
-                      zip(repeat(seg_idx), ks.tolist(), repeat(direction), ts, on_line.tolist())))
-    events.sort(key=attrgetter("t", "zero_index"))
-    return events
-
-
-def _path_events(vertices: list, cuts: CutSystem) -> list:
-    events = []
-    for i, (a, b) in enumerate(zip(vertices, vertices[1:])):
-        events.extend(_segment_events(a, b, cuts, i))
-    return events
-
-
-def _path_delta(vertices: list, cuts: CutSystem) -> int:
-    """Sum of the crossing directions along the polyline, with the checks
-    of ``_path_events`` but no events built."""
-    delta = 0
-    for i, (a, b) in enumerate(zip(vertices, vertices[1:])):
-        direction, ks, _, _ = _segment_crossings(a, b, cuts, i, times=False)
-        delta += direction * len(ks)
-    return delta
-
-
-def _check_vertices(vertices: list, cuts: CutSystem) -> None:
-    idx = cuts.window.index()
-    for i, v in enumerate(vertices):
-        if v in idx:
-            raise PathThroughBranchPoint(f"path vertex {i} is a window zero")
+def _delta(vx: list, vy: list, xs, ys, exact: bool) -> int:
+    """Sum of the crossing directions along the polyline (vx, vy)."""
+    return sum(len(_crossed(ax, ay, bx, by, xs, ys, exact, i)) * (1 if bx > ax else -1)
+               for i, (ax, ay, bx, by) in enumerate(zip(vx, vy, vx[1:], vy[1:])))
 
 
 # --------------------------------------------------------------------------
@@ -211,18 +190,32 @@ def fiber(base, w: ZeroWindow, m: int) -> list:
     """The m preimages of a regular base point, or the single cone point."""
     _check_m(m)
     p = _as_vertex(base, w.mode)
-    if p in w.index():
+    if _path_grid([p], w)[1]:
         return [CoverPoint(p.to_complex(), 0, True)]
     return [CoverPoint(p.to_complex(), s, False) for s in range(m)]
 
 
 def crossing_log(poly, cuts: CutSystem) -> list:
     """All signed cut crossings along the polyline, in traversal order."""
-    verts = [_as_vertex(v, cuts.window.mode) for v in poly]
+    w = cuts.window
+    verts = [_as_vertex(v, w.mode) for v in poly]
     if len(verts) < 2:
         return []
-    _check_vertices(verts, cuts)
-    return _path_events(verts, cuts)
+    vx, vy, xs, ys = _checked_grid(verts, w)
+    events = []
+    for i, (ax, ay, bx, by) in enumerate(zip(vx, vy, vx[1:], vy[1:])):
+        ks = _crossed(ax, ay, bx, by, xs, ys, w.mode.is_exact, i)
+        if len(ks):
+            X = xs[ks]
+            # rounded as float(Fraction): Python int division is correctly rounded, and
+            # so is float64's on int64s below 2**53; abs keeps t = 0 from being -0.0
+            ts = (abs(X - ax) / abs(bx - ax)).tolist()
+            seg = list(map(partial(tuple.__new__, CrossingEvent),
+                           zip(repeat(i), ks.tolist(), repeat(1 if bx > ax else -1), ts,
+                               ((X == ax) | (X == bx)).tolist())))
+            seg.sort(key=attrgetter("t", "zero_index"))
+            events += seg
+    return events
 
 
 def lift_path(poly, start: CoverPoint, cuts: CutSystem) -> CoverPoint:
@@ -230,7 +223,8 @@ def lift_path(poly, start: CoverPoint, cuts: CutSystem) -> CoverPoint:
 
     The polyline must begin at the start's base point and avoid all zeros.
     """
-    verts = [_as_vertex(v, cuts.window.mode) for v in poly]
+    w = cuts.window
+    verts = [_as_vertex(v, w.mode) for v in poly]
     if not verts:
         raise ValueError("empty polyline")
     if start.is_cone:
@@ -238,8 +232,7 @@ def lift_path(poly, start: CoverPoint, cuts: CutSystem) -> CoverPoint:
     base = complex(start.base)
     if abs(base - verts[0].to_complex()) > 1e-9 * (1 + abs(base)):
         raise ValueError("start point does not match the first vertex")
-    _check_vertices(verts, cuts)
-    sheet = (start.sheet + _path_delta(verts, cuts)) % cuts.m
+    sheet = (start.sheet + _delta(*_checked_grid(verts, w), w.mode.is_exact)) % cuts.m
     return CoverPoint(verts[-1].to_complex(), sheet, False)
 
 
@@ -258,11 +251,19 @@ def lift_saddle(seg, w: ZeroWindow, cuts: CutSystem) -> list:
     only the start-sheet label and the crossing shift are reported.  Both
     endpoints are cone points and contribute no crossings of their own cuts.
     """
-    a = w.points[seg.from_idx]
-    b = w.points[seg.to_idx]
-    delta = _path_delta([a, b], cuts)
-    start = CoverPoint(a.to_complex(), 0, True)
-    end = CoverPoint(b.to_complex(), 0, True)
+    ends = seg.from_idx, seg.to_idx
+    xs, ys, scale, _ = w.grid
+    vx, vy = [xs.item(k) for k in ends], [ys.item(k) for k in ends]
+    # x / scale on Python ints rounds as float(Fraction) does
+    zs = [complex(x, y) if scale is None else complex(x / scale, y / scale)
+          for x, y in zip(vx, vy)]
+    cw = cuts.window
+    if w.mode.is_exact == cw.mode.is_exact:
+        grid = _on_window_grid(vx, vy, scale, cw)
+    else:  # the ends of a window in the other mode convert as path vertices do
+        grid = _path_grid([_as_vertex(z, cw.mode) for z in zs], cw)[0]
+    delta = _delta(*grid, cw.mode.is_exact)
+    start, end = (CoverPoint(z, 0, True) for z in zs)
     return [LiftedSaddle(s, (s + delta) % cuts.m, delta, start, end)
             for s in range(cuts.m)]
 
@@ -298,7 +299,6 @@ def cone_angle(zero_idx: int, w: ZeroWindow, m: int, radius: float | None = None
         raise RadiusTooLarge(
             f"loop radius {radius} exceeds half the minimum point gap {gap / 2}")
     z = w.points[zero_idx].to_complex()
-    cuts = build_cuts(w, m)
     # vertex angles offset so no vertex sits on the zero's own cut line
     offset = math.pi / (2 * sides)
     verts = []
@@ -306,8 +306,7 @@ def cone_angle(zero_idx: int, w: ZeroWindow, m: int, radius: float | None = None
         ang = 2 * math.pi * (j % sides) / sides + offset
         p = z + radius * complex(math.cos(ang), math.sin(ang))
         verts.append(_as_vertex(p, w.mode))
-    _check_vertices(verts, cuts)
-    delta = _path_delta(verts, cuts)
+    delta = _delta(*_checked_grid(verts, w), w.mode.is_exact)
     # each turn moves the sheet by delta mod m: back at the start after
     # m / gcd(delta, m) turns
     turns = m // math.gcd(delta, m)

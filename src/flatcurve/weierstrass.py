@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -519,8 +519,7 @@ def count_zeros(w: ZeroWindow, box, degrees=None, e0=None,
 # zero refinement
 
 
-@dataclass(frozen=True)
-class ZeroCheck:
+class ZeroCheck(NamedTuple):
     zero: complex
     winding: int
     refined: bool

@@ -293,9 +293,9 @@ def _lengths(xs, ys, scale):
     return np.sqrt(_ratio(xs * xs + ys * ys, None if scale is None else scale * scale))
 
 
-def _coincide(xs, ys, mode: Mode):
-    """Mask over neighbouring grid rows: rows i and i + 1 are ``same_point``."""
-    dx, dy = xs[1:] - xs[:-1], ys[1:] - ys[:-1]
+def _same(dx, dy, mode: Mode):
+    """Mask of the grid differences (dx, dy) that ``same_point`` calls zero:
+    equality when exact, dx**2 + dy**2 <= eps**2 in float mode."""
     if mode.is_exact:
         return (dx == 0) & (dy == 0)
     return dx * dx + dy * dy <= mode.eps * mode.eps
@@ -434,7 +434,7 @@ class ZeroWindow:
         if check:
             order = canonical_permutation(xs, ys)
             xs, ys = xs[order], ys[order]
-            at = np.flatnonzero(_coincide(xs, ys, mode)).tolist()
+            at = np.flatnonzero(_same(np.diff(xs), np.diff(ys), mode)).tolist()
             if at:
                 raise DuplicatePoint(f"repeated point {grid_points(xs, ys, scale)[at[0]]!r}")
         self.grid = (xs, ys, scale, shift)
@@ -641,7 +641,8 @@ def generate(spec: GeneratorSpec, radius, mode: Mode = EXACT) -> ZeroWindow:
     if not len(xs):
         raise EmptyWindow(f"{spec.kind} has no points of norm <= {radius}")
     xs, ys, scale, _ = ZeroWindow._on_grid(xs, ys, scale, radius, mode).grid
-    shift = grid_points(-xs[:1], -ys[:1], scale)[0]
+    # 0 - x, not -x: a float window's first point at 0.0 moves by 0.0, not -0.0
+    shift = grid_points(0 - xs[:1], 0 - ys[:1], scale)[0]
     return ZeroWindow._on_grid(xs - xs[0], ys - ys[0], scale, radius, mode, spec, shift, shift)
 
 
@@ -673,7 +674,7 @@ def validate(w: ZeroWindow) -> ValidationReport:
     if not len(xs):
         rep.violations.append(("EmptyWindow", "window has no points"))
         return rep
-    same = _coincide(xs, ys, w.mode)
+    same = _same(np.diff(xs), np.diff(ys), w.mode)  # rows i and i + 1 coincide
     # the sort is stable, so row i sorts after row i + 1 iff its rank is higher
     rank = np.argsort(canonical_permutation(xs, ys))
     for i in np.flatnonzero(same | (rank[:-1] > rank[1:])).tolist():

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,20 @@ def test_gen_integer_window():
     assert d["translation"] == ["0", "0"]
     assert d["points"][0] == ["0", "0"]
     assert len(d["points"]) == 7
+
+
+@pytest.mark.parametrize("sequence", ["positive-integers", "gaussian-lattice",
+                                      "odd4n13-positive", "integers-plus-minus-i"])
+def test_gen_translation_signs_agree_across_modes(sequence):
+    # the float shift of a first point on an axis is 0.0, as in exact mode, not -0.0
+    signs = []
+    for mode in ("exact", "float"):
+        rc, out = run(["gen", "--sequence", sequence, "--radius", "6", "--mode", mode])
+        assert rc == 0, out
+        t = json.loads(out)["translation"]
+        signs.append([math.copysign(1.0, float(Fraction(c)) if mode == "exact" else c)
+                      for c in t])
+    assert signs[0] == signs[1]
 
 
 def test_gen_roundtrip_through_file(tmp_path):

@@ -71,7 +71,7 @@ def test_crossing_log_ordered_along_path():
 
 
 def _segment_events_reference(a, b, cuts, seg_idx):
-    """The per-cut loop on the stored coordinates that ``_segment_events``
+    """The per-cut loop on the stored coordinates that the crossing core
     replaced: Fractions in exact mode, floats in float mode."""
     events = []
     for k, z in enumerate(cuts.window.points):
@@ -96,33 +96,55 @@ def _segment_events_reference(a, b, cuts, seg_idx):
     return events
 
 
-def _events_or_error(fn, a, b, cuts):
-    """The events' reprs, which tell -0.0 from 0.0, or the error message."""
+def _reference(a, b, cuts, seg_idx):
+    """The reference events of segment ``seg_idx`` from a to b, or the error message."""
     try:
-        return [repr(e) for e in fn(a, b, cuts, 3)]
+        return _segment_events_reference(a, b, cuts, seg_idx)
     except fc.PathThroughBranchPoint as exc:
         return str(exc)
 
 
-def _delta_or_error(fn, verts, cuts):
+def _crossings(events):
+    """(zero_index, direction) of each event, by zero; an error message as it is."""
+    if isinstance(events, str):
+        return events
+    return sorted((e.zero_index, e.direction) for e in events)
+
+
+def _core(grid, i, cuts):
+    """``cover._crossed`` on segment i of a path grid, as ``_crossings`` lists it."""
+    vx, vy, xs, ys = grid
     try:
-        return fn(verts, cuts)
+        ks = cover._crossed(vx[i], vy[i], vx[i + 1], vy[i + 1], xs, ys,
+                            cuts.window.mode.is_exact, i)
+    except fc.PathThroughBranchPoint as exc:
+        return str(exc)
+    return [(k, 1 if vx[i + 1] > vx[i] else -1) for k in sorted(ks.tolist())]
+
+
+def _log_or_error(verts, cuts):
+    """The events' reprs, which tell -0.0 from 0.0, or the error message."""
+    try:
+        return [repr(e) for e in fc.crossing_log(verts, cuts)]
     except fc.PathThroughBranchPoint as exc:
         return str(exc)
 
 
 def _summed_directions(verts, cuts):
-    return sum(e.direction for e in cover._path_events(verts, cuts))
+    """The sheet shift along the polyline, by the reference."""
+    return sum(e.direction for i, (a, b) in enumerate(zip(verts, verts[1:]))
+               for e in _segment_events_reference(a, b, cuts, i))
 
 
 def _assert_events_match(pairs, cuts):
+    """Per segment, against the reference: the crossing core on the
+    segment's own grid, and ``crossing_log`` when neither end is a zero."""
     for a, b in pairs:
-        got = _events_or_error(cover._segment_events, a, b, cuts)
-        want = _events_or_error(_segment_events_reference, a, b, cuts)
-        assert got == want, (a, b)
-        # the count-only path shares the crossing mask and the zero-hit check
-        assert _delta_or_error(cover._path_delta, [a, b], cuts) == \
-            _delta_or_error(_summed_directions, [a, b], cuts), (a, b)
+        want = _reference(a, b, cuts, 0)
+        assert _core(cover._path_grid([a, b], cuts.window)[0], 0, cuts) == _crossings(want), (a, b)
+        if len(fc.fiber(a, cuts.window, 2)) == len(fc.fiber(b, cuts.window, 2)) == 2:
+            assert _log_or_error([a, b], cuts) == \
+                (want if isinstance(want, str) else [repr(e) for e in want]), (a, b)
 
 
 def _grid_pairs(rng, mode, den, lim, count):
@@ -153,11 +175,11 @@ def test_segment_events_match_reference_on_the_grid():
     pairs += [(w.points[rng.randrange(len(w))], w.points[rng.randrange(len(w))])
               for _ in range(100)]
     _assert_events_match([(a, b) for a, b in pairs if a != b], cuts)
-    got = [_events_or_error(cover._segment_events, a, b, cuts) for a, b in pairs if a != b]
+    got = [_log_or_error([a, b], cuts) for a, b in pairs if a != b]
     assert any("on_line=True" in e for events in got if isinstance(events, list)
                for e in events)
-    assert "passes through zero" in _events_or_error(
-        cover._segment_events, zp(-2, -1), zp(2, 1), cuts)
+    assert _core(cover._path_grid([zp(-2, -1), zp(2, 1)], w)[0], 0, cuts) == \
+        "segment 0 passes through zero 0"
     # a rational window whose grid scale differs from the vertices'
     rw = fc.ZeroWindow.from_points(_distinct(rng, 40), 6)
     _assert_events_match(_grid_pairs(rng, fc.EXACT, 3, 5, 200), fc.build_cuts(rw, 2))
@@ -188,6 +210,108 @@ def test_segment_events_match_reference_for_vertices_from_floats():
     _assert_events_match(zip(pts, pts[1:]), cuts)
 
 
+def _mixed_polyline(rng, n):
+    """Vertices on 1/7 (never integers), on 1/194 (odd numerators) and from
+    floats, in turn."""
+    sevenths = lambda: Fraction(7 * rng.randint(-6, 5) + rng.randint(1, 6), 7)
+    half = lambda: Fraction(2 * rng.randint(-97 * 6, 97 * 6 - 1) + 1, 194)
+    kinds = [lambda: fc.ZPoint(sevenths(), sevenths()), lambda: fc.ZPoint(half(), half()),
+             lambda: fc.ZPoint.of(rng.uniform(-6, 6), rng.uniform(-6, 6))]
+    return [kinds[i % 3]() for i in range(n)]
+
+
+def test_one_grid_per_path_matches_reference_per_segment():
+    rng = random.Random(14)
+    w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 6)
+    cuts = fc.build_cuts(w, 3)
+    poly = _mixed_polyline(rng, 90)
+    grid, _ = cover._path_grid(poly, w)
+    vx, vy, xs, ys = grid
+    # the lcm of 7, 194 and the floats' powers of 2 passes 2**28
+    assert xs.dtype == object and {type(c) for c in vx + vy} == {int}
+    want = [_reference(a, b, cuts, i) for i, (a, b) in enumerate(zip(poly, poly[1:]))]
+    assert [_core(grid, i, cuts) for i in range(len(poly) - 1)] == list(map(_crossings, want))
+    assert sum(map(len, want)) > 20 and not any(isinstance(e, str) for e in want)
+    assert _log_or_error(poly, cuts) == [repr(e) for events in want for e in events]
+    start = fc.CoverPoint(poly[0].to_complex(), 0)
+    assert fc.lift_path(poly, start, cuts).sheet == \
+        sum(e.direction for events in want for e in events) % 3
+
+
+def test_float_vertex_within_eps_of_a_zero_is_that_zero():
+    mode = fc.float_mode(1e-9)
+    w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 3, mode)
+    cuts = fc.build_cuts(w, 3)
+    z = w.points[4]
+    near = fc.ZPoint(z.re + 6e-10, z.im - 6e-10)  # 8.5e-10 from the zero
+    apart = fc.ZPoint(z.re + 8e-10, z.im + 8e-10)  # 1.13e-9 from it
+    assert near != z
+    poly = [fc.ZPoint(0.5, 0.5), near, fc.ZPoint(0.5, -0.5)]
+    with pytest.raises(fc.PathThroughBranchPoint, match="path vertex 1 is a window zero"):
+        fc.crossing_log(poly, cuts)
+    with pytest.raises(fc.PathThroughBranchPoint, match="path vertex 1 is a window zero"):
+        fc.lift_path(poly, fc.CoverPoint(0.5 + 0.5j, 0), cuts)
+    assert fc.fiber(near, w, 3) == [fc.CoverPoint(near.to_complex(), 0, True)]
+    assert len(fc.fiber(apart, w, 3)) == 3
+    assert isinstance(fc.crossing_log([poly[0], apart, poly[2]], cuts), list)
+
+
+def test_zero_vertex_found_past_the_first_vertex_block():
+    # 2821 zeros: the vertices meet them in blocks of 372
+    w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 30)
+    h = Fraction(1, 2)
+    poly = [zp(h + k % 7, h) for k in range(800)]
+    poly[500] = w.points[9]
+    assert cover._path_grid(poly, w)[1] == [500]
+    with pytest.raises(fc.PathThroughBranchPoint, match="path vertex 500 is a window zero"):
+        fc.crossing_log(poly, fc.build_cuts(w, 2))
+
+
+def test_lift_saddle_with_cuts_of_another_window():
+    rng = random.Random(15)
+    lattice = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 4)
+    moved = lattice.translate(zp(Fraction(1, 2), Fraction(-1, 3)))  # grid scale 6
+    cloud = _distinct(rng, 40)
+    exact_cloud = fc.ZeroWindow.from_points(cloud, 6)  # grid scale 35
+    float_cloud = fc.ZeroWindow.from_points([fc.ZPoint(float(p.re), float(p.im)) for p in cloud],
+                                            6, fc.float_mode(1e-9))
+    for w, other in [(lattice, exact_cloud), (lattice, moved), (moved, exact_cloud),
+                     (moved, float_cloud), (float_cloud, moved)]:
+        segs = fc.saddle_connections(w, 3, max_length=2.5)
+        cuts = fc.build_cuts(other, 3)
+        got, want = [], []
+        for s in segs:
+            ref = _reference(w.points[s.from_idx], w.points[s.to_idx], cuts, 0)
+            want.append(ref if isinstance(ref, str) else sum(e.direction for e in ref))
+            try:
+                got.append(fc.lift_saddle(s, w, cuts)[0].delta)
+            except fc.PathThroughBranchPoint as exc:
+                got.append(str(exc))
+        assert got == want
+        assert any(d for d in want if not isinstance(d, str))
+
+
+def test_cover_builds_no_point_index(lattice5, monkeypatch):
+    # vertices meet the zeros on the path grid, never through PointIndex
+    def spy(self):
+        raise AssertionError("built a PointIndex")
+
+    monkeypatch.setattr(fc.ZeroWindow, "index", spy)
+    h = Fraction(1, 2)
+    for w in (lattice5, fc.generate(fc.GeneratorSpec("gaussian-lattice"), 5, fc.float_mode())):
+        cuts = fc.build_cuts(w, 3)
+        loop = [(h, h), (3 * h, h), (3 * h, 3 * h), (h, 3 * h), (h, h)]
+        assert sum(e.direction for e in fc.crossing_log(loop, cuts)) == 1
+        assert fc.lift_path(loop, fc.CoverPoint(0.5 + 0.5j, 0), cuts).sheet == 1
+        with pytest.raises(fc.PathThroughBranchPoint):
+            fc.crossing_log([(h, h), w.points[2]], cuts)
+        assert len(fc.fiber((h, h), w, 3)) == 3
+        assert len(fc.fiber(w.points[2], w, 3)) == 1
+        fc.lift_saddle(fc.saddle_connections(w, 3)[0], w, cuts)
+        assert fc.cone_angle(2, w, 3).turns == 3
+        assert len(fc.singularity_sets(w, 3).finite_cone_points) == len(w)
+
+
 def test_sheet_shifts_build_no_crossing_events(lattice5, monkeypatch):
     # lift_path, lift_saddle and cone_angle only add up directions
     cuts = fc.build_cuts(lattice5, 3)
@@ -204,10 +328,17 @@ def test_sheet_shifts_build_no_crossing_events(lattice5, monkeypatch):
         raise AssertionError("built a CrossingEvent")
 
     monkeypatch.setattr(cover, "CrossingEvent", no_events)
+    # every sheet shift runs through the one crossing core
+    calls = []
+    crossed = cover._crossed
+    monkeypatch.setattr(cover, "_crossed", lambda *args: calls.append(args) or crossed(*args))
     start = fc.CoverPoint(loop[0].to_complex(), 1)
     assert fc.lift_path(loop, start, cuts).sheet == (1 + want) % 3
+    assert len(calls) == len(loop) - 1
     assert [fc.lift_saddle(s, lattice5, cuts)[0].delta for s in segs] == deltas
+    assert len(calls) == len(loop) - 1 + len(segs)
     assert fc.cone_angle(3, lattice5, 3).turns == 3
+    assert len(calls) == len(loop) - 1 + len(segs) + 16
 
 
 def test_build_cuts_requires_m_at_least_two(lattice5):
@@ -354,7 +485,7 @@ def _turns_by_lifting(delta, m):
 @pytest.mark.parametrize("m", range(2, 8))
 def test_cone_angle_turns_match_repeated_lifting(lattice5, monkeypatch, m):
     for delta in range(-3 * m, 3 * m + 1):
-        monkeypatch.setattr(cover, "_path_delta", lambda verts, cuts: delta)
+        monkeypatch.setattr(cover, "_delta", lambda *grid_and_mode: delta)
         ca = fc.cone_angle(0, lattice5, m)
         assert (ca.turns, ca.loop_delta) == (_turns_by_lifting(delta, m), delta)
         assert ca.angle == 2 * math.pi * ca.turns

@@ -798,6 +798,20 @@ def test_refine_zero_converges():
     assert abs(chk.residual) < 1e-9
 
 
+def test_zero_check_is_an_immutable_value():
+    w = _window([zp(1), zp(2), zp(3)], 4)
+    chk = fc.refine_zero(w, 2.0003 + 0.0002j, degrees=0, e0=0)
+    twin = fc.refine_zero(w, 2.0003 + 0.0002j, degrees=0, e0=0)
+    assert repr(fc.ZeroCheck(2j, 1, True, 0.5)) == \
+        "ZeroCheck(zero=2j, winding=1, refined=True, residual=0.5)"
+    assert repr(chk) == f"ZeroCheck(zero={chk.zero!r}, winding=1, refined=True, " \
+                        f"residual={chk.residual!r})"
+    assert chk._fields == ("zero", "winding", "refined", "residual")
+    assert chk == twin and hash(chk) == hash(twin)
+    with pytest.raises(AttributeError):
+        chk.winding = 2
+
+
 def test_refine_zero_complex_location():
     w = _window([zp(1, 1), zp(2)], 4)
     chk = fc.refine_zero(w, 1.001 + 0.999j, degrees=0, e0=0)
