@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--m", type=int, default=2,
                            help="covering degree (>= 2)")
         p.add_argument("--mode", choices=("exact", "float"))
-        p.add_argument("--eps", type=float, default=1e-9,
+        p.add_argument("--eps", type=eps, default=1e-9,
                        help="float-mode tolerance")
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", help="write output here instead of stdout")
@@ -219,6 +219,18 @@ def degree(text: str):
     word the user reads.
     """
     return text if text in ("auto", "index") else int(text)
+
+
+def eps(text: str) -> float:
+    """Parse ``--eps``: a finite float >= 0, as ``Mode`` requires.
+
+    argparse names this function in its usage error, so the name is the
+    word the user reads.
+    """
+    value = float(text)
+    if not 0 <= value < math.inf:  # NaN fails both comparisons
+        raise ValueError(text)
+    return value
 
 
 # --------------------------------------------------------------------------

@@ -53,6 +53,27 @@ The margins in delta cover the rounding of atan2, asin and the cross
 product.  A run is tight only where eps >= max(2**-40, largest norm *
 2**-46), so the rule's slack, a factor 4 in the tube and about eps |b|^2
 in the dot bounds, exceeds the rounding of the float test it replaces.
+
+A float window on a *coarse grid* skips the runs.  Its coordinates are all
+integer multiples X u, Y u of one unit u = 2**-k, k >= 0 the least such,
+with |X|, |Y| <= 2**24 and the largest coordinate at least 2**-475 (so k <
+500 and u^2 is a normal float).  With D the diagonal of the points' bounding
+box in units of u, at least their largest distance, the grid is coarse when
+eps D < u/2 and eps D^2 / 2 < 1/2, each a margin of 2 over what the proof
+needs, for the rounding of eps |b| and of the dot bounds.  Every cross and
+dot product of two offsets is then an exact multiple of u^2 below 2**53
+u^2, and the eps-tube test is exact collinearity; the proof obligations:
+
+- a point c off the line of b has |b x c| >= u^2 > eps |b|, as |b| <= D u;
+- a point on the line strictly between the ends has u^2 <= b.c <= |b|^2 -
+  u^2, inside the dot band, since eps/2 |b|^2 <= eps D^2 u^2 / 2 < u^2.
+
+So ``visible_pairs`` runs the exact algorithm on the int64 grid (X, Y),
+with a length bound limit2 (in the window's units) becoming floor(limit2
+4**k), and ``holonomy`` drops exact repeats by integer keys.  It looks for
+no near-duplicates: distinct grid vectors lie at least u > eps apart.
+``_on_coarse_grid`` finds the grid and tests it in one pass, with no loop
+over k; a window keeps the result in its cache.
 """
 
 from __future__ import annotations
@@ -67,8 +88,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyWindow
-from .zseq import (Mode, PointIndex, ZPoint, ZeroWindow, _lengths, _moved, _ratio, _typed_grid,
-                   canonical_permutation, coordinate_grid, cross, dot, grid_points, rescale_grid)
+from .zseq import (_KEY_SHIFT, Mode, PointIndex, ZPoint, ZeroWindow, _lengths, _moved, _ratio,
+                   _typed_grid, canonical_permutation, coordinate_grid, cross, dot, grid_points,
+                   rescale_grid)
 
 
 # --------------------------------------------------------------------------
@@ -152,10 +174,50 @@ def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> np.ndarray:
     if len(xs) < 2:
         return np.zeros((0, 2), dtype=np.int64)
     if scale is None:
-        i, j = _float_visible_pairs(xs, ys, w.mode.eps, limit2)
-    else:
-        i, j = _exact_visible_pairs(xs, ys, shift, limit2)
-    return np.stack((i, j), axis=1)
+        coarse = _coarse_grid(w)
+        if coarse is None:
+            return np.stack(_float_visible_pairs(xs, ys, w.mode.eps, limit2), axis=1)
+        xs, ys, k = coarse
+        shift = _KEY_SHIFT
+        if limit2 is not None:
+            # squared lengths in units of 2**-k are integers below 2**52
+            limit2 = int(min(limit2 * 4.0 ** k, 2.0 ** 62))
+    return np.stack(_exact_visible_pairs(xs, ys, shift, limit2), axis=1)
+
+
+_COARSE_SPAN = 1 << 24  # largest |X|, |Y| on a coarse grid: products of offsets stay below 2**53
+
+
+def _coarse_grid(w: ZeroWindow):
+    """``_on_coarse_grid`` of a float window, computed once per window."""
+    if "coarse_grid" not in w._cache:
+        w._cache["coarse_grid"] = _on_coarse_grid(*w.grid[:2], w.mode.eps)
+    return w._cache["coarse_grid"]
+
+
+def _on_coarse_grid(xs, ys, eps: float):
+    """(X, Y, k) with (xs, ys) = (X, Y) 2**-k, X and Y int64 and k >= 0 the
+    least such, when that grid is coarse for ``eps`` (see the module
+    docstring); None otherwise."""
+    top = max(np.abs(xs).max(initial=0.0), np.abs(ys).max(initial=0.0))
+    # the lower bound keeps k < 500, so u**2 and every product are normal
+    # floats; with u <= 1 no coordinate past the upper one is on the grid
+    if not 2.0 ** -475 <= top <= _COARSE_SPAN:
+        return None
+    big = 25 - math.frexp(top)[1]  # top * 2**big lies in [2**24, 2**25)
+    gx, gy = xs * 2.0 ** big, ys * 2.0 ** big
+    if not ((gx == np.floor(gx)).all() and (gy == np.floor(gy)).all()):
+        return None
+    gx, gy = gx.astype(np.int64), gy.astype(np.int64)
+    bits = int(np.bitwise_or.reduce(gx | gy))
+    k = max(0, big - ((bits & -bits).bit_length() - 1))
+    if top * 2.0 ** k > _COARSE_SPAN:
+        return None
+    gx, gy = gx >> (big - k), gy >> (big - k)
+    span2 = int(gx.max() - gx.min()) ** 2 + int(gy.max() - gy.min()) ** 2
+    if not (eps * math.sqrt(span2) < 2.0 ** -(k + 1) and eps * span2 < 1):
+        return None
+    return gx, gy, k
 
 
 _EXACT_BLOCK_ENTRIES = 1 << 14  # (anchor, point) entries per block of anchors, exact windows
@@ -540,6 +602,23 @@ def _signed_distinct_float(xs, ys, eps: float) -> tuple:
     return xs[keep], ys[keep], None, None
 
 
+def _signed_distinct_coarse(xs, ys, keys) -> tuple:
+    """``_signed_distinct_float`` of vectors (xs, ys) on a coarse grid, where
+    the int64 ``keys`` pack them in grid units.  No near-duplicates exist
+    there, as distinct vectors lie at least u > eps apart."""
+    # a vector and its negative both first occur at the first pair that
+    # holds either one, so that pair, found under |key|, stands for both
+    keys = np.abs(keys)
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.minimum.reduceat(order, np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])) \
+        if len(keys) else order
+    xs, ys = np.stack((xs[first], -xs[first]), axis=1).ravel(), \
+        np.stack((ys[first], -ys[first]), axis=1).ravel()
+    order = canonical_permutation(xs, ys)
+    return xs[order], ys[order], None, None
+
+
 def _joined(h: HolonomySet, g: HolonomySet) -> HolonomySet:
     """The vectors of ``g`` and of ``h``, each once, in canonical order,
     with ``g``'s radius and restriction; ``g`` is enumerated from ``h``'s
@@ -595,8 +674,13 @@ def holonomy(w: ZeroWindow, max_length: float | None = None) -> HolonomySet:
     # included
     lmax = float(np.sqrt(dx * dx + dy * dy).max(initial=0.0)) if max_length is None \
         else float(max_length)
-    return HolonomySet._from_grid(_signed_distinct_float(dx, dy, w.mode.eps), w.radius, w.mode,
-                                  max_length, w, max(0.0, w.radius - lmax))
+    coarse = _coarse_grid(w)
+    if coarse is None:
+        grid = _signed_distinct_float(dx, dy, w.mode.eps)
+    else:
+        gx, gy, _ = coarse
+        grid = _signed_distinct_coarse(dx, dy, ((gx[jj] - gx[ii]) << _KEY_SHIFT) + gy[jj] - gy[ii])
+    return HolonomySet._from_grid(grid, w.radius, w.mode, max_length, w, max(0.0, w.radius - lmax))
 
 
 def _encoded_keys(w: ZeroWindow):

@@ -56,6 +56,11 @@ class Mode:
     kind: str = "exact"
     eps: float = 1e-9
 
+    def __post_init__(self):
+        # eps = 0 asks for exact comparisons of floats; NaN fails both tests
+        if not 0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps!r}")
+
     @property
     def is_exact(self) -> bool:
         return self.kind == "exact"

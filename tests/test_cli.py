@@ -361,6 +361,18 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+def test_negative_or_non_finite_eps_is_a_usage_error(capsys):
+    lattice = ["hol", "--sequence", "gaussian-lattice", "--radius", "2", "--mode", "float"]
+    for bad in ("-1", "-1e-9", "nan", "inf", "-inf"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*lattice, f"--eps={bad}"])
+        assert exc.value.code == 2, bad
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument --eps: invalid eps value: '{bad}'" in err, bad
+    # eps = 0 compares floats exactly, which the lattice's coordinates allow
+    assert run([*lattice, "--eps", "0"]) == run(lattice)
+
+
 def test_flags_a_subcommand_does_not_declare_are_usage_errors(capsys):
     lattice = ["--sequence", "gaussian-lattice", "--radius", "3"]
     for argv in (["hol", *lattice, "--m", "3"],
@@ -440,10 +452,11 @@ def test_readme_commands_print_pinned_bytes(tmp_path, monkeypatch):
         "5710c1e7765fe18ae3d95a3bbb1ad68a6693625c563c404e9cd5f5661b2ac578"
 
 
-# sha256 of the stdout of symmetry searches the README commands do not run:
-# the Mat2 loops of a float sandwich, and the orbit window, whose centre is
-# off the origin, in both modes.  Their floats come from plain Python
-# arithmetic, with no BLAS sums.
+# sha256 of the stdout of float and orbit commands the README does not run:
+# the Mat2 loops of a float sandwich, the orbit window, whose centre is off
+# the origin, in both modes, and float holonomy, saddles and plots of
+# integer families, whose windows lie on a coarse grid.  Their floats come
+# from plain Python arithmetic, with no BLAS sums.
 _ORBIT = ("classify --sequence orbit --radius 6 --param k_points=1,0;63/80,-43/80 "
           "--param generators=1,1,0,1;1,0,1,1 --param max_word_length=4")
 _SEARCH_STDOUT = (
@@ -451,6 +464,14 @@ _SEARCH_STDOUT = (
      "4f1e73c75b219653c25fd415ac7e9257b810a7d2f64d67a5883c82105cd1d1de"),
     (_ORBIT, "d9edac0b48ab7048299466cb85bff86cde520f165d008d543f5f30b760e521ca"),
     (_ORBIT + " --mode float", "c305a19113af4b4c95d8e92e25f24a55033116598df3cb000898485abce3ad88"),
+    ("hol --sequence gaussian-lattice --radius 8 --mode float",
+     "46ad4a05971e5926be1fc09bb64877823f96c0a81e3c43fca8ccb49f31cc979a"),
+    ("hol --sequence positive-integers --radius 20 --mode float",
+     "a23ed9489dd8c7c8bb6057b7cbf1801b4157dfb3c9b47157609a1b1efafdc26c"),
+    ("saddles --sequence gaussian-lattice --radius 6 --m 3 --mode float --format csv",
+     "4a9b477959a07f356235ac8f463efc318744b73f619a537e423777a1a7e697ad"),
+    ("plot --sequence gaussian-lattice --radius 6 --mode float",
+     "7359f84315b500fdf9310560849072fddbf9ab2722d5787b2efcd38633a209dd"),
 )
 
 

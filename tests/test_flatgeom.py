@@ -101,13 +101,22 @@ def test_visible_pairs_matches_bruteforce_float():
 _EPS = 1e-9
 
 
-def _float_window(points, radius=12):
+def _float_window(points, radius=12, eps=_EPS):
     return fc.ZeroWindow.from_points([fc.ZPoint(*p) for p in points], radius,
-                                     fc.float_mode(_EPS))
+                                     fc.float_mode(eps))
+
+
+def _grid_cloud(seed, n, unit, reach):
+    """n distinct random points (x, y) unit, |x|, |y| <= reach."""
+    rng = random.Random(seed)
+    pts = {(rng.randint(-reach, reach) * unit, rng.randint(-reach, reach) * unit)
+           for _ in range(2 * n)}
+    return sorted(pts)[:n]
 
 
 def _adversarial_clouds():
-    """Float clouds at the edges of the eps-tube rule, by name."""
+    """Float clouds at the edges of the eps-tube rule and of the coarse
+    grid, by name, each with its eps and whether its grid is coarse."""
     e = _EPS
     base = [(0.0, 0.0), (2.0, 0.0), (0.3, 1.7), (-1.1, 0.4)]
     clouds = {f"middle off the line by {k} eps": [*base, (1.0, k * e)] for k in (0.5, 2)}
@@ -126,41 +135,125 @@ def _adversarial_clouds():
     clouds["n = 2"] = [(0.0, 0.0), (1.0, 0.0)]
     clouds["n = 3 collinear"] = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
     clouds["n = 3 in a triangle"] = [(0.5, 0.25), (-0.5, 0.25), (0.0, -1.0)]
+    # points off the line by k eps, or apart by k eps, need more than 24 bits
+    clouds = {name: (pts, _EPS, not name.startswith(("middle", "norm tie")))
+              for name, pts in clouds.items()}
+    # the coarse grid: units 1, 1/4 and 2**-10, signed zeros, 2**24 units
+    # and one step past, where only eps = 0 keeps eps |b|**2 below u**2
+    clouds["unit 1"] = (_grid_cloud(1, 30, 1.0, 6), _EPS, True)
+    clouds["unit 1/4"] = (_grid_cloud(2, 30, 0.25, 24), _EPS, True)
+    clouds["unit 2**-10"] = (_grid_cloud(3, 30, 2.0 ** -10, 2048), _EPS, True)
+    clouds["signed zeros on the unit grid"] = (
+        [(0.0, -0.0), (-0.0, 1.0), (1.0, -0.0), (-1.0, 0.0), (0.0, -1.0), (-0.0, 2.0),
+         (2.0, 0.0), (-2.0, -0.0), (1.0, 1.0), (-1.0, -1.0), (-0.0, -2.0)], _EPS, True)
+    big = 2.0 ** 24
+    clouds["2**24 units"] = ([(0.0, 0.0), (big, 0.0), (big / 2, 0.0), (0.0, 1.0), (-big, 1.0),
+                              (big / 2, big / 2), (-big, -big)], 0.0, True)
+    clouds["2**24 + 1 units"] = ([(0.0, 0.0), (big + 1, 0.0), (big / 2, 0.0), (0.0, 1.0),
+                                  (-big, 1.0)], 0.0, False)
+    clouds["2**24 + 1 units of 1/2"] = ([(0.0, 0.0), ((big + 1) / 2, 0.0), (big / 4, 0.0),
+                                         (0.0, 0.5), (-big / 2, 0.5)], 0.0, False)
+    clouds["2**24 units, eps |b|**2 past u**2"] = (clouds["2**24 units"][0], _EPS, False)
+    # (u, 0) lies u / 64 off the segment to (64 u, u): inside the tube for
+    # eps = 5e-5, which eps D < u/2 keeps off the grid, not for eps = 2e-6
+    u = 2.0 ** -10
+    for eps, coarse in ((5e-5, False), (2e-6, True)):
+        clouds[f"u / 64 off a segment, unit 2**-10, eps {eps}"] = (
+            [(0.0, 0.0), (64 * u, u), (u, 0.0), (0.0, 2 * u)], eps, coarse)
+    line = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 1.0), (0.0, 2.0), (1.0, 1.0)]
+    clouds["one coordinate 1e-300"] = ([*line, (1e-300, 3.0)], _EPS, False)
+    clouds["one coordinate 2**-1000"] = ([*line, (2.0 ** -1000, 3.0)], _EPS, False)
+    # u = 2**-470 keeps u**2 a normal float; 2**-480 is finer than the rule takes
+    for k, coarse in ((470, True), (480, False)):
+        u = 2.0 ** -k
+        clouds[f"unit 2**-{k}, eps 0"] = ([(x * u, y * u) for x, y in line], 0.0, coarse)
+    clouds["coordinates near 1e15"] = ([(0.0, 0.0), (1e15, 0.0), (2e15, 0.0), (0.0, 1e15),
+                                        (1e15, 1e15), (1.0, 0.0)], _EPS, False)
     return clouds
 
 
-@pytest.mark.parametrize("name", list(_adversarial_clouds()))
-def test_float_visible_pairs_match_bruteforce_on_adversarial_clouds(name):
-    w = _float_window(_adversarial_clouds()[name])
-    full = fc.visible_pairs_bruteforce(w)
-    assert pair_list(fc.visible_pairs(w)) == full
+def _assert_float_paths_agree(w, lengths, monkeypatch) -> bool:
+    """On the float window w, under each length bound: ``visible_pairs``
+    equals the brute force and the angular runs, and holonomy sets equal
+    ``_signed_distinct_float`` byte for byte; the coarse grid is built once.
+    Returns whether w lies on a coarse grid."""
+    flatgeom = fc.flatgeom
+    builds, build = [], flatgeom._on_coarse_grid
+    monkeypatch.setattr(flatgeom, "_on_coarse_grid",
+                        lambda *args: builds.append(args) or build(*args))
     xs, ys = w.grid[:2]
-    for length in (1.5, 2.5):
-        want = [(i, j) for i, j in full
-                if (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 <= length ** 2 * (1 + 1e-12)]
-        assert pair_list(fc.visible_pairs(w, max_length=length)) == want
+    eps = w.mode.eps
+    full = fc.visible_pairs_bruteforce(w)
+    for length in lengths:
+        want = full if length is None else [
+            (i, j) for i, j in full
+            if (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 <= length ** 2 * (1 + 1e-12)]
+        pairs = fc.visible_pairs(w, length)
+        assert pair_list(pairs) == want, length
+        runs = flatgeom._float_visible_pairs(xs, ys, eps, flatgeom._length_bound(w, length))
+        assert pair_list(np.stack(runs, axis=1)) == want, length
+        ii, jj = pairs.T
+        ref = flatgeom._signed_distinct_float(xs[jj] - xs[ii], ys[jj] - ys[ii], eps)
+        got = fc.holonomy(w, length).grid
+        assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in ref[:2]], length
+        assert got[2:] == (None, None)
+        fc.saddle_connections(w, 2, length)
+    assert len(builds) == 1
+    return flatgeom._coarse_grid(w) is not None
+
+
+@pytest.mark.parametrize("name", list(_adversarial_clouds()))
+def test_float_visible_pairs_match_bruteforce_on_adversarial_clouds(name, monkeypatch):
+    pts, eps, coarse = _adversarial_clouds()[name]
+    w = _float_window(pts, max(12.0, 2 * max(abs(c) for p in pts for c in p)), eps)
+    assert _assert_float_paths_agree(w, (None, 1.5, 2.5), monkeypatch) == coarse
 
 
 def test_float_middle_point_blocks_within_the_tube_only():
     for k, blocked in ((0.5, True), (2, False)):
-        w = _float_window(_adversarial_clouds()[f"middle off the line by {k} eps"])
+        w = _float_window(_adversarial_clouds()[f"middle off the line by {k} eps"][0])
         ends = (w.points.index(fc.ZPoint(0.0, 0.0)), w.points.index(fc.ZPoint(2.0, 0.0)))
         assert (tuple(sorted(ends)) in pair_list(fc.visible_pairs(w))) is not blocked
 
 
 def test_float_straight_left_points_block_across_pi():
-    w = _float_window(_adversarial_clouds()["straight left, +0.0 then -0.0"])
+    w = _float_window(_adversarial_clouds()["straight left, +0.0 then -0.0"][0])
     origin, far = w.points.index(fc.ZPoint(0.0, 0.0)), w.points.index(fc.ZPoint(-2.0, -0.0))
     assert tuple(sorted((origin, far))) not in pair_list(fc.visible_pairs(w))
 
 
-@pytest.mark.parametrize("radius", [5, 8])
-def test_float_lattice_pairs_equal_exact_pairs(radius):
+# on the lattice R=3 (bounding box 6 x 6) eps = 0.01 keeps eps |b|**2 below
+# u**2 = 1, and 0.05 and 0.3 do not; 2 and sqrt(5) are lattice distances
+@pytest.mark.parametrize("radius, eps, coarse",
+                         [(5, _EPS, True), (8, _EPS, True), (3, 0.0, True), (3, 0.01, True),
+                          (3, 0.05, False), (3, 0.3, False)],
+                         ids=["5", "8", "3, eps 0", "3, eps 0.01", "3, eps 0.05", "3, eps 0.3"])
+def test_float_lattice_pairs_equal_exact_pairs(radius, eps, coarse, monkeypatch):
     spec = fc.GeneratorSpec("gaussian-lattice")
-    exact, floats = fc.generate(spec, radius), fc.generate(spec, radius, fc.float_mode(_EPS))
-    for length in (None, 1.5, 2.5):
-        assert pair_list(fc.visible_pairs(floats, length)) \
-            == pair_list(fc.visible_pairs(exact, length))
+    exact, floats = fc.generate(spec, radius), fc.generate(spec, radius, fc.float_mode(eps))
+    lengths = (None, 1.5, 2, 2.5, math.sqrt(5))
+    assert _assert_float_paths_agree(floats, lengths, monkeypatch) == coarse
+    if coarse:
+        for length in lengths:
+            assert pair_list(fc.visible_pairs(floats, length)) \
+                == pair_list(fc.visible_pairs(exact, length))
+
+
+def test_only_off_grid_float_windows_take_the_angular_runs(monkeypatch):
+    calls = []
+    runs = fc.flatgeom._float_visible_pairs
+    monkeypatch.setattr(fc.flatgeom, "_float_visible_pairs",
+                        lambda *args: calls.append(args) or runs(*args))
+    for den in (5, 6):
+        w = _as_float(_cloud(den, 45))()
+        fc.holonomy(w)
+        assert len(calls) == 1
+        calls.clear()
+    for radius in (3, 8):
+        w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), radius, fc.float_mode(_EPS))
+        fc.holonomy(w)
+        fc.saddle_connections(w, 2, 2)
+        assert calls == []
 
 
 def test_visible_pairs_max_length_filter(lattice5):

@@ -617,6 +617,22 @@ def test_json_raw_window_has_null_translation():
     assert fc.window_to_json(w)["translation"] is None
 
 
+@pytest.mark.parametrize("bad", [-1e-9, -1.0, math.nan, math.inf, -math.inf])
+def test_negative_or_non_finite_eps_raises(bad):
+    data = fc.window_to_json(fc.generate(fc.GeneratorSpec("gaussian-lattice"), 3, fc.float_mode()))
+    for make in (fc.float_mode, lambda eps: fc.Mode("float", eps),
+                 lambda eps: fc.window_from_json(data, eps=eps)):
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            make(bad)
+
+
+def test_zero_eps_compares_floats_exactly():
+    spec = fc.GeneratorSpec("gaussian-lattice")
+    w = fc.generate(spec, 3, fc.float_mode(0))
+    assert w.mode.eps == 0
+    assert len(fc.visible_pairs(w)) == len(fc.visible_pairs(fc.generate(spec, 3))) == 268
+
+
 def test_float_mode_ordering_respects_eps():
     mode = fc.float_mode(1e-6)
     pts = [fc.ZPoint(1.0, 0.0), fc.ZPoint(0.5, 0.5)]
