@@ -15,6 +15,21 @@ so it is anchor + k (dx/g, dy/g) for some 0 < k < g, which gives two rules:
 - a pair with g > 1 is blocked when its first step, anchor + (dx/g, dy/g),
   is a window point, one ``searchsorted`` over the sorted packed keys.
 
+Both rules read off a *difference table* when it is no larger than the
+pairs.  With the reduced points' bounding box W x H, corner (x0, y0), and
+(2W - 1)(2H - 1) <= n(n - 1)/2, each point gets the index lin = (x - x0) S
++ y - y0, S = 2H - 1, so lin[j] - lin[i] = dx S + dy fixes (dx, dy), and
+one ``np.gcd`` over the (2W - 1)(2H - 1) differences gives tables of the
+flag g = 1, of the first step's index offset (dx/g) S + dy/g and, under a
+bound, of dx^2 + dy^2.  A bitmap of W S cells marks the window points.  A
+pair's first step lies on the segment between two points of the box, so
+inside the box: lin[i] plus its offset is the first step's own index, with
+no bounds test and no alias.  A Python-int grid whose reduced coordinates
+stay within 2**28, as a lattice moved by 2**40, is typed int64 first.
+Other windows, such as rational clouds, orbit windows and wide Python-int
+grids, pay one gcd per pair and find the first step by ``searchsorted``
+over the sorted packed keys.
+
 On a window that holds every grid point of a convex region, such as a
 lattice ball, the first step lies between two window points, so these
 rules settle every pair.  A pair still open, g > 1 with its first step
@@ -153,7 +168,9 @@ def _length_bound(w: ZeroWindow, max_length) -> int | float | None:
         raise ValueError(f"max_length must be finite and >= 0, got {max_length!r}")
     scale = w.grid[2]
     if scale is None:
-        return float(max_length) ** 2 * (1 + 1e-12)
+        # a product, unlike ** 2, overflows to inf past 1.3e154
+        bound = float(max_length)
+        return bound * bound * (1 + 1e-12)
     bound2 = (Fraction(max_length) * scale) ** 2
     # squared distances are integers after scaling, so flooring the
     # rational bound loses nothing
@@ -170,7 +187,7 @@ def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> np.ndarray:
     ``max_length`` raises ``ValueError``.
     """
     limit2 = _length_bound(w, max_length)
-    xs, ys, scale, shift = w.grid
+    xs, ys, scale, _ = w.grid
     if len(xs) < 2:
         return np.zeros((0, 2), dtype=np.int64)
     if scale is None:
@@ -178,11 +195,10 @@ def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> np.ndarray:
         if coarse is None:
             return np.stack(_float_visible_pairs(xs, ys, w.mode.eps, limit2), axis=1)
         xs, ys, k = coarse
-        shift = _KEY_SHIFT
         if limit2 is not None:
             # squared lengths in units of 2**-k are integers below 2**52
             limit2 = int(min(limit2 * 4.0 ** k, 2.0 ** 62))
-    return np.stack(_exact_visible_pairs(xs, ys, shift, limit2), axis=1)
+    return np.stack(_exact_visible_pairs(xs, ys, limit2), axis=1)
 
 
 _COARSE_SPAN = 1 << 24  # largest |X|, |Y| on a coarse grid: products of offsets stay below 2**53
@@ -223,20 +239,54 @@ def _on_coarse_grid(xs, ys, eps: float):
 _EXACT_BLOCK_ENTRIES = 1 << 14  # (anchor, point) entries per block of anchors, exact windows
 
 
-def _exact_visible_pairs(xs, ys, shift: int, limit2) -> tuple:
+def _exact_visible_pairs(xs, ys, limit2) -> tuple:
     """Arrays (i, j) of the visible pairs i < j of an exact window, ascending,
-    by gcd and first-step probe (see the module docstring), a block of
-    anchors over the upper triangle at a time."""
+    by gcd and first-step probe (see the module docstring): read off the
+    difference table when it is no larger than the pairs, else by sorted
+    keys."""
     n = len(xs)
-    # visibility survives translation and scaling: measured from the first
-    # point in units of the gcd of all coordinates, a translated lattice is
-    # a lattice again
+    xs, ys, shift, limit2 = _reduced(xs, ys, limit2)
+    width, height = _box(xs, ys)
+    if xs.dtype != object and (2 * width - 1) * (2 * height - 1) <= n * (n - 1) // 2:
+        lookup = _table_lookup(xs, ys, limit2)
+    else:
+        lookup = _key_lookup(xs, ys, shift, limit2)
+    return _visible_by_lookup(xs, ys, shift, limit2, lookup)
+
+
+def _reduced(xs, ys, limit2) -> tuple:
+    """(xs, ys, shift, limit2) of an exact grid moved to put its first point
+    at 0 and divided by the gcd of all coordinates, typed as ``zseq`` types
+    grids; a bound past the diagonal of the points' box becomes None."""
+    # visibility survives translation and scaling: so reduced, a translated
+    # lattice is a lattice again, and a small box fits int64 whatever the
+    # grid it came from
     xs, ys = xs - xs[0], ys - ys[0]
     unit = math.gcd(int(np.gcd.reduce(xs)), int(np.gcd.reduce(ys)))
-    xs, ys = xs // unit, ys // unit
+    xs, ys, shift = xs // unit, ys // unit, _KEY_SHIFT
+    if xs.dtype == object:
+        xs, ys, _, shift = _typed_grid(xs, ys, 1)
     if limit2 is not None:
+        width, height = _box(xs, ys)
         limit2 //= unit * unit
-    keys = np.sort((xs << shift) + ys)
+        if limit2 >= (width - 1) ** 2 + (height - 1) ** 2:
+            limit2 = None
+    return xs, ys, shift, limit2
+
+
+def _box(xs, ys) -> tuple:
+    """The width W and height H of the bounding box of the grid points
+    (xs, ys), counted in grid points."""
+    return int(xs.max() - xs.min()) + 1, int(ys.max() - ys.min()) + 1
+
+
+def _visible_by_lookup(xs, ys, shift: int, limit2, lookup) -> tuple:
+    """Arrays (i, j) of the visible pairs i < j of a reduced grid, ascending,
+    a block of anchors over the upper triangle at a time.  ``lookup(row,
+    col)`` keeps the pairs within the bound and returns (row, col, visible,
+    open), visible the mask of the pairs with g = 1 and open the positions
+    of those with g > 1 whose first step is no window point."""
+    n = len(xs)
     counts = np.arange(n - 1, 0, -1)  # entries (i, j > i) of anchor i
     before = np.cumsum(counts) - counts
     # a block starts where the entries before it pass a multiple of the block size
@@ -245,25 +295,66 @@ def _exact_visible_pairs(xs, ys, shift: int, limit2) -> tuple:
     for lo, hi in zip(starts, starts[1:] + [n - 1]):
         row = np.repeat(np.arange(lo, hi), counts[lo:hi])
         col = np.arange(len(row)) + row + 1 - np.repeat(before[lo:hi] - before[lo], counts[lo:hi])
-        dx, dy = xs[col] - xs[row], ys[col] - ys[row]
-        if limit2 is not None:
-            near = dx * dx + dy * dy <= limit2
-            row, col, dx, dy = row[near], col[near], dx[near], dy[near]
-        g = np.gcd(dx, dy)
-        visible = g == 1
-        # a pair with g > 1 is blocked when its first step from the anchor
-        # is a window point, and open when it is not
-        step = np.flatnonzero(~visible)
-        gs, rs = g[step], row[step]
-        probe = ((xs[rs] + dx[step] // gs) << shift) + ys[rs] + dy[step] // gs
-        at = np.minimum(np.searchsorted(keys, probe), n - 1)
-        open_ = step[keys[at] != probe]
+        row, col, visible, open_ = lookup(row, col)
         if len(open_):
             fi, fj = _nearest_beyond_first_step(xs, ys, shift, limit2, _distinct(row[open_]))
             visible[open_] = np.isin(row[open_] * n + col[open_], fi * n + fj)
         out_i.append(row[visible])
         out_j.append(col[visible])
     return np.concatenate(out_i), np.concatenate(out_j)
+
+
+def _table_lookup(xs, ys, limit2):
+    """The ``_visible_by_lookup`` lookup of an int64 grid read off tables over
+    the differences of its W x H bounding box (see the module docstring)."""
+    width, height = _box(xs, ys)
+    stride = 2 * height - 1
+    # a point's index in the box, and a difference's in the tables, which
+    # cover dx in (-W, W) and dy in (-H, H)
+    lin = (xs - xs.min()) * stride + ys - ys.min()
+    ahead = lin + (width - 1) * stride + height - 1
+    dx = np.repeat(np.arange(1 - width, width), stride)
+    dy = np.tile(np.arange(1 - height, height), 2 * width - 1)
+    g = np.gcd(dx, dy)
+    primitive = g == 1
+    g[g == 0] = 1  # at the difference (0, 0), which no pair has
+    first = dx // g * stride + dy // g
+    norm2 = None if limit2 is None else dx * dx + dy * dy
+    member = np.zeros(width * stride, dtype=bool)
+    member[lin] = True
+
+    def lookup(row, col):
+        d = ahead[col] - lin[row]
+        if norm2 is not None:
+            near = norm2[d] <= limit2
+            row, col, d = row[near], col[near], d[near]
+        visible = primitive[d]
+        step = np.flatnonzero(~visible)
+        return row, col, visible, step[~member[lin[row[step]] + first[d[step]]]]
+
+    return lookup
+
+
+def _key_lookup(xs, ys, shift: int, limit2):
+    """The ``_visible_by_lookup`` lookup of a grid by one gcd per pair and one
+    ``searchsorted`` of its first step over the sorted packed keys."""
+    keys = np.sort((xs << shift) + ys)
+    last = len(keys) - 1
+
+    def lookup(row, col):
+        dx, dy = xs[col] - xs[row], ys[col] - ys[row]
+        if limit2 is not None:
+            near = dx * dx + dy * dy <= limit2
+            row, col, dx, dy = row[near], col[near], dx[near], dy[near]
+        g = np.gcd(dx, dy)
+        visible = g == 1
+        step = np.flatnonzero(~visible)
+        gs, rs = g[step], row[step]
+        probe = ((xs[rs] + dx[step] // gs) << shift) + ys[rs] + dy[step] // gs
+        at = np.minimum(np.searchsorted(keys, probe), last)
+        return row, col, visible, step[keys[at] != probe]
+
+    return lookup
 
 
 def _distinct(a):
@@ -349,7 +440,9 @@ def _float_visible_pairs(xs, ys, eps: float, limit2) -> tuple:
         k = order[row, col]
         t, nrm = theta[row, k], np.sqrt(d2[row, k])
         r_min = np.sqrt(np.where(live, d2, np.inf).min(axis=1))
-        delta = np.arcsin(np.minimum(1.0, eps / np.maximum(r_min, eps))) * (1 + 1e-6) \
+        # r_min underflows to 0 below about 1e-162, where eps = 0 must not
+        # divide 0 by 0
+        delta = np.arcsin(np.minimum(1.0, eps / np.maximum(r_min, eps or 1.0))) * (1 + 1e-6) \
             + _ANGLE_SLACK
         row_start = np.r_[True, row[1:] != row[:-1]]
         start = row_start | np.r_[True, t[1:] - t[:-1] > delta[row[1:]]]
@@ -578,11 +671,34 @@ def _unpacked(keys, shift: int) -> tuple:
 
 def _signed_distinct(xs, ys, scale: int, shift: int) -> tuple:
     """The exact grid of the vectors (xs, ys) and their negatives, each
-    once, in canonical order."""
-    keys = (xs << shift) + ys
-    xs, ys = _unpacked(_distinct(np.sort(np.concatenate((keys, -keys)))), shift)
+    once, in canonical order: marked in a bitmap over their box when it has
+    at most two cells per vector, else sorted by packed key."""
+    reach = int(np.abs(xs).max(initial=0)), int(np.abs(ys).max(initial=0))
+    if xs.dtype != object and (2 * reach[0] + 1) * (2 * reach[1] + 1) <= 2 * len(xs):
+        xs, ys = _signed_by_bitmap(xs, ys, *reach)
+    else:
+        xs, ys = _signed_by_keys(xs, ys, shift)
     order = canonical_permutation(xs, ys)
     return xs[order], ys[order], scale, shift
+
+
+def _signed_by_keys(xs, ys, shift: int) -> tuple:
+    """The vectors (xs, ys) and their negatives, each once, ordered by (x, y),
+    through one sort of their packed keys."""
+    keys = (xs << shift) + ys
+    return _unpacked(_distinct(np.sort(np.concatenate((keys, -keys)))), shift)
+
+
+def _signed_by_bitmap(xs, ys, reach_x: int, reach_y: int) -> tuple:
+    """``_signed_by_keys`` of int64 vectors with |x| <= reach_x and |y| <=
+    reach_y, read back from a bitmap over that box in (x, y) order."""
+    stride = 2 * reach_y + 1
+    mark = np.zeros((2 * reach_x + 1) * stride, dtype=bool)
+    mark[(xs + reach_x) * stride + ys + reach_y] = True
+    # -v sits at the mirror image of v's cell
+    mark |= mark[::-1]
+    at = np.flatnonzero(mark)
+    return at // stride - reach_x, at % stride - reach_y
 
 
 def _signed_distinct_float(xs, ys, eps: float) -> tuple:
@@ -637,9 +753,11 @@ def _joined(h: HolonomySet, g: HolonomySet) -> HolonomySet:
 
 def _near_pairs(xs, ys, eps: float) -> list:
     """The pairs i < j of vectors that ``same_point`` matches in
-    neighbouring eps-cells, as ``PointIndex`` probes them, ordered by j."""
-    cell = max(eps, 1e-300)
-    kx, ky = np.floor(xs / cell), np.floor(ys / cell)
+    neighbouring eps-cells, as ``PointIndex`` probes them, ordered by j.
+    At eps = 0 only exact repeats match, and there are none."""
+    if eps == 0:
+        return []
+    kx, ky = np.floor(xs / eps), np.floor(ys / eps)
     # complex numbers sort by real part, then imaginary part: by column,
     # then by row of cells
     by_cell = np.argsort(kx + 1j * ky, kind="stable")

@@ -165,7 +165,9 @@ def zdiv(p: ZPoint, q: ZPoint) -> ZPoint:
 
 
 def same_point(p: ZPoint, q: ZPoint, mode: Mode) -> bool:
-    if mode.is_exact:
+    # eps = 0 compares floats exactly: a squared difference below about
+    # 1e-162 would underflow to 0
+    if mode.is_exact or mode.eps == 0:
         return p.re == q.re and p.im == q.im
     return (p - q).norm2() <= mode.eps * mode.eps
 
@@ -300,8 +302,8 @@ def _lengths(xs, ys, scale):
 
 def _same(dx, dy, mode: Mode):
     """Mask of the grid differences (dx, dy) that ``same_point`` calls zero:
-    equality when exact, dx**2 + dy**2 <= eps**2 in float mode."""
-    if mode.is_exact:
+    equality when exact or eps = 0, dx**2 + dy**2 <= eps**2 in float mode."""
+    if mode.is_exact or mode.eps == 0:
         return (dx == 0) & (dy == 0)
     return dx * dx + dy * dy <= mode.eps * mode.eps
 
@@ -362,18 +364,20 @@ class GeneratorSpec:
 
 
 class PointIndex:
-    """Exact dict lookup, or an eps-grid with neighbor probing for floats."""
+    """Exact dict lookup, or an eps-grid with neighbor probing for floats
+    with eps > 0."""
 
     def __init__(self, points, mode: Mode):
         self.mode = mode
+        self._exact = mode.is_exact or mode.eps == 0
         self._by_key = {}
-        self._cell = max(mode.eps, 1e-300)
+        self._cell = mode.eps
         for i, p in enumerate(points):
             self.add(p, i)
 
     def add(self, p: ZPoint, i: int) -> None:
         """Record ``p`` under index ``i``."""
-        if self.mode.is_exact:
+        if self._exact:
             self._by_key[(p.re, p.im)] = i
         else:
             self._by_key.setdefault(self._grid_key(p), []).append((p, i))
@@ -383,7 +387,7 @@ class PointIndex:
 
     def find(self, p: ZPoint):
         """Index of the window point equal to ``p`` (mode-aware), or None."""
-        if self.mode.is_exact:
+        if self._exact:
             return self._by_key.get((p.re, p.im))
         kx, ky = self._grid_key(p)
         for dx in (-1, 0, 1):

@@ -428,6 +428,164 @@ def test_sparse_seventh_clouds_match_bruteforce(seed):
         assert pair_list(fc.visible_pairs(w, max_length=length)) == _restricted(w, full, length)
 
 
+# the dense difference table and the sorted keys on one reduced grid
+
+_LATTICE = fc.GeneratorSpec("gaussian-lattice")
+
+
+def _holed_lattice(radius, seed, keep):
+    """The lattice ball of ``radius`` with each point but 0 kept with
+    probability ``keep``."""
+    rng = random.Random(seed)
+    pts = [p for p in fc.generate(_LATTICE, radius).points
+           if p.is_zero() or rng.random() < keep]
+    return _window(pts, radius)
+
+
+def _small_box(seed):
+    """Up to 30 random points of a box of at most 9 x 9, some on the 1/2
+    or 1/3 grid and translated: many first steps miss."""
+    rng = random.Random(seed)
+    den = rng.choice((1, 2, 3))
+    width, height = rng.randint(1, 9), rng.randint(2, 9)
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    pts = rng.sample(cells, min(len(cells), rng.randint(2, 30)))
+    shift = (Fraction(rng.randint(-9, 9), 7), Fraction(rng.randint(-9, 9), 5))
+    return _window([zp(Fraction(x, den) + shift[0], Fraction(y, den) + shift[1])
+                    for x, y in pts], 20)
+
+
+_LOOKUP_WINDOWS = {
+    **{f"lattice R{r}": (lambda r=r: fc.generate(_LATTICE, r)) for r in range(1, 21)},
+    **{f"lattice R{r} + (1/3, 1/7)": (lambda r=r: fc.generate(_LATTICE, r).translate(
+        zp(Fraction(1, 3), Fraction(1, 7)))) for r in (1, 2, 3, 5, 8, 13)},
+    **{f"lattice R{r} + 2**40 (1 + i)": (lambda r=r: fc.generate(_LATTICE, r).translate(
+        zp(1 << 40, 1 << 40))) for r in (1, 2, 4, 7, 12)},
+    **{f"{kind} R30": (lambda kind=kind: fc.generate(fc.GeneratorSpec(kind), 30))
+       for kind in ("all-integers", "positive-integers")},
+    "integers + 2**40": lambda: fc.generate(fc.GeneratorSpec("all-integers"), 9).translate(
+        zp(1 << 40)),
+    **{f"holed lattice R{r}, keep {keep}": (lambda r=r, keep=keep: _holed_lattice(r, r, keep))
+       for r, keep in ((4, 0.5), (6, 0.8), (9, 0.9), (12, 0.97))},
+    **{f"small box {seed}": (lambda seed=seed: _small_box(seed)) for seed in range(40)},
+}
+
+
+def _lookup_pairs(xs, ys, shift, limit2, lookup):
+    return np.stack(fc.flatgeom._visible_by_lookup(xs, ys, shift, limit2, lookup), axis=1)
+
+
+@pytest.mark.parametrize("name", list(_LOOKUP_WINDOWS))
+def test_table_and_key_lookups_give_equal_pairs(name, monkeypatch):
+    """On the same reduced grid both lookups find the same pairs, whichever
+    one the rule picks, under bounds that cut inside, on and past the
+    lattice distances."""
+    flatgeom = fc.flatgeom
+    w = _LOOKUP_WINDOWS[name]()
+    assert (w.grid[0].dtype == object) == ("2**40" in name)
+    taken = []
+    table = flatgeom._table_lookup
+    monkeypatch.setattr(flatgeom, "_table_lookup",
+                        lambda *args: taken.append(True) or table(*args))
+    n = len(w)
+    xs, ys, shift, _ = flatgeom._reduced(*w.grid[:2], None)
+    assert xs.dtype == np.int64
+    width, height = flatgeom._box(xs, ys)
+    got = fc.visible_pairs(w)
+    assert bool(taken) == ((2 * width - 1) * (2 * height - 1) <= n * (n - 1) // 2)
+    lengths = [None, 0, 1, 2, math.sqrt(5), 1e6]
+    full = None
+    if n <= 120:
+        full = fc.visible_pairs_bruteforce(w)
+        # the longest distance, and just below it, where a bound stops cutting
+        longest = max((q - p).norm() for p in w.points for q in w.points)
+        lengths += [longest, longest * (1 - 1e-9)]
+    # 1e6, past every box here, reduces to no bound, as None does
+    bounds = {flatgeom._reduced(*w.grid[:2], flatgeom._length_bound(w, length))[3]: length
+              for length in lengths}
+    for limit2, length in bounds.items():
+        by_table = _lookup_pairs(xs, ys, shift, limit2, table(xs, ys, limit2))
+        by_keys = _lookup_pairs(xs, ys, shift, limit2,
+                                flatgeom._key_lookup(xs, ys, shift, limit2))
+        assert np.array_equal(by_table, by_keys), length
+        if limit2 is None:
+            assert np.array_equal(by_table, got)
+        if full is not None:
+            assert pair_list(by_table) == (full if length is None else
+                                           _restricted(w, full, length)), length
+
+
+def test_small_boxes_reach_both_lookups_and_the_fallback(monkeypatch):
+    """The random small boxes above lie on both sides of the rule, and some
+    open pairs reach the nearest-point fallback on the table."""
+    flatgeom = fc.flatgeom
+    sides, opened = set(), []
+    for seed in range(40):
+        w = _small_box(seed)
+        xs, ys, _, _ = flatgeom._reduced(*w.grid[:2], None)
+        width, height = flatgeom._box(xs, ys)
+        dense = (2 * width - 1) * (2 * height - 1) <= len(w) * (len(w) - 1) // 2
+        sides.add(dense)
+        if dense:
+            nearest = flatgeom._nearest_beyond_first_step
+            monkeypatch.setattr(flatgeom, "_nearest_beyond_first_step",
+                                lambda *args: opened.append(seed) or nearest(*args))
+            fc.visible_pairs(w)
+            monkeypatch.undo()
+    assert sides == {True, False}
+    assert opened
+
+
+def _perfbench_cloud(seed, n, den, radius):
+    """n distinct points of the 1/den grid in the disk of ``radius``, the
+    origin included, as the holonomy-scan benchmark draws them."""
+    rng = random.Random(seed)
+    span = radius * den
+    pts = {(Fraction(0), Fraction(0))}
+    while len(pts) < n:
+        p = (Fraction(rng.randint(-span, span), den), Fraction(rng.randint(-span, span), den))
+        if p[0] ** 2 + p[1] ** 2 <= radius * radius:
+            pts.add(p)
+    return _window([zp(*p) for p in sorted(pts)], radius)
+
+
+def test_lattices_take_the_table_and_clouds_and_orbits_the_keys(monkeypatch):
+    flatgeom = fc.flatgeom
+    calls = []
+    for name in ("_table_lookup", "_key_lookup"):
+        lookup = getattr(flatgeom, name)
+        monkeypatch.setattr(flatgeom, name,
+                            lambda *args, name=name, lookup=lookup:
+                            calls.append(name) or lookup(*args))
+    seeds = [(1, 0), (Fraction(63, 80), Fraction(-43, 80))]
+    orbit = fc.generate(fc.GeneratorSpec.orbit(seeds, [(1, 1, 0, 1), (1, 0, 1, 1)], 4), 6)
+    cases = [(fc.generate(_LATTICE, r), "_table_lookup") for r in (3, 8, 12)] \
+        + [(fc.generate(_LATTICE, 8, fc.float_mode(_EPS)), "_table_lookup"),
+           (fc.generate(fc.GeneratorSpec("all-integers"), 20), "_table_lookup")] \
+        + [(_perfbench_cloud(seed, 45, 5, 10), "_key_lookup") for seed in (1, 3, 11)] \
+        + [(orbit, "_key_lookup")]
+    for w, want in cases:
+        for call in (fc.holonomy, lambda w: fc.saddle_connections(w, 2, 2)):
+            calls.clear()
+            call(w)
+            assert calls == [want]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_bounds_past_float_range_squared_equal_no_bound(exact):
+    """1e200 squared overflows float64: a float bound becomes inf, and every
+    result equals the unbounded one."""
+    mode = fc.EXACT if exact else fc.float_mode(_EPS)
+    windows = [fc.generate(_LATTICE, 3, mode), _as_float(_cloud(5, 45))()]
+    for w in windows:
+        assert pair_list(fc.visible_pairs(w, 1e200)) == pair_list(fc.visible_pairs(w))
+        got, want = fc.holonomy(w, 1e200), fc.holonomy(w)
+        assert [a.tobytes() for a in got.grid[:2]] == [a.tobytes() for a in want.grid[:2]]
+        assert got.complete_radius == 0.0
+        assert fc.saddle_connections(w, 2, 1e200) == fc.saddle_connections(w, 2)
+    assert len(fc.visible_pairs(windows[0], 1e200)) == 268
+
+
 # ---------------------------------------------------------------------------
 # saddle connections
 
@@ -551,6 +709,53 @@ def test_public_exact_holonomy_set_matches_holonomy(lattice5):
             probes = list(h.vectors) + [v.scale(c) for v in h.vectors[:20]
                                         for c in (2, 3, Fraction(1, 2))]
             assert [pub.contains(v) for v in probes] == [h.contains(v) for v in probes]
+
+
+def _signed_inputs():
+    """int64 vector arrays: visible differences, repeats, signs, the axes
+    and nothing at all."""
+    lattice = fc.generate(_LATTICE, 6)
+    ii, jj = fc.visible_pairs(lattice).T
+    xs, ys = lattice.grid[:2]
+    rng = np.random.default_rng(5)
+    vectors = {
+        "lattice R6 differences": (xs[jj] - xs[ii], ys[jj] - ys[ii]),
+        "empty": ([], []),
+        "dx = 0": ([0, 0, 0, 0], [1, -3, 3, 2]),
+        "dy = 0": ([2, -1, 5, 1], [0, 0, 0, 0]),
+        "both axes": ([0, 3, 0, -3], [4, 0, -4, 0]),
+        "one vector": ([7], [-2]),
+        "repeats and negatives": ([1, 1, -1, 2, -2, 2], [1, 1, -1, 0, 0, 0]),
+        "random with repeats": tuple(rng.integers(-4, 5, size=(2, 60))),
+        "random, wide": tuple(rng.integers(-300, 301, size=(2, 40))),
+    }
+    return {name: (np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64))
+            for name, (x, y) in vectors.items()}
+
+
+@pytest.mark.parametrize("name", list(_signed_inputs()))
+def test_signed_distinct_bitmap_and_keys_agree(name, monkeypatch):
+    """The bitmap and the sorted keys give byte-equal vectors of one dtype,
+    and ``_signed_distinct`` takes the bitmap exactly when the box has at
+    most two cells per vector."""
+    flatgeom = fc.flatgeom
+    xs, ys = _signed_inputs()[name]
+    reach = int(np.abs(xs).max(initial=0)), int(np.abs(ys).max(initial=0))
+    by_keys = flatgeom._signed_by_keys(xs, ys, fc.zseq._KEY_SHIFT)
+    by_bitmap = flatgeom._signed_by_bitmap(xs, ys, *reach)
+    assert [a.dtype for a in by_bitmap] == [a.dtype for a in by_keys] == [np.int64] * 2
+    assert [a.tobytes() for a in by_bitmap] == [a.tobytes() for a in by_keys]
+    assert {(x, y) for x, y in zip(*map(np.ndarray.tolist, by_keys))} \
+        == {(s * x, s * y) for x, y in zip(xs.tolist(), ys.tolist()) for s in (1, -1)}
+    used = []
+    bitmap = flatgeom._signed_by_bitmap
+    monkeypatch.setattr(flatgeom, "_signed_by_bitmap",
+                        lambda *args: used.append(True) or bitmap(*args))
+    got = flatgeom._signed_distinct(xs, ys, 1, fc.zseq._KEY_SHIFT)
+    assert bool(used) == ((2 * reach[0] + 1) * (2 * reach[1] + 1) <= 2 * len(xs))
+    order = fc.zseq.canonical_permutation(*by_keys)
+    assert [a.tobytes() for a in got[:2]] == [a[order].tobytes() for a in by_keys]
+    assert got[2:] == (1, fc.zseq._KEY_SHIFT)
 
 
 def test_float_holonomy_keeps_no_near_duplicates():

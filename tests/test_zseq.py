@@ -633,6 +633,31 @@ def test_zero_eps_compares_floats_exactly():
     assert len(fc.visible_pairs(w)) == len(fc.visible_pairs(fc.generate(spec, 3))) == 268
 
 
+def test_zero_eps_tells_apart_points_closer_than_1e_162():
+    """At eps = 0 points are the same only when their coordinates are equal:
+    squared differences below about 1e-162 would underflow to 0."""
+    mode = fc.float_mode(0)
+    near = [fc.ZPoint(0.0, 0.0), fc.ZPoint(1e-300, 0.0), fc.ZPoint(1.0, 0.0)]
+    assert not same_point(near[0], near[1], mode)
+    assert not same_point(fc.ZPoint(1.0, 2.0), fc.ZPoint(1.0, 2.0 + 2.0 ** -51), mode)
+    assert same_point(fc.ZPoint(0.0, 1.0), fc.ZPoint(-0.0, 1.0), mode)
+    assert same_point(near[0], near[1], fc.float_mode(1e-9))
+    w = fc.ZeroWindow.from_points(near, 2, mode)
+    assert len(w) == 3 and fc.validate(w).valid
+    assert [w.index().find(p) for p in w.points] == [0, 1, 2]
+    assert w.index().find(fc.ZPoint(1e-300, 1e-300)) is None
+    assert fc.ZPoint(1e10, 0.0) in fc.ZeroWindow.from_points(
+        [fc.ZPoint(0.0, 0.0), fc.ZPoint(1e10, 0.0)], 2e10, mode).index()
+    with pytest.raises(fc.DuplicatePoint):
+        fc.ZeroWindow.from_points(near, 2, fc.float_mode(1e-9))
+    with pytest.raises(fc.DuplicatePoint):
+        fc.ZeroWindow.from_points([fc.ZPoint(0.0, 1.0), fc.ZPoint(-0.0, 1.0)], 2, mode)
+    # a window built unchecked keeps its duplicate, and validate names it
+    dup = fc.ZeroWindow([near[0], near[0], near[2]], 2, mode, check=False)
+    codes = [code for code, _ in fc.validate(dup).violations]
+    assert codes == ["DuplicatePoint"]
+
+
 def test_float_mode_ordering_respects_eps():
     mode = fc.float_mode(1e-6)
     pts = [fc.ZPoint(1.0, 0.0), fc.ZPoint(0.5, 0.5)]
