@@ -169,12 +169,21 @@ def _length_bound(w: ZeroWindow, max_length) -> int | float | None:
     scale = w.grid[2]
     if scale is None:
         # a product, unlike ** 2, overflows to inf past 1.3e154
-        bound = float(max_length)
+        bound = _float_length(max_length)
         return bound * bound * (1 + 1e-12)
     bound2 = (Fraction(max_length) * scale) ** 2
     # squared distances are integers after scaling, so flooring the
     # rational bound loses nothing
     return bound2.numerator // bound2.denominator
+
+
+_FLOAT_MAX = 1.7976931348623157e308  # the largest finite float
+
+
+def _float_length(length) -> float:
+    """float(length) of a length >= 0, inf past the float range, where
+    float() of a Python int or Fraction raises."""
+    return float(length) if length <= _FLOAT_MAX else math.inf
 
 
 def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> np.ndarray:
@@ -620,7 +629,7 @@ class HolonomySet:
             if lmax is None:
                 # the canonical order ends with a longest vector
                 lmax = _lengths(grid[0][-1:], grid[1][-1:], grid[2]).max(initial=0.0)
-            complete_radius = max(0.0, float(window_radius) - float(lmax))
+            complete_radius = max(0.0, float(window_radius) - _float_length(lmax))
         self.complete_radius = complete_radius
         self._index = None
         self._query_cache = {}
@@ -658,7 +667,7 @@ def _past_restriction(norm, restricted_to):
     """Is a vector of length ``norm`` (floats rounded as ``ZPoint.norm``
     rounds) past what an enumeration restricted to ``restricted_to`` decided?
     A relative band of 1e-12 below the restriction counts as past it."""
-    return norm > restricted_to * (1 - 1e-12)
+    return norm > _float_length(restricted_to) * (1 - 1e-12)
 
 
 def _unpacked(keys, shift: int) -> tuple:
@@ -757,7 +766,13 @@ def _near_pairs(xs, ys, eps: float) -> list:
     At eps = 0 only exact repeats match, and there are none."""
     if eps == 0:
         return []
-    kx, ky = np.floor(xs / eps), np.floor(ys / eps)
+    with np.errstate(over="ignore"):
+        kx, ky = np.floor(xs / eps), np.floor(ys / eps)
+    # an infinite quotient puts eps below the coordinate's ulp: that vector
+    # compares exactly, as ``PointIndex`` compares it, and matches none of
+    # these distinct vectors
+    cells = np.flatnonzero(np.isfinite(kx) & np.isfinite(ky))
+    xs, ys, kx, ky = xs[cells], ys[cells], kx[cells], ky[cells]
     # complex numbers sort by real part, then imaginary part: by column,
     # then by row of cells
     by_cell = np.argsort(kx + 1j * ky, kind="stable")
@@ -775,7 +790,7 @@ def _near_pairs(xs, ys, eps: float) -> list:
     b = by_cell[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)]
     dx, dy = xs[a] - xs[b], ys[a] - ys[b]
     near = dx * dx + dy * dy <= eps * eps
-    i, j = np.minimum(a, b)[near], np.maximum(a, b)[near]
+    i, j = cells[np.minimum(a, b)[near]], cells[np.maximum(a, b)[near]]
     at = np.lexsort((i, j))
     return list(zip(i[at].tolist(), j[at].tolist()))
 
@@ -791,7 +806,7 @@ def holonomy(w: ZeroWindow, max_length: float | None = None) -> HolonomySet:
     # the longest length tested is that of the longest pair, near-duplicates
     # included
     lmax = float(np.sqrt(dx * dx + dy * dy).max(initial=0.0)) if max_length is None \
-        else float(max_length)
+        else _float_length(max_length)
     coarse = _coarse_grid(w)
     if coarse is None:
         grid = _signed_distinct_float(dx, dy, w.mode.eps)
@@ -801,42 +816,157 @@ def holonomy(w: ZeroWindow, max_length: float | None = None) -> HolonomySet:
     return HolonomySet._from_grid(grid, w.radius, w.mode, max_length, w, max(0.0, w.radius - lmax))
 
 
+_BITMAP_CELLS = 1 << 22  # largest box a membership bitmap covers: 4 MiB of bools
+
+
+class _Bitmap(NamedTuple):
+    """Points of an int64 grid marked over their W x H bounding box with
+    corner (x0, y0): the point (x, y) sits at cell (x - x0) H + y - y0."""
+
+    member: np.ndarray
+    x0: int
+    y0: int
+    width: int
+    height: int
+
+    def contains(self, x, y):
+        """Mask of the points (x, y), arrays of int64 or Python ints, that
+        are members: a bounds test and one gather."""
+        dx, dy = x - self.x0, y - self.y0
+        if dx.dtype == object:
+            inside = (dx >= 0) & (dx < self.width) & (dy >= 0) & (dy < self.height)
+            dx, dy = (np.where(inside, v, 0).astype(np.int64) for v in (dx, dy))
+        else:
+            # a negative offset reads as a huge unsigned one
+            inside = (dx.view(np.uint64) < self.width) & (dy.view(np.uint64) < self.height)
+        # a cell outside the box is clipped into it, then masked
+        return inside & self.member.take(dx * self.height + dy, mode="clip")
+
+
+class _SortedKeys(NamedTuple):
+    """Points packed as ``(x << shift) + y`` and sorted; no member has a
+    coordinate beyond ``limit``, and packing within it is injective."""
+
+    keys: np.ndarray
+    shift: int
+    limit: int
+
+    def contains(self, x, y):
+        """Mask of the points (x, y) that are members: a ``searchsorted``."""
+        ok = (abs(x) <= self.limit) & (abs(y) <= self.limit)
+        x, y = np.where(ok, x, 0), np.where(ok, y, 0)
+        if self.keys.dtype == object:
+            x, y = x.astype(object), y.astype(object)
+        packed = (x << self.shift) + y
+        pos = np.searchsorted(self.keys, packed)
+        pos[pos == len(self.keys)] = 0
+        return ok & (self.keys[pos] == packed)
+
+
+def _bitmap(xs, ys):
+    """The ``_Bitmap`` of the grid points (xs, ys); None for Python ints or a
+    box of more than _BITMAP_CELLS cells."""
+    if xs.dtype == object or not len(xs):
+        return None
+    x0, y0 = int(xs.min()), int(ys.min())
+    width, height = int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1
+    if width * height > _BITMAP_CELLS:
+        return None
+    member = np.zeros(width * height, dtype=bool)
+    member[(xs - x0) * height + ys - y0] = True
+    return _Bitmap(member, x0, y0, width, height)
+
+
 def _encoded_keys(w: ZeroWindow):
-    """(packed keys, the same sorted, largest absolute coordinate) of an
-    exact window."""
+    """(packed keys, largest absolute coordinate) of an exact window."""
     got = w._cache.get("enc_keys")
     if got is None:
         xs, ys, _, shift = w.grid
         keys = (xs << shift) + ys
         span = int(max(np.abs(xs).max(initial=0), np.abs(ys).max(initial=0)))
-        got = (keys, np.sort(keys), span)
+        got = (keys, span)
         w._cache["enc_keys"] = got
+    return got
+
+
+def _window_members(w: ZeroWindow):
+    """The points of an exact window as a ``_Bitmap`` or, without one, as
+    ``_SortedKeys``; built once per window."""
+    got = w._cache.get("members")
+    if got is None:
+        xs, ys, _, shift = w.grid
+        got = _bitmap(xs, ys)
+        if got is None:
+            keys, span = _encoded_keys(w)
+            got = _SortedKeys(np.sort(keys), shift, span)
+        w._cache["members"] = got
     return got
 
 
 def _has_grid_vector(w: ZeroWindow, vx: int, vy: int) -> bool:
     """``has_holonomy_vector`` of an exact window for v = (vx, vy) / scale,
     on its integer grid (int64 or Python ints, as ``ZeroWindow.grid`` holds
-    them).  Witnesses, points p with p + v in the window, are matched through
-    packed keys.  A primitive v (coprime integer coordinates) steps over no
-    grid point, so any witness will do.  Otherwise the points are sorted by
-    (cross(p, v), dot(p, v)), that is line by line along v; a witness
-    segment holds no other window point exactly when p + v comes right after
-    p in that order."""
+    them).  Witnesses, points p with p + v in the window, are looked up in
+    ``_window_members``.  A primitive v (coprime integer coordinates) steps
+    over no grid point, so any witness will do.  Otherwise the points are
+    sorted by (cross(p, v), dot(p, v)), that is line by line along v; a
+    witness segment holds no other window point exactly when p + v comes
+    right after p in that order."""
     xs, ys, _, shift = w.grid
-    keys, sorted_keys, span = _encoded_keys(w)
+    keys, span = _encoded_keys(w)
     if max(abs(vx), abs(vy)) > 2 * span:
         return False  # longer than any difference of window points
-    step = (vx << shift) + vy
-    target = keys + step
-    pos = np.searchsorted(sorted_keys, target)
-    pos[pos == len(sorted_keys)] = 0
-    if not (sorted_keys[pos] == target).any():
+    if not _window_members(w).contains(xs + vx, ys + vy).any():
         return False
     if math.gcd(vx, vy) == 1:
         return True
     line_order = keys[np.lexsort((xs * vx + ys * vy, xs * vy - ys * vx))]
-    return bool((line_order[1:] - line_order[:-1] == step).any())
+    return bool((line_order[1:] - line_order[:-1] == (vx << shift) + vy).any())
+
+
+def _has_grid_vectors(w: ZeroWindow, vx, vy) -> np.ndarray:
+    """``_has_grid_vector`` of each vector (vx, vy) of the arrays, as a mask.
+
+    On a window with a bitmap they are decided together, by the same rule:
+    v is held when some window point p has p + v in the window and no window
+    point strictly between.  With U the gcd of the window's differences and
+    g = gcd(v), such a point lies on the window's grid, at p + k U v / g for
+    some 0 < k < g / U; each (vector, witness) pair walks those steps out
+    from p, and stops at the first member it meets.  A window without a
+    bitmap decides one vector at a time."""
+    members = _window_members(w)
+    if not isinstance(members, _Bitmap):
+        return np.array([_has_grid_vector(w, x, y) for x, y in zip(vx.tolist(), vy.tolist())],
+                        dtype=bool)
+    xs, ys, _, _ = w.grid
+    held = np.zeros(len(vx), dtype=bool)
+    # no window difference is 0 or longer than the box
+    near = np.flatnonzero((abs(vx) < members.width) & (abs(vy) < members.height)
+                          & ((vx != 0) | (vy != 0)))
+    vx, vy = vx[near].astype(np.int64), vy[near].astype(np.int64)
+    unit = math.gcd(int(np.gcd.reduce(xs - xs[0])), int(np.gcd.reduce(ys - ys[0])))
+    steps = np.gcd(vx, vy) // unit
+    sx, sy = vx // np.maximum(steps, 1), vy // np.maximum(steps, 1)
+    rows = max(1, _BLOCK_ENTRIES // len(xs))
+    for lo in range(0, len(vx), rows):
+        at = np.arange(lo, min(lo + rows, len(vx)))
+        witness = members.contains(xs + vx[at, None], ys + vy[at, None])
+        # a single step holds any witness
+        single = steps[at] <= 1
+        held[near[at[single]]] = witness[single].any(axis=1)
+        i, p = witness[~single].nonzero()
+        i = at[~single][i]
+        clear = np.ones(len(i), dtype=bool)
+        live = np.arange(len(i))
+        k = 1
+        while len(live):
+            j = i[live]
+            met = members.contains(xs[p[live]] + k * sx[j], ys[p[live]] + k * sy[j])
+            clear[live[met]] = False
+            k += 1
+            live = live[~met & (steps[j] > k)]
+        held[near[i[clear]]] = True
+    return held
 
 
 def has_holonomy_vector(w: ZeroWindow, v: ZPoint) -> bool:

@@ -8,10 +8,13 @@ builds them as N = M adj(B) over D = det B from the image pairs M of the
 anchor base B, closure products as N_a N_b over L^2, automorphisms as
 (A, q) over L.  ``_accept`` then sends each probe through every candidate
 at once: an image whose division is inexact is a miss, an exact one is
-looked up among the packed keys of the window's points or of the holonomy
-vectors (``_Targets``).  Past a holonomy set's length restriction an
-unlisted image stays open, and the source window decides each distinct
-one, up to sign, once on its grid.  Arrays are int64 while every value
+looked up among the window's points or the holonomy vectors
+(``_Targets``): in a bitmap over their bounding box, a bounds test and one
+gather, or, on a Python-int grid or a box of more than 2**22 cells, by
+``searchsorted`` over their sorted packed keys.  Past a holonomy set's
+length restriction an unlisted image stays open, and the source window
+decides the distinct ones, up to sign, in one pass on its grid
+(``flatgeom._has_grid_vectors``).  Arrays are int64 while every value
 computed from them stays below 2**62, and Python ints past that.  Results
 are ordered on the integer rows the kernel holds, over one positive
 denominator, which is the order of their Fraction entries: the kernel
@@ -32,8 +35,8 @@ import numpy as np
 
 from . import veech
 from .errors import DegenerateWindow, SingularMatrix
-from .flatgeom import (HolonomySet, _distinct, _encoded_keys, _has_grid_vector, _past_restriction,
-                       _unpacked)
+from .flatgeom import (HolonomySet, _Bitmap, _bitmap, _distinct, _has_grid_vectors,
+                       _past_restriction, _SortedKeys, _unpacked, _window_members)
 from .veech import _BLOCK, ClosureReport, Mat2, _pool_limit, _probes
 from .zseq import EXACT, ZeroWindow, _lengths, _ratio, grid_points
 
@@ -80,66 +83,65 @@ def _entry_limit(entry_bound: float, den: int, cap: int) -> int:
 class _Targets(NamedTuple):
     """A point set on an integer grid, as the kernel looks images up in it.
 
-    ``keys`` are the members packed as ``(x << shift) + y`` and sorted; an
-    image with a coordinate beyond ``limit`` is a miss.  With ``window`` set,
-    they are the vectors of a holonomy set restricted to ``restricted_to``:
-    an unlisted image past it (``flatgeom._past_restriction``, on the
-    image's length over ``scale``) stays open for ``window`` to decide.
+    ``members`` are the points as ``flatgeom._Bitmap`` or, for Python ints
+    and boxes past its cap, as ``flatgeom._SortedKeys``.  With ``window``
+    set, they are the vectors of a holonomy set restricted to
+    ``restricted_to``: an unlisted image with no coordinate beyond ``limit``
+    and past the restriction (``flatgeom._past_restriction``, on the image's
+    length over ``scale``) stays open for ``window`` to decide, and the
+    open phase packs such images as ``(x << shift) + y``.
     """
 
-    keys: np.ndarray
-    shift: int
-    limit: int
+    members: _Bitmap | _SortedKeys
     scale: int
     window: ZeroWindow | None = None
     restricted_to: float | None = None
+    limit: int = 0
+    shift: int = 0
 
     def lookup(self, x, y, on_grid):
-        """(packed keys, hit, open) of the images (x, y), of which ``on_grid``
-        marks those whose division was exact; a key is valid where ``hit``
-        or ``open`` holds, and ``open`` is None without ``window``."""
-        ok = on_grid & (abs(x) <= self.limit) & (abs(y) <= self.limit)
-        x, y = np.where(ok, x, 0), np.where(ok, y, 0)
-        if self.keys.dtype == object:
-            x, y = x.astype(object), y.astype(object)
-        packed = (x << self.shift) + y
-        pos = np.searchsorted(self.keys, packed)
-        pos[pos == len(self.keys)] = 0
-        hit = ok & (self.keys[pos] == packed)
+        """(hit, open) of the images (x, y), of which ``on_grid`` marks
+        those whose division was exact; ``open`` is None without
+        ``window``."""
+        hit = on_grid & self.members.contains(x, y)
         if self.window is None:
-            return packed, hit, None
-        opened = ok & ~hit
+            return hit, None
+        opened = on_grid & ~hit & (abs(x) <= self.limit) & (abs(y) <= self.limit)
         at = opened.nonzero()
-        opened[at] = _past_restriction(_lengths(x[at], y[at], self.scale), self.restricted_to)
-        return packed, hit, opened
+        x, y = _ints(2 * self.limit ** 2, x[at], y[at])
+        opened[at] = _past_restriction(_lengths(x, y, self.scale), self.restricted_to)
+        return hit, opened
 
 
 def _window_targets(w: ZeroWindow) -> _Targets:
     """The points of an exact window."""
-    _, sorted_keys, span = _encoded_keys(w)
-    return _Targets(sorted_keys, w.grid[3], span, w.grid[2])
+    return _Targets(_window_members(w), w.grid[2])
 
 
 def _hol_targets(h: HolonomySet) -> _Targets:
     """The vectors of an exact holonomy set; past its length restriction the
     source window decides."""
     xs, ys, scale, _ = h.grid
-    limit = _span(xs, ys)
+    limit = span = _span(xs, ys)
     window = h.window if h.restricted_to is not None else None
     if window is not None:
-        # _has_grid_vector refutes what is longer than any window difference
-        limit = max(limit, 2 * _encoded_keys(window)[2] * (scale // window.grid[2]))
+        # _has_grid_vectors refutes what is longer than any window difference
+        limit = max(span, 2 * _span(*window.grid[:2]) * (scale // window.grid[2]))
     shift = (2 * limit).bit_length()
-    xs, ys = _ints(limit << (shift + 1), xs, ys)
-    return _Targets(np.sort((xs << shift) + ys), shift, limit, scale, window, h.restricted_to)
+    members = _bitmap(xs, ys)
+    if members is None:
+        xs, ys = _ints(span << (shift + 1), xs, ys)
+        members = _SortedKeys(np.sort((xs << shift) + ys), shift, span)
+    return _Targets(members, scale, window, h.restricted_to, limit, shift)
 
 
 def _images(cols, rows, x, y, targets: _Targets):
-    """(packed, hit, open) of the probes (x, y) under candidates ``rows``."""
+    """(x, y, hit, open) of the images of the probes (x, y) under
+    candidates ``rows``."""
     a, b, c, d, e, f, den = (v[rows][:, None] if np.ndim(v) else v for v in cols)
     nx, ny = a * x + b * y + e, c * x + d * y + f
     ix, iy = nx // den, ny // den
-    return targets.lookup(ix, iy, (ix * den == nx) & (iy * den == ny))
+    return (ix, iy, *targets.lookup(ix, iy, (ix * den == nx) & (iy * den == ny)))
 
 
 def _accept(maps, px, py, targets: _Targets):
@@ -166,7 +168,7 @@ def _accept(maps, px, py, targets: _Targets):
         stop = start + max(1, _BLOCK // (2 * len(alive)))
         ok = np.ones(len(alive), dtype=bool)
         for cols in maps:
-            _, hit, opened = _images(cols, alive, px[start:stop], py[start:stop], targets)
+            _, _, hit, opened = _images(cols, alive, px[start:stop], py[start:stop], targets)
             ok &= (hit if opened is None else hit | opened).all(axis=1)
         alive = alive[ok]
         start = stop
@@ -177,17 +179,19 @@ def _accept(maps, px, py, targets: _Targets):
     step = max(1, _BLOCK // (2 * len(px)))
     for lo in range(0, len(alive), step):
         for cols in maps:
-            packed, _, opened = _images(cols, alive[lo:lo + step], px, py, targets)
+            ix, iy, _, opened = _images(cols, alive[lo:lo + step], px, py, targets)
             rows, cells = opened.nonzero()
             at.append(rows + lo)
-            keys.append(abs(packed[rows, cells]))  # the key of -v is minus that of v
+            ix, iy = _ints(targets.limit << (targets.shift + 1), ix[rows, cells], iy[rows, cells])
+            keys.append(abs((ix << targets.shift) + iy))  # the key of -v is minus that of v
     at, keys = np.concatenate(at), np.concatenate(keys)
     images = _distinct(np.sort(keys))
+    vx, vy = _unpacked(images, targets.shift)
     # a grid finer than the window's holds vectors no window pair differs by
     k = targets.scale // targets.window.grid[2]
-    held = np.array([x % k == 0 and y % k == 0 and _has_grid_vector(targets.window, x // k, y // k)
-                     for x, y in zip(*(v.tolist() for v in _unpacked(images, targets.shift)))],
-                    dtype=bool)
+    on = np.flatnonzero((vx % k == 0) & (vy % k == 0))
+    held = np.zeros(len(images), dtype=bool)
+    held[on] = _has_grid_vectors(targets.window, vx[on] // k, vy[on] // k)
     return np.delete(alive, at[~held[np.searchsorted(images, keys)]])
 
 

@@ -371,6 +371,7 @@ class PointIndex:
         self.mode = mode
         self._exact = mode.is_exact or mode.eps == 0
         self._by_key = {}
+        self._far = {}  # points beyond the eps-cells, by exact coordinates
         self._cell = mode.eps
         for i, p in enumerate(points):
             self.add(p, i)
@@ -379,17 +380,30 @@ class PointIndex:
         """Record ``p`` under index ``i``."""
         if self._exact:
             self._by_key[(p.re, p.im)] = i
+            return
+        key = self._grid_key(p)
+        if key is None:
+            self._far[(p.re, p.im)] = i
         else:
-            self._by_key.setdefault(self._grid_key(p), []).append((p, i))
+            self._by_key.setdefault(key, []).append((p, i))
 
     def _grid_key(self, p: ZPoint):
-        return (math.floor(p.re / self._cell), math.floor(p.im / self._cell))
+        """The eps-cell of ``p``; None where a coordinate over eps is not
+        finite, as eps then lies below that coordinate's ulp and ``p``
+        compares exactly, as at eps = 0."""
+        kx, ky = p.re / self._cell, p.im / self._cell
+        if math.isinf(kx) or math.isinf(ky):
+            return None
+        return math.floor(kx), math.floor(ky)
 
     def find(self, p: ZPoint):
         """Index of the window point equal to ``p`` (mode-aware), or None."""
         if self._exact:
             return self._by_key.get((p.re, p.im))
-        kx, ky = self._grid_key(p)
+        key = self._grid_key(p)
+        if key is None:
+            return self._far.get((p.re, p.im))
+        kx, ky = key
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 for q, i in self._by_key.get((kx + dx, ky + dy), ()):

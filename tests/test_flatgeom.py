@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -586,6 +587,34 @@ def test_bounds_past_float_range_squared_equal_no_bound(exact):
     assert len(fc.visible_pairs(windows[0], 1e200)) == 268
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_bounds_past_float_range_equal_no_bound(exact):
+    """A Python int past the float range bounds nothing, in float mode as in
+    exact mode: once float() of it raised OverflowError."""
+    mode = fc.EXACT if exact else fc.float_mode(_EPS)
+    w = fc.generate(_LATTICE, 3, mode)
+    for bound in (10 ** 400, Fraction(10 ** 400, 3)):
+        assert pair_list(fc.visible_pairs(w, bound)) == pair_list(fc.visible_pairs(w))
+        got, want = fc.holonomy(w, bound), fc.holonomy(w)
+        assert [a.tobytes() for a in got.grid[:2]] == [a.tobytes() for a in want.grid[:2]]
+        assert got.complete_radius == 0.0 and got.restricted_to == bound
+        assert not got.contains(zp(7) if exact else fc.ZPoint(7.0, 0.0))
+        assert fc.saddle_connections(w, 2, bound) == fc.saddle_connections(w, 2)
+    assert len(fc.visible_pairs(w, 10 ** 400)) == 268
+
+
+def test_holonomy_past_eps_cells_raises_no_warning():
+    """Vectors whose coordinates over eps overflow compare exactly, so the
+    near-duplicate pass divides by eps without an overflow warning."""
+    pts = [fc.ZPoint(0.0, 0.0), fc.ZPoint(1e10, 0.0), fc.ZPoint(0.0, 1.0)]
+    w = fc.ZeroWindow.from_points(pts, 2e10, fc.float_mode(1e-300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = fc.holonomy(w)
+    assert len(h) == 6
+    assert h.contains(fc.ZPoint(1e10, 0.0)) and not h.contains(fc.ZPoint(1e10, 1e-300))
+
+
 # ---------------------------------------------------------------------------
 # saddle connections
 
@@ -939,6 +968,155 @@ def test_holonomy_rotation_equivariance(lattice5):
     got = {(v.re, v.im) for v in fc.holonomy(rotated).vectors}
     assert got == {(q.re, q.im) for q in
                    (fc.zseq.zmul(fc.ZPoint(a, b), r) for a, b in base)}
+
+
+# ---------------------------------------------------------------------------
+# window membership: a bitmap over the box, sorted keys past its cap
+
+_ORBIT_SPEC = fc.GeneratorSpec.orbit([(1, 0), (Fraction(63, 80), Fraction(-43, 80))],
+                                     [(1, 1, 0, 1), (1, 0, 1, 1)], 4)
+
+
+def _cap_box(cells):
+    """Three points whose bounding box has ``cells`` cells: 2**22, the
+    bitmap's cap, or one more."""
+    width, height = {1 << 22: (2048, 2048), (1 << 22) + 1: (5, 838861)}[cells]
+    return _window([zp(0), zp(1), zp(width - 1, height - 1)], width + height)
+
+
+_MEMBER_WINDOWS = {
+    **{name: make for name, make in _LOOKUP_WINDOWS.items() if "2**40" not in name},
+    "orbit": lambda: fc.generate(_ORBIT_SPEC, 6),
+    **{f"cloud {seed}": (lambda seed=seed: _perfbench_cloud(seed, 45, 5, 10))
+       for seed in range(4)},
+    "box at the cap": lambda: _cap_box(1 << 22),
+}
+
+
+def _bitmap_points(bitmap):
+    """The points (xs, ys) marked in a ``flatgeom._Bitmap``."""
+    at = np.flatnonzero(bitmap.member)
+    return at // bitmap.height + bitmap.x0, at % bitmap.height + bitmap.y0
+
+
+def _keys_of(bitmap, shift):
+    """The points of a ``flatgeom._Bitmap`` as ``flatgeom._SortedKeys``."""
+    xs, ys = _bitmap_points(bitmap)
+    span = int(max(np.abs(xs).max(), np.abs(ys).max()))
+    return fc.flatgeom._SortedKeys(np.sort((xs << shift) + ys), shift, span)
+
+
+def _points_about(lo, hi, xs, ys, rng):
+    """int64 points of the square [lo - 2, hi + 2]^2: all of them when there
+    are few, else the points (xs, ys) and their neighbours and random ones;
+    and points far outside it."""
+    if (hi - lo + 5) ** 2 <= 1 << 15:
+        side = np.arange(lo - 2, hi + 3)
+        px, py = np.repeat(side, len(side)), np.tile(side, len(side))
+    else:
+        near = np.arange(-2, 3)
+        ox, oy = np.repeat(near, 5), np.tile(near, 5)
+        px = np.r_[np.repeat(xs, 25) + np.tile(ox, len(xs)), rng.integers(lo - 2, hi + 3, 1 << 14)]
+        py = np.r_[np.repeat(ys, 25) + np.tile(oy, len(ys)), rng.integers(lo - 2, hi + 3, 1 << 14)]
+    far = rng.integers(-(1 << 61), 1 << 61, size=(2, 64))
+    return np.r_[px, far[0], lo - 1, hi + 1], np.r_[py, far[1], hi + 1, lo - 1]
+
+
+@pytest.mark.parametrize("name", list(_MEMBER_WINDOWS))
+def test_bitmap_and_keys_hold_the_same_points(name):
+    """A window's bitmap and the sorted keys of its points find the same
+    members, for int64 points in and around the box and far outside it,
+    and for Python ints."""
+    flatgeom = fc.flatgeom
+    w = _MEMBER_WINDOWS[name]()
+    xs, ys, _, shift = w.grid
+    members = flatgeom._window_members(w)
+    assert isinstance(members, flatgeom._Bitmap)
+    assert members.member.size <= flatgeom._BITMAP_CELLS
+    assert members.member.sum() == len(w)
+    keys = _keys_of(members, shift)
+    assert np.array_equal(keys.keys, np.sort((xs << shift) + ys))
+    rng = np.random.default_rng(len(w))
+    lo, hi = int(min(xs.min(), ys.min())), int(max(xs.max(), ys.max()))
+    px, py = _points_about(lo, hi, xs, ys, rng)
+    got = members.contains(px, py)
+    assert got.any() and not got.all()
+    assert np.array_equal(got, keys.contains(px, py))
+    # Python ints, some past int64, as images of the kernel's wide arithmetic
+    ox, oy = px.astype(object), py.astype(object)
+    ox[::7] += 1 << 70
+    assert np.array_equal(members.contains(ox, oy), keys.contains(ox, oy))
+
+
+def test_bitmap_stops_at_its_cap():
+    flatgeom = fc.flatgeom
+    at_cap, over = _cap_box(1 << 22), _cap_box((1 << 22) + 1)
+    assert flatgeom._bitmap(*at_cap.grid[:2]).member.size == 1 << 22
+    assert flatgeom._bitmap(*over.grid[:2]) is None
+    assert isinstance(flatgeom._window_members(over), flatgeom._SortedKeys)
+    for w in (at_cap, over):
+        diffs = {q - p for p in w.points for q in w.points if p != q}
+        for v in diffs | {d.scale(2) for d in diffs} | {zp(1, 1), zp(2)}:
+            assert fc.has_holonomy_vector(w, v) == (v in diffs)
+
+
+def _decision_vectors(w, rng):
+    """Grid vectors for ``_has_grid_vectors``: differences of window points
+    and their multiples (g up to the span and past 2 span), steps off the
+    window's own grid, and vectors just past its box."""
+    xs, ys = (a.astype(object) for a in w.grid[:2])
+    n = len(xs)
+    i, j = rng.integers(0, n, size=(2, 300))
+    k = rng.choice([1, 1, 2, 3, 5], 300)
+    vx, vy = (xs[j] - xs[i]) * k, (ys[j] - ys[i]) * k
+    off = rng.integers(-1, 2, size=(2, 60))
+    span = int(max(abs(v) for v in (*xs, *ys)))
+    width, height = int(max(xs) - min(xs)) + 1, int(max(ys) - min(ys)) + 1
+    ex = [width, 0, width - 1, 2 * span + 1, 0, 1, 0]
+    ey = [0, height, 1 - height, 0, -2 * span - 3, 0, 0]
+    return np.r_[vx, vx[:60] + off[0], ex], np.r_[vy, vy[:60] + off[1], ey]
+
+
+_DECISION_WINDOWS = {
+    **{f"lattice R{r}": (lambda r=r: fc.generate(_LATTICE, r)) for r in (1, 2, 5, 9)},
+    **{f"lattice R{r} + (1/3, 1/7)": (lambda r=r: fc.generate(_LATTICE, r).translate(
+        zp(Fraction(1, 3), Fraction(1, 7)))) for r in (3, 8)},
+    "lattice R4 + 2**40 (1 + i)": lambda: fc.generate(_LATTICE, 4).translate(
+        zp(1 << 40, 1 << 40)),
+    **{f"holed lattice R{r}, keep {keep}": (lambda r=r, keep=keep: _holed_lattice(r, r, keep))
+       for r, keep in ((4, 0.5), (6, 0.8), (9, 0.9))},
+    **{f"small box {seed}": (lambda seed=seed: _small_box(seed)) for seed in range(8)},
+    "orbit": lambda: fc.generate(_ORBIT_SPEC, 6),
+    "cloud": lambda: _perfbench_cloud(3, 45, 5, 10),
+    "big-den cloud": lambda: _rational_cloud(random.Random(3), 24, _BIG_DENS[1]),
+}
+
+
+@pytest.mark.parametrize("name", list(_DECISION_WINDOWS))
+def test_batched_decision_matches_each_vector_and_the_enumeration(name):
+    """``_has_grid_vectors`` decides as ``_has_grid_vector`` does vector by
+    vector, and both list exactly the vectors ``holonomy`` enumerates."""
+    flatgeom = fc.flatgeom
+    w = _DECISION_WINDOWS[name]()
+    xs, ys, scale, _ = w.grid
+    vx, vy = _decision_vectors(w, np.random.default_rng(len(w)))
+    if xs.dtype == np.int64:
+        vx, vy = vx.astype(np.int64), vy.astype(np.int64)
+    got = flatgeom._has_grid_vectors(w, vx, vy)
+    h = fc.holonomy(w)
+    assert h.grid[2] == scale
+    listed = set(zip(*(a.tolist() for a in h.grid[:2])))
+    pairs = list(zip(vx.tolist(), vy.tolist()))
+    assert got.tolist() == [flatgeom._has_grid_vector(w, x, y) for x, y in pairs]
+    assert got.tolist() == [v in listed for v in pairs]
+    assert got.any() and not got.all()
+    held = [v for v, ok in zip(pairs, got) if ok]
+    if "+ (1/3, 1/7)" in name:
+        # the window's grid is 21 times as fine as its points' lattice
+        assert all(math.gcd(x, y) % 21 == 0 for x, y in held)
+    if "holed" in name:
+        # some held vectors step over a hole
+        assert any(math.gcd(x, y) > 1 for x, y in held)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from flatcurve import equiv, flatgeom, gridsearch, veech, zseq
 from flatcurve.veech import Mat2, StabilizerSearchConfig
 
 from conftest import zp
-from test_flatgeom import _BIG_DENS, _rational_cloud
+from test_flatgeom import (_BIG_DENS, _MEMBER_WINDOWS, _ORBIT_SPEC, _bitmap_points, _cap_box,
+                           _keys_of, _points_about, _rational_cloud)
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +313,77 @@ def test_kernel_matches_reference_on_lattices(den, monkeypatch):
     lower = _kernel_matches_reference(w, StabilizerSearchConfig(inner_radius=2 * step))
     assert len(lower) > 4
     h = fc.holonomy(w, max_length=2 * step)
-    decided = _spy(monkeypatch, "_has_grid_vector")
+    decided = _spy(monkeypatch, "_has_grid_vectors")
     fc.hol_stabilizer(h, StabilizerSearchConfig(inner_radius=2 * step))
-    assert decided  # images past the restriction went to the window
+    # images past the restriction went to the window
+    assert any(len(vx) for (_, vx, _), _ in decided)
 
 
 def test_kernel_decides_each_open_image_once(monkeypatch):
     w = _grid_window(1, 1, 12)
     h = fc.holonomy(w, max_length=4)
     accepts = _spy(monkeypatch, "_accept")
-    decided = _spy(monkeypatch, "_has_grid_vector")
+    decided = _spy(monkeypatch, "_has_grid_vectors")
     upper = fc.hol_stabilizer(h, StabilizerSearchConfig(inner_radius=4))
     assert len(accepts) == 1 and len(upper) > 4
     # v and -v are one image
-    images = [max((x, y), (-x, -y)) for (_, x, y), _ in decided]
+    images = [max((x, y), (-x, -y)) for (_, vx, vy), _ in decided
+              for x, y in zip(vx.tolist(), vy.tolist())]
     assert len(images) > 1 and len(set(images)) == len(images)
+
+
+@pytest.mark.parametrize("name", list(_MEMBER_WINDOWS))
+def test_bitmap_and_key_targets_give_equal_hits_and_open_images(name):
+    """The kernel's targets, the window's points and the vectors of its
+    restricted holonomy sets, give the same hits and open images whether
+    looked up in their bitmap or among sorted keys of the same points."""
+    w = _MEMBER_WINDOWS[name]()
+    rng = np.random.default_rng(len(w))
+    targets = [gridsearch._window_targets(w)]
+    for length in (1.5, 3.5):
+        h = fc.holonomy(w, max_length=length)
+        if len(h):
+            targets.append(gridsearch._hol_targets(h))
+    opened = 0
+    for t in targets:
+        assert isinstance(t.members, flatgeom._Bitmap)
+        keys = t._replace(members=_keys_of(t.members, t.shift or w.grid[3]))
+        reach = max(t.limit, int(np.abs(w.grid[0]).max()), int(np.abs(w.grid[1]).max()))
+        x, y = _points_about(-reach, reach, *_bitmap_points(t.members), rng)
+        on_grid = rng.random(len(x)) < 0.9
+        got, want = t.lookup(x, y, on_grid), keys.lookup(x, y, on_grid)
+        assert np.array_equal(got[0], want[0]) and got[0].any()
+        assert (got[1] is None) == (want[1] is None) == (t.window is None)
+        if t.window is not None:
+            assert np.array_equal(got[1], want[1])
+            opened += int(got[1].sum())
+    assert opened or len(targets) == 1
+
+
+def test_kernel_takes_bitmaps_up_to_their_cap_and_sorted_keys_past_it(monkeypatch):
+    """Lattices and the orbit window are looked up in bitmaps; Python-int
+    grids and windows whose box passes the cap among sorted keys."""
+    used = []
+    for cls in (flatgeom._Bitmap, flatgeom._SortedKeys):
+        monkeypatch.setattr(cls, "contains", lambda self, x, y, real=cls.contains:
+                            used.append(type(self).__name__) or real(self, x, y))
+    python_ints = _grid_window(1, 1, 5, center=zp(Fraction(1, 1 << 40)))
+    wide = _grid_window(1, 1, 5, center=zp(Fraction(1, 32749)))
+    assert python_ints.grid[0].dtype == object and wide.grid[0].dtype == np.int64
+    cases = [*((fc.generate(fc.GeneratorSpec("gaussian-lattice"), r), "_Bitmap")
+               for r in (5, 9, 12)),
+             (fc.generate(_ORBIT_SPEC, 6), "_Bitmap"),
+             (python_ints, "_SortedKeys"),
+             (wide, "_SortedKeys")]
+    for w, want in cases:
+        used.clear()
+        lower, upper, ok = fc.sandwich_report(w)
+        assert ok and len(upper) > 1
+        assert set(used) == {want}
+    for cells, want in ((1 << 22, "_Bitmap"), ((1 << 22) + 1, "_SortedKeys")):
+        used.clear()
+        assert fc.has_holonomy_vector(_cap_box(cells), zp(1))
+        assert set(used) == {want}
 
 
 @pytest.mark.parametrize("r", [math.sqrt(5), math.sqrt(5) * (1 + 1e-13)])

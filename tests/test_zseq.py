@@ -633,6 +633,19 @@ def test_zero_eps_compares_floats_exactly():
     assert len(fc.visible_pairs(w)) == len(fc.visible_pairs(fc.generate(spec, 3))) == 268
 
 
+def test_coordinates_past_eps_cells_compare_exactly():
+    """Past eps * 1.8e308 a coordinate over eps is infinite: eps lies below
+    the coordinate's ulp, and the index compares such points exactly, as at
+    eps = 0, where it once raised OverflowError."""
+    pts = [fc.ZPoint(0.0, 0.0), fc.ZPoint(1e10, 0.0), fc.ZPoint(0.0, 1.0)]
+    w = fc.ZeroWindow.from_points(pts, 2e10, fc.float_mode(1e-300))
+    idx = w.index()
+    assert sorted(idx.find(p) for p in pts) == [0, 1, 2]
+    assert idx.find(fc.ZPoint(1e10, 1e-300)) is None
+    assert idx.find(fc.ZPoint(-1e10, 0.0)) is None
+    assert idx.find(fc.ZPoint(0.0, 1.0 + 1e-300)) == idx.find(pts[2])
+
+
 def test_zero_eps_tells_apart_points_closer_than_1e_162():
     """At eps = 0 points are the same only when their coordinates are equal:
     squared differences below about 1e-162 would underflow to 0."""
