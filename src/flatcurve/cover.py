@@ -8,26 +8,32 @@ treated as lying on the right side — the deterministic equivalent of the
 usual "+eps in x" perturbation — and the event is flagged rather than
 silently absorbed.
 
-Crossings are computed on one grid per path: the polyline's vertices join
-the window's coordinate grid (``ZeroWindow.grid``) once, and each segment
-meets every cut at once, exact paths in integer arithmetic, float paths with
-the float formulas.  Vertices are tested against the zeros on that grid with
+Crossings run on an index of the cuts by column, built once per window:
+the distinct cut x-values, sorted, and for each column its zeros' y-values,
+sorted.  A segment meets only the columns in its x-range, found by
+bisection, and in each it crosses the cuts of the zeros above its height
+there, found by one more bisection.  Exact paths stay in integer arithmetic
+on a grid that the window's grid (``ZeroWindow.grid``) divides, so the
+window's grid is never rescaled; float paths use the float formulas.  A
+segment over many columns applies the same rules to them with numpy.  Path
+vertices are tested against the zeros through the same index, with
 ``same_point``'s predicate.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import attrgetter, eq, sub, truediv
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PathThroughBranchPoint, RadiusTooLarge
-from .zseq import Mode, ZPoint, ZeroWindow, _same, coordinate_grid, rescale_grid
+from .zseq import Mode, ZPoint, ZeroWindow, _same, coordinate_grid
 
 
 def _check_m(m: int) -> int:
@@ -107,79 +113,189 @@ def singularity_sets(w: ZeroWindow, m: int) -> SingularitySets:
 
 
 # --------------------------------------------------------------------------
-# crossing computation
+# the cuts by column
+
+# a segment over more columns than this meets them in one numpy pass, which
+# costs more than a few dozen Python steps of one bisection each
+_WIDE_COLUMNS = 32
 
 
-def _on_window_grid(vx: list, vy: list, scale, w: ZeroWindow) -> tuple:
-    """Vertex grid coordinates (lists of Python scalars over ``scale``) and
-    the zeros of ``w``, moved to one grid: ``(vx, vy, xs, ys)``.  Exact
-    grids meet on the lcm of the two scales, float grids as they are."""
-    xs, ys, ws, _ = w.grid
-    if ws is None:
-        return vx, vy, xs, ys
-    s = math.lcm(scale, ws)
-    if s != scale:
-        vx, vy = [x * (s // scale) for x in vx], [y * (s // scale) for y in vy]
-    return (vx, vy, *rescale_grid(xs, ys, s // ws, max(map(abs, vx + vy))))
+class _Columns(NamedTuple):
+    """The cuts of a window by column, on the window's grid.
+
+    ``x`` holds the distinct cut x-values, ascending; column c holds the
+    zeros with x = x[c], their y-values ascending in ``ys[c]`` and their
+    window indices in ``ks[c]``, all Python scalars, as is ``xk``, the x of
+    each zero in window order.  ``sx``, ``sy`` and ``order`` are the zeros
+    as arrays in that (x, y) order, column c at ``starts[c]:starts[c + 1]``;
+    ``span`` is an exact grid's largest absolute coordinate."""
+
+    x: list
+    xk: list
+    ys: list
+    ks: list
+    starts: list
+    sx: np.ndarray
+    sy: np.ndarray
+    order: np.ndarray
+    span: int | None
+    mode: Mode
 
 
-def _path_grid(verts: list, w: ZeroWindow) -> tuple:
-    """The polyline ``verts`` and the zeros of ``w`` on one grid, and the
-    indices of the vertices that are ``same_point`` as some zero."""
+def _columns(w: ZeroWindow) -> _Columns:
+    """The ``_Columns`` of ``w``, built once per window."""
+    got = w._cache.get("columns")
+    if got is None:
+        xs, ys, scale, _ = w.grid
+        order = np.lexsort((ys, xs))
+        sx, sy = xs[order], ys[order]
+        starts = [0, *(np.flatnonzero(sx[1:] != sx[:-1]) + 1).tolist()] if len(sx) else []
+        starts.append(len(sx))
+        yl, kl = sy.tolist(), order.tolist()
+        span = None if scale is None else int(max(np.abs(xs).max(initial=0),
+                                                  np.abs(ys).max(initial=0)))
+        got = _Columns(sx[starts[:-1]].tolist(), xs.tolist(),
+                       [yl[a:b] for a, b in zip(starts, starts[1:])],
+                       [kl[a:b] for a, b in zip(starts, starts[1:])], starts, sx, sy, order,
+                       span, w.mode)
+        w._cache["columns"] = got
+    return got
+
+
+def _vertex_grid(verts: list, w: ZeroWindow) -> tuple:
+    """``(vx, vy, f)``: the vertices' coordinates as Python scalars.  Exact
+    vertices go on the coarsest grid that holds them and ``w``'s, f times
+    finer than ``w``'s; float ones (f None) stay as they are."""
     vx, vy, scale, _ = coordinate_grid(verts, w.mode, base=w.grid[2])
-    vx, vy, xs, ys = grid = _on_window_grid(vx.tolist(), vy.tolist(), scale, w)
-    step = 1 + (1 << 20) // (1 + len(xs))  # vertex blocks bound the differences' size
-    hit = [_same(np.subtract.outer(vx[i:i + step], xs), np.subtract.outer(vy[i:i + step], ys),
-                 w.mode).any(axis=1) for i in range(0, len(vx), step)]
-    return grid, np.flatnonzero(np.concatenate(hit)).tolist()
+    return vx.tolist(), vy.tolist(), None if scale is None else scale // w.grid[2]
 
 
-def _checked_grid(verts: list, w: ZeroWindow) -> tuple:
-    """The grid of ``_path_grid`` for a polyline that must miss every zero."""
-    grid, at = _path_grid(verts, w)
+def _zero_vertices(vx: list, vy: list, cols: _Columns, f) -> list:
+    """Indices of the vertices that are ``same_point`` as some zero.  An
+    exact vertex is one when it lies on the window's grid and in a column.
+    A float vertex is tested with ``_same``'s predicate against the zeros
+    within a reach of it in x and in y that holds every zero the predicate
+    can accept: twice eps, or 1e-150 where a difference's square could
+    underflow to 0, plus a relative band for the rounding of x +- reach."""
+    at = []
+    if f is not None:
+        for i, (x, y) in enumerate(zip(vx, vy)):
+            if x % f == 0 and y % f == 0:
+                x, y = x // f, y // f
+                c = bisect_left(cols.x, x)
+                if c < len(cols.x) and cols.x[c] == x:
+                    col = cols.ys[c]
+                    j = bisect_left(col, y)
+                    if j < len(col) and col[j] == y:
+                        at.append(i)
+        return at
+    reach = 2 * max(cols.mode.eps, 1e-150)
+    for i, (x, y) in enumerate(zip(vx, vy)):
+        rx, ry = reach + abs(x) * 2 ** -50, reach + abs(y) * 2 ** -50
+        for c in range(bisect_left(cols.x, x - rx), bisect_right(cols.x, x + rx)):
+            col, X = cols.ys[c], cols.x[c]
+            if any(_same(x - X, y - Y, cols.mode)
+                   for Y in col[bisect_left(col, y - ry):bisect_right(col, y + ry)]):
+                at.append(i)
+                break
+    return at
+
+
+def _path(verts: list, w: ZeroWindow) -> tuple:
+    """``(vx, vy, cols, f)`` of a polyline that must miss every zero: its
+    ``_vertex_grid`` and the ``_columns`` of ``w``."""
+    vx, vy, f = _vertex_grid(verts, w)
+    cols = _columns(w)
+    at = _zero_vertices(vx, vy, cols, f)
     if at:
         raise PathThroughBranchPoint(f"path vertex {at[0]} is a window zero")
-    return grid
+    return vx, vy, cols, f
 
 
-def _crossed(ax, ay, bx, by, xs, ys, exact: bool, seg_idx: int):
-    """Indices of the cuts (zeros (xs, ys)) that the segment from (ax, ay)
-    to (bx, by) crosses below their zeros, all cuts at once; every crossing
+def _crossed(ax, ay, bx, by, cols: _Columns, f, seg_idx: int):
+    """Indices of the cuts (zeros) that the segment from (ax, ay) to (bx,
+    by) crosses below their zeros, column by column: a list, or an int64
+    array over many columns.  Exact vertices lie on a grid f times finer
+    than the window's, float ones (f None) on its floats.  Every crossing
     has direction +1 when bx > ax, else -1.
 
-    Side rule: x >= cut-x counts as the right side, for both endpoints.  A
-    pass through a zero raises PathThroughBranchPoint unless it happens at
-    a segment endpoint (the vertex checks own that case).
+    Side rule: x >= cut-x counts as the right side, for both endpoints, so
+    the segment meets the columns with x in (min(ax, bx), max(ax, bx)].  A
+    pass through a zero raises PathThroughBranchPoint, naming the smallest
+    such zero index, unless it happens at a segment endpoint (the vertex
+    checks own that case).
 
-    On an exact grid, with dx = bx - ax, the segment passes below zero
-    (X, Y) iff (ay - Y)*dx + (X - ax)*(by - ay) has the sign opposite to
-    dx, and through it iff that is 0.  Float grids run the float formulas.
+    In column X the segment runs at height y*, and it passes below the
+    column's zeros above y*: one bisection of their sorted y-values.  Float
+    grids compute t = (X - ax) / dx and y* = ay + t * dy.  Exact grids,
+    with c = ay * dx - ax * dy and dx > 0 (the line's equation, its sign
+    chosen), compare Y with y* = (c + X f dy) / (f dx) by ``divmod`` on
+    Python ints.  Over more than _WIDE_COLUMNS columns the same rules run
+    with numpy on the columns' sorted zeros, exact ones as
+    Y dx - X dy > c // f, and on Python ints when that could leave int64.
     """
-    ks = np.flatnonzero((ax >= xs) != (bx >= xs))
-    if not len(ks):
-        return ks
-    X, Y = xs[ks], ys[ks]
+    lo, hi = (ax, bx) if ax < bx else (bx, ax)
+    edge = None  # the column through the right end, if there is one
+    if f is not None:
+        edge = hi // f if hi % f == 0 else None
+        lo, hi = lo // f, hi // f
+    c0, c1 = bisect_right(cols.x, lo), bisect_right(cols.x, hi)
+    if c0 == c1:
+        return []
     dx, dy = bx - ax, by - ay
-    if exact:
-        s = (ay - Y) * dx + (X - ax) * dy
-        # 0 < t < 1 on a crossing whose ends are off the cut line
-        through = (s == 0) & (X != ax) & (X != bx)
-        below = (s < 0) if dx > 0 else (s > 0)
+    if f is not None:
+        c = ay * dx - ax * dy
+        if dx < 0:
+            c, dx, dy = -c, -dx, -dy
+    hits, through = [], []
+    if c1 - c0 > _WIDE_COLUMNS:
+        a, b = cols.starts[c0], cols.starts[c1]
+        X, Y, ks = cols.sx[a:b], cols.sy[a:b], cols.order[a:b]
+        if f is None:
+            t = (X - ax) / dx
+            y_star = ay + t * dy
+            above, on = y_star < Y, y_star == Y
+            if on.any():
+                through = ks[on & (0 < t) & (t < 1)].tolist()
+        else:
+            q, r = divmod(c, f)
+            if X.dtype != object and cols.span * (abs(dx) + abs(dy)) + abs(q) >= 1 << 62:
+                X, Y = X.astype(object), Y.astype(object)
+            s = Y * dx - X * dy
+            above, on = s > q, s == q
+            if r == 0 and on.any():
+                through = ks[on if edge is None else on & (X != edge)].tolist()
+        hits = ks[above]
+    elif f is None:
+        for i in range(c0, c1):
+            X, col = cols.x[i], cols.ys[i]
+            t = (X - ax) / dx
+            y_star = ay + t * dy
+            j = bisect_right(col, y_star)
+            if j and col[j - 1] == y_star and 0 < t < 1:
+                through.append(cols.ks[i][j - 1])
+            hits += cols.ks[i][j:]
     else:
-        t = (X - ax) / dx
-        y_star = ay + t * dy
-        through = (y_star == Y) & (0 < t) & (t < 1)
-        below = y_star < Y
-    hits = np.flatnonzero(through)
-    if len(hits):
-        raise PathThroughBranchPoint(f"segment {seg_idx} passes through zero {ks[hits[0]]}")
-    return ks[below]
+        fdx, fdy = f * dx, f * dy
+        for i in range(c0, c1):
+            X, col = cols.x[i], cols.ys[i]
+            q, r = divmod(c + X * fdy, fdx)
+            j = bisect_right(col, q)
+            if r == 0 and j and col[j - 1] == q and X != edge:
+                through.append(cols.ks[i][j - 1])
+            hits += cols.ks[i][j:]
+    if through:
+        raise PathThroughBranchPoint(f"segment {seg_idx} passes through zero {min(through)}")
+    return hits
 
 
-def _delta(vx: list, vy: list, xs, ys, exact: bool) -> int:
+def _delta(vx: list, vy: list, cols: _Columns, f) -> int:
     """Sum of the crossing directions along the polyline (vx, vy)."""
-    return sum(len(_crossed(ax, ay, bx, by, xs, ys, exact, i)) * (1 if bx > ax else -1)
-               for i, (ax, ay, bx, by) in enumerate(zip(vx, vy, vx[1:], vy[1:])))
+    total = 0
+    for i, (ax, ay, bx, by) in enumerate(zip(vx, vy, vx[1:], vy[1:])):
+        n = len(_crossed(ax, ay, bx, by, cols, f, i))
+        total += n if bx > ax else -n
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -190,7 +306,8 @@ def fiber(base, w: ZeroWindow, m: int) -> list:
     """The m preimages of a regular base point, or the single cone point."""
     _check_m(m)
     p = _as_vertex(base, w.mode)
-    if _path_grid([p], w)[1]:
+    vx, vy, f = _vertex_grid([p], w)
+    if _zero_vertices(vx, vy, _columns(w), f):
         return [CoverPoint(p.to_complex(), 0, True)]
     return [CoverPoint(p.to_complex(), s, False) for s in range(m)]
 
@@ -201,18 +318,22 @@ def crossing_log(poly, cuts: CutSystem) -> list:
     verts = [_as_vertex(v, w.mode) for v in poly]
     if len(verts) < 2:
         return []
-    vx, vy, xs, ys = _checked_grid(verts, w)
+    vx, vy, cols, f = _path(verts, w)
     events = []
     for i, (ax, ay, bx, by) in enumerate(zip(vx, vy, vx[1:], vy[1:])):
-        ks = _crossed(ax, ay, bx, by, xs, ys, w.mode.is_exact, i)
+        ks = _crossed(ax, ay, bx, by, cols, f, i)
         if len(ks):
-            X = xs[ks]
-            # rounded as float(Fraction): Python int division is correctly rounded, and
-            # so is float64's on int64s below 2**53; abs keeps t = 0 from being -0.0
-            ts = (abs(X - ax) / abs(bx - ax)).tolist()
+            if not isinstance(ks, list):
+                ks = ks.tolist()
+            xs = list(map(cols.xk.__getitem__, ks))
+            if f is not None and f != 1:
+                xs = [x * f for x in xs]
+            # Python's int division rounds as float(Fraction); abs keeps
+            # t = 0 from being -0.0; only the right end can sit on a cut line
+            ts = map(truediv, map(abs, map(sub, xs, repeat(ax))), repeat(abs(bx - ax)))
             seg = list(map(partial(tuple.__new__, CrossingEvent),
-                           zip(repeat(i), ks.tolist(), repeat(1 if bx > ax else -1), ts,
-                               ((X == ax) | (X == bx)).tolist())))
+                           zip(repeat(i), ks, repeat(1 if bx > ax else -1), ts,
+                               map(eq, xs, repeat(max(ax, bx))))))
             seg.sort(key=attrgetter("t", "zero_index"))
             events += seg
     return events
@@ -232,7 +353,7 @@ def lift_path(poly, start: CoverPoint, cuts: CutSystem) -> CoverPoint:
     base = complex(start.base)
     if abs(base - verts[0].to_complex()) > 1e-9 * (1 + abs(base)):
         raise ValueError("start point does not match the first vertex")
-    sheet = (start.sheet + _delta(*_checked_grid(verts, w), w.mode.is_exact)) % cuts.m
+    sheet = (start.sheet + _delta(*_path(verts, w))) % cuts.m
     return CoverPoint(verts[-1].to_complex(), sheet, False)
 
 
@@ -244,6 +365,10 @@ class LiftedSaddle(NamedTuple):
     end: CoverPoint
 
 
+_lifted_saddle = partial(tuple.__new__, LiftedSaddle)
+_cone_point = partial(tuple.__new__, CoverPoint)
+
+
 def lift_saddle(seg, w: ZeroWindow, cuts: CutSystem) -> list:
     """The m lifts of a saddle connection, labelled by start sheet.
 
@@ -251,21 +376,31 @@ def lift_saddle(seg, w: ZeroWindow, cuts: CutSystem) -> list:
     only the start-sheet label and the crossing shift are reported.  Both
     endpoints are cone points and contribute no crossings of their own cuts.
     """
-    ends = seg.from_idx, seg.to_idx
+    i, j = seg.from_idx, seg.to_idx
     xs, ys, scale, _ = w.grid
-    vx, vy = [xs.item(k) for k in ends], [ys.item(k) for k in ends]
+    ax, ay, bx, by = xs.item(i), ys.item(i), xs.item(j), ys.item(j)
     # x / scale on Python ints rounds as float(Fraction) does
-    zs = [complex(x, y) if scale is None else complex(x / scale, y / scale)
-          for x, y in zip(vx, vy)]
+    if scale is None:
+        za, zb = complex(ax, ay), complex(bx, by)
+    else:
+        za, zb = complex(ax / scale, ay / scale), complex(bx / scale, by / scale)
     cw = cuts.window
-    if w.mode.is_exact == cw.mode.is_exact:
-        grid = _on_window_grid(vx, vy, scale, cw)
-    else:  # the ends of a window in the other mode convert as path vertices do
-        grid = _path_grid([_as_vertex(z, cw.mode) for z in zs], cw)[0]
-    delta = _delta(*grid, cw.mode.is_exact)
-    start, end = (CoverPoint(z, 0, True) for z in zs)
-    return [LiftedSaddle(s, (s + delta) % cuts.m, delta, start, end)
-            for s in range(cuts.m)]
+    f = None
+    if w.mode.is_exact != cw.mode.is_exact:  # the ends convert as path vertices do
+        (ax, bx), (ay, by), f = _vertex_grid([_as_vertex(za, cw.mode), _as_vertex(zb, cw.mode)],
+                                             cw)
+    elif scale is not None:
+        s = math.lcm(scale, cw.grid[2])
+        if s != scale:
+            ax, ay, bx, by = (v * (s // scale) for v in (ax, ay, bx, by))
+        f = s // cw.grid[2]
+    delta = len(_crossed(ax, ay, bx, by, _columns(cw), f, 0))
+    if bx < ax:
+        delta = -delta
+    m = cuts.m
+    return list(map(_lifted_saddle, zip(range(m), chain(range(delta % m, m), range(delta % m)),
+                                        repeat(delta), repeat(_cone_point((za, 0, True))),
+                                        repeat(_cone_point((zb, 0, True))))))
 
 
 class ConeAngle(NamedTuple):
@@ -306,7 +441,7 @@ def cone_angle(zero_idx: int, w: ZeroWindow, m: int, radius: float | None = None
         ang = 2 * math.pi * (j % sides) / sides + offset
         p = z + radius * complex(math.cos(ang), math.sin(ang))
         verts.append(_as_vertex(p, w.mode))
-    delta = _delta(*_checked_grid(verts, w), w.mode.is_exact)
+    delta = _delta(*_path(verts, w))
     # each turn moves the sheet by delta mod m: back at the start after
     # m / gcd(delta, m) turns
     turns = m // math.gcd(delta, m)

@@ -944,8 +944,13 @@ def _has_grid_vectors(w: ZeroWindow, vx, vy) -> np.ndarray:
     near = np.flatnonzero((abs(vx) < members.width) & (abs(vy) < members.height)
                           & ((vx != 0) | (vy != 0)))
     vx, vy = vx[near].astype(np.int64), vy[near].astype(np.int64)
-    unit = math.gcd(int(np.gcd.reduce(xs - xs[0])), int(np.gcd.reduce(ys - ys[0])))
-    steps = np.gcd(vx, vy) // unit
+    steps = np.gcd(vx, vy)
+    if (steps > 1).any():
+        unit = w._cache.get("unit")
+        if unit is None:
+            unit = w._cache["unit"] = math.gcd(int(np.gcd.reduce(xs - xs[0])),
+                                               int(np.gcd.reduce(ys - ys[0])))
+        steps //= unit
     sx, sy = vx // np.maximum(steps, 1), vy // np.maximum(steps, 1)
     rows = max(1, _BLOCK_ENTRIES // len(xs))
     for lo in range(0, len(vx), rows):
@@ -971,12 +976,14 @@ def _has_grid_vectors(w: ZeroWindow, vx, vy) -> np.ndarray:
 
 def has_holonomy_vector(w: ZeroWindow, v: ZPoint) -> bool:
     """Is ``v`` (or ``-v``) the difference of some visible window pair?  Exact
-    windows decide it on their grid (``_has_grid_vector``); a v off it is none."""
+    windows decide it on their grid, as a batch of one (``_has_grid_vectors``);
+    a v off it is none."""
     if v.is_zero():
         return False
     if w.mode.is_exact:
         sx, sy = Fraction(v.re) * w.grid[2], Fraction(v.im) * w.grid[2]
-        return sx.denominator == sy.denominator == 1 and _has_grid_vector(w, int(sx), int(sy))
+        return sx.denominator == sy.denominator == 1 and \
+            bool(_has_grid_vectors(w, np.array([int(sx)]), np.array([int(sy)]))[0])
     idx = w.index()
     xs, ys = w.grid[:2]
     eps = w.mode.eps

@@ -481,6 +481,36 @@ def test_float_and_orbit_searches_print_pinned_bytes():
         assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), line
 
 
+# sha256 of the stdout of ``lift`` on a 32-vertex polyline of the 1/194 grid
+# (880 crossing events: their order, t values and on-line flags) and of
+# ``cone-angle``, whose exact loop vertices come from floats, in both modes.
+_LIFT_PATH = ("405/194,-417/194;-269/194,-479/194;-369/194,-471/194;-789/194,-545/194;"
+              "-3/194,-1111/194;643/194,751/194;-691/194,-1049/194;953/194,-473/194;"
+              "849/194,655/194;83/194,883/194;-815/194,-123/194;-519/194,175/194;"
+              "87/194,-859/194;1057/194,339/194;-1027/194,-289/194;131/194,225/194;"
+              "-879/194,109/194;-767/194,-157/194;-537/194,841/194;-1/194,-73/194;"
+              "1139/194,-43/194;-353/194,-781/194;861/194,-533/194;-577/194,165/194;"
+              "801/194,-353/194;-625/194,785/194;907/194,-101/194;921/194,-239/194;"
+              "1015/194,-171/194;-817/194,-605/194;-95/194,119/194;1057/194,-221/194")
+_COVER_STDOUT = (
+    (f"lift --sequence gaussian-lattice --radius 6 --m 3 --path={_LIFT_PATH}",
+     "29ac9c1ef3abf34bee943fea9ec1c2f555fed8f613016f43133a54b5c5bfbdc4"),
+    (f"lift --sequence gaussian-lattice --radius 6 --m 3 --path={_LIFT_PATH} --mode float",
+     "86ce978e869094ded84eeb9f9df1eb84b2479a44e802b13238820fa8750b27b8"),
+    ("cone-angle --sequence gaussian-lattice --radius 8 --m 3 --zero-index 5",
+     "8ffd44b152ba90244d5063bc5afc61e94957f6cf6eea1687ebf4ac4d6e81c8bd"),
+    ("cone-angle --sequence gaussian-lattice --radius 8 --m 3 --zero-index 5 --mode float",
+     "8ffd44b152ba90244d5063bc5afc61e94957f6cf6eea1687ebf4ac4d6e81c8bd"),
+)
+
+
+def test_lift_and_cone_angle_print_pinned_bytes():
+    assert _LIFT_PATH.count(";") == 31
+    for line, digest in _COVER_STDOUT:
+        rc, out = run(line.split())
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), line
+
+
 # sha256 of the exact bytes of ``python -m flatcurve.cli`` run in a fresh
 # interpreter at 80 columns: the in-process tests above run with every
 # module already imported, so only a fresh process shows a fault in what a

@@ -1,11 +1,13 @@
+import bisect
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import flatcurve as fc
-from flatcurve import cover
+from flatcurve import cover, zseq
 
 from conftest import zp
 
@@ -112,14 +114,14 @@ def _crossings(events):
 
 
 def _core(grid, i, cuts):
-    """``cover._crossed`` on segment i of a path grid, as ``_crossings`` lists it."""
-    vx, vy, xs, ys = grid
+    """``cover._crossed`` on segment i of a vertex grid, against the
+    window's column index, as ``_crossings`` lists it."""
+    vx, vy, f = grid
     try:
-        ks = cover._crossed(vx[i], vy[i], vx[i + 1], vy[i + 1], xs, ys,
-                            cuts.window.mode.is_exact, i)
+        ks = cover._crossed(vx[i], vy[i], vx[i + 1], vy[i + 1], cover._columns(cuts.window), f, i)
     except fc.PathThroughBranchPoint as exc:
         return str(exc)
-    return [(k, 1 if vx[i + 1] > vx[i] else -1) for k in sorted(ks.tolist())]
+    return [(k, 1 if vx[i + 1] > vx[i] else -1) for k in sorted(map(int, ks))]
 
 
 def _log_or_error(verts, cuts):
@@ -141,7 +143,7 @@ def _assert_events_match(pairs, cuts):
     segment's own grid, and ``crossing_log`` when neither end is a zero."""
     for a, b in pairs:
         want = _reference(a, b, cuts, 0)
-        assert _core(cover._path_grid([a, b], cuts.window)[0], 0, cuts) == _crossings(want), (a, b)
+        assert _core(cover._vertex_grid([a, b], cuts.window), 0, cuts) == _crossings(want), (a, b)
         if len(fc.fiber(a, cuts.window, 2)) == len(fc.fiber(b, cuts.window, 2)) == 2:
             assert _log_or_error([a, b], cuts) == \
                 (want if isinstance(want, str) else [repr(e) for e in want]), (a, b)
@@ -178,7 +180,7 @@ def test_segment_events_match_reference_on_the_grid():
     got = [_log_or_error([a, b], cuts) for a, b in pairs if a != b]
     assert any("on_line=True" in e for events in got if isinstance(events, list)
                for e in events)
-    assert _core(cover._path_grid([zp(-2, -1), zp(2, 1)], w)[0], 0, cuts) == \
+    assert _core(cover._vertex_grid([zp(-2, -1), zp(2, 1)], w), 0, cuts) == \
         "segment 0 passes through zero 0"
     # a rational window whose grid scale differs from the vertices'
     rw = fc.ZeroWindow.from_points(_distinct(rng, 40), 6)
@@ -225,10 +227,12 @@ def test_one_grid_per_path_matches_reference_per_segment():
     w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 6)
     cuts = fc.build_cuts(w, 3)
     poly = _mixed_polyline(rng, 90)
-    grid, _ = cover._path_grid(poly, w)
-    vx, vy, xs, ys = grid
-    # the lcm of 7, 194 and the floats' powers of 2 passes 2**28
-    assert xs.dtype == object and {type(c) for c in vx + vy} == {int}
+    grid = cover._vertex_grid(poly, w)
+    vx, vy, f = grid
+    # the lcm of 7, 194 and the floats' powers of 2 passes 2**28; the
+    # vertices take it, and the window's grid stays as it is
+    assert f > 2 ** 28 and {type(c) for c in vx + vy} == {int}
+    assert w.grid[0].dtype == np.int64
     want = [_reference(a, b, cuts, i) for i, (a, b) in enumerate(zip(poly, poly[1:]))]
     assert [_core(grid, i, cuts) for i in range(len(poly) - 1)] == list(map(_crossings, want))
     assert sum(map(len, want)) > 20 and not any(isinstance(e, str) for e in want)
@@ -256,13 +260,19 @@ def test_float_vertex_within_eps_of_a_zero_is_that_zero():
     assert isinstance(fc.crossing_log([poly[0], apart, poly[2]], cuts), list)
 
 
+def _zero_vertices(poly, w):
+    """``cover._zero_vertices`` of the polyline's vertex grid."""
+    vx, vy, f = cover._vertex_grid(poly, w)
+    return cover._zero_vertices(vx, vy, cover._columns(w), f)
+
+
 def test_zero_vertex_found_past_the_first_vertex_block():
-    # 2821 zeros: the vertices meet them in blocks of 372
+    # 2821 zeros and 800 vertices, one of them a zero far down the path
     w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 30)
     h = Fraction(1, 2)
     poly = [zp(h + k % 7, h) for k in range(800)]
     poly[500] = w.points[9]
-    assert cover._path_grid(poly, w)[1] == [500]
+    assert _zero_vertices(poly, w) == [500]
     with pytest.raises(fc.PathThroughBranchPoint, match="path vertex 500 is a window zero"):
         fc.crossing_log(poly, fc.build_cuts(w, 2))
 
@@ -289,6 +299,180 @@ def test_lift_saddle_with_cuts_of_another_window():
                 got.append(str(exc))
         assert got == want
         assert any(d for d in want if not isinstance(d, str))
+
+
+_MODES = [fc.EXACT, fc.float_mode(1e-9)]
+
+
+def _lifts_as_built_in_python(s, w, cuts, delta):
+    """The reprs of the m ``LiftedSaddle``s of saddle s with shift ``delta``,
+    built by the records' own constructors."""
+    start, end = (fc.CoverPoint(w.points[k].to_complex(), 0, True) for k in (s.from_idx, s.to_idx))
+    return [repr(fc.LiftedSaddle(k, (k + delta) % cuts.m, delta, start, end))
+            for k in range(cuts.m)]
+
+
+@pytest.mark.parametrize("radius, max_length", [(8, 1.5), (12, 2)])
+@pytest.mark.parametrize("mode", _MODES, ids=["exact", "float"])
+def test_every_saddle_lifts_as_the_reference(radius, max_length, mode):
+    w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), radius, mode)
+    segs = fc.saddle_connections(w, 3, max_length=max_length)
+    want = [sum(e.direction for e in _segment_events_reference(
+        w.points[s.from_idx], w.points[s.to_idx], fc.build_cuts(w, 2), 0)) for s in segs]
+    assert len(segs) > 700 and any(want)
+    for m in (2, 3, 5):
+        cuts = fc.build_cuts(w, m)
+        for s, delta in zip(segs, want):
+            assert [repr(x) for x in fc.lift_saddle(s, w, cuts)] == \
+                _lifts_as_built_in_python(s, w, cuts, delta), s
+
+
+def _column_spans(pairs, w):
+    """How many columns of cuts each segment's x-range spans."""
+    xs = sorted({float(p.re) for p in w.points})
+    lo_hi = [sorted((float(a.re), float(b.re))) for a, b in pairs]
+    return [bisect.bisect_right(xs, hi) - bisect.bisect_right(xs, lo) for lo, hi in lo_hi]
+
+
+def test_rational_cloud_with_one_zero_per_column():
+    rng = random.Random(21)
+    pts = [zp(Fraction(x, 37), Fraction(rng.randint(-60, 60), 11))
+           for x in rng.sample(range(-290, 290), 80)]
+    w = fc.ZeroWindow.from_points(pts, 12)
+    cols = cover._columns(w)
+    assert len(cols.x) == len(w) and {len(c) for c in cols.ys} == {1}
+    cuts = fc.build_cuts(w, 3)
+    pairs = _grid_pairs(rng, fc.EXACT, 5, 8, 200)
+    pairs += [(w.points[rng.randrange(80)], w.points[rng.randrange(80)]) for _ in range(60)]
+    pairs = [(a, b) for a, b in pairs if a != b]
+    spans = _column_spans(pairs, w)
+    assert min(spans) <= cover._WIDE_COLUMNS < max(spans)
+    _assert_events_match(pairs, cuts)
+
+
+def test_python_int_grid_matches_reference():
+    rng = random.Random(22)
+    w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 5).translate(
+        zp(2 ** 40 + Fraction(1, 3), -(2 ** 40)))
+    assert w.grid[0].dtype == object
+    cuts = fc.build_cuts(w, 3)
+    shift = lambda p: zp(p.re + 2 ** 40, p.im - 2 ** 40)
+    pairs = [(shift(a), shift(b)) for a, b in _grid_pairs(rng, fc.EXACT, 6, 6, 200)]
+    pairs += [(w.points[rng.randrange(len(w))], w.points[rng.randrange(len(w))])
+              for _ in range(60)]
+    _assert_events_match([(a, b) for a, b in pairs if a != b], cuts)
+
+
+@pytest.mark.parametrize("mode", _MODES, ids=["exact", "float"])
+def test_vertical_segments_and_ends_on_cut_lines(mode):
+    rng = random.Random(23)
+    w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 3, mode)
+    cuts = fc.build_cuts(w, 3)
+    # x on the integers (every cut line) and halves; y never on a zero
+    verts = [fc.ZPoint.of(Fraction(x, 2), Fraction(y, 2), mode)
+             for x in range(-7, 8) for y in range(-7, 8, 2)]
+    vertical = [(a, b) for a in verts for b in verts if a.re == b.re and a != b]
+    on_line = [(a, b) for a, b in zip(rng.sample(verts, 60), rng.sample(verts, 60))
+               if a != b and (a.re.is_integer() if not mode.is_exact else a.re.denominator == 1)]
+    # vertical segments through a zero meet no cut and raise nothing
+    through = [(fc.ZPoint.of(1, -2.5, mode), fc.ZPoint.of(1, 2.5, mode))]
+    assert fc.crossing_log(through[0], cuts) == []
+    _assert_events_match(vertical + on_line + through, cuts)
+    got = [_log_or_error([a, b], cuts) for a, b in on_line]
+    assert any("on_line=True" in e for events in got if isinstance(events, list) for e in events)
+
+
+@pytest.mark.parametrize("wide", [0, 10 ** 9])
+@pytest.mark.parametrize("mode", _MODES, ids=["exact", "float"])
+def test_pass_through_two_zeros_names_the_smaller_index(monkeypatch, mode, wide):
+    monkeypatch.setattr(cover, "_WIDE_COLUMNS", wide)
+    w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 3, mode)
+    cuts = fc.build_cuts(w, 3)
+    first, second = (fc.ZPoint.of(x, y, mode) for x, y in ((-2, -1), (1, 0)))
+    idx = {p: k for k, p in enumerate(w.points)}
+    # the line y = (x - 1) / 3 meets (-2, -1) first in x, then (1, 0), whose
+    # index is the smaller
+    assert idx[second] < idx[first]
+    a, b = (fc.ZPoint.of(x, y, mode)
+            for x, y in ((Fraction(-7, 2), Fraction(-3, 2)), (Fraction(5, 2), Fraction(1, 2))))
+    for seg in ([a, b], [b, a]):
+        want = f"segment 0 passes through zero {idx[second]}"
+        assert _reference(*seg, cuts, 0) == want
+        assert _log_or_error(seg, cuts) == want
+        with pytest.raises(fc.PathThroughBranchPoint, match=want):
+            fc.lift_path(seg, fc.CoverPoint(seg[0].to_complex(), 0), cuts)
+
+
+@pytest.mark.parametrize("eps", [2.0 ** -20, 1e-9, 0.0])
+def test_float_vertex_at_exactly_eps_from_a_zero(eps):
+    mode = fc.float_mode(eps)
+    w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 3, mode)
+    cuts = fc.build_cuts(w, 3)
+    steps = [0.0, eps, math.nextafter(eps, 0), math.nextafter(eps, 1), 5e-324]
+    verts = [fc.ZPoint(z.re + sx * d, z.im + sy * d) for z in w.points[:9] for d in steps
+             for sx, sy in ((1, 0), (0, -1), (-1, 1))]
+    cones = []
+    for v in verts:
+        want = any(zseq.same_point(v, z, mode) for z in w.points)
+        fib = fc.fiber(v, w, 3)
+        assert (len(fib) == 1) == want and fib[0].is_cone == want, v
+        poly = [fc.ZPoint(0.5, 0.5), v, fc.ZPoint(0.5, -0.5)]
+        if want:
+            with pytest.raises(fc.PathThroughBranchPoint, match="path vertex 1 is a window zero"):
+                fc.crossing_log(poly, cuts)
+        cones.append(want)
+    assert any(cones) and not all(cones)
+    # a vertex exactly eps from the zero at the origin is that zero; the next
+    # float beyond is not where eps squares exactly (2**-20, and 0)
+    assert w.points[0] == fc.ZPoint(0.0, 0.0)
+    assert len(fc.fiber(fc.ZPoint(eps, 0.0), w, 3)) == 1
+    if eps != 1e-9:
+        assert len(fc.fiber(fc.ZPoint(math.nextafter(eps, 1), 0.0), w, 3)) == 3
+
+
+def _cover_outputs(windows, polys):
+    """crossing_log, lift_path, lift_saddle and cone_angle on every window
+    and polyline, as reprs or error messages."""
+    out = []
+    for w in windows:
+        cuts = fc.build_cuts(w, 3)
+        for poly in polys:
+            out.append(_log_or_error(poly, cuts))
+            try:
+                out.append(repr(fc.lift_path(poly, fc.CoverPoint(poly[0].to_complex(), 1), cuts)))
+            except fc.PathThroughBranchPoint as exc:
+                out.append(str(exc))
+        for s in fc.saddle_connections(w, 3, max_length=3)[::7]:
+            out.append(repr(fc.lift_saddle(s, w, cuts)))
+        out += [repr(fc.cone_angle(k, w, 3)) for k in range(0, len(w), 9)]
+    return out
+
+
+@pytest.mark.parametrize("mode", _MODES, ids=["exact", "float"])
+def test_wide_and_narrow_column_paths_agree(monkeypatch, mode):
+    rng = random.Random(24)
+    cloud = _distinct(rng, 150)
+    windows = [fc.ZeroWindow.from_points([fc.ZPoint.of(p.re, p.im, mode) for p in cloud], 6, mode),
+               fc.generate(fc.GeneratorSpec("gaussian-lattice"), 6, mode)]
+    # full-width segments, short ones, and (exact mode) vertices from floats
+    # whose grid is 2**52 times finer than the window's
+    full = [fc.ZPoint.of(Fraction(41 if k % 2 else -41, 14), Fraction(2 * k - 19, 7), mode)
+            for k in range(20)]
+    short = [fc.ZPoint.of(Fraction(rng.randint(-40, 40), 13), Fraction(rng.randint(-40, 40), 11),
+                          mode) for _ in range(40)]
+    floats = [fc.ZPoint.of(x + 1e-3 * k, 0.31 + 1e-3 * k, mode)
+              for k, x in enumerate((-2.95, 2.95) * 4)]
+    polys = [full, short, floats] + [short[k:k + 2] for k in range(0, 40, 2)]
+    spans = _column_spans(list(zip(full + short, full[1:] + short[1:])), windows[0])
+    assert min(spans) <= cover._WIDE_COLUMNS < max(spans)
+    got, default = {}, cover._WIDE_COLUMNS
+    for wide in (0, default, 10 ** 9):
+        monkeypatch.setattr(cover, "_WIDE_COLUMNS", wide)
+        for w in windows:
+            w._cache.clear()
+        got[wide] = _cover_outputs(windows, polys)
+    assert got[0] == got[10 ** 9] == got[default]
+    assert sum(isinstance(o, list) and len(o) > 50 for o in got[0]) >= 2
 
 
 def test_cover_builds_no_point_index(lattice5, monkeypatch):
@@ -332,6 +516,7 @@ def test_sheet_shifts_build_no_crossing_events(lattice5, monkeypatch):
     calls = []
     crossed = cover._crossed
     monkeypatch.setattr(cover, "_crossed", lambda *args: calls.append(args) or crossed(*args))
+    cols = cover._columns(lattice5)
     start = fc.CoverPoint(loop[0].to_complex(), 1)
     assert fc.lift_path(loop, start, cuts).sheet == (1 + want) % 3
     assert len(calls) == len(loop) - 1
@@ -339,6 +524,12 @@ def test_sheet_shifts_build_no_crossing_events(lattice5, monkeypatch):
     assert len(calls) == len(loop) - 1 + len(segs)
     assert fc.cone_angle(3, lattice5, 3).turns == 3
     assert len(calls) == len(loop) - 1 + len(segs) + 16
+    # (ax, ay, bx, by, columns, f, segment): every call reads the window's
+    # one column index; the half-integer loop's vertices lie on a grid twice
+    # as fine as the window's, the saddles' ends on the window's own
+    assert all(args[4] is cols for args in calls)
+    fs = [args[5] for args in calls]
+    assert fs[:len(loop) - 1] == [2] * (len(loop) - 1) and set(fs[len(loop) - 1:-16]) == {1}
 
 
 def test_build_cuts_requires_m_at_least_two(lattice5):

@@ -1119,6 +1119,29 @@ def test_batched_decision_matches_each_vector_and_the_enumeration(name):
         assert any(math.gcd(x, y) > 1 for x, y in held)
 
 
+@pytest.mark.parametrize("moved", [False, True], ids=["lattice R30", "lattice R6 + 2**40"])
+def test_has_holonomy_vector_decides_as_the_single_vector_rule(moved):
+    """The public exact ``has_holonomy_vector`` (a batch of one through
+    ``_has_grid_vectors``) agrees with ``_has_grid_vector`` on every vector
+    of a box: non-primitive ones, v and -v, 0 and vectors past the window."""
+    flatgeom = fc.flatgeom
+    if moved:
+        w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 6).translate(
+            zp(2 ** 40, -(2 ** 40)))
+        box = range(-14, 15), range(-3, 4)
+    else:
+        w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 30)
+        box = range(-64, 65), range(-6, 7)
+    assert (w.grid[0].dtype == object) == moved and w.grid[2] == 1
+    got = {(x, y): fc.has_holonomy_vector(w, zp(x, y)) for x in box[0] for y in box[1]}
+    assert got == {v: flatgeom._has_grid_vector(w, *v) for v in got}
+    assert all(got[v] == got[-v[0], -v[1]] for v in got)
+    assert not got[0, 0] and not got[2, 0] and got[3, 1] and not got[6, 2]
+    # past the window's width no vector is a difference
+    width = 2 * int(w.radius)
+    assert max(box[0]) > width and not any(ok for (x, _), ok in got.items() if abs(x) > width)
+
+
 # ---------------------------------------------------------------------------
 # identity gate: pairs, segments and holonomy sets against per-pair references
 
