@@ -14,10 +14,9 @@ sorted.  A segment meets only the columns in its x-range, found by
 bisection, and in each it crosses the cuts of the zeros above its height
 there, found by one more bisection.  Exact paths stay in integer arithmetic
 on a grid that the window's grid (``ZeroWindow.grid``) divides, so the
-window's grid is never rescaled; float paths use the float formulas.  A
-segment over many columns applies the same formulas with numpy to the
-window's zeros in its x-range.  Path vertices are tested against the zeros
-through the same index, with ``same_point``'s predicate.
+window's grid is never rescaled; float paths use the float formulas.  Path
+vertices are tested against the zeros through the same index, with
+``same_point``'s predicate.
 """
 
 from __future__ import annotations
@@ -115,28 +114,17 @@ def singularity_sets(w: ZeroWindow, m: int) -> SingularitySets:
 # --------------------------------------------------------------------------
 # the cuts by column
 
-# a segment over more columns than this meets the cuts in one numpy pass over
-# the window's zeros in its x-range; timed per segment, the two paths cost the
-# same at 28-32 columns on float and exact clouds of 200 and 2000 zeros (one
-# zero per column), and at 40-48 on the Gaussian lattice R=30 (46 per column)
-_WIDE_COLUMNS = 32
-
 
 class _Columns(NamedTuple):
     """The cuts of a window by column, on the window's grid.
 
     ``x`` holds the distinct cut x-values, ascending; column c holds the
     zeros with x = x[c], their y-values ascending in ``ys[c]`` and their
-    window indices in ``ks[c]``, all Python scalars.  ``zx`` and ``zy`` are
-    the window's own coordinate arrays (``ZeroWindow.grid``), and ``span``
-    is an exact grid's largest absolute coordinate."""
+    window indices in ``ks[c]``, all Python scalars."""
 
     x: list
     ys: list
     ks: list
-    zx: np.ndarray
-    zy: np.ndarray
-    span: int | None
     mode: Mode
 
 
@@ -144,16 +132,14 @@ def _columns(w: ZeroWindow) -> _Columns:
     """The ``_Columns`` of ``w``, built once per window."""
     got = w._cache.get("columns")
     if got is None:
-        xs, ys, scale, _ = w.grid
+        xs, ys, _, _ = w.grid
         order = np.lexsort((ys, xs))
         sx = xs[order]
         starts = [0, *(np.flatnonzero(sx[1:] != sx[:-1]) + 1).tolist()] if len(sx) else []
         bounds = list(zip(starts, [*starts[1:], len(sx)]))
         yl, kl = ys[order].tolist(), order.tolist()
-        span = None if scale is None else int(max(np.abs(xs).max(initial=0),
-                                                  np.abs(ys).max(initial=0)))
         got = _Columns(sx[starts].tolist(), [yl[a:b] for a, b in bounds],
-                       [kl[a:b] for a, b in bounds], xs, ys, span, w.mode)
+                       [kl[a:b] for a, b in bounds], w.mode)
         w._cache["columns"] = got
     return got
 
@@ -208,12 +194,11 @@ def _path(verts: list, w: ZeroWindow) -> tuple:
     return vx, vy, cols, f
 
 
-def _crossed(ax, ay, bx, by, cols: _Columns, f, seg_idx: int):
+def _crossed(ax, ay, bx, by, cols: _Columns, f, seg_idx: int) -> list:
     """Indices of the cuts (zeros) that the segment from (ax, ay) to (bx,
-    by) crosses below their zeros: a list, or an int64 array from the numpy
-    pass.  Exact vertices lie on a grid f times finer than the window's,
-    float ones (f None) on its floats.  Every crossing has direction +1
-    when bx > ax, else -1.
+    by) crosses below their zeros, column by column.  Exact vertices lie on
+    a grid f times finer than the window's, float ones (f None) on its
+    floats.  Every crossing has direction +1 when bx > ax, else -1.
 
     Side rule: x >= cut-x counts as the right side, for both endpoints, so
     the segment meets the columns with x in (min(ax, bx), max(ax, bx)].  A
@@ -222,58 +207,35 @@ def _crossed(ax, ay, bx, by, cols: _Columns, f, seg_idx: int):
     checks own that case).
 
     In column X the segment runs at height y*, and it passes below the
-    column's zeros above y*.  Float grids compute t = (X - ax) / dx and
-    y* = ay + t * dy.  Exact grids, with c = ay * dx - ax * dy and dx > 0
-    (the line's equation, its sign chosen), compare Y with the floor q of
-    y* = (c + X f dy) / (f dx): Y > q is above, and Y == q is on the
-    segment when the division leaves no remainder.  Up to _WIDE_COLUMNS
-    columns, each is bisected at its height; over more, the same formulas
-    run with numpy on the window's zeros in the x-range, on Python ints
-    when int64 could overflow.
+    column's zeros above y*: one bisection of their sorted y-values.  Float
+    grids compute t = (X - ax) / dx and y* = ay + t * dy.  Exact grids,
+    with c = ay * dx - ax * dy and dx > 0 (the line's equation, its sign
+    chosen), compare Y with y* = (c + X f dy) / (f dx) by ``divmod`` on
+    Python ints.
     """
     lo, hi = (ax, bx) if ax < bx else (bx, ax)
     dx, dy = bx - ax, by - ay
-    # height(X) is (y*, aux) in column X; inside(X, aux) is whether a zero
-    # at y* is off the segment's ends
+    hits, through = [], []
     if f is None:
-        def height(X):
+        for i in range(bisect_right(cols.x, lo), bisect_right(cols.x, hi)):
+            X, col = cols.x[i], cols.ys[i]
             t = (X - ax) / dx
-            return ay + t * dy, t
-
-        def inside(X, t):
-            return (0 < t) & (t < 1)
+            y_star = ay + t * dy
+            j = bisect_right(col, y_star)
+            if j and col[j - 1] == y_star and 0 < t < 1:
+                through.append(cols.ks[i][j - 1])
+            hits += cols.ks[i][j:]
     else:
         c = ay * dx - ax * dy
         if dx < 0:
             c, dx, dy = -c, -dx, -dy
-        fdx, fdy, right = f * dx, f * dy, hi
-
-        def height(X):
-            num = c + X * fdy
-            return num // fdx, num
-
-        def inside(X, num):
-            return (num % fdx == 0) & (X * f != right)
-
-        lo, hi = lo // f, hi // f
-    c0, c1 = bisect_right(cols.x, lo), bisect_right(cols.x, hi)
-    if c1 - c0 > _WIDE_COLUMNS:
-        ks = np.flatnonzero((lo < cols.zx) & (cols.zx <= hi))
-        X, Y = cols.zx[ks], cols.zy[ks]
-        if f is not None and X.dtype != object and \
-                abs(c) + cols.span * (abs(fdy) + f) + fdx >= 1 << 62:
-            X, Y = X.astype(object), Y.astype(object)
-        y_star, aux = height(X)
-        on = np.flatnonzero(Y == y_star)
-        through = ks[on[inside(X[on], aux[on])]].tolist()
-        hits = ks[Y > y_star]
-    else:
-        hits, through = [], []
-        for i in range(c0, c1):
-            col, X = cols.ys[i], cols.x[i]
-            y_star, aux = height(X)
-            j = bisect_right(col, y_star)
-            if j and col[j - 1] == y_star and inside(X, aux):
+        fdx, fdy = f * dx, f * dy
+        for i in range(bisect_right(cols.x, lo // f), bisect_right(cols.x, hi // f)):
+            X, col = cols.x[i], cols.ys[i]
+            q, r = divmod(c + X * fdy, fdx)
+            j = bisect_right(col, q)
+            # only the right end can sit in a column
+            if r == 0 and j and col[j - 1] == q and X * f != hi:
                 through.append(cols.ks[i][j - 1])
             hits += cols.ks[i][j:]
     if through:
@@ -314,21 +276,16 @@ def crossing_log(poly, cuts: CutSystem) -> list:
     events = []
     for i, (ax, ay, bx, by) in enumerate(zip(vx, vy, vx[1:], vy[1:])):
         ks = _crossed(ax, ay, bx, by, cols, f, i)
-        if len(ks):
-            X = cols.zx[ks]
-            if not isinstance(ks, list):
-                ks = ks.tolist()
-            # only the right end can sit on a cut line
-            if f is None:  # numpy's float64 arithmetic is Python's
-                ts, on_line = (abs(X - ax) / abs(bx - ax)).tolist(), (X == max(ax, bx)).tolist()
-            else:
-                xs = [x * f for x in X.tolist()]
-                # Python's int division rounds as float(Fraction); abs keeps
-                # t = 0 from being -0.0
-                ts = map(truediv, map(abs, map(sub, xs, repeat(ax))), repeat(abs(bx - ax)))
-                on_line = map(eq, xs, repeat(max(ax, bx)))
+        if ks:
+            xs = w.grid[0][ks].tolist()
+            if f is not None and f != 1:
+                xs = [x * f for x in xs]
+            # Python's int division rounds as float(Fraction); abs keeps
+            # t = 0 from being -0.0; only the right end can sit on a cut line
+            ts = map(truediv, map(abs, map(sub, xs, repeat(ax))), repeat(abs(bx - ax)))
             seg = list(map(partial(tuple.__new__, CrossingEvent),
-                           zip(repeat(i), ks, repeat(1 if bx > ax else -1), ts, on_line)))
+                           zip(repeat(i), ks, repeat(1 if bx > ax else -1), ts,
+                               map(eq, xs, repeat(max(ax, bx))))))
             seg.sort(key=attrgetter("t", "zero_index"))
             events += seg
     return events

@@ -121,7 +121,7 @@ def _core(grid, i, cuts):
         ks = cover._crossed(vx[i], vy[i], vx[i + 1], vy[i + 1], cover._columns(cuts.window), f, i)
     except fc.PathThroughBranchPoint as exc:
         return str(exc)
-    return [(k, 1 if vx[i + 1] > vx[i] else -1) for k in sorted(map(int, ks))]
+    return [(k, 1 if vx[i + 1] > vx[i] else -1) for k in sorted(ks)]
 
 
 def _log_or_error(verts, cuts):
@@ -346,7 +346,7 @@ def test_rational_cloud_with_one_zero_per_column():
     pairs += [(w.points[rng.randrange(80)], w.points[rng.randrange(80)]) for _ in range(60)]
     pairs = [(a, b) for a, b in pairs if a != b]
     spans = _column_spans(pairs, w)
-    assert min(spans) <= cover._WIDE_COLUMNS < max(spans)
+    assert min(spans) <= 1 and max(spans) > 40
     _assert_events_match(pairs, cuts)
 
 
@@ -382,10 +382,8 @@ def test_vertical_segments_and_ends_on_cut_lines(mode):
     assert any("on_line=True" in e for events in got if isinstance(events, list) for e in events)
 
 
-@pytest.mark.parametrize("wide", [0, 10 ** 9])
 @pytest.mark.parametrize("mode", _MODES, ids=["exact", "float"])
-def test_pass_through_two_zeros_names_the_smaller_index(monkeypatch, mode, wide):
-    monkeypatch.setattr(cover, "_WIDE_COLUMNS", wide)
+def test_pass_through_two_zeros_names_the_smaller_index(mode):
     w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 3, mode)
     cuts = fc.build_cuts(w, 3)
     first, second = (fc.ZPoint.of(x, y, mode) for x, y in ((-2, -1), (1, 0)))
@@ -430,26 +428,8 @@ def test_float_vertex_at_exactly_eps_from_a_zero(eps):
         assert len(fc.fiber(fc.ZPoint(math.nextafter(eps, 1), 0.0), w, 3)) == 3
 
 
-def _cover_outputs(windows, polys):
-    """crossing_log, lift_path, lift_saddle and cone_angle on every window
-    and polyline, as reprs or error messages."""
-    out = []
-    for w in windows:
-        cuts = fc.build_cuts(w, 3)
-        for poly in polys:
-            out.append(_log_or_error(poly, cuts))
-            try:
-                out.append(repr(fc.lift_path(poly, fc.CoverPoint(poly[0].to_complex(), 1), cuts)))
-            except fc.PathThroughBranchPoint as exc:
-                out.append(str(exc))
-        for s in fc.saddle_connections(w, 3, max_length=3)[::7]:
-            out.append(repr(fc.lift_saddle(s, w, cuts)))
-        out += [repr(fc.cone_angle(k, w, 3)) for k in range(0, len(w), 9)]
-    return out
-
-
 @pytest.mark.parametrize("mode", _MODES, ids=["exact", "float"])
-def test_wide_and_narrow_column_paths_agree(monkeypatch, mode):
+def test_full_width_and_fine_vertex_segments_match_reference(mode):
     rng = random.Random(24)
     cloud = _distinct(rng, 150)
     windows = [fc.ZeroWindow.from_points([fc.ZPoint.of(p.re, p.im, mode) for p in cloud], 6, mode),
@@ -462,17 +442,27 @@ def test_wide_and_narrow_column_paths_agree(monkeypatch, mode):
                           mode) for _ in range(40)]
     floats = [fc.ZPoint.of(x + 1e-3 * k, 0.31 + 1e-3 * k, mode)
               for k, x in enumerate((-2.95, 2.95) * 4)]
-    polys = [full, short, floats] + [short[k:k + 2] for k in range(0, 40, 2)]
-    spans = _column_spans(list(zip(full + short, full[1:] + short[1:])), windows[0])
-    assert min(spans) <= cover._WIDE_COLUMNS < max(spans)
-    got, default = {}, cover._WIDE_COLUMNS
-    for wide in (0, default, 10 ** 9):
-        monkeypatch.setattr(cover, "_WIDE_COLUMNS", wide)
-        for w in windows:
-            w._cache.clear()
-        got[wide] = _cover_outputs(windows, polys)
-    assert got[0] == got[10 ** 9] == got[default]
-    assert sum(isinstance(o, list) and len(o) > 50 for o in got[0]) >= 2
+    spans = _column_spans(list(zip(full, full[1:])), windows[0])
+    assert min(spans) > 40
+    logs = []
+    for w in windows:
+        cuts = fc.build_cuts(w, 3)
+        _assert_events_match([(a, b) for poly in (full, short, floats)
+                              for a, b in zip(poly, poly[1:])], cuts)
+        for poly in (full, floats):
+            start = fc.CoverPoint(poly[0].to_complex(), 1)
+            try:
+                want = (1 + _summed_directions(poly, cuts)) % 3
+            except fc.PathThroughBranchPoint as exc:
+                with pytest.raises(fc.PathThroughBranchPoint, match=str(exc)):
+                    fc.lift_path(poly, start, cuts)
+            else:
+                assert fc.lift_path(poly, start, cuts).sheet == want
+            logs.append(_log_or_error(poly, cuts))
+    # the full-width polyline meets a zero on both windows (its other
+    # segments are checked one by one above); the float one lifts
+    assert [isinstance(log, list) for log in logs] == [False, True, False, True]
+    assert min(len(log) for log in logs[1::2]) > 20
 
 
 def test_cover_builds_no_point_index(lattice5, monkeypatch):
