@@ -234,7 +234,7 @@ def _crossed(ax, ay, bx, by, cols: _Columns, f, seg_idx: int) -> list:
             X, col = cols.x[i], cols.ys[i]
             q, r = divmod(c + X * fdy, fdx)
             j = bisect_right(col, q)
-            # only the right end can sit in a column
+            # a zero at y* in the right end's column is that end
             if r == 0 and j and col[j - 1] == q and X * f != hi:
                 through.append(cols.ks[i][j - 1])
             hits += cols.ks[i][j:]

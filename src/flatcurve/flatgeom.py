@@ -908,22 +908,18 @@ def _has_grid_vector(w: ZeroWindow, vx: int, vy: int) -> bool:
     on its integer grid (int64 or Python ints, as ``ZeroWindow.grid`` holds
     them).  Witnesses, points p with p + v in the window, are looked up in
     ``_window_members``.  A primitive v (coprime integer coordinates) steps
-    over no grid point, so any witness will do.  Otherwise a bitmap window
-    walks the witnesses' segments (``_has_grid_vectors``); without a bitmap
-    the points are sorted by (cross(p, v), dot(p, v)), that is line by line
-    along v, and a witness segment holds no other window point exactly when
-    p + v comes right after p in that order."""
+    over no grid point, so any witness will do.  Otherwise the points are
+    sorted by (cross(p, v), dot(p, v)), that is line by line along v; a
+    witness segment holds no other window point exactly when p + v comes
+    right after p in that order."""
     xs, ys, _, shift = w.grid
     keys, span = _encoded_keys(w)
     if max(abs(vx), abs(vy)) > 2 * span:
         return False  # longer than any difference of window points
-    members = _window_members(w)
-    if not members.contains(xs + vx, ys + vy).any():
+    if not _window_members(w).contains(xs + vx, ys + vy).any():
         return False
     if math.gcd(vx, vy) == 1:
         return True
-    if isinstance(members, _Bitmap):
-        return bool(_has_grid_vectors(w, np.array([vx]), np.array([vy]))[0])
     line_order = keys[np.lexsort((xs * vx + ys * vy, xs * vy - ys * vx))]
     return bool((line_order[1:] - line_order[:-1] == (vx << shift) + vy).any())
 
@@ -948,10 +944,7 @@ def _has_grid_vectors(w: ZeroWindow, vx, vy) -> np.ndarray:
     near = np.flatnonzero((abs(vx) < members.width) & (abs(vy) < members.height)
                           & ((vx != 0) | (vy != 0)))
     vx, vy = vx[near].astype(np.int64), vy[near].astype(np.int64)
-    unit = w._cache.get("unit")  # the gcd of the window's differences
-    if unit is None:
-        unit = w._cache["unit"] = math.gcd(int(np.gcd.reduce(xs - xs[0])),
-                                           int(np.gcd.reduce(ys - ys[0])))
+    unit = math.gcd(int(np.gcd.reduce(xs - xs[0])), int(np.gcd.reduce(ys - ys[0])))
     steps = np.gcd(vx, vy) // unit
     sx, sy = vx // np.maximum(steps, 1), vy // np.maximum(steps, 1)
     rows = max(1, _BLOCK_ENTRIES // len(xs))
