@@ -5,18 +5,28 @@ other; with finite samples this can only be checked on the overlap of the
 two sampled regions, so equivalence here always means agreement on that
 overlap ball.  Moduli coordinates invert the nonzero points, compactifying
 the tail of the sequence near 0.
+
+Exact windows are compared on their integer grids: translation equivalence
+puts both windows on one scale and tests every candidate offset with numpy
+masks and membership gathers, and the automorphism search runs the
+``gridsearch`` kernel.  Fractions are built only for the offsets and
+matrices returned.  Float windows take the point loops, which stay as the
+references the exact paths are tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ModeMismatch, PoleInAction, TooFewPoints
-from .veech import (Mat2, StabilizerSearchConfig, _matrix_key, _probes, _resolve,
+from .veech import (_BLOCK, Mat2, StabilizerSearchConfig, _matrix_key, _probes, _resolve,
                     stabilizer_candidates)
-from .zseq import ZPoint, ZeroWindow, zdiv, zmul, zreciprocal
-from .flatgeom import window_collinear
+from .zseq import ZPoint, ZeroWindow, _ratio, rescale_grid, zdiv, zmul, zreciprocal
+from .flatgeom import _bitmap, _SortedKeys, window_collinear
 
 
 def _offset_key(t: ZPoint, mode):
@@ -50,11 +60,24 @@ def translation_equiv(w1: ZeroWindow, w2: ZeroWindow) -> EquivResult:
     """Find b with w1 + b = w2 on the overlap of the sampled regions.
 
     Candidate offsets send w1's first point to each w2 point within half of
-    w2's radius; a candidate wins when the two point sets agree exactly on
-    the ball where both regions certify completeness.
+    w2's radius, in w2's order; a candidate wins when the two point sets
+    agree exactly on the ball where both regions certify completeness, and
+    the first to win is returned, or else the best partial match.  Exact
+    windows decide every candidate on one integer grid
+    (``_translation_grid``), float windows point by point
+    (``_translation_loop``).
     """
     if w1.mode != w2.mode:
         raise ModeMismatch(f"cannot compare {w1.mode} with {w2.mode}")
+    # an empty w1 has no first point: the loop raises as it always has
+    if not w1.mode.is_exact or not len(w1):
+        return _translation_loop(w1, w2)
+    return _translation_grid(w1, w2)
+
+
+def _translation_loop(w1: ZeroWindow, w2: ZeroWindow) -> EquivResult:
+    """``translation_equiv`` one ``ZPoint`` at a time: the float path, and
+    the reference for the exact one."""
     mode = w1.mode
     idx1, idx2 = w1.index(), w2.index()
     half2 = Fraction(w2.radius) ** 2 / 4 if mode.is_exact else w2.radius ** 2 / 4
@@ -93,6 +116,88 @@ def translation_equiv(w1: ZeroWindow, w2: ZeroWindow) -> EquivResult:
         frac = matched / checked if checked else 0.0
         if frac > best.matched_fraction:
             best = EquivResult(False, b, frac, overlap_radius=rho)
+    return best
+
+
+def _members(xs, ys):
+    """The grid points (xs, ys) as a ``flatgeom._Bitmap`` or, for Python ints
+    and boxes past its cap, as ``flatgeom._SortedKeys``."""
+    from .gridsearch import _ints, _span
+
+    got = _bitmap(xs, ys)
+    if got is None:
+        span = _span(xs, ys)
+        shift = (2 * span).bit_length()
+        xs, ys = _ints(span << (shift + 1), xs, ys)
+        got = _SortedKeys(np.sort((xs << shift) + ys), shift, span)
+    return got
+
+
+def _translation_grid(w1: ZeroWindow, w2: ZeroWindow) -> EquivResult:
+    """``_translation_loop`` of two nonempty exact windows, on one grid.
+
+    Both windows and both centres go on the scale S, the lcm of the grid
+    scales and the centres' denominators: w1 about its first point p0, and
+    w2 about its centre c2, where a candidate q sits at u and the offset
+    b = q - p0 moves a w1 point v to v + u.  Squared distances are integers
+    over S^2, rounded by ``_ratio`` as ``float(Fraction)`` rounds them, so
+    every test compares the loop's floats.  The candidates go in blocks of
+    about ``veech._BLOCK`` entries, each a numpy pass: its ball masks and
+    its membership gathers (``_members``) over the moved grids.
+    """
+    from .gridsearch import _span
+
+    xs1, ys1, s1, _ = w1.grid
+    xs2, ys2, s2, _ = w2.grid
+    centres = [Fraction(v) for v in (*w1.center, *w2.center)]
+    s = math.lcm(s1, s2, *(v.denominator for v in centres))
+    c1x, c1y, c2x, c2y = (v.numerator * (s // v.denominator) for v in centres)
+    k1, k2 = s // s1, s // s2
+    span = max(abs(c1x), abs(c1y), abs(c2x), abs(c2y), _span(xs1, ys1) * k1,
+               _span(xs2, ys2) * k2)
+    xs1, ys1 = rescale_grid(xs1, ys1, k1, span)
+    xs2, ys2 = rescale_grid(xs2, ys2, k2, span)
+    x0, y0 = int(xs1[0]), int(ys1[0])
+    vx, vy = xs1 - x0, ys1 - y0  # w1 about p0
+    ux, uy = xs2 - c2x, ys2 - c2y  # w2 about c2
+    n2 = ux * ux + uy * uy
+    r2 = Fraction(w2.radius)
+    # |q - c2|^2 = n2 / S^2 <= r2^2 / 4, compared on integers
+    cand = np.flatnonzero(n2 <= (r2.numerator * s) ** 2 // (4 * r2.denominator ** 2))
+    s2 = s * s
+    bx, by = ux[cand], uy[cand]
+    ex, ey = bx + (c1x - x0), by + (c1y - y0)  # c1 + b - c2
+    rho = float(min(w1.radius, w2.radius)) - np.sqrt(_ratio(ex * ex + ey * ey, s2))
+    band = 1e-9 * (1 + float(max(w1.radius, w2.radius)))
+    live = np.flatnonzero(rho > band)
+    bx, by, rho = bx[live], by[live], rho[live]
+    lim = rho - band
+    lim2 = (lim * lim)[:, None]
+    members1, members2 = _members(vx, vy), _members(ux, uy)
+    norm2 = _ratio(n2, s2)
+
+    def result(j: int, frac: float) -> EquivResult:
+        b = ZPoint(Fraction(int(bx[j]) + c2x - x0, s), Fraction(int(by[j]) + c2y - y0, s))
+        return EquivResult(frac == 1.0, b, frac, overlap_radius=float(rho[j]))
+
+    best = EquivResult(False, None, 0.0)
+    rows = max(1, _BLOCK // (len(vx) + len(ux)))
+    for lo in range(0, len(bx), rows):
+        at = slice(lo, lo + rows)
+        mx, my = vx + bx[at, None], vy + by[at, None]
+        near1 = _ratio((mx * mx + my * my).ravel(), s2).reshape(mx.shape) <= lim2[at]
+        near2 = norm2 <= lim2[at]
+        checked = near1.sum(axis=1) + near2.sum(axis=1)
+        matched = ((near1 & members2.contains(mx, my)).sum(axis=1)
+                   + (near2 & members1.contains(ux - bx[at, None], uy - by[at, None])).sum(axis=1))
+        # a candidate that checks nothing matches a fraction 0
+        frac = matched / np.maximum(checked, 1)
+        full = np.flatnonzero((checked > 0) & (matched == checked))
+        if len(full):
+            return result(lo + int(full[0]), 1.0)
+        j = int(np.argmax(frac))
+        if frac[j] > best.matched_fraction:
+            best = result(lo + j, float(frac[j]))
     return best
 
 

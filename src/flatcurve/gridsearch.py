@@ -246,7 +246,8 @@ def _search(xs, ys, probes: tuple, px, py, targets: _Targets, entry_bound: float
         # only an entry bound below 1 drops the identity, and then every
         # entry is below |D|, so it sorts last
         rows.append(ident)
-    return [Mat2(*(Fraction(v, ad) for v in row)) for row in rows]
+    frac = {v: Fraction(v, ad) for v in {v for row in rows for v in row}}
+    return [Mat2(*map(frac.__getitem__, row)) for row in rows]
 
 
 def window_stabilizer(w: ZeroWindow, r: float, e: float, req: bool) -> list:

@@ -365,7 +365,12 @@ class GeneratorSpec:
 
 class PointIndex:
     """Exact dict lookup, or an eps-grid with neighbor probing for floats
-    with eps > 0."""
+    with eps > 0.
+
+    Exact windows decide membership on their grid; the index serves float
+    windows, the float orbit sweep (``_orbit_loop``), ``HolonomySet.contains``
+    and the point loops kept as references for the exact paths.
+    """
 
     def __init__(self, points, mode: Mode):
         self.mode = mode
@@ -576,11 +581,12 @@ def _raw_points(spec: GeneratorSpec, radius, mode: Mode) -> tuple:
     """``(xs, ys, scale)`` of the raw points of ``spec`` in the closed ball of
     ``radius`` about the origin."""
     kind = spec.kind
-    if kind in ("orbit", "explicit"):
-        pts = _orbit_points(spec, radius, mode) if kind == "orbit" else \
+    if kind == "orbit":
+        xs, ys, scale = _orbit_points(spec, radius, mode)
+    elif kind == "explicit":
+        xs, ys, scale, _ = coordinate_grid(
             [p if isinstance(p, ZPoint) else ZPoint.of(p[0], p[1], mode)
-             for p in spec.params["points"]]
-        xs, ys, scale, _ = coordinate_grid(pts, mode)
+             for p in spec.params["points"]], mode)
     else:
         n = math.floor(float(radius) + 1e-12)
         xs = np.arange(-n, n + 1, dtype=np.int64 if mode.is_exact else float)
@@ -614,7 +620,22 @@ def _contracting(a, b, c, d) -> bool:
     return f < 2 and f - 1 < det * det
 
 
-def _orbit_points(spec: GeneratorSpec, radius, mode: Mode) -> list:
+def _orbit_points(spec: GeneratorSpec, radius, mode: Mode) -> tuple:
+    """``(xs, ys, scale)`` of the orbit of ``spec``'s seeds in the closed ball
+    of ``radius`` about the origin, words of up to ``max_word_length``
+    letters, on the exact grid (``_orbit_sweep``) or one float point at a
+    time (``_orbit_loop``)."""
+    alphabet, seeds = _orbit_alphabet(spec, mode)
+    max_len = spec.params["max_word_length"]
+    if mode.is_exact:
+        return _orbit_sweep(alphabet, seeds, max_len, radius)
+    return coordinate_grid(_orbit_loop(alphabet, seeds, max_len, radius, mode), mode)[:3]
+
+
+def _orbit_alphabet(spec: GeneratorSpec, mode: Mode) -> tuple:
+    """(alphabet, seeds) of an orbit spec: the generators, each checked to
+    be invertible and not contracting, followed by its inverse where that
+    differs, and the seeds as ``ZPoint``s."""
     gens = [tuple(as_scalar(v, mode) for v in g) for g in spec.params["generators"]]
     for a, b, c, d in gens:
         if _contracting(a, b, c, d):
@@ -629,8 +650,15 @@ def _orbit_points(spec: GeneratorSpec, radius, mode: Mode) -> list:
             alphabet.append(inv)
     seeds = [p if isinstance(p, ZPoint) else ZPoint.of(p[0], p[1], mode)
              for p in spec.params["k_points"]]
-    max_len = spec.params["max_word_length"]
-    # mode-aware: in float mode two rounded copies of one image are one point
+    return alphabet, seeds
+
+
+def _orbit_loop(alphabet, seeds, max_len: int, radius, mode: Mode) -> list:
+    """The orbit's points, one ``ZPoint`` at a time, in the order they are
+    first met: the seeds, then each depth's images, point by point and
+    letter by letter.  The float path, and the reference for the exact one;
+    in float mode two rounded copies of one image are one point, the
+    first to arrive."""
     seen = PointIndex((), mode)
     found, origin = [], ZPoint.zero(mode)
 
@@ -651,6 +679,48 @@ def _orbit_points(spec: GeneratorSpec, radius, mode: Mode) -> list:
         frontier = admit([ZPoint(a * p.re + b * p.im, c * p.re + d * p.im)
                           for p in frontier for a, b, c, d in alphabet])
     return found
+
+
+def _orbit_sweep(alphabet, seeds, max_len: int, radius) -> tuple:
+    """``(xs, ys, scale)`` of ``_orbit_loop``'s exact points, in its order.
+
+    The letters are integer matrices N over D, the lcm of their entries'
+    denominators, so a depth maps the whole frontier in one array
+    operation, onto a grid D times finer when D > 1.  The images inside the
+    ball are kept; repeats and points already found are dropped on packed
+    ``(x << shift) + y`` keys, first copies kept.  Coordinates are int64
+    while no image or point found exceeds 2**28, and Python ints past
+    that.
+    """
+    den = math.lcm(*(v.denominator for m in alphabet for v in m))
+    mats = np.array([[int(v * den) for v in m] for m in alphabet], dtype=object).reshape(-1, 4)
+    top = int(np.abs(mats).max(initial=0))
+    r = Fraction(radius)
+    xs, ys, scale, _ = coordinate_grid(seeds, EXACT)
+    fx, fy = xs[:0], ys[:0]  # the points found so far
+    depth = 0
+    while True:
+        inside = ~_outside_ball(xs, ys, scale, r, EXACT, ZPoint.zero())
+        # every coordinate kept is within lim, so the next depth's images
+        # are within 2 top lim and the points found within D lim
+        lim = r.numerator * scale // r.denominator
+        wide = max(lim * den, 2 * top * lim) > _INT_COORD_LIMIT
+        dtype, shift = (object, (4 * lim).bit_length() + 1) if wide else (np.int64, _KEY_SHIFT)
+        xs, ys = xs[inside].astype(dtype), ys[inside].astype(dtype)
+        fx, fy = fx.astype(dtype), fy.astype(dtype)
+        keys = (xs << shift) + ys
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        first = first[~np.isin(keys[first], (fx << shift) + fy)]
+        xs, ys = xs[first], ys[first]
+        fx, fy = np.concatenate((fx, xs)), np.concatenate((fy, ys))
+        if not len(xs) or depth >= max_len:
+            return fx, fy, scale
+        depth += 1
+        a, b, c, d = mats.T.astype(dtype)
+        xs, ys = ((xs[:, None] * a + ys[:, None] * b).ravel(),
+                  (xs[:, None] * c + ys[:, None] * d).ravel())
+        if den > 1:
+            scale, fx, fy = scale * den, fx * den, fy * den
 
 
 def generate(spec: GeneratorSpec, radius, mode: Mode = EXACT) -> ZeroWindow:

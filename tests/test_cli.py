@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import re
 import shlex
 import subprocess
@@ -267,6 +268,66 @@ def test_equiv_same_trace_different_radii(tmp_path):
     assert d["translation"] == ["0", "0"]
 
 
+def _equiv_windows():
+    """(name, first window, second window) pairs for ``equiv``: equivalent
+    and inequivalent, exact and float, on one grid and on two, with a centre
+    off both grids."""
+    ints = [fc.ZPoint(Fraction(k), Fraction(0)) for k in range(-10, 11)]
+    evens = fc.ZeroWindow.from_points(ints[::2], radius=10.5)
+    rng = random.Random(7)
+    cloud = {fc.ZPoint(Fraction(0), Fraction(0))}
+    while len(cloud) < 40:
+        p = fc.ZPoint(Fraction(rng.randint(-80, 80), 11), Fraction(rng.randint(-80, 80), 13))
+        if p.norm2() <= 49:
+            cloud.add(p)
+    cloud = fc.ZeroWindow.from_points(sorted(cloud), radius=7)
+    floats = [fc.generate(fc.GeneratorSpec("all-integers"), r, fc.float_mode()) for r in (6, 8)]
+    return (
+        ("raw runs", fc.ZeroWindow.from_points(ints[11:], radius=11),
+         fc.ZeroWindow.from_points(ints[10:20], radius=11)),
+        ("radii 6 and 8", fc.generate(fc.GeneratorSpec("all-integers"), 6),
+         fc.generate(fc.GeneratorSpec("all-integers"), 8)),
+        ("ints and evens", fc.ZeroWindow.from_points(ints, radius=10.5), evens),
+        ("evens and ints", evens, fc.ZeroWindow.from_points(ints, radius=10.5)),
+        ("cloud moved off its grid", cloud,
+         cloud.translate(fc.ZPoint(Fraction(12, 5), Fraction(-9, 7)))),
+        ("cloud and the ints", cloud, fc.ZeroWindow.from_points(ints[5:16], radius=7)),
+        ("float radii 6 and 8", *floats),
+        ("float runs apart", floats[0], floats[1].translate(fc.ZPoint(0.5, 0.0))),
+    )
+
+
+# sha256 of the stdout of ``equiv`` on each pair of ``_equiv_windows``:
+# the translation, and matched_fraction and overlap_radius as floats
+_EQUIV_STDOUT = {
+    "raw runs":
+        "22c48bfeeafbc748409df7ce84ad87babd49477d36ba8d7e98fdd86a9913b03d",
+    "radii 6 and 8":
+        "f9f39fbdebcedc705077584efaa5077b11f88b163e51e1d7c15a96309cff6d7e",
+    "ints and evens":
+        "c3a90c38a7f85d5bc1dc3f23c6f462977b6a674d27eba1a76c101a83c92b76ed",
+    "evens and ints":
+        "f3561e2e25819edf069f34cce2bc751c69f00c9e18356b8544b4b783e602e51e",
+    "cloud moved off its grid":
+        "19ca175362aca79338f7d622c74a96cd795a53f4d4c6e29978cdde62d0a072bc",
+    "cloud and the ints":
+        "bcb909956c752cbfa367b30687502027552fb4f925b8580ec46a18f335eb6a15",
+    "float radii 6 and 8":
+        "099377ed6f65aa02563ac1b765dcad03763c85855a7d27a9c1929a87230621c6",
+    "float runs apart":
+        "397a1fdf99df4b91a71aa8fda93404558a3962d09fe516accfeebf43a84c7b50",
+}
+
+
+def test_equiv_prints_pinned_bytes(tmp_path):
+    for name, w1, w2 in _equiv_windows():
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(fc.window_to_json(w1)), encoding="utf-8")
+        b.write_text(json.dumps(fc.window_to_json(w2)), encoding="utf-8")
+        rc, out = run(["equiv", "--input", str(a), "--other", str(b)])
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, _EQUIV_STDOUT[name]), name
+
+
 # ---------------------------------------------------------------------------
 # SVG output
 
@@ -454,7 +515,8 @@ def test_readme_commands_print_pinned_bytes(tmp_path, monkeypatch):
 
 # sha256 of the stdout of float and orbit commands the README does not run:
 # the Mat2 loops of a float sandwich, the orbit window, whose centre is off
-# the origin, in both modes, and float holonomy, saddles and plots of
+# the origin, in both modes, an orbit of rational generators, whose grid
+# grows finer with each word length, and float holonomy, saddles and plots of
 # integer families, whose windows lie on a coarse grid.  Their floats come
 # from plain Python arithmetic, with no BLAS sums.
 _ORBIT = ("classify --sequence orbit --radius 6 --param k_points=1,0;63/80,-43/80 "
@@ -464,6 +526,13 @@ _SEARCH_STDOUT = (
      "4f1e73c75b219653c25fd415ac7e9257b810a7d2f64d67a5883c82105cd1d1de"),
     (_ORBIT, "d9edac0b48ab7048299466cb85bff86cde520f165d008d543f5f30b760e521ca"),
     (_ORBIT + " --mode float", "c305a19113af4b4c95d8e92e25f24a55033116598df3cb000898485abce3ad88"),
+    (_ORBIT.replace("classify", "sandwich"),
+     "4fc408c26d2311c0ee146c50c3e237414c3590c45ba764686971d8de1260a161"),
+    (_ORBIT.replace("classify", "sandwich") + " --mode float",
+     "cd806f4f51903fac15b5937c978fe29ca013b9462cd8ba2104b5d91c84fd4679"),
+    ("gen --sequence orbit --radius 5 --param k_points=1,0;1/3,1/2 "
+     "--param generators=1,1/2,0,1;1,0,1/3,1 --param max_word_length=5",
+     "8ddb1f9bad95f4c5f6abfbf632d622e4aa4b3d013a8e5b2bd68e326d82281e9b"),
     ("hol --sequence gaussian-lattice --radius 8 --mode float",
      "46ad4a05971e5926be1fc09bb64877823f96c0a81e3c43fca8ccb49f31cc979a"),
     ("hol --sequence positive-integers --radius 20 --mode float",

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import flatcurve as fc
+from flatcurve import equiv
 from flatcurve.veech import Mat2, StabilizerSearchConfig
 from flatcurve.zseq import zreciprocal
 
@@ -70,6 +71,111 @@ def test_mode_mismatch_rejected():
     w2 = fc.generate(fc.GeneratorSpec("all-integers"), 5, mode=fc.float_mode(1e-9))
     with pytest.raises(fc.ModeMismatch):
         fc.translation_equiv(w1, w2)
+
+
+def _cloud(rng, n=40, radius=7, dens=(11, 13)):
+    pts = {zp(0)}
+    while len(pts) < n:
+        p = zp(Fraction(rng.randint(-12 * radius, 12 * radius), dens[0]),
+               Fraction(rng.randint(-14 * radius, 14 * radius), dens[1]))
+        if p.norm2() <= radius * radius:
+            pts.add(p)
+    return fc.ZeroWindow.from_points(sorted(pts), radius=radius)
+
+
+def _as_loop(w1, w2):
+    """translation_equiv of exact windows, checked against the point loop
+    bit for bit: the translation, matched_fraction and overlap_radius."""
+    got = fc.translation_equiv(w1, w2)
+    assert repr(got) == repr(equiv._translation_loop(w1, w2))
+    return got
+
+
+def test_exact_translation_matches_loop_on_planted_shifts():
+    rng = random.Random(5)
+    for _ in range(20):
+        w = _cloud(rng)
+        b = zp(Fraction(rng.randint(-12, 12), rng.choice((1, 5, 9))),
+               Fraction(rng.randint(-12, 12), rng.choice((1, 3, 7))))
+        assert _as_loop(w, w.translate(b)).translation == b
+        _as_loop(w.translate(b), w)
+
+
+def test_exact_translation_matches_loop_on_inequivalent_pairs():
+    rng = random.Random(6)
+    partial = 0
+    for _ in range(10):
+        w = _cloud(rng)
+        pts = list(w.points)
+        del pts[rng.randrange(1, len(pts))]
+        cut = fc.ZeroWindow(pts, w.radius, center=w.center)
+        other = _cloud(rng, dens=(7, 9))
+        for a, b in ((w, cut), (cut, w), (w, other), (other, w.translate(zp(1, -2)))):
+            res = _as_loop(a, b)
+            assert not res.equivalent
+            partial += 0 < res.matched_fraction < 1
+    assert partial > 20  # most pairs report a best partial offset
+
+
+def test_exact_translation_matches_loop_on_integer_runs():
+    # integer points on integer radii put candidates on the half-radius
+    # circle: here the winner q = -3 sits at exactly 6 / 2 from w2's centre
+    w1 = fc.ZeroWindow.from_points([zp(k) for k in (-2, 0, 3, 5)], radius=6)
+    w2 = fc.ZeroWindow.from_points([zp(k) for k in (-6, -4, -3, 0, 2, 3, 4, 6)], radius=6)
+    assert _as_loop(w1, w2).translation == zp(-3)
+    rng = random.Random(10)
+    for _ in range(200):
+        r = rng.choice((4, 6, 8))
+        runs = [{rng.randint(-r, r) for _ in range(rng.randint(3, 2 * r))} for _ in range(2)]
+        _as_loop(*(fc.ZeroWindow.from_points([zp(k) for k in sorted(ks)], radius=r)
+                   for ks in runs))
+
+
+def test_exact_translation_matches_loop_across_scales_and_radii():
+    rng = random.Random(7)
+    for _ in range(10):
+        w = _cloud(rng, dens=(5, 3))
+        inner = fc.ZeroWindow.from_points([p for p in w.points if p.norm2() <= 16], radius=4)
+        moved = w.translate(zp(Fraction(3, 22), Fraction(-5, 26)))
+        assert moved.grid[2] != w.grid[2]
+        for a, b in ((inner, moved), (moved, inner), (w, moved), (inner, _cloud(rng, 30, 5))):
+            _as_loop(a, b)
+    lattice = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 6)
+    wider = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 9)
+    assert _as_loop(lattice, wider).equivalent
+    assert _as_loop(wider, lattice.translate(zp(Fraction(1, 3)))).translation is not None
+
+
+def test_exact_translation_matches_loop_with_centres_off_both_grids():
+    rng = random.Random(8)
+    for _ in range(10):
+        w = _cloud(rng)
+        a = w.translate(zp(Fraction(rng.randint(1, 30), 17), Fraction(rng.randint(1, 30), 19)))
+        b = zp(Fraction(rng.randint(-30, 30), 23), Fraction(rng.randint(-30, 30), 29))
+        assert _as_loop(a, a.translate(b)).translation == b
+        _as_loop(a.translate(b), _cloud(rng))
+
+
+def test_exact_translation_matches_loop_on_python_int_grids():
+    rng = random.Random(9)
+    for big in (2 ** 29, 2 ** 40, 3 ** 30):
+        w = _cloud(rng, 30, 6)
+        b = zp(Fraction(-big, 3), big)
+        assert w.translate(b).grid[0].dtype == object
+        assert _as_loop(w, w.translate(b)).translation == b
+        far = w.translate(zp(big, Fraction(1, 7)))
+        _as_loop(far, far.translate(b))
+        _as_loop(w, _cloud(rng, 30, 6).translate(zp(Fraction(1, big), Fraction(3, big + 1))))
+
+
+def test_exact_translation_without_a_live_candidate_is_none():
+    # every candidate moves w1's centre 50 away from w2's: rho <= band
+    pts = [zp(k) for k in range(-3, 4)]
+    far = fc.ZeroWindow(sorted(pts, key=lambda p: (p.norm2(), p.re < 0)), 4, center=zp(50))
+    near = fc.ZeroWindow.from_points(pts, radius=4)
+    for a, b in ((far, near), (near, far)):
+        res = _as_loop(a, b)
+        assert res == fc.EquivResult(False, None, 0.0)
 
 
 # ---------------------------------------------------------------------------

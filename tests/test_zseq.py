@@ -352,6 +352,80 @@ def test_orbit_errors_name_the_generator_rows():
         fc.generate(fc.GeneratorSpec.orbit([zp(1)], [(1, 2, 2, 4)], 3), 2, _FLOAT)
 
 
+def _sweep_as_loop(spec, radius):
+    """The exact orbit sweep, checked against the point loop: the same points
+    in the same order, and the same generated window."""
+    args = (*zseq._orbit_alphabet(spec, fc.EXACT), spec.params["max_word_length"], radius)
+    xs, ys, scale = zseq._orbit_sweep(*args)
+    pts = zseq._orbit_loop(*args, fc.EXACT)
+    assert zseq.grid_points(xs, ys, scale) == pts
+    got = fc.generate(spec, radius)
+    want = fc.generate(fc.GeneratorSpec.explicit(pts), radius)
+    gx, gy, gscale, gshift = got.grid
+    wx, wy, wscale, wshift = want.grid
+    assert (gx.dtype, gx.tolist(), gy.tolist(), gscale, gshift) == \
+        (wx.dtype, wx.tolist(), wy.tolist(), wscale, wshift)
+    assert repr((got.radius, got.center, got.translation, got.points)) == \
+        repr((want.radius, want.center, want.translation, want.points))
+    return xs, scale
+
+
+# The dihedral symmetries of the square, each conjugating the generator pair
+# [[1, 1], [0, 1]], [[1, 0], [1, 1]] into itself or its inverses
+_DIHEDRAL = ((1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
+             (0, 1, 1, 0), (1, 0, 0, -1), (0, -1, -1, 0), (-1, 0, 0, 1))
+
+
+@pytest.mark.parametrize("g", _DIHEDRAL)
+def test_orbit_sweep_matches_loop_on_dihedral_copies(g):
+    a, b, c, d = g
+    seeds = [(a * x + b * y, c * x + d * y)
+             for x, y in ((1, 0), (Fraction(63, 80), Fraction(-43, 80)))]
+    for depth in (0, 1, 4):
+        _sweep_as_loop(fc.GeneratorSpec.orbit(seeds, [(1, 1, 0, 1), (1, 0, 1, 1)], depth), 6)
+
+
+def test_orbit_sweep_matches_loop_with_rational_generators():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    spec = fc.GeneratorSpec.orbit([(1, 0), (third, half)], [(1, half, 0, 1), (1, 0, third, 1)], 5)
+    _, scale = _sweep_as_loop(spec, 5)
+    assert scale == 6 * 6 ** 5  # the seeds' 6, then D = 6 per depth
+    _sweep_as_loop(fc.GeneratorSpec.orbit([(1, 0)], [(1, half, 0, 1)], 6), 4)
+
+
+def test_orbit_sweep_matches_loop_on_seeds_outside_the_ball():
+    spec = fc.GeneratorSpec.orbit([(10, 0), (1, 1), (1, 1), (0, 0)], [(1, 1, 0, 1)], 3)
+    xs, _ = _sweep_as_loop(spec, 5)
+    assert 10 not in xs.tolist()
+    spec = fc.GeneratorSpec.orbit([(10, 0)], [(1, 1, 0, 1)], 3)
+    with pytest.raises(fc.EmptyWindow):
+        fc.generate(spec, 5)
+
+
+def test_orbit_sweep_matches_loop_past_the_int64_grid():
+    # the grid grows 128000 times finer per depth: the images of depth 2
+    # pass 2**28 while the points kept at depth 1 are still below it, and
+    # [[2, 1], [1, 1]] sends some of them out of the ball
+    spec = fc.GeneratorSpec.orbit([(1, 0), (Fraction(1, 7), Fraction(2, 9))],
+                                  [(1, Fraction(1, 1024), 0, 1), (1, 0, Fraction(3, 1000), 1),
+                                   (2, 1, 1, 1)], 3)
+    xs, _ = _sweep_as_loop(spec, 3)
+    assert xs.dtype == object
+    # integer coordinates past 2**28 from the start
+    spec = fc.GeneratorSpec.orbit([(2 ** 30, 1), (3, 2 ** 29)], [(1, 1, 0, 1), (1, 0, 1, 1)], 5)
+    xs, _ = _sweep_as_loop(spec, 2 ** 32)
+    assert xs.dtype == object
+
+
+def test_orbit_sweep_keeps_the_generator_errors():
+    half = Fraction(1, 2)
+    rows = ((half, Fraction(0)), (Fraction(0), half))
+    with pytest.raises(fc.ContractingGenerator, match=re.escape(f"generator {rows} is contracting")):
+        fc.generate(fc.GeneratorSpec.orbit([zp(1)], [(1, 1, 0, 1), (half, 0, 0, half)], 3), 2)
+    with pytest.raises(fc.SingularMatrix, match="contraction test needs an invertible matrix"):
+        fc.generate(fc.GeneratorSpec.orbit([zp(1)], [(1, 2, 2, 4)], 3), 2)
+
+
 def test_orbit_window_loads_no_search_module():
     # the sweep multiplies plain (a, b, c, d) tuples, so a fresh interpreter
     # that generates an orbit window never imports veech or flatgeom
