@@ -25,8 +25,8 @@ import numpy as np
 from .errors import ModeMismatch, PoleInAction, TooFewPoints
 from .veech import (_BLOCK, Mat2, StabilizerSearchConfig, _matrix_key, _probes, _resolve,
                     stabilizer_candidates)
-from .zseq import ZPoint, ZeroWindow, _ratio, rescale_grid, zdiv, zmul, zreciprocal
-from .flatgeom import _bitmap, _SortedKeys, window_collinear
+from .zseq import ZPoint, ZeroWindow, _ratio, _span, rescale_grid, zdiv, zmul, zreciprocal
+from .flatgeom import _members, window_collinear
 
 
 def _offset_key(t: ZPoint, mode):
@@ -119,20 +119,6 @@ def _translation_loop(w1: ZeroWindow, w2: ZeroWindow) -> EquivResult:
     return best
 
 
-def _members(xs, ys):
-    """The grid points (xs, ys) as a ``flatgeom._Bitmap`` or, for Python ints
-    and boxes past its cap, as ``flatgeom._SortedKeys``."""
-    from .gridsearch import _ints, _span
-
-    got = _bitmap(xs, ys)
-    if got is None:
-        span = _span(xs, ys)
-        shift = (2 * span).bit_length()
-        xs, ys = _ints(span << (shift + 1), xs, ys)
-        got = _SortedKeys(np.sort((xs << shift) + ys), shift, span)
-    return got
-
-
 def _translation_grid(w1: ZeroWindow, w2: ZeroWindow) -> EquivResult:
     """``_translation_loop`` of two nonempty exact windows, on one grid.
 
@@ -143,10 +129,8 @@ def _translation_grid(w1: ZeroWindow, w2: ZeroWindow) -> EquivResult:
     over S^2, rounded by ``_ratio`` as ``float(Fraction)`` rounds them, so
     every test compares the loop's floats.  The candidates go in blocks of
     about ``veech._BLOCK`` entries, each a numpy pass: its ball masks and
-    its membership gathers (``_members``) over the moved grids.
+    its membership gathers (``flatgeom._members``) over the moved grids.
     """
-    from .gridsearch import _span
-
     xs1, ys1, s1, _ = w1.grid
     xs2, ys2, s2, _ = w2.grid
     centres = [Fraction(v) for v in (*w1.center, *w2.center)]

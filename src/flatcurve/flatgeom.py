@@ -13,7 +13,7 @@ so it is anchor + k (dx/g, dy/g) for some 0 < k < g, which gives two rules:
 
 - a pair with g = 1 has no grid point between its ends: it is visible;
 - a pair with g > 1 is blocked when its first step, anchor + (dx/g, dy/g),
-  is a window point, one ``searchsorted`` over the sorted packed keys.
+  is a window point.
 
 Both rules read off a *difference table* when it is no larger than the
 pairs.  With the reduced points' bounding box W x H, corner (x0, y0), and
@@ -27,8 +27,10 @@ inside the box: lin[i] plus its offset is the first step's own index, with
 no bounds test and no alias.  A Python-int grid whose reduced coordinates
 stay within 2**28, as a lattice moved by 2**40, is typed int64 first.
 Other windows, such as rational clouds, orbit windows and wide Python-int
-grids, pay one gcd per pair and find the first step by ``searchsorted``
-over the sorted packed keys.
+grids, pay one gcd per pair and look the first step up among the points
+with ``_members``.  That function is where every exact point-set lookup
+of the package, here and in ``gridsearch`` and ``equiv``, chooses between
+a bitmap over the box and sorted packed keys.
 
 On a window that holds every grid point of a convex region, such as a
 lattice ball, the first step lies between two window points, so these
@@ -103,9 +105,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyWindow
-from .zseq import (_KEY_SHIFT, Mode, PointIndex, ZPoint, ZeroWindow, _lengths, _moved, _ratio,
-                   _typed_grid, canonical_permutation, coordinate_grid, cross, dot, grid_points,
-                   rescale_grid)
+from .zseq import (_INT_COORD_LIMIT, _KEY_SHIFT, Mode, PointIndex, ZPoint, ZeroWindow, _ints,
+                   _lengths, _moved, _ratio, _span, _typed_grid, canonical_permutation,
+                   coordinate_grid, cross, dot, grid_points, rescale_grid)
 
 
 # --------------------------------------------------------------------------
@@ -259,7 +261,7 @@ def _exact_visible_pairs(xs, ys, limit2) -> tuple:
     if xs.dtype != object and (2 * width - 1) * (2 * height - 1) <= n * (n - 1) // 2:
         lookup = _table_lookup(xs, ys, limit2)
     else:
-        lookup = _key_lookup(xs, ys, shift, limit2)
+        lookup = _key_lookup(xs, ys, limit2)
     return _visible_by_lookup(xs, ys, shift, limit2, lookup)
 
 
@@ -344,11 +346,10 @@ def _table_lookup(xs, ys, limit2):
     return lookup
 
 
-def _key_lookup(xs, ys, shift: int, limit2):
+def _key_lookup(xs, ys, limit2):
     """The ``_visible_by_lookup`` lookup of a grid by one gcd per pair and one
-    ``searchsorted`` of its first step over the sorted packed keys."""
-    keys = np.sort((xs << shift) + ys)
-    last = len(keys) - 1
+    lookup of its first step among the points (``_members``)."""
+    members = _members(xs, ys)
 
     def lookup(row, col):
         dx, dy = xs[col] - xs[row], ys[col] - ys[row]
@@ -359,9 +360,8 @@ def _key_lookup(xs, ys, shift: int, limit2):
         visible = g == 1
         step = np.flatnonzero(~visible)
         gs, rs = g[step], row[step]
-        probe = ((xs[rs] + dx[step] // gs) << shift) + ys[rs] + dy[step] // gs
-        at = np.minimum(np.searchsorted(keys, probe), last)
-        return row, col, visible, step[keys[at] != probe]
+        return row, col, visible, step[~members.contains(xs[rs] + dx[step] // gs,
+                                                         ys[rs] + dy[step] // gs)]
 
     return lookup
 
@@ -863,43 +863,29 @@ class _SortedKeys(NamedTuple):
         return ok & (self.keys[pos] == packed)
 
 
-def _bitmap(xs, ys):
-    """The ``_Bitmap`` of the grid points (xs, ys); None for Python ints or a
-    box of more than _BITMAP_CELLS cells."""
-    if xs.dtype == object or not len(xs):
-        return None
-    x0, y0 = int(xs.min()), int(ys.min())
-    width, height = int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1
-    if width * height > _BITMAP_CELLS:
-        return None
-    member = np.zeros(width * height, dtype=bool)
-    member[(xs - x0) * height + ys - y0] = True
-    return _Bitmap(member, x0, y0, width, height)
-
-
-def _encoded_keys(w: ZeroWindow):
-    """(packed keys, largest absolute coordinate) of an exact window."""
-    got = w._cache.get("enc_keys")
-    if got is None:
-        xs, ys, _, shift = w.grid
-        keys = (xs << shift) + ys
-        span = int(max(np.abs(xs).max(initial=0), np.abs(ys).max(initial=0)))
-        got = (keys, span)
-        w._cache["enc_keys"] = got
-    return got
+def _members(xs, ys):
+    """The grid points (xs, ys), int64 or Python ints, as the structure every
+    exact membership test looks them up in: a ``_Bitmap`` when they are
+    int64 and their box has at most _BITMAP_CELLS cells, else
+    ``_SortedKeys``."""
+    if xs.dtype != object and len(xs):
+        x0, y0 = int(xs.min()), int(ys.min())
+        width, height = int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1
+        if width * height <= _BITMAP_CELLS:
+            member = np.zeros(width * height, dtype=bool)
+            member[(xs - x0) * height + ys - y0] = True
+            return _Bitmap(member, x0, y0, width, height)
+    span = _span(xs, ys)
+    shift = (2 * span).bit_length()
+    xs, ys = _ints(span << (shift + 1), xs, ys)
+    return _SortedKeys(np.sort((xs << shift) + ys), shift, span)
 
 
 def _window_members(w: ZeroWindow):
-    """The points of an exact window as a ``_Bitmap`` or, without one, as
-    ``_SortedKeys``; built once per window."""
+    """``_members`` of an exact window's points, built once per window."""
     got = w._cache.get("members")
     if got is None:
-        xs, ys, _, shift = w.grid
-        got = _bitmap(xs, ys)
-        if got is None:
-            keys, span = _encoded_keys(w)
-            got = _SortedKeys(np.sort(keys), shift, span)
-        w._cache["members"] = got
+        got = w._cache["members"] = _members(*w.grid[:2])
     return got
 
 
@@ -913,14 +899,13 @@ def _has_grid_vector(w: ZeroWindow, vx: int, vy: int) -> bool:
     witness segment holds no other window point exactly when p + v comes
     right after p in that order."""
     xs, ys, _, shift = w.grid
-    keys, span = _encoded_keys(w)
-    if max(abs(vx), abs(vy)) > 2 * span:
-        return False  # longer than any difference of window points
+    if xs.dtype != object and max(abs(vx), abs(vy)) > 2 * _INT_COORD_LIMIT:
+        return False  # longer than any difference on an int64 grid, where xs + v could wrap
     if not _window_members(w).contains(xs + vx, ys + vy).any():
         return False
     if math.gcd(vx, vy) == 1:
         return True
-    line_order = keys[np.lexsort((xs * vx + ys * vy, xs * vy - ys * vx))]
+    line_order = ((xs << shift) + ys)[np.lexsort((xs * vx + ys * vy, xs * vy - ys * vx))]
     return bool((line_order[1:] - line_order[:-1] == (vx << shift) + vy).any())
 
 

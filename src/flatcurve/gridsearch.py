@@ -9,9 +9,7 @@ anchor base B, closure products as N_a N_b over L^2, automorphisms as
 (A, q) over L.  ``_accept`` then sends each probe through every candidate
 at once: an image whose division is inexact is a miss, an exact one is
 looked up among the window's points or the holonomy vectors
-(``_Targets``): in a bitmap over their bounding box, a bounds test and one
-gather, or, on a Python-int grid or a box of more than 2**22 cells, by
-``searchsorted`` over their sorted packed keys.  Past a holonomy set's
+(``_Targets``), as ``flatgeom._members`` holds them.  Past a holonomy set's
 length restriction an unlisted image stays open, and the source window
 decides the distinct ones, up to sign, in one pass on its grid
 (``flatgeom._has_grid_vectors``).  Arrays are int64 while every value
@@ -35,28 +33,14 @@ import numpy as np
 
 from . import veech
 from .errors import DegenerateWindow, SingularMatrix
-from .flatgeom import (HolonomySet, _Bitmap, _bitmap, _distinct, _has_grid_vectors,
+from .flatgeom import (HolonomySet, _Bitmap, _distinct, _has_grid_vectors, _members,
                        _past_restriction, _SortedKeys, _unpacked, _window_members)
 from .veech import _BLOCK, ClosureReport, Mat2, _pool_limit, _probes
-from .zseq import EXACT, ZeroWindow, _lengths, _ratio, grid_points
-
-_INT64_SAFE = 1 << 62
+from .zseq import EXACT, ZeroWindow, _ints, _lengths, _ratio, _span, grid_points
 
 
 # --------------------------------------------------------------------------
 # integer arrays
-
-
-def _ints(bound: int, *arrays) -> list:
-    """``arrays`` as int64 when ``bound`` caps every value computed from
-    them below 2**62, otherwise as arrays of Python ints."""
-    dtype = np.int64 if bound < _INT64_SAFE else object
-    return [np.asarray(a).astype(dtype) for a in arrays]
-
-
-def _span(*arrays) -> int:
-    """Largest absolute value in ``arrays``."""
-    return max((int(np.max(np.abs(a))) for a in arrays if np.size(a)), default=0)
 
 
 def _float_norm2(xs, ys, scale: int) -> np.ndarray:
@@ -83,9 +67,8 @@ def _entry_limit(entry_bound: float, den: int, cap: int) -> int:
 class _Targets(NamedTuple):
     """A point set on an integer grid, as the kernel looks images up in it.
 
-    ``members`` are the points as ``flatgeom._Bitmap`` or, for Python ints
-    and boxes past its cap, as ``flatgeom._SortedKeys``.  With ``window``
-    set, they are the vectors of a holonomy set restricted to
+    ``members`` are the points as ``flatgeom._members`` builds them.  With
+    ``window`` set, they are the vectors of a holonomy set restricted to
     ``restricted_to``: an unlisted image with no coordinate beyond ``limit``
     and past the restriction (``flatgeom._past_restriction``, on the image's
     length over ``scale``) stays open for ``window`` to decide, and the
@@ -122,17 +105,13 @@ def _hol_targets(h: HolonomySet) -> _Targets:
     """The vectors of an exact holonomy set; past its length restriction the
     source window decides."""
     xs, ys, scale, _ = h.grid
-    limit = span = _span(xs, ys)
+    limit = _span(xs, ys)
     window = h.window if h.restricted_to is not None else None
     if window is not None:
         # _has_grid_vectors refutes what is longer than any window difference
-        limit = max(span, 2 * _span(*window.grid[:2]) * (scale // window.grid[2]))
-    shift = (2 * limit).bit_length()
-    members = _bitmap(xs, ys)
-    if members is None:
-        xs, ys = _ints(span << (shift + 1), xs, ys)
-        members = _SortedKeys(np.sort((xs << shift) + ys), shift, span)
-    return _Targets(members, scale, window, h.restricted_to, limit, shift)
+        limit = max(limit, 2 * _span(*window.grid[:2]) * (scale // window.grid[2]))
+    return _Targets(_members(xs, ys), scale, window, h.restricted_to, limit,
+                    (2 * limit).bit_length())
 
 
 def _images(cols, rows, x, y, targets: _Targets):

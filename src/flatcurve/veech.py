@@ -24,16 +24,16 @@ every candidate is N / D with N = M adj(B), so the det > 0, entry-bound
 and non-contraction filters are integer comparisons on N, D and det M.
 One numpy kernel then sends every probe X through all candidates at once,
 as N X / D and the inverse as B adj(M) X / det M: an inexact division is a
-miss, and an exact one is looked up by ``searchsorted`` among the packed
-window points (lower bound) or holonomy vectors (upper bound).  An image
-past a holonomy set's length restriction that is not listed is decided
-once, on the window's grid, for all candidates.  Closure products and
-affine automorphisms go through the same kernel, which orders its results
-as integer rows and builds a ``Mat2`` of Fractions once per matrix
-returned.  Grid integers become floats through ``zseq._ratio``.  Float
-windows keep the ``Mat2`` loops (``_search``, ``_closure_loop``,
-``equiv._automorphisms_loop``) on the same probe set; they are also the
-references the exact kernel is tested against.
+miss, and an exact one is looked up among the window points (lower bound)
+or holonomy vectors (upper bound), in the structure ``flatgeom._members``
+builds for them.  An image past a holonomy set's length restriction that
+is not listed is decided once, on the window's grid, for all candidates.
+Closure products and affine automorphisms go through the same kernel,
+which orders its results as integer rows and builds a ``Mat2`` of
+Fractions once per matrix returned.  Grid integers become floats through
+``zseq._ratio``.  Float windows keep the ``Mat2`` loops (``_search``,
+``_closure_loop``, ``equiv._automorphisms_loop``) on the same probe set;
+they are also the references the exact kernel is tested against.
 """
 
 from __future__ import annotations

@@ -258,6 +258,21 @@ def rescale_grid(xs, ys, factor: int, span: int) -> tuple:
     return xs * factor, ys * factor
 
 
+_INT64_SAFE = 1 << 62
+
+
+def _ints(bound: int, *arrays) -> list:
+    """``arrays`` as int64 when ``bound`` caps every value computed from
+    them below 2**62, otherwise as arrays of Python ints."""
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    return [np.asarray(a).astype(dtype) for a in arrays]
+
+
+def _span(*arrays) -> int:
+    """Largest absolute value in ``arrays``."""
+    return max((int(np.max(np.abs(a))) for a in arrays if np.size(a)), default=0)
+
+
 def _moved(xs, ys, scale, b: ZPoint) -> tuple:
     """(xs, ys, scale) plus ``b``, exact grids on the lcm of scale and b's denominators."""
     if scale is None:

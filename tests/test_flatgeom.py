@@ -507,7 +507,7 @@ def test_table_and_key_lookups_give_equal_pairs(name, monkeypatch):
     for limit2, length in bounds.items():
         by_table = _lookup_pairs(xs, ys, shift, limit2, table(xs, ys, limit2))
         by_keys = _lookup_pairs(xs, ys, shift, limit2,
-                                flatgeom._key_lookup(xs, ys, shift, limit2))
+                                flatgeom._key_lookup(xs, ys, limit2))
         assert np.array_equal(by_table, by_keys), length
         if limit2 is None:
             assert np.array_equal(by_table, got)
@@ -548,6 +548,28 @@ def _perfbench_cloud(seed, n, den, radius):
         if p[0] ** 2 + p[1] ** 2 <= radius * radius:
             pts.add(p)
     return _window([zp(*p) for p in sorted(pts)], radius)
+
+
+_CLOSED_FORM = [k for k in fc.GeneratorSpec.KINDS if k not in ("orbit", "explicit")]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("kind", _CLOSED_FORM)
+def test_pairs_visible_at_r_stay_visible_at_2r(kind, exact):
+    """A closed-form window holds every term of its sequence in its ball, so
+    the window of twice the radius adds no point inside the smaller ball
+    and no segment there gains a blocker: every pair visible at R is
+    visible at 2R."""
+    mode = fc.EXACT if exact else fc.float_mode(_EPS)
+    for r in (5, 8, 12):
+        small, big = (fc.generate(fc.GeneratorSpec(kind), radius, mode) for radius in (r, 2 * r))
+        assert small.translation == big.translation
+        at = {p: i for i, p in enumerate(big.points)}
+        held = set(pair_list(fc.visible_pairs(big)))
+        moved = [tuple(sorted((at[small.points[i]], at[small.points[j]])))
+                 for i, j in pair_list(fc.visible_pairs(small))]
+        assert [pair for pair in moved if pair not in held] == [], r
+        assert moved or len(small) < 2
 
 
 def test_lattices_take_the_table_and_clouds_and_orbits_the_keys(monkeypatch):
@@ -1051,8 +1073,7 @@ def test_bitmap_and_keys_hold_the_same_points(name):
 def test_bitmap_stops_at_its_cap():
     flatgeom = fc.flatgeom
     at_cap, over = _cap_box(1 << 22), _cap_box((1 << 22) + 1)
-    assert flatgeom._bitmap(*at_cap.grid[:2]).member.size == 1 << 22
-    assert flatgeom._bitmap(*over.grid[:2]) is None
+    assert flatgeom._members(*at_cap.grid[:2]).member.size == 1 << 22
     assert isinstance(flatgeom._window_members(over), flatgeom._SortedKeys)
     for w in (at_cap, over):
         diffs = {q - p for p in w.points for q in w.points if p != q}

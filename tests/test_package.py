@@ -6,6 +6,7 @@ and ``--help`` and usage errors import no numpy.  Everything that depends
 on a fresh interpreter runs in a subprocess.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -202,3 +203,33 @@ def test_symmetry_commands_import_no_numpy_ma():
         assert rc == 0, out
         assert "veech" in _library(names), argv
         assert "numpy.ma" not in names, argv
+
+
+def test_equiv_of_exact_windows_imports_no_search_kernel(tmp_path):
+    # exact translation equivalence runs on the grid helpers of zseq and the
+    # membership structures of flatgeom, not on the stabilizer kernel
+    w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 4)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(fc.window_to_json(w)), encoding="utf-8")
+    b.write_text(json.dumps(fc.window_to_json(w.translate(fc.ZPoint(1, 0)))),
+                 encoding="utf-8")
+    rc, out, names = _imported("equiv", "--input", str(a), "--other", str(b))
+    assert rc == 0, out
+    assert json.loads(out)["equivalent"] is True
+    assert "equiv" in _library(names)
+    assert "gridsearch" not in _library(names)
+
+
+def test_no_module_keeps_an_unused_import():
+    """Every top-level import of a library module is used in it: a name
+    bound by the import is read somewhere in the module."""
+    for path in sorted((SRC / "flatcurve").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {a.asname or a.name for a in node.names}
+        assert bound - read == set(), path.name

@@ -11,7 +11,7 @@ from flatcurve.veech import Mat2, StabilizerSearchConfig
 
 from conftest import zp
 from test_flatgeom import (_BIG_DENS, _MEMBER_WINDOWS, _ORBIT_SPEC, _bitmap_points, _cap_box,
-                           _keys_of, _points_about, _rational_cloud)
+                           _keys_of, _perfbench_cloud, _points_about, _rational_cloud)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +361,10 @@ def test_bitmap_and_key_targets_give_equal_hits_and_open_images(name):
 
 
 def test_kernel_takes_bitmaps_up_to_their_cap_and_sorted_keys_past_it(monkeypatch):
-    """Lattices and the orbit window are looked up in bitmaps; Python-int
-    grids and windows whose box passes the cap among sorted keys."""
+    """Every exact lookup site, the kernel's targets, window vectors,
+    visibility's first steps and translation equivalence, looks lattices,
+    clouds, the orbit window and a box at the cap up in bitmaps, and
+    Python-int grids and boxes past the cap among sorted keys."""
     used = []
     for cls in (flatgeom._Bitmap, flatgeom._SortedKeys):
         monkeypatch.setattr(cls, "contains", lambda self, x, y, real=cls.contains:
@@ -370,20 +372,39 @@ def test_kernel_takes_bitmaps_up_to_their_cap_and_sorted_keys_past_it(monkeypatc
     python_ints = _grid_window(1, 1, 5, center=zp(Fraction(1, 1 << 40)))
     wide = _grid_window(1, 1, 5, center=zp(Fraction(1, 32749)))
     assert python_ints.grid[0].dtype == object and wide.grid[0].dtype == np.int64
-    cases = [*((fc.generate(fc.GeneratorSpec("gaussian-lattice"), r), "_Bitmap")
-               for r in (5, 9, 12)),
-             (fc.generate(_ORBIT_SPEC, 6), "_Bitmap"),
-             (python_ints, "_SortedKeys"),
-             (wide, "_SortedKeys")]
-    for w, want in cases:
-        used.clear()
+    # reduced for visibility, this box still spans more than 2**28
+    python_box = fc.ZeroWindow.from_points([zp(0), zp(1), zp(1 << 29, 1 << 29)], 1 << 30)
+    assert python_box.grid[0].dtype == object
+    lattices = [fc.generate(fc.GeneratorSpec("gaussian-lattice"), r) for r in (5, 9, 12)]
+    clouds = [_perfbench_cloud(seed, 45, 5, 10) for seed in (1, 3, 11)]
+    orbit = fc.generate(_ORBIT_SPEC, 6)
+    at_cap, over = _cap_box(1 << 22), _cap_box((1 << 22) + 1)
+
+    def sandwich_ok(w):
         lower, upper, ok = fc.sandwich_report(w)
-        assert ok and len(upper) > 1
-        assert set(used) == {want}
-    for cells, want in ((1 << 22, "_Bitmap"), ((1 << 22) + 1, "_SortedKeys")):
-        used.clear()
-        assert fc.has_holonomy_vector(_cap_box(cells), zp(1))
-        assert set(used) == {want}
+        return ok and len(upper) > 1
+
+    def box_candidates(w):
+        cfg = StabilizerSearchConfig(inner_radius=float(w.radius) * (1 - 1e-6))
+        return len(fc.stabilizer_candidates(w, cfg)) >= 1
+
+    sites = {
+        "kernel": (sandwich_ok, [*lattices, orbit], [python_ints, wide]),
+        "kernel on boxes": (box_candidates, [at_cap], [over, python_box]),
+        "window vectors": (lambda w: fc.has_holonomy_vector(w, zp(1)), [at_cap],
+                           [over, python_box]),
+        "visibility": (lambda w: len(fc.visible_pairs(w)) > 0, [*clouds, orbit, at_cap],
+                       [over, python_box]),
+        "translation": (lambda w: fc.translation_equiv(w, w).equivalent,
+                        [*lattices, *clouds, orbit, at_cap],
+                        [over, python_ints, wide, python_box]),
+    }
+    for site, (call, bitmaps, keys) in sites.items():
+        for ws, want in ((bitmaps, "_Bitmap"), (keys, "_SortedKeys")):
+            for k, w in enumerate(ws):
+                used.clear()
+                assert call(w), (site, k)
+                assert set(used) == {want}, (site, k)
 
 
 @pytest.mark.parametrize("r", [math.sqrt(5), math.sqrt(5) * (1 + 1e-13)])
