@@ -41,13 +41,25 @@ window; one lexsort over the open anchors' rows finds those points.  No
 step counts up to g, which can be near 2**28.  Fractions are built once
 per distinct output coordinate.
 
+A holonomy query asks whether a vector v is the difference of a visible
+pair.  ``_has_grid_vectors`` answers it for a block of grid vectors of an
+exact window.  A witness is a window point p with p + v in the window,
+looked up with ``_members``; a v with no witness is no holonomy vector.
+With U the gcd of the window's differences, every window point lies in
+its first point plus U Z^2, so a witnessed v with gcd(v) = U steps over
+no point of that lattice and is held.  Any other witnessed v is held when,
+with the points sorted by (p x v, p.v), that is line by line along v, some
+witness p has p + v right after it: no window point lies between them.
+
 Float mode uses an eps-tube: with b and c the offsets of two points from
 the anchor, c blocks b when |b x c| <= eps |b| and eps/2 |b|^2 < b.c <
-(1 - eps/2) |b|^2.  ``visible_pairs`` decides it by angular runs, in
-O(n^2 log n).  Per anchor, the other points are sorted by argument and cut
-into runs wherever two neighbours lie more than delta = asin(min(1, eps /
-r_min)) (1 + 1e-6) + 2**-46 apart, r_min the anchor's nearest-point
-distance.  A point alone in its run is visible.  In a *tight* run (spread
+(1 - eps/2) |b|^2.  ``_blocked`` holds this test, and the exact one (c on
+the open segment from 0 to b), for every brute-force check.
+``visible_pairs`` decides it by angular runs, in O(n^2 log n).  Per
+anchor, the other points are sorted by argument and cut into runs
+wherever two neighbours lie more than delta = asin(min(1, eps / r_min))
+(1 + 1e-6) + 2**-46 apart, r_min the anchor's nearest-point distance.  A
+point alone in its run is visible.  In a *tight* run (spread
 times max(largest norm, 1) <= eps/4, nearest norm |q| below (1 - eps) times
 the second-nearest and above eps times the largest) the nearest point is
 visible and every other one blocked.  Every other run, and an anchor's first
@@ -105,55 +117,44 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyWindow
-from .zseq import (_INT_COORD_LIMIT, _KEY_SHIFT, Mode, PointIndex, ZPoint, ZeroWindow, _ints,
-                   _lengths, _moved, _ratio, _span, _typed_grid, canonical_permutation,
-                   coordinate_grid, cross, dot, grid_points, rescale_grid)
+from .zseq import (_KEY_SHIFT, Mode, PointIndex, ZPoint, ZeroWindow, _ints, _lengths, _moved,
+                   _ratio, _span, _typed_grid, canonical_permutation, coordinate_grid,
+                   grid_points, rescale_grid)
 
 
 # --------------------------------------------------------------------------
 # single-pair predicates
 
 
-def _blocks_exact(a: ZPoint, b: ZPoint, c: ZPoint) -> bool:
-    u = b - a
-    v = c - a
-    if cross(u, v) != 0:
-        return False
-    s = dot(v, u)
-    return 0 < s < u.norm2()
-
-
-def _blocks_float(a: ZPoint, b: ZPoint, c: ZPoint, eps: float) -> bool:
-    ux, uy = float(b.re - a.re), float(b.im - a.im)
-    vx, vy = float(c.re - a.re), float(c.im - a.im)
+def _blocked(ux, uy, vx, vy, eps):
+    """Mask of the offsets v from an anchor that block the offset u, Python
+    scalars or broadcast arrays: v on the open segment from 0 to u on the
+    integer grid when ``eps`` is None, else in u's eps-tube (see the module
+    docstring)."""
+    crs = ux * vy - uy * vx
+    s = ux * vx + uy * vy
     len2 = ux * ux + uy * uy
-    if len2 == 0.0:
-        return False
-    if abs(ux * vy - uy * vx) > eps * math.sqrt(len2):
-        return False
-    s = vx * ux + vy * uy
-    return eps / 2 * len2 < s < (1 - eps / 2) * len2
+    if eps is None:
+        return (crs == 0) & (s > 0) & (s < len2)
+    return (abs(crs) <= eps * np.sqrt(len2)) & (s > eps / 2 * len2) & (s < (1 - eps / 2) * len2)
 
 
 def point_blocks(a: ZPoint, b: ZPoint, c: ZPoint, mode: Mode) -> bool:
     """Does ``c`` lie on the open segment from ``a`` to ``b``?"""
+    u, v = b - a, c - a
     if mode.is_exact:
-        return _blocks_exact(a, b, c)
-    return _blocks_float(a, b, c, mode.eps)
+        return bool(_blocked(u.re, u.im, v.re, v.im, None))
+    return bool(_blocked(float(u.re), float(u.im), float(v.re), float(v.im), mode.eps))
 
 
 def is_visible(w: ZeroWindow, r: int, l: int) -> bool:
     """No third window point lies strictly inside segment (r, l)."""
-    pts = w.points
-    a, b = pts[r], pts[l]
+    xs, ys, _, _ = w.grid
+    ux, uy = xs[l] - xs[r], ys[l] - ys[r]
     if r == l:
         raise ValueError("a point does not see itself")
-    for k, c in enumerate(pts):
-        if k in (r, l):
-            continue
-        if point_blocks(a, b, c, w.mode):
-            return False
-    return True
+    eps = None if w.mode.is_exact else w.mode.eps
+    return not _blocked(ux, uy, xs - xs[r], ys - ys[r], eps).any()
 
 
 # --------------------------------------------------------------------------
@@ -411,18 +412,6 @@ _BLOCK_ENTRIES = 1 << 16  # (anchor, point) entries per block of anchors
 _ANGLE_SLACK = 2.0 ** -46  # covers the rounding of atan2 and of the cross product
 
 
-def _tube_blocked(bx, by, eps: float):
-    """Mask over the offsets (bx, by) from one anchor: another of them lies
-    in its eps-tube, strictly inside the (1 - eps)-shrunk parameter range."""
-    crs = bx[:, None] * by[None, :] - by[:, None] * bx[None, :]
-    s = bx[:, None] * bx[None, :] + by[:, None] * by[None, :]
-    len2 = bx * bx + by * by
-    ln = np.sqrt(len2)
-    blocked = (np.abs(crs) <= eps * ln[:, None]) \
-        & (s > eps / 2 * len2[:, None]) & (s < (1 - eps / 2) * len2[:, None])
-    return blocked.any(axis=1)
-
-
 def _float_visible_pairs(xs, ys, eps: float, limit2) -> tuple:
     """Arrays (i, j) of the visible pairs i < j of a float window, ascending,
     by angular runs (see the module docstring), a block of anchors at a
@@ -484,7 +473,8 @@ def _float_visible_pairs(xs, ys, eps: float, limit2) -> tuple:
         groups += [np.r_[first[i]:last[i] + 1, first[j]:last[j] + 1]
                    for i, j in zip(opening.tolist(), closing.tolist())]
         for g in groups:
-            visible[g] = ~_tube_blocked(bx[g], by[g], eps)
+            gx, gy = bx[g], by[g]
+            visible[g] = ~_blocked(gx[:, None], gy[:, None], gx, gy, eps).any(axis=1)
         seen = np.zeros(dx.shape, dtype=bool)
         seen[row[visible], k[visible]] = True
         ii, jj = np.nonzero(seen & (np.arange(n)[None, :] > anchors[:, None]))
@@ -496,27 +486,7 @@ def _float_visible_pairs(xs, ys, eps: float, limit2) -> tuple:
 def visible_pairs_bruteforce(w: ZeroWindow) -> list:
     """Oracle: every pair against every potential blocker, no shortcuts."""
     n = len(w)
-    xs, ys, scale, _ = w.grid
-    exact = scale is not None
-    eps = w.mode.eps
-    pairs = []
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            ux, uy = xs[j] - xs[i], ys[j] - ys[i]
-            vx = xs - xs[i]
-            vy = ys - ys[i]
-            crs = ux * vy - uy * vx
-            s = ux * vx + uy * vy
-            len2 = ux * ux + uy * uy
-            if exact:
-                blocked = (crs == 0) & (s > 0) & (s < len2)
-            else:
-                ln = math.sqrt(float(len2))
-                blocked = (np.abs(crs) <= eps * ln) \
-                    & (s > eps / 2 * len2) & (s < (1 - eps / 2) * len2)
-            if not blocked.any():
-                pairs.append((i, j))
-    return pairs
+    return [(i, j) for i in range(n - 1) for j in range(i + 1, n) if is_visible(w, i, j)]
 
 
 # --------------------------------------------------------------------------
@@ -853,6 +823,8 @@ class _SortedKeys(NamedTuple):
 
     def contains(self, x, y):
         """Mask of the points (x, y) that are members: a ``searchsorted``."""
+        if not len(self.keys):
+            return np.zeros(np.broadcast(x, y).shape, dtype=bool)
         ok = (abs(x) <= self.limit) & (abs(y) <= self.limit)
         x, y = np.where(ok, x, 0), np.where(ok, y, 0)
         if self.keys.dtype == object:
@@ -889,79 +861,45 @@ def _window_members(w: ZeroWindow):
     return got
 
 
-def _has_grid_vector(w: ZeroWindow, vx: int, vy: int) -> bool:
-    """``has_holonomy_vector`` of an exact window for v = (vx, vy) / scale,
-    on its integer grid (int64 or Python ints, as ``ZeroWindow.grid`` holds
-    them).  Witnesses, points p with p + v in the window, are looked up in
-    ``_window_members``.  A primitive v (coprime integer coordinates) steps
-    over no grid point, so any witness will do.  Otherwise the points are
-    sorted by (cross(p, v), dot(p, v)), that is line by line along v; a
-    witness segment holds no other window point exactly when p + v comes
-    right after p in that order."""
-    xs, ys, _, shift = w.grid
-    if xs.dtype != object and max(abs(vx), abs(vy)) > 2 * _INT_COORD_LIMIT:
-        return False  # longer than any difference on an int64 grid, where xs + v could wrap
-    if not _window_members(w).contains(xs + vx, ys + vy).any():
-        return False
-    if math.gcd(vx, vy) == 1:
-        return True
-    line_order = ((xs << shift) + ys)[np.lexsort((xs * vx + ys * vy, xs * vy - ys * vx))]
-    return bool((line_order[1:] - line_order[:-1] == (vx << shift) + vy).any())
-
-
 def _has_grid_vectors(w: ZeroWindow, vx, vy) -> np.ndarray:
-    """``_has_grid_vector`` of each vector (vx, vy) of the arrays, as a mask.
-
-    On a window with a bitmap they are decided together, by the same rule:
+    """Mask of the vectors (vx, vy), arrays on an exact window's integer grid
+    (int64 or Python ints), that are differences of visible window pairs:
     v is held when some window point p has p + v in the window and no window
-    point strictly between.  With U the gcd of the window's differences and
-    g = gcd(v), such a point lies on the window's grid, at p + k U v / g for
-    some 0 < k < g / U; each (vector, witness) pair walks those steps out
-    from p, and stops at the first member it meets.  A window without a
-    bitmap decides one vector at a time."""
-    members = _window_members(w)
-    if not isinstance(members, _Bitmap):
-        return np.array([_has_grid_vector(w, x, y) for x, y in zip(vx.tolist(), vy.tolist())],
-                        dtype=bool)
-    xs, ys, _, _ = w.grid
+    point strictly between (see the module docstring)."""
+    xs, ys, _, shift = w.grid
     held = np.zeros(len(vx), dtype=bool)
-    # no window difference is 0 or longer than the box
-    near = np.flatnonzero((abs(vx) < members.width) & (abs(vy) < members.height)
-                          & ((vx != 0) | (vy != 0)))
-    vx, vy = vx[near].astype(np.int64), vy[near].astype(np.int64)
-    unit = math.gcd(int(np.gcd.reduce(xs - xs[0])), int(np.gcd.reduce(ys - ys[0])))
-    steps = np.gcd(vx, vy) // unit
-    sx, sy = vx // np.maximum(steps, 1), vy // np.maximum(steps, 1)
+    if len(xs) < 2:
+        return held
+    width, height = _box(xs, ys)
+    # no window difference is 0 or leaves the box, and vectors inside it
+    # take the grid's dtype with no wrap
+    near = np.flatnonzero((abs(vx) < width) & (abs(vy) < height) & ((vx != 0) | (vy != 0)))
+    vx, vy = vx[near].astype(xs.dtype), vy[near].astype(xs.dtype)
+    members = _window_members(w)
     rows = max(1, _BLOCK_ENTRIES // len(xs))
     for lo in range(0, len(vx), rows):
-        at = np.arange(lo, min(lo + rows, len(vx)))
-        witness = members.contains(xs + vx[at, None], ys + vy[at, None])
-        # a single step holds any witness
-        single = steps[at] <= 1
-        held[near[at[single]]] = witness[single].any(axis=1)
-        i, p = witness[~single].nonzero()
-        i = at[~single][i]
-        clear = np.ones(len(i), dtype=bool)
-        live = np.arange(len(i))
-        k = 1
-        while len(live):
-            j = i[live]
-            met = members.contains(xs[p[live]] + k * sx[j], ys[p[live]] + k * sy[j])
-            clear[live[met]] = False
-            k += 1
-            live = live[~met & (steps[j] > k)]
-        held[near[i[clear]]] = True
+        at = slice(lo, lo + rows)
+        held[near[at]] = members.contains(xs + vx[at, None], ys + vy[at, None]).any(axis=1)
+    unit = math.gcd(int(np.gcd.reduce(xs - xs[0])), int(np.gcd.reduce(ys - ys[0])))
+    open_ = np.flatnonzero(held[near] & (np.gcd(vx, vy) != unit))
+    for i, x, y in zip(near[open_].tolist(), vx[open_].tolist(), vy[open_].tolist()):
+        line_order = ((xs << shift) + ys)[np.lexsort((xs * x + ys * y, xs * y - ys * x))]
+        held[i] = (line_order[1:] - line_order[:-1] == (x << shift) + y).any()
     return held
 
 
 def has_holonomy_vector(w: ZeroWindow, v: ZPoint) -> bool:
     """Is ``v`` (or ``-v``) the difference of some visible window pair?  Exact
-    windows decide it on their grid (``_has_grid_vector``); a v off it is none."""
+    windows decide it on their grid (``_has_grid_vectors``), where a v off
+    the grid is none; float windows test each witness's eps-tube."""
     if v.is_zero():
         return False
     if w.mode.is_exact:
         sx, sy = Fraction(v.re) * w.grid[2], Fraction(v.im) * w.grid[2]
-        return sx.denominator == sy.denominator == 1 and _has_grid_vector(w, int(sx), int(sy))
+        if sx.denominator != 1 or sy.denominator != 1:
+            return False
+        x, y = int(sx), int(sy)
+        return bool(_has_grid_vectors(w, *_ints(max(abs(x), abs(y)), [x], [y]))[0])
     idx = w.index()
     xs, ys = w.grid[:2]
     eps = w.mode.eps

@@ -223,6 +223,101 @@ def test_float_straight_left_points_block_across_pi():
     assert tuple(sorted((origin, far))) not in pair_list(fc.visible_pairs(w))
 
 
+def _blocks_reference(a, b, c, mode):
+    """Does ``c`` block the pair (a, b)?  One triple of points at a time: in
+    exact mode by Fraction cross and dot products, in float mode by the
+    eps-tube test on the float offsets from ``a``."""
+    u, v = b - a, c - a
+    if mode.is_exact:
+        return fc.zseq.cross(u, v) == 0 and 0 < fc.zseq.dot(v, u) < u.norm2()
+    ux, uy = float(u.re), float(u.im)
+    vx, vy = float(v.re), float(v.im)
+    len2 = ux * ux + uy * uy
+    if len2 == 0.0 or abs(ux * vy - uy * vx) > mode.eps * math.sqrt(len2):
+        return False
+    s = vx * ux + vy * uy
+    return mode.eps / 2 * len2 < s < (1 - mode.eps / 2) * len2
+
+
+def _visible_reference(w, r, l):
+    pts = w.points
+    return not any(_blocks_reference(pts[r], pts[l], c, w.mode)
+                   for k, c in enumerate(pts) if k not in (r, l))
+
+
+def _tube_edge_window(c):
+    """(0, 0), (64, 0), c and one point off their line, with eps = 2**-10,
+    for which the tube around (64, 0) has half-width eps and its dot band is
+    1/32 < x < 64 - 1/32; every bound is exact in floats."""
+    return _float_window([(0.0, 0.0), (64.0, 0.0), c, (5.0, 9.0)], 100, 2.0 ** -10)
+
+
+# points on each edge of that tube, and just inside or past it, with whether
+# they block (0, 0) from (64, 0)
+_TUBE_EDGES = {(1.0 / 32, 0.0): False, (1.0 / 16, 0.0): True, (64.0 - 1.0 / 32, 0.0): False,
+               (64.0 - 1.0 / 16, 0.0): True, (32.0, 2.0 ** -10): True,
+               (32.0, -2.0 ** -10): True, (32.0, 2.0 ** -9): False}
+
+
+_REFERENCE_WINDOWS = {
+    **{f"cloud den {den}": (lambda den=den: _rational_cloud(random.Random(den), 14, den))
+       for den in (1, 3, 6)},
+    "lattice R2": lambda: fc.generate(_LATTICE, 2),
+    "lattice R2 + 2**40 (1 + i)": lambda: fc.generate(_LATTICE, 2).translate(
+        zp(1 << 40, 1 << 40)),
+    "big-den cloud": lambda: _rational_cloud(random.Random(5), 12, _BIG_DENS[1]),
+    **{f"float {name}": (lambda name=name: _float_window(_adversarial_clouds()[name][0]))
+       for name in ("middle off the line by 0.5 eps", "middle off the line by 2 eps",
+                    "norm tie 0.3 eps on a diagonal", "straight left, alternating zeros")},
+    "float random": lambda: _float_window(_grid_cloud(4, 12, 0.37, 9)),
+    **{f"float edge {c}": (lambda c=c: _tube_edge_window(c)) for c in _TUBE_EDGES},
+}
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_WINDOWS))
+def test_blocking_matches_the_pointwise_reference(name):
+    """``point_blocks`` on every triple, ``is_visible`` on every ordered pair
+    and ``visible_pairs_bruteforce`` decide as the one-triple reference, and
+    the predicates return Python bools."""
+    w = _REFERENCE_WINDOWS[name]()
+    xs = w.grid[0]
+    if name.startswith("float"):
+        assert xs.dtype == np.float64
+    else:
+        assert xs.dtype == (object if "2**40" in name or "big" in name else np.int64)
+    pts, n = w.points, len(w)
+    for r in range(n):
+        for l in range(n):
+            for c in pts:
+                got = fc.point_blocks(pts[r], pts[l], c, w.mode)
+                assert type(got) is bool and got == _blocks_reference(pts[r], pts[l], c, w.mode)
+            if l != r:
+                got = fc.is_visible(w, r, l)
+                assert type(got) is bool and got == _visible_reference(w, r, l)
+    want = [(i, j) for i in range(n - 1) for j in range(i + 1, n) if _visible_reference(w, i, j)]
+    assert fc.visible_pairs_bruteforce(w) == want
+    assert pair_list(fc.visible_pairs(w)) == want
+
+
+def test_tube_edges_block_inside_and_on_the_tube_only():
+    def blocked(c):
+        w = _tube_edge_window(c)
+        ends = w.points.index(fc.ZPoint(0.0, 0.0)), w.points.index(fc.ZPoint(64.0, 0.0))
+        return not fc.is_visible(w, *ends)
+
+    assert {c: blocked(c) for c in _TUBE_EDGES} == _TUBE_EDGES
+
+
+def test_a_point_does_not_see_itself():
+    for w in (_window([zp(0), zp(1), zp(2)], 3), _float_window([(0.0, 0.0), (1.0, 0.0),
+                                                                (2.0, 0.0)])):
+        with pytest.raises(ValueError, match="does not see itself"):
+            fc.is_visible(w, 2, 2)
+        # the indices are looked up first
+        with pytest.raises(IndexError):
+            fc.is_visible(w, 3, 3)
+
+
 # on the lattice R=3 (bounding box 6 x 6) eps = 0.01 keeps eps |b|**2 below
 # u**2 = 1, and 0.05 and 0.3 do not; 2 and sqrt(5) are lattice distances
 @pytest.mark.parametrize("radius, eps, coarse",
@@ -1070,6 +1165,18 @@ def test_bitmap_and_keys_hold_the_same_points(name):
     assert np.array_equal(members.contains(ox, oy), keys.contains(ox, oy))
 
 
+def test_empty_sorted_keys_hold_nothing():
+    flatgeom = fc.flatgeom
+    for dtype in (np.int64, object):
+        members = flatgeom._members(np.zeros(0, dtype), np.zeros(0, dtype))
+        assert isinstance(members, flatgeom._SortedKeys)
+        x = np.array([1, -1], dtype=dtype)
+        assert members.contains(x, x).tolist() == [False, False]
+        assert members.contains(x[:, None], x).tolist() == [[False, False]] * 2
+    # an empty window has no holonomy vector
+    assert not fc.has_holonomy_vector(fc.ZeroWindow([], 1), zp(1))
+
+
 def test_bitmap_stops_at_its_cap():
     flatgeom = fc.flatgeom
     at_cap, over = _cap_box(1 << 22), _cap_box((1 << 22) + 1)
@@ -1115,8 +1222,8 @@ _DECISION_WINDOWS = {
 
 @pytest.mark.parametrize("name", list(_DECISION_WINDOWS))
 def test_batched_decision_matches_each_vector_and_the_enumeration(name):
-    """``_has_grid_vectors`` decides as ``_has_grid_vector`` does vector by
-    vector, and both list exactly the vectors ``holonomy`` enumerates."""
+    """``_has_grid_vectors`` holds exactly the vectors ``holonomy``
+    enumerates, and ``has_holonomy_vector`` decides each one as it does."""
     flatgeom = fc.flatgeom
     w = _DECISION_WINDOWS[name]()
     xs, ys, scale, _ = w.grid
@@ -1128,8 +1235,9 @@ def test_batched_decision_matches_each_vector_and_the_enumeration(name):
     assert h.grid[2] == scale
     listed = set(zip(*(a.tolist() for a in h.grid[:2])))
     pairs = list(zip(vx.tolist(), vy.tolist()))
-    assert got.tolist() == [flatgeom._has_grid_vector(w, x, y) for x, y in pairs]
     assert got.tolist() == [v in listed for v in pairs]
+    assert got.tolist() == [fc.has_holonomy_vector(w, zp(Fraction(x, scale), Fraction(y, scale)))
+                            for x, y in pairs]
     assert got.any() and not got.all()
     held = [v for v, ok in zip(pairs, got) if ok]
     if "+ (1/3, 1/7)" in name:

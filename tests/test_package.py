@@ -233,3 +233,17 @@ def test_no_module_keeps_an_unused_import():
             elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
                 bound |= {a.asname or a.name for a in node.names}
         assert bound - read == set(), path.name
+
+
+def test_no_module_keeps_an_unused_private_definition():
+    """Every private top-level function or class of a library module is read
+    somewhere in the package, as a name or an attribute."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "flatcurve").glob("*.py"))}
+    read = {n.id if isinstance(n, ast.Name) else n.attr for tree in trees.values()
+            for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
+    private = {(name, node.name) for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    assert private
+    assert {d for d in private if d[1] not in read} == set()
