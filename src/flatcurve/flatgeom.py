@@ -41,6 +41,21 @@ window; one lexsort over the open anchors' rows finds those points.  No
 step counts up to g, which can be near 2**28.  Fractions are built once
 per distinct output coordinate.
 
+Under a bound limit2 the table also lists the candidate pairs.  Take the
+k differences d = (dx, dy) of the tables with 0 < dx^2 + dy^2 <= limit2
+in the open upper half plane, dx > 0 or dx = 0 < dy.  Each point i meets
+the point j at index lin[i] + dx S + dy, when there is one, as the pair
+(min(i, j), max(i, j)).  Of d and -d exactly one lies in that half plane,
+so every pair within the bound is met exactly once, and these n k entries
+replace the n(n - 1)/2 of the upper triangle when they are fewer, the
+same count of entries that chooses the table over the keys.  Without a
+bound k is half the table less its centre, at least (n - 1)/2 on every
+window, so the triangle stays.  As |dy| < H, a y that leaves [0, H) lands
+in one of the padding rows that S = 2H - 1 leaves, as for a first step;
+and as the half plane puts lin[i] + dx S + dy above lin[i], only an x past
+the box needs a test, of one upper bound.  The candidates' keys i n + j
+are sorted once, and the tables and the nearest-point rule decide them.
+
 A holonomy query asks whether a vector v is the difference of a visible
 pair.  ``_has_grid_vectors`` answers it for a block of grid vectors of an
 exact window.  A witness is a window point p with p + v in the window,
@@ -197,6 +212,11 @@ def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> np.ndarray:
     any blocker of such a pair lies closer to the anchor than the other
     endpoint, so the restriction loses nothing.  A negative or non-finite
     ``max_length`` raises ``ValueError``.
+
+    Exact pairs cost O(n^2) entries, one per pair, but on a window that
+    reads them off the difference table (see the module docstring) a bound
+    costs n k entries, k the number of grid vectors within it in a half
+    plane, when that is fewer, plus one pass over the table.
     """
     limit2 = _length_bound(w, max_length)
     xs, ys, scale, _ = w.grid
@@ -261,9 +281,10 @@ def _exact_visible_pairs(xs, ys, limit2) -> tuple:
     width, height = _box(xs, ys)
     if xs.dtype != object and (2 * width - 1) * (2 * height - 1) <= n * (n - 1) // 2:
         lookup = _table_lookup(xs, ys, limit2)
+        pairs = lookup.pairs
     else:
-        lookup = _key_lookup(xs, ys, limit2)
-    return _visible_by_lookup(xs, ys, shift, limit2, lookup)
+        lookup, pairs = _key_lookup(xs, ys, limit2), None
+    return _visible_by_lookup(xs, ys, shift, limit2, lookup, pairs)
 
 
 def _reduced(xs, ys, limit2) -> tuple:
@@ -292,21 +313,23 @@ def _box(xs, ys) -> tuple:
     return int(xs.max() - xs.min()) + 1, int(ys.max() - ys.min()) + 1
 
 
-def _visible_by_lookup(xs, ys, shift: int, limit2, lookup) -> tuple:
+def _visible_by_lookup(xs, ys, shift: int, limit2, lookup, pairs=None) -> tuple:
     """Arrays (i, j) of the visible pairs i < j of a reduced grid, ascending,
-    a block of anchors over the upper triangle at a time.  ``lookup(row,
-    col)`` keeps the pairs within the bound and returns (row, col, visible,
-    open), visible the mask of the pairs with g = 1 and open the positions
-    of those with g > 1 whose first step is no window point."""
+    among the candidate ``pairs``, ascending arrays (i, j), or by default
+    the upper triangle, a block at a time.  ``lookup(row, col)`` keeps the
+    pairs within the bound and returns (row, col, visible, open), visible
+    the mask of the pairs with g = 1 and open the positions of those with
+    g > 1 whose first step is no window point."""
     n = len(xs)
-    counts = np.arange(n - 1, 0, -1)  # entries (i, j > i) of anchor i
-    before = np.cumsum(counts) - counts
-    # a block starts where the entries before it pass a multiple of the block size
-    starts = np.flatnonzero(np.r_[True, np.diff(before // _EXACT_BLOCK_ENTRIES) > 0]).tolist()
-    out_i, out_j = [], []
-    for lo, hi in zip(starts, starts[1:] + [n - 1]):
-        row = np.repeat(np.arange(lo, hi), counts[lo:hi])
-        col = np.arange(len(row)) + row + 1 - np.repeat(before[lo:hi] - before[lo], counts[lo:hi])
+    # seeded, since the candidates can be none
+    none = np.zeros(0, dtype=np.int64)
+    out_i, out_j = [none], [none]
+    if pairs is None:
+        blocks = _upper_triangle(n)
+    else:
+        blocks = ((pairs[0][lo:lo + _EXACT_BLOCK_ENTRIES], pairs[1][lo:lo + _EXACT_BLOCK_ENTRIES])
+                  for lo in range(0, len(pairs[0]), _EXACT_BLOCK_ENTRIES))
+    for row, col in blocks:
         row, col, visible, open_ = lookup(row, col)
         if len(open_):
             fi, fj = _nearest_beyond_first_step(xs, ys, shift, limit2, _distinct(row[open_]))
@@ -316,15 +339,32 @@ def _visible_by_lookup(xs, ys, shift: int, limit2, lookup) -> tuple:
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
+def _upper_triangle(n: int):
+    """The pairs (i, j > i) of n points as arrays (row, col), a block of
+    anchors i at a time."""
+    counts = np.arange(n - 1, 0, -1)  # entries (i, j > i) of anchor i
+    before = np.cumsum(counts) - counts
+    # a block starts where the entries before it pass a multiple of the block size
+    starts = np.flatnonzero(np.r_[True, np.diff(before // _EXACT_BLOCK_ENTRIES) > 0]).tolist()
+    for lo, hi in zip(starts, starts[1:] + [n - 1]):
+        row = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        col = np.arange(len(row)) + row + 1 - np.repeat(before[lo:hi] - before[lo], counts[lo:hi])
+        yield row, col
+
+
 def _table_lookup(xs, ys, limit2):
     """The ``_visible_by_lookup`` lookup of an int64 grid read off tables over
-    the differences of its W x H bounding box (see the module docstring)."""
+    the differences of its W x H bounding box (see the module docstring).
+    Its ``pairs`` are the candidate pairs read off the table's differences
+    within the bound, or None when the upper triangle has fewer entries."""
+    n = len(xs)
     width, height = _box(xs, ys)
     stride = 2 * height - 1
     # a point's index in the box, and a difference's in the tables, which
-    # cover dx in (-W, W) and dy in (-H, H)
+    # cover dx in (-W, W) and dy in (-H, H) in the order of dx S + dy
     lin = (xs - xs.min()) * stride + ys - ys.min()
-    ahead = lin + (width - 1) * stride + height - 1
+    centre = (width - 1) * stride + height - 1  # the index of (0, 0)
+    ahead = lin + centre
     dx = np.repeat(np.arange(1 - width, width), stride)
     dy = np.tile(np.arange(1 - height, height), 2 * width - 1)
     g = np.gcd(dx, dy)
@@ -344,7 +384,28 @@ def _table_lookup(xs, ys, limit2):
         step = np.flatnonzero(~visible)
         return row, col, visible, step[~member[lin[row[step]] + first[d[step]]]]
 
+    # the differences past (0, 0) are those of the open upper half plane
+    offsets = np.arange(1, centre + 1) if norm2 is None \
+        else np.flatnonzero(norm2[centre + 1:] <= limit2) + 1
+    lookup.pairs = _short_pairs(lin, offsets, width * stride) \
+        if n * len(offsets) < n * (n - 1) // 2 else None
     return lookup
+
+
+def _short_pairs(lin, offsets, cells: int) -> tuple:
+    """Arrays (i, j), ascending, of the pairs i < j of the points at the box
+    indices ``lin``, each below ``cells``, that lie ``offsets`` apart: each
+    point meets the point at each offset past it (see the module
+    docstring)."""
+    n = len(lin)
+    # the point at each index, and -1 at one index past the box, where every
+    # step out of the box in x is sent
+    at = np.full(cells + 1, -1)
+    at[lin] = np.arange(n)
+    j = at[np.minimum(lin[:, None] + offsets, cells)]
+    hit = j >= 0
+    i, j = np.nonzero(hit)[0], j[hit]
+    return np.divmod(np.sort(np.minimum(i, j) * n + np.maximum(i, j)), n)
 
 
 def _key_lookup(xs, ys, limit2):
@@ -861,6 +922,18 @@ def _window_members(w: ZeroWindow):
     return got
 
 
+def _window_box(w: ZeroWindow) -> tuple:
+    """(W, H, U) of an exact window of two or more points: the width and
+    height of its grid's bounding box and the gcd U of its differences,
+    computed once per window."""
+    got = w._cache.get("box")
+    if got is None:
+        xs, ys = w.grid[:2]
+        unit = math.gcd(int(np.gcd.reduce(xs - xs[0])), int(np.gcd.reduce(ys - ys[0])))
+        got = w._cache["box"] = (*_box(xs, ys), unit)
+    return got
+
+
 def _has_grid_vectors(w: ZeroWindow, vx, vy) -> np.ndarray:
     """Mask of the vectors (vx, vy), arrays on an exact window's integer grid
     (int64 or Python ints), that are differences of visible window pairs:
@@ -870,7 +943,7 @@ def _has_grid_vectors(w: ZeroWindow, vx, vy) -> np.ndarray:
     held = np.zeros(len(vx), dtype=bool)
     if len(xs) < 2:
         return held
-    width, height = _box(xs, ys)
+    width, height, unit = _window_box(w)
     # no window difference is 0 or leaves the box, and vectors inside it
     # take the grid's dtype with no wrap
     near = np.flatnonzero((abs(vx) < width) & (abs(vy) < height) & ((vx != 0) | (vy != 0)))
@@ -880,7 +953,6 @@ def _has_grid_vectors(w: ZeroWindow, vx, vy) -> np.ndarray:
     for lo in range(0, len(vx), rows):
         at = slice(lo, lo + rows)
         held[near[at]] = members.contains(xs + vx[at, None], ys + vy[at, None]).any(axis=1)
-    unit = math.gcd(int(np.gcd.reduce(xs - xs[0])), int(np.gcd.reduce(ys - ys[0])))
     open_ = np.flatnonzero(held[near] & (np.gcd(vx, vy) != unit))
     for i, x, y in zip(near[open_].tolist(), vx[open_].tolist(), vy[open_].tolist()):
         line_order = ((xs << shift) + ys)[np.lexsort((xs * x + ys * y, xs * y - ys * x))]

@@ -550,6 +550,25 @@ def test_float_and_orbit_searches_print_pinned_bytes():
         assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), line
 
 
+# sha256 of the stdout of bounded lattice saddles, exact and float, and of
+# bounded exact holonomy: the pairs within the bound are read off the short
+# differences of the table.
+_BOUNDED_STDOUT = (
+    ("saddles --sequence gaussian-lattice --radius 12 --max-length 2 --format csv",
+     "b8eba0f518f191783dfb7c7f788a3c9d41a094833a37e51dd2188fa2cd64482d"),
+    ("saddles --sequence gaussian-lattice --radius 12 --max-length 2 --format csv --mode float",
+     "14a235baedeb1e728d3cbd5412a9e40ed4696eb09eeb1fdf12421847611d4a65"),
+    ("hol --sequence gaussian-lattice --radius 12 --max-length 3",
+     "374d2a54a0810fa9ec25c9f10bb4641359096f059a3c764a7348fe0a5e4db97d"),
+)
+
+
+def test_bounded_saddles_and_holonomy_print_pinned_bytes():
+    for line, digest in _BOUNDED_STDOUT:
+        rc, out = run(line.split())
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), line
+
+
 # sha256 of the stdout of ``lift`` on a 32-vertex polyline of the 1/194 grid
 # (880 crossing events: their order, t values and on-line flags) and of
 # ``cone-angle``, whose exact loop vertices come from floats, in both modes.

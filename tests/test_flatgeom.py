@@ -632,6 +632,110 @@ def test_small_boxes_reach_both_lookups_and_the_fallback(monkeypatch):
     assert opened
 
 
+# bounded visibility: the table's short differences as the candidate pairs
+
+
+def _moved_far(build):
+    """The window of ``build`` moved by 2**40 (1 + i): a Python-int grid."""
+    return lambda: build().translate(zp(1 << 40, 1 << 40))
+
+
+_BOUNDED_WINDOWS = {
+    **{f"lattice R{r}": (lambda r=r: fc.generate(_LATTICE, r)) for r in range(3, 13)},
+    **{f"float lattice R{r}": (lambda r=r: fc.generate(_LATTICE, r, fc.float_mode(_EPS)))
+       for r in range(3, 13)},
+    **{f"holed lattice R{r}, keep {keep}": (lambda r=r, keep=keep: _holed_lattice(r, r, keep))
+       for r, keep in ((5, 0.6), (7, 0.8), (10, 0.9), (12, 0.95))},
+    **{f"lattice R{r} + 2**40 (1 + i)": _moved_far(lambda r=r: fc.generate(_LATTICE, r))
+       for r in (3, 6, 9, 12)},
+    "holed lattice R7 + 2**40 (1 + i)": _moved_far(lambda: _holed_lattice(7, 7, 0.8)),
+    **{f"{kind} R{r}": (lambda kind=kind, r=r: fc.generate(fc.GeneratorSpec(kind), r))
+       for kind, r in (("integers-plus-minus-i", 20), ("all-integers", 30),
+                       ("positive-integers", 40))},
+}
+
+
+def _bounds(w):
+    """The lengths the bounded oracle tries on w: none of its pairs, below
+    its smallest gap, on the lattice norms 1, 2 and 5 and between them, and
+    just under the diagonal of its box."""
+    xs, ys, scale, _ = w.grid
+    diagonal = math.hypot(float(xs.max() - xs.min()), float(ys.max() - ys.min()))
+    diagonal /= 1 if scale is None else scale
+    return [0, 0.5, 1, math.sqrt(2), 2, math.sqrt(5), 3, 4, math.sqrt(18), diagonal * (1 - 1e-9)]
+
+
+@pytest.mark.parametrize("name", list(_BOUNDED_WINDOWS))
+def test_bounded_pairs_equal_the_unbounded_and_the_bruteforce_pairs_within_the_bound(
+        name, monkeypatch):
+    """Under every bound, ``visible_pairs`` lists the unbounded pairs whose
+    squared grid length is within ``_length_bound``, and, on windows of at
+    most 200 points, the brute-force pairs within the bound.  The thin
+    integer families take the short differences at small bounds and the
+    triangle at large ones, and the holed lattices send short candidates to
+    the nearest-point fallback."""
+    flatgeom = fc.flatgeom
+    w = _BOUNDED_WINDOWS[name]()
+    assert (w.grid[0].dtype == object) == ("2**40" in name)
+    xs, ys = w.grid[:2]
+    full = fc.visible_pairs(w)
+    fi, fj = full.T
+    d2 = (xs[fj] - xs[fi]) ** 2 + (ys[fj] - ys[fi]) ** 2
+    brute = fc.visible_pairs_bruteforce(w) if len(w) <= 200 else None
+    short, opened = [], []
+    table = flatgeom._table_lookup
+
+    def noting(*args):
+        lookup = table(*args)
+        short.append(lookup.pairs is not None)
+        return lookup
+
+    monkeypatch.setattr(flatgeom, "_table_lookup", noting)
+    nearest = flatgeom._nearest_beyond_first_step
+    monkeypatch.setattr(flatgeom, "_nearest_beyond_first_step",
+                        lambda *args: opened.append(short[-1]) or nearest(*args))
+    for length in _bounds(w):
+        got = fc.visible_pairs(w, length)
+        assert np.array_equal(got, full[d2 <= flatgeom._length_bound(w, length)]), length
+        if brute is not None:
+            assert pair_list(got) == _restricted(w, brute, length), length
+    assert short[:6] == [True] * 6
+    if "integers" in name:
+        assert not short[-1]
+    if "holed" in name:
+        assert True in opened
+
+
+def test_bounded_table_windows_hand_the_lookup_n_k_entries(monkeypatch):
+    """On the lattice of radius 20 a bound of 2 hands the table's lookup at
+    most n k = 1257 x 6 entries, one per point and short difference, where
+    the upper triangle has 789 396; with no bound it is handed the
+    triangle."""
+    flatgeom = fc.flatgeom
+    handed = []
+    table = flatgeom._table_lookup
+
+    def counting(*args):
+        lookup = table(*args)
+
+        def counted(row, col):
+            handed.append(len(row))
+            return lookup(row, col)
+
+        counted.pairs = lookup.pairs
+        return counted
+
+    monkeypatch.setattr(flatgeom, "_table_lookup", counting)
+    w = fc.generate(_LATTICE, 20)
+    n = len(w)
+    assert n == 1257
+    fc.visible_pairs(w, 2)
+    assert 0 < sum(handed) <= n * 6 < n * (n - 1) // 2 == 789396
+    handed.clear()
+    fc.visible_pairs(w)
+    assert sum(handed) == n * (n - 1) // 2
+
+
 def _perfbench_cloud(seed, n, den, radius):
     """n distinct points of the 1/den grid in the disk of ``radius``, the
     origin included, as the holonomy-scan benchmark draws them."""
@@ -1246,6 +1350,28 @@ def test_batched_decision_matches_each_vector_and_the_enumeration(name):
     if "holed" in name:
         # some held vectors step over a hole
         assert any(math.gcd(x, y) > 1 for x, y in held)
+
+
+@pytest.mark.parametrize("name", list(_DECISION_WINDOWS))
+def test_repeated_decisions_read_the_cached_box(name):
+    """``_has_grid_vectors`` keeps the window's box and the gcd of its
+    differences after its first call, and decides as the enumeration does
+    on that call and on the next."""
+    flatgeom = fc.flatgeom
+    w = _DECISION_WINDOWS[name]()
+    xs, ys, _, _ = w.grid
+    vx, vy = _decision_vectors(w, np.random.default_rng(len(w) + 1))
+    if xs.dtype == np.int64:
+        vx, vy = vx.astype(np.int64), vy.astype(np.int64)
+    listed = set(zip(*(a.tolist() for a in fc.holonomy(w).grid[:2])))
+    want = [v in listed for v in zip(vx.tolist(), vy.tolist())]
+    assert "box" not in w._cache
+    assert flatgeom._has_grid_vectors(w, vx, vy).tolist() == want
+    box = w._cache["box"]
+    unit = math.gcd(*(int(v) for v in (*(xs - xs[0]), *(ys - ys[0]))))
+    assert box == (*flatgeom._box(xs, ys), unit)
+    assert flatgeom._has_grid_vectors(w, vx, vy).tolist() == want
+    assert w._cache["box"] is box
 
 
 # ---------------------------------------------------------------------------
