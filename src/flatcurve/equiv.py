@@ -80,7 +80,7 @@ def _translation_loop(w1: ZeroWindow, w2: ZeroWindow) -> EquivResult:
     the reference for the exact one."""
     mode = w1.mode
     idx1, idx2 = w1.index(), w2.index()
-    half2 = Fraction(w2.radius) ** 2 / 4 if mode.is_exact else w2.radius ** 2 / 4
+    half2 = Fraction(w2.radius) ** 2 / 4 if mode.is_exact else w2.radius * w2.radius / 4
     band = 1e-9 * (1 + float(max(w1.radius, w2.radius)))
     p0 = w1.points[0]
     best = EquivResult(False, None, 0.0)

@@ -114,10 +114,38 @@ u^2, and the eps-tube test is exact collinearity; the proof obligations:
 
 So ``visible_pairs`` runs the exact algorithm on the int64 grid (X, Y),
 with a length bound limit2 (in the window's units) becoming floor(limit2
-4**k), and ``holonomy`` drops exact repeats by integer keys.  It looks for
-no near-duplicates: distinct grid vectors lie at least u > eps apart.
-``_on_coarse_grid`` finds the grid and tests it in one pass, with no loop
-over k; a window keeps the result in its cache.
+4**k), and ``holonomy`` builds its set with eps = 0, which drops exact
+repeats only: distinct grid vectors lie at least u > eps apart, so no
+near-duplicates exist.  ``_on_coarse_grid`` finds the grid and tests it in
+one pass, with no loop over k; a window keeps the result in its cache.
+
+A float holonomy set (``_signed_distinct_float``) is built from the half
+plane of arguments [0, pi), upper for short, where every pair's vector v
+or its negative lies.  Both v and -v first occur at the first pair that
+holds either, so one pass over the pairs finds each upper value's first
+pair, whose bits give the value and its negative.  That pass is one sort
+of int64 keys: a hash of the bits of x and y (0.0 and -0.0 made equal)
+above the pair's index, so each value's pairs meet, first pair first; the
+rare distinct values that share a hash are told apart among themselves.
+The canonical key is (norm2, 0, -x) in the upper half and (norm2, 1, x)
+in the lower, ties in order of first occurrence.  A negative -u has the
+norm2 of u, bit for bit, and the key x = -x_u, so in each run of equal
+norm2 the lower vectors are the negatives of the upper ones in the same
+order.  Sorting the distinct upper values by (norm2, -x), ties by first
+pair, and writing out each run of equal norm2 twice, the second time
+negated, gives the canonical order with no sort of the full set.
+
+Near-duplicates then go in canonical order: a vector is dropped when
+``same_point`` matches it to one kept earlier in one of the 3 x 3
+eps-cells about it, the cells ``PointIndex`` probes.  A cell is (floor(x /
+eps), floor(y / eps)), a pair of floats that may pass 2**53, so columns
+and rows are replaced by their dense ranks: one int64 key col * height +
+row orders the cells as the floats order them, and the rows ky - 1 and ky
++ 1 (rounded as floats round them) by the ranks of the rows they reach.
+Sorted by that key, each vector takes, by searches made in the same
+order, the later members of its column up to row ky + 1 and rows ky - 1
+.. ky + 1 of the column kx + 1, when there is one: every pair of
+neighbouring cells once, and no other.
 """
 
 from __future__ import annotations
@@ -432,9 +460,7 @@ def _distinct(a):
     """The sorted array ``a`` without repeats.  (A plain ``np.unique``, in
     NumPy 2.4, imports ``numpy.ma`` on first use: about 16 ms and 1 MB that
     every command-line run would pay.)"""
-    keep = np.ones(len(a), dtype=bool)
-    keep[1:] = a[1:] != a[:-1]
-    return a[keep]
+    return a[_starts(a)]
 
 
 def _nearest_beyond_first_step(xs, ys, shift: int, limit2, anchors) -> tuple:
@@ -610,7 +636,12 @@ class HolonomySet:
     in canonical order, a vector is dropped when it is ``same_point`` as
     one already kept and lies in a neighbouring eps-cell, as ``PointIndex``
     finds it.  So vectors that differ only by rounding count once, and of
-    a chain a, b, c with only neighbours within eps, a and c stay.
+    a chain a, b, c with only neighbours within eps, a and c stay.  The
+    set is built from the half plane of arguments [0, pi): each value
+    there takes its bits, and its negative's, from the first pair that
+    holds either, and as -u has the norm2 of u and the key x = -x_u, each
+    run of equal norm2 lists its vectors of that half plane, then their
+    negatives in the same order (see the module docstring).
 
     ``complete_radius`` is the heuristic certification radius
     ``max(0, window_radius - L)`` where L is the longest length the
@@ -744,35 +775,125 @@ def _signed_by_bitmap(xs, ys, reach_x: int, reach_y: int) -> tuple:
 def _signed_distinct_float(xs, ys, eps: float) -> tuple:
     """The float grid of the vectors (xs, ys) and their negatives in
     canonical order, with exact repeats and then near-duplicates dropped
-    (see ``HolonomySet``)."""
-    xs, ys = np.stack((xs, -xs), axis=1).ravel(), np.stack((ys, -ys), axis=1).ravel()
-    # complex values compare as (re, im) pairs, with 0.0 == -0.0
-    _, first = np.unique(xs + 1j * ys, return_index=True)
-    first = np.sort(first)
-    order = first[canonical_permutation(xs[first], ys[first])]
-    xs, ys = xs[order], ys[order]
-    keep = np.ones(len(xs), dtype=bool)
-    for i, j in _near_pairs(xs, ys, eps):
-        if keep[i]:
-            keep[j] = False
-    return xs[keep], ys[keep], None, None
+    (see ``HolonomySet``), built from the half plane of arguments [0, pi)
+    (see the module docstring)."""
+    sign = np.where((ys > 0) | ((ys == 0) & (xs > 0)), 1.0, -1.0)
+    hx, hy = xs * sign, ys * sign
+    # the first pair of each value: one sort of int64 keys groups the pairs
+    # by a hash of the bits of x and y (adding 0.0 turns -0.0 into 0.0) in
+    # the high bits, each group by pair, whose index fills the low bits;
+    # the rare distinct values that share a group are told apart after
+    low = max(len(xs), 1).bit_length()
+    mix = (hx + 0.0).view(np.int64) * _MIX[0] + (hy + 0.0).view(np.int64) * _MIX[1]
+    key = np.sort(mix >> low << low | np.arange(len(xs)))
+    order, start = key & ((1 << low) - 1), _starts(key >> low)
+    gx, gy = hx[order], hy[order]
+    head = np.flatnonzero(start)[np.cumsum(start) - 1]
+    odd = order[(gx != gx[head]) | (gy != gy[head])]
+    odd = odd[np.lexsort((odd, hy[odd], hx[odd]))]
+    pair = np.concatenate((order[start], odd[_starts(hx[odd], hy[odd])]))
+    # canonical order in the half plane: by norm2, then by -x, then by pair
+    # where distinct y's round to one norm2
+    hx, hy = hx[pair], hy[pair]
+    norm2 = hx * hx + hy * hy
+    key = _ranks(norm2)[0] * len(pair) + _ranks(-hx)[0]
+    order = np.argsort(key)
+    tied = ~_starts(key[order])
+    tied[:-1] |= tied[1:]
+    tied = np.flatnonzero(tied)
+    order[tied] = order[tied][np.lexsort((pair[order[tied]], key[order[tied]]))]
+    hx, hy, norm2 = hx[order], hy[order], norm2[order]
+    # the mirror: each run of equal norm2 lists its vectors, then their
+    # negatives in the same order
+    start = np.flatnonzero(_starts(norm2))
+    size = np.diff(start, append=len(norm2))
+    up = np.arange(len(norm2)) + np.repeat(start, size)
+    down = up + np.repeat(size, size)
+    cx, cy = np.empty((2, 2 * len(norm2)))
+    cx[up], cx[down], cy[up], cy[down] = hx, -hx, hy, -hy
+    keep = np.ones(len(cx), dtype=bool)
+    i, j = _near_pairs(cx, cy, eps)
+    for a, b in zip(i.tolist(), j.tolist()):
+        if keep[a]:
+            keep[b] = False
+    return cx[keep], cy[keep], None, None
 
 
-def _signed_distinct_coarse(xs, ys, keys) -> tuple:
-    """``_signed_distinct_float`` of vectors (xs, ys) on a coarse grid, where
-    the int64 ``keys`` pack them in grid units.  No near-duplicates exist
-    there, as distinct vectors lie at least u > eps apart."""
-    # a vector and its negative both first occur at the first pair that
-    # holds either one, so that pair, found under |key|, stands for both
-    keys = np.abs(keys)
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.minimum.reduceat(order, np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])) \
-        if len(keys) else order
-    xs, ys = np.stack((xs[first], -xs[first]), axis=1).ravel(), \
-        np.stack((ys[first], -ys[first]), axis=1).ravel()
-    order = canonical_permutation(xs, ys)
-    return xs[order], ys[order], None, None
+# two odd multipliers, 0x9E3779B97F4A7C15 and 0xC2B2AE3D27D4EB4F as int64:
+# an odd product moves no bit of x or y below its own place
+_MIX = (-0x61C8864680B583EB, -0x3D4D51C2D82B14B1)
+
+
+def _ranks(a) -> tuple:
+    """The dense ranks of the entries of ``a``, equal entries sharing one,
+    and the distinct entries in ascending order."""
+    order = np.argsort(a)
+    a = a[order]
+    start = _starts(a)
+    ranks = np.empty(len(a), dtype=np.int64)
+    ranks[order] = np.cumsum(start) - 1
+    return ranks, a[start]
+
+
+def _starts(*keys):
+    """Mask of the entries of the arrays ``keys`` that differ from the
+    entry before them in some key: the starts of the runs of equal keys."""
+    start = np.zeros(len(keys[0]), dtype=bool)
+    start[:1] = True
+    for k in keys:
+        start[1:] |= k[1:] != k[:-1]
+    return start
+
+
+def _spans(lo, count):
+    """The indices lo[k], ..., lo[k] + count[k] - 1 of every k, in turn."""
+    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)
+
+
+def _near_pairs(xs, ys, eps: float) -> tuple:
+    """Arrays (i, j), ordered by j, of the pairs i < j of the vectors in
+    canonical order that ``same_point`` matches in neighbouring eps-cells,
+    as ``PointIndex`` probes them (see the module docstring).  At eps = 0
+    only exact repeats match, and there are none."""
+    none = np.zeros(0, dtype=np.int64)
+    if eps == 0:
+        return none, none
+    with np.errstate(over="ignore"):
+        kx, ky = np.floor(xs / eps), np.floor(ys / eps)
+    # an infinite quotient puts eps below the coordinate's ulp: that vector
+    # compares exactly, as ``PointIndex`` compares it, and matches none of
+    # these distinct vectors
+    cells = np.flatnonzero(np.isfinite(kx) & np.isfinite(ky))
+    kx, ky = kx[cells], ky[cells]
+    # the column and row of each cell by rank, and the ranks of the rows
+    # ky - 1 and ky + 1 reach, rounded as ky +- 1 rounds
+    col, cols = _ranks(kx)
+    row, rows = _ranks(ky)
+    top = np.searchsorted(rows, rows + 1, side="right") - 1
+    bottom = np.searchsorted(rows, rows - 1)
+    # one int64 key per cell, the vectors sorted by it and every search
+    # made in that order: each vector meets the later members of its column
+    # up to row ky + 1, and rows ky - 1 .. ky + 1 of the next column, where
+    # kx + 1, rounded as kx + 1 rounds, is one
+    height = len(rows)
+    key = col * height + row
+    by_cell = np.argsort(key)
+    key, col, row = key[by_cell], col[by_cell], row[by_cell]
+    at = np.arange(1, len(key) + 1)
+    follows = np.flatnonzero(np.append(cols[1:] == cols[:-1] + 1, False)[col])
+    nxt = (col[follows] + 1) * height
+    lo = np.searchsorted(key, nxt + bottom[row[follows]])
+    count = np.concatenate((np.searchsorted(key, col * height + top[row], side="right") - at,
+                            np.searchsorted(key, nxt + top[row[follows]], side="right") - lo))
+    a = np.repeat(np.concatenate((at - 1, follows)), count)
+    b = _spans(np.concatenate((at, lo)), count)
+    a, b = cells[by_cell[a]], cells[by_cell[b]]
+    dx, dy = xs[a] - xs[b], ys[a] - ys[b]
+    near = dx * dx + dy * dy <= eps * eps
+    a, b = a[near], b[near]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    at = np.argsort(j, kind="stable")
+    return i[at], j[at]
 
 
 def _joined(h: HolonomySet, g: HolonomySet) -> HolonomySet:
@@ -791,41 +912,6 @@ def _joined(h: HolonomySet, g: HolonomySet) -> HolonomySet:
                                   g.complete_radius)
 
 
-def _near_pairs(xs, ys, eps: float) -> list:
-    """The pairs i < j of vectors that ``same_point`` matches in
-    neighbouring eps-cells, as ``PointIndex`` probes them, ordered by j.
-    At eps = 0 only exact repeats match, and there are none."""
-    if eps == 0:
-        return []
-    with np.errstate(over="ignore"):
-        kx, ky = np.floor(xs / eps), np.floor(ys / eps)
-    # an infinite quotient puts eps below the coordinate's ulp: that vector
-    # compares exactly, as ``PointIndex`` compares it, and matches none of
-    # these distinct vectors
-    cells = np.flatnonzero(np.isfinite(kx) & np.isfinite(ky))
-    xs, ys, kx, ky = xs[cells], ys[cells], kx[cells], ky[cells]
-    # complex numbers sort by real part, then imaginary part: by column,
-    # then by row of cells
-    by_cell = np.argsort(kx + 1j * ky, kind="stable")
-    keys = (kx + 1j * ky)[by_cell]
-    pos = np.empty_like(by_cell)
-    pos[by_cell] = np.arange(len(xs))
-    # each vector meets the later members of its column up to row ky + 1,
-    # and rows ky - 1 .. ky + 1 of the next column, where kx + 1 is one
-    nxt = np.where(kx + 1 > kx, kx + 1, np.inf)
-    lo = np.r_[pos + 1, np.searchsorted(keys, nxt + 1j * (ky - 1))]
-    hi = np.r_[np.searchsorted(keys, kx + 1j * (ky + 1), side="right"),
-               np.searchsorted(keys, nxt + 1j * (ky + 1), side="right")]
-    count = np.maximum(hi - lo, 0)
-    a = np.tile(np.arange(len(xs)), 2).repeat(count)
-    b = by_cell[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)]
-    dx, dy = xs[a] - xs[b], ys[a] - ys[b]
-    near = dx * dx + dy * dy <= eps * eps
-    i, j = cells[np.minimum(a, b)[near]], cells[np.maximum(a, b)[near]]
-    at = np.lexsort((i, j))
-    return list(zip(i[at].tolist(), j[at].tolist()))
-
-
 def holonomy(w: ZeroWindow, max_length: float | None = None) -> HolonomySet:
     """Signed difference vectors of all visible pairs."""
     ii, jj = visible_pairs(w, max_length).T
@@ -838,12 +924,9 @@ def holonomy(w: ZeroWindow, max_length: float | None = None) -> HolonomySet:
     # included
     lmax = float(np.sqrt(dx * dx + dy * dy).max(initial=0.0)) if max_length is None \
         else _float_length(max_length)
-    coarse = _coarse_grid(w)
-    if coarse is None:
-        grid = _signed_distinct_float(dx, dy, w.mode.eps)
-    else:
-        gx, gy, _ = coarse
-        grid = _signed_distinct_coarse(dx, dy, ((gx[jj] - gx[ii]) << _KEY_SHIFT) + gy[jj] - gy[ii])
+    # on a coarse grid distinct vectors lie at least u > eps apart: no
+    # near-duplicates, so eps = 0 drops only exact repeats
+    grid = _signed_distinct_float(dx, dy, w.mode.eps if _coarse_grid(w) is None else 0.0)
     return HolonomySet._from_grid(grid, w.radius, w.mode, max_length, w, max(0.0, w.radius - lmax))
 
 

@@ -328,7 +328,9 @@ def _outside_ball(xs, ys, scale, radius, mode: Mode, center: ZPoint):
     ``center``; floats get a relative band of 1e-12."""
     xs, ys, scale = _moved(xs, ys, scale, -center)
     if scale is None:
-        rad2 = float(radius) ** 2
+        # a product, unlike ** 2, overflows to inf past 1.3e154
+        rad = float(radius)
+        rad2 = rad * rad
         return xs * xs + ys * ys > rad2 + 1e-12 * (1.0 + rad2)
     r = Fraction(radius)
     return xs * xs + ys * ys > (r.numerator * scale) ** 2 // r.denominator ** 2
@@ -585,7 +587,8 @@ class ZeroWindow:
         d2 = (p - self.center).norm2()
         if slack == 0.0 and self.mode.is_exact:
             return d2 <= self.radius * self.radius
-        return float(d2) <= (float(self.radius) + slack) ** 2
+        reach = float(self.radius) + slack
+        return float(d2) <= reach * reach
 
 
 # --------------------------------------------------------------------------

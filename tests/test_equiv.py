@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,17 @@ def test_inequivalent_windows_report_partial_match():
     assert not res.equivalent
     assert 0.0 < res.matched_fraction < 1.0
     assert res.translation is not None  # best diagnostic offset is reported
+
+
+def test_float_translation_past_a_1e154_radius():
+    # the float loop squares w2's radius: by a product, which overflows to
+    # inf where ``** 2`` raises OverflowError
+    pts = [fc.ZPoint(0.0, 0.0), fc.ZPoint(1.0, 0.0), fc.ZPoint(0.0, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = fc.ZeroWindow.from_points(pts, radius=1e155, mode=fc.float_mode())
+        res = fc.translation_equiv(w, w.translate(fc.ZPoint(0.5, 0.25)))
+    assert res.equivalent and res.translation == fc.ZPoint(0.5, 0.25)
 
 
 def test_mode_mismatch_rejected():

@@ -173,11 +173,63 @@ def _adversarial_clouds():
     return clouds
 
 
+def _near_pairs_reference(xs, ys, eps):
+    """The pairs i < j, ordered by j, of the float vectors (xs, ys) in
+    canonical order that ``same_point`` matches in neighbouring eps-cells,
+    found with complex (kx, ky) cell keys sorted and searched, and the count
+    of candidate pairs examined: the 3 x 3-cell search that the int64 cell
+    keys of ``flatgeom._near_pairs`` must match."""
+    if eps == 0:
+        return [], 0
+    with np.errstate(over="ignore"):
+        kx, ky = np.floor(xs / eps), np.floor(ys / eps)
+    cells = np.flatnonzero(np.isfinite(kx) & np.isfinite(ky))
+    xs, ys, kx, ky = xs[cells], ys[cells], kx[cells], ky[cells]
+    # complex numbers sort by real part, then imaginary part: by column,
+    # then by row of cells
+    by_cell = np.argsort(kx + 1j * ky, kind="stable")
+    keys = (kx + 1j * ky)[by_cell]
+    pos = np.empty_like(by_cell)
+    pos[by_cell] = np.arange(len(xs))
+    # each vector meets the later members of its column up to row ky + 1,
+    # and rows ky - 1 .. ky + 1 of the next column, where kx + 1 is one
+    nxt = np.where(kx + 1 > kx, kx + 1, np.inf)
+    lo = np.r_[pos + 1, np.searchsorted(keys, nxt + 1j * (ky - 1))]
+    hi = np.r_[np.searchsorted(keys, kx + 1j * (ky + 1), side="right"),
+               np.searchsorted(keys, nxt + 1j * (ky + 1), side="right")]
+    count = np.maximum(hi - lo, 0)
+    a = np.tile(np.arange(len(xs)), 2).repeat(count)
+    b = by_cell[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)]
+    dx, dy = xs[a] - xs[b], ys[a] - ys[b]
+    near = dx * dx + dy * dy <= eps * eps
+    i, j = cells[np.minimum(a, b)[near]], cells[np.maximum(a, b)[near]]
+    at = np.lexsort((i, j))
+    return list(zip(i[at].tolist(), j[at].tolist())), int(count.sum())
+
+
+def _signed_distinct_reference(xs, ys, eps):
+    """The float holonomy grid of the vectors (xs, ys) built over the full
+    plane: (v, -v) interleaved, exact repeats dropped by ``np.unique`` of
+    complex values (0.0 == -0.0), ``canonical_permutation``, then
+    ``_near_pairs_reference``; and that search's count of candidates."""
+    xs, ys = np.stack((xs, -xs), axis=1).ravel(), np.stack((ys, -ys), axis=1).ravel()
+    _, first = np.unique(xs + 1j * ys, return_index=True)
+    first = np.sort(first)
+    order = first[fc.zseq.canonical_permutation(xs[first], ys[first])]
+    xs, ys = xs[order], ys[order]
+    keep = np.ones(len(xs), dtype=bool)
+    pairs, examined = _near_pairs_reference(xs, ys, eps)
+    for i, j in pairs:
+        if keep[i]:
+            keep[j] = False
+    return (xs[keep], ys[keep], None, None), examined
+
+
 def _assert_float_paths_agree(w, lengths, monkeypatch) -> bool:
     """On the float window w, under each length bound: ``visible_pairs``
     equals the brute force and the angular runs, and holonomy sets equal
-    ``_signed_distinct_float`` byte for byte; the coarse grid is built once.
-    Returns whether w lies on a coarse grid."""
+    ``_signed_distinct_reference`` byte for byte; the coarse grid is built
+    once.  Returns whether w lies on a coarse grid."""
     flatgeom = fc.flatgeom
     builds, build = [], flatgeom._on_coarse_grid
     monkeypatch.setattr(flatgeom, "_on_coarse_grid",
@@ -194,7 +246,7 @@ def _assert_float_paths_agree(w, lengths, monkeypatch) -> bool:
         runs = flatgeom._float_visible_pairs(xs, ys, eps, flatgeom._length_bound(w, length))
         assert pair_list(np.stack(runs, axis=1)) == want, length
         ii, jj = pairs.T
-        ref = flatgeom._signed_distinct_float(xs[jj] - xs[ii], ys[jj] - ys[ii], eps)
+        ref, _ = _signed_distinct_reference(xs[jj] - xs[ii], ys[jj] - ys[ii], eps)
         got = fc.holonomy(w, length).grid
         assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in ref[:2]], length
         assert got[2:] == (None, None)
@@ -1107,6 +1159,144 @@ def test_float_holonomy_set_keeps_both_ends_of_a_near_duplicate_chain():
     assert h.vectors == (a, -a, c, -c)
     _same_as_oracle(h, _float_holonomy_oracle([c, b, a], mode), [a, b, c, -b])
     assert h._index is not None
+
+
+def _disk_cloud(rng, n, den, radius=10):
+    """n distinct points of the 1/den grid in the disk of ``radius``, the
+    origin among them, as a float window: the benchmark's clouds."""
+    span, pts = radius * den, {(0, 0)}
+    while len(pts) < n:
+        p = rng.randint(-span, span), rng.randint(-span, span)
+        if p[0] ** 2 + p[1] ** 2 <= span * span:
+            pts.add(p)
+    return fc.ZeroWindow.from_points([fc.ZPoint(x / den, y / den) for x, y in sorted(pts)],
+                                     radius, fc.float_mode(_EPS))
+
+
+def _holonomy_windows():
+    """Float windows by name, for ``holonomy`` against the references."""
+    windows = {f"float cloud {k}": w for k, w in enumerate(_float_clouds())}
+    windows.update({f"adversarial {name}": _float_window(
+        pts, max(12.0, 2 * max(abs(c) for p in pts for c in p)), eps)
+        for name, (pts, eps, _) in _adversarial_clouds().items()})
+    rng = random.Random(29)
+    windows.update({f"disk n{n} den{den}": _disk_cloud(rng, n, den) for n, den in ((45, 5), (60, 6))})
+    windows.update({f"lattice R{r} + (1/3, 1/7)": fc.generate(
+        _LATTICE, r, fc.float_mode(_EPS)).translate(fc.ZPoint(1 / 3, 1 / 7)) for r in (8, 12)})
+    windows["cells past the float range"] = fc.ZeroWindow.from_points(
+        [fc.ZPoint(0.0, 0.0), fc.ZPoint(1e10, 0.0), fc.ZPoint(0.0, 1.0)], 2e10,
+        fc.float_mode(1e-300))
+    return windows
+
+
+def _vector_inputs():
+    """Float vectors (xs, ys) and an eps by name, for ``HolonomySet``
+    against the references."""
+    inputs = {}
+    repeats = [(0.0, 3.0), (-0.0, 3.0), (0.0, -3.0), (-0.0, -3.0), (3.0, -0.0), (-3.0, 0.0),
+               (1.5, 2.0), (1.5, 2.0), (-1.5, -2.0), (2.0, -1.5)]
+    # (1000, y) for y below 1e-5 all round to norm2 1e6, x being equal
+    rounded = [(1000.0, 2e-7), (1000.0, 1e-7), (1000.0, 3e-7), (1000.0, 1e-7), (-1000.0, -2e-7),
+               (1000.0, 2.5e-7), (-1000.0, 1e-7), (0.0, 1000.0)]
+    # a chain: each link within eps of the next, the two ends not
+    chain = [(1.0 + 0.8 * k * _EPS, 2.0) for k in range(6)][::-1]
+    # (1, 2) and (1 + 5e-301, 2) lie within eps = 1e-300 in finite cells,
+    # 1e10 / 1e-300 is not finite
+    past = [(1e10, 0.0), (1e10, 1e-300), (1.0, 2.0), (1.0 + 5e-301, 2.0), (0.0, 1.0)]
+    for name, vecs, eps_list in (("repeats and signed zeros", repeats, (_EPS, 0.0)),
+                                 ("distinct y at one norm2", rounded, (_EPS, 1e-6, 0.0)),
+                                 ("chain", chain, (_EPS, 0.0)),
+                                 ("cells past the float range", past, (1e-300,))):
+        xs, ys = np.array(vecs).T
+        inputs.update({f"{name}, eps {eps}": (xs, ys, eps) for eps in eps_list})
+    t = np.arange(4000) * (2 * np.pi / 4000)
+    for eps in (1e-9, 1e-3, 0.5):
+        inputs[f"4000 on a circle, eps {eps}"] = (100 * np.cos(t), 100 * np.sin(t), eps)
+        # far from the origin: nearly horizontal vectors
+        inputs[f"4000 on a vertical line, eps {eps}"] = (
+            np.full(4000, 1e4), (np.arange(4000) - 2000) * 0.25, eps)
+    return inputs
+
+
+def _as_grid(points):
+    return tuple(np.array([getattr(p, c) for p in points], dtype=float) for c in ("re", "im"))
+
+
+def _assert_builds_as_references(xs, ys, eps, got, monkeypatch):
+    """``got``, a float holonomy grid of the vectors (xs, ys), equals the
+    reference builder and the ``PointIndex`` loop byte for byte, and the
+    near-duplicate search examines exactly the reference's candidates."""
+    want, examined = _signed_distinct_reference(xs, ys, eps)
+    assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
+    assert got[2:] == (None, None)
+    vectors = [fc.ZPoint(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    oracle = _as_grid(_float_holonomy_oracle(vectors, fc.float_mode(eps)))
+    assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in oracle]
+    flatgeom, counts = fc.flatgeom, []
+    spans = flatgeom._spans
+    monkeypatch.setattr(flatgeom, "_spans",
+                        lambda lo, count: counts.append(int(count.sum())) or spans(lo, count))
+    again = flatgeom._signed_distinct_float(xs, ys, eps)
+    assert [a.tobytes() for a in again[:2]] == [a.tobytes() for a in got[:2]]
+    assert sum(counts) == examined
+
+
+@pytest.mark.parametrize("name", list(_holonomy_windows()))
+def test_float_holonomy_grids_match_the_references(name, monkeypatch):
+    w = _holonomy_windows()[name]
+    ii, jj = fc.visible_pairs(w).T
+    xs, ys = w.grid[:2]
+    h = fc.holonomy(w)
+    _assert_builds_as_references(xs[jj] - xs[ii], ys[jj] - ys[ii], w.mode.eps, h.grid, monkeypatch)
+
+
+@pytest.mark.parametrize("name", list(_vector_inputs()))
+def test_float_holonomy_sets_of_vectors_match_the_references(name, monkeypatch):
+    xs, ys, eps = _vector_inputs()[name]
+    vectors = [fc.ZPoint(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    h = fc.HolonomySet(vectors, 1e5, fc.float_mode(eps))
+    _assert_builds_as_references(xs, ys, eps, h.grid, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["float cloud 1", "disk n45 den5", "lattice R8 + (1/3, 1/7)",
+                                  "float cloud 5"])
+def test_float_joined_sets_match_the_references(name, monkeypatch):
+    w = _holonomy_windows()[name]
+    h, g = fc.holonomy(w, 3.0), fc.holonomy(w, 6.0)
+    got = fc.flatgeom._joined(h, g)
+    xs, ys = np.r_[g.grid[0], h.grid[0]], np.r_[g.grid[1], h.grid[1]]
+    _assert_builds_as_references(xs, ys, w.mode.eps, got.grid, monkeypatch)
+    assert got.restricted_to == 6.0 and got.complete_radius == g.complete_radius
+
+
+def _sharing_a_hash(x, y):
+    """A vector (x', y') != (x, y), near it, whose bits mix to the key of
+    (x, y) in ``_signed_distinct_float``."""
+    m0, m1 = (c % 2 ** 64 for c in fc.flatgeom._MIX)
+    tx, ty = (int(np.float64(c).view(np.int64)) % 2 ** 64 for c in (x, y))
+    mix = (tx * m0 + ty * m1) % 2 ** 64
+    for step in range(1, 1 << 20):
+        ty2 = (mix - (tx + step) * m0) * pow(m1, -1, 2 ** 64) % 2 ** 64
+        x2, y2 = (float(np.int64(c - (c >> 63 << 64)).view(np.float64)) for c in (tx + step, ty2))
+        if 0.5 * y < y2 < 2 * y:
+            return x2, y2
+    raise AssertionError("no vector shares the hash")
+
+
+@pytest.mark.parametrize("eps", [_EPS, 0.0])
+def test_float_holonomy_tells_apart_values_that_share_a_hash(eps, monkeypatch):
+    x2, y2 = _sharing_a_hash(1.5, 2.0)
+    assert (x2, y2) != (1.5, 2.0)
+    vecs = [(1.5, 2.0), (x2, y2), (-1.5, -2.0), (x2, y2), (-x2, -y2), (3.0, 1.0), (1.5, 2.0)]
+    xs, ys = np.array(vecs).T
+    _assert_builds_as_references(xs, ys, eps, fc.flatgeom._signed_distinct_float(xs, ys, eps),
+                                 monkeypatch)
+
+
+def test_float_holonomy_of_a_zero_vector_raises():
+    for eps in (_EPS, 0.0):
+        with pytest.raises(ValueError, match="cannot contain 0"):
+            fc.HolonomySet([fc.ZPoint(1.0, 2.0), fc.ZPoint(-0.0, 0.0)], 5, fc.float_mode(eps))
 
 
 def test_has_holonomy_vector_agrees_with_enumeration(lattice5):

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -552,6 +553,29 @@ def test_in_region_checks_against_center():
     # stored coords live in a ball around the recorded center
     assert w.in_region(zp(3))
     assert not w.in_region(zp(4))
+
+
+def _huge_float_window():
+    """0, 1 and i in float mode, sampled out to a radius whose square,
+    1e310, lies past the float range."""
+    pts = [fc.ZPoint(0.0, 0.0), fc.ZPoint(1.0, 0.0), fc.ZPoint(0.0, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fc.ZeroWindow.from_points(pts, radius=1e155, mode=fc.float_mode())
+
+
+def test_float_radius_past_1e154_builds_a_window():
+    # the squared radius is a product, which overflows to inf where ``** 2``
+    # raises OverflowError
+    w = _huge_float_window()
+    assert len(w) == 3 and w.radius == 1e155
+
+
+def test_float_radius_past_1e154_bounds_the_region():
+    w = _huge_float_window()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert w.in_region(fc.ZPoint(3e154, 4e154)) and w.in_region(fc.ZPoint(1.0, 1.0), 0.5)
 
 
 # ---------------------------------------------------------------------------
