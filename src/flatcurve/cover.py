@@ -132,7 +132,7 @@ def _columns(w: ZeroWindow) -> _Columns:
     """The ``_Columns`` of ``w``, built once per window."""
     got = w._cache.get("columns")
     if got is None:
-        xs, ys, _, _ = w.grid
+        xs, ys, _ = w.grid
         order = np.lexsort((ys, xs))
         sx = xs[order]
         starts = [0, *(np.flatnonzero(sx[1:] != sx[:-1]) + 1).tolist()] if len(sx) else []
@@ -148,7 +148,7 @@ def _vertex_grid(verts: list, w: ZeroWindow) -> tuple:
     """``(vx, vy, f)``: the vertices' coordinates as Python scalars.  Exact
     vertices go on the coarsest grid that holds them and ``w``'s, f times
     finer than ``w``'s; float ones (f None) stay as they are."""
-    vx, vy, scale, _ = coordinate_grid(verts, w.mode, base=w.grid[2])
+    vx, vy, scale = coordinate_grid(verts, w.mode, base=w.grid[2])
     return vx.tolist(), vy.tolist(), None if scale is None else scale // w.grid[2]
 
 
@@ -329,7 +329,7 @@ def lift_saddle(seg, w: ZeroWindow, cuts: CutSystem) -> list:
     endpoints are cone points and contribute no crossings of their own cuts.
     """
     i, j = seg.from_idx, seg.to_idx
-    xs, ys, scale, _ = w.grid
+    xs, ys, scale = w.grid
     ax, ay, bx, by = xs.item(i), ys.item(i), xs.item(j), ys.item(j)
     # x / scale on Python ints rounds as float(Fraction) does
     if scale is None:

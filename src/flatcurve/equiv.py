@@ -131,8 +131,8 @@ def _translation_grid(w1: ZeroWindow, w2: ZeroWindow) -> EquivResult:
     about ``veech._BLOCK`` entries, each a numpy pass: its ball masks and
     its membership gathers (``flatgeom._members``) over the moved grids.
     """
-    xs1, ys1, s1, _ = w1.grid
-    xs2, ys2, s2, _ = w2.grid
+    xs1, ys1, s1 = w1.grid
+    xs2, ys2, s2 = w2.grid
     centres = [Fraction(v) for v in (*w1.center, *w2.center)]
     s = math.lcm(s1, s2, *(v.denominator for v in centres))
     c1x, c1y, c2x, c2y = (v.numerator * (s // v.denominator) for v in centres)

@@ -30,8 +30,9 @@ class ZeroDivisor(FlatcurveError):
 
 
 class NonFinite(FlatcurveError):
-    """Product overflowed; ``log10mag`` and ``arg`` record its log-space
-    magnitude and argument."""
+    """A value is not finite: a window point's coordinate, or a product
+    that overflowed, whose log-space magnitude and argument ``log10mag``
+    and ``arg`` record."""
 
     code = "NonFinite"
 

@@ -30,7 +30,7 @@ Other windows, such as rational clouds, orbit windows and wide Python-int
 grids, pay one gcd per pair and look the first step up among the points
 with ``_members``.  That function is where every exact point-set lookup
 of the package, here and in ``gridsearch`` and ``equiv``, chooses between
-a bitmap over the box and sorted packed keys.
+a bitmap over the box and sorted ``zseq._packed`` keys.
 
 On a window that holds every grid point of a convex region, such as a
 lattice ball, the first step lies between two window points, so these
@@ -160,9 +160,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyWindow
-from .zseq import (_KEY_SHIFT, Mode, PointIndex, ZPoint, ZeroWindow, _ints, _lengths, _moved,
-                   _ratio, _span, _typed_grid, canonical_permutation, coordinate_grid,
-                   grid_points, rescale_grid)
+from .zseq import (_INT_COORD_LIMIT, Mode, PointIndex, ZPoint, ZeroWindow, _ints, _lengths,
+                   _moved, _packed, _ratio, _span, _spans, _typed_grid, _unpacked,
+                   canonical_permutation, coordinate_grid, grid_points, rescale_grid)
 
 
 # --------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def point_blocks(a: ZPoint, b: ZPoint, c: ZPoint, mode: Mode) -> bool:
 
 def is_visible(w: ZeroWindow, r: int, l: int) -> bool:
     """No third window point lies strictly inside segment (r, l)."""
-    xs, ys, _, _ = w.grid
+    xs, ys, _ = w.grid
     ux, uy = xs[l] - xs[r], ys[l] - ys[r]
     if r == l:
         raise ValueError("a point does not see itself")
@@ -247,7 +247,7 @@ def visible_pairs(w: ZeroWindow, max_length: float | None = None) -> np.ndarray:
     plane, when that is fewer, plus one pass over the table.
     """
     limit2 = _length_bound(w, max_length)
-    xs, ys, scale, _ = w.grid
+    xs, ys, scale = w.grid
     if len(xs) < 2:
         return np.zeros((0, 2), dtype=np.int64)
     if scale is None:
@@ -305,34 +305,34 @@ def _exact_visible_pairs(xs, ys, limit2) -> tuple:
     difference table when it is no larger than the pairs, else by sorted
     keys."""
     n = len(xs)
-    xs, ys, shift, limit2 = _reduced(xs, ys, limit2)
+    xs, ys, limit2 = _reduced(xs, ys, limit2)
     width, height = _box(xs, ys)
     if xs.dtype != object and (2 * width - 1) * (2 * height - 1) <= n * (n - 1) // 2:
         lookup = _table_lookup(xs, ys, limit2)
         pairs = lookup.pairs
     else:
         lookup, pairs = _key_lookup(xs, ys, limit2), None
-    return _visible_by_lookup(xs, ys, shift, limit2, lookup, pairs)
+    return _visible_by_lookup(xs, ys, limit2, lookup, pairs)
 
 
 def _reduced(xs, ys, limit2) -> tuple:
-    """(xs, ys, shift, limit2) of an exact grid moved to put its first point
-    at 0 and divided by the gcd of all coordinates, typed as ``zseq`` types
+    """(xs, ys, limit2) of an exact grid moved to put its first point at 0
+    and divided by the gcd of all coordinates, typed as ``zseq`` types
     grids; a bound past the diagonal of the points' box becomes None."""
     # visibility survives translation and scaling: so reduced, a translated
     # lattice is a lattice again, and a small box fits int64 whatever the
     # grid it came from
     xs, ys = xs - xs[0], ys - ys[0]
     unit = math.gcd(int(np.gcd.reduce(xs)), int(np.gcd.reduce(ys)))
-    xs, ys, shift = xs // unit, ys // unit, _KEY_SHIFT
+    xs, ys = xs // unit, ys // unit
     if xs.dtype == object:
-        xs, ys, _, shift = _typed_grid(xs, ys, 1)
+        xs, ys, _ = _typed_grid(xs, ys, 1)
     if limit2 is not None:
         width, height = _box(xs, ys)
         limit2 //= unit * unit
         if limit2 >= (width - 1) ** 2 + (height - 1) ** 2:
             limit2 = None
-    return xs, ys, shift, limit2
+    return xs, ys, limit2
 
 
 def _box(xs, ys) -> tuple:
@@ -341,7 +341,7 @@ def _box(xs, ys) -> tuple:
     return int(xs.max() - xs.min()) + 1, int(ys.max() - ys.min()) + 1
 
 
-def _visible_by_lookup(xs, ys, shift: int, limit2, lookup, pairs=None) -> tuple:
+def _visible_by_lookup(xs, ys, limit2, lookup, pairs=None) -> tuple:
     """Arrays (i, j) of the visible pairs i < j of a reduced grid, ascending,
     among the candidate ``pairs``, ascending arrays (i, j), or by default
     the upper triangle, a block at a time.  ``lookup(row, col)`` keeps the
@@ -360,7 +360,7 @@ def _visible_by_lookup(xs, ys, shift: int, limit2, lookup, pairs=None) -> tuple:
     for row, col in blocks:
         row, col, visible, open_ = lookup(row, col)
         if len(open_):
-            fi, fj = _nearest_beyond_first_step(xs, ys, shift, limit2, _distinct(row[open_]))
+            fi, fj = _nearest_beyond_first_step(xs, ys, limit2, _distinct(row[open_]))
             visible[open_] = np.isin(row[open_] * n + col[open_], fi * n + fj)
         out_i.append(row[visible])
         out_j.append(col[visible])
@@ -463,7 +463,7 @@ def _distinct(a):
     return a[_starts(a)]
 
 
-def _nearest_beyond_first_step(xs, ys, shift: int, limit2, anchors) -> tuple:
+def _nearest_beyond_first_step(xs, ys, limit2, anchors) -> tuple:
     """Arrays (i, j) of the pairs i < j, i among ``anchors``, where j is the
     window point nearest i along its primitive direction among those two or
     more steps away, within the bound ``limit2``; a block of anchors at a
@@ -471,6 +471,8 @@ def _nearest_beyond_first_step(xs, ys, shift: int, limit2, anchors) -> tuple:
     so there this is the nearest window point, and the pair is visible
     exactly when it is listed."""
     n = len(xs)
+    # a reduced int64 grid lies within 2 * 2**28, as its directions of g > 1 steps do
+    bound = 2 * (_INT_COORD_LIMIT if xs.dtype != object else _span(xs, ys))
     step = max(1, _EXACT_BLOCK_ENTRIES // n)
     out_i, out_j = [], []
     for lo in range(0, len(anchors), step):
@@ -485,7 +487,7 @@ def _nearest_beyond_first_step(xs, ys, shift: int, limit2, anchors) -> tuple:
         g = np.gcd(dx, dy)
         far = g > 1
         row, col, dx, dy, g = row[far], col[far], dx[far], dy[far], g[far]
-        direction = ((dx // g) << shift) + dy // g
+        direction = _packed(dx // g, dy // g, bound)[0]
         order = np.lexsort((g, direction, row))
         row, col, direction = row[order], col[order], direction[order]
         first = np.r_[True, (row[1:] != row[:-1]) | (direction[1:] != direction[:-1])]
@@ -605,7 +607,7 @@ def saddle_connections(w: ZeroWindow, m: int, max_length: float | None = None) -
     if len(w) == 0:
         raise EmptyWindow("no points")
     ii, jj = visible_pairs(w, max_length).T
-    xs, ys, scale, _ = w.grid
+    xs, ys, scale = w.grid
     dx, dy = xs[jj] - xs[ii], ys[jj] - ys[ii]
     # canonical orientation puts the argument in [0, pi)
     flip = (dy < 0) | ((dy == 0) & (dx < 0))
@@ -651,10 +653,10 @@ class HolonomySet:
     point index behind ``contains`` is built on its first call, and
     ``vectors``, as ``ZeroWindow.points``, on its first read.
 
-    ``grid`` = ``(xs, ys, scale, shift)`` holds the vectors as in ``zseq``:
-    exact sets on an integer grid, which shares the source window's scale
-    when there is one, float sets as float64 arrays with ``scale`` and
-    ``shift`` None.
+    ``grid`` = ``(xs, ys, scale)`` holds the vectors as ``zseq`` holds
+    points: exact sets on an integer grid of int64 or Python ints, which
+    shares the source window's scale when there is one, float sets as
+    float64 arrays with ``scale`` None.
     """
 
     def __init__(self, vectors, window_radius: float, mode: Mode,
@@ -698,7 +700,7 @@ class HolonomySet:
 
     @cached_property
     def vectors(self) -> tuple:
-        return tuple(grid_points(*self.grid[:3]))
+        return tuple(grid_points(*self.grid))
 
     def __len__(self):
         return len(self.grid[0])
@@ -732,15 +734,7 @@ def _past_restriction(norm, restricted_to):
     return norm > _float_length(restricted_to) * (1 - 1e-12)
 
 
-def _unpacked(keys, shift: int) -> tuple:
-    """The coordinates (xs, ys) of the packed keys ``(x << shift) + y``."""
-    # the low part y of a key x * 2**shift + y lies in [-2**(shift - 1), 2**(shift - 1))
-    half = 1 << (shift - 1)
-    ys = ((keys + half) & ((1 << shift) - 1)) - half
-    return (keys - ys) >> shift, ys
-
-
-def _signed_distinct(xs, ys, scale: int, shift: int) -> tuple:
+def _signed_distinct(xs, ys, scale: int) -> tuple:
     """The exact grid of the vectors (xs, ys) and their negatives, each
     once, in canonical order: marked in a bitmap over their box when it has
     at most two cells per vector, else sorted by packed key."""
@@ -748,15 +742,15 @@ def _signed_distinct(xs, ys, scale: int, shift: int) -> tuple:
     if xs.dtype != object and (2 * reach[0] + 1) * (2 * reach[1] + 1) <= 2 * len(xs):
         xs, ys = _signed_by_bitmap(xs, ys, *reach)
     else:
-        xs, ys = _signed_by_keys(xs, ys, shift)
+        xs, ys = _signed_by_keys(xs, ys, max(reach))
     order = canonical_permutation(xs, ys)
-    return xs[order], ys[order], scale, shift
+    return xs[order], ys[order], scale
 
 
-def _signed_by_keys(xs, ys, shift: int) -> tuple:
-    """The vectors (xs, ys) and their negatives, each once, ordered by (x, y),
-    through one sort of their packed keys."""
-    keys = (xs << shift) + ys
+def _signed_by_keys(xs, ys, bound: int) -> tuple:
+    """The vectors (xs, ys), none past ``bound``, and their negatives, each
+    once, ordered by (x, y), through one sort of their ``_packed`` keys."""
+    keys, shift = _packed(xs, ys, bound)
     return _unpacked(_distinct(np.sort(np.concatenate((keys, -keys)))), shift)
 
 
@@ -816,7 +810,7 @@ def _signed_distinct_float(xs, ys, eps: float) -> tuple:
     for a, b in zip(i.tolist(), j.tolist()):
         if keep[a]:
             keep[b] = False
-    return cx[keep], cy[keep], None, None
+    return cx[keep], cy[keep], None
 
 
 # two odd multipliers, 0x9E3779B97F4A7C15 and 0xC2B2AE3D27D4EB4F as int64:
@@ -843,11 +837,6 @@ def _starts(*keys):
     for k in keys:
         start[1:] |= k[1:] != k[:-1]
     return start
-
-
-def _spans(lo, count):
-    """The indices lo[k], ..., lo[k] + count[k] - 1 of every k, in turn."""
-    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)
 
 
 def _near_pairs(xs, ys, eps: float) -> tuple:
@@ -902,7 +891,7 @@ def _joined(h: HolonomySet, g: HolonomySet) -> HolonomySet:
     window, so an exact ``h``'s scale is a multiple of ``g``'s, and the
     union lies on ``h``'s grid.  When ``g`` lists every vector of ``h``,
     the union is ``g``, value for value."""
-    (hx, hy, scale, _), (gx, gy, gscale, _) = h.grid, g.grid
+    (hx, hy, scale), (gx, gy, gscale) = h.grid, g.grid
     if scale is None:
         grid = _signed_distinct_float(np.r_[gx, hx], np.r_[gy, hy], h.mode.eps)
     else:
@@ -915,10 +904,10 @@ def _joined(h: HolonomySet, g: HolonomySet) -> HolonomySet:
 def holonomy(w: ZeroWindow, max_length: float | None = None) -> HolonomySet:
     """Signed difference vectors of all visible pairs."""
     ii, jj = visible_pairs(w, max_length).T
-    xs, ys, scale, shift = w.grid
+    xs, ys, scale = w.grid
     dx, dy = xs[jj] - xs[ii], ys[jj] - ys[ii]
     if scale is not None:
-        return HolonomySet._from_grid(_signed_distinct(dx, dy, scale, shift), w.radius, w.mode,
+        return HolonomySet._from_grid(_signed_distinct(dx, dy, scale), w.radius, w.mode,
                                       max_length, w)
     # the longest length tested is that of the longest pair, near-duplicates
     # included
@@ -958,11 +947,10 @@ class _Bitmap(NamedTuple):
 
 
 class _SortedKeys(NamedTuple):
-    """Points packed as ``(x << shift) + y`` and sorted; no member has a
-    coordinate beyond ``limit``, and packing within it is injective."""
+    """The sorted ``_packed`` keys of points with no coordinate beyond
+    ``limit``, the bound they are packed with."""
 
     keys: np.ndarray
-    shift: int
     limit: int
 
     def contains(self, x, y):
@@ -970,10 +958,7 @@ class _SortedKeys(NamedTuple):
         if not len(self.keys):
             return np.zeros(np.broadcast(x, y).shape, dtype=bool)
         ok = (abs(x) <= self.limit) & (abs(y) <= self.limit)
-        x, y = np.where(ok, x, 0), np.where(ok, y, 0)
-        if self.keys.dtype == object:
-            x, y = x.astype(object), y.astype(object)
-        packed = (x << self.shift) + y
+        packed = _packed(np.where(ok, x, 0), np.where(ok, y, 0), self.limit)[0]
         pos = np.searchsorted(self.keys, packed)
         pos[pos == len(self.keys)] = 0
         return ok & (self.keys[pos] == packed)
@@ -992,9 +977,7 @@ def _members(xs, ys):
             member[(xs - x0) * height + ys - y0] = True
             return _Bitmap(member, x0, y0, width, height)
     span = _span(xs, ys)
-    shift = (2 * span).bit_length()
-    xs, ys = _ints(span << (shift + 1), xs, ys)
-    return _SortedKeys(np.sort((xs << shift) + ys), shift, span)
+    return _SortedKeys(np.sort(_packed(xs, ys, span)[0]), span)
 
 
 def _window_members(w: ZeroWindow):
@@ -1022,7 +1005,7 @@ def _has_grid_vectors(w: ZeroWindow, vx, vy) -> np.ndarray:
     (int64 or Python ints), that are differences of visible window pairs:
     v is held when some window point p has p + v in the window and no window
     point strictly between (see the module docstring)."""
-    xs, ys, _, shift = w.grid
+    xs, ys, _ = w.grid
     held = np.zeros(len(vx), dtype=bool)
     if len(xs) < 2:
         return held
@@ -1038,8 +1021,8 @@ def _has_grid_vectors(w: ZeroWindow, vx, vy) -> np.ndarray:
         held[near[at]] = members.contains(xs + vx[at, None], ys + vy[at, None]).any(axis=1)
     open_ = np.flatnonzero(held[near] & (np.gcd(vx, vy) != unit))
     for i, x, y in zip(near[open_].tolist(), vx[open_].tolist(), vy[open_].tolist()):
-        line_order = ((xs << shift) + ys)[np.lexsort((xs * x + ys * y, xs * y - ys * x))]
-        held[i] = (line_order[1:] - line_order[:-1] == (x << shift) + y).any()
+        line_order = np.lexsort((xs * x + ys * y, xs * y - ys * x))
+        held[i] = ((np.diff(xs[line_order]) == x) & (np.diff(ys[line_order]) == y)).any()
     return held
 
 
@@ -1187,7 +1170,7 @@ def _accumulation_candidates(dirs, gaps) -> list:
 
 
 def window_collinear(w: ZeroWindow) -> bool:
-    xs, ys, _, _ = w.grid
+    xs, ys, _ = w.grid
     if len(xs) < 3:
         return True
     dx, dy = xs[1:] - xs[0], ys[1:] - ys[0]
@@ -1204,7 +1187,7 @@ def window_collinear(w: ZeroWindow) -> bool:
 
 def vectors_parallel(grid, mode: Mode) -> bool:
     """Do the nonzero vectors on ``grid`` (``HolonomySet.grid``) lie on one line?"""
-    xs, ys, scale, _ = grid
+    xs, ys, scale = grid
     nonzero = (xs != 0) | (ys != 0)
     xs, ys = xs[nonzero], ys[nonzero]
     if len(xs) < 2:

@@ -11,12 +11,13 @@ at once: an image whose division is inexact is a miss, an exact one is
 looked up among the window's points or the holonomy vectors
 (``_Targets``), as ``flatgeom._members`` holds them.  Past a holonomy set's
 length restriction an unlisted image stays open, and the source window
-decides the distinct ones, up to sign, in one pass on its grid
-(``flatgeom._has_grid_vectors``).  Arrays are int64 while every value
-computed from them stays below 2**62, and Python ints past that.  Results
-are ordered on the integer rows the kernel holds, over one positive
-denominator, which is the order of their Fraction entries: the kernel
-builds a ``Mat2`` or ``ZPoint`` of Fractions only for a result it returns.
+decides the distinct ones, told apart by their ``zseq._packed`` keys up to
+sign, in one pass on its grid (``flatgeom._has_grid_vectors``).  Arrays
+are int64 while every value computed from them stays below 2**62, and
+Python ints past that.  Results are ordered on the integer rows the kernel
+holds, over one positive denominator, which is the order of their Fraction
+entries: the kernel builds a ``Mat2`` or ``ZPoint`` of Fractions only for
+a result it returns.
 
 Like every module of the package, it loads on first use: ``veech`` and
 ``equiv`` import it on the first exact search, so neither importing
@@ -34,9 +35,9 @@ import numpy as np
 from . import veech
 from .errors import DegenerateWindow, SingularMatrix
 from .flatgeom import (HolonomySet, _Bitmap, _distinct, _has_grid_vectors, _members,
-                       _past_restriction, _SortedKeys, _unpacked, _window_members)
+                       _past_restriction, _SortedKeys, _window_members)
 from .veech import _BLOCK, ClosureReport, Mat2, _pool_limit, _probes
-from .zseq import EXACT, ZeroWindow, _ints, _lengths, _ratio, _span, grid_points
+from .zseq import EXACT, ZeroWindow, _ints, _lengths, _packed, _ratio, _span, _unpacked, grid_points
 
 
 # --------------------------------------------------------------------------
@@ -72,7 +73,7 @@ class _Targets(NamedTuple):
     ``restricted_to``: an unlisted image with no coordinate beyond ``limit``
     and past the restriction (``flatgeom._past_restriction``, on the image's
     length over ``scale``) stays open for ``window`` to decide, and the
-    open phase packs such images as ``(x << shift) + y``.
+    open phase packs such images with ``limit`` as their bound.
     """
 
     members: _Bitmap | _SortedKeys
@@ -80,7 +81,6 @@ class _Targets(NamedTuple):
     window: ZeroWindow | None = None
     restricted_to: float | None = None
     limit: int = 0
-    shift: int = 0
 
     def lookup(self, x, y, on_grid):
         """(hit, open) of the images (x, y), of which ``on_grid`` marks
@@ -104,14 +104,13 @@ def _window_targets(w: ZeroWindow) -> _Targets:
 def _hol_targets(h: HolonomySet) -> _Targets:
     """The vectors of an exact holonomy set; past its length restriction the
     source window decides."""
-    xs, ys, scale, _ = h.grid
+    xs, ys, scale = h.grid
     limit = _span(xs, ys)
     window = h.window if h.restricted_to is not None else None
     if window is not None:
         # _has_grid_vectors refutes what is longer than any window difference
         limit = max(limit, 2 * _span(*window.grid[:2]) * (scale // window.grid[2]))
-    return _Targets(_members(xs, ys), scale, window, h.restricted_to, limit,
-                    (2 * limit).bit_length())
+    return _Targets(_members(xs, ys), scale, window, h.restricted_to, limit)
 
 
 def _images(cols, rows, x, y, targets: _Targets):
@@ -161,11 +160,11 @@ def _accept(maps, px, py, targets: _Targets):
             ix, iy, _, opened = _images(cols, alive[lo:lo + step], px, py, targets)
             rows, cells = opened.nonzero()
             at.append(rows + lo)
-            ix, iy = _ints(targets.limit << (targets.shift + 1), ix[rows, cells], iy[rows, cells])
-            keys.append(abs((ix << targets.shift) + iy))  # the key of -v is minus that of v
+            packed, shift = _packed(ix[rows, cells], iy[rows, cells], targets.limit)
+            keys.append(abs(packed))  # the key of -v is minus that of v
     at, keys = np.concatenate(at), np.concatenate(keys)
     images = _distinct(np.sort(keys))
-    vx, vy = _unpacked(images, targets.shift)
+    vx, vy = _unpacked(images, shift)
     # a grid finer than the window's holds vectors no window pair differs by
     k = targets.scale // targets.window.grid[2]
     on = np.flatnonzero((vx % k == 0) & (vy % k == 0))
@@ -231,15 +230,15 @@ def _search(xs, ys, probes: tuple, px, py, targets: _Targets, entry_bound: float
 
 def window_stabilizer(w: ZeroWindow, r: float, e: float, req: bool) -> list:
     """``veech.stabilizer_candidates`` of an exact window."""
-    xs, ys, _, _ = w.grid
+    xs, ys, _ = w.grid
     return _search(xs, ys, _probes(w.grid, r, EXACT), xs, ys, _window_targets(w), e, req)
 
 
 def holonomy_stabilizer(h: HolonomySet, r: float, e: float, req: bool) -> list:
     """``veech.hol_stabilizer`` of an exact holonomy set."""
-    xs, ys, scale, _ = h.grid
+    xs, ys, scale = h.grid
     probes = _probes(h.grid, r, EXACT)
-    px, py, pscale, _ = veech._hol_pool(h, probes[1], e).grid
+    px, py, pscale = veech._hol_pool(h, probes[1], e).grid
     k = scale // pscale  # 1 unless h lists vectors off its window's grid
     px, py = _ints(_span(px, py) * k, px, py)
     return _search(xs, ys, probes, px * k, py * k, _hol_targets(h), e, req)
@@ -259,7 +258,7 @@ def _integer_rows(mats: list):
 def closure_check(cands: list, w: ZeroWindow, r: float, e: float, req: bool) -> ClosureReport:
     """``veech.group_closure_check`` of an exact window: with candidates
     N / L, a product is N_a N_b / L^2, acting through the kernel."""
-    xs, ys, _, _ = w.grid
+    xs, ys, _ = w.grid
     order = _probes(w.grid, r, EXACT)[0]
     den, rows, top = _integer_rows(cands)
     k, d = len(cands), den * den
@@ -302,7 +301,7 @@ def automorphisms(w: ZeroWindow, linears: list, r: float) -> list:
     (L adj(N) p - L adj(N) q + det(N) p0) / det(N).  As L > 0 and t is
     (tx, ty) / (L scale), the rows of N and then (tx, ty) give that order.
     """
-    xs, ys, scale, _ = w.grid
+    xs, ys, scale = w.grid
     order = _probes(w.grid, r, EXACT, w.center)[0]
     den, rows, top = _integer_rows(linears)
     n = len(xs)

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import DegenerateWindow, SingularMatrix, TooFewPoints
 from .flatgeom import (HolonomySet, _distinct, _joined, holonomy, vectors_parallel,
                        window_collinear)
-from .zseq import (EXACT, Mode, ZPoint, ZeroWindow, _contracting, _lengths, _moved, _outside_ball,
+from .zseq import (EXACT, Mode, ZPoint, ZeroWindow, _contracting, _moved, _outside_ball,
                    _ratio, as_scalar, dot, scalar_repr)
 
 # --------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def _probes(grid, r, mode: Mode, center: ZPoint | None = None) -> tuple:
     within ``r`` of ``center`` (the origin when None) by ``zseq._outside_ball``,
     farthest from ``center`` first, ties in grid order.  ``pair``: the first
     independent pair of them in grid order, the search's anchors, or None."""
-    xs, ys, scale, _ = grid
+    xs, ys, scale = grid
     center = ZPoint.zero(mode) if center is None else center
     inner = np.flatnonzero(~_outside_ball(xs, ys, scale, r, mode, center))
     ix, iy = xs[inner], ys[inner]
@@ -256,10 +256,11 @@ def hol_stabilizer(h: HolonomySet, cfg: StabilizerSearchConfig | None = None) ->
     """Matrices that window-consistently permute the holonomy vectors.
 
     The inner test set is the certified part of the enumeration; membership
-    of images beyond it falls back to the on-demand witness oracle.  When
-    the anchors can reach past a length-restricted enumeration, the image
-    pool is re-enumerated out to that reach, so no candidate with admissible
-    entries is missed merely because the pool stopped early.
+    of images beyond it falls back to the on-demand witness oracle.  The
+    images of the anchors are drawn from a pool; when the pool filter
+    (``_pool_limit``) admits images past a length-restricted enumeration,
+    the pool is re-enumerated out to the filter's reach, so no candidate
+    with admissible entries is missed merely because the pool stopped early.
     """
     r, e, req = _resolve(cfg, h.window_radius)
     if vectors_parallel(h.grid, h.mode):
@@ -276,12 +277,15 @@ def hol_stabilizer(h: HolonomySet, cfg: StabilizerSearchConfig | None = None) ->
 def _hol_pool(h: HolonomySet, pair, e: float) -> HolonomySet:
     """Where ``hol_stabilizer`` draws images from: ``h``, or, when the reach
     of the anchors ``pair`` (``_probes``) passes the restriction, ``h`` joined
-    with its window re-enumerated out to that reach.  The join keeps every
+    with its window re-enumerated out to that reach.  The reach is the
+    length the pool filter, ``_pool_limit``, admits for either anchor, with a
+    margin for the rounding of the filter's floats.  The join keeps every
     listed vector, so a larger entry bound never loses an image."""
     if pair is not None and h.window is not None and h.restricted_to is not None:
-        xs, ys, scale, _ = h.grid
+        xs, ys, scale = h.grid
         at = list(pair)
-        reach = e * math.sqrt(2) * float(_lengths(xs[at], ys[at], scale).max()) * (1 + 1e-9)
+        ax, ay = _ratio(xs[at], scale).tolist(), _ratio(ys[at], scale).tolist()
+        reach = math.sqrt(max(map(_pool_limit, ax, ay, (e, e)))) * (1 + 1e-9)
         if reach > h.restricted_to:
             return _joined(h, holonomy(h.window, max_length=reach))
     return h
@@ -319,7 +323,7 @@ def pprime_symmetry(w: ZeroWindow):
     if u is None:
         return None
     ulen = u.norm()
-    xs, ys, scale, _ = w.grid
+    xs, ys, scale = w.grid
     if w.mode.is_exact:
         # on the integer grid sv = scale^2 * dot(p - base, u)
         # (int64 coordinates stay within 2**28, so sums of two stay within

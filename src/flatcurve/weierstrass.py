@@ -119,7 +119,7 @@ def _degree_array(w: ZeroWindow, strategy) -> np.ndarray:
         return out
     if strategy != "auto":
         raise ValueError(f"unknown degree strategy: {strategy!r}")
-    xs, ys, scale, _ = w.grid
+    xs, ys, scale = w.grid
     norm2 = _ratio(xs * xs + ys * ys, scale and scale * scale)
     return np.full(n, _fitted_degree(np.sort(np.sqrt(norm2[nonzero])).tolist()),
                    dtype=np.int64)
@@ -158,7 +158,7 @@ def _float_grid(w: ZeroWindow) -> tuple:
     ``float(p.re)`` and ``float(p.im)``."""
     got = w._cache.get("float_grid")
     if got is None:
-        xs, ys, scale, _ = w.grid
+        xs, ys, scale = w.grid
         got = (_ratio(xs, scale), _ratio(ys, scale))
         w._cache["float_grid"] = got
     return got

@@ -8,17 +8,18 @@ the generator it came from, and the canonicalizing translation that moved
 the norm-smallest term to the origin.
 
 Every window keeps its points on one coordinate grid, ``grid`` = ``(xs,
-ys, scale, shift)``.  Exact windows are scaled by ``scale``, the lcm of
-their denominators, to integers: int64 with ``shift`` 32 while no
-coordinate exceeds 2**28, which keeps every cross and dot product of
-differences inside int64, and Python ints past that, with ``shift`` grown
-to fit.  ``(x << shift) + y`` then packs a point, a difference of two
-points or their sum injectively.  Float windows get float64 arrays, and
-``scale`` and ``shift`` None.  The grid is a window's only coordinate store:
-``ZeroWindow.points`` are built from it on first access.  An exact window's
-radius is a Fraction.  Arrays of grid integers become float64 through
-``_ratio``, in every module: it rounds each quotient by the scale (or its
-square) as ``float(Fraction)`` does.
+ys, scale)``.  Exact windows are scaled by ``scale``, the lcm of their
+denominators, to integers: int64 while no coordinate exceeds 2**28, which
+keeps every cross and dot product of differences inside int64, and Python
+ints past that.  Float windows get float64 arrays and ``scale`` None.  The
+grid is a window's only coordinate store: ``ZeroWindow.points`` are built
+from it on first access.  An exact window's radius is a Fraction.  Arrays
+of grid integers become float64 through ``_ratio``, in every module: it
+rounds each quotient by the scale (or its square) as ``float(Fraction)``
+does.  Only ``_packed`` packs grid points or vectors into integers, as
+``(x << shift) + y`` with the shift set by a bound on |x| and |y|: a
+lexicographic, linear packing, so keys sort as (x, y) do and
+``_unpacked`` reads back keys, their negatives and their differences.
 
 Ordering convention: points are sorted by norm, ties broken by argument in
 ``[0, 2*pi)``.  ``canonical_permutation`` computes this order on a grid, so
@@ -41,6 +42,7 @@ from .errors import (
     DuplicatePoint,
     EmptyWindow,
     ModeMismatch,
+    NonFinite,
     SingularMatrix,
 )
 from .kinds import SEQUENCE_KINDS
@@ -208,25 +210,24 @@ def canonical_permutation(xs, ys):
 
 def canonical_order(points, mode: Mode = EXACT) -> list:
     """Sort points by (norm, argument); duplicates raise ``DuplicatePoint``."""
-    return list(ZeroWindow._on_grid(*coordinate_grid(list(points), mode)[:3], 0, mode).points)
+    return list(ZeroWindow._on_grid(*coordinate_grid(list(points), mode), 0, mode).points)
 
 
 # --------------------------------------------------------------------------
 # the coordinate grid
 
 _INT_COORD_LIMIT = 1 << 28  # keeps every cross/dot product inside int64
-_KEY_SHIFT = 32  # int64 packing x * 2**32 + y, injective for |y| below 2**31
 
 
 def coordinate_grid(points, mode: Mode, base: int = 1) -> tuple:
-    """``(xs, ys, scale, shift)`` of ``points`` (see the module docstring).
+    """``(xs, ys, scale)`` of ``points`` (see the module docstring).
 
     In exact mode ``scale`` is the lcm of ``base`` and every denominator,
     so vectors can share the grid of the window they came from.
     """
     if not mode.is_exact:
         coords = np.fromiter(chain.from_iterable(points), float, 2 * len(points))
-        return coords[0::2], coords[1::2], None, None
+        return coords[0::2], coords[1::2], None
     scale = math.lcm(base, *(p.re.denominator for p in points),
                      *(p.im.denominator for p in points))
     xs = [p.re.numerator * (scale // p.re.denominator) for p in points]
@@ -237,12 +238,8 @@ def coordinate_grid(points, mode: Mode, base: int = 1) -> tuple:
 def _typed_grid(xs, ys, scale: int) -> tuple:
     """The exact grid coordinates (xs, ys), typed as the module docstring says."""
     span = int(max(np.abs(xs).max(initial=0), np.abs(ys).max(initial=0)))
-    if span <= _INT_COORD_LIMIT:
-        return np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), scale, _KEY_SHIFT
-    # the low part of a packed value, at most 3 * span, stays below
-    # 2**(shift - 1)
-    return (np.array(xs, dtype=object), np.array(ys, dtype=object), scale,
-            (4 * span).bit_length() + 1)
+    dtype = np.int64 if span <= _INT_COORD_LIMIT else object
+    return np.array(xs, dtype=dtype), np.array(ys, dtype=dtype), scale
 
 
 def rescale_grid(xs, ys, factor: int, span: int) -> tuple:
@@ -263,14 +260,32 @@ _INT64_SAFE = 1 << 62
 
 def _ints(bound: int, *arrays) -> list:
     """``arrays`` as int64 when ``bound`` caps every value computed from
-    them below 2**62, otherwise as arrays of Python ints."""
+    them below 2**62, else as Python ints, not copied when already so."""
     dtype = np.int64 if bound < _INT64_SAFE else object
-    return [np.asarray(a).astype(dtype) for a in arrays]
+    return [np.asarray(a).astype(dtype, copy=False) for a in arrays]
 
 
 def _span(*arrays) -> int:
     """Largest absolute value in ``arrays``."""
     return max((int(np.max(np.abs(a))) for a in arrays if np.size(a)), default=0)
+
+
+def _packed(xs, ys, bound: int) -> tuple:
+    """``(keys, shift)`` of the grid points (xs, ys), none past ``bound``:
+    ``(x << shift) + y``, with the low part of a difference of two keys, at
+    most 2 bound, below 2**(shift - 1), in int64 while every key is below
+    2**62, so a difference of two is too, and in Python ints past that."""
+    shift = (2 * bound).bit_length() + 1
+    xs, ys = _ints((bound << shift) + bound, xs, ys)
+    return (xs << shift) + ys, shift
+
+
+def _unpacked(keys, shift: int) -> tuple:
+    """The points (xs, ys) of ``_packed`` keys, their negatives or differences."""
+    # the low part y of a key x * 2**shift + y lies in [-2**(shift - 1), 2**(shift - 1))
+    half = 1 << (shift - 1)
+    ys = ((keys + half) & ((1 << shift) - 1)) - half
+    return (keys - ys) >> shift, ys
 
 
 def _moved(xs, ys, scale, b: ZPoint) -> tuple:
@@ -321,6 +336,70 @@ def _same(dx, dy, mode: Mode):
     if mode.is_exact or mode.eps == 0:
         return (dx == 0) & (dy == 0)
     return dx * dx + dy * dy <= mode.eps * mode.eps
+
+
+def _require_finite(xs, ys, scale) -> None:
+    """Raise ``NonFinite`` at the first point of a float grid (``scale``
+    None) with a NaN or infinite coordinate."""
+    if scale is None:
+        bad = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))
+        if len(bad):
+            raise NonFinite(f"point {grid_points(xs[bad[:1]], ys[bad[:1]], None)[0]!r} "
+                            "is not finite")
+
+
+def _spans(lo, count):
+    """The indices lo[k], ..., lo[k] + count[k] - 1 of every k, in turn."""
+    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)
+
+
+_PAIR_BLOCK = 1 << 16  # candidate pairs per pass of ``_coinciding``
+
+
+def _coinciding(xs, ys, mode: Mode) -> tuple:
+    """Arrays (i, j), i ascending, of the pairs i < j of the finite grid
+    points (xs, ys), in canonical order, that ``same_point`` matches, j the
+    first such for each i.
+
+    Equal exact points are neighbours in canonical order.  A float point p
+    matches only a q with ||p| - |q|| <= |p - q| <= eps, and the order sorts
+    the norms, so p is tested against the later points whose norm lies
+    within a band of eps about its own, widened for the rounding of the
+    norms (and by 1e-150 for squares that underflow): first its neighbour,
+    then, when that is no match and the band holds two more points, the
+    rest of the band, in blocks of about _PAIR_BLOCK pairs, so that a
+    window whose points share one norm cannot fill memory.
+    """
+    if mode.is_exact:
+        at = np.flatnonzero(_same(np.diff(xs), np.diff(ys), mode))
+        return at, at + 1
+    norm = np.sqrt(xs * xs + ys * ys)
+    band = norm * (1 + 1e-12) + (mode.eps * (1 + 1e-9) + 1e-150)
+    close = norm[1:] <= band[:-1]
+    i = np.flatnonzero(close)
+    i = i[_same(xs[i + 1] - xs[i], ys[i + 1] - ys[i], mode)]
+    far = close[:-1] & close[1:]
+    far[i[i < len(far)]] = False
+    live = np.flatnonzero(far)
+    if not len(live):
+        return i, i + 1
+    out_i, out_j = [i], [i + 1]
+    count = np.searchsorted(norm, band[live], side="right") - live - 2
+    before = np.cumsum(count) - count
+    cuts = np.searchsorted(before, range(_PAIR_BLOCK, int(before[-1]) + 1, _PAIR_BLOCK)).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(live)]):
+        i = np.repeat(live[lo:hi], count[lo:hi])
+        j = _spans(live[lo:hi] + 2, count[lo:hi])
+        hit = _same(xs[j] - xs[i], ys[j] - ys[i], mode)
+        i, j = i[hit], j[hit]
+        # the pairs of each i are in order of j
+        first = np.ones(len(i), dtype=bool)
+        first[1:] = i[1:] != i[:-1]
+        out_i.append(i[first])
+        out_j.append(j[first])
+    i, j = np.concatenate(out_i), np.concatenate(out_j)
+    order = np.argsort(i, kind="stable")
+    return i[order], j[order]
 
 
 def _outside_ball(xs, ys, scale, radius, mode: Mode, center: ZPoint):
@@ -457,9 +536,11 @@ class ZeroWindow:
 
     def __init__(self, points, radius, mode: Mode = EXACT, source=None,
                  translation=None, center=None, check=True):
-        xs, ys, scale, _ = coordinate_grid(tuple(points), mode)
-        if check and (canonical_permutation(xs, ys) != np.arange(len(xs))).any():
-            raise ValueError("points not in canonical order")
+        xs, ys, scale = coordinate_grid(tuple(points), mode)
+        if check:
+            _require_finite(xs, ys, scale)
+            if (canonical_permutation(xs, ys) != np.arange(len(xs))).any():
+                raise ValueError("points not in canonical order")
         self._build(xs, ys, scale, radius, mode, source, translation, center, check)
 
     @classmethod
@@ -471,18 +552,19 @@ class ZeroWindow:
         return w
 
     def _build(self, xs, ys, scale, radius, mode, source, translation, center, check):
-        """Reduce, type and, with ``check``, sort and check the grid."""
-        shift = None
+        """Reduce, type and, with ``check``, test and sort the grid: a point
+        that is not finite or ``same_point`` as another one raises."""
         if scale is not None:
             g = math.gcd(scale, int(np.gcd.reduce(xs)), int(np.gcd.reduce(ys)))
-            xs, ys, scale, shift = _typed_grid(xs // g, ys // g, scale // g)
+            xs, ys, scale = _typed_grid(xs // g, ys // g, scale // g)
         if check:
+            _require_finite(xs, ys, scale)
             order = canonical_permutation(xs, ys)
             xs, ys = xs[order], ys[order]
-            at = np.flatnonzero(_same(np.diff(xs), np.diff(ys), mode)).tolist()
-            if at:
-                raise DuplicatePoint(f"repeated point {grid_points(xs, ys, scale)[at[0]]!r}")
-        self.grid = (xs, ys, scale, shift)
+            i = _coinciding(xs, ys, mode)[0][:1]
+            if len(i):
+                raise DuplicatePoint(f"repeated point {grid_points(xs[i], ys[i], scale)[0]!r}")
+        self.grid = (xs, ys, scale)
         self.radius = as_scalar(radius, mode)
         self.mode = mode
         self.source = source
@@ -494,31 +576,31 @@ class ZeroWindow:
 
     @cached_property
     def points(self) -> tuple:
-        return tuple(grid_points(*self.grid[:3]))
+        return tuple(grid_points(*self.grid))
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def from_points(points, radius, mode: Mode = EXACT, source=None) -> "ZeroWindow":
         """Window over explicit raw coordinates (no canonicalizing shift)."""
-        w = ZeroWindow._on_grid(*coordinate_grid(list(points), mode)[:3], radius, mode, source)
+        w = ZeroWindow._on_grid(*coordinate_grid(list(points), mode), radius, mode, source)
         if not len(w):
             raise EmptyWindow("no points")
-        out = np.flatnonzero(_outside_ball(*w.grid[:3], w.radius, mode, w.center))
+        out = np.flatnonzero(_outside_ball(*w.grid, w.radius, mode, w.center))
         if len(out):
             raise ValueError(f"point {w.points[out[0]]!r} outside sampling radius {radius}")
         return w
 
     def translate(self, b: ZPoint) -> "ZeroWindow":
         """The same trace moved by ``b`` (sampling region moves along)."""
-        return ZeroWindow._on_grid(*_moved(*self.grid[:3], b), self.radius, self.mode,
+        return ZeroWindow._on_grid(*_moved(*self.grid, b), self.radius, self.mode,
                                    self.source, None, self.center + b)
 
     def canonicalize(self) -> "ZeroWindow":
         """Translate so the first (norm-smallest) point sits at the origin."""
         if self.is_canonical and self.translation is not None:
             return self
-        xs, ys, scale, _ = self.grid
+        xs, ys, scale = self.grid
         center = self.center + grid_points(-xs[:1], -ys[:1], scale)[0]
         return ZeroWindow._on_grid(xs - xs[0], ys - ys[0], scale, self.radius, self.mode,
                                    self.source, center, center)
@@ -545,7 +627,7 @@ class ZeroWindow:
             raise ValueError(f"need 1 <= n <= {len(self)}, got {n}")
         if n == len(self):
             return self
-        xs, ys, scale, _ = self.grid
+        xs, ys, scale = self.grid
         return ZeroWindow._on_grid(xs[:n], ys[:n], scale, self.radius, self.mode,
                                    self.source, self.translation, self.center, check=False)
 
@@ -559,16 +641,19 @@ class ZeroWindow:
     def min_gap(self) -> float:
         """Smallest pairwise distance (float).
 
-        The grid is sorted by (x, y), and the points j apart in that order
-        are compared for j = 1, 2, ... until the smallest dx**2 at offset j
-        is no smaller than the best squared distance found: dx only grows
-        with j.
+        The grid is sorted by (x, y), with x the axis of larger extent, and
+        the points j apart in that order are compared for j = 1, 2, ...
+        until the smallest dx**2 at offset j is no smaller than the best
+        squared distance found: dx only grows with j.  On the other axis a
+        line of points, all of one x, would compare every pair.
         """
         g = self._cache.get("min_gap")
         if g is None:
-            xs, ys, scale, _ = self.grid
+            xs, ys, scale = self.grid
             g = math.inf
             if len(xs) > 1:
+                if ys.max() - ys.min() > xs.max() - xs.min():
+                    xs, ys = ys, xs
                 order = np.lexsort((ys, xs))
                 xs, ys = xs[order], ys[order]
                 d = math.inf
@@ -602,7 +687,7 @@ def _raw_points(spec: GeneratorSpec, radius, mode: Mode) -> tuple:
     if kind == "orbit":
         xs, ys, scale = _orbit_points(spec, radius, mode)
     elif kind == "explicit":
-        xs, ys, scale, _ = coordinate_grid(
+        xs, ys, scale = coordinate_grid(
             [p if isinstance(p, ZPoint) else ZPoint.of(p[0], p[1], mode)
              for p in spec.params["points"]], mode)
     else:
@@ -647,7 +732,7 @@ def _orbit_points(spec: GeneratorSpec, radius, mode: Mode) -> tuple:
     max_len = spec.params["max_word_length"]
     if mode.is_exact:
         return _orbit_sweep(alphabet, seeds, max_len, radius)
-    return coordinate_grid(_orbit_loop(alphabet, seeds, max_len, radius, mode), mode)[:3]
+    return coordinate_grid(_orbit_loop(alphabet, seeds, max_len, radius, mode), mode)
 
 
 def _orbit_alphabet(spec: GeneratorSpec, mode: Mode) -> tuple:
@@ -681,7 +766,7 @@ def _orbit_loop(alphabet, seeds, max_len: int, radius, mode: Mode) -> list:
     found, origin = [], ZPoint.zero(mode)
 
     def admit(batch: list) -> list:
-        xs, ys, scale, _ = coordinate_grid(batch, mode)
+        xs, ys, scale = coordinate_grid(batch, mode)
         new = []
         for q, out in zip(batch, _outside_ball(xs, ys, scale, radius, mode, origin).tolist()):
             if not out and q not in seen:
@@ -705,16 +790,15 @@ def _orbit_sweep(alphabet, seeds, max_len: int, radius) -> tuple:
     The letters are integer matrices N over D, the lcm of their entries'
     denominators, so a depth maps the whole frontier in one array
     operation, onto a grid D times finer when D > 1.  The images inside the
-    ball are kept; repeats and points already found are dropped on packed
-    ``(x << shift) + y`` keys, first copies kept.  Coordinates are int64
-    while no image or point found exceeds 2**28, and Python ints past
-    that.
+    ball are kept; repeats and points already found are dropped on their
+    ``_packed`` keys, first copies kept.  Coordinates are int64 while no
+    image or point found exceeds 2**28, and Python ints past that.
     """
     den = math.lcm(*(v.denominator for m in alphabet for v in m))
     mats = np.array([[int(v * den) for v in m] for m in alphabet], dtype=object).reshape(-1, 4)
     top = int(np.abs(mats).max(initial=0))
     r = Fraction(radius)
-    xs, ys, scale, _ = coordinate_grid(seeds, EXACT)
+    xs, ys, scale = coordinate_grid(seeds, EXACT)
     fx, fy = xs[:0], ys[:0]  # the points found so far
     depth = 0
     while True:
@@ -722,13 +806,12 @@ def _orbit_sweep(alphabet, seeds, max_len: int, radius) -> tuple:
         # every coordinate kept is within lim, so the next depth's images
         # are within 2 top lim and the points found within D lim
         lim = r.numerator * scale // r.denominator
-        wide = max(lim * den, 2 * top * lim) > _INT_COORD_LIMIT
-        dtype, shift = (object, (4 * lim).bit_length() + 1) if wide else (np.int64, _KEY_SHIFT)
+        dtype = object if max(lim * den, 2 * top * lim) > _INT_COORD_LIMIT else np.int64
         xs, ys = xs[inside].astype(dtype), ys[inside].astype(dtype)
         fx, fy = fx.astype(dtype), fy.astype(dtype)
-        keys = (xs << shift) + ys
+        keys = _packed(xs, ys, lim)[0]
         first = np.sort(np.unique(keys, return_index=True)[1])
-        first = first[~np.isin(keys[first], (fx << shift) + fy)]
+        first = first[~np.isin(keys[first], _packed(fx, fy, lim)[0])]
         xs, ys = xs[first], ys[first]
         fx, fy = np.concatenate((fx, xs)), np.concatenate((fy, ys))
         if not len(xs) or depth >= max_len:
@@ -751,10 +834,13 @@ def generate(spec: GeneratorSpec, radius, mode: Mode = EXACT) -> ZeroWindow:
     xs, ys, scale = _raw_points(spec, radius, mode)
     if not len(xs):
         raise EmptyWindow(f"{spec.kind} has no points of norm <= {radius}")
-    xs, ys, scale, _ = ZeroWindow._on_grid(xs, ys, scale, radius, mode).grid
+    # the raw grid's canonical order is that of its reduced grid; the one
+    # checked build, of the moved points, tests and sorts them
+    first = canonical_permutation(xs, ys)[:1]
     # 0 - x, not -x: a float window's first point at 0.0 moves by 0.0, not -0.0
-    shift = grid_points(0 - xs[:1], 0 - ys[:1], scale)[0]
-    return ZeroWindow._on_grid(xs - xs[0], ys - ys[0], scale, radius, mode, spec, shift, shift)
+    shift = grid_points(0 - xs[first], 0 - ys[first], scale)[0]
+    return ZeroWindow._on_grid(xs - xs[first], ys - ys[first], scale, radius, mode, spec, shift,
+                               shift)
 
 
 # --------------------------------------------------------------------------
@@ -781,19 +867,25 @@ class ValidationReport:
 def validate(w: ZeroWindow) -> ValidationReport:
     """Check window invariants; the report is empty iff they all hold."""
     rep = ValidationReport()
-    xs, ys, scale, _ = w.grid
+    xs, ys, scale = w.grid
     if not len(xs):
         rep.violations.append(("EmptyWindow", "window has no points"))
         return rep
-    same = _same(np.diff(xs), np.diff(ys), w.mode)  # rows i and i + 1 coincide
-    # the sort is stable, so row i sorts after row i + 1 iff its rank is higher
-    rank = np.argsort(canonical_permutation(xs, ys))
-    for i in np.flatnonzero(same | (rank[:-1] > rank[1:])).tolist():
-        if same[i]:
-            rep.violations.append(("DuplicatePoint", f"points {i} and {i + 1} coincide"))
-        else:
-            rep.violations.append(
-                ("OrderingViolation", f"points {i} and {i + 1} out of canonical order"))
+    order = canonical_permutation(xs, ys)
+    # points coincide by their pairs in canonical order, among the finite ones
+    finite = order if scale is not None \
+        else order[np.isfinite(xs[order]) & np.isfinite(ys[order])]
+    found = {}
+    pairs = zip(*(finite[a].tolist() for a in _coinciding(xs[finite], ys[finite], w.mode)))
+    for i, j in map(sorted, pairs):
+        found[i, j] = ("DuplicatePoint", f"points {i} and {j} coincide")
+    # the sort is stable, so row i sorts after row i + 1 iff its rank is
+    # higher, and that pair is out of order unless it coincides
+    rank = np.argsort(order)
+    for i in np.flatnonzero(rank[:-1] > rank[1:]).tolist():
+        found.setdefault((i, i + 1), ("OrderingViolation",
+                                      f"points {i} and {i + 1} out of canonical order"))
+    rep.violations += [found[k] for k in sorted(found)]
     for i in np.flatnonzero(_outside_ball(xs, ys, scale, w.radius, w.mode, w.center)).tolist():
         rep.violations.append(("RadiusViolation", f"point {i} lies outside the sampled ball"))
     if w.translation is not None and not w.is_canonical:
@@ -868,5 +960,5 @@ def window_from_json(data: dict, eps: float = 1e-9) -> ZeroWindow:
     t, c = data.get("translation"), data.get("center")
     translation = ZPoint(scalar(t[0]), scalar(t[1])) if t is not None else None
     center = ZPoint(scalar(c[0]), scalar(c[1])) if c is not None else None
-    return ZeroWindow._on_grid(*coordinate_grid(pts, mode)[:3], data["radius"], mode, None,
+    return ZeroWindow._on_grid(*coordinate_grid(pts, mode), data["radius"], mode, None,
                                translation, center)

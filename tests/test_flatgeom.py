@@ -222,7 +222,7 @@ def _signed_distinct_reference(xs, ys, eps):
     for i, j in pairs:
         if keep[i]:
             keep[j] = False
-    return (xs[keep], ys[keep], None, None), examined
+    return (xs[keep], ys[keep], None), examined
 
 
 def _assert_float_paths_agree(w, lengths, monkeypatch) -> bool:
@@ -249,7 +249,7 @@ def _assert_float_paths_agree(w, lengths, monkeypatch) -> bool:
         ref, _ = _signed_distinct_reference(xs[jj] - xs[ii], ys[jj] - ys[ii], eps)
         got = fc.holonomy(w, length).grid
         assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in ref[:2]], length
-        assert got[2:] == (None, None)
+        assert got[2:] == (None,)
         fc.saddle_connections(w, 2, length)
     assert len(builds) == 1
     return flatgeom._coarse_grid(w) is not None
@@ -619,8 +619,8 @@ _LOOKUP_WINDOWS = {
 }
 
 
-def _lookup_pairs(xs, ys, shift, limit2, lookup):
-    return np.stack(fc.flatgeom._visible_by_lookup(xs, ys, shift, limit2, lookup), axis=1)
+def _lookup_pairs(xs, ys, limit2, lookup):
+    return np.stack(fc.flatgeom._visible_by_lookup(xs, ys, limit2, lookup), axis=1)
 
 
 @pytest.mark.parametrize("name", list(_LOOKUP_WINDOWS))
@@ -636,7 +636,7 @@ def test_table_and_key_lookups_give_equal_pairs(name, monkeypatch):
     monkeypatch.setattr(flatgeom, "_table_lookup",
                         lambda *args: taken.append(True) or table(*args))
     n = len(w)
-    xs, ys, shift, _ = flatgeom._reduced(*w.grid[:2], None)
+    xs, ys, _ = flatgeom._reduced(*w.grid[:2], None)
     assert xs.dtype == np.int64
     width, height = flatgeom._box(xs, ys)
     got = fc.visible_pairs(w)
@@ -649,11 +649,11 @@ def test_table_and_key_lookups_give_equal_pairs(name, monkeypatch):
         longest = max((q - p).norm() for p in w.points for q in w.points)
         lengths += [longest, longest * (1 - 1e-9)]
     # 1e6, past every box here, reduces to no bound, as None does
-    bounds = {flatgeom._reduced(*w.grid[:2], flatgeom._length_bound(w, length))[3]: length
+    bounds = {flatgeom._reduced(*w.grid[:2], flatgeom._length_bound(w, length))[2]: length
               for length in lengths}
     for limit2, length in bounds.items():
-        by_table = _lookup_pairs(xs, ys, shift, limit2, table(xs, ys, limit2))
-        by_keys = _lookup_pairs(xs, ys, shift, limit2,
+        by_table = _lookup_pairs(xs, ys, limit2, table(xs, ys, limit2))
+        by_keys = _lookup_pairs(xs, ys, limit2,
                                 flatgeom._key_lookup(xs, ys, limit2))
         assert np.array_equal(by_table, by_keys), length
         if limit2 is None:
@@ -670,7 +670,7 @@ def test_small_boxes_reach_both_lookups_and_the_fallback(monkeypatch):
     sides, opened = set(), []
     for seed in range(40):
         w = _small_box(seed)
-        xs, ys, _, _ = flatgeom._reduced(*w.grid[:2], None)
+        xs, ys, _ = flatgeom._reduced(*w.grid[:2], None)
         width, height = flatgeom._box(xs, ys)
         dense = (2 * width - 1) * (2 * height - 1) <= len(w) * (len(w) - 1) // 2
         sides.add(dense)
@@ -711,7 +711,7 @@ def _bounds(w):
     """The lengths the bounded oracle tries on w: none of its pairs, below
     its smallest gap, on the lattice norms 1, 2 and 5 and between them, and
     just under the diagonal of its box."""
-    xs, ys, scale, _ = w.grid
+    xs, ys, scale = w.grid
     diagonal = math.hypot(float(xs.max() - xs.min()), float(ys.max() - ys.min()))
     diagonal /= 1 if scale is None else scale
     return [0, 0.5, 1, math.sqrt(2), 2, math.sqrt(5), 3, 4, math.sqrt(18), diagonal * (1 - 1e-9)]
@@ -1043,7 +1043,7 @@ def test_signed_distinct_bitmap_and_keys_agree(name, monkeypatch):
     flatgeom = fc.flatgeom
     xs, ys = _signed_inputs()[name]
     reach = int(np.abs(xs).max(initial=0)), int(np.abs(ys).max(initial=0))
-    by_keys = flatgeom._signed_by_keys(xs, ys, fc.zseq._KEY_SHIFT)
+    by_keys = flatgeom._signed_by_keys(xs, ys, max(reach))
     by_bitmap = flatgeom._signed_by_bitmap(xs, ys, *reach)
     assert [a.dtype for a in by_bitmap] == [a.dtype for a in by_keys] == [np.int64] * 2
     assert [a.tobytes() for a in by_bitmap] == [a.tobytes() for a in by_keys]
@@ -1053,11 +1053,11 @@ def test_signed_distinct_bitmap_and_keys_agree(name, monkeypatch):
     bitmap = flatgeom._signed_by_bitmap
     monkeypatch.setattr(flatgeom, "_signed_by_bitmap",
                         lambda *args: used.append(True) or bitmap(*args))
-    got = flatgeom._signed_distinct(xs, ys, 1, fc.zseq._KEY_SHIFT)
+    got = flatgeom._signed_distinct(xs, ys, 1)
     assert bool(used) == ((2 * reach[0] + 1) * (2 * reach[1] + 1) <= 2 * len(xs))
     order = fc.zseq.canonical_permutation(*by_keys)
     assert [a.tobytes() for a in got[:2]] == [a[order].tobytes() for a in by_keys]
-    assert got[2:] == (1, fc.zseq._KEY_SHIFT)
+    assert got[2:] == (1,)
 
 
 def test_float_holonomy_keeps_no_near_duplicates():
@@ -1093,7 +1093,7 @@ def _float_holonomy_oracle(vectors, mode):
         for s in (v, -v):
             signed.setdefault((s.re, s.im), s)
     signed = list(signed.values())
-    xs, ys, _, _ = fc.zseq.coordinate_grid(signed, mode)
+    xs, ys, _ = fc.zseq.coordinate_grid(signed, mode)
     index, kept = fc.PointIndex((), mode), []
     for i in fc.zseq.canonical_permutation(xs, ys).tolist():
         if signed[i] not in index:
@@ -1228,7 +1228,7 @@ def _assert_builds_as_references(xs, ys, eps, got, monkeypatch):
     near-duplicate search examines exactly the reference's candidates."""
     want, examined = _signed_distinct_reference(xs, ys, eps)
     assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
-    assert got[2:] == (None, None)
+    assert got[2:] == (None,)
     vectors = [fc.ZPoint(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
     oracle = _as_grid(_float_holonomy_oracle(vectors, fc.float_mode(eps)))
     assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in oracle]
@@ -1410,11 +1410,11 @@ def _bitmap_points(bitmap):
     return at // bitmap.height + bitmap.x0, at % bitmap.height + bitmap.y0
 
 
-def _keys_of(bitmap, shift):
+def _keys_of(bitmap):
     """The points of a ``flatgeom._Bitmap`` as ``flatgeom._SortedKeys``."""
     xs, ys = _bitmap_points(bitmap)
     span = int(max(np.abs(xs).max(), np.abs(ys).max()))
-    return fc.flatgeom._SortedKeys(np.sort((xs << shift) + ys), shift, span)
+    return fc.flatgeom._SortedKeys(np.sort(fc.zseq._packed(xs, ys, span)[0]), span)
 
 
 def _points_about(lo, hi, xs, ys, rng):
@@ -1440,13 +1440,13 @@ def test_bitmap_and_keys_hold_the_same_points(name):
     and for Python ints."""
     flatgeom = fc.flatgeom
     w = _MEMBER_WINDOWS[name]()
-    xs, ys, _, shift = w.grid
+    xs, ys, _ = w.grid
     members = flatgeom._window_members(w)
     assert isinstance(members, flatgeom._Bitmap)
     assert members.member.size <= flatgeom._BITMAP_CELLS
     assert members.member.sum() == len(w)
-    keys = _keys_of(members, shift)
-    assert np.array_equal(keys.keys, np.sort((xs << shift) + ys))
+    keys = _keys_of(members)
+    assert np.array_equal(keys.keys, np.sort(fc.zseq._packed(xs, ys, keys.limit)[0]))
     rng = np.random.default_rng(len(w))
     lo, hi = int(min(xs.min(), ys.min())), int(max(xs.max(), ys.max()))
     px, py = _points_about(lo, hi, xs, ys, rng)
@@ -1520,7 +1520,7 @@ def test_batched_decision_matches_each_vector_and_the_enumeration(name):
     enumerates, and ``has_holonomy_vector`` decides each one as it does."""
     flatgeom = fc.flatgeom
     w = _DECISION_WINDOWS[name]()
-    xs, ys, scale, _ = w.grid
+    xs, ys, scale = w.grid
     vx, vy = _decision_vectors(w, np.random.default_rng(len(w)))
     if xs.dtype == np.int64:
         vx, vy = vx.astype(np.int64), vy.astype(np.int64)
@@ -1549,7 +1549,7 @@ def test_repeated_decisions_read_the_cached_box(name):
     on that call and on the next."""
     flatgeom = fc.flatgeom
     w = _DECISION_WINDOWS[name]()
-    xs, ys, _, _ = w.grid
+    xs, ys, _ = w.grid
     vx, vy = _decision_vectors(w, np.random.default_rng(len(w) + 1))
     if xs.dtype == np.int64:
         vx, vy = vx.astype(np.int64), vy.astype(np.int64)
@@ -1571,7 +1571,7 @@ def test_repeated_decisions_read_the_cached_box(name):
 def _pairs_by_nearest_direction(w, max_length):
     """Exact visibility one anchor at a time: j is visible from i when it is
     the nearest window point along its primitive direction."""
-    xs, ys, scale, _ = w.grid
+    xs, ys, scale = w.grid
     limit2 = None if max_length is None else math.floor((Fraction(max_length) * scale) ** 2)
     pairs = []
     for i in range(len(xs)):
@@ -1677,7 +1677,7 @@ def test_visibility_holonomy_and_segments_equal_references(name):
 
 def test_near_limit_window_needs_the_python_int_quotients():
     w = _near_limit_window()
-    xs, ys, scale, _ = w.grid
+    xs, ys, scale = w.grid
     assert xs.dtype == np.int64 and scale == 3
     # squared lengths past 2**53 round before float64 divides them, so a
     # float64 quotient misses some of the lengths the gate above checks

@@ -347,7 +347,7 @@ def test_bitmap_and_key_targets_give_equal_hits_and_open_images(name):
     opened = 0
     for t in targets:
         assert isinstance(t.members, flatgeom._Bitmap)
-        keys = t._replace(members=_keys_of(t.members, t.shift or w.grid[3]))
+        keys = t._replace(members=_keys_of(t.members))
         reach = max(t.limit, int(np.abs(w.grid[0]).max()), int(np.abs(w.grid[1]).max()))
         x, y = _points_about(-reach, reach, *_bitmap_points(t.members), rng)
         on_grid = rng.random(len(x)) < 0.9
@@ -453,6 +453,35 @@ def test_hol_stabilizer_keeps_listed_images_past_the_anchors_reach(exact):
     assert len(want) == 20
     for e in (3.5, 4, 5):
         assert upper(e) == want
+
+
+def _checkerboard(radius, mode):
+    """The points x + iy with x + y even in the closed ball of ``radius``."""
+    pts = [fc.ZPoint.of(x, y, mode) for x in range(-radius, radius + 1)
+           for y in range(-radius, radius + 1) if (x + y) % 2 == 0 and x * x + y * y <= radius ** 2]
+    return fc.ZeroWindow.from_points(pts, radius, mode)
+
+
+@pytest.mark.parametrize("radius", [10, 14])
+@pytest.mark.parametrize("exact", [True, False])
+def test_restricted_upper_equals_the_unrestricted_upper(radius, exact):
+    """The pool filter admits images of the anchor (x, y) out to E sqrt(2)
+    (|x| + |y|), and the re-enumeration of a restricted set reaches as far:
+    its upper bound equals that of the full holonomy set, and holds the
+    lower.  With (r, E) = (2, 4), [[-4, -3], [3, 2]] sends the anchor
+    (1, 1) to (-7, 5), at 8.60, past the 8 of E sqrt(2) |(1, 1)|."""
+    mode = fc.EXACT if exact else fc.float_mode(1e-9)
+    w = _checkerboard(radius, mode)
+    full = fc.holonomy(w)
+    for r, e in ((2, 4), (2.5, 5.5), (1.5, 6)) if exact else ((2, 4),):
+        cfg = StabilizerSearchConfig(r, e)
+        lower, upper, ok = fc.sandwich_report(w, cfg)
+        assert ok and upper == fc.hol_stabilizer(full, cfg), (r, e)
+        assert {veech._matrix_key(m, mode) for m in lower} <= \
+            {veech._matrix_key(m, mode) for m in upper}
+    got = fc.classify(w, StabilizerSearchConfig(2, 4))
+    assert got.containment_ok
+    assert Mat2.of(-4, -3, 3, 2, mode) in got.upper
 
 
 @pytest.mark.parametrize("exact", [True, False])

@@ -441,7 +441,7 @@ def test_product_points_equal_float_of_each_coordinate():
         want = np.array([complex(float(p.re), float(p.im)) for p in w.points
                          if not p.is_zero()], dtype=np.complex128)
         assert pts.tobytes() == want.tobytes()
-        xs, _, scale, _ = w.grid
+        xs, _, scale = w.grid
         kinds.add((xs.dtype.kind, scale is not None and scale > 1 << 53))
     # float, int64, Python-int, and int64 over a scale past 2**53
     assert kinds == {("f", False), ("i", False), ("O", False), ("O", True), ("i", True)}

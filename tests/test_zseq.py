@@ -50,10 +50,10 @@ def _by_comparator(points):
 
 def _assert_grid_of_points(w):
     """``w.grid`` is the grid ``coordinate_grid`` builds from ``w.points``:
-    values, dtype, scale and shift."""
-    xs, ys, scale, shift = w.grid
-    want_xs, want_ys, want_scale, want_shift = coordinate_grid(w.points, w.mode)
-    assert (xs.dtype, scale, shift) == (want_xs.dtype, want_scale, want_shift)
+    values, dtype and scale."""
+    xs, ys, scale = w.grid
+    want_xs, want_ys, want_scale = coordinate_grid(w.points, w.mode)
+    assert (xs.dtype, scale) == (want_xs.dtype, want_scale)
     assert (xs.tolist(), ys.tolist()) == (want_xs.tolist(), want_ys.tolist())
 
 
@@ -107,16 +107,33 @@ def test_float_grid_reads_each_coordinate_as_float_does():
     pts = [fc.ZPoint(-0.0, 0.0), fc.ZPoint(0.1, -0.0), fc.ZPoint(Fraction(1, 3), Fraction(-2, 7)),
            fc.ZPoint(2 ** 53 + 1, -(2 ** 53 + 3)),
            fc.ZPoint(2 ** 70 + 2 ** 17 + 1, -(10 ** 30 + 1))]
-    xs, ys, scale, shift = coordinate_grid(pts, _FLOAT)
-    assert (scale, shift, xs.dtype, ys.dtype) == (None, None, np.float64, np.float64)
+    xs, ys, scale = coordinate_grid(pts, _FLOAT)
+    assert (scale, xs.dtype, ys.dtype) == (None, np.float64, np.float64)
     assert [x.hex() for x in xs.tolist()] == [float(p.re).hex() for p in pts]
     assert [y.hex() for y in ys.tolist()] == [float(p.im).hex() for p in pts]
-    xs, ys, _, _ = coordinate_grid([], _FLOAT)
+    xs, ys, _ = coordinate_grid([], _FLOAT)
     assert (xs.shape, ys.shape, xs.dtype, ys.dtype) == ((0,), (0,), np.float64, np.float64)
 
 
 # ---------------------------------------------------------------------------
 # canonical order
+
+
+@pytest.mark.parametrize("bound", [1, 3, (1 << 28) + 5, (1 << 30) - 1, 1 << 30, 1 << 40])
+def test_packed_keys_sort_negate_and_subtract_as_their_points(bound):
+    """The one packing: keys sort as their points sort by (x, y), and keys,
+    their negatives and their differences unpack to the points, negatives
+    and differences; keys are int64 exactly while they stay below 2**62."""
+    rng = np.random.default_rng(bound % 1000)
+    xs, ys = (np.r_[rng.integers(-bound, bound + 1, 300), -bound, bound, 0, -bound, bound]
+              for _ in range(2))
+    keys, shift = zseq._packed(xs, ys, bound)
+    assert keys.dtype == (np.int64 if bound < 1 << 30 else object)
+    assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort((ys, xs)))
+    for k, (x, y) in ((keys, (xs, ys)), (-keys, (-xs, -ys)),
+                      (keys[1:] - keys[:-1], (xs[1:] - xs[:-1], ys[1:] - ys[:-1]))):
+        got = zseq._unpacked(k, shift)
+        assert [a.tolist() for a in got] == [x.tolist(), y.tolist()]
 
 
 def test_canonical_order_norm_then_argument():
@@ -362,10 +379,10 @@ def _sweep_as_loop(spec, radius):
     assert zseq.grid_points(xs, ys, scale) == pts
     got = fc.generate(spec, radius)
     want = fc.generate(fc.GeneratorSpec.explicit(pts), radius)
-    gx, gy, gscale, gshift = got.grid
-    wx, wy, wscale, wshift = want.grid
-    assert (gx.dtype, gx.tolist(), gy.tolist(), gscale, gshift) == \
-        (wx.dtype, wx.tolist(), wy.tolist(), wscale, wshift)
+    gx, gy, gscale = got.grid
+    wx, wy, wscale = want.grid
+    assert (gx.dtype, gx.tolist(), gy.tolist(), gscale) == \
+        (wx.dtype, wx.tolist(), wy.tolist(), wscale)
     assert repr((got.radius, got.center, got.translation, got.points)) == \
         repr((want.radius, want.center, want.translation, want.points))
     return xs, scale
@@ -484,10 +501,29 @@ def test_min_gap_matches_pairwise_bruteforce():
 def _all_pairs_gap(w):
     """The smallest squared grid distance over every pair, rounded as
     ``min_gap`` rounds it."""
-    xs, ys, scale, _ = w.grid
+    xs, ys, scale = w.grid
     d = min(((xs[i] - xs[j]) ** 2 + (ys[i] - ys[j]) ** 2
              for i in range(len(xs)) for j in range(i + 1, len(xs))), default=math.inf)
     return math.sqrt(d if scale is None or d == math.inf else int(d) / (scale * scale))
+
+
+def _line_gaps(rng):
+    """Windows on vertical, horizontal and diagonal lines, and random
+    clouds, exact and float."""
+    steps = [rng.randint(1, 9) for _ in range(120)]
+    run = [sum(steps[:k]) for k in range(len(steps))]
+    lines = [[(3, t) for t in run], [(t, -2) for t in run], [(t, t) for t in run],
+             [(t, 7 - t) for t in run]]
+    out = []
+    for mode in (fc.EXACT, _FLOAT):
+        for pts in lines:
+            out.append(fc.ZeroWindow.from_points([fc.ZPoint.of(x, y, mode) for x, y in pts],
+                                                 3 * run[-1], mode))
+        for _ in range(4):
+            pts = {(rng.randint(-60, 60), rng.randint(-25, 25)) for _ in range(100)}
+            out.append(fc.ZeroWindow.from_points([fc.ZPoint.of(Fraction(x, 3), y, mode)
+                                                  for x, y in pts], 80, mode))
+    return out
 
 
 def test_min_gap_equals_all_pairs_on_every_grid_kind():
@@ -502,9 +538,10 @@ def test_min_gap_equals_all_pairs_on_every_grid_kind():
                                   + [zp(Fraction(1, 3), 0)], 2 * far),
         fc.ZeroWindow.from_points([fc.ZPoint(rng.uniform(-5, 5), rng.uniform(-5, 5))
                                    for _ in range(60)], 8, _FLOAT),
-        # a vertical line: dx is 0 at every offset, so no early stop
+        # a vertical line, swept along y
         fc.ZeroWindow.from_points([zp(Fraction(1, 2), Fraction(k * k - 40, 7)) for k in range(19)], 60),
         fc.ZeroWindow.from_points([fc.ZPoint(3.0, k * 0.37 + 0.01 * k * k) for k in range(25)], 60, _FLOAT),
+        *_line_gaps(rng),
     ]
     kinds = set()
     for w in windows:
@@ -580,6 +617,94 @@ def test_float_radius_past_1e154_bounds_the_region():
 
 # ---------------------------------------------------------------------------
 # validation
+
+
+def test_min_gap_sweeps_along_the_axis_of_larger_extent(monkeypatch):
+    """On a line of either axis the sweep's primary sort key is the
+    coordinate that varies, so dx > 0 at every offset and the sweep stops
+    past the first: a vertical line no longer compares every pair."""
+    primary = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: primary.append(keys[-1]) or lexsort(keys))
+    for pts in ([zp(0, k) for k in range(-500, 501)], [zp(k, 0) for k in range(-500, 501)]):
+        w = fc.ZeroWindow.from_points(pts, 500)
+        primary.clear()
+        assert w.min_gap() == 1.0
+        assert len(primary) == 1 and len(set(primary[0].tolist())) == len(w)
+
+
+# ---------------------------------------------------------------------------
+# checked construction: duplicates and non-finite points
+
+
+def _assert_duplicates_as_all_pairs(pts, radius, mode) -> int:
+    """``from_points`` refuses ``pts`` exactly when two are ``same_point``,
+    and ``validate`` of the unchecked window in canonical order names each
+    point's first later match, as a loop over all pairs finds them.
+    Returns the number of points with a match."""
+    xs, ys, _ = coordinate_grid(pts, mode)
+    pts = [pts[k] for k in zseq.canonical_permutation(xs, ys).tolist()]
+    want = []
+    for i, p in enumerate(pts):
+        j = next((j for j in range(i + 1, len(pts)) if same_point(p, pts[j], mode)), None)
+        if j is not None:
+            want.append(("DuplicatePoint", f"points {i} and {j} coincide"))
+    rep = fc.validate(fc.ZeroWindow(pts, radius, mode, check=False))
+    assert [v for v in rep.violations if v[0] == "DuplicatePoint"] == want
+    if want:
+        with pytest.raises(fc.DuplicatePoint):
+            fc.ZeroWindow.from_points(pts, radius, mode)
+    else:
+        assert len(fc.ZeroWindow.from_points(pts, radius, mode)) == len(pts)
+    return len(want)
+
+
+def _near_copies(rng, pts, eps, share):
+    """``pts`` plus copies of a ``share`` of them moved by 0.5 to 1.5 eps in a
+    random direction: some within eps of their original, some not."""
+    out = list(pts)
+    for p in rng.sample(pts, int(share * len(pts))):
+        t, d = rng.uniform(0, 2 * math.pi), eps * rng.uniform(0.5, 1.5)
+        out.append(fc.ZPoint(p.re + d * math.cos(t), p.im + d * math.sin(t)))
+    return out
+
+
+def test_float_duplicates_are_every_pair_within_eps():
+    """Random clouds, points on one circle, whose norms round apart so that
+    canonical order scatters neighbours in angle, and three points of which
+    an intervening norm separates the two that coincide."""
+    rng = random.Random(89)
+    matched = 0
+    for eps in (1e-9, 1e-6, 0.3):
+        mode = fc.float_mode(eps)
+        cloud = [fc.ZPoint(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(150)]
+        matched += _assert_duplicates_as_all_pairs(_near_copies(rng, cloud, eps, 0.3), 20, mode)
+        turns = [2 * math.pi * k / 200 for k in range(200)]
+        circle = [fc.ZPoint(3 * math.cos(t), 3 * math.sin(t)) for t in turns]
+        matched += _assert_duplicates_as_all_pairs(_near_copies(rng, circle, eps, 0.3), 4, mode)
+        assert _assert_duplicates_as_all_pairs(circle, 4, fc.float_mode(eps / 1e3)) == 0
+    repro = [fc.ZPoint(1.0, 0.0), fc.ZPoint(0.0, 1 + 5e-11), fc.ZPoint(1 + 1e-10, 0.0)]
+    assert _assert_duplicates_as_all_pairs(repro, 5, _FLOAT) == 1
+    assert ("DuplicatePoint", "points 0 and 2 coincide") in \
+        fc.validate(fc.ZeroWindow(repro, 5, _FLOAT, check=False)).violations
+    assert _assert_duplicates_as_all_pairs(repro, 5, fc.float_mode(0)) == 0
+    assert matched > 50
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_checked_constructors_refuse_non_finite_points(bad):
+    pts = [fc.ZPoint(0.0, 0.0), fc.ZPoint(bad, 1.0), fc.ZPoint(1.0, 0.0)]
+    with pytest.raises(fc.NonFinite, match="is not finite"):
+        fc.ZeroWindow.from_points(pts, 5, _FLOAT)
+    with pytest.raises(fc.NonFinite):
+        fc.ZeroWindow(pts, 5, _FLOAT)
+    data = {"mode": "float", "radius": 5, "translation": None,
+            "points": [[p.re, p.im] for p in pts]}
+    with pytest.raises(fc.NonFinite):
+        fc.window_from_json(data)
+    # unchecked, the window keeps the point, and validate names it
+    rep = fc.validate(fc.ZeroWindow(pts, 5, _FLOAT, check=False))
+    assert ("NonFinite", "point 1 is not finite") in rep.violations
 
 
 def test_validate_clean_window(lattice5):
