@@ -37,7 +37,6 @@ _EXPORTS = {
         "EXACT",
         "GeneratorSpec",
         "Mode",
-        "PointIndex",
         "ValidationReport",
         "ZPoint",
         "ZeroWindow",

@@ -6,12 +6,11 @@ two sampled regions, so equivalence here always means agreement on that
 overlap ball.  Moduli coordinates invert the nonzero points, compactifying
 the tail of the sequence near 0.
 
-Exact windows are compared on their integer grids: translation equivalence
-puts both windows on one scale and tests every candidate offset with numpy
-masks and membership gathers, and the automorphism search runs the
+Both searches test every candidate at once, in both modes: translation
+equivalence with numpy masks and membership lookups over the two windows,
+exact ones put on one integer scale, and the automorphism search in the
 ``gridsearch`` kernel.  Fractions are built only for the offsets and
-matrices returned.  Float windows take the point loops, which stay as the
-references the exact paths are tested against.
+matrices returned.
 """
 
 from __future__ import annotations
@@ -22,17 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ModeMismatch, PoleInAction, TooFewPoints
-from .veech import (_BLOCK, Mat2, StabilizerSearchConfig, _matrix_key, _probes, _resolve,
-                    stabilizer_candidates)
-from .zseq import ZPoint, ZeroWindow, _ratio, _span, rescale_grid, zdiv, zmul, zreciprocal
+from .errors import EmptyWindow, ModeMismatch, PoleInAction, TooFewPoints
+from .veech import _BLOCK, Mat2, StabilizerSearchConfig, _resolve, stabilizer_candidates
+from .zseq import (ZPoint, ZeroWindow, _ratio, _span, grid_points, rescale_grid, zdiv, zmul,
+                   zreciprocal)
 from .flatgeom import _members, window_collinear
-
-
-def _offset_key(t: ZPoint, mode):
-    if mode.is_exact:
-        return (t.re, t.im)
-    return (round(float(t.re), 12), round(float(t.im), 12))
 
 
 @dataclass(frozen=True)
@@ -59,121 +52,76 @@ class EquivResult:
 def translation_equiv(w1: ZeroWindow, w2: ZeroWindow) -> EquivResult:
     """Find b with w1 + b = w2 on the overlap of the sampled regions.
 
-    Candidate offsets send w1's first point to each w2 point within half of
-    w2's radius, in w2's order; a candidate wins when the two point sets
-    agree exactly on the ball where both regions certify completeness, and
-    the first to win is returned, or else the best partial match.  Exact
-    windows decide every candidate on one integer grid
-    (``_translation_grid``), float windows point by point
-    (``_translation_loop``).
+    Candidate offsets send w1's first point p0 to each w2 point q within
+    half of w2's radius, in w2's order; a candidate wins when the two point
+    sets agree exactly on the ball where both regions certify completeness,
+    and the first to win is returned, or else the best partial match.  An
+    empty w2 matches nothing; an empty w1 has no first point and raises
+    ``EmptyWindow``.
+
+    The candidates go in blocks of about ``veech._BLOCK`` entries, each a
+    numpy pass: its ball masks and its membership lookups
+    (``flatgeom._members``) of w1 + b among w2 and of w2 - b among w1.
+    Each test runs the float operations of its ``ZPoint`` expression, in
+    its order: b = q - p0, |c1 + b - c2| for the overlap, |(p + b) - c2|
+    and |p - c2| for the ball, c1 and c2 the centres.  Exact windows and
+    centres go on the scale S, the lcm of the grid scales and the centres'
+    denominators, where these are integers over S and squared distances
+    are rounded by ``_ratio`` as ``float(Fraction)`` rounds them.
     """
     if w1.mode != w2.mode:
         raise ModeMismatch(f"cannot compare {w1.mode} with {w2.mode}")
-    # an empty w1 has no first point: the loop raises as it always has
-    if not w1.mode.is_exact or not len(w1):
-        return _translation_loop(w1, w2)
-    return _translation_grid(w1, w2)
-
-
-def _translation_loop(w1: ZeroWindow, w2: ZeroWindow) -> EquivResult:
-    """``translation_equiv`` one ``ZPoint`` at a time: the float path, and
-    the reference for the exact one."""
-    mode = w1.mode
-    idx1, idx2 = w1.index(), w2.index()
-    half2 = Fraction(w2.radius) ** 2 / 4 if mode.is_exact else w2.radius * w2.radius / 4
-    band = 1e-9 * (1 + float(max(w1.radius, w2.radius)))
-    p0 = w1.points[0]
-    best = EquivResult(False, None, 0.0)
-    for q in w2.points:
-        d2 = (q - w2.center).norm2()
-        if mode.is_exact:
-            if d2 > half2:
-                continue
-        elif float(d2) > half2 * (1 + 1e-12):
-            continue
-        b = q - p0
-        delta = ((w1.center + b) - w2.center).norm()
-        rho = float(min(w1.radius, w2.radius)) - delta
-        if rho <= band:
-            continue
-        lim = rho - band
-        lim2 = lim * lim
-        checked = matched = 0
-        for p in w1.points:
-            if float(((p + b) - w2.center).norm2()) > lim2:
-                continue
-            checked += 1
-            if (p + b) in idx2:
-                matched += 1
-        for p in w2.points:
-            if float((p - w2.center).norm2()) > lim2:
-                continue
-            checked += 1
-            if (p - b) in idx1:
-                matched += 1
-        if checked and matched == checked:
-            return EquivResult(True, b, 1.0, overlap_radius=rho)
-        frac = matched / checked if checked else 0.0
-        if frac > best.matched_fraction:
-            best = EquivResult(False, b, frac, overlap_radius=rho)
-    return best
-
-
-def _translation_grid(w1: ZeroWindow, w2: ZeroWindow) -> EquivResult:
-    """``_translation_loop`` of two nonempty exact windows, on one grid.
-
-    Both windows and both centres go on the scale S, the lcm of the grid
-    scales and the centres' denominators: w1 about its first point p0, and
-    w2 about its centre c2, where a candidate q sits at u and the offset
-    b = q - p0 moves a w1 point v to v + u.  Squared distances are integers
-    over S^2, rounded by ``_ratio`` as ``float(Fraction)`` rounds them, so
-    every test compares the loop's floats.  The candidates go in blocks of
-    about ``veech._BLOCK`` entries, each a numpy pass: its ball masks and
-    its membership gathers (``flatgeom._members``) over the moved grids.
-    """
-    xs1, ys1, s1 = w1.grid
-    xs2, ys2, s2 = w2.grid
-    centres = [Fraction(v) for v in (*w1.center, *w2.center)]
-    s = math.lcm(s1, s2, *(v.denominator for v in centres))
-    c1x, c1y, c2x, c2y = (v.numerator * (s // v.denominator) for v in centres)
-    k1, k2 = s // s1, s // s2
-    span = max(abs(c1x), abs(c1y), abs(c2x), abs(c2y), _span(xs1, ys1) * k1,
-               _span(xs2, ys2) * k2)
-    xs1, ys1 = rescale_grid(xs1, ys1, k1, span)
-    xs2, ys2 = rescale_grid(xs2, ys2, k2, span)
-    x0, y0 = int(xs1[0]), int(ys1[0])
-    vx, vy = xs1 - x0, ys1 - y0  # w1 about p0
-    ux, uy = xs2 - c2x, ys2 - c2y  # w2 about c2
+    if not len(w1):
+        raise EmptyWindow("the first window has no point to move")
+    (xs1, ys1, scale1), (xs2, ys2, scale2) = w1.grid, w2.grid
+    if scale1 is None:
+        s = None
+        c1x, c1y, c2x, c2y = (*w1.center, *w2.center)
+        half2 = w2.radius * w2.radius / 4 * (1 + 1e-12)
+    else:
+        centres = [Fraction(v) for v in (*w1.center, *w2.center)]
+        s = math.lcm(scale1, scale2, *(v.denominator for v in centres))
+        c1x, c1y, c2x, c2y = (v.numerator * (s // v.denominator) for v in centres)
+        k1, k2 = s // scale1, s // scale2
+        span = max(abs(c1x), abs(c1y), abs(c2x), abs(c2y), _span(xs1, ys1) * k1,
+                   _span(xs2, ys2) * k2)
+        xs1, ys1 = rescale_grid(xs1, ys1, k1, span)
+        xs2, ys2 = rescale_grid(xs2, ys2, k2, span)
+        r2 = Fraction(w2.radius)
+        # |q - c2|^2 = n2 / S^2 <= r2^2 / 4, compared on integers
+        half2 = (r2.numerator * s) ** 2 // (4 * r2.denominator ** 2)
+    members1, members2 = _members(xs1, ys1, w1.mode), _members(xs2, ys2, w2.mode)
+    ux, uy = xs2 - c2x, ys2 - c2y
     n2 = ux * ux + uy * uy
-    r2 = Fraction(w2.radius)
-    # |q - c2|^2 = n2 / S^2 <= r2^2 / 4, compared on integers
-    cand = np.flatnonzero(n2 <= (r2.numerator * s) ** 2 // (4 * r2.denominator ** 2))
-    s2 = s * s
-    bx, by = ux[cand], uy[cand]
-    ex, ey = bx + (c1x - x0), by + (c1y - y0)  # c1 + b - c2
-    rho = float(min(w1.radius, w2.radius)) - np.sqrt(_ratio(ex * ex + ey * ey, s2))
+    cand = np.flatnonzero(n2 <= half2)
+    sq = None if s is None else s * s
+    bx, by = xs2[cand] - xs1[0], ys2[cand] - ys1[0]  # b = q - p0
+    ex, ey = (c1x + bx) - c2x, (c1y + by) - c2y
     band = 1e-9 * (1 + float(max(w1.radius, w2.radius)))
-    live = np.flatnonzero(rho > band)
-    bx, by, rho = bx[live], by[live], rho[live]
-    lim = rho - band
-    lim2 = (lim * lim)[:, None]
-    members1, members2 = _members(vx, vy), _members(ux, uy)
-    norm2 = _ratio(n2, s2)
+    with np.errstate(over="ignore"):
+        rho = float(min(w1.radius, w2.radius)) - np.sqrt(_ratio(ex * ex + ey * ey, sq))
+        live = np.flatnonzero(rho > band)
+        bx, by, rho = bx[live], by[live], rho[live]
+        lim = rho - band
+        lim2 = (lim * lim)[:, None]
+    norm2 = _ratio(n2, sq)
 
     def result(j: int, frac: float) -> EquivResult:
-        b = ZPoint(Fraction(int(bx[j]) + c2x - x0, s), Fraction(int(by[j]) + c2y - y0, s))
+        b = grid_points(bx[j:j + 1], by[j:j + 1], s)[0]
         return EquivResult(frac == 1.0, b, frac, overlap_radius=float(rho[j]))
 
     best = EquivResult(False, None, 0.0)
-    rows = max(1, _BLOCK // (len(vx) + len(ux)))
+    rows = max(1, _BLOCK // (len(xs1) + len(xs2)))
     for lo in range(0, len(bx), rows):
         at = slice(lo, lo + rows)
-        mx, my = vx + bx[at, None], vy + by[at, None]
-        near1 = _ratio((mx * mx + my * my).ravel(), s2).reshape(mx.shape) <= lim2[at]
+        mx, my = xs1 + bx[at, None], ys1 + by[at, None]  # p + b
+        dx, dy = mx - c2x, my - c2y
+        with np.errstate(over="ignore"):
+            near1 = _ratio((dx * dx + dy * dy).ravel(), sq).reshape(mx.shape) <= lim2[at]
         near2 = norm2 <= lim2[at]
         checked = near1.sum(axis=1) + near2.sum(axis=1)
-        matched = ((near1 & members2.contains(mx, my)).sum(axis=1)
-                   + (near2 & members1.contains(ux - bx[at, None], uy - by[at, None])).sum(axis=1))
+        moved = members1.contains(xs2 - bx[at, None], ys2 - by[at, None])  # p - b
+        matched = (near1 & members2.contains(mx, my)).sum(axis=1) + (near2 & moved).sum(axis=1)
         # a candidate that checks nothing matches a fraction 0
         frac = matched / np.maximum(checked, 1)
         full = np.flatnonzero((checked > 0) & (matched == checked))
@@ -199,39 +147,9 @@ def affine_automorphisms(w: ZeroWindow, cfg: StabilizerSearchConfig | None = Non
         linears = [Mat2.identity(w.mode), -Mat2.identity(w.mode)]
     else:
         linears = stabilizer_candidates(w, StabilizerSearchConfig(r, e, req))
-    if w.mode.is_exact:
-        from . import gridsearch
-        return gridsearch.automorphisms(w, linears, r)
-    found = _automorphisms_loop(w, linears, r)
-    return [found[k] for k in sorted(found)]
+    from . import gridsearch
 
-
-def _automorphisms_loop(w: ZeroWindow, linears: list, r: float) -> dict:
-    """{key: (A, t)} of the pairs that permute the window, one ``Mat2``
-    action at a time: the float path, and the reference for the exact one,
-    whose order is that of the sorted keys."""
-    probes = [w.points[i] for i in _probes(w.grid, r, w.mode, w.center)[0]]
-    idx = w.index()
-    p0 = w.points[0]
-    found = {}
-    for a in linears:
-        a_inv = a.inverse()
-        for q in w.points:
-            t = q - a.apply(p0)
-            ok = True
-            for p in probes:
-                if (a.apply(p) + t) not in idx:
-                    ok = False
-                    break
-            if ok:
-                for p in probes:
-                    if a_inv.apply(p - t) not in idx:
-                        ok = False
-                        break
-            if ok:
-                key = (_matrix_key(a, w.mode), _offset_key(t, w.mode))
-                found.setdefault(key, (a, t))
-    return found
+    return gridsearch.automorphisms(w, linears, r)
 
 
 # --------------------------------------------------------------------------

@@ -137,7 +137,7 @@ negated, gives the canonical order with no sort of the full set.
 
 Near-duplicates then go in canonical order: a vector is dropped when
 ``same_point`` matches it to one kept earlier in one of the 3 x 3
-eps-cells about it, the cells ``PointIndex`` probes.  A cell is (floor(x /
+eps-cells about it (``zseq._first_copies``).  A cell is (floor(x /
 eps), floor(y / eps)), a pair of floats that may pass 2**53, so columns
 and rows are replaced by their dense ranks: one int64 key col * height +
 row orders the cells as the floats order them, and the rows ky - 1 and ky
@@ -160,9 +160,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyWindow
-from .zseq import (_INT_COORD_LIMIT, Mode, PointIndex, ZPoint, ZeroWindow, _ints, _lengths,
-                   _moved, _packed, _ratio, _span, _spans, _typed_grid, _unpacked,
-                   canonical_permutation, coordinate_grid, grid_points, rescale_grid)
+from .zseq import (_INT_COORD_LIMIT, Mode, ZPoint, ZeroWindow, _first_copies, _float_members,
+                   _ints, _lengths, _moved, _packed, _ranks, _ratio, _span, _spans, _starts,
+                   _typed_grid, _unpacked, canonical_permutation, coordinate_grid, grid_points,
+                   rescale_grid)
 
 
 # --------------------------------------------------------------------------
@@ -636,22 +637,23 @@ class HolonomySet:
     and their negatives, interleaved as (v, -v), lose exact repeats first
     (the first occurrence stays, which settles 0.0 against -0.0); then,
     in canonical order, a vector is dropped when it is ``same_point`` as
-    one already kept and lies in a neighbouring eps-cell, as ``PointIndex``
-    finds it.  So vectors that differ only by rounding count once, and of
-    a chain a, b, c with only neighbours within eps, a and c stay.  The
-    set is built from the half plane of arguments [0, pi): each value
-    there takes its bits, and its negative's, from the first pair that
-    holds either, and as -u has the norm2 of u and the key x = -x_u, each
-    run of equal norm2 lists its vectors of that half plane, then their
-    negatives in the same order (see the module docstring).
+    one already kept and lies in a neighbouring eps-cell, the cells
+    ``zseq._float_members`` searches.  So vectors that differ only by
+    rounding count once, and of a chain a, b, c with only neighbours within
+    eps, a and c stay.  The set is built from the half plane of arguments
+    [0, pi): each value there takes its bits, and its negative's, from the
+    first pair that holds either, and as -u has the norm2 of u and the key
+    x = -x_u, each run of equal norm2 lists its vectors of that half plane,
+    then their negatives in the same order (see the module docstring).
 
     ``complete_radius`` is the heuristic certification radius
     ``max(0, window_radius - L)`` where L is the longest length the
     enumeration tested.  When the set was enumerated with a length
     restriction, ``contains`` decides longer vectors (``_past_restriction``)
-    on demand against the source window, and caches them.  In both modes the
-    point index behind ``contains`` is built on its first call, and
-    ``vectors``, as ``ZeroWindow.points``, on its first read.
+    on demand against the source window, and caches them.  ``contains``
+    looks vectors up on ``grid`` through ``_members``, built on its first
+    call, and ``vectors``, as ``ZeroWindow.points``, are built on their
+    first read.
 
     ``grid`` = ``(xs, ys, scale)`` holds the vectors as ``zseq`` holds
     points: exact sets on an integer grid of int64 or Python ints, which
@@ -695,8 +697,11 @@ class HolonomySet:
                 lmax = _lengths(grid[0][-1:], grid[1][-1:], grid[2]).max(initial=0.0)
             complete_radius = max(0.0, float(window_radius) - _float_length(lmax))
         self.complete_radius = complete_radius
-        self._index = None
         self._query_cache = {}
+
+    @cached_property
+    def _lookup(self):
+        return _members(*self.grid[:2], self.mode)
 
     @cached_property
     def vectors(self) -> tuple:
@@ -713,9 +718,8 @@ class HolonomySet:
         visible pair of the source window?"""
         if v.is_zero():
             return False
-        if self._index is None:
-            self._index = PointIndex(self.vectors, self.mode)
-        if v in self._index:
+        at = _grid_point(self.grid, v)
+        if at is not None and self._lookup.contains(*at)[0]:
             return True
         if self.window is None or self.restricted_to is None \
                 or not _past_restriction(v.norm(), self.restricted_to):
@@ -805,11 +809,7 @@ def _signed_distinct_float(xs, ys, eps: float) -> tuple:
     down = up + np.repeat(size, size)
     cx, cy = np.empty((2, 2 * len(norm2)))
     cx[up], cx[down], cy[up], cy[down] = hx, -hx, hy, -hy
-    keep = np.ones(len(cx), dtype=bool)
-    i, j = _near_pairs(cx, cy, eps)
-    for a, b in zip(i.tolist(), j.tolist()):
-        if keep[a]:
-            keep[b] = False
+    keep = _first_copies(np.ones(len(cx), dtype=bool), *_near_pairs(cx, cy, eps))
     return cx[keep], cy[keep], None
 
 
@@ -818,40 +818,19 @@ def _signed_distinct_float(xs, ys, eps: float) -> tuple:
 _MIX = (-0x61C8864680B583EB, -0x3D4D51C2D82B14B1)
 
 
-def _ranks(a) -> tuple:
-    """The dense ranks of the entries of ``a``, equal entries sharing one,
-    and the distinct entries in ascending order."""
-    order = np.argsort(a)
-    a = a[order]
-    start = _starts(a)
-    ranks = np.empty(len(a), dtype=np.int64)
-    ranks[order] = np.cumsum(start) - 1
-    return ranks, a[start]
-
-
-def _starts(*keys):
-    """Mask of the entries of the arrays ``keys`` that differ from the
-    entry before them in some key: the starts of the runs of equal keys."""
-    start = np.zeros(len(keys[0]), dtype=bool)
-    start[:1] = True
-    for k in keys:
-        start[1:] |= k[1:] != k[:-1]
-    return start
-
-
 def _near_pairs(xs, ys, eps: float) -> tuple:
     """Arrays (i, j), ordered by j, of the pairs i < j of the vectors in
-    canonical order that ``same_point`` matches in neighbouring eps-cells,
-    as ``PointIndex`` probes them (see the module docstring).  At eps = 0
-    only exact repeats match, and there are none."""
+    canonical order that ``same_point`` matches in neighbouring eps-cells
+    (see the module docstring).  At eps = 0 only exact repeats match, and
+    there are none."""
     none = np.zeros(0, dtype=np.int64)
     if eps == 0:
         return none, none
     with np.errstate(over="ignore"):
         kx, ky = np.floor(xs / eps), np.floor(ys / eps)
     # an infinite quotient puts eps below the coordinate's ulp: that vector
-    # compares exactly, as ``PointIndex`` compares it, and matches none of
-    # these distinct vectors
+    # compares exactly, as ``zseq._float_members`` compares it, and matches
+    # none of these distinct vectors
     cells = np.flatnonzero(np.isfinite(kx) & np.isfinite(ky))
     kx, ky = kx[cells], ky[cells]
     # the column and row of each cell by rank, and the ranks of the rows
@@ -964,11 +943,13 @@ class _SortedKeys(NamedTuple):
         return ok & (self.keys[pos] == packed)
 
 
-def _members(xs, ys):
-    """The grid points (xs, ys), int64 or Python ints, as the structure every
-    exact membership test looks them up in: a ``_Bitmap`` when they are
-    int64 and their box has at most _BITMAP_CELLS cells, else
-    ``_SortedKeys``."""
+def _members(xs, ys, mode: Mode | None = None):
+    """The grid points (xs, ys) as the structure every membership test looks
+    them up in: float points in ``mode`` as ``zseq._float_members`` finds
+    them, exact ones in a ``_Bitmap`` when they are int64 and their box has
+    at most _BITMAP_CELLS cells, else in ``_SortedKeys``."""
+    if xs.dtype == np.float64:
+        return _float_members(xs, ys, mode)
     if xs.dtype != object and len(xs):
         x0, y0 = int(xs.min()), int(ys.min())
         width, height = int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1
@@ -981,11 +962,24 @@ def _members(xs, ys):
 
 
 def _window_members(w: ZeroWindow):
-    """``_members`` of an exact window's points, built once per window."""
+    """``_members`` of a window's points, built once per window."""
     got = w._cache.get("members")
     if got is None:
-        got = w._cache["members"] = _members(*w.grid[:2])
+        got = w._cache["members"] = _members(*w.grid[:2], w.mode)
     return got
+
+
+def _grid_point(grid, v: ZPoint):
+    """(x, y), arrays of one entry, of the point ``v`` on ``grid``, or None
+    when ``v`` is off an exact grid."""
+    scale = grid[2]
+    if scale is None:
+        return np.array([float(v.re)]), np.array([float(v.im)])
+    sx, sy = Fraction(v.re) * scale, Fraction(v.im) * scale
+    if sx.denominator != 1 or sy.denominator != 1:
+        return None
+    x, y = int(sx), int(sy)
+    return _ints(max(abs(x), abs(y)), [x], [y])
 
 
 def _window_box(w: ZeroWindow) -> tuple:
@@ -1026,35 +1020,60 @@ def _has_grid_vectors(w: ZeroWindow, vx, vy) -> np.ndarray:
     return held
 
 
+def _has_float_vectors(w: ZeroWindow, vx, vy) -> np.ndarray:
+    """The twin of ``_has_grid_vectors`` for a float window: v is held when
+    some window point p, a witness, has p + v in the window and no window
+    point in the eps-tube of the segment from p along v (``_blocked``'s,
+    about a length by ``math.hypot``, which does not overflow).  The
+    witnesses of a block of vectors are sought among the first 8 points,
+    the next 16, 32 and so on, and tried in window order, while the vector
+    is undecided."""
+    xs, ys, _ = w.grid
+    eps = w.mode.eps
+    held = np.zeros(len(vx), dtype=bool)
+    ln = np.array(list(map(math.hypot, vx.tolist(), vy.tolist())), dtype=np.float64)
+    members = _window_members(w)
+    rows = max(1, _BLOCK_ENTRIES // max(len(xs), 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        len2 = ln * ln
+        for lo in range(0, len(vx), rows):
+            live = np.arange(lo, min(lo + rows, len(vx)))
+            start, step = 0, 8
+            while len(live) and start < len(xs):
+                stop = start + step
+                witness = members.contains(xs[start:stop] + vx[live, None],
+                                           ys[start:stop] + vy[live, None])
+                tried = np.flatnonzero(witness.any(axis=1))
+                while len(tried):
+                    p = witness[tried].argmax(axis=1)
+                    witness[tried, p] = False
+                    k, p = live[tried][:, None], p + start
+                    cx, cy = xs - xs[p][:, None], ys - ys[p][:, None]
+                    crs = vx[k] * cy - vy[k] * cx
+                    s = vx[k] * cx + vy[k] * cy
+                    blocked = (np.abs(crs) <= eps * ln[k]) & (s > eps / 2 * len2[k]) \
+                        & (s < (1 - eps / 2) * len2[k])
+                    free = ~blocked.any(axis=1)
+                    held[k[free, 0]] = True
+                    tried = tried[~free]
+                    tried = tried[witness[tried].any(axis=1)]
+                live = live[~held[live]]
+                start, step = stop, 2 * step
+    return held
+
+
 def has_holonomy_vector(w: ZeroWindow, v: ZPoint) -> bool:
     """Is ``v`` (or ``-v``) the difference of some visible window pair?  Exact
     windows decide it on their grid (``_has_grid_vectors``), where a v off
-    the grid is none; float windows test each witness's eps-tube."""
+    the grid is none, float windows by its witnesses (``_has_float_vectors``)."""
     if v.is_zero():
         return False
+    at = _grid_point(w.grid, v)
+    if at is None:
+        return False
     if w.mode.is_exact:
-        sx, sy = Fraction(v.re) * w.grid[2], Fraction(v.im) * w.grid[2]
-        if sx.denominator != 1 or sy.denominator != 1:
-            return False
-        x, y = int(sx), int(sy)
-        return bool(_has_grid_vectors(w, *_ints(max(abs(x), abs(y)), [x], [y]))[0])
-    idx = w.index()
-    xs, ys = w.grid[:2]
-    eps = w.mode.eps
-    vx, vy = float(v.re), float(v.im)
-    ln = math.hypot(vx, vy)
-    len2 = ln * ln
-    for p in w.points:
-        if (p + v) not in idx:
-            continue
-        cx = xs - float(p.re)
-        cy = ys - float(p.im)
-        crs = vx * cy - vy * cx
-        s = vx * cx + vy * cy
-        blocked = (np.abs(crs) <= eps * ln) & (s > eps / 2 * len2) & (s < (1 - eps / 2) * len2)
-        if not blocked.any():
-            return True
-    return False
+        return bool(_has_grid_vectors(w, *at)[0])
+    return bool(_has_float_vectors(w, *at)[0])
 
 
 # --------------------------------------------------------------------------

@@ -13,27 +13,26 @@ required to act correctly on the part of the data that stays inside the
 sampled region, with an inner/outer two-radius scheme controlling boundary
 effects.
 
-Every search, exact or float, reads one probe set off the grid of its
-window or holonomy set (``_probes``): the points within the inner radius
-of a centre, farthest first, and their first independent pair p, q as
-anchors.  Exact windows test candidates on their integer grid
-(``ZeroWindow.grid``, built by ``zseq``), in ``gridsearch``, which the
-exact paths import on first use.
-With base B = [p q], D = det B and an image pair as the columns of M,
-every candidate is N / D with N = M adj(B), so the det > 0, entry-bound
-and non-contraction filters are integer comparisons on N, D and det M.
-One numpy kernel then sends every probe X through all candidates at once,
-as N X / D and the inverse as B adj(M) X / det M: an inexact division is a
-miss, and an exact one is looked up among the window points (lower bound)
-or holonomy vectors (upper bound), in the structure ``flatgeom._members``
-builds for them.  An image past a holonomy set's length restriction that
-is not listed is decided once, on the window's grid, for all candidates.
-Closure products and affine automorphisms go through the same kernel,
-which orders its results as integer rows and builds a ``Mat2`` of
-Fractions once per matrix returned.  Grid integers become floats through
-``zseq._ratio``.  Float windows keep the ``Mat2`` loops (``_search``,
-``_closure_loop``, ``equiv._automorphisms_loop``) on the same probe set;
-they are also the references the exact kernel is tested against.
+Every search reads one probe set off the grid of its window or holonomy
+set (``_probes``): the points within the inner radius of a centre,
+farthest first, and their first independent pair p, q as anchors.  Every
+candidate is a matrix A sending p, q to a pair of images from a pool, and
+the searches run in ``gridsearch``, one array kernel for both modes, which
+the entry points import on first use.  The kernel sends every probe
+through all candidates and their inverses at once and looks each image up
+among the window points (lower bound) or holonomy vectors (upper bound),
+in the structure ``flatgeom._members`` builds for them.  An image past a
+holonomy set's length restriction that is not listed is decided once, on
+the source window, for all candidates.  Exact windows run it on their
+integer grid (``ZeroWindow.grid``, built by ``zseq``): with base
+B = [p q], D = det B and an image pair as the columns of M, every
+candidate is N / D with N = M adj(B), so the det > 0, entry-bound and
+non-contraction filters are integer comparisons, and a ``Mat2`` of
+Fractions is built once per matrix returned.  Float windows compute each
+entry with the ``Mat2`` operations, in their order, and compare those
+floats as ``Mat2`` does.  Closure products and affine automorphisms go
+through the same kernel.  Grid integers become floats through
+``zseq._ratio``.
 """
 
 from __future__ import annotations
@@ -56,7 +55,8 @@ from .zseq import (EXACT, Mode, ZPoint, ZeroWindow, _contracting, _moved, _outsi
 
 @dataclass(frozen=True)
 class Mat2:
-    """Row-major [[a, b], [c, d]] acting on the plane as column vectors."""
+    """Row-major [[a, b], [c, d]] acting on the plane as column vectors.
+    The entries may be arrays of one shape, for one matrix per entry."""
 
     a: object
     b: object
@@ -94,7 +94,7 @@ class Mat2:
 
     def inverse(self) -> "Mat2":
         det = self.det
-        if det == 0:
+        if np.any(det == 0):
             raise SingularMatrix(f"matrix {self.rows()} is singular")
         return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
@@ -118,10 +118,14 @@ def is_contracting(m: Mat2) -> bool:
     return _contracting(*m.entries())
 
 
+def _float_key(values) -> tuple:
+    """The values rounded to 12 decimals by Python's ``round`` (which
+    ``np.round`` does not match), as floats are told apart and ordered."""
+    return tuple(round(float(v), 12) for v in values)
+
+
 def _matrix_key(m: Mat2, mode: Mode):
-    if mode.is_exact:
-        return m.entries()
-    return tuple(round(float(v), 12) for v in m.entries())
+    return m.entries() if mode.is_exact else _float_key(m.entries())
 
 
 # --------------------------------------------------------------------------
@@ -156,7 +160,7 @@ def _resolve(cfg: StabilizerSearchConfig | None, outer_radius):
 
 
 # --------------------------------------------------------------------------
-# pair-image stabilizer search, float path and reference
+# probes and image pools
 
 
 def _probes(grid, r, mode: Mode, center: ZPoint | None = None) -> tuple:
@@ -185,54 +189,6 @@ def _pool_limit(x: float, y: float, entry_bound: float) -> float:
     return 2 * reach * reach * (1 + 1e-9)
 
 
-def _image_pool(pool, anchor: ZPoint, entry_bound: float) -> list:
-    lim2 = _pool_limit(float(anchor.re), float(anchor.im), entry_bound)
-    return [v for v in pool if float(v.norm2()) <= lim2]
-
-
-def _action_ok(a: Mat2, a_inv: Mat2, probes, contains) -> bool:
-    for p in probes:
-        if not contains(a.apply(p)):
-            return False
-    for p in probes:
-        if not contains(a_inv.apply(p)):
-            return False
-    return True
-
-
-def _search(points, probes: tuple, pool, contains, entry_bound, require_nc, mode: Mode) -> list:
-    """Matrices that, with their inverses, send every probe point into
-    ``contains``: ``probes`` is ``_probes`` on the grid of ``points``, and
-    the images of its anchor pair are drawn from ``pool``."""
-    order, pair = probes
-    if pair is None:
-        raise DegenerateWindow(
-            "no two independent points inside the inner radius")
-    p, q = (points[i] for i in pair)
-    base_inv = Mat2(p.re, q.re, p.im, q.im).inverse()  # columns p, q
-    cand_p = _image_pool(pool, p, entry_bound)
-    cand_q = _image_pool(pool, q, entry_bound)
-    probes = [points[i] for i in order]
-    found = {}
-    for ip in cand_p:
-        for iq in cand_q:
-            a = Mat2(ip.re, iq.re, ip.im, iq.im).mul(base_inv)
-            if a.det <= 0:
-                continue
-            if a.max_abs_entry() > entry_bound:
-                continue
-            if require_nc and is_contracting(a):
-                continue
-            key = _matrix_key(a, mode)
-            if key in found:
-                continue
-            if _action_ok(a, a.inverse(), probes, contains):
-                found[key] = a
-    ident = Mat2.identity(mode)
-    found.setdefault(_matrix_key(ident, mode), ident)
-    return sorted(found.values(), key=lambda m: _matrix_key(m, mode))
-
-
 # --------------------------------------------------------------------------
 # stabilizer bounds
 
@@ -243,13 +199,9 @@ def stabilizer_candidates(w: ZeroWindow, cfg: StabilizerSearchConfig | None = No
     Anchored at the first independent pair of inner points; each candidate
     and its inverse must map every inner point onto a window point.
     """
-    r, e, req = _resolve(cfg, w.radius)
-    if w.mode.is_exact:
-        from . import gridsearch
-        return gridsearch.window_stabilizer(w, r, e, req)
-    idx = w.index()
-    return _search(w.points, _probes(w.grid, r, w.mode), list(w.points), lambda v: v in idx,
-                   e, req, w.mode)
+    from . import gridsearch
+
+    return gridsearch.window_stabilizer(w, *_resolve(cfg, w.radius))
 
 
 def hol_stabilizer(h: HolonomySet, cfg: StabilizerSearchConfig | None = None) -> list:
@@ -266,12 +218,9 @@ def hol_stabilizer(h: HolonomySet, cfg: StabilizerSearchConfig | None = None) ->
     if vectors_parallel(h.grid, h.mode):
         raise DegenerateWindow(
             "all holonomy vectors are parallel; this is the uncountable branch")
-    if h.mode.is_exact:
-        from . import gridsearch
-        return gridsearch.holonomy_stabilizer(h, r, e, req)
-    probes = _probes(h.grid, r, h.mode)
-    pool = _hol_pool(h, probes[1], e)
-    return _search(h.vectors, probes, list(pool.vectors), h.contains, e, req, h.mode)
+    from . import gridsearch
+
+    return gridsearch.holonomy_stabilizer(h, r, e, req)
 
 
 def _hol_pool(h: HolonomySet, pair, e: float) -> HolonomySet:
@@ -429,38 +378,9 @@ def group_closure_check(cands: list, w: ZeroWindow,
     """
     if not cands:
         raise ValueError("closure check needs at least one candidate")
-    r, e, req = _resolve(cfg, w.radius)
-    if w.mode.is_exact:
-        from . import gridsearch
-        return gridsearch.closure_check(cands, w, r, e, req)
-    return _closure_loop(cands, w, r, e, req)
+    from . import gridsearch
 
-
-def _closure_loop(cands: list, w: ZeroWindow, r: float, e: float, req: bool) -> ClosureReport:
-    """``group_closure_check`` one ``Mat2`` product at a time: the float
-    path, and the reference for the exact one."""
-    probes = [w.points[i] for i in _probes(w.grid, r, w.mode)[0]]
-    idx = w.index()
-    contains = lambda v: v in idx
-    keys = {_matrix_key(m, w.mode) for m in cands}
-    rep = ClosureReport()
-    for a in cands:
-        for b in cands:
-            c = a.mul(b)
-            if _matrix_key(c, w.mode) in keys:
-                rep.checked += 1
-                continue
-            if c.max_abs_entry() > e:
-                rep.skipped += 1
-                continue
-            if req and is_contracting(c):
-                rep.skipped += 1
-                continue
-            if _action_ok(c, c.inverse(), probes, contains):
-                rep.violations.append((a, b, c))
-            else:
-                rep.skipped += 1
-    return rep
+    return gridsearch.closure_check(cands, w, *_resolve(cfg, w.radius))
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,10 @@ Every window keeps its points on one coordinate grid, ``grid`` = ``(xs,
 ys, scale)``.  Exact windows are scaled by ``scale``, the lcm of their
 denominators, to integers: int64 while no coordinate exceeds 2**28, which
 keeps every cross and dot product of differences inside int64, and Python
-ints past that.  Float windows get float64 arrays and ``scale`` None.  The
+ints past that.  Float windows get float64 arrays and ``scale`` None, and
+refuse (``NonFinite``) a point whose squared norm x * x + y * y overflows,
+past about 1.34e154, rather than order it or test it against the radius
+wrongly; a squared difference that overflows only compares as far.  The
 grid is a window's only coordinate store: ``ZeroWindow.points`` are built
 from it on first access.  An exact window's radius is a Fraction.  Arrays
 of grid integers become float64 through ``_ratio``, in every module: it
@@ -20,6 +23,8 @@ does.  Only ``_packed`` packs grid points or vectors into integers, as
 ``(x << shift) + y`` with the shift set by a bound on |x| and |y|: a
 lexicographic, linear packing, so keys sort as (x, y) do and
 ``_unpacked`` reads back keys, their negatives and their differences.
+Float points are looked up, in every module, by ``_float_members``, which
+finds for a whole array of queries the points ``same_point`` matches.
 
 Ordering convention: points are sorted by norm, ties broken by argument in
 ``[0, 2*pi)``.  ``canonical_permutation`` computes this order on a grid, so
@@ -340,17 +345,52 @@ def _same(dx, dy, mode: Mode):
 
 def _require_finite(xs, ys, scale) -> None:
     """Raise ``NonFinite`` at the first point of a float grid (``scale``
-    None) with a NaN or infinite coordinate."""
+    None) with a NaN or infinite coordinate or squared norm (see the module
+    docstring)."""
     if scale is None:
-        bad = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero(~np.isfinite(xs * xs + ys * ys))
         if len(bad):
-            raise NonFinite(f"point {grid_points(xs[bad[:1]], ys[bad[:1]], None)[0]!r} "
-                            "is not finite")
+            p = grid_points(xs[bad[:1]], ys[bad[:1]], None)[0]
+            if math.isfinite(p.re) and math.isfinite(p.im):
+                raise NonFinite(f"point {p!r} lies past 1.34e154, where its squared norm overflows")
+            raise NonFinite(f"point {p!r} is not finite")
 
 
 def _spans(lo, count):
     """The indices lo[k], ..., lo[k] + count[k] - 1 of every k, in turn."""
     return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)
+
+
+def _starts(*keys):
+    """Mask of the entries of the arrays ``keys`` that differ from the
+    entry before them in some key: the starts of the runs of equal keys."""
+    start = np.zeros(len(keys[0]), dtype=bool)
+    start[:1] = True
+    for k in keys:
+        start[1:] |= k[1:] != k[:-1]
+    return start
+
+
+def _ranks(a) -> tuple:
+    """The dense ranks of the entries of ``a``, equal entries sharing one,
+    and the distinct entries in ascending order."""
+    order = np.argsort(a)
+    a = a[order]
+    start = _starts(a)
+    ranks = np.empty(len(a), dtype=np.int64)
+    ranks[order] = np.cumsum(start) - 1
+    return ranks, a[start]
+
+
+def _first_copies(keep, i, j):
+    """``keep`` with each j dropped that matches a kept i < j, for the
+    matching pairs (i, j), ordered by j: of points that match, the first
+    to arrive stays."""
+    for a, b in zip(i.tolist(), j.tolist()):
+        if keep[a]:
+            keep[b] = False
+    return keep
 
 
 _PAIR_BLOCK = 1 << 16  # candidate pairs per pass of ``_coinciding``
@@ -377,7 +417,8 @@ def _coinciding(xs, ys, mode: Mode) -> tuple:
     band = norm * (1 + 1e-12) + (mode.eps * (1 + 1e-9) + 1e-150)
     close = norm[1:] <= band[:-1]
     i = np.flatnonzero(close)
-    i = i[_same(xs[i + 1] - xs[i], ys[i + 1] - ys[i], mode)]
+    with np.errstate(over="ignore"):  # opposite points past 6.7e153
+        i = i[_same(xs[i + 1] - xs[i], ys[i + 1] - ys[i], mode)]
     far = close[:-1] & close[1:]
     far[i[i < len(far)]] = False
     live = np.flatnonzero(far)
@@ -390,7 +431,8 @@ def _coinciding(xs, ys, mode: Mode) -> tuple:
     for lo, hi in zip([0, *cuts], [*cuts, len(live)]):
         i = np.repeat(live[lo:hi], count[lo:hi])
         j = _spans(live[lo:hi] + 2, count[lo:hi])
-        hit = _same(xs[j] - xs[i], ys[j] - ys[i], mode)
+        with np.errstate(over="ignore"):
+            hit = _same(xs[j] - xs[i], ys[j] - ys[i], mode)
         i, j = i[hit], j[hit]
         # the pairs of each i are in order of j
         first = np.ones(len(i), dtype=bool)
@@ -456,64 +498,106 @@ class GeneratorSpec:
 
 
 # --------------------------------------------------------------------------
-# point index (mode-aware membership)
+# float membership
 
 
-class PointIndex:
-    """Exact dict lookup, or an eps-grid with neighbor probing for floats
-    with eps > 0.
+class _Keyed(NamedTuple):
+    """Float pairs (u, v) under one int64 key each, col * len(rows) + row,
+    col and row the dense ranks of u among ``cols`` and of v among
+    ``rows``, with ``at`` the index of the pair of each sorted key."""
 
-    Exact windows decide membership on their grid; the index serves float
-    windows, the float orbit sweep (``_orbit_loop``), ``HolonomySet.contains``
-    and the point loops kept as references for the exact paths.
+    cols: np.ndarray
+    rows: np.ndarray
+    keys: np.ndarray
+    at: np.ndarray
+
+    @staticmethod
+    def of(u, v, at) -> "_Keyed":
+        col, cols = _ranks(u)
+        row, rows = _ranks(v)
+        key = col * len(rows) + row
+        order = np.argsort(key, kind="stable")
+        return _Keyed(cols, rows, key[order], at[order])
+
+    def near(self, u, v, reach: int) -> tuple:
+        """Arrays (q, at), one entry per match, of the queries q, pairs
+        (u, v) of arrays, and the keyed pairs at (u + d, v + e) with |d|,
+        |e| <= ``reach``, where u + d and v + e are floats."""
+        r0 = np.searchsorted(self.rows, np.where(v - reach - v == -reach, v - reach, v))
+        r1 = np.searchsorted(self.rows, np.where(v + reach - v == reach, v + reach, v), "right")
+        mid = np.searchsorted(self.cols, u)
+        last = len(self.cols) - 1
+        here = self.cols[np.minimum(mid, last)] == u
+        out_q, out_at = [], []
+        for d in range(-reach, reach + 1):
+            # the column u + d sits at rank mid - 1, mid or mid + here
+            col = mid + (here if d > 0 else min(d, 0))
+            q = np.flatnonzero((col >= 0) & (self.cols[np.clip(col, 0, last)] == u + d)
+                               & (u + d - u == d) & (r1 > r0))
+            start = np.searchsorted(self.keys, col[q] * len(self.rows) + r0[q])
+            count = np.searchsorted(self.keys, col[q] * len(self.rows) + r1[q]) - start
+            out_q.append(np.repeat(q, count))
+            out_at.append(self.at[_spans(start, count)])
+        return np.concatenate(out_q), np.concatenate(out_at)
+
+
+class _FloatMembers(NamedTuple):
+    """Float points (xs, ys) as ``same_point`` finds them: a query meets the
+    points of the 3 x 3 eps-cells (floor(x / eps), floor(y / eps)) about
+    its own and matches those within eps.  Past 2**53 a cell's neighbour
+    k +- 1 may be no float, and is then probed nowhere, as exact integers
+    probe it.  A point whose quotient by eps is not finite (eps then lies
+    below its ulp), and every point at eps = 0, matches only a point of
+    equal coordinates.  ``cells`` and ``exact`` key the two kinds by dense
+    ranks (``_Keyed``), which keep cells past int64 apart.
     """
 
-    def __init__(self, points, mode: Mode):
-        self.mode = mode
-        self._exact = mode.is_exact or mode.eps == 0
-        self._by_key = {}
-        self._far = {}  # points beyond the eps-cells, by exact coordinates
-        self._cell = mode.eps
-        for i, p in enumerate(points):
-            self.add(p, i)
+    xs: np.ndarray
+    ys: np.ndarray
+    mode: Mode
+    cells: _Keyed
+    exact: _Keyed
 
-    def add(self, p: ZPoint, i: int) -> None:
-        """Record ``p`` under index ``i``."""
-        if self._exact:
-            self._by_key[(p.re, p.im)] = i
-            return
-        key = self._grid_key(p)
-        if key is None:
-            self._far[(p.re, p.im)] = i
-        else:
-            self._by_key.setdefault(key, []).append((p, i))
+    def pairs(self, x, y) -> tuple:
+        """Arrays (q, s) of the queries (x, y), flat arrays, and the points
+        s that ``same_point`` matches to each."""
+        celled, kx, ky = _cells(x, y, self.mode.eps)
+        out_q, out_s = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for keyed, u, v, reach in ((self.exact, x, y, 0), (self.cells, kx, ky, 1)):
+            q = np.flatnonzero(celled == bool(reach))
+            if len(q) and len(keyed.keys):
+                i, s = keyed.near(u[q], v[q], reach)
+                i = q[i]
+                with np.errstate(over="ignore"):
+                    near = _same(x[i] - self.xs[s], y[i] - self.ys[s], self.mode)
+                out_q.append(i[near])
+                out_s.append(s[near])
+        return np.concatenate(out_q), np.concatenate(out_s)
 
-    def _grid_key(self, p: ZPoint):
-        """The eps-cell of ``p``; None where a coordinate over eps is not
-        finite, as eps then lies below that coordinate's ulp and ``p``
-        compares exactly, as at eps = 0."""
-        kx, ky = p.re / self._cell, p.im / self._cell
-        if math.isinf(kx) or math.isinf(ky):
-            return None
-        return math.floor(kx), math.floor(ky)
+    def contains(self, x, y):
+        """Mask of the queries (x, y), arrays of any one shape, that match a point."""
+        x, y = np.broadcast_arrays(x, y)
+        hit = np.zeros(x.size, dtype=bool)
+        hit[self.pairs(x.ravel(), y.ravel())[0]] = True
+        return hit.reshape(x.shape)
 
-    def find(self, p: ZPoint):
-        """Index of the window point equal to ``p`` (mode-aware), or None."""
-        if self._exact:
-            return self._by_key.get((p.re, p.im))
-        key = self._grid_key(p)
-        if key is None:
-            return self._far.get((p.re, p.im))
-        kx, ky = key
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for q, i in self._by_key.get((kx + dx, ky + dy), ()):
-                    if same_point(p, q, self.mode):
-                        return i
-        return None
 
-    def __contains__(self, p: ZPoint) -> bool:
-        return self.find(p) is not None
+def _cells(xs, ys, eps: float) -> tuple:
+    """(celled, kx, ky): the eps-cells (kx, ky) of the float points (xs,
+    ys), and the mask of those whose cell is finite."""
+    if eps == 0:
+        return np.zeros(len(xs), dtype=bool), xs, ys
+    with np.errstate(over="ignore"):
+        kx, ky = np.floor(xs / eps), np.floor(ys / eps)
+    return np.isfinite(kx) & np.isfinite(ky), kx, ky
+
+
+def _float_members(xs, ys, mode: Mode) -> _FloatMembers:
+    """The float points (xs, ys) as ``_FloatMembers`` looks them up."""
+    celled, kx, ky = _cells(xs, ys, mode.eps)
+    at = np.arange(len(xs))
+    return _FloatMembers(xs, ys, mode, _Keyed.of(kx[celled], ky[celled], at[celled]),
+                         _Keyed.of(xs[~celled], ys[~celled], at[~celled]))
 
 
 # --------------------------------------------------------------------------
@@ -600,6 +684,8 @@ class ZeroWindow:
         """Translate so the first (norm-smallest) point sits at the origin."""
         if self.is_canonical and self.translation is not None:
             return self
+        if not len(self):
+            raise EmptyWindow("an empty window has no first point")
         xs, ys, scale = self.grid
         center = self.center + grid_points(-xs[:1], -ys[:1], scale)[0]
         return ZeroWindow._on_grid(xs - xs[0], ys - ys[0], scale, self.radius, self.mode,
@@ -630,13 +716,6 @@ class ZeroWindow:
         xs, ys, scale = self.grid
         return ZeroWindow._on_grid(xs[:n], ys[:n], scale, self.radius, self.mode,
                                    self.source, self.translation, self.center, check=False)
-
-    def index(self) -> PointIndex:
-        idx = self._cache.get("index")
-        if idx is None:
-            idx = PointIndex(self.points, self.mode)
-            self._cache["index"] = idx
-        return idx
 
     def min_gap(self) -> float:
         """Smallest pairwise distance (float).
@@ -685,7 +764,8 @@ def _raw_points(spec: GeneratorSpec, radius, mode: Mode) -> tuple:
     ``radius`` about the origin."""
     kind = spec.kind
     if kind == "orbit":
-        xs, ys, scale = _orbit_points(spec, radius, mode)
+        xs, ys, scale = _orbit_sweep(*_orbit_alphabet(spec, mode), spec.params["max_word_length"],
+                                     radius, mode)
     elif kind == "explicit":
         xs, ys, scale = coordinate_grid(
             [p if isinstance(p, ZPoint) else ZPoint.of(p[0], p[1], mode)
@@ -715,24 +795,13 @@ def _contracting(a, b, c, d) -> bool:
     """Is [[a, b], [c, d]]'s largest singular value below 1?  With F the sum
     of squared entries and D the determinant, the squared singular values
     s1 >= s2 have s1 + s2 = F and s1*s2 = D^2, so both sit below 1 exactly
-    when F < 2 and F - 1 < D^2: no square roots, exact on rationals."""
+    when F < 2 and F - 1 < D^2: no square roots, exact on rationals.  The
+    entries may be arrays, for one answer per matrix."""
     det = a * d - b * c
-    if det == 0:
+    if np.any(det == 0):
         raise SingularMatrix("contraction test needs an invertible matrix")
     f = a * a + b * b + c * c + d * d
-    return f < 2 and f - 1 < det * det
-
-
-def _orbit_points(spec: GeneratorSpec, radius, mode: Mode) -> tuple:
-    """``(xs, ys, scale)`` of the orbit of ``spec``'s seeds in the closed ball
-    of ``radius`` about the origin, words of up to ``max_word_length``
-    letters, on the exact grid (``_orbit_sweep``) or one float point at a
-    time (``_orbit_loop``)."""
-    alphabet, seeds = _orbit_alphabet(spec, mode)
-    max_len = spec.params["max_word_length"]
-    if mode.is_exact:
-        return _orbit_sweep(alphabet, seeds, max_len, radius)
-    return coordinate_grid(_orbit_loop(alphabet, seeds, max_len, radius, mode), mode)
+    return (f < 2) & (f - 1 < det * det)
 
 
 def _orbit_alphabet(spec: GeneratorSpec, mode: Mode) -> tuple:
@@ -756,71 +825,57 @@ def _orbit_alphabet(spec: GeneratorSpec, mode: Mode) -> tuple:
     return alphabet, seeds
 
 
-def _orbit_loop(alphabet, seeds, max_len: int, radius, mode: Mode) -> list:
-    """The orbit's points, one ``ZPoint`` at a time, in the order they are
-    first met: the seeds, then each depth's images, point by point and
-    letter by letter.  The float path, and the reference for the exact one;
-    in float mode two rounded copies of one image are one point, the
-    first to arrive."""
-    seen = PointIndex((), mode)
-    found, origin = [], ZPoint.zero(mode)
+def _orbit_sweep(alphabet, seeds, max_len: int, radius, mode: Mode) -> tuple:
+    """``(xs, ys, scale)`` of the orbit's points in the order first met: the
+    seeds, then each depth's images, point by point and letter by letter.
 
-    def admit(batch: list) -> list:
-        xs, ys, scale = coordinate_grid(batch, mode)
-        new = []
-        for q, out in zip(batch, _outside_ball(xs, ys, scale, radius, mode, origin).tolist()):
-            if not out and q not in seen:
-                seen.add(q, len(found))
-                found.append(q)
-                new.append(q)
-        return new
-
-    frontier = admit(seeds)
-    depth = 0
-    while frontier and depth < max_len:
-        depth += 1
-        frontier = admit([ZPoint(a * p.re + b * p.im, c * p.re + d * p.im)
-                          for p in frontier for a, b, c, d in alphabet])
-    return found
-
-
-def _orbit_sweep(alphabet, seeds, max_len: int, radius) -> tuple:
-    """``(xs, ys, scale)`` of ``_orbit_loop``'s exact points, in its order.
-
-    The letters are integer matrices N over D, the lcm of their entries'
-    denominators, so a depth maps the whole frontier in one array
-    operation, onto a grid D times finer when D > 1.  The images inside the
-    ball are kept; repeats and points already found are dropped on their
-    ``_packed`` keys, first copies kept.  Coordinates are int64 while no
-    image or point found exceeds 2**28, and Python ints past that.
+    A depth maps the frontier in one array operation, (a x + b y,
+    c x + d y), and keeps its images inside the ball less those matching a
+    point found before or an earlier image kept: exact points by their
+    ``_packed`` keys, float ones as ``_float_members`` matches them
+    (``_first_copies``), so of two rounded copies the first stays.  Exact
+    letters are integer matrices N over D, the lcm of their denominators,
+    and map onto a grid D times finer when D > 1; coordinates are int64
+    while no image or point found exceeds 2**28, Python ints past that.
     """
-    den = math.lcm(*(v.denominator for m in alphabet for v in m))
-    mats = np.array([[int(v * den) for v in m] for m in alphabet], dtype=object).reshape(-1, 4)
-    top = int(np.abs(mats).max(initial=0))
-    r = Fraction(radius)
-    xs, ys, scale = coordinate_grid(seeds, EXACT)
+    xs, ys, scale = coordinate_grid(seeds, mode)
+    if mode.is_exact:
+        den = math.lcm(*(v.denominator for m in alphabet for v in m))
+        mats = np.array([[int(v * den) for v in m] for m in alphabet], dtype=object).reshape(-1, 4)
+        top = int(np.abs(mats).max(initial=0))
+        r = Fraction(radius)
+    else:
+        mats = np.array(alphabet, dtype=np.float64).reshape(-1, 4)
     fx, fy = xs[:0], ys[:0]  # the points found so far
     depth = 0
     while True:
-        inside = ~_outside_ball(xs, ys, scale, r, EXACT, ZPoint.zero())
-        # every coordinate kept is within lim, so the next depth's images
-        # are within 2 top lim and the points found within D lim
-        lim = r.numerator * scale // r.denominator
-        dtype = object if max(lim * den, 2 * top * lim) > _INT_COORD_LIMIT else np.int64
-        xs, ys = xs[inside].astype(dtype), ys[inside].astype(dtype)
-        fx, fy = fx.astype(dtype), fy.astype(dtype)
-        keys = _packed(xs, ys, lim)[0]
-        first = np.sort(np.unique(keys, return_index=True)[1])
-        first = first[~np.isin(keys[first], _packed(fx, fy, lim)[0])]
+        inside = ~_outside_ball(xs, ys, scale, radius, mode, ZPoint.zero(mode))
+        xs, ys = xs[inside], ys[inside]
+        if mode.is_exact:
+            # every coordinate kept is within lim, so the next depth's images
+            # are within 2 top lim and the points found within D lim
+            lim = r.numerator * scale // r.denominator
+            dtype = object if max(lim * den, 2 * top * lim) > _INT_COORD_LIMIT else np.int64
+            xs, ys, fx, fy = (v.astype(dtype) for v in (xs, ys, fx, fy))
+            mats = mats.astype(dtype)
+            keys = _packed(xs, ys, lim)[0]
+            first = np.sort(np.unique(keys, return_index=True)[1])
+            first = first[~np.isin(keys[first], _packed(fx, fy, lim)[0])]
+        else:
+            keep = ~_float_members(fx, fy, mode).contains(xs, ys)
+            j, i = _float_members(xs, ys, mode).pairs(xs, ys)
+            later = np.flatnonzero(i < j)
+            by_j = later[np.argsort(j[later], kind="stable")]
+            first = np.flatnonzero(_first_copies(keep, i[by_j], j[by_j]))
         xs, ys = xs[first], ys[first]
         fx, fy = np.concatenate((fx, xs)), np.concatenate((fy, ys))
         if not len(xs) or depth >= max_len:
             return fx, fy, scale
         depth += 1
-        a, b, c, d = mats.T.astype(dtype)
+        a, b, c, d = mats.T
         xs, ys = ((xs[:, None] * a + ys[:, None] * b).ravel(),
                   (xs[:, None] * c + ys[:, None] * d).ravel())
-        if den > 1:
+        if mode.is_exact and den > 1:
             scale, fx, fy = scale * den, fx * den, fy * den
 
 

@@ -18,6 +18,8 @@ import pytest
 import flatcurve as fc
 from flatcurve import cli
 
+from conftest import SHEAR, image_window
+
 
 def run(argv):
     buf = io.StringIO()
@@ -548,6 +550,30 @@ def test_float_and_orbit_searches_print_pinned_bytes():
     for line, digest in _SEARCH_STDOUT:
         rc, out = run(line.split())
         assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), line
+
+
+def test_float_sandwich_of_a_sheared_lattice_prints_pinned_bytes(tmp_path):
+    # A Z^2 with A = [[1, 1/3], [1/2, 1]] at R 12, whose float entries round:
+    # 60 lower and 76 upper matrices, as the Mat2 loops printed them
+    path = tmp_path / "shear.json"
+    w = image_window(SHEAR, 12, fc.float_mode())
+    path.write_text(json.dumps(fc.window_to_json(w)), encoding="utf-8")
+    rc, out = run(["sandwich", "--input", str(path), "--inner", "4"])
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == \
+        (0, "78571c07d49e675c20f281073076be18880f794917be78c58998d51e444e8603")
+    assert (json.loads(out)["lower_count"], json.loads(out)["upper_count"]) == (60, 76)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_empty_windows_are_domain_errors(tmp_path, mode):
+    empty, w = tmp_path / "empty.json", tmp_path / "w.json"
+    empty.write_text(json.dumps({"mode": mode, "radius": 3, "points": []}), encoding="utf-8")
+    run(["gen", "--sequence", "all-integers", "--radius", "3", "--mode", mode, "--out", str(w)])
+    _expect_error(["equiv", "--input", str(empty), "--other", str(w)], "EmptyWindow")
+    _expect_error(["sandwich", "--input", str(empty)], "EmptyWindow")
+    _expect_error(["moduli", "--input", str(empty)], "EmptyWindow")
+    # an empty second window matches nothing
+    assert run_json(["equiv", "--input", str(w), "--other", str(empty)])["equivalent"] is False
 
 
 # sha256 of the stdout of bounded lattice saddles, exact and float, and of

@@ -466,11 +466,12 @@ def test_full_width_and_fine_vertex_segments_match_reference(mode):
 
 
 def test_cover_builds_no_point_index(lattice5, monkeypatch):
-    # vertices meet the zeros on the path grid, never through PointIndex
-    def spy(self):
-        raise AssertionError("built a PointIndex")
+    # vertices meet the zeros on the path grid, never through a point lookup
+    def spy(*args):
+        raise AssertionError("built a point lookup")
 
-    monkeypatch.setattr(fc.ZeroWindow, "index", spy)
+    monkeypatch.setattr(fc.flatgeom, "_members", spy)
+    monkeypatch.setattr(fc.zseq, "_float_members", spy)
     h = Fraction(1, 2)
     for w in (lattice5, fc.generate(fc.GeneratorSpec("gaussian-lattice"), 5, fc.float_mode())):
         cuts = fc.build_cuts(w, 3)

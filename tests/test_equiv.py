@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 import flatcurve as fc
-from flatcurve import equiv
 from flatcurve.veech import Mat2, StabilizerSearchConfig
 from flatcurve.zseq import zreciprocal
 
+import reference
 from conftest import zp
 
 
@@ -96,11 +96,55 @@ def _cloud(rng, n=40, radius=7, dens=(11, 13)):
 
 
 def _as_loop(w1, w2):
-    """translation_equiv of exact windows, checked against the point loop
-    bit for bit: the translation, matched_fraction and overlap_radius."""
+    """translation_equiv, checked against the point loop bit for bit: the
+    translation, matched_fraction and overlap_radius."""
     got = fc.translation_equiv(w1, w2)
-    assert repr(got) == repr(equiv._translation_loop(w1, w2))
+    assert repr(got) == repr(reference._translation_loop(w1, w2))
     return got
+
+
+def _float_copy(w, eps, b=None):
+    """``w`` with float coordinates and centre, moved by the float ``b``."""
+    mode = fc.float_mode(eps)
+    as_float = lambda p: fc.ZPoint(float(p.re), float(p.im))
+    f = fc.ZeroWindow(fc.canonical_order([as_float(p) for p in w.points], mode), float(w.radius),
+                      mode, center=as_float(w.center))
+    return f if b is None else f.translate(b)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12])
+def test_float_translation_matches_loop_on_planted_shifts(eps):
+    # non-dyadic shifts, so w + b - b rounds off w, and off-centre clouds
+    rng = random.Random(11)
+    full = 0
+    for _ in range(8):
+        w = _float_copy(_cloud(rng), eps)
+        b = fc.ZPoint(rng.randint(-120, 120) / 70, rng.randint(-120, 120) / 90)
+        moved = w.translate(b)
+        full += _as_loop(w, moved).equivalent
+        _as_loop(moved, w)
+        pts = list(moved.points)
+        del pts[rng.randrange(1, len(pts))]
+        cut = fc.ZeroWindow(pts, moved.radius, moved.mode, center=moved.center)
+        assert not _as_loop(w, cut).equivalent
+        _as_loop(cut, _float_copy(_cloud(rng, dens=(7, 9)), eps))
+    assert full > 4
+    ints = _float_copy(fc.generate(fc.GeneratorSpec("gaussian-lattice"), 6), eps)
+    for b in (fc.ZPoint(0.1, -0.7), fc.ZPoint(1 / 3, 2.0)):
+        assert _as_loop(ints, ints.translate(b)).equivalent
+        _as_loop(ints.translate(b), _float_copy(fc.generate(fc.GeneratorSpec("gaussian-lattice"),
+                                                            9), eps))
+
+
+def test_translation_of_empty_windows():
+    for mode in (fc.EXACT, fc.float_mode()):
+        empty = fc.window_from_json({"mode": mode.kind, "radius": 3, "points": []})
+        w = fc.generate(fc.GeneratorSpec("all-integers"), 3, mode)
+        assert fc.translation_equiv(w, empty) == fc.EquivResult(False, None, 0.0)
+        with pytest.raises(fc.EmptyWindow):
+            fc.translation_equiv(empty, w)
+        with pytest.raises(fc.EmptyWindow):
+            fc.moduli_canonical(empty)
 
 
 def test_exact_translation_matches_loop_on_planted_shifts():

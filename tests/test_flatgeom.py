@@ -9,6 +9,7 @@ import pytest
 
 import flatcurve as fc
 
+import reference
 from conftest import pair_list, zp
 
 
@@ -1094,7 +1095,7 @@ def _float_holonomy_oracle(vectors, mode):
             signed.setdefault((s.re, s.im), s)
     signed = list(signed.values())
     xs, ys, _ = fc.zseq.coordinate_grid(signed, mode)
-    index, kept = fc.PointIndex((), mode), []
+    index, kept = reference.PointIndex((), mode), []
     for i in fc.zseq.canonical_permutation(xs, ys).tolist():
         if signed[i] not in index:
             index.add(signed[i], len(kept))
@@ -1116,7 +1117,7 @@ def _float_clouds():
 
 def _same_as_oracle(h, kept, probes):
     assert [repr(v) for v in h.vectors] == [repr(v) for v in kept]
-    index = fc.PointIndex(kept, h.mode)
+    index = reference.PointIndex(kept, h.mode)
     assert [h.contains(p) for p in probes] == [not p.is_zero() and p in index for p in probes]
 
 
@@ -1158,7 +1159,7 @@ def test_float_holonomy_set_keeps_both_ends_of_a_near_duplicate_chain():
     h = fc.HolonomySet([c, b, a], 5, mode)
     assert h.vectors == (a, -a, c, -c)
     _same_as_oracle(h, _float_holonomy_oracle([c, b, a], mode), [a, b, c, -b])
-    assert h._index is not None
+    assert "_lookup" in h.__dict__  # built by contains
 
 
 def _disk_cloud(rng, n, den, radius=10):
@@ -1328,6 +1329,23 @@ def test_has_holonomy_vector_off_grid_denominators():
         diffs = {q - p for p in w.points for q in w.points if p != q}
         for v in diffs | {d.scale(c) for d in diffs for c in (2, Fraction(1, 2), 3)}:
             assert fc.has_holonomy_vector(w, v) == h.contains(v)
+
+
+def test_float_witness_test_matches_the_point_loop():
+    # the batched witness test decides each vector as the per-point loop
+    # did, for vectors held, blocked, within eps of a difference, and past
+    # 1e154, where a squared length would overflow
+    for w in _float_clouds():
+        eps = w.mode.eps
+        diffs = list(dict.fromkeys(q - p for p in w.points[:12] for q in w.points if p != q))
+        vs = diffs + [d.scale(2) for d in diffs[:40]] + [fc.ZPoint(d.re + eps / 3, d.im)
+                                                        for d in diffs[:40]]
+        vs += [fc.ZPoint(1e200, 0.0), fc.ZPoint(-3e160, 1.0), fc.ZPoint(0.0, 0.0)]
+        want = [reference.has_holonomy_vector(w, v) for v in vs]
+        assert [fc.has_holonomy_vector(w, v) for v in vs] == want
+        vx, vy = (np.array([getattr(v, c) for v in vs[:-1]]) for c in ("re", "im"))
+        assert fc.flatgeom._has_float_vectors(w, vx, vy).tolist() == want[:-1]
+        assert any(want) and not all(want)
 
 
 def test_holonomy_restriction_and_completeness(lattice5):
@@ -1743,7 +1761,7 @@ def test_collinear_iff_all_holonomy_parallel():
 
 def test_exact_point_index_is_built_on_first_query(lattice5):
     h = fc.holonomy(lattice5)
-    assert h._index is None  # enumeration alone builds no Fraction index
+    assert "_lookup" not in h.__dict__  # enumeration alone builds no lookup
     assert h.contains(zp(1, 0)) and h.contains(zp(-2, 1))
     assert not h.contains(zp(2, 0)) and not h.contains(zp(0))
-    assert h._index is not None
+    assert "_lookup" in h.__dict__  # built by contains

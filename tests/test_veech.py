@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import flatcurve as fc
-from flatcurve import equiv, flatgeom, gridsearch, veech, zseq
+from flatcurve import flatgeom, gridsearch, veech, zseq
 from flatcurve.veech import Mat2, StabilizerSearchConfig
 
-from conftest import zp
+import reference
+from conftest import SHEAR, hexagonal_window, image_window, zp
 from test_flatgeom import (_BIG_DENS, _MEMBER_WINDOWS, _ORBIT_SPEC, _bitmap_points, _cap_box,
                            _keys_of, _perfbench_cloud, _points_about, _rational_cloud)
 
@@ -230,22 +231,16 @@ def test_closure_report_serializable(lattice5):
 
 
 def _ref_candidates(w, cfg):
-    r, e, req = veech._resolve(cfg, w.radius)
-    idx = w.index()
-    return veech._search(w.points, veech._probes(w.grid, r, w.mode), list(w.points),
-                         lambda v: v in idx, e, req, w.mode)
+    return reference.stabilizer_candidates(w, *veech._resolve(cfg, w.radius))
 
 
 def _ref_hol_stabilizer(h, cfg):
-    r, e, req = veech._resolve(cfg, h.window_radius)
-    probes = veech._probes(h.grid, r, h.mode)
-    pool = veech._hol_pool(h, probes[1], e)
-    return veech._search(h.vectors, probes, list(pool.vectors), h.contains, e, req, h.mode)
+    return reference.hol_stabilizer(h, *veech._resolve(cfg, h.window_radius))
 
 
 def _same_closure(cands, w, cfg):
     got = fc.group_closure_check(cands, w, cfg)
-    want = veech._closure_loop(cands, w, *veech._resolve(cfg, w.radius))
+    want = reference._closure_loop(cands, w, *veech._resolve(cfg, w.radius))
     assert (got.checked, got.skipped, got.violations) == \
         (want.checked, want.skipped, want.violations)
 
@@ -261,8 +256,7 @@ def _kernel_matches_reference(w, cfg):
     r = veech._resolve(cfg, w.radius)[0]
     h_kernel, h_ref = fc.holonomy(w, max_length=r), fc.holonomy(w, max_length=r)
     assert fc.hol_stabilizer(h_kernel, cfg) == _ref_hol_stabilizer(h_ref, cfg)
-    found = equiv._automorphisms_loop(w, lower, r)
-    assert gridsearch.automorphisms(w, lower, r) == [found[k] for k in sorted(found)]
+    assert gridsearch.automorphisms(w, lower, r) == reference.affine_automorphisms(w, lower, r)
     return lower
 
 
@@ -571,8 +565,7 @@ def _sorted_reference_automorphisms(w, cfg):
         linears = [Mat2.identity(), -Mat2.identity()]
     else:
         linears = _ref_candidates(w, cfg)
-    found = equiv._automorphisms_loop(w, linears, r)
-    return [found[k] for k in sorted(found)]
+    return reference.affine_automorphisms(w, linears, r)
 
 
 def _assert_ordered_as_reference(w, cfg):
@@ -770,6 +763,90 @@ def test_exact_classify_and_sandwich_build_no_holonomy_vectors(kind, radius, mon
         fc.sandwich_report(w, cfg)
     assert len(built) > 4  # some anchors reached past the restriction
     assert all("vectors" not in h.__dict__ for h in built)
+
+
+# ---------------------------------------------------------------------------
+# float searches against the reference loops, on windows whose entries round
+
+
+def _float_searches_print_as_reference(w, cfg):
+    """Every float search on ``w`` prints as its reference loop prints;
+    returns (lower, upper)."""
+    r, e, req = veech._resolve(cfg, w.radius)
+    lower = fc.stabilizer_candidates(w, cfg)
+    assert repr(lower) == repr(reference.stabilizer_candidates(w, r, e, req))
+    # restricted to r, so images past it are decided on the window
+    upper = fc.hol_stabilizer(fc.holonomy(w, max_length=r), cfg)
+    assert repr(upper) == repr(reference.hol_stabilizer(fc.holonomy(w, max_length=r), r, e, req))
+    # a list that is not closed sends products through the action test
+    for cands in (lower, lower[::2], upper):
+        got = fc.group_closure_check(cands, w, cfg)
+        want = reference._closure_loop(cands, w, r, e, req)
+        assert repr((got.checked, got.skipped, got.violations)) == \
+            repr((want.checked, want.skipped, want.violations))
+    assert repr(fc.affine_automorphisms(w, cfg)) == \
+        repr(reference.affine_automorphisms(w, lower, r))
+    return lower, upper
+
+
+def _cells_crossed(w, mats, r):
+    """How many images of the probes under ``mats`` match a window point
+    that lies in another eps-cell than the image."""
+    idx, eps = reference.index(w), w.mode.eps
+    cell = lambda p: (math.floor(p.re / eps), math.floor(p.im / eps))
+    crossed = 0
+    for m in mats:
+        for i in veech._probes(w.grid, r, w.mode)[0].tolist():
+            image = m.apply(w.points[i])
+            j = idx.find(image)
+            crossed += j is not None and cell(image) != cell(w.points[j])
+    return crossed
+
+
+_EPS = [1e-9, 1e-12]
+
+
+@pytest.mark.parametrize("eps", _EPS)
+def test_float_searches_on_a_sheared_lattice_print_as_reference(eps):
+    # A Z^2 at R 12, r 4: the upper bound misses 6 of the 82 true symmetries
+    # within E = 3, whose largest entry rounds past E (ROADMAP item 11)
+    w = image_window(SHEAR, 12, fc.float_mode(eps))
+    lower, upper = _float_searches_print_as_reference(w, StabilizerSearchConfig(inner_radius=4))
+    assert (len(w), len(lower), len(upper)) == (535, 60, 76)
+
+
+@pytest.mark.parametrize("eps", _EPS)
+def test_float_searches_on_the_hexagonal_lattice_print_as_reference(eps):
+    w = hexagonal_window(8, fc.float_mode(eps))
+    lower, upper = _float_searches_print_as_reference(w, None)
+    assert (len(w), len(lower)) == (241, 60)
+    assert any(m.a != round(m.a) for m in upper)
+
+
+@pytest.mark.parametrize("eps", _EPS)
+def test_float_searches_with_images_across_cell_edges_print_as_reference(eps):
+    # 6 A Z^2 has integer coordinates, each within rounding of an eps-cell
+    # edge, and symmetries with entries in thirds and sixths, so rounded
+    # images of its points fall on either side of the edge
+    w = image_window(SHEAR, 8, fc.float_mode(eps), scale=6)
+    coords = w.grid[0].tolist() + w.grid[1].tolist()
+    assert all(abs(x / eps - round(x / eps)) < 0.25 for x in coords)
+    lower, _ = _float_searches_print_as_reference(w, StabilizerSearchConfig(inner_radius=16))
+    assert len(lower) == 62
+    assert _cells_crossed(w, lower, 16) > 100
+
+
+@pytest.mark.parametrize("eps", _EPS)
+def test_float_searches_past_2_53_cells_print_as_reference(eps):
+    # coordinates past eps 2**53, where the cells' neighbours k +- 1 are no
+    # floats: there an image's rounding reaches past eps, and only a few
+    # candidates survive
+    scale = Fraction(eps * 2 ** 51)
+    w = image_window(SHEAR, 8, fc.float_mode(eps), scale=scale)
+    assert w.grid[0].max() > eps * 2 ** 53
+    lower, _ = _float_searches_print_as_reference(
+        w, StabilizerSearchConfig(inner_radius=float(8 * scale / 3)))
+    assert 1 < len(lower) < 10
 
 
 # ---------------------------------------------------------------------------

@@ -564,7 +564,7 @@ def _close_pair():
 
 
 @pytest.mark.xfail(strict=True, reason="doubling stops once every phase step is below "
-                   "0.25 rad, and two zeros 1e-3 apart hide between samples (ROADMAP item 2)")
+                   "0.25 rad, and two zeros 1e-3 apart hide between samples (ROADMAP item 3)")
 def test_count_zeros_sees_two_close_zeros_near_an_edge():
     try:
         wind = fc.count_zeros(_close_pair(), (0, 1, 0, 1), degrees=0, e0=0)

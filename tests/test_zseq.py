@@ -17,6 +17,7 @@ import flatcurve as fc
 from flatcurve import zseq
 from flatcurve.zseq import compare_canonical, coordinate_grid, same_point
 
+import reference
 from conftest import zp
 from test_flatgeom import _BIG_DENS
 
@@ -284,8 +285,8 @@ def test_all_integers_window_keeps_origin_shift_free():
 def test_gaussian_lattice_small():
     w = fc.generate(fc.GeneratorSpec("gaussian-lattice"), 1.5)
     assert len(w.points) == 9
-    assert zp(1, 1) in w.index()
-    assert zp(-1, -1) in w.index()
+    assert _member(w, zp(1, 1))
+    assert _member(w, zp(-1, -1))
 
 
 def test_odd_families():
@@ -301,7 +302,7 @@ def test_odd_families():
 
 def test_integers_plus_minus_i():
     w = fc.generate(fc.GeneratorSpec("integers-plus-minus-i"), 2.5)
-    assert zp(0, -1) in w.index()
+    assert _member(w, zp(0, -1))
     assert len(w.points) == 6
 
 
@@ -370,15 +371,15 @@ def test_orbit_errors_name_the_generator_rows():
         fc.generate(fc.GeneratorSpec.orbit([zp(1)], [(1, 2, 2, 4)], 3), 2, _FLOAT)
 
 
-def _sweep_as_loop(spec, radius):
-    """The exact orbit sweep, checked against the point loop: the same points
-    in the same order, and the same generated window."""
-    args = (*zseq._orbit_alphabet(spec, fc.EXACT), spec.params["max_word_length"], radius)
-    xs, ys, scale = zseq._orbit_sweep(*args)
-    pts = zseq._orbit_loop(*args, fc.EXACT)
-    assert zseq.grid_points(xs, ys, scale) == pts
-    got = fc.generate(spec, radius)
-    want = fc.generate(fc.GeneratorSpec.explicit(pts), radius)
+def _sweep_as_loop(spec, radius, mode=fc.EXACT):
+    """The orbit sweep, checked against the point loop: the same points, bit
+    for bit, in the same order, and the same generated window."""
+    args = (*zseq._orbit_alphabet(spec, mode), spec.params["max_word_length"], radius)
+    xs, ys, scale = zseq._orbit_sweep(*args, mode)
+    pts = reference._orbit_loop(*args, mode)
+    assert repr(zseq.grid_points(xs, ys, scale)) == repr(pts)
+    got = fc.generate(spec, radius, mode)
+    want = fc.generate(fc.GeneratorSpec.explicit(pts), radius, mode)
     gx, gy, gscale = got.grid
     wx, wy, wscale = want.grid
     assert (gx.dtype, gx.tolist(), gy.tolist(), gscale) == \
@@ -409,6 +410,31 @@ def test_orbit_sweep_matches_loop_with_rational_generators():
     _, scale = _sweep_as_loop(spec, 5)
     assert scale == 6 * 6 ** 5  # the seeds' 6, then D = 6 per depth
     _sweep_as_loop(fc.GeneratorSpec.orbit([(1, 0)], [(1, half, 0, 1)], 6), 4)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12])
+def test_float_orbit_sweep_matches_loop(eps):
+    # entries in thirds and sevenths round, so one point reached by two
+    # words arrives as two copies a few ulps apart, and the first is kept
+    mode = fc.float_mode(eps)
+    third, seventh = Fraction(1, 3), Fraction(1, 7)
+    spec = fc.GeneratorSpec.orbit([(1, 0), (third, Fraction(1, 2))],
+                                  [(1, third, 0, 1), (1, 0, seventh, 1)], 5)
+    xs, _ = _sweep_as_loop(spec, 5, mode)
+    exact = fc.generate(spec, 5)
+    assert len(xs) == len(zseq._orbit_sweep(*zseq._orbit_alphabet(spec, fc.EXACT), 5, 5,
+                                            fc.EXACT)[0])
+    assert [p.to_complex() for p in exact.points] != \
+        [p.to_complex() for p in fc.generate(spec, 5, mode).points]
+    for g in _DIHEDRAL[:3]:
+        a, b, c, d = g
+        seeds = [(a * x + b * y, c * x + d * y)
+                 for x, y in ((1, 0), (Fraction(63, 80), Fraction(-43, 80)))]
+        _sweep_as_loop(fc.GeneratorSpec.orbit(seeds, [(1, 1, 0, 1), (2, third, 3, 1)], 3), 6, mode)
+    # seeds outside the ball, repeated and within eps of each other
+    spec = fc.GeneratorSpec.orbit([(10, 0), (1, 1), (1, 1), (1 + eps / 2, 1), (0, 0)],
+                                  [(1, seventh, 0, 1)], 4)
+    assert len(_sweep_as_loop(spec, 5, mode)[0]) == 10
 
 
 def test_orbit_sweep_matches_loop_on_seeds_outside_the_ball():
@@ -760,23 +786,61 @@ def test_validate_matches_pointwise_checks():
 
 
 # ---------------------------------------------------------------------------
-# point index
+# point membership
+
+
+def _member(w, p) -> bool:
+    """Is ``p`` a point of ``w``, as the searches look it up?"""
+    at = fc.flatgeom._grid_point(w.grid, p)
+    return at is not None and bool(fc.flatgeom._window_members(w).contains(*at)[0])
+
+
+def _matches(w, pts) -> list:
+    """The indices of the points of the float window ``w`` that its
+    lookup matches to each of ``pts``."""
+    xs, ys = (np.array([float(getattr(p, c)) for p in pts]) for c in ("re", "im"))
+    q, s = zseq._float_members(*w.grid[:2], w.mode).pairs(xs, ys)
+    return [sorted(s[q == k].tolist()) for k in range(len(pts))]
 
 
 def test_point_index_exact(lattice5):
-    idx = lattice5.index()
-    assert idx.find(zp(1, 1)) is not None
-    assert idx.find(zp(1, 2)) is not None
-    assert idx.find(zp(Fraction(1, 2), 0)) is None
+    assert _member(lattice5, zp(1, 1))
+    assert _member(lattice5, zp(1, 2))
+    assert not _member(lattice5, zp(Fraction(1, 2), 0))
 
 
 def test_point_index_float_probes_neighbor_cells():
     mode = fc.float_mode(1e-6)
-    pts = [fc.ZPoint(0.0, 0.0), fc.ZPoint(1.0, 0.0)]
-    idx = fc.PointIndex(pts, mode)
+    w = fc.ZeroWindow.from_points([fc.ZPoint(0.0, 0.0), fc.ZPoint(1.0, 0.0)], 2, mode)
     # hit within eps across a grid-cell boundary
-    assert fc.ZPoint(1.0 + 4e-7, -3e-7) in idx
-    assert fc.ZPoint(1.0 + 5e-6, 0.0) not in idx
+    assert _matches(w, [fc.ZPoint(1.0 + 4e-7, -3e-7), fc.ZPoint(1.0 + 5e-6, 0.0)]) == [[1], []]
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-300, 0.0])
+def test_float_lookup_matches_the_point_index(eps):
+    """The lookup finds, for every query, the point the dict-of-cells
+    ``PointIndex`` finds: queries within eps of a point, across cell edges,
+    past 2**53 cells (where k + 1 is no float) and past the cells."""
+    mode = fc.float_mode(eps)
+    rng = random.Random(31)
+    pts = {fc.ZPoint(0.0, 0.0)}
+    for scale in (1.0, 3e5, 7e7, 1e12, 1e150):
+        for _ in range(12):
+            pts.add(fc.ZPoint(rng.randint(-99, 99) / 7 * scale, rng.randint(-99, 99) / 3 * scale))
+    w = fc.ZeroWindow.from_points(list(pts), 1e153, mode)
+    queries = list(w.points)
+    for p in w.points:
+        for dx, dy in ((1, 0), (0, -1), (0.7, 0.7), (-0.3, 0.2), (2, 0)):
+            queries.append(fc.ZPoint(p.re + dx * eps, p.im + dy * eps))
+        queries.append(fc.ZPoint(math.nextafter(p.re, math.inf), math.nextafter(p.im, -math.inf)))
+        queries.append(fc.ZPoint(p.re * (1 + 1e-15), p.im))
+    index = reference.PointIndex(w.points, mode)
+    got = _matches(w, queries)
+    for q, found in zip(queries, got):
+        want = index.find(q)
+        assert (want is None) == (not found) and (want is None or want in found), q
+        assert all(same_point(q, w.points[i], mode) for i in found)
+    assert sum(map(len, got)) > len(w)
 
 
 def test_sup_norm_exact_argmax():
@@ -862,11 +926,9 @@ def test_coordinates_past_eps_cells_compare_exactly():
     eps = 0, where it once raised OverflowError."""
     pts = [fc.ZPoint(0.0, 0.0), fc.ZPoint(1e10, 0.0), fc.ZPoint(0.0, 1.0)]
     w = fc.ZeroWindow.from_points(pts, 2e10, fc.float_mode(1e-300))
-    idx = w.index()
-    assert sorted(idx.find(p) for p in pts) == [0, 1, 2]
-    assert idx.find(fc.ZPoint(1e10, 1e-300)) is None
-    assert idx.find(fc.ZPoint(-1e10, 0.0)) is None
-    assert idx.find(fc.ZPoint(0.0, 1.0 + 1e-300)) == idx.find(pts[2])
+    assert sorted(_matches(w, pts)) == [[0], [1], [2]]
+    assert _matches(w, [fc.ZPoint(1e10, 1e-300), fc.ZPoint(-1e10, 0.0),
+                        fc.ZPoint(0.0, 1.0 + 1e-300)]) == [[], [], _matches(w, pts[2:])[0]]
 
 
 def test_zero_eps_tells_apart_points_closer_than_1e_162():
@@ -880,10 +942,9 @@ def test_zero_eps_tells_apart_points_closer_than_1e_162():
     assert same_point(near[0], near[1], fc.float_mode(1e-9))
     w = fc.ZeroWindow.from_points(near, 2, mode)
     assert len(w) == 3 and fc.validate(w).valid
-    assert [w.index().find(p) for p in w.points] == [0, 1, 2]
-    assert w.index().find(fc.ZPoint(1e-300, 1e-300)) is None
-    assert fc.ZPoint(1e10, 0.0) in fc.ZeroWindow.from_points(
-        [fc.ZPoint(0.0, 0.0), fc.ZPoint(1e10, 0.0)], 2e10, mode).index()
+    assert _matches(w, list(w.points) + [fc.ZPoint(1e-300, 1e-300)]) == [[0], [1], [2], []]
+    assert _member(fc.ZeroWindow.from_points(
+        [fc.ZPoint(0.0, 0.0), fc.ZPoint(1e10, 0.0)], 2e10, mode), fc.ZPoint(1e10, 0.0))
     with pytest.raises(fc.DuplicatePoint):
         fc.ZeroWindow.from_points(near, 2, fc.float_mode(1e-9))
     with pytest.raises(fc.DuplicatePoint):
@@ -892,6 +953,43 @@ def test_zero_eps_tells_apart_points_closer_than_1e_162():
     dup = fc.ZeroWindow([near[0], near[0], near[2]], 2, mode, check=False)
     codes = [code for code, _ in fc.validate(dup).violations]
     assert codes == ["DuplicatePoint"]
+
+
+@pytest.mark.parametrize("big", [1e154, 1e200, 1e300])
+def test_float_points_past_the_squared_norm_range(big):
+    """A float point whose squared norm overflows, past about 1.34e154, is
+    refused by every constructor; below that, windows are ordered and
+    tested against their radius without an overflow."""
+    mode = fc.float_mode()
+    pts = [fc.ZPoint(0.0, 0.0), fc.ZPoint(big, 0.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if math.isfinite(big * big):
+            w = fc.ZeroWindow.from_points([fc.ZPoint(-big, 0.0), *pts], 10 * big, mode)
+            assert len(w) == 3 and fc.validate(w).valid
+            assert fc.translation_equiv(w, w).equivalent
+            with pytest.raises(ValueError, match="outside sampling radius"):
+                fc.ZeroWindow.from_points(pts, big / 10, mode)
+            return
+        small = fc.ZeroWindow.from_points(pts[:1], 1, mode)
+        builds = (lambda: fc.ZeroWindow.from_points(pts, 10 * big, mode),
+                  lambda: fc.ZeroWindow.from_points(pts, big / 10, mode),
+                  lambda: fc.ZeroWindow(pts, 10 * big, mode),
+                  lambda: fc.window_from_json({"mode": "float", "radius": 10 * big,
+                                               "points": [[0.0, 0.0], [big, 0.0]]}),
+                  lambda: small.translate(fc.ZPoint(0.0, -big)))
+        for build in builds:
+            with pytest.raises(fc.NonFinite, match="past 1.34e154, where its squared norm"):
+                build()
+    with pytest.raises(fc.NonFinite, match="is not finite"):
+        fc.ZeroWindow.from_points([fc.ZPoint(math.inf, 0.0)], 1, mode)
+
+
+def test_canonicalize_of_an_empty_window_raises():
+    for kind in ("exact", "float"):
+        empty = fc.window_from_json({"mode": kind, "radius": 2, "points": []})
+        with pytest.raises(fc.EmptyWindow):
+            empty.canonicalize()
 
 
 def test_float_mode_ordering_respects_eps():
