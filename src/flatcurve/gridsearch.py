@@ -316,7 +316,7 @@ def _integer_rows(mats: list):
     for m in mats:
         for v in m.entries():
             den = math.lcm(den, v.denominator)
-    rows = [[int(v * den) for v in m.entries()] for m in mats]
+    rows = [[v.numerator * (den // v.denominator) for v in m.entries()] for m in mats]
     return den, rows, max(abs(v) for row in rows for v in row)
 
 

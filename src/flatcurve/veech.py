@@ -33,6 +33,21 @@ entry with the ``Mat2`` operations, in their order, and compare those
 floats as ``Mat2`` does.  Closure products and affine automorphisms go
 through the same kernel.  Grid integers become floats through
 ``zseq._ratio``.
+
+The point-symmetry search of collinear windows (``pprime_symmetry``) reads
+the line off two grid points and projects every point on it, on the
+integer grid in exact mode.  Its candidate centers are the pair sums of the
+projections, nearest the region's middle first.  It takes them in bands
+about the middle, each four times as wide as the last, and sums only the
+pairs a band adds, found by a binary search of the sorted projections.
+The key that orders the centers is monotone in the sum on each side of the
+middle, and each band's range of sums is wider than the key's rounding, so
+the centers are tried in the order of a sort of all n^2 sums, and the first
+one accepted is the same.  Where a center lies near the middle, the search
+sums about n pairs instead of n^2.  A window with no center runs through
+every band and sums every pair once, as the full sort would.  The line
+angle ``classify`` reports comes off the grid too, and no collinear window
+builds its ``points``.
 """
 
 from __future__ import annotations
@@ -47,7 +62,7 @@ from .errors import DegenerateWindow, SingularMatrix, TooFewPoints
 from .flatgeom import (HolonomySet, _distinct, _joined, holonomy, vectors_parallel,
                        window_collinear)
 from .zseq import (EXACT, Mode, ZPoint, ZeroWindow, _contracting, _moved, _outside_ball,
-                   _ratio, as_scalar, dot, scalar_repr)
+                   _ratio, _spans, as_scalar, dot, grid_points, scalar_repr)
 
 # --------------------------------------------------------------------------
 # 2x2 matrices
@@ -245,6 +260,21 @@ def _hol_pool(h: HolonomySet, pair, e: float) -> HolonomySet:
 
 _MARGIN_FACTOR = 1.5
 _BLOCK = 1 << 15  # array elements computed at once
+_GROWTH = 4  # how much each band of doubled centers widens the last
+
+
+def _pair_sums(ss, rows, a, b):
+    """The distinct sums ss[i] + ss[j], i in ``rows``, j in [a, b) of that
+    row, sorted; rows go in blocks of about ``_BLOCK`` pairs."""
+    counts = b - a
+    ends = np.cumsum(counts)
+    parts, i = [ss[:0]], 0
+    while i < len(rows):
+        k = max(i + 1, int(np.searchsorted(ends, ends[i] - counts[i] + _BLOCK, "right")))
+        c = counts[i:k]
+        parts.append(_distinct(np.sort(ss[np.repeat(rows[i:k], c)] + ss[_spans(a[i:k], c)])))
+        i = k
+    return _distinct(np.sort(np.concatenate(parts)))
 
 
 def pprime_symmetry(w: ZeroWindow):
@@ -256,73 +286,136 @@ def pprime_symmetry(w: ZeroWindow):
     1.5x the largest internal gap: a divergent sequence symmetric about a
     center fills its line in both directions, so a skewed truncation (e.g. a
     half-line) is rejected outright.
+
+    With s_i the projections of the points on the line (integers on the
+    grid of an exact window), a candidate is a doubled center d = s_i + s_j,
+    and the order is by the key (|c + alpha|, c), with c the center's
+    position on the line and -alpha the region's middle.
+
+    Band enumeration: the centers are taken in bands about the middle,
+    those of key at most delta, with delta growing ``_GROWTH``-fold from
+    the line's extent over n.  For each band, a binary search of the sorted
+    s_i for d - s_i finds, per i, the pairs whose sums lie in the band's
+    range of d (integer in exact mode), and only the pairs new to this band
+    are summed.  The band's distinct new sums, with those the last band held
+    back, are tested in key order if their key is at most delta and held
+    back otherwise.  Once the range holds every sum, all that are left are
+    tested.
+
+    Why the order is that of one sort of all sums: the key is monotone in d
+    on each side of the middle, and each range is widened by 1e-9 of the
+    line's extent, more than the key's rounding.  So a range holds every d
+    of key at most its delta, every d outside it has a larger key, and each
+    band tests exactly the keys in (last delta, delta], sorted.  The first
+    center accepted is the same.
+
+    Worst case: a window that passes the chord test and has no center
+    passes through every band, at most a few dozen.  It sums each pair once
+    and tests each distinct sum once, as one sort of all sums would, and
+    adds a binary search of the s_i per band.
+
+    Two grid points give the line; of the other points, no ``ZPoint`` is
+    built, and only the accepted center is made of Fractions.
     """
-    pts = w.points
-    if len(pts) < 2:
+    xs, ys, scale = w.grid
+    if len(xs) < 2:
         return None
     if not window_collinear(w):
         raise ValueError("symmetry center search expects a collinear window")
-    base = pts[0]
-    u = None
-    for p in pts[1:]:
-        d = p - base
-        if not d.is_zero():
-            u = d
-            break
-    if u is None:
+    at = np.flatnonzero((xs != xs[0]) | (ys != ys[0]))[:1]
+    if not len(at):
         return None
-    ulen = u.norm()
-    xs, ys, scale = w.grid
+    # u = p - base, p the first point off base, as grid differences
+    (ux,), (uy,) = (xs[at] - xs[0]).tolist(), (ys[at] - ys[0]).tolist()
     if w.mode.is_exact:
         # on the integer grid sv = scale^2 * dot(p - base, u)
         # (int64 coordinates stay within 2**28, so sums of two stay within
-        # int64)
-        ux, uy = int(u.re * scale), int(u.im * scale)
-        s2, tol = scale * scale, 0
+        # int64); Python's int division rounds as float(Fraction) does
+        s2 = scale * scale
+        ulen = math.sqrt((ux * ux + uy * uy) / s2)
+        fux, fuy, tol = ux / scale, uy / scale, 0
     else:
-        ux, uy = float(u.re), float(u.im)
-        s2, tol = None, w.mode.eps * ulen
+        s2 = None
+        ulen = math.sqrt(ux * ux + uy * uy)
+        fux, fuy, tol = ux, uy, w.mode.eps * ulen
     sv = (xs - xs[0]) * ux + (ys - ys[0]) * uy
     ls = _ratio(sv, s2) / ulen  # float(dot(p - base, u)) / |u|
     ell = np.sort(ls)
     gap = float(np.max(ell[1:] - ell[:-1])) if len(ell) > 1 else 0.0
+    base = grid_points(xs[:1], ys[:1], scale)[0]
     qv = base - w.center
-    alpha = (float(qv.re) * float(u.re) + float(qv.im) * float(u.im)) / ulen
+    alpha = (float(qv.re) * fux + float(qv.im) * fuy) / ulen
     perp2 = max(float(qv.norm2()) - alpha * alpha, 0.0)
-    half = math.sqrt(max(float(w.radius) * float(w.radius) - perp2, 0.0))
+    radius = float(w.radius)
+    half = math.sqrt(max(radius * radius - perp2, 0.0))
     lo_chord, hi_chord = -alpha - half, -alpha + half
-    slack = 1e-9 * (1 + float(w.radius))
+    slack = 1e-9 * (1 + radius)
     if ell[0] - lo_chord > _MARGIN_FACTOR * gap + slack:
         return None
     if hi_chord - ell[-1] > _MARGIN_FACTOR * gap + slack:
         return None
     ssorted = np.sort(sv)
-    # every doubled center s_i + s_j once, summed in blocks of rows
-    rows = max(1, _BLOCK // len(sv))
-    doubled = _distinct(np.sort(np.concatenate(
-        [_distinct(np.sort(np.add.outer(sv[i:i + rows], sv), axis=None))
-         for i in range(0, len(sv), rows)])))
-    c2f = _ratio(doubled, s2).tolist()
-    doubled = doubled.tolist()
-    band = slack
-    for k in sorted(range(len(doubled)),
-                    key=lambda k: (abs(c2f[k] / (2 * ulen) + alpha), c2f[k])):
-        c_ell = c2f[k] / (2 * ulen)
-        lo = max(lo_chord, 2 * c_ell - hi_chord)
-        hi = min(hi_chord, 2 * c_ell - lo_chord)
-        if hi - lo <= 0:
-            continue
-        inside = (ls >= lo + band) & (ls <= hi - band)
-        if not inside.any():
-            continue
-        # each reflected partner doubled - s must be present (within tol)
-        need = doubled[k] - sv[inside]
-        pos = np.searchsorted(ssorted, need - tol)
-        if (pos < len(ssorted)).all() and (ssorted[pos] <= need + tol).all():
-            c2 = Fraction(doubled[k], s2) if w.mode.is_exact else doubled[k]
-            t = c2 / (2 * dot(u, u))
-            return ZPoint(base.re + u.re * t, base.im + u.im * t)
-    return None
+    n = len(ssorted)
+    rows = np.concatenate([np.arange(n)] * 2)  # the rows of both pieces of a band, below
+    least, most = (2 * s for s in ssorted[[0, -1]].tolist())
+
+    def edge(t, up):
+        """The sum d of float value t (d / scale^2 in exact mode, rounded
+        onto the grid up or down), clamped to the range of the sums."""
+        if not math.isfinite(t):
+            return least if t < 0 else most
+        if s2 is not None:
+            num, den = t.as_integer_ratio()
+            t = -(-num * s2 // den) if up else num * s2 // den
+        return min(max(t, least), most)
+
+    spread = abs(alpha) + max(abs(ell[0]), abs(ell[-1]))
+    delta = float(ell[-1] - ell[0]) / n or math.inf
+    start = stop = None
+    held = ssorted[:0]  # sums past the last band's delta, sorted
+    while True:
+        reach = delta + 1e-9 * (spread + delta)  # past the key's rounding
+        dlo = edge((-alpha - reach) * (2 * ulen), False)
+        dhi = edge((-alpha + reach) * (2 * ulen), True)
+        whole = dlo == least and dhi == most
+        lo_j = np.searchsorted(ssorted, dlo - ssorted, "left")
+        hi_j = np.searchsorted(ssorted, dhi - ssorted, "right")
+        if start is None:
+            start = stop = lo_j
+        # the pairs i <= j new to this band: j in [lo_j, start) or [stop, hi_j)
+        fresh = _pair_sums(ssorted, rows, np.maximum(np.concatenate([lo_j, stop]), rows),
+                           np.maximum(np.concatenate([start, hi_j]), rows))
+        doubled = _distinct(np.sort(np.concatenate([held, fresh])))
+        c2f = _ratio(doubled, s2)
+        key = np.abs(c2f / (2 * ulen) + alpha)
+        order = np.lexsort((c2f, key))
+        if not whole:
+            cut = np.searchsorted(key[order], delta, "right")
+            held, order = doubled[np.sort(order[cut:])], order[:cut]
+        c2f, doubled = c2f.tolist(), doubled.tolist()
+        for k in order.tolist():
+            c_ell = c2f[k] / (2 * ulen)
+            lo = max(lo_chord, 2 * c_ell - hi_chord)
+            hi = min(hi_chord, 2 * c_ell - lo_chord)
+            if hi - lo <= 0:
+                continue
+            inside = (ls >= lo + slack) & (ls <= hi - slack)
+            if not inside.any():
+                continue
+            # each reflected partner doubled - s must be present (within tol)
+            need = doubled[k] - sv[inside]
+            pos = np.searchsorted(ssorted, need - tol)
+            if (pos < len(ssorted)).all() and (ssorted[pos] <= need + tol).all():
+                if w.mode.is_exact:
+                    c2, u = Fraction(doubled[k], s2), ZPoint(Fraction(ux, scale), Fraction(uy, scale))
+                else:
+                    c2, u = doubled[k], ZPoint(ux, uy)
+                t = c2 / (2 * dot(u, u))
+                return ZPoint(base.re + u.re * t, base.im + u.im * t)
+        if whole:
+            return None
+        start, stop = lo_j, hi_j
+        delta *= _GROWTH
 
 
 # --------------------------------------------------------------------------
@@ -430,12 +523,9 @@ def classify(w: ZeroWindow, cfg: StabilizerSearchConfig | None = None) -> VeechC
         raise TooFewPoints("classification needs at least two points")
     wc = w if w.is_canonical else w.canonicalize()
     if window_collinear(wc):
-        u = None
-        for p in wc.points[1:]:
-            if not p.is_zero():
-                u = p
-                break
-        theta = math.atan2(float(u.im), float(u.re)) % math.pi
+        xs, ys, scale = wc.grid
+        k = np.flatnonzero((xs != 0) | (ys != 0))[:1]
+        theta = math.atan2(*_ratio(ys[k], scale), *_ratio(xs[k], scale)) % math.pi
         center = pprime_symmetry(wc)
         if center is not None:
             return VeechClass("Pprime", theta=theta, symmetry_center=center)

@@ -4,7 +4,9 @@ Each search of the package runs one array kernel (``gridsearch``) in both
 arithmetic modes.  The loops here are the earlier implementations it
 replaced, one ``Mat2`` action or one ``ZPoint`` at a time, with membership
 decided by a dict-of-cells ``PointIndex``.  Tests compare the kernel with
-them by ``repr``: in float mode every printed bit must agree.
+them by ``repr``: in float mode every printed bit must agree.  The
+point-symmetry search of collinear windows is here as it was before it
+took its centers in bands: every pair sum built and sorted at once.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import numpy as np
 
 from flatcurve.errors import DegenerateWindow
 from flatcurve.equiv import EquivResult
-from flatcurve.flatgeom import _past_restriction, has_holonomy_vector as _has_holonomy_vector
-from flatcurve.veech import ClosureReport, Mat2, _matrix_key, _pool_limit, _probes, is_contracting
-from flatcurve.zseq import Mode, ZPoint, _outside_ball, coordinate_grid, same_point
+from flatcurve.flatgeom import (_distinct, _past_restriction, has_holonomy_vector as _has_holonomy_vector,
+                                window_collinear)
+from flatcurve.veech import (_BLOCK, _MARGIN_FACTOR, ClosureReport, Mat2, VeechClass, _matrix_key,
+                             _pool_limit, _probes, is_contracting)
+from flatcurve.zseq import Mode, ZPoint, _outside_ball, _ratio, coordinate_grid, dot, same_point
 
 
 # --------------------------------------------------------------------------
@@ -327,6 +331,96 @@ def _orbit_loop(alphabet, seeds, max_len: int, radius, mode: Mode) -> list:
         frontier = admit([ZPoint(a * p.re + b * p.im, c * p.re + d * p.im)
                           for p in frontier for a, b, c, d in alphabet])
     return found
+
+
+# --------------------------------------------------------------------------
+# point symmetry of collinear windows
+
+
+def pprime_symmetry(w):
+    """``veech.pprime_symmetry`` over every doubled center s_i + s_j at once,
+    sorted by its distance from the region's middle."""
+    pts = w.points
+    if len(pts) < 2:
+        return None
+    if not window_collinear(w):
+        raise ValueError("symmetry center search expects a collinear window")
+    base = pts[0]
+    u = None
+    for p in pts[1:]:
+        d = p - base
+        if not d.is_zero():
+            u = d
+            break
+    if u is None:
+        return None
+    ulen = u.norm()
+    xs, ys, scale = w.grid
+    if w.mode.is_exact:
+        # on the integer grid sv = scale^2 * dot(p - base, u)
+        # (int64 coordinates stay within 2**28, so sums of two stay within
+        # int64)
+        ux, uy = int(u.re * scale), int(u.im * scale)
+        s2, tol = scale * scale, 0
+    else:
+        ux, uy = float(u.re), float(u.im)
+        s2, tol = None, w.mode.eps * ulen
+    sv = (xs - xs[0]) * ux + (ys - ys[0]) * uy
+    ls = _ratio(sv, s2) / ulen  # float(dot(p - base, u)) / |u|
+    ell = np.sort(ls)
+    gap = float(np.max(ell[1:] - ell[:-1])) if len(ell) > 1 else 0.0
+    qv = base - w.center
+    alpha = (float(qv.re) * float(u.re) + float(qv.im) * float(u.im)) / ulen
+    perp2 = max(float(qv.norm2()) - alpha * alpha, 0.0)
+    half = math.sqrt(max(float(w.radius) * float(w.radius) - perp2, 0.0))
+    lo_chord, hi_chord = -alpha - half, -alpha + half
+    slack = 1e-9 * (1 + float(w.radius))
+    if ell[0] - lo_chord > _MARGIN_FACTOR * gap + slack:
+        return None
+    if hi_chord - ell[-1] > _MARGIN_FACTOR * gap + slack:
+        return None
+    ssorted = np.sort(sv)
+    # every doubled center s_i + s_j once, summed in blocks of rows
+    rows = max(1, _BLOCK // len(sv))
+    doubled = _distinct(np.sort(np.concatenate(
+        [_distinct(np.sort(np.add.outer(sv[i:i + rows], sv), axis=None))
+         for i in range(0, len(sv), rows)])))
+    c2f = _ratio(doubled, s2).tolist()
+    doubled = doubled.tolist()
+    band = slack
+    for k in sorted(range(len(doubled)),
+                    key=lambda k: (abs(c2f[k] / (2 * ulen) + alpha), c2f[k])):
+        c_ell = c2f[k] / (2 * ulen)
+        lo = max(lo_chord, 2 * c_ell - hi_chord)
+        hi = min(hi_chord, 2 * c_ell - lo_chord)
+        if hi - lo <= 0:
+            continue
+        inside = (ls >= lo + band) & (ls <= hi - band)
+        if not inside.any():
+            continue
+        # each reflected partner doubled - s must be present (within tol)
+        need = doubled[k] - sv[inside]
+        pos = np.searchsorted(ssorted, need - tol)
+        if (pos < len(ssorted)).all() and (ssorted[pos] <= need + tol).all():
+            c2 = Fraction(doubled[k], s2) if w.mode.is_exact else doubled[k]
+            t = c2 / (2 * dot(u, u))
+            return ZPoint(base.re + u.re * t, base.im + u.im * t)
+    return None
+
+
+def classify(w):
+    """``veech.classify`` of a collinear window, its line read off its points."""
+    wc = w if w.is_canonical else w.canonicalize()
+    u = None
+    for p in wc.points[1:]:
+        if not p.is_zero():
+            u = p
+            break
+    theta = math.atan2(float(u.im), float(u.re)) % math.pi
+    center = pprime_symmetry(wc)
+    if center is not None:
+        return VeechClass("Pprime", theta=theta, symmetry_center=center)
+    return VeechClass("P", theta=theta)
 
 
 # --------------------------------------------------------------------------

@@ -871,3 +871,129 @@ def test_pprime_symmetry_big_denominator():
     assert fc.pprime_symmetry(w) == center
     moved = fc.ZeroWindow(w.points, w.radius, center=center + zp(Fraction(1, 2), 1))
     assert fc.pprime_symmetry(moved) == center + zp(Fraction(1, 2), 1)
+
+
+# Line directions: the first four of rational length, so a point can sit on
+# the end of an exact window's chord; (1, 2) of length sqrt(5).
+_DIRECTIONS = ((1, 0), (0, 1), (3, 4), (-4, 3), (1, 2))
+
+
+def _collinear_window(rng, mode, shape):
+    """A seeded window on a line through an offset point.  ``shape``:
+    "symmetric", about an integer or half-step center, with or without the
+    center and sometimes one point short, in a region off that center;
+    "random", random points on a step grid; "ends", random points with two
+    more on the ends of the region's chord, so the chord test passes and
+    most have no center.  About one exact offset in five has a denominator
+    past int64, for an object-dtype grid."""
+    dx, dy = rng.choice(_DIRECTIONS[:4] if shape == "ends" else _DIRECTIONS)
+    step = Fraction(rng.randint(1, 4), rng.choice((1, 2, 3)))
+    c = Fraction(rng.randint(-6, 6), 2)
+    n = rng.randint(1, 14)
+    if shape == "symmetric":
+        xs = {c + s * step * k for k in range(1, n + 1) for s in (-1, 1)}
+        if rng.random() < 0.5:
+            xs.add(c)
+        if rng.random() < 0.3 and len(xs) > 2:
+            xs.discard(rng.choice(sorted(xs)))
+        mid = c + Fraction(rng.randint(-2, 2), 3) * step
+    else:
+        xs = {c + step * k for k in rng.sample(range(-2 * n, 2 * n + 1), n + 1)}
+        mid = c
+    reach = max(abs(x - mid) for x in xs)
+    if shape == "ends":
+        xs |= {mid - reach, mid + reach}
+    off = (Fraction(rng.randint(-5, 5), 3), Fraction(rng.randint(-5, 5), 7))
+    if mode.is_exact and rng.random() < 0.2:
+        off = (off[0] + Fraction(1, _BIG_DENS[1]), off[1])
+    length = math.hypot(dx, dy)
+    if shape == "ends":
+        radius = reach * int(length)
+    else:
+        radius = float(reach + rng.choice((0, 0, step / 2))) * length * (1 + 1e-12)
+
+    def point(x):
+        return fc.ZPoint.of(off[0] + x * dx, off[1] + x * dy, mode)
+
+    return fc.ZeroWindow(fc.canonical_order([point(x) for x in xs], mode), radius, mode,
+                         center=point(mid))
+
+
+@pytest.mark.parametrize("shape", ["symmetric", "random", "ends"])
+@pytest.mark.parametrize("mode", [fc.EXACT, fc.float_mode()], ids=["exact", "float"])
+def test_pprime_symmetry_and_classify_print_as_full_sort(mode, shape):
+    # the band enumeration against every doubled center sorted at once
+    rng = random.Random(f"{mode.kind}-{shape}")
+    centers = big = 0
+    for _ in range(60):
+        w = _collinear_window(rng, mode, shape)
+        want = reference.pprime_symmetry(w)
+        assert repr(fc.pprime_symmetry(w)) == repr(want)
+        assert repr(fc.classify(w)) == repr(reference.classify(w))
+        centers += want is not None
+        big += w.grid[0].dtype == object
+    assert 0 < centers < 60 or shape == "symmetric"
+    assert (big > 0) == mode.is_exact
+
+
+@pytest.mark.parametrize("mode", [fc.EXACT, fc.float_mode()], ids=["exact", "float"])
+def test_pprime_symmetry_without_center_sums_every_pair_once(mode, monkeypatch):
+    # windows that pass the chord test and have no center: the bands grow
+    # until they hold every pair i <= j of sorted projections, each once
+    bands = []
+    real = veech._pair_sums
+
+    def pair_sums(ss, rows, a, b):
+        bands.append([(i, j) for i, lo, hi in zip(rows.tolist(), a.tolist(), b.tolist())
+                      for j in range(lo, hi)])
+        return real(ss, rows, a, b)
+
+    monkeypatch.setattr(veech, "_pair_sums", pair_sums)
+    rng = random.Random(23)
+    grown = 0  # windows that took more than one band
+    for _ in range(300):
+        w = _collinear_window(rng, mode, "ends")
+        bands.clear()
+        if fc.pprime_symmetry(w) is not None:
+            continue
+        assert reference.pprime_symmetry(w) is None
+        pairs = [p for band in bands for p in band]
+        n = len(w)
+        assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i, n)]
+        grown += len(bands) > 1
+    assert grown >= 10
+
+
+@pytest.mark.parametrize("kind, center", [("all-integers", 0), ("odd4n13-all", -1)])
+def test_pprime_symmetry_large_window(kind, center):
+    w = fc.generate(fc.GeneratorSpec(kind), 2000)
+    assert len(w) >= 2000
+    assert fc.pprime_symmetry(w) == zp(center)
+
+
+@pytest.mark.parametrize("kind", ["all-integers", "odd4n13-all", "positive-integers"])
+def test_collinear_classify_builds_no_points(kind):
+    w = fc.generate(fc.GeneratorSpec(kind), 30)
+    assert fc.classify(w).kind in ("P", "Pprime")
+    assert "points" not in vars(w)
+
+
+@pytest.mark.xfail(strict=True, reason="points within slack of the chord's ends are exempt "
+                   "from the reflection test, so 3 needs no partner -3")
+@pytest.mark.parametrize("mode", [fc.EXACT, fc.float_mode()], ids=["exact", "float"])
+def test_pprime_symmetry_maps_chord_end_points_into_the_window(mode):
+    # {-2, ..., 3} in the closed ball of radius 3 about 0: the reflection
+    # about 0 sends 3 to -3, inside the ball and no window point
+    pts = [fc.ZPoint.of(k, 0, mode) for k in range(-2, 4)]
+    assert fc.pprime_symmetry(fc.ZeroWindow.from_points(pts, 3, mode)) is None
+
+
+def test_integer_rows_match_fraction_products():
+    big = (1 << 70) + 1
+    mats = [Mat2.of(1, Fraction(-3, 7), Fraction(5, 2), -4),
+            Mat2.of(Fraction(-1, 6), 0, Fraction(7, big), Fraction(-2, 3 * big)),
+            Mat2.of(Fraction(-9, 14), Fraction(1, 4), 2, Fraction(-5, 21))]
+    den = math.lcm(*(v.denominator for m in mats for v in m.entries()))
+    rows = [[int(v * den) for v in m.entries()] for m in mats]
+    assert gridsearch._integer_rows(mats) == (den, rows, max(abs(v) for r in rows for v in r))
+    assert gridsearch._integer_rows(mats[:1]) == (14, [[14, -6, 35, -56]], 56)
